@@ -63,7 +63,7 @@ func runGradient(args []string) {
 		fail("gradient: %v", err)
 	}
 
-	gw := gridW(*n)
+	gw := sim.SquareGridW(*n)
 	topologies := []struct {
 		name string
 		spec sim.TopologySpec
@@ -205,16 +205,4 @@ func runGradient(args []string) {
 		fail("gradient: %d scenario(s) exceeded GradientBound(d)", violations)
 	}
 	fmt.Println("ok: per-distance local skew within GradientBound(d) on every scenario")
-}
-
-// gridW returns the largest divisor of n not exceeding its square root,
-// giving the most square WxH factorization of the grid scenario.
-func gridW(n int) int {
-	w := 1
-	for d := 2; d*d <= n; d++ {
-		if n%d == 0 {
-			w = d
-		}
-	}
-	return w
 }

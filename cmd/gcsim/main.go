@@ -52,7 +52,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -89,23 +88,10 @@ func main() {
 
 func runScenario() {
 	var (
-		n       = flag.Int("n", 16, "number of nodes")
-		seed    = flag.Uint64("seed", 1, "PRNG seed")
-		horizon = flag.Float64("horizon", 30, "simulated seconds to run")
-		rho     = flag.Float64("rho", 0.01, "hardware clock drift bound")
-		delay   = flag.Float64("delay", 0.01, "message delay bound (seconds)")
-		topo    = flag.String("topo", "ring", "topology: line|ring|star|grid|complete|twochains")
-		gridW   = flag.Int("grid-w", 0, "grid width (topo=grid; 0 = square)")
-		driver  = flag.String("driver", "randomwalk", "clock driver: constant|randomwalk|bangbang")
-		intv    = flag.Float64("interval", 1, "driver rate-change interval")
-		churn   = flag.String("churn", "none", "churn: none|volatile|rotatingstar")
-		period  = flag.Float64("period", 2, "rotating-star period")
-		overlap = flag.Float64("overlap", 0.5, "rotating-star overlap")
+		sf      = addScenarioFlags(flag.CommandLine, 30)
 		life    = flag.Float64("lifetime", 1.5, "volatile edge mean lifetime")
 		absence = flag.Float64("absence", 1.0, "volatile edge mean absence")
 		extra   = flag.Int("extra-edges", 10, "volatile candidate edge count")
-		beacon  = flag.Float64("beacon", 0.1, "beacon interval (hardware time)")
-		sample  = flag.Float64("sample", 0.1, "skew sampling period (real time)")
 		events  = flag.Bool("events", false, "print a per-label event breakdown (via the DES trace hook)")
 
 		parallel = flag.Bool("parallel", false, "run on the sharded parallel engine (its own delay physics; see -shards)")
@@ -113,79 +99,19 @@ func runScenario() {
 		workers  = flag.Int("workers", 0, "parallel worker goroutines — never affects the report (0 = GOMAXPROCS)")
 		minDelay = flag.Float64("min-delay", 0, "parallel delay floor = conservative lookahead (0 = delay/4)")
 	)
-	ff := addFaultFlags(flag.CommandLine)
 	flag.Parse()
 
-	cfg := sim.Config{
-		N:           *n,
-		Seed:        *seed,
-		Horizon:     *horizon,
-		Rho:         *rho,
-		MaxDelay:    *delay,
-		Driver:      sim.DriverSpec{Interval: *intv},
-		SampleEvery: *sample,
-		Parallel:    *parallel,
-		Shards:      *shards,
-		Workers:     *workers,
-		MinDelay:    *minDelay,
+	cfg, err := sf.config()
+	if err != nil {
+		fail("%v", err)
 	}
-	cfg.Node.BeaconEvery = *beacon
+	if cfg.Churn.Kind == sim.ChurnVolatile {
+		cfg.Churn.Lifetime, cfg.Churn.Absence, cfg.Churn.ExtraEdges = *life, *absence, *extra
+	}
+	cfg.Parallel, cfg.Shards, cfg.Workers, cfg.MinDelay = *parallel, *shards, *workers, *minDelay
 	if *parallel && *events {
 		fail("-events needs the serial engine's trace hook; drop -parallel")
 	}
-
-	switch *topo {
-	case "line":
-		cfg.Topology.Kind = sim.TopoLine
-	case "ring":
-		cfg.Topology.Kind = sim.TopoRing
-	case "star":
-		cfg.Topology.Kind = sim.TopoStar
-	case "grid":
-		w := *gridW
-		if w == 0 {
-			for w*w < *n {
-				w++
-			}
-		}
-		if *n%w != 0 {
-			fail("grid width %d does not divide n=%d", w, *n)
-		}
-		cfg.Topology = sim.TopologySpec{Kind: sim.TopoGrid, W: w, H: *n / w}
-	case "complete":
-		cfg.Topology.Kind = sim.TopoComplete
-	case "twochains":
-		cfg.Topology.Kind = sim.TopoTwoChains
-	default:
-		fail("unknown topology %q", *topo)
-	}
-
-	switch *driver {
-	case "constant":
-		cfg.Driver.Kind = sim.DriveConstant
-	case "randomwalk":
-		cfg.Driver.Kind = sim.DriveRandomWalk
-	case "bangbang":
-		cfg.Driver.Kind = sim.DriveBangBang
-	default:
-		fail("unknown driver %q", *driver)
-	}
-
-	switch *churn {
-	case "none":
-	case "volatile":
-		cfg.Churn = sim.ChurnSpec{
-			Kind: sim.ChurnVolatile, Lifetime: *life, Absence: *absence, ExtraEdges: *extra,
-		}
-	case "rotatingstar":
-		cfg.Churn = sim.ChurnSpec{
-			Kind: sim.ChurnRotatingStar, Period: *period, Overlap: *overlap,
-		}
-	default:
-		fail("unknown churn %q", *churn)
-	}
-
-	cfg.Faults = ff.spec()
 	// The harness boundary returns configuration errors instead of
 	// panicking; sim.New below only ever sees a validated config.
 	if err := cfg.Validate(); err != nil {
@@ -206,38 +132,11 @@ func runScenario() {
 		}
 		rpt = s.Run()
 	}
-	// Report the effective configuration: WithDefaults treats zero-valued
-	// fields (e.g. -rho 0) as unset and fills them in.
 	eff := cfg.WithDefaults()
-
-	fmt.Printf("scenario: n=%d topo=%v driver=%v churn=%v horizon=%gs rho=%g maxDelay=%g seed=%d\n",
-		*n, eff.Topology.Kind, eff.Driver.Kind, eff.Churn.Kind, eff.Horizon, eff.Rho, eff.MaxDelay, *seed)
-	if *parallel {
-		w := eff.Workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		fmt.Printf("parallel: shards=%d minDelay=%g (workers=%d — execution only, never in the report)\n",
-			eff.Shards, eff.MinDelay, w)
+	if eff.Workers <= 0 {
+		eff.Workers = runtime.GOMAXPROCS(0)
 	}
-	fmt.Printf("skew:     maxGlobal=%.6f  maxAdjacent=%.6f  final=%.6f  bound=%.6f\n",
-		rpt.MaxGlobalSkew, rpt.MaxAdjacentSkew, rpt.FinalGlobalSkew, rpt.Bound)
-	fmt.Printf("traffic:  sent=%d delivered=%d dropped=%d refused=%d\n",
-		rpt.Transport.Sent, rpt.Transport.Delivered, rpt.Transport.Dropped, rpt.Transport.Refused)
-	fmt.Printf("activity: events=%d beacons=%d jumps=%d edgeAdds=%d edgeRemoves=%d samples=%d\n",
-		rpt.EventsExecuted, rpt.TotalBeacons, rpt.TotalJumps, rpt.EdgeAdds, rpt.EdgeRemoves, rpt.Samples)
-	fmt.Printf("drift:    ratesSeen=[%.6f, %.6f] allowed=[%.6f, %.6f]\n",
-		rpt.MinRateSeen, rpt.MaxRateSeen, 1-eff.Rho, 1+eff.Rho)
-	if eff.Faults.Enabled() {
-		fst := rpt.Faults
-		fmt.Printf("faults:   drops=%d dups=%d spikes=%d crashes=%d recoveries=%d rateExcursions=%d lastFault=%.3f\n",
-			fst.Drops, fst.Dups, fst.DelaySpikes, fst.Crashes, fst.Recoveries, fst.RateExcursions, fst.LastFaultT)
-		if math.IsInf(rpt.ReconvergenceTime, 1) {
-			fmt.Println("reconverge: NEVER — global skew still outside the bound at the horizon")
-		} else {
-			fmt.Printf("reconverge: %.6fs after the last fault\n", rpt.ReconvergenceTime)
-		}
-	}
+	printReport("scenario:", eff, rpt)
 
 	if *events {
 		labels := make([]string, 0, len(eventCounts))
@@ -255,21 +154,7 @@ func runScenario() {
 			fmt.Printf("  %-24s %d\n", l, eventCounts[l])
 		}
 	}
-
-	// A faulted run is allowed to breach the bound while faults are
-	// firing — the gate is re-convergence; an unfaulted run must stay
-	// inside the bound throughout.
-	if eff.Faults.Enabled() {
-		if math.IsInf(rpt.ReconvergenceTime, 1) {
-			fail("NO RECONVERGENCE: global skew never re-entered the analytic bound after the last fault")
-		}
-		fmt.Println("ok: re-converged inside the analytic bound after the last fault")
-		return
-	}
-	if rpt.MaxGlobalSkew > rpt.Bound {
-		fail("VIOLATION: max global skew %v exceeds analytic bound %v", rpt.MaxGlobalSkew, rpt.Bound)
-	}
-	fmt.Println("ok: global skew within analytic bound")
+	gate(eff, rpt, 1)
 }
 
 func fail(format string, args ...any) {

@@ -2,125 +2,32 @@ package main
 
 import (
 	"flag"
-	"fmt"
-	"math"
 
 	"gcs/internal/rt"
-	"gcs/internal/sim"
 )
 
 // runRealtime is the `realtime` subcommand: the same scenario surface as
 // the default DES run, executed on the goroutine-per-node real-time
 // runtime (internal/rt). One simulated second is one wall second, so the
 // default horizon is short. The report shape is shared with the DES, and
-// the same pass/fail gates apply — with slack on the skew gate, because
-// a wall-clock sampler takes fuzzy cuts, not the DES's exact ones.
+// the same pass/fail gates apply — with 2x slack on the skew gate,
+// because a wall-clock sampler takes fuzzy cuts, not the DES's exact
+// ones. Scenarios only the DES can run (volatile churn) are rejected by
+// rt.Supports.
 func runRealtime(args []string) {
 	fs := flag.NewFlagSet("realtime", flag.ExitOnError)
-	var (
-		n       = fs.Int("n", 16, "number of nodes")
-		seed    = fs.Uint64("seed", 1, "PRNG seed")
-		horizon = fs.Float64("horizon", 5, "seconds to run (wall time!)")
-		rho     = fs.Float64("rho", 0.01, "hardware clock drift bound")
-		delay   = fs.Float64("delay", 0.01, "message delay bound (seconds)")
-		topo    = fs.String("topo", "ring", "topology: line|ring|star|grid|complete")
-		gridW   = fs.Int("grid-w", 0, "grid width (topo=grid; 0 = square)")
-		driver  = fs.String("driver", "randomwalk", "clock driver: constant|randomwalk|bangbang")
-		intv    = fs.Float64("interval", 1, "driver rate-change interval")
-		churn   = fs.String("churn", "none", "churn: none|rotatingstar")
-		period  = fs.Float64("period", 2, "rotating-star period")
-		overlap = fs.Float64("overlap", 0.5, "rotating-star overlap")
-		beacon  = fs.Float64("beacon", 0.1, "beacon interval (hardware time)")
-		sample  = fs.Float64("sample", 0.1, "skew sampling period (wall time)")
-	)
-	ff := addFaultFlags(fs)
+	sf := addScenarioFlags(fs, 5)
 	fs.Parse(args)
 
-	cfg := sim.Config{
-		N:           *n,
-		Seed:        *seed,
-		Horizon:     *horizon,
-		Rho:         *rho,
-		MaxDelay:    *delay,
-		Driver:      sim.DriverSpec{Interval: *intv},
-		SampleEvery: *sample,
+	cfg, err := sf.config()
+	if err != nil {
+		fail("%v", err)
 	}
-	cfg.Node.BeaconEvery = *beacon
-
-	switch *topo {
-	case "line":
-		cfg.Topology.Kind = sim.TopoLine
-	case "ring":
-		cfg.Topology.Kind = sim.TopoRing
-	case "star":
-		cfg.Topology.Kind = sim.TopoStar
-	case "grid":
-		w := *gridW
-		if w == 0 {
-			for w*w < *n {
-				w++
-			}
-		}
-		if *n%w != 0 {
-			fail("grid width %d does not divide n=%d", w, *n)
-		}
-		cfg.Topology = sim.TopologySpec{Kind: sim.TopoGrid, W: w, H: *n / w}
-	case "complete":
-		cfg.Topology.Kind = sim.TopoComplete
-	default:
-		fail("unknown topology %q", *topo)
-	}
-
-	switch *driver {
-	case "constant":
-		cfg.Driver.Kind = sim.DriveConstant
-	case "randomwalk":
-		cfg.Driver.Kind = sim.DriveRandomWalk
-	case "bangbang":
-		cfg.Driver.Kind = sim.DriveBangBang
-	default:
-		fail("unknown driver %q", *driver)
-	}
-
-	switch *churn {
-	case "none":
-	case "rotatingstar":
-		cfg.Churn = sim.ChurnSpec{Kind: sim.ChurnRotatingStar, Period: *period, Overlap: *overlap}
-	default:
-		fail("unknown churn %q (the real-time runtime supports none|rotatingstar)", *churn)
-	}
-
-	cfg.Faults = ff.spec()
 	rpt, err := rt.Run(cfg)
 	if err != nil {
 		fail("%v", err)
 	}
-
 	eff := cfg.WithDefaults()
-	fmt.Printf("realtime: n=%d topo=%v driver=%v churn=%v horizon=%gs rho=%g maxDelay=%g seed=%d\n",
-		*n, eff.Topology.Kind, eff.Driver.Kind, eff.Churn.Kind, eff.Horizon, eff.Rho, eff.MaxDelay, *seed)
-	fmt.Printf("skew:     maxGlobal=%.6f  maxAdjacent=%.6f  final=%.6f  bound=%.6f\n",
-		rpt.MaxGlobalSkew, rpt.MaxAdjacentSkew, rpt.FinalGlobalSkew, rpt.Bound)
-	fmt.Printf("traffic:  sent=%d delivered=%d dropped=%d refused=%d\n",
-		rpt.Transport.Sent, rpt.Transport.Delivered, rpt.Transport.Dropped, rpt.Transport.Refused)
-	fmt.Printf("activity: events=%d beacons=%d jumps=%d edgeAdds=%d edgeRemoves=%d samples=%d\n",
-		rpt.EventsExecuted, rpt.TotalBeacons, rpt.TotalJumps, rpt.EdgeAdds, rpt.EdgeRemoves, rpt.Samples)
-	fmt.Printf("drift:    ratesSeen=[%.6f, %.6f] allowed=[%.6f, %.6f]\n",
-		rpt.MinRateSeen, rpt.MaxRateSeen, 1-eff.Rho, 1+eff.Rho)
-	if eff.Faults.Enabled() {
-		fst := rpt.Faults
-		fmt.Printf("faults:   drops=%d dups=%d spikes=%d crashes=%d recoveries=%d rateExcursions=%d lastFault=%.3f\n",
-			fst.Drops, fst.Dups, fst.DelaySpikes, fst.Crashes, fst.Recoveries, fst.RateExcursions, fst.LastFaultT)
-		if math.IsInf(rpt.ReconvergenceTime, 1) {
-			fail("NO RECONVERGENCE: global skew never re-entered the analytic bound after the last fault")
-		}
-		fmt.Printf("reconverge: %.6fs after the last fault\n", rpt.ReconvergenceTime)
-		fmt.Println("ok: re-converged inside the analytic bound after the last fault")
-		return
-	}
-	// Wall-clock sampling jitter earns a 2x slack over the DES gate.
-	if rpt.MaxGlobalSkew > 2*rpt.Bound {
-		fail("VIOLATION: max global skew %v exceeds 2x analytic bound %v", rpt.MaxGlobalSkew, rpt.Bound)
-	}
-	fmt.Println("ok: global skew within analytic bound (2x real-time slack)")
+	printReport("realtime:", eff, rpt)
+	gate(eff, rpt, 2)
 }

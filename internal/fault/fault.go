@@ -272,69 +272,49 @@ func (m *Messages) Draw(from int, now float64, st *Stats) Verdict {
 	return v
 }
 
-// Hooks are the harness callbacks the Injector drives. All three run
-// inside engine events — serial events or parallel global phases — so
-// they may touch node and clock state freely.
-type Hooks struct {
-	// Crash takes node i offline.
-	Crash func(i int)
-	// Recover brings node i back (volatile state lost, immediate rejoin
-	// beacon).
-	Recover func(i int)
-	// SetRate forces node i's hardware rate.
-	SetRate func(i int, rate float64)
-}
-
-// Injector drives the node-level fault schedules — crash-stop /
-// crash-recover and hardware-rate excursions — as events on the
-// harness's engine (the serial engine, or the parallel coordinator's
-// global engine, whose events run with every shard barriered). Each
-// node's schedule comes from its own forked streams, so schedules are
-// independent of each other and of everything else in the run. An
-// Injector is reusable: Wire reseeds it in place.
+// Injector holds the node-level fault schedules — crash-stop /
+// crash-recover and hardware-rate excursions — as two self-rescheduling
+// chains per node. Each chain is a step function: it advances the
+// chain's state, counts into the caller's Stats, and returns the effect
+// the harness must apply now together with the delay to the chain's next
+// step (negative when the chain has ended). How a delay becomes a future
+// call is the harness's business — a DES event on the serial engine or
+// the parallel coordinator's global engine, a re-armed wall timer in the
+// real-time runtime — so the fault physics exists once. Each node's
+// chains draw from their own forked streams and touch only that node's
+// state, so schedules are independent of each other and of everything
+// else in the run, and distinct nodes may be stepped concurrently. An
+// Injector is reusable: the zero value is ready, and Wire reseeds it in
+// place.
 type Injector struct {
-	spec  Spec
-	rho   float64
-	n     int
-	hooks Hooks
-	en    *des.Engine
-	stats Stats
-	down  []bool
+	spec Spec
+	rho  float64
+	// down[i]/excursed[i] are node i's chain phases: crashed, and inside
+	// a rate excursion.
+	down     []bool
+	excursed []bool
 
 	crashRands []des.Rand
 	rateRands  []des.Rand
-
-	crashFn, recoverFn, excFn, excEndFn des.ArgHandler
-}
-
-// NewInjector returns an empty injector; Wire and Install arm it. The
-// event handlers are created once here, so re-wiring allocates nothing.
-func NewInjector() *Injector {
-	inj := &Injector{}
-	inj.crashFn = func(arg uint64) { inj.crash(int(arg)) }
-	inj.recoverFn = func(arg uint64) { inj.recoverNode(int(arg)) }
-	inj.excFn = func(arg uint64) { inj.excurse(int(arg)) }
-	inj.excEndFn = func(arg uint64) { inj.excurseEnd(int(arg)) }
-	return inj
 }
 
 // Wire reseeds the injector for one run over n nodes from a defaulted
 // spec. rho scales rate excursions; root is the run's fault root.
-func (inj *Injector) Wire(spec Spec, n int, rho float64, root *des.Rand, hooks Hooks) {
+func (inj *Injector) Wire(spec Spec, n int, rho float64, root *des.Rand) {
 	inj.spec = spec
 	inj.rho = rho
-	inj.n = n
-	inj.hooks = hooks
-	inj.stats = Stats{}
 	if cap(inj.down) < n {
 		inj.down = make([]bool, n)
+		inj.excursed = make([]bool, n)
 		inj.crashRands = make([]des.Rand, n)
 		inj.rateRands = make([]des.Rand, n)
 	} else {
 		inj.down = inj.down[:n]
+		inj.excursed = inj.excursed[:n]
 		inj.crashRands = inj.crashRands[:n]
 		inj.rateRands = inj.rateRands[:n]
 		clear(inj.down)
+		clear(inj.excursed)
 	}
 	var crashRoot, rateRoot des.Rand
 	root.ForkInto(2, &crashRoot)
@@ -345,87 +325,85 @@ func (inj *Injector) Wire(spec Spec, n int, rho float64, root *des.Rand, hooks H
 	}
 }
 
-// Install schedules each node's first crash and excursion onset on en.
-// Call once per run, with the engine at time 0.
-func (inj *Injector) Install(en *des.Engine) {
-	inj.en = en
-	if inj.spec.CrashEvery > 0 {
-		for i := 0; i < inj.n; i++ {
-			if t := inj.crashRands[i].Exp(inj.spec.CrashEvery); t <= inj.spec.Until {
-				en.ScheduleArg(t, "fault.crash", inj.crashFn, uint64(i))
-			}
-		}
-	}
-	if inj.spec.RateExcursionEvery > 0 {
-		for i := 0; i < inj.n; i++ {
-			if t := inj.rateRands[i].Exp(inj.spec.RateExcursionEvery); t <= inj.spec.Until {
-				en.ScheduleArg(t, "fault.rate", inj.excFn, uint64(i))
-			}
-		}
-	}
-}
-
 // Down returns the live down-node mask, indexed by node. The harness
-// aliases it to exclude crashed nodes from skew sampling; all writes
-// happen inside engine events, never concurrently with reads.
+// aliases it to exclude crashed nodes from skew sampling; entry i is
+// written only by node i's CrashStep.
 func (inj *Injector) Down() []bool { return inj.down }
 
-// Stats returns the counters accumulated so far.
-func (inj *Injector) Stats() Stats { return inj.stats }
-
-func (inj *Injector) crash(i int) {
-	now := inj.en.Now()
-	inj.down[i] = true
-	inj.stats.Crashes++
-	inj.stats.note(now)
-	inj.hooks.Crash(i)
-	if inj.spec.CrashStop {
-		return
+// onset draws the delay from now to a chain's next onset, or a negative
+// delay when that onset would pass Until: only fresh onsets are clamped
+// to the injection window, so this is where a chain ends.
+func (inj *Injector) onset(r *des.Rand, mean, now float64) float64 {
+	d := r.Exp(mean)
+	if now+d > inj.spec.Until {
+		return -1
 	}
-	// The recovery concludes this crash, so it runs even past Until; only
-	// fresh onsets are clamped to the injection window.
-	inj.en.ScheduleArg(now+inj.crashRands[i].Exp(inj.spec.CrashDowntime), "fault.recover", inj.recoverFn, uint64(i))
+	return d
 }
 
-func (inj *Injector) recoverNode(i int) {
-	now := inj.en.Now()
-	inj.down[i] = false
-	inj.stats.Recoveries++
+// CrashStart returns the delay from time 0 to node i's first crash,
+// negative when the plan has no crashes or the first onset passes Until.
+func (inj *Injector) CrashStart(i int) float64 {
+	if inj.spec.CrashEvery <= 0 {
+		return -1
+	}
+	return inj.onset(&inj.crashRands[i], inj.spec.CrashEvery, 0)
+}
+
+// CrashStep advances node i's crash/recover chain at time now. down
+// reports the node's new state — the harness crashes the node when true
+// and recovers it when false.
+func (inj *Injector) CrashStep(i int, now float64, st *Stats) (down bool, next float64) {
+	st.note(now)
+	if !inj.down[i] {
+		inj.down[i] = true
+		st.Crashes++
+		if inj.spec.CrashStop {
+			return true, -1
+		}
+		// The recovery concludes this crash, so it runs even past Until.
+		return true, inj.crashRands[i].Exp(inj.spec.CrashDowntime)
+	}
 	// Rejoining with a stale clock is itself a disturbance: re-convergence
 	// is measured from the rejoin, not from the crash that caused it.
-	inj.stats.note(now)
-	inj.hooks.Recover(i)
-	if t := now + inj.crashRands[i].Exp(inj.spec.CrashEvery); t <= inj.spec.Until {
-		inj.en.ScheduleArg(t, "fault.crash", inj.crashFn, uint64(i))
-	}
+	inj.down[i] = false
+	st.Recoveries++
+	return false, inj.onset(&inj.crashRands[i], inj.spec.CrashEvery, now)
 }
 
-func (inj *Injector) excurse(i int) {
-	now := inj.en.Now()
+// RateStart returns the delay from time 0 to node i's first rate
+// excursion, negative when the plan has none or the first onset passes
+// Until.
+func (inj *Injector) RateStart(i int) float64 {
+	if inj.spec.RateExcursionEvery <= 0 {
+		return -1
+	}
+	return inj.onset(&inj.rateRands[i], inj.spec.RateExcursionEvery, 0)
+}
+
+// RateStep advances node i's excursion chain at time now and returns the
+// hardware rate the harness must force: an out-of-band rate at an
+// excursion's start, the nominal 1 at its end.
+func (inj *Injector) RateStep(i int, now float64, st *Stats) (rate, next float64) {
+	st.note(now)
 	r := &inj.rateRands[i]
-	inj.stats.RateExcursions++
-	inj.stats.note(now)
+	if inj.excursed[i] {
+		// Restoring the nominal rate perturbs the clock one last time; the
+		// scenario's driver reasserts its own in-band rate at its next step.
+		inj.excursed[i] = false
+		return 1, inj.onset(r, inj.spec.RateExcursionEvery, now)
+	}
+	inj.excursed[i] = true
+	st.RateExcursions++
 	// 1 - Float64() is in (0, 1], so mag is in (1, Factor]: the rate is
 	// strictly outside the [1-rho, 1+rho] drift band the paper assumes.
 	mag := 1 + (inj.spec.RateExcursionFactor-1)*(1-r.Float64())
-	rate := 1 + mag*inj.rho
+	rate = 1 + mag*inj.rho
 	if r.Bool(0.5) {
 		rate = 1 - mag*inj.rho
 		if rate < 0.05 {
 			rate = 0.05 // hardware clocks must keep running forward
 		}
 	}
-	inj.hooks.SetRate(i, rate)
-	inj.en.ScheduleArg(now+r.Exp(inj.spec.RateExcursionFor), "fault.rate.end", inj.excEndFn, uint64(i))
-}
-
-func (inj *Injector) excurseEnd(i int) {
-	now := inj.en.Now()
-	// Restoring the nominal rate perturbs the clock one last time; the
-	// scenario's driver reasserts its own in-band rate at its next step.
-	inj.hooks.SetRate(i, 1)
-	inj.stats.note(now)
-	if t := now + inj.rateRands[i].Exp(inj.spec.RateExcursionEvery); t <= inj.spec.Until {
-		inj.en.ScheduleArg(t, "fault.rate", inj.excFn, uint64(i))
-	}
+	return rate, r.Exp(inj.spec.RateExcursionFor)
 }

@@ -166,23 +166,59 @@ type injEvent struct {
 	rate float64
 }
 
-// runInjector executes a plan on a bare engine with recording hooks.
-func runInjector(spec Spec, n int, horizon float64, seed uint64) ([]injEvent, Stats, []bool) {
-	en := des.NewEngine()
-	var events []injEvent
-	inj := NewInjector()
-	hooks := Hooks{
-		Crash:   func(i int) { events = append(events, injEvent{"crash", i, en.Now(), 0}) },
-		Recover: func(i int) { events = append(events, injEvent{"recover", i, en.Now(), 0}) },
-		SetRate: func(i int, r float64) { events = append(events, injEvent{"rate", i, en.Now(), r}) },
+// injHarness drives an Injector's step functions on a bare engine the
+// way a DES harness does: apply the returned effect (here: record it),
+// then schedule the next step after the returned delay.
+type injHarness struct {
+	en     *des.Engine
+	inj    *Injector
+	stats  Stats
+	events []injEvent
+}
+
+func (h *injHarness) after(next float64, fn des.ArgHandler, i int) {
+	if next >= 0 {
+		h.en.ScheduleAfterArg(next, "fault", fn, uint64(i))
 	}
-	root := des.NewRand(seed)
-	inj.Wire(spec, n, 0.05, root, hooks)
-	inj.Install(en)
-	en.Run(horizon)
+}
+
+func (h *injHarness) crashStep(arg uint64) {
+	down, next := h.inj.CrashStep(int(arg), h.en.Now(), &h.stats)
+	kind := "recover"
+	if down {
+		kind = "crash"
+	}
+	h.events = append(h.events, injEvent{kind, int(arg), h.en.Now(), 0})
+	h.after(next, h.crashStep, int(arg))
+}
+
+func (h *injHarness) rateStep(arg uint64) {
+	rate, next := h.inj.RateStep(int(arg), h.en.Now(), &h.stats)
+	h.events = append(h.events, injEvent{"rate", int(arg), h.en.Now(), rate})
+	h.after(next, h.rateStep, int(arg))
+}
+
+// run wires the injector for one plan and executes it to the horizon.
+func (h *injHarness) run(spec Spec, n int, horizon float64, seed uint64) {
+	h.en.Reset()
+	h.stats, h.events = Stats{}, nil
+	h.inj.Wire(spec, n, 0.05, des.NewRand(seed))
+	for i := 0; i < n; i++ {
+		h.after(h.inj.CrashStart(i), h.crashStep, i)
+	}
+	for i := 0; i < n; i++ {
+		h.after(h.inj.RateStart(i), h.rateStep, i)
+	}
+	h.en.Run(horizon)
+}
+
+// runInjector executes a plan on a fresh injector and engine.
+func runInjector(spec Spec, n int, horizon float64, seed uint64) ([]injEvent, Stats, []bool) {
+	h := &injHarness{en: des.NewEngine(), inj: new(Injector)}
+	h.run(spec, n, horizon, seed)
 	down := make([]bool, n)
-	copy(down, inj.Down())
-	return events, inj.Stats(), down
+	copy(down, h.inj.Down())
+	return h.events, h.stats, down
 }
 
 func TestInjectorDeterministicSchedules(t *testing.T) {
@@ -242,17 +278,109 @@ func TestInjectorRewireResets(t *testing.T) {
 	_, first, _ := runInjector(spec, 6, 20, 3)
 	// Reusing one injector across runs (the arena pattern) must reproduce
 	// a fresh injector bit for bit, including the cleared down mask.
-	en := des.NewEngine()
-	inj := NewInjector()
-	hooks := Hooks{Crash: func(int) {}, Recover: func(int) {}, SetRate: func(int, float64) {}}
+	h := &injHarness{en: des.NewEngine(), inj: new(Injector)}
 	for run := 0; run < 2; run++ {
-		en.Reset()
-		root := des.NewRand(3)
-		inj.Wire(spec, 6, 0.05, root, hooks)
-		inj.Install(en)
-		en.Run(20)
-		if got := inj.Stats(); got != first {
-			t.Fatalf("run %d diverged: %+v vs %+v", run, got, first)
+		h.run(spec, 6, 20, 3)
+		if h.stats != first {
+			t.Fatalf("run %d diverged: %+v vs %+v", run, h.stats, first)
 		}
 	}
+}
+
+// TestInjectorStepTable checks the two chains as bare step functions,
+// with no engine: replaying node i's forked stream by hand must predict
+// every (effect, delay) pair, and a chain must end exactly when its next
+// onset passes Until — never earlier, never later.
+func TestInjectorStepTable(t *testing.T) {
+	const n, node, rho, seed = 4, 2, 0.05, 17
+	spec := Spec{CrashEvery: 1, CrashDowntime: 0.5, RateExcursionEvery: 1,
+		RateExcursionFactor: 3, RateExcursionFor: 0.5, Until: 6}.WithDefaults(20)
+	inj := new(Injector)
+	inj.Wire(spec, n, rho, des.NewRand(seed))
+
+	t.Run("crash", func(t *testing.T) {
+		want := des.NewRand(seed).Fork(2).Fork(node)
+		var st Stats
+		now := want.Exp(spec.CrashEvery)
+		if got := inj.CrashStart(node); got != now {
+			t.Fatalf("first onset %v, want %v", got, now)
+		}
+		for step := 0; ; step++ {
+			down, next := inj.CrashStep(node, now, &st)
+			if wantDown := step%2 == 0; down != wantDown || inj.Down()[node] != wantDown {
+				t.Fatalf("step %d: down=%v mask=%v, want %v", step, down, inj.Down()[node], wantDown)
+			}
+			mean := spec.CrashEvery
+			if down {
+				mean = spec.CrashDowntime
+			}
+			d := want.Exp(mean)
+			if !down && now+d > spec.Until {
+				if next >= 0 {
+					t.Fatalf("step %d: onset at %v passes Until %v but the chain continued", step, now+d, spec.Until)
+				}
+				break
+			}
+			if next != d {
+				t.Fatalf("step %d: next %v, want %v", step, next, d)
+			}
+			now += next
+		}
+		if st.Crashes == 0 || st.Crashes != st.Recoveries || st.LastFaultT != now {
+			t.Fatalf("bad counters at chain end (t=%v): %+v", now, st)
+		}
+	})
+
+	t.Run("rate", func(t *testing.T) {
+		want := des.NewRand(seed).Fork(3).Fork(node)
+		var st Stats
+		now := want.Exp(spec.RateExcursionEvery)
+		if got := inj.RateStart(node); got != now {
+			t.Fatalf("first onset %v, want %v", got, now)
+		}
+		for step := 0; ; step++ {
+			rate, next := inj.RateStep(node, now, &st)
+			if step%2 == 0 {
+				mag := 1 + (spec.RateExcursionFactor-1)*(1-want.Float64())
+				wantRate := 1 + mag*rho
+				if want.Bool(0.5) {
+					wantRate = 1 - mag*rho
+				}
+				if d := want.Exp(spec.RateExcursionFor); rate != wantRate || next != d {
+					t.Fatalf("step %d: got (%v, %v), want (%v, %v)", step, rate, next, wantRate, d)
+				}
+				now += next
+				continue
+			}
+			if rate != 1 {
+				t.Fatalf("step %d: excursion ended at rate %v, want 1", step, rate)
+			}
+			d := want.Exp(spec.RateExcursionEvery)
+			if now+d > spec.Until {
+				if next >= 0 {
+					t.Fatalf("step %d: onset at %v passes Until %v but the chain continued", step, now+d, spec.Until)
+				}
+				break
+			}
+			if next != d {
+				t.Fatalf("step %d: next %v, want %v", step, next, d)
+			}
+			now += next
+		}
+		if st.RateExcursions == 0 || st.LastFaultT != now {
+			t.Fatalf("bad counters at chain end (t=%v): %+v", now, st)
+		}
+	})
+
+	t.Run("crashstop", func(t *testing.T) {
+		stop := Spec{CrashEvery: 1, CrashStop: true, Until: 6}.WithDefaults(20)
+		inj.Wire(stop, n, rho, des.NewRand(seed))
+		var st Stats
+		if down, next := inj.CrashStep(node, inj.CrashStart(node), &st); !down || next >= 0 {
+			t.Fatalf("crash-stop step: down=%v next=%v, want a crash that ends the chain", down, next)
+		}
+		if inj.RateStart(node) >= 0 {
+			t.Fatal("a plan without excursions started a rate chain")
+		}
+	})
 }

@@ -194,61 +194,42 @@ func (s SweepSpec) Validate() error {
 }
 
 // ParseTopology maps a topology name to its spec; grid uses the most
-// square factorization of n.
+// square factorization of n. The two-chain lower-bound network is not a
+// sweep topology.
 func ParseTopology(name string, n int) (sim.TopologySpec, error) {
-	switch name {
-	case "line":
-		return sim.TopologySpec{Kind: sim.TopoLine}, nil
-	case "ring":
-		return sim.TopologySpec{Kind: sim.TopoRing}, nil
-	case "star":
-		return sim.TopologySpec{Kind: sim.TopoStar}, nil
-	case "grid":
-		w := gridW(n)
-		return sim.TopologySpec{Kind: sim.TopoGrid, W: w, H: n / w}, nil
-	case "complete":
-		return sim.TopologySpec{Kind: sim.TopoComplete}, nil
+	kind, ok := sim.ParseTopologyKind(name)
+	if !ok || kind == sim.TopoTwoChains {
+		return sim.TopologySpec{}, fmt.Errorf("jobd: unknown topology %q", name)
 	}
-	return sim.TopologySpec{}, fmt.Errorf("jobd: unknown topology %q", name)
+	spec := sim.TopologySpec{Kind: kind}
+	if kind == sim.TopoGrid {
+		spec.W = sim.SquareGridW(n)
+		spec.H = n / spec.W
+	}
+	return spec, nil
 }
 
 // ParseDriver maps a driver name to its spec.
 func ParseDriver(name string, interval float64) (sim.DriverSpec, error) {
-	switch name {
-	case "constant":
-		return sim.DriverSpec{Kind: sim.DriveConstant, Interval: interval}, nil
-	case "randomwalk":
-		return sim.DriverSpec{Kind: sim.DriveRandomWalk, Interval: interval}, nil
-	case "bangbang":
-		return sim.DriverSpec{Kind: sim.DriveBangBang, Interval: interval}, nil
+	kind, ok := sim.ParseDriverKind(name)
+	if !ok {
+		return sim.DriverSpec{}, fmt.Errorf("jobd: unknown driver %q", name)
 	}
-	return sim.DriverSpec{}, fmt.Errorf("jobd: unknown driver %q", name)
+	return sim.DriverSpec{Kind: kind, Interval: interval}, nil
 }
 
 // ParseChurn maps a churn name to its spec, scaling the volatile
 // candidate pool with n.
 func ParseChurn(name string, n int) (sim.ChurnSpec, error) {
-	switch name {
-	case "none":
-		return sim.ChurnSpec{}, nil
-	case "volatile":
-		return sim.ChurnSpec{
-			Kind: sim.ChurnVolatile, Lifetime: 1.5, Absence: 1.0, ExtraEdges: n / 2,
-		}, nil
-	case "rotatingstar":
-		return sim.ChurnSpec{Kind: sim.ChurnRotatingStar, Period: 2, Overlap: 0.5}, nil
+	kind, ok := sim.ParseChurnKind(name)
+	if !ok {
+		return sim.ChurnSpec{}, fmt.Errorf("jobd: unknown churn %q", name)
 	}
-	return sim.ChurnSpec{}, fmt.Errorf("jobd: unknown churn %q", name)
-}
-
-// gridW returns the largest divisor of n not exceeding its square root,
-// giving the most square WxH factorization of the grid scenario.
-func gridW(n int) int {
-	w := 1
-	for d := 2; d*d <= n; d++ {
-		if n%d == 0 {
-			w = d
-		}
+	switch kind {
+	case sim.ChurnVolatile:
+		return sim.ChurnSpec{Kind: kind, Lifetime: 1.5, Absence: 1.0, ExtraEdges: n / 2}, nil
+	case sim.ChurnRotatingStar:
+		return sim.ChurnSpec{Kind: kind, Period: 2, Overlap: 0.5}, nil
 	}
-	return w
+	return sim.ChurnSpec{}, nil
 }

@@ -117,3 +117,38 @@ func TestCrossHarnessValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestFaultChainsMatchDES pins what sharing fault.Injector buys: the
+// crash/recover and rate-excursion chains read only their own per-node
+// streams and the clock, so from the same seed the DES and the real-time
+// runtime inject exactly the same number of crashes, recoveries and
+// excursions — even though everything else about the two executions
+// (event order, delays, skew) differs.
+func TestFaultChainsMatchDES(t *testing.T) {
+	plans := map[string]sim.FaultSpec{
+		"crash+rates": {CrashEvery: 3, CrashDowntime: 0.5,
+			RateExcursionEvery: 2, RateExcursionFactor: 3, RateExcursionFor: 0.5},
+		"crashstop": {CrashEvery: 6, CrashStop: true},
+	}
+	for name, plan := range plans {
+		t.Run(name, func(t *testing.T) {
+			cfg := sim.Config{
+				N: 12, Seed: 45, Horizon: 12, Rho: 0.01, MaxDelay: 0.01,
+				Topology: sim.TopologySpec{Kind: sim.TopoRing},
+				Driver:   sim.DriverSpec{Kind: sim.DriveRandomWalk, Interval: 1},
+				Faults:   plan,
+			}
+			desRep, err := sim.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := desRep.Faults, runBubble(t, cfg).Faults
+			if want.Crashes == 0 {
+				t.Fatalf("plan injected no crash: %+v", want)
+			}
+			if got.Crashes != want.Crashes || got.Recoveries != want.Recoveries || got.RateExcursions != want.RateExcursions {
+				t.Errorf("fault chains diverged between harnesses:\n des %+v\n rt  %+v", want, got)
+			}
+		})
+	}
+}

@@ -64,18 +64,15 @@ type host struct {
 	clk  *DriftClock
 	node *gcs.Node
 
-	// Per-node PRNG streams, forked like the parallel DES harness's so
-	// every draw sequence depends only on this node's own event order.
-	delayRand des.Rand // message delays (router, sender-side)
-	driveRand des.Rand // rate-driver draws
-	crashRand des.Rand // crash/recover schedule
-	rateRand  des.Rand // rate-excursion schedule
+	// delayRand is the node's message-delay stream (router, sender-side),
+	// forked like the parallel DES harness's so the draw sequence depends
+	// only on this node's own send order. driver is its rate-driver chain
+	// and fstats its share of the fault counters.
+	delayRand des.Rand
+	driver    sim.DriverState
 	fstats    fault.Stats
 
 	sendBuf []int // reusable broadcast fan-out buffer
-
-	high      bool // BangBang driver phase
-	excursion bool // rate-excursion chain phase (inside an excursion)
 
 	// Reusable chain timers: each drives a self-rescheduling event chain
 	// (driver steps; crash/recover; excursion start/end), so the callback
@@ -109,10 +106,14 @@ func (h *host) loop(wg *sync.WaitGroup) {
 	}
 }
 
-// arm (re)schedules a chain timer d simulated seconds out. fn is bound
-// on first use only — subsequent calls must pass the same chain step,
-// which then re-runs on the host's goroutine per firing.
+// arm (re)schedules a chain timer d simulated seconds out; a negative d
+// means the chain has ended and arms nothing. fn is bound on first use
+// only — subsequent calls must pass the same chain step, which then
+// re-runs on the host's goroutine per firing.
 func (h *host) arm(tp **time.Timer, d float64, fn func()) {
+	if d < 0 {
+		return
+	}
 	dur := durOf(d)
 	if *tp == nil {
 		*tp = time.AfterFunc(dur, func() { h.enqueue(fn) })
@@ -122,92 +123,31 @@ func (h *host) arm(tp **time.Timer, d float64, fn func()) {
 	(*tp).Reset(dur)
 }
 
-// walkStep is the RandomWalk driver chain: redraw an in-band rate, then
-// re-arm at a jittered interval.
-func (h *host) walkStep() {
-	cfg := &h.r.cfg
-	h.clk.SetRate(h.driveRand.Range(1-cfg.Rho, 1+cfg.Rho))
-	h.arm(&h.driverT, cfg.Driver.Interval*(0.5+h.driveRand.Float64()), h.walkStep)
+// stepDriver, stepCrash and stepRate are the host's three chains. The
+// chain logic is the DES harness's (sim.DriverState, fault.Injector):
+// each step returns the effect to apply and the delay to the next step,
+// and the only thing done here is turning that delay into a wall timer.
+
+func (h *host) stepDriver() {
+	rate, next := h.driver.Step(h.r.cfg.Driver, h.r.cfg.Rho)
+	h.clk.SetRate(rate)
+	h.arm(&h.driverT, next, h.stepDriver)
 }
 
-// flip applies one BangBang half-period: pin the rate to the band edge
-// and alternate.
-func (h *host) flip() {
-	if h.high {
-		h.clk.SetRate(1 + h.r.cfg.Rho)
-	} else {
-		h.clk.SetRate(1 - h.r.cfg.Rho)
-	}
-	h.high = !h.high
-}
-
-// flipStep is the BangBang driver chain.
-func (h *host) flipStep() {
-	h.flip()
-	h.arm(&h.driverT, h.r.cfg.Driver.Interval, h.flipStep)
-}
-
-func noteFault(st *fault.Stats, t float64) {
-	if t > st.LastFaultT {
-		st.LastFaultT = t
-	}
-}
-
-// crashStep is the crash/recover chain, alternating on the node's down
-// state, with the same draw order as fault.Injector: crash, then a
-// downtime draw schedules the recovery; recovery draws the next onset
-// and schedules it only inside the injection window.
-func (h *host) crashStep() {
-	spec := &h.r.cfg.Faults
-	now := h.r.simNow()
-	if !h.node.Down() {
+func (h *host) stepCrash() {
+	down, next := h.r.injector.CrashStep(h.id, h.r.simNow(), &h.fstats)
+	if down {
 		h.node.Crash()
-		h.fstats.Crashes++
-		noteFault(&h.fstats, now)
-		if spec.CrashStop {
-			return
-		}
-		h.arm(&h.crashT, h.crashRand.Exp(spec.CrashDowntime), h.crashStep)
-		return
+	} else {
+		h.node.Recover()
 	}
-	h.node.Recover()
-	h.fstats.Recoveries++
-	noteFault(&h.fstats, now)
-	if t := now + h.crashRand.Exp(spec.CrashEvery); t <= spec.Until {
-		h.arm(&h.crashT, t-now, h.crashStep)
-	}
+	h.arm(&h.crashT, next, h.stepCrash)
 }
 
-// rateStep is the rate-excursion chain: force the hardware rate outside
-// the [1-rho, 1+rho] band for an exponential duration, then restore 1
-// and schedule the next onset inside the injection window. Draw order
-// matches fault.Injector (magnitude, then direction, then duration).
-func (h *host) rateStep() {
-	spec := &h.r.cfg.Faults
-	now := h.r.simNow()
-	if !h.excursion {
-		h.fstats.RateExcursions++
-		noteFault(&h.fstats, now)
-		r := &h.rateRand
-		mag := 1 + (spec.RateExcursionFactor-1)*(1-r.Float64())
-		rate := 1 + mag*h.r.cfg.Rho
-		if r.Bool(0.5) {
-			rate = 1 - mag*h.r.cfg.Rho
-			if rate < 0.05 {
-				rate = 0.05 // hardware clocks must keep running forward
-			}
-		}
-		h.clk.SetRate(rate)
-		h.excursion = true
-		h.arm(&h.rateT, r.Exp(spec.RateExcursionFor), h.rateStep)
-		return
-	}
-	h.clk.SetRate(1)
-	noteFault(&h.fstats, now)
-	h.excursion = false
-	if t := now + h.rateRand.Exp(spec.RateExcursionEvery); t <= spec.Until {
-		h.arm(&h.rateT, t-now, h.rateStep)
-	}
+func (h *host) stepRate() {
+	rate, next := h.r.injector.RateStep(h.id, h.r.simNow(), &h.fstats)
+	h.clk.SetRate(rate)
+	h.arm(&h.rateT, next, h.stepRate)
 }
 
 // Runtime is one real-time execution of a scenario Config. Build with
@@ -222,12 +162,14 @@ type Runtime struct {
 	done   chan struct{}
 	events atomic.Uint64
 
+	// injector holds every node's crash and rate-excursion chain; host i
+	// steps only node i's, on its own goroutine.
+	injector fault.Injector
+
 	// Sampler-owned observation state.
-	vals       []float64
-	edges      [][2]int
-	report     sim.SkewReport
-	faultBound float64
-	goodSince  float64
+	vals  []float64
+	edges [][2]int
+	fold  sim.Fold
 
 	// churnMu guards the churn chain's timers: the rotate chain re-arms
 	// them from its own goroutine while shutdown stops them from Run's.
@@ -253,10 +195,13 @@ func Supports(cfg sim.Config) error {
 // New validates cfg and prepares a runtime. The config semantics are
 // sim's: same defaulting, same analytic bounds, same fault plan.
 func New(cfg sim.Config) (*Runtime, error) {
-	if err := cfg.Validate(); err != nil {
+	// Supports first: a DES-only feature is named as such even when the
+	// config is also incomplete for the DES (`gcsim realtime -churn
+	// volatile` carries no volatile durations).
+	if err := Supports(cfg); err != nil {
 		return nil, err
 	}
-	if err := Supports(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &Runtime{cfg: cfg.WithDefaults()}, nil
@@ -312,25 +257,6 @@ func (r *Runtime) removeStar(hub, keepHub int) {
 	}
 }
 
-// installDriver mirrors the DES driverState.install sequence for node i.
-func (r *Runtime) installDriver(i int, h *host, driveRand *des.Rand) {
-	cfg := &r.cfg
-	switch cfg.Driver.Kind {
-	case sim.DriveConstant:
-		h.clk.SetRate(1)
-	case sim.DriveRandomWalk:
-		driveRand.ForkInto(uint64(i), &h.driveRand)
-		h.clk.SetRate(h.driveRand.Range(1-cfg.Rho, 1+cfg.Rho))
-		h.arm(&h.driverT, cfg.Driver.Interval*(0.5+h.driveRand.Float64()), h.walkStep)
-	case sim.DriveBangBang:
-		h.high = i%2 == 0
-		h.flip()
-		h.arm(&h.driverT, cfg.Driver.Interval, h.flipStep)
-	default:
-		panic("rt: unknown driver kind")
-	}
-}
-
 // sample takes one skew observation: snapshot the edge set (router lock
 // only), then read each node under its host lock. Under synctest the
 // sampler only wakes once every event at earlier instants has been fully
@@ -358,27 +284,10 @@ func (r *Runtime) sample() {
 		}
 		h.mu.Unlock()
 	}
-	spread := hi - lo
-	if hi < lo {
-		spread = 0 // every node down: no live pair to skew
-	}
-	if spread > r.report.MaxGlobalSkew {
-		r.report.MaxGlobalSkew = spread
-	}
 	for _, e := range r.edges {
-		if d := math.Abs(r.vals[e[0]] - r.vals[e[1]]); d > r.report.MaxAdjacentSkew {
-			r.report.MaxAdjacentSkew = d
-		}
+		r.fold.Adjacent(r.vals[e[0]], r.vals[e[1]])
 	}
-	r.report.FinalGlobalSkew = spread
-	if r.cfg.Faults.Enabled() {
-		if spread > r.faultBound {
-			r.goodSince = -1
-		} else if r.goodSince < 0 {
-			r.goodSince = r.simNow()
-		}
-	}
-	r.report.Samples++
+	r.fold.Sample(r.simNow(), lo, hi)
 }
 
 // sleepUntil blocks until simulated time t (wall-clock sleep; fake-clock
@@ -387,21 +296,6 @@ func (r *Runtime) sleepUntil(t float64) {
 	if d := t - r.simNow(); d > 0 {
 		time.Sleep(durOf(d))
 	}
-}
-
-// reconvergence replicates the DES report metric (sim.reconvergenceTime)
-// from the merged fault stats and the last bound re-entry time.
-func reconvergence(fs fault.Stats, goodSince float64) float64 {
-	if fs.Total() == 0 {
-		return 0
-	}
-	if goodSince < 0 {
-		return math.Inf(1)
-	}
-	if d := goodSince - fs.LastFaultT; d > 0 {
-		return d
-	}
-	return 0
 }
 
 func stopTimer(t *time.Timer) {
@@ -420,8 +314,6 @@ func (r *Runtime) Run() sim.SkewReport {
 	n := cfg.N
 	r.start = time.Now() //gcslint:allow nondeterminism — run epoch; all rt timestamps are offsets from it
 	r.done = make(chan struct{})
-	r.report = sim.SkewReport{}
-	r.goodSince = -1
 	r.vals = make([]float64, n)
 
 	// PRNG streams, forked with the same subsystem ids as the DES harness
@@ -456,12 +348,13 @@ func (r *Runtime) Run() sim.SkewReport {
 	}
 
 	for i, h := range r.hosts {
-		r.installDriver(i, h, &driveRand)
+		h.driver.Start(i, &driveRand)
+		h.stepDriver()
 	}
 
-	// Fault plan: per-node streams forked with the fault package's ids
-	// (message verdicts fork 1 inside Messages.Wire; crash fork 2; rate
-	// fork 3), first onsets clamped to the injection window.
+	// Fault plan, from the same fault root as the DES harness: message
+	// verdicts per send in the router, the node-level chains armed with
+	// the injector's first onsets.
 	spec := cfg.Faults
 	if spec.Enabled() {
 		root.ForkInto(0xfa07, &faultRoot)
@@ -470,29 +363,14 @@ func (r *Runtime) Run() sim.SkewReport {
 			m.Wire(spec, cfg.MaxDelay, n, &faultRoot)
 			r.router.faults = m
 		}
-		var crashRoot, rateRoot des.Rand
-		faultRoot.ForkInto(2, &crashRoot)
-		faultRoot.ForkInto(3, &rateRoot)
+		r.injector.Wire(spec, n, cfg.Rho, &faultRoot)
 		for i, h := range r.hosts {
-			crashRoot.ForkInto(uint64(i), &h.crashRand)
-			rateRoot.ForkInto(uint64(i), &h.rateRand)
+			h.arm(&h.crashT, r.injector.CrashStart(i), h.stepCrash)
+			h.arm(&h.rateT, r.injector.RateStart(i), h.stepRate)
 		}
-		if spec.CrashEvery > 0 {
-			for _, h := range r.hosts {
-				if t := h.crashRand.Exp(spec.CrashEvery); t <= spec.Until {
-					h.arm(&h.crashT, t, h.crashStep)
-				}
-			}
-		}
-		if spec.RateExcursionEvery > 0 {
-			for _, h := range r.hosts {
-				if t := h.rateRand.Exp(spec.RateExcursionEvery); t <= spec.Until {
-					h.arm(&h.rateT, t, h.rateStep)
-				}
-			}
-		}
-		r.faultBound = cfg.GlobalSkewBound()
 	}
+	bound := cfg.GlobalSkewBound()
+	r.fold.Reset(spec.Enabled(), bound)
 
 	// Rotating-star churn chain, on its own goroutine timeline. k, old,
 	// and next are owned by the chain (each firing schedules the next, so
@@ -573,33 +451,20 @@ func (r *Runtime) Run() sim.SkewReport {
 	stopTimer(r.starRemoveT)
 	r.churnMu.Unlock()
 
-	rep := &r.report
-	rep.Bound = cfg.GlobalSkewBound()
+	rep := &r.fold.Report
+	rep.Bound = bound
 	rep.Transport = r.router.Stats()
 	rep.EventsExecuted = r.events.Load()
 	rep.EdgeAdds, rep.EdgeRemoves = r.router.churnStats()
-	rep.MinRateSeen, rep.MaxRateSeen = math.Inf(1), math.Inf(-1)
+	r.fold.ResetTotals()
+	var fs fault.Stats
 	for _, h := range r.hosts {
 		mn, mx := h.clk.RateBoundsSeen()
-		if mn < rep.MinRateSeen {
-			rep.MinRateSeen = mn
-		}
-		if mx > rep.MaxRateSeen {
-			rep.MaxRateSeen = mx
-		}
-		snap := h.node.Snap()
-		rep.TotalJumps += snap.Jumps
-		rep.TotalMessages += snap.Messages
-		rep.TotalBeacons += snap.Beacons
-		rep.TotalDiscoveries += snap.Discoveries
+		r.fold.AddNode(mn, mx, h.node.Snap())
+		fs.Merge(h.fstats)
 	}
 	if spec.Enabled() {
-		var fs fault.Stats
-		for _, h := range r.hosts {
-			fs.Merge(h.fstats)
-		}
-		rep.Faults = fs
-		rep.ReconvergenceTime = reconvergence(fs, r.goodSince)
+		r.fold.SetFaults(fs)
 	}
 	return *rep
 }

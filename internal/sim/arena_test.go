@@ -105,6 +105,28 @@ func TestArenaSecondRunZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestArenaShardedRewireZeroAlloc is the sharded counterpart: the
+// sharded harness rewires through the same harness core, so a same-shape
+// re-run reuses the cached initial edge set and analytic bound instead
+// of rebuilding them per rewire. One worker, so no window goroutines are
+// spawned on the measured path.
+func TestArenaShardedRewireZeroAlloc(t *testing.T) {
+	cfg := Config{
+		N: 64, Seed: 11, Horizon: 5, Rho: 0.01, MaxDelay: 0.01,
+		Topology: TopologySpec{Kind: TopoRing},
+		Driver:   DriverSpec{Kind: DriveRandomWalk, Interval: 0.5},
+		Parallel: true, Shards: 4, Workers: 1,
+	}
+	a := NewArena()
+	a.Run(cfg)
+	allocs := testing.AllocsPerRun(3, func() {
+		a.Run(cfg)
+	})
+	if allocs > 0 {
+		t.Errorf("sharded re-run on a reused arena allocated %v objects/op, want 0", allocs)
+	}
+}
+
 // TestArenaTraceReuse pins that a TraceRecorder attached per run on a
 // reused arena records the same series as on a fresh simulation.
 func TestArenaTraceReuse(t *testing.T) {

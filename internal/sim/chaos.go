@@ -37,7 +37,7 @@ func ChaosPlans() []ChaosPlan {
 // cell's seed derives from the base seed and grid index (CellSeed), so
 // the grid is a pure function of (n, seed, horizon, parallel).
 func ChaosGrid(n int, seed uint64, horizon float64, parallel bool) []SweepCell {
-	gw := squareGridW(n)
+	gw := SquareGridW(n)
 	combos := []struct {
 		label string
 		topo  TopologySpec
@@ -70,16 +70,4 @@ func ChaosGrid(n int, seed uint64, horizon float64, parallel bool) []SweepCell {
 		}
 	}
 	return cells
-}
-
-// squareGridW returns the largest divisor of n that is at most sqrt(n),
-// so W x (n/W) is the most square grid covering exactly n nodes.
-func squareGridW(n int) int {
-	w := 1
-	for d := 1; d*d <= n; d++ {
-		if n%d == 0 {
-			w = d
-		}
-	}
-	return w
 }

@@ -8,6 +8,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"gcs/internal/dyngraph"
 	"gcs/internal/fault"
@@ -34,23 +35,36 @@ const (
 	TopoTwoChains
 )
 
+var topologyNames = []string{"Line", "Ring", "Star", "Grid", "Complete", "TwoChains"}
+
 // String returns the kind's scenario-table name.
-func (k TopologyKind) String() string {
-	switch k {
-	case TopoLine:
-		return "Line"
-	case TopoRing:
-		return "Ring"
-	case TopoStar:
-		return "Star"
-	case TopoGrid:
-		return "Grid"
-	case TopoComplete:
-		return "Complete"
-	case TopoTwoChains:
-		return "TwoChains"
+func (k TopologyKind) String() string { return kindName("TopologyKind", topologyNames, int(k)) }
+
+// ParseTopologyKind maps a kind's lower-cased scenario-table name
+// ("ring", "twochains"), the spelling flags and sweep specs use, back to
+// the kind.
+func ParseTopologyKind(name string) (TopologyKind, bool) {
+	k, ok := kindNamed(topologyNames, name)
+	return TopologyKind(k), ok
+}
+
+// kindName returns names[k], the scenario-table name of the k-th kind of
+// an enumeration, or "typ(k)" for a value outside it.
+func kindName(typ string, names []string, k int) string {
+	if k < 0 || k >= len(names) {
+		return fmt.Sprintf("%s(%d)", typ, k)
 	}
-	return fmt.Sprintf("TopologyKind(%d)", int(k))
+	return names[k]
+}
+
+// kindNamed is kindName's inverse over lower-cased names.
+func kindNamed(names []string, name string) (int, bool) {
+	for k, s := range names {
+		if strings.ToLower(s) == name {
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // TopologySpec is a declarative topology choice. W and H apply to
@@ -58,6 +72,18 @@ func (k TopologyKind) String() string {
 type TopologySpec struct {
 	Kind TopologyKind
 	W, H int
+}
+
+// SquareGridW returns the largest divisor of n that is at most sqrt(n),
+// so W x (n/W) is the most square grid covering exactly n nodes.
+func SquareGridW(n int) int {
+	w := 1
+	for d := 1; d*d <= n; d++ {
+		if n%d == 0 {
+			w = d
+		}
+	}
+	return w
 }
 
 // Edges materializes the topology over n nodes.
@@ -122,25 +148,23 @@ const (
 	DriveBangBang
 )
 
+var driverNames = []string{"Constant", "RandomWalk", "BangBang"}
+
 // String returns the kind's scenario-table name.
-func (k DriverKind) String() string {
-	switch k {
-	case DriveConstant:
-		return "Constant"
-	case DriveRandomWalk:
-		return "RandomWalk"
-	case DriveBangBang:
-		return "BangBang"
-	}
-	return fmt.Sprintf("DriverKind(%d)", int(k))
+func (k DriverKind) String() string { return kindName("DriverKind", driverNames, int(k)) }
+
+// ParseDriverKind maps a kind's lower-cased name back to the kind.
+func ParseDriverKind(name string) (DriverKind, bool) {
+	k, ok := kindNamed(driverNames, name)
+	return DriverKind(k), ok
 }
 
 // DriverSpec is a declarative per-node clock driver choice. The same
-// spec instantiates one driver per node (run.go's reusable driverState,
-// which reproduces the clock package's driver semantics with reseedable
-// per-node streams): RandomWalk forks an independent stream per node,
-// BangBang anti-phases odd and even nodes (the worst benign pattern for
-// adjacent skew).
+// spec instantiates one driver per node (DriverState, which reproduces
+// the clock package's driver semantics with reseedable per-node
+// streams): RandomWalk forks an independent stream per node, BangBang
+// anti-phases odd and even nodes (the worst benign pattern for adjacent
+// skew).
 type DriverSpec struct {
 	Kind DriverKind
 	// Interval is the rate-change period (RandomWalk, BangBang).
@@ -162,17 +186,15 @@ const (
 	ChurnRotatingStar
 )
 
+var churnNames = []string{"None", "Volatile", "RotatingStar"}
+
 // String returns the kind's scenario-table name.
-func (k ChurnKind) String() string {
-	switch k {
-	case ChurnNone:
-		return "None"
-	case ChurnVolatile:
-		return "Volatile"
-	case ChurnRotatingStar:
-		return "RotatingStar"
-	}
-	return fmt.Sprintf("ChurnKind(%d)", int(k))
+func (k ChurnKind) String() string { return kindName("ChurnKind", churnNames, int(k)) }
+
+// ParseChurnKind maps a kind's lower-cased name back to the kind.
+func ParseChurnKind(name string) (ChurnKind, bool) {
+	k, ok := kindNamed(churnNames, name)
+	return ChurnKind(k), ok
 }
 
 // ChurnSpec is a declarative churn choice.

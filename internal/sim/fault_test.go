@@ -208,6 +208,29 @@ func TestFaultedArenaReuse(t *testing.T) {
 	}
 }
 
+// TestFaultedParallelArenaReuse is the sharded counterpart, on the one
+// scenario where a leaked plan shows: a rotating star sends discovery
+// beacons while it is being wired at time 0, before the run's own plan
+// is armed, so a message-fault plan left over from the arena's previous
+// run would draw verdicts for them (the sharded harness did exactly that
+// before it rewired through the harness core — `gcsim chaos -parallel`
+// reported drops under the dup plan, depending on the worker count).
+func TestFaultedParallelArenaReuse(t *testing.T) {
+	star := Config{
+		N: 16, Seed: 21, Horizon: 6,
+		Driver:   DriverSpec{Kind: DriveRandomWalk, Interval: 0.5},
+		Churn:    ChurnSpec{Kind: ChurnRotatingStar, Period: 1, Overlap: 0.25},
+		Parallel: true, Shards: 3, Workers: 1,
+	}
+	drop, dup := star, star
+	drop.Faults = FaultSpec{Drop: 0.25}
+	dup.Faults = FaultSpec{Dup: 0.25}
+	a := NewArena()
+	for _, cfg := range []Config{drop, dup, star, drop} {
+		simtest.AssertSameReport(t, fmt.Sprintf("arena run of plan %+v vs fresh", cfg.Faults), a.Run(cfg), mustRun(t, cfg))
+	}
+}
+
 // TestReconvergenceAfterCrashRecovery forces a real bound violation: a
 // tiny line with huge drift and a long crash produces a recovered node
 // whose hardware clock lags the network far beyond the bound, and the

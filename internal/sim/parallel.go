@@ -6,11 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gcs/internal/clock"
 	"gcs/internal/des"
 	"gcs/internal/dyngraph"
 	"gcs/internal/fault"
-	"gcs/internal/gcs"
 	"gcs/internal/transport"
 )
 
@@ -45,42 +43,23 @@ import (
 // recycling engines, graph storage, flight arenas, and per-node objects
 // when the (N, Shards, MinDelay) shape is unchanged.
 type ParallelSim struct {
-	Cfg    Config
-	P      *des.ParallelEngine
-	Graph  *dyngraph.Dynamic
-	Clocks []*clock.HardwareClock
-	Nodes  []*gcs.Node
+	core
+	P *des.ParallelEngine
 
 	// shardOf maps node -> shard (block partition); shards holds the
 	// per-shard transport state.
 	shardOf []int32
 	shards  []*pshard
 
-	// Reseedable PRNG streams. delayRands[i] is node i's private delay
-	// stream, forked per run from the delay root, so draw order depends
-	// only on the node's own send sequence — never on how shard windows
-	// interleave.
-	root       *des.Rand
-	delayRoot  *des.Rand
-	driveRand  *des.Rand
-	phaseRand  *des.Rand
+	// delayRands[i] is node i's private delay stream, forked per run from
+	// the delay root, so draw order depends only on the node's own send
+	// sequence — never on how shard windows interleave.
+	delayRoot  des.Rand
 	delayRands []des.Rand
-
-	drivers []*pdriver
 
 	// shape keys the rebuild decision: engines and per-node objects are
 	// reconstructed only when it changes.
-	shape        pshape
-	subscribed   bool
-	initialEdges []dyngraph.Edge
-
-	vals        []float64
-	edgeFn      func(dyngraph.Edge)
-	sampleFn    func()
-	gradient    *GradientChecker
-	report      SkewReport
-	lastSampleT float64
-	started     bool
+	shape pshape
 
 	// Shard-local sample reduction. shardStart[s]..shardStart[s+1] is
 	// shard s's contiguous node block (the same block partition as
@@ -95,21 +74,6 @@ type ParallelSim struct {
 	sampleWG     sync.WaitGroup
 	sampleWorker func()
 	runWorkers   int
-
-	// Fault-injection state, mirroring the serial harness. msgFaults is
-	// non-nil only while the active plan has message faults (msgFaultsPool
-	// keeps the grown stream table across rewires); message verdicts are
-	// drawn per sender inside shard events, crash/recover and rate
-	// excursions run on the global engine with every shard barriered.
-	faultOn       bool
-	msgFaults     *fault.Messages
-	msgFaultsPool *fault.Messages
-	injector      *fault.Injector
-	faultHooks    fault.Hooks
-	faultRoot     des.Rand
-	downMask      []bool
-	faultBound    float64
-	goodSince     float64
 }
 
 // pshape is the allocation shape of a wired ParallelSim: changing any
@@ -252,13 +216,11 @@ func (sh *pshard) unicast(from, to int, value float64) bool {
 	return true
 }
 
-// psender and ptopo are the parallel engine's seam implementations:
-// sends route to the sending node's shard (each node only ever sends
-// from its own shard's window, so shard-local state stays single-
-// threaded), and neighbor scans read the shared graph — which global
-// phases alone mutate, so window-time reads are race-free. Both
-// indirect through the ParallelSim because build() wires nodes before
-// the Graph exists (wire() resets it afterwards).
+// psender is the parallel engine's seam.Sender: sends route to the
+// sending node's shard (each node only ever sends from its own shard's
+// window, so shard-local state stays single-threaded). Neighbor scans
+// read the shared graph directly — global phases alone mutate it, so
+// window-time reads are race-free.
 type psender struct{ ps *ParallelSim }
 
 func (p psender) Broadcast(from int, value float64) int {
@@ -269,12 +231,6 @@ func (p psender) Send(from, to int, value float64) bool {
 	return p.ps.shardFor(from).unicast(from, to, value)
 }
 
-type ptopo struct{ ps *ParallelSim }
-
-func (p ptopo) AppendNeighbors(u int, buf []int) []int {
-	return p.ps.Graph.AppendNeighbors(u, buf)
-}
-
 func (sh *pshard) reset() {
 	sh.flights = sh.flights[:0]
 	sh.free = sh.free[:0]
@@ -282,110 +238,29 @@ func (sh *pshard) reset() {
 	sh.fstats = fault.Stats{}
 }
 
-// pdriver is one node's rate driver on its shard engine, mirroring the
-// serial harness's driverState semantics (same per-node PRNG forks, same
-// labels and scheduling pattern).
-type pdriver struct {
-	ps     *ParallelSim
-	node   int
-	hw     *clock.HardwareClock
-	rand   des.Rand
-	high   bool
-	stepFn func()
-	flipFn func()
-}
-
-func newPDriver(ps *ParallelSim, node int, hw *clock.HardwareClock) *pdriver {
-	pd := &pdriver{ps: ps, node: node, hw: hw}
-	pd.stepFn = func() {
-		cfg := &pd.ps.Cfg
-		pd.hw.SetRate(pd.rand.Range(1-cfg.Rho, 1+cfg.Rho))
-		pd.en().ScheduleAfter(cfg.Driver.Interval*(0.5+pd.rand.Float64()), "clock.walk", pd.stepFn)
-	}
-	pd.flipFn = func() {
-		pd.flip()
-		pd.en().ScheduleAfter(pd.ps.Cfg.Driver.Interval, "clock.bang", pd.flipFn)
-	}
-	return pd
-}
-
-func (pd *pdriver) en() *des.Engine { return pd.ps.shardFor(pd.node).en }
-
-func (pd *pdriver) flip() {
-	if pd.high {
-		pd.hw.SetRate(1 + pd.ps.Cfg.Rho)
-	} else {
-		pd.hw.SetRate(1 - pd.ps.Cfg.Rho)
-	}
-	pd.high = !pd.high
-}
-
-func (pd *pdriver) install(driveRand *des.Rand) {
-	cfg := &pd.ps.Cfg
-	switch cfg.Driver.Kind {
-	case DriveConstant:
-		pd.hw.SetRate(1)
-	case DriveRandomWalk:
-		if cfg.Driver.Interval <= 0 {
-			panic("sim: RandomWalk interval must be positive")
-		}
-		driveRand.ForkInto(uint64(pd.node), &pd.rand)
-		pd.hw.SetRate(pd.rand.Range(1-cfg.Rho, 1+cfg.Rho))
-		pd.en().ScheduleAfter(cfg.Driver.Interval*(0.5+pd.rand.Float64()), "clock.walk", pd.stepFn)
-	case DriveBangBang:
-		if cfg.Driver.Interval <= 0 {
-			panic("sim: BangBang interval must be positive")
-		}
-		pd.high = pd.node%2 == 0
-		pd.flip()
-		pd.en().ScheduleAfter(cfg.Driver.Interval, "clock.bang", pd.flipFn)
-	default:
-		panic("sim: unknown driver kind")
-	}
-}
-
 // NewParallel wires a parallel simulation from the config without
 // running it. The config must have Parallel set.
 func NewParallel(cfg Config) *ParallelSim {
-	ps := &ParallelSim{
-		root:      des.NewRand(0),
-		delayRoot: des.NewRand(0),
-		driveRand: des.NewRand(0),
-		phaseRand: des.NewRand(0),
-	}
-	ps.edgeFn = func(e dyngraph.Edge) {
-		if d := math.Abs(ps.vals[e.U] - ps.vals[e.V]); d > ps.report.MaxAdjacentSkew {
-			ps.report.MaxAdjacentSkew = d
-		}
-	}
-	ps.sampleFn = func() {
-		ps.observe()
-		ps.P.Global().ScheduleAfter(ps.Cfg.SampleEvery, "sim.sample", ps.sampleFn)
-	}
-	ps.wire(cfg)
+	ps := &ParallelSim{}
+	ps.init()
+	ps.sender = psender{ps}
+	ps.engineOf = func(i int) *des.Engine { return ps.shardFor(i).en }
+	ps.scan = ps.observeScan
+	ps.Reset(cfg)
 	return ps
 }
+
+func (ps *ParallelSim) shardFor(i int) *pshard { return ps.shards[ps.shardOf[i]] }
 
 // Reset rewires the simulation in place for cfg, reusing engines, graph
 // storage, flight arenas, and per-node objects when the (N, Shards,
 // MinDelay) shape is unchanged. After Reset the simulation behaves
 // exactly like NewParallel(cfg): executions are bit-identical.
-func (ps *ParallelSim) Reset(cfg Config) { ps.wire(cfg) }
-
-func (ps *ParallelSim) shardFor(i int) *pshard { return ps.shards[ps.shardOf[i]] }
-
-func (ps *ParallelSim) wire(cfg Config) {
-	// Same contract as the serial harness: NewParallel/Reset panic on
-	// programmer error, sim.Run/RunSweep return Validate's error.
-	if err := cfg.Validate(); err != nil {
-		panic(err.Error())
-	}
-	cfg = cfg.WithDefaults()
+func (ps *ParallelSim) Reset(cfg Config) {
+	cfg = ps.begin(cfg)
 	if !cfg.Parallel {
 		panic("sim: NewParallel requires Config.Parallel")
 	}
-	ps.Cfg = cfg
-
 	if shape := (pshape{n: cfg.N, shards: cfg.Shards, minDelay: cfg.MinDelay}); ps.P == nil || shape != ps.shape {
 		ps.build(cfg)
 		ps.shape = shape
@@ -395,101 +270,15 @@ func (ps *ParallelSim) wire(cfg Config) {
 			sh.reset()
 		}
 	}
-
-	ps.root.Reseed(cfg.Seed)
-
-	if cfg.Churn.Kind == ChurnRotatingStar {
-		ps.initialEdges = nil
-	} else {
-		ps.initialEdges = cfg.Topology.Edges(cfg.N)
-	}
-	if ps.Graph == nil {
-		ps.Graph = dyngraph.NewDynamic(cfg.N, ps.initialEdges)
-	} else {
-		ps.Graph.Reset(cfg.N, ps.initialEdges)
-	}
-
-	ps.root.ForkInto(0xde1a9, ps.delayRoot)
+	ps.root.ForkInto(0xde1a9, &ps.delayRoot)
 	for i := 0; i < cfg.N; i++ {
 		ps.delayRoot.ForkInto(uint64(i), &ps.delayRands[i])
 	}
-
-	ps.root.ForkInto(0xd81fe, ps.driveRand)
-	for i := 0; i < cfg.N; i++ {
-		ps.Clocks[i].Reset(1)
-		ps.Nodes[i].Reset(cfg.Node)
-		ps.drivers[i].install(ps.driveRand)
-	}
-
-	// Neighbor discovery, subscribed once: churn events run in the global
-	// phase, so the resulting immediate beacons are attributed to the
-	// sending node's shard serially.
-	if !ps.subscribed {
-		ps.Graph.Subscribe(pdiscovery{ps})
-		ps.subscribed = true
-	}
-
-	if ch := ps.churner(); ch != nil {
-		ch.Install(ps.P.Global(), ps.Graph)
-	}
-
-	ps.root.ForkInto(0x9a5e, ps.phaseRand)
-	for i := 0; i < cfg.N; i++ {
-		ps.Nodes[i].Start(ps.phaseRand.Range(0, cfg.Node.BeaconEvery))
-	}
-
-	ps.wireFaults(cfg)
-
-	ps.gradient = wireGradient(ps.gradient, cfg)
-
-	if cap(ps.vals) < cfg.N {
-		ps.vals = make([]float64, cfg.N)
-	} else {
-		ps.vals = ps.vals[:cfg.N]
-	}
-	ps.report = SkewReport{}
-	ps.lastSampleT = 0
-	ps.started = false
+	ps.arm()
 }
 
-// wireFaults arms fault injection for one parallel run. Message faults
-// draw inside shard events from per-sender streams; crash/recover and
-// rate excursions are global-engine events, which run with every shard
-// barriered at the event time, so touching a node or clock on another
-// shard's engine is safe and deterministic.
-func (ps *ParallelSim) wireFaults(cfg Config) {
-	ps.faultOn = cfg.Faults.Enabled()
-	ps.msgFaults = nil
-	ps.downMask = nil
-	ps.goodSince = -1
-	if !ps.faultOn {
-		return
-	}
-	ps.root.ForkInto(0xfa07, &ps.faultRoot)
-	if cfg.Faults.MessageFaults() {
-		if ps.msgFaultsPool == nil {
-			ps.msgFaultsPool = fault.NewMessages()
-		}
-		ps.msgFaultsPool.Wire(cfg.Faults, cfg.MaxDelay, cfg.N, &ps.faultRoot)
-		ps.msgFaults = ps.msgFaultsPool
-	}
-	if ps.injector == nil {
-		ps.injector = fault.NewInjector()
-		ps.faultHooks = fault.Hooks{
-			Crash:   func(i int) { ps.Nodes[i].Crash() },
-			Recover: func(i int) { ps.Nodes[i].Recover() },
-			SetRate: func(i int, rate float64) { ps.Clocks[i].SetRate(rate) },
-		}
-	}
-	ps.injector.Wire(cfg.Faults, cfg.N, cfg.Rho, &ps.faultRoot, ps.faultHooks)
-	ps.injector.Install(ps.P.Global())
-	ps.downMask = ps.injector.Down()
-	ps.faultBound = cfg.GlobalSkewBound()
-}
-
-// build constructs the engine set and every per-node object for a new
-// shape. Clocks bind to their shard's engine at construction, so a
-// shape change cannot reuse them.
+// build constructs the engine set and the per-shard transport state for
+// a new shape.
 func (ps *ParallelSim) build(cfg Config) {
 	ps.P = des.NewParallelEngine(cfg.Shards, cfg.MinDelay)
 	ps.shardOf = make([]int32, cfg.N)
@@ -504,20 +293,12 @@ func (ps *ParallelSim) build(cfg Config) {
 		// keep almost all edges shard-internal.
 		ps.shardOf[i] = int32(i * cfg.Shards / cfg.N)
 	}
-	// Shard block boundaries for the sample scan: first node of each
-	// shard, with a backward min-pass so an empty shard (Shards > N)
-	// collapses to a zero-width range.
+	// Shard block boundaries for the sample scan: shard s's first node is
+	// the least i with i*Shards/N >= s, i.e. ceil(s*N/Shards); an empty
+	// shard (Shards > N) comes out as a zero-width range.
 	ps.shardStart = make([]int32, cfg.Shards+1)
-	for s := 0; s <= cfg.Shards; s++ {
-		ps.shardStart[s] = int32(cfg.N)
-	}
-	for i := cfg.N - 1; i >= 0; i-- {
-		ps.shardStart[ps.shardOf[i]] = int32(i)
-	}
-	for s := cfg.Shards - 1; s >= 0; s-- {
-		if ps.shardStart[s] > ps.shardStart[s+1] {
-			ps.shardStart[s] = ps.shardStart[s+1]
-		}
+	for s := range ps.shardStart {
+		ps.shardStart[s] = int32((s*cfg.N + cfg.Shards - 1) / cfg.Shards)
 	}
 	ps.sampleLo = make([]float64, cfg.Shards)
 	ps.sampleHi = make([]float64, cfg.Shards)
@@ -543,51 +324,11 @@ func (ps *ParallelSim) build(cfg Config) {
 		sh.en.ScheduleArg(m.DeliverAt, "psim.deliver", sh.deliverFn, uint64(fi))
 	})
 
-	ps.Clocks = make([]*clock.HardwareClock, cfg.N)
-	ps.Nodes = make([]*gcs.Node, cfg.N)
-	ps.drivers = make([]*pdriver, cfg.N)
 	ps.delayRands = make([]des.Rand, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		hw := clock.New(ps.P.Shard(int(ps.shardOf[i])), 1)
-		nd := gcs.New(i, hw, cfg.Node, psender{ps}, ptopo{ps})
-		ps.Clocks[i] = hw
-		ps.Nodes[i] = nd
-		ps.drivers[i] = newPDriver(ps, i, hw)
-	}
-}
-
-// pdiscovery relays topology events to the algorithm layer, like the
-// serial harness's discovery: both endpoints of a fresh edge beacon
-// immediately over it. Churn mutates the graph only from global-phase
-// events, so the handlers run serially with every shard barriered.
-type pdiscovery struct{ ps *ParallelSim }
-
-func (d pdiscovery) EdgeAdded(t float64, e dyngraph.Edge) {
-	d.ps.Nodes[e.U].OnEdgeAdded(e.V)
-	d.ps.Nodes[e.V].OnEdgeAdded(e.U)
-}
-
-func (d pdiscovery) EdgeRemoved(t float64, e dyngraph.Edge) {}
-
-func (ps *ParallelSim) churner() dyngraph.Churner {
-	cfg := ps.Cfg
-	switch cfg.Churn.Kind {
-	case ChurnNone:
-		return nil
-	case ChurnVolatile:
-		return dyngraph.VolatileEdges{
-			Candidates: volatileCandidates(cfg.N, cfg.Churn.ExtraEdges, ps.initialEdges, ps.root.Fork(0xca9d)),
-			Lifetime:   cfg.Churn.Lifetime,
-			Absence:    cfg.Churn.Absence,
-			Rand:       ps.root.Fork(0xc400),
-		}
-	case ChurnRotatingStar:
-		return dyngraph.RotatingStar{
-			Period:  cfg.Churn.Period,
-			Overlap: cfg.Churn.Overlap,
-		}
-	}
-	panic("sim: unknown churn kind")
+	// Clocks bind to their shard's engine at construction, so a shape
+	// change cannot reuse the pooled nodes: arm rebuilds them.
+	ps.global = ps.P.Global()
+	ps.allClocks, ps.allNodes = nil, nil
 }
 
 // parallelSampleMinNodes gates the concurrent sample scan: below this
@@ -602,24 +343,7 @@ var parallelSampleMinNodes = 4096
 // instant every shard is barriered, so clock reads are consistent and
 // nothing else touches vals.
 func (ps *ParallelSim) observeShard(s int) {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for i := int(ps.shardStart[s]); i < int(ps.shardStart[s+1]); i++ {
-		if ps.downMask != nil && ps.downMask[i] {
-			// Crashed nodes are NaN-poisoned out of every consumer, exactly
-			// as in the serial harness's observe.
-			ps.vals[i] = math.NaN()
-			continue
-		}
-		l := ps.Nodes[i].Logical()
-		ps.vals[i] = l
-		if l < lo {
-			lo = l
-		}
-		if l > hi {
-			hi = l
-		}
-	}
-	ps.sampleLo[s], ps.sampleHi[s] = lo, hi
+	ps.sampleLo[s], ps.sampleHi[s] = ps.scanRange(int(ps.shardStart[s]), int(ps.shardStart[s+1]))
 }
 
 // observeScan computes the sample's global extrema and fills vals.
@@ -629,31 +353,17 @@ func (ps *ParallelSim) observeShard(s int) {
 // bit-identical to the serial left-to-right scan it replaces (which was
 // the last O(n) serial stretch on the sampling path).
 func (ps *ParallelSim) observeScan() (lo, hi float64) {
-	n := len(ps.Nodes)
-	if ps.runWorkers > 1 && n >= parallelSampleMinNodes {
-		w := ps.runWorkers
-		if w > len(ps.shards) {
-			w = len(ps.shards)
-		}
+	if w := min(ps.runWorkers, len(ps.shards)); w > 1 && len(ps.Nodes) >= parallelSampleMinNodes {
 		ps.sampleNext.Store(0)
 		ps.sampleWG.Add(w)
 		for k := 0; k < w; k++ {
 			go ps.sampleWorker()
 		}
 		ps.sampleWG.Wait()
-		lo, hi = math.Inf(1), math.Inf(-1)
+	} else {
 		for s := range ps.shards {
-			if ps.sampleLo[s] < lo {
-				lo = ps.sampleLo[s]
-			}
-			if ps.sampleHi[s] > hi {
-				hi = ps.sampleHi[s]
-			}
+			ps.observeShard(s)
 		}
-		return lo, hi
-	}
-	for s := range ps.shards {
-		ps.observeShard(s)
 	}
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for s := range ps.shards {
@@ -667,101 +377,26 @@ func (ps *ParallelSim) observeScan() (lo, hi float64) {
 	return lo, hi
 }
 
-// observe records one skew sample. It runs on the global engine, with
-// every shard barriered at the sample instant, so every clock read is
-// consistent.
-func (ps *ParallelSim) observe() {
-	lo, hi := ps.observeScan()
-	spread := hi - lo
-	if hi < lo {
-		spread = 0 // every node down: no live pair to skew
-	}
-	if spread > ps.report.MaxGlobalSkew {
-		ps.report.MaxGlobalSkew = spread
-	}
-	if ps.gradient != nil {
-		ps.gradient.observe(ps.Graph, ps.vals)
-	}
-	ps.Graph.RangeCurrentEdges(ps.edgeFn)
-	ps.report.FinalGlobalSkew = spread
-	if ps.faultOn {
-		if spread > ps.faultBound {
-			ps.goodSince = -1
-		} else if ps.goodSince < 0 {
-			ps.goodSince = ps.P.Global().Now()
-		}
-	}
-	ps.report.Samples++
-	ps.lastSampleT = ps.P.Global().Now()
-}
-
-// Gradient returns the simulation's gradient checker, or nil when
-// Config.CheckGradient is off.
-func (ps *ParallelSim) Gradient() *GradientChecker { return ps.gradient }
-
 // Run executes the scenario to its horizon and returns the report. Like
 // the serial Run it is idempotent; the report is a pure function of the
 // Config — Workers only decides how many goroutines execute the shard
 // windows.
 func (ps *ParallelSim) Run() SkewReport {
-	cfg := ps.Cfg
-	if !ps.started {
-		ps.started = true
-		ps.P.Global().Schedule(ps.P.Global().Now(), "sim.sample", ps.sampleFn)
+	ps.startSampler()
+	ps.runWorkers = ps.Cfg.Workers
+	if ps.runWorkers <= 0 {
+		ps.runWorkers = runtime.GOMAXPROCS(0)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ps.runWorkers = workers
-	ps.P.Run(cfg.Horizon, workers)
-	if ps.report.Samples == 0 || ps.lastSampleT < cfg.Horizon {
-		ps.observe()
-	}
+	ps.P.Run(ps.Cfg.Horizon, ps.runWorkers)
 
-	ps.report.Bound = cfg.GlobalSkewBound()
-	ps.report.Transport = transport.Stats{}
+	var traffic transport.Stats
+	var msgFaults fault.Stats
 	for _, sh := range ps.shards {
-		ps.report.Transport.Sent += sh.stats.Sent
-		ps.report.Transport.Delivered += sh.stats.Delivered
-		ps.report.Transport.Dropped += sh.stats.Dropped
-		ps.report.Transport.Refused += sh.stats.Refused
+		traffic.Sent += sh.stats.Sent
+		traffic.Delivered += sh.stats.Delivered
+		traffic.Dropped += sh.stats.Dropped
+		traffic.Refused += sh.stats.Refused
+		msgFaults.Merge(sh.fstats)
 	}
-	ps.report.EventsExecuted = ps.P.Executed()
-	ps.report.EdgeAdds, ps.report.EdgeRemoves = ps.Graph.Stats()
-	if ps.gradient != nil {
-		ps.report.PerDistanceSkew = ps.gradient.PerDistance()
-		ps.report.DistanceRecomputes = ps.gradient.Recomputes()
-	}
-
-	ps.report.MinRateSeen, ps.report.MaxRateSeen = math.Inf(1), math.Inf(-1)
-	ps.report.TotalJumps, ps.report.TotalMessages = 0, 0
-	ps.report.TotalBeacons, ps.report.TotalDiscoveries = 0, 0
-	for i, hw := range ps.Clocks {
-		mn, mx := hw.RateBoundsSeen()
-		if mn < ps.report.MinRateSeen {
-			ps.report.MinRateSeen = mn
-		}
-		if mx > ps.report.MaxRateSeen {
-			ps.report.MaxRateSeen = mx
-		}
-		snap := ps.Nodes[i].Snap()
-		ps.report.TotalJumps += snap.Jumps
-		ps.report.TotalMessages += snap.Messages
-		ps.report.TotalBeacons += snap.Beacons
-		ps.report.TotalDiscoveries += snap.Discoveries
-	}
-
-	if ps.faultOn {
-		// Per-shard fold in fixed shard order; Merge is order-independent
-		// anyway (sums and maxes), so the result is worker-invariant.
-		var fs fault.Stats
-		for _, sh := range ps.shards {
-			fs.Merge(sh.fstats)
-		}
-		fs.Merge(ps.injector.Stats())
-		ps.report.Faults = fs
-		ps.report.ReconvergenceTime = reconvergenceTime(fs, ps.goodSince)
-	}
-	return ps.report
+	return ps.finalise(traffic, ps.P.Executed(), msgFaults)
 }

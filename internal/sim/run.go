@@ -1,13 +1,8 @@
 package sim
 
 import (
-	"math"
-
-	"gcs/internal/clock"
 	"gcs/internal/des"
-	"gcs/internal/dyngraph"
 	"gcs/internal/fault"
-	"gcs/internal/gcs"
 	"gcs/internal/transport"
 )
 
@@ -67,32 +62,20 @@ type SkewReport struct {
 	ReconvergenceTime float64
 }
 
-// Simulation is one fully wired scenario, exposed so tests can inspect
-// mid-run state; most callers use Run. A Simulation is reusable: Reset
-// rewires it in place for another config, recycling the engine's event
-// pool, the graph's adjacency and history storage, the transport's
-// flight arena, and every per-node object, so repeated runs of
-// same-shape configs allocate nothing (see Arena).
+// Simulation is one fully wired scenario on the serial engine: the
+// harness core with every node on one des.Engine, plus the slot-table
+// transport. It is exposed so tests can inspect mid-run state; most
+// callers use Run. A Simulation is reusable: Reset rewires it in place
+// for another config, recycling the engine's event pool, the graph's
+// adjacency and history storage, the transport's flight arena, and every
+// per-node object, so repeated runs of same-shape configs allocate
+// nothing (see Arena).
 type Simulation struct {
-	Cfg    Config
+	core
 	Engine *des.Engine
-	Graph  *dyngraph.Dynamic
 	Net    *transport.Network
-	Clocks []*clock.HardwareClock
-	Nodes  []*gcs.Node
 
-	// allClocks/allNodes/allDrivers are the grow-only pools backing the
-	// public slices, which are views of the first Cfg.N entries.
-	allClocks  []*clock.HardwareClock
-	allNodes   []*gcs.Node
-	allDrivers []*driverState
-
-	// Reseedable PRNG streams, one per subsystem, matching the fork ids a
-	// fresh wiring would draw so reuse stays bit-identical.
-	root      *des.Rand
 	delayRand *des.Rand
-	driveRand *des.Rand
-	phaseRand *des.Rand
 	// delayFn is the long-lived base delay law over delayRand; it is
 	// rebuilt only when the delay bounds change.
 	delayFn  transport.DelayFn
@@ -100,150 +83,15 @@ type Simulation struct {
 	delayMin float64
 	// onMessage is the single delivery handler shared by every node.
 	onMessage transport.Handler
-	// sampleFn is the long-lived periodic skew sampler.
-	sampleFn func()
-	// wired records that the one-time wiring (discovery subscription) has
-	// happened; edgeCfg/boundCfg key the cached initial edge set and
-	// analytic bound.
-	wired       bool
-	edgeCfg     edgeKey
-	boundCfg    Config
-	boundOK     bool
-	bound       float64
-	report      SkewReport
-	lastSampleT float64
-	// initialEdges is the backbone edge set materialized once per
-	// topology shape and reused by the churner setup (Topology.Edges is
-	// O(n) or worse, so it must not be recomputed per run).
-	initialEdges []dyngraph.Edge
-	// volCands caches the volatile-churn candidate set, which is a
-	// deterministic function of volKey (the rejection sampling draws from
-	// a dedicated root fork), so same-config re-runs skip the O(n) map
-	// rebuild.
-	volCands []dyngraph.Edge
-	volKey   volCandKey
-	// vals is the reused logical-clock sample buffer; edgeFn is the
-	// long-lived per-edge observer closure. Both exist so that observe
-	// allocates nothing per sample.
-	vals   []float64
-	edgeFn func(dyngraph.Edge)
-	// trace, when non-nil, receives one row of logical values per sample.
-	trace *TraceRecorder
-	// gradient, when non-nil (Config.CheckGradient), folds every sample
-	// into per-distance skew buckets.
-	gradient *GradientChecker
-	// started records whether the periodic sampler has been installed.
-	started bool
-
-	// Fault-injection state (Config.Faults). msgFaults and injector are
-	// grow-once pools; faultHooks holds the long-lived callbacks into
-	// nodes and clocks. downMask aliases the injector's live mask so
-	// observe can exclude crashed nodes; goodSince tracks when the skew
-	// last re-entered faultBound (-1 while outside), feeding the
-	// ReconvergenceTime metric.
-	faultOn    bool
-	msgFaults  *fault.Messages
-	injector   *fault.Injector
-	faultHooks fault.Hooks
-	faultRoot  des.Rand
-	downMask   []bool
-	faultBound float64
-	goodSince  float64
-}
-
-// edgeKey identifies the inputs the cached initial edge set depends on.
-type edgeKey struct {
-	topo TopologySpec
-	n    int
-	star bool
-}
-
-// volCandKey identifies the inputs the cached volatile candidate set
-// depends on: the backbone shape, the node count, the request size, and
-// the seed driving the rejection sampling.
-type volCandKey struct {
-	edges edgeKey
-	seed  uint64
-	extra int
-}
-
-// driverState is one node's reusable rate driver: long-lived closures
-// over a reseedable PRNG, so rewiring a simulation re-installs drivers
-// without allocating. The install sequence — rate draws, event labels,
-// scheduling order — reproduces clock.RandomWalk/BangBang/ConstantRate
-// exactly, keeping arena runs bit-identical to freshly wired ones.
-type driverState struct {
-	s      *Simulation
-	hw     *clock.HardwareClock
-	rand   des.Rand
-	high   bool
-	stepFn func()
-	flipFn func()
-}
-
-func newDriverState(s *Simulation, hw *clock.HardwareClock) *driverState {
-	ds := &driverState{s: s, hw: hw}
-	ds.stepFn = func() {
-		cfg := &ds.s.Cfg
-		ds.hw.SetRate(ds.rand.Range(1-cfg.Rho, 1+cfg.Rho))
-		ds.s.Engine.ScheduleAfter(cfg.Driver.Interval*(0.5+ds.rand.Float64()), "clock.walk", ds.stepFn)
-	}
-	ds.flipFn = func() {
-		ds.flip()
-		ds.s.Engine.ScheduleAfter(ds.s.Cfg.Driver.Interval, "clock.bang", ds.flipFn)
-	}
-	return ds
-}
-
-func (ds *driverState) flip() {
-	if ds.high {
-		ds.hw.SetRate(1 + ds.s.Cfg.Rho)
-	} else {
-		ds.hw.SetRate(1 - ds.s.Cfg.Rho)
-	}
-	ds.high = !ds.high
-}
-
-// install arms the driver for one run. driveRand is the shared
-// per-wiring driver stream; node keys this node's fork of it.
-func (ds *driverState) install(node int, driveRand *des.Rand) {
-	cfg := &ds.s.Cfg
-	switch cfg.Driver.Kind {
-	case DriveConstant:
-		ds.hw.SetRate(1)
-	case DriveRandomWalk:
-		if cfg.Driver.Interval <= 0 {
-			panic("sim: RandomWalk interval must be positive")
-		}
-		driveRand.ForkInto(uint64(node), &ds.rand)
-		ds.hw.SetRate(ds.rand.Range(1-cfg.Rho, 1+cfg.Rho))
-		ds.s.Engine.ScheduleAfter(cfg.Driver.Interval*(0.5+ds.rand.Float64()), "clock.walk", ds.stepFn)
-	case DriveBangBang:
-		if cfg.Driver.Interval <= 0 {
-			panic("sim: BangBang interval must be positive")
-		}
-		ds.high = node%2 == 0
-		ds.flip()
-		ds.s.Engine.ScheduleAfter(cfg.Driver.Interval, "clock.bang", ds.flipFn)
-	default:
-		panic("sim: unknown driver kind")
-	}
 }
 
 // New wires a simulation from the config without running it.
 func New(cfg Config) *Simulation {
-	s := &Simulation{
-		Engine:    des.NewEngine(),
-		root:      des.NewRand(0),
-		delayRand: des.NewRand(0),
-		driveRand: des.NewRand(0),
-		phaseRand: des.NewRand(0),
-	}
-	s.edgeFn = func(e dyngraph.Edge) {
-		if d := math.Abs(s.vals[e.U] - s.vals[e.V]); d > s.report.MaxAdjacentSkew {
-			s.report.MaxAdjacentSkew = d
-		}
-	}
+	s := &Simulation{Engine: des.NewEngine(), delayRand: des.NewRand(0)}
+	s.init()
+	s.global = s.Engine
+	s.engineOf = func(int) *des.Engine { return s.Engine }
+	s.scan = func() (lo, hi float64) { return s.scanRange(0, len(s.Nodes)) }
 	s.onMessage = func(m transport.Message) {
 		if m.Values != nil {
 			s.Nodes[m.To].OnValues(m.From, m.Values)
@@ -251,11 +99,7 @@ func New(cfg Config) *Simulation {
 			s.Nodes[m.To].OnMessage(m.From, m.Value)
 		}
 	}
-	s.sampleFn = func() {
-		s.observe()
-		s.Engine.ScheduleAfter(s.Cfg.SampleEvery, "sim.sample", s.sampleFn)
-	}
-	s.wire(cfg)
+	s.Reset(cfg)
 	return s
 }
 
@@ -263,35 +107,9 @@ func New(cfg Config) *Simulation {
 // buffer and pooled object of the previous run. After Reset the
 // simulation behaves exactly like New(cfg) — executions are
 // bit-identical — but a same-shape rewire performs zero allocations.
-func (s *Simulation) Reset(cfg Config) { s.wire(cfg) }
-
-func (s *Simulation) wire(cfg Config) {
-	// New/Reset keep the panic contract for programmer errors; the
-	// error-returning boundary is sim.Run/RunSweep, which Validate first.
-	if err := cfg.Validate(); err != nil {
-		panic(err.Error())
-	}
-	cfg = cfg.WithDefaults()
-	s.Cfg = cfg
+func (s *Simulation) Reset(cfg Config) {
 	s.Engine.Reset()
-	s.root.Reseed(cfg.Seed)
-
-	// Initial backbone edges, cached per topology shape.
-	star := cfg.Churn.Kind == ChurnRotatingStar
-	if key := (edgeKey{topo: cfg.Topology, n: cfg.N, star: star}); !s.wired || key != s.edgeCfg {
-		if star {
-			s.initialEdges = nil
-		} else {
-			s.initialEdges = cfg.Topology.Edges(cfg.N)
-		}
-		s.edgeCfg = key
-	}
-
-	if s.Graph == nil {
-		s.Graph = dyngraph.NewDynamic(cfg.N, s.initialEdges)
-	} else {
-		s.Graph.Reset(cfg.N, s.initialEdges)
-	}
+	cfg = s.begin(cfg)
 
 	if s.delayFn == nil || s.delayMax != cfg.MaxDelay || s.delayMin != cfg.MinDelay {
 		s.delayMax = cfg.MaxDelay
@@ -303,217 +121,20 @@ func (s *Simulation) wire(cfg Config) {
 	s.root.ForkInto(0xde1a9, s.delayRand)
 	if s.Net == nil {
 		s.Net = transport.New(s.Engine, s.Graph, s.delayFn, cfg.MaxDelay)
+		s.sender = s.Net
 	} else {
 		s.Net.Reset(s.delayFn, cfg.MaxDelay)
 	}
 	s.Net.SetCoalescing(!cfg.NoCoalesce)
-
-	// Grow the node/clock/driver pools up to cfg.N, then reset the live
-	// prefix. Nodes are wired straight to the (stable) Network and
-	// Dynamic graph through the harness seam — transport.Network is the
-	// seam.Sender and dyngraph.Dynamic the seam.Topology, with no
-	// per-node adapter closures.
-	for len(s.allClocks) < cfg.N {
-		i := len(s.allClocks)
-		hw := clock.New(s.Engine, 1)
-		nd := gcs.New(i, hw, cfg.Node, s.Net, s.Graph)
-		s.allClocks = append(s.allClocks, hw)
-		s.allNodes = append(s.allNodes, nd)
-		s.allDrivers = append(s.allDrivers, newDriverState(s, hw))
-	}
-	s.Clocks = s.allClocks[:cfg.N]
-	s.Nodes = s.allNodes[:cfg.N]
-
-	s.root.ForkInto(0xd81fe, s.driveRand)
 	for i := 0; i < cfg.N; i++ {
-		s.Clocks[i].Reset(1)
-		s.Nodes[i].Reset(cfg.Node)
 		s.Net.SetHandler(i, s.onMessage)
-		s.allDrivers[i].install(i, s.driveRand)
 	}
 
-	// Neighbor discovery: subscribe before the churner installs, so even
-	// edges a churn process adds at time 0 trigger an immediate beacon
-	// exchange across the fresh edge. The graph keeps its subscribers
-	// across Reset, so this happens exactly once per Simulation.
-	if !s.wired {
-		s.Graph.Subscribe(discovery{s})
-		s.wired = true
-	}
-
-	if ch := s.churner(s.root); ch != nil {
-		ch.Install(s.Engine, s.Graph)
-	}
-
-	s.root.ForkInto(0x9a5e, s.phaseRand)
-	for i := 0; i < cfg.N; i++ {
-		s.Nodes[i].Start(s.phaseRand.Range(0, cfg.Node.BeaconEvery))
-	}
-
-	s.wireFaults(cfg)
-
-	s.gradient = wireGradient(s.gradient, cfg)
-
-	if cap(s.vals) < cfg.N {
-		s.vals = make([]float64, cfg.N)
-	} else {
-		s.vals = s.vals[:cfg.N]
-	}
-	s.trace = nil
-	s.report = SkewReport{}
-	s.lastSampleT = 0
-	s.started = false
-}
-
-// wireFaults arms fault injection for one run. The fault root is forked
-// from the scenario root (never advancing it, so a zero-valued Spec
-// leaves every other stream bit-identical); message faults wire into
-// the transport, crash/recover and rate excursions into the injector's
-// engine events.
-func (s *Simulation) wireFaults(cfg Config) {
-	s.faultOn = cfg.Faults.Enabled()
-	s.downMask = nil
-	s.goodSince = -1
-	if !s.faultOn {
-		return
-	}
-	s.root.ForkInto(0xfa07, &s.faultRoot)
-	if cfg.Faults.MessageFaults() {
-		if s.msgFaults == nil {
-			s.msgFaults = fault.NewMessages()
-		}
-		s.msgFaults.Wire(cfg.Faults, cfg.MaxDelay, cfg.N, &s.faultRoot)
-		s.Net.SetFaults(s.msgFaults)
-	}
-	if s.injector == nil {
-		s.injector = fault.NewInjector()
-		s.faultHooks = fault.Hooks{
-			Crash:   func(i int) { s.Nodes[i].Crash() },
-			Recover: func(i int) { s.Nodes[i].Recover() },
-			SetRate: func(i int, rate float64) { s.Clocks[i].SetRate(rate) },
-		}
-	}
-	s.injector.Wire(cfg.Faults, cfg.N, cfg.Rho, &s.faultRoot, s.faultHooks)
-	s.injector.Install(s.Engine)
-	s.downMask = s.injector.Down()
-	s.faultBound = s.boundFor(cfg)
-}
-
-// reconvergenceTime derives the report metric from the merged fault
-// stats and the time the skew last re-entered the bound: 0 when no
-// fault fired or the skew never left the bound after the last fault,
-// the re-entry delay otherwise, +Inf when still outside at the horizon.
-// Shared by the serial and parallel harnesses.
-func reconvergenceTime(fs fault.Stats, goodSince float64) float64 {
-	if fs.Total() == 0 {
-		return 0
-	}
-	if goodSince < 0 {
-		return math.Inf(1)
-	}
-	if d := goodSince - fs.LastFaultT; d > 0 {
-		return d
-	}
-	return 0
-}
-
-// wireGradient returns the checker for cfg, reusing prev when its shape
-// still fits (reset in place) and replacing it otherwise; nil when the
-// check is off. Shared by the serial and parallel harnesses.
-func wireGradient(prev *GradientChecker, cfg Config) *GradientChecker {
-	if !cfg.CheckGradient {
-		return nil
-	}
-	wantSources := cfg.GradientSources
-	if wantSources >= cfg.N {
-		wantSources = 0 // sampling every node is the exact check
-	}
-	r, src := 0, 0
-	if prev != nil {
-		r, src = prev.shape()
-	}
-	if prev == nil || prev.nodes() != cfg.N || r != cfg.GradientRadius || src != wantSources {
-		return newGradientChecker(cfg.N, cfg.GradientRadius, wantSources)
-	}
-	prev.reset()
-	return prev
-}
-
-// discovery relays topology events to the algorithm layer: both
-// endpoints of a fresh edge beacon immediately over it instead of
-// waiting up to BeaconEvery, which is what the paper's catch-up
-// argument assumes of nodes that become adjacent.
-type discovery struct{ s *Simulation }
-
-func (d discovery) EdgeAdded(t float64, e dyngraph.Edge) {
-	d.s.Nodes[e.U].OnEdgeAdded(e.V)
-	d.s.Nodes[e.V].OnEdgeAdded(e.U)
-}
-
-func (d discovery) EdgeRemoved(t float64, e dyngraph.Edge) {}
-
-func (s *Simulation) churner(root *des.Rand) dyngraph.Churner {
-	cfg := s.Cfg
-	switch cfg.Churn.Kind {
-	case ChurnNone:
-		return nil
-	case ChurnVolatile:
-		if key := (volCandKey{edges: s.edgeCfg, seed: cfg.Seed, extra: cfg.Churn.ExtraEdges}); s.volCands == nil || key != s.volKey {
-			s.volCands = volatileCandidates(cfg.N, cfg.Churn.ExtraEdges, s.initialEdges, root.Fork(0xca9d))
-			s.volKey = key
-		}
-		return dyngraph.VolatileEdges{
-			Candidates: s.volCands,
-			Lifetime:   cfg.Churn.Lifetime,
-			Absence:    cfg.Churn.Absence,
-			Rand:       root.Fork(0xc400),
-		}
-	case ChurnRotatingStar:
-		return dyngraph.RotatingStar{
-			Period:  cfg.Churn.Period,
-			Overlap: cfg.Churn.Overlap,
-		}
-	}
-	panic("sim: unknown churn kind")
-}
-
-// volatileCandidates draws extra distinct random edges over n nodes that
-// are not part of the static backbone. Rejection sampling is capped, so
-// on dense backbones it can exhaust its attempt budget short of the
-// request; the remainder is then filled by deterministic enumeration of
-// the unused non-backbone pairs, so the churner is under-provisioned
-// only when the graph genuinely has fewer candidates than requested.
-// Shared by the serial and parallel harnesses.
-func volatileCandidates(n, extra int, backboneEdges []dyngraph.Edge, r *des.Rand) []dyngraph.Edge {
-	backbone := map[dyngraph.Edge]bool{}
-	for _, e := range backboneEdges {
-		backbone[e] = true
-	}
-	seen := map[dyngraph.Edge]bool{}
-	var out []dyngraph.Edge
-	for attempts := 0; len(out) < extra && attempts < 100*extra+100; attempts++ {
-		u := r.Intn(n)
-		v := r.Intn(n)
-		if u == v {
-			continue
-		}
-		e := dyngraph.E(u, v)
-		if backbone[e] || seen[e] {
-			continue
-		}
-		seen[e] = true
-		out = append(out, e)
-	}
-	for u := 0; u < n && len(out) < extra; u++ {
-		for v := u + 1; v < n && len(out) < extra; v++ {
-			e := dyngraph.Edge{U: u, V: v}
-			if backbone[e] || seen[e] {
-				continue
-			}
-			out = append(out, e)
-		}
-	}
-	return out
+	s.arm()
+	// Installed after arm, like every fault: sends made while wiring at
+	// time 0 (discovery over a rotating star's first edges) draw no
+	// verdict.
+	s.Net.SetFaults(s.msgFaults)
 }
 
 // AttachTrace registers tr to receive one (time, per-node logical
@@ -524,148 +145,21 @@ func (s *Simulation) AttachTrace(tr *TraceRecorder) {
 	s.trace = tr
 }
 
-// observe records one skew sample at the engine's current time. It
-// reuses the simulation's sample buffer and edge observer, so sampling
-// allocates nothing.
-func (s *Simulation) observe() {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for i, nd := range s.Nodes {
-		if s.downMask != nil && s.downMask[i] {
-			// A crashed node has no logical clock. Poisoning its sample with
-			// NaN makes every consumer skip it for free: NaN fails the lo/hi
-			// comparisons here, the |L_u - L_v| > max test in edgeFn, and the
-			// gradient checker's bucket comparisons.
-			s.vals[i] = math.NaN()
-			continue
-		}
-		l := nd.Logical()
-		s.vals[i] = l
-		if l < lo {
-			lo = l
-		}
-		if l > hi {
-			hi = l
-		}
-	}
-	spread := hi - lo
-	if hi < lo {
-		spread = 0 // every node down: no live pair to skew
-	}
-	if spread > s.report.MaxGlobalSkew {
-		s.report.MaxGlobalSkew = spread
-	}
-	if s.trace != nil {
-		s.trace.Record(s.Engine.Now(), s.vals)
-	}
-	if s.gradient != nil {
-		s.gradient.observe(s.Graph, s.vals)
-	}
-	// Max over edges is order-independent, so the unordered allocation-free
-	// iteration is deterministic in its result.
-	s.Graph.RangeCurrentEdges(s.edgeFn)
-	s.report.FinalGlobalSkew = spread
-	if s.faultOn {
-		if spread > s.faultBound {
-			s.goodSince = -1
-		} else if s.goodSince < 0 {
-			s.goodSince = s.Engine.Now()
-		}
-	}
-	s.report.Samples++
-	s.lastSampleT = s.Engine.Now()
-}
-
 // Advance runs the execution up to real time t, installing the periodic
 // skew sampler on first call. Tests step a live scenario through it; Run
 // drives it to the horizon and finalizes the report.
 func (s *Simulation) Advance(t float64) {
-	if !s.started {
-		s.started = true
-		s.Engine.Schedule(s.Engine.Now(), "sim.sample", s.sampleFn)
-	}
+	s.startSampler()
 	s.Engine.Run(t)
 }
 
-// boundFor returns the analytic global skew bound for cfg, cached across
-// runs: GlobalSkewBound materializes the topology and runs a BFS, so a
-// reused simulation must not recompute it per run. The cache keys on
-// every field the bound depends on (Seed, Horizon, SampleEvery, Driver,
-// and the check/coalesce toggles do not affect it).
-func (s *Simulation) boundFor(cfg Config) float64 {
-	key := cfg
-	key.Seed = 0
-	key.Horizon = 0
-	key.SampleEvery = 0
-	key.Driver = DriverSpec{}
-	key.CheckGradient = false
-	key.GradientRadius = 0
-	key.GradientSources = 0
-	key.NoCoalesce = false
-	key.Parallel = false
-	key.Shards = 0
-	key.Workers = 0
-	key.MinDelay = 0
-	key.Faults = FaultSpec{}
-	if !s.boundOK || key != s.boundCfg {
-		s.bound = cfg.GlobalSkewBound()
-		s.boundCfg = key
-		s.boundOK = true
-	}
-	return s.bound
-}
-
-// Run executes the scenario to its horizon and returns the report.
+// Run executes the scenario to its horizon and returns the report. It is
+// idempotent: calling it after Advance-stepping, or twice, reports each
+// jump, message and beacon exactly once.
 func (s *Simulation) Run() SkewReport {
-	cfg := s.Cfg
-	s.Advance(cfg.Horizon)
-	// End-of-run state at exactly the horizon, unless the periodic
-	// sampler already landed there (Horizon a multiple of SampleEvery).
-	if s.report.Samples == 0 || s.lastSampleT < cfg.Horizon {
-		s.observe()
-	}
-
-	s.report.Bound = s.boundFor(cfg)
-	s.report.Transport = s.Net.Stats()
-	s.report.EventsExecuted = s.Engine.Executed()
-	s.report.EdgeAdds, s.report.EdgeRemoves = s.Graph.Stats()
-	if s.gradient != nil {
-		s.report.PerDistanceSkew = s.gradient.PerDistance()
-		s.report.DistanceRecomputes = s.gradient.Recomputes()
-	}
-
-	// The totals below are recomputed from node snapshots on every call,
-	// so Run is idempotent: calling it after Advance-stepping, or twice,
-	// reports each jump/message/beacon exactly once.
-	s.report.MinRateSeen, s.report.MaxRateSeen = math.Inf(1), math.Inf(-1)
-	s.report.TotalJumps, s.report.TotalMessages = 0, 0
-	s.report.TotalBeacons, s.report.TotalDiscoveries = 0, 0
-	for i, hw := range s.Clocks {
-		mn, mx := hw.RateBoundsSeen()
-		if mn < s.report.MinRateSeen {
-			s.report.MinRateSeen = mn
-		}
-		if mx > s.report.MaxRateSeen {
-			s.report.MaxRateSeen = mx
-		}
-		snap := s.Nodes[i].Snap()
-		s.report.TotalJumps += snap.Jumps
-		s.report.TotalMessages += snap.Messages
-		s.report.TotalBeacons += snap.Beacons
-		s.report.TotalDiscoveries += snap.Discoveries
-	}
-
-	if s.faultOn {
-		fs := s.Net.FaultStats()
-		fs.Merge(s.injector.Stats())
-		s.report.Faults = fs
-		s.report.ReconvergenceTime = reconvergenceTime(fs, s.goodSince)
-	}
-	return s.report
+	s.Advance(s.Cfg.Horizon)
+	return s.finalise(s.Net.Stats(), s.Engine.Executed(), s.Net.FaultStats())
 }
-
-// Gradient returns the simulation's gradient checker, or nil when
-// Config.CheckGradient is off.
-func (s *Simulation) Gradient() *GradientChecker { return s.gradient }
 
 // Run wires and executes cfg in one call, dispatching to the sharded
 // parallel harness when Config.Parallel is set. A malformed config is
