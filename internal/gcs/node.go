@@ -20,6 +20,14 @@
 //     discovery) instead of waiting out the beacon period, which is what
 //     the catch-up argument assumes of nodes that become adjacent.
 //
+// The paper's node keeps its neighbor set Γ_u from discover(add) and
+// discover(remove) events (Section 3.2) and evaluates its rules against
+// it. Here those events are OnEdgeAdded and OnEdgeRemoved, and what the
+// node keeps of Γ_u is the one number the Section 5 rule needs: the
+// largest estimate among current neighbors. Γ_u is maintained by events
+// and scanned only after a loss, so evaluating the rule costs O(1) per
+// message whatever the degree.
+//
 // Remote estimates are aged conservatively at (1-rho)/(1+rho) times the
 // local hardware rate: the source's logical clock is guaranteed to have
 // advanced at least that much, so estimates are always lower bounds on
@@ -161,7 +169,7 @@ func (p Params) validate() {
 
 // estimate is the largest value heard from one source, stored normalized
 // to local hardware time zero: the aged value at local reading h is
-// norm + ageFactor*h. Normalizing makes the aged ordering of estimates
+// norm + age*h. Normalizing makes the aged ordering of estimates
 // time-invariant, so the global maximum is maintainable in O(1).
 type estimate struct {
 	norm float64
@@ -201,11 +209,17 @@ type Node struct {
 
 	// net carries beacons to the current neighbors (Broadcast) and the
 	// discovery unicast over a fresh edge (Send). topo enumerates the
-	// current neighborhood for the fast-mode scan; nbuf is its reused
-	// scratch buffer so the per-message path does not allocate.
+	// current neighborhood for the rescan that follows a lost edge; nbuf
+	// is its reused scratch buffer so the rescan does not allocate.
 	net  seam.Sender
 	topo seam.Topology
 	nbuf []int
+
+	// age is the guaranteed minimum progress of any remote logical clock
+	// per unit of local hardware time, (1-Rho)/(1+Rho): the remote
+	// hardware runs at >= (1-rho) real rate and the local one at
+	// <= (1+rho). Fixed by the parameters, so computed once per New/Reset.
+	age float64
 
 	// Logical clock as a line in hardware time:
 	// L(h) = baseL + mult*(h - baseH), rebased at every regime change.
@@ -215,6 +229,16 @@ type Node struct {
 	// maxNorm is the running maximum of est[*].norm (-Inf when empty);
 	// per-source norms only ever increase, so it never needs a rescan.
 	maxNorm float64
+	// nbrNorm is the largest est[v].norm over the current neighbors v —
+	// the node's rendering of the paper's Γ_u, maintained by the discover
+	// events instead of re-derived per message: raised when a neighbor's
+	// estimate rises (OnMessage/OnValues) or a neighbor with a surviving
+	// estimate returns (OnEdgeAdded). Normalized estimates never reorder
+	// with time, so this one number decides the fast-mode rule. A lost
+	// edge (OnEdgeRemoved) can only lower it, which is not incremental:
+	// it sets nbrStale, and the next recompute rebuilds nbrNorm by the
+	// O(degree) scan, once however many edges went.
+	nbrNorm float64
 	// catchupT re-evaluates the regime exactly when L reaches the fast
 	// target; beaconT drives the periodic beacon loop. Both are created
 	// once in New and re-armed in place, so the per-tick path does not
@@ -223,10 +247,11 @@ type Node struct {
 	beaconT  seam.Timer
 	// down marks a crashed node (fault injection): it neither beacons
 	// nor reacts to incoming traffic until Recover.
-	down bool
+	down     bool
+	nbrStale bool
+	fast     bool
 
 	msgs, jumps, beacons, discoveries int
-	fast                              bool
 }
 
 // New creates a node. net and topo wire it to the harness's transport
@@ -250,8 +275,10 @@ func New(id int, clk seam.Clock, p Params, net seam.Sender, topo seam.Topology) 
 		baseH:   clk.Now(),
 		baseL:   clk.Now(),
 		mult:    1,
+		age:     ageFactor(p.Rho),
 		est:     make(map[int]estimate),
 		maxNorm: math.Inf(-1),
+		nbrNorm: math.Inf(-1),
 	}
 	nd.catchupT = clk.NewTimer("gcs.catchup", nd.recompute)
 	nd.beaconT = clk.NewTimer("gcs.beacon", func() {
@@ -271,31 +298,56 @@ func (nd *Node) Reset(p Params) {
 	p = p.WithDefaults()
 	p.validate()
 	nd.p = p
-	h := nd.clk.Now()
-	nd.baseH, nd.baseL, nd.mult = h, h, 1
-	clear(nd.est)
-	nd.maxNorm = math.Inf(-1)
+	nd.age = ageFactor(p.Rho)
+	nd.forget()
 	nd.catchupT.Stop()
 	nd.beaconT.Stop()
 	nd.down = false
 	nd.msgs, nd.jumps, nd.beacons, nd.discoveries = 0, 0, 0, 0
+}
+
+// forget drops the volatile algorithm state — estimates (and with them
+// both cached maxima), regime, the logical clock's accumulated lead —
+// restarting the logical clock at the current hardware reading.
+func (nd *Node) forget() {
+	h := nd.clk.Now()
+	nd.baseH, nd.baseL, nd.mult = h, h, 1
+	clear(nd.est)
+	nd.maxNorm = math.Inf(-1)
+	nd.nbrNorm, nd.nbrStale = math.Inf(-1), false
 	nd.fast = false
 }
 
-// OnEdgeAdded reacts to a fresh incident edge: the node immediately
-// beacons its logical value to the new neighbor instead of waiting up to
-// BeaconEvery for the periodic tick. The paper's catch-up argument
-// assumes exactly this — a node that becomes adjacent to a lagging (or
-// leading) clock exchanges values within one message delay, so
-// topology-created local skew starts being corrected at the fast rate
-// (or by a jump) right away.
+// OnEdgeAdded is the paper's discover(add): peer joins Γ_u. If an
+// estimate of peer survives from an earlier adjacency it counts toward
+// the fast-mode rule again at once, without waiting for a new message.
+// The node then immediately beacons its logical value to the new
+// neighbor instead of waiting up to BeaconEvery for the periodic tick.
+// The paper's catch-up argument assumes exactly this — a node that
+// becomes adjacent to a lagging (or leading) clock exchanges values
+// within one message delay, so topology-created local skew starts being
+// corrected at the fast rate (or by a jump) right away.
 func (nd *Node) OnEdgeAdded(peer int) {
+	if e, ok := nd.est[peer]; ok && e.norm > nd.nbrNorm {
+		nd.nbrNorm = e.norm
+	}
 	if nd.down {
 		return
 	}
 	nd.recompute()
 	nd.discoveries++
 	nd.net.Send(nd.id, peer, nd.Logical())
+}
+
+// OnEdgeRemoved is the paper's discover(remove): peer leaves Γ_u. Its
+// estimate stays in est (it still gates which later values count as
+// news and feeds the jump rule) but no longer counts toward fast mode.
+// The regime itself is re-evaluated at the node's next event, as it
+// would be had the departed neighbor simply fallen silent.
+//
+//gcslint:zeroalloc
+func (nd *Node) OnEdgeRemoved(peer int) {
+	nd.nbrStale = true
 }
 
 // ID returns the node's identifier.
@@ -342,11 +394,7 @@ func (nd *Node) Recover() {
 		return
 	}
 	nd.down = false
-	h := nd.clk.Now()
-	nd.baseH, nd.baseL, nd.mult = h, h, 1
-	clear(nd.est)
-	nd.maxNorm = math.Inf(-1)
-	nd.fast = false
+	nd.forget()
 	nd.beaconT.Reset(0)
 }
 
@@ -362,35 +410,26 @@ func (nd *Node) logicalAt(h float64) float64 {
 	return nd.baseL + nd.mult*(h-nd.baseH)
 }
 
-// ageFactor is the guaranteed minimum progress of any remote logical
-// clock per unit of local hardware time: the remote hardware runs at
-// >= (1-rho) real rate and the local one at <= (1+rho).
-func (nd *Node) ageFactor() float64 {
-	return (1 - nd.p.Rho) / (1 + nd.p.Rho)
-}
-
-func (nd *Node) agedEstimate(e estimate, h float64) float64 {
-	return e.norm + nd.ageFactor()*h
-}
+// ageFactor is the conservative aging rate of remote estimates under
+// drift bound rho (see Node.age).
+func ageFactor(rho float64) float64 { return (1 - rho) / (1 + rho) }
 
 // OnMessage ingests a beacon carrying the sender's logical value and
-// re-evaluates the jump and fast-mode rules.
+// re-evaluates the jump and fast-mode rules. The harness calls it only
+// for a message that crossed a present edge, so from is a current
+// neighbor: transport.Network cancels flights when their edge is
+// removed, the sharded harness delivers only over an edge that existed
+// throughout the flight, and rt.Router re-checks presence at delivery.
+//
+//gcslint:zeroalloc
 func (nd *Node) OnMessage(from int, value float64) {
 	if nd.down {
 		// A crashed process receives nothing: the transport delivered to a
 		// dead node, and the value is lost with the rest of its state.
 		return
 	}
-	h := nd.clk.Now()
 	nd.msgs++
-	norm := value - nd.ageFactor()*h
-	if e, ok := nd.est[from]; !ok || norm > e.norm {
-		nd.est[from] = estimate{norm: norm}
-		if norm > nd.maxNorm {
-			nd.maxNorm = norm
-		}
-	}
-	nd.recompute()
+	nd.hear(from, value)
 }
 
 // OnValues ingests a coalesced batch of beacons from one sender in a
@@ -400,11 +439,13 @@ func (nd *Node) OnMessage(from int, value float64) {
 // of len(values) of each. Ingesting the values one OnMessage at a time
 // reaches the same estimate and regime; only the jump counter can differ
 // (a staged arrival may jump more than once where the fold jumps once).
+// The OnMessage contract on from applies.
+//
+//gcslint:zeroalloc
 func (nd *Node) OnValues(from int, values []float64) {
 	if nd.down || len(values) == 0 {
 		return
 	}
-	h := nd.clk.Now()
 	nd.msgs += len(values)
 	maxV := values[0]
 	for _, v := range values[1:] {
@@ -412,17 +453,30 @@ func (nd *Node) OnValues(from int, values []float64) {
 			maxV = v
 		}
 	}
-	norm := maxV - nd.ageFactor()*h
+	nd.hear(from, maxV)
+}
+
+// hear folds one value from neighbor `from` into its estimate and both
+// running maxima, then re-evaluates the rules.
+//
+//gcslint:zeroalloc
+func (nd *Node) hear(from int, value float64) {
+	norm := value - nd.age*nd.clk.Now()
 	if e, ok := nd.est[from]; !ok || norm > e.norm {
 		nd.est[from] = estimate{norm: norm}
 		if norm > nd.maxNorm {
 			nd.maxNorm = norm
+		}
+		if norm > nd.nbrNorm {
+			nd.nbrNorm = norm
 		}
 	}
 	nd.recompute()
 }
 
 // emit broadcasts the node's logical value after refreshing its regime.
+//
+//gcslint:zeroalloc
 func (nd *Node) emit() {
 	if nd.down {
 		// Crash cancels the beacon timer, so this only guards a beacon
@@ -434,40 +488,68 @@ func (nd *Node) emit() {
 	nd.net.Broadcast(nd.id, nd.Logical())
 }
 
+// scanNeighbors is the O(degree) evaluation of nbrNorm from the
+// topology: the largest normalized estimate among current neighbors
+// (-Inf if none has been heard).
+//
+//gcslint:zeroalloc
+func (nd *Node) scanNeighbors() float64 {
+	m := math.Inf(-1)
+	nd.nbuf = nd.topo.AppendNeighbors(nd.id, nd.nbuf[:0])
+	for _, v := range nd.nbuf {
+		if e, ok := nd.est[v]; ok && e.norm > m {
+			m = e.norm
+		}
+	}
+	return m
+}
+
+// CheckNeighborMax reports whether the event-maintained neighbor
+// maximum agrees with a fresh scan of the topology — an invariant for
+// harness tests to assert at quiescent points (every discover event
+// delivered). It is vacuous while a rescan is already pending.
+func (nd *Node) CheckNeighborMax() error {
+	if nd.nbrStale {
+		return nil
+	}
+	if want := nd.scanNeighbors(); nd.nbrNorm != want {
+		return fmt.Errorf("gcs: node %d caches neighbor maximum %v, a scan finds %v", nd.id, nd.nbrNorm, want)
+	}
+	return nil
+}
+
 // recompute rebases the logical clock at the current instant, applies the
 // jump rule against the global max estimate, and selects the rate regime
-// from the current neighbors' estimates.
+// from the largest current-neighbor estimate.
+//
+//gcslint:zeroalloc
 func (nd *Node) recompute() {
 	h := nd.clk.Now()
 	L := nd.logicalAt(h)
 
-	maxEst := nd.maxNorm + nd.ageFactor()*h
+	maxEst := nd.maxNorm + nd.age*h
 	if maxEst-L > nd.p.JumpThreshold {
 		L = maxEst
 		nd.jumps++
 	}
 
 	// Fast mode: some current neighbor is estimated ahead by more than
-	// Kappa. target is the largest such estimate; the catch-up timer
-	// re-evaluates exactly when L reaches it. With the fast rate disabled
-	// (MuDisabled, the jump-only regime) the scan is skipped: a boost of
-	// zero could never catch up and would only rearm useless timers.
-	fast := false
-	target := math.Inf(-1)
+	// Kappa. All estimates age by the same age*h, so "some neighbor" is
+	// "the one with the largest norm", and that estimate is also the
+	// target; the catch-up timer re-evaluates exactly when L reaches it.
+	// Γ_u is maintained by the discover events and scanned only after a
+	// loss. With the fast rate disabled (MuDisabled, the jump-only regime)
+	// the rule is skipped: a boost of zero could never catch up and would
+	// only rearm useless timers.
+	var fast bool
+	var target float64
 	if nd.p.FastRateEnabled() {
-		nd.nbuf = nd.topo.AppendNeighbors(nd.id, nd.nbuf[:0])
-		for _, v := range nd.nbuf {
-			e, ok := nd.est[v]
-			if !ok {
-				continue
-			}
-			if est := nd.agedEstimate(e, h); est-L > nd.p.Kappa {
-				fast = true
-				if est > target {
-					target = est
-				}
-			}
+		if nd.nbrStale {
+			nd.nbrNorm = nd.scanNeighbors()
+			nd.nbrStale = false
 		}
+		target = nd.nbrNorm + nd.age*h
+		fast = target-L > nd.p.Kappa
 	}
 
 	nd.baseH, nd.baseL = h, L
@@ -481,8 +563,8 @@ func (nd *Node) recompute() {
 	nd.catchupT.Stop()
 	if fast {
 		// L reaches target after (target-L)/mult hardware time; the
-		// estimate will have aged less than that (ageFactor < 1 <= mult),
-		// so each round shrinks the gap geometrically until it is <= Kappa.
+		// estimate will have aged less than that (age < 1 <= mult), so
+		// each round shrinks the gap geometrically until it is <= Kappa.
 		dH := (target - L) / nd.mult
 		nd.catchupT.Reset(dH)
 	}
@@ -491,7 +573,7 @@ func (nd *Node) recompute() {
 // Snap returns a snapshot of the node's state at the current time.
 func (nd *Node) Snap() Snapshot {
 	h := nd.clk.Now()
-	maxEst := nd.maxNorm + nd.ageFactor()*h
+	maxEst := nd.maxNorm + nd.age*h
 	return Snapshot{
 		ID:          nd.id,
 		Hardware:    h,

@@ -7,6 +7,7 @@ import (
 	"gcs/internal/clock"
 	"gcs/internal/des"
 	"gcs/internal/dyngraph"
+	"gcs/internal/seam"
 	"gcs/internal/transport"
 )
 
@@ -127,17 +128,226 @@ func TestFastModeCatchesUpAtFastRate(t *testing.T) {
 	}
 }
 
-func TestFastModeOnlyTriggersOnCurrentNeighbors(t *testing.T) {
+// lostNeighbor runs node 0, with neighbors 1 and 2 over a real dynamic
+// graph, through: neighbor 1 heard far ahead (fast mode), edge {0,1}
+// removed with its OnEdgeRemoved, then the node's next event. An
+// estimate heard over an edge that has since gone is stale information
+// and must not hold the node in fast mode. Jumps are disabled so every
+// reaction to a leading neighbor is the fast-mode rule's.
+func lostNeighbor(t *testing.T) (*des.Engine, *dyngraph.Dynamic, *Node) {
+	t.Helper()
 	en := des.NewEngine()
-	hw := clock.New(en, 1)
+	g := dyngraph.NewDynamic(3, []dyngraph.Edge{dyngraph.E(0, 1), dyngraph.E(0, 2)})
 	p := Params{Rho: 0.01, Kappa: 0.5, JumpThreshold: math.Inf(1)}
-	// Node 1 is not in the neighbor set: its huge value must not trigger
-	// fast mode (it is stale information from a vanished edge).
-	nd := New(0, hw, p, nil, nbrs{2})
+	nd := New(0, clock.New(en, 1), p, nil, g)
 	en.Schedule(1, "inject", func() { nd.OnMessage(1, 1000) })
+	en.Run(1)
+	if !nd.Snap().Fast {
+		t.Fatal("node not in fast mode despite a current neighbor far ahead")
+	}
+	en.Schedule(1.5, "remove", func() {
+		g.Remove(1.5, dyngraph.E(0, 1))
+		nd.OnEdgeRemoved(1)
+	})
+	// The next event of any kind re-evaluates the regime.
+	en.Schedule(2, "inject", func() { nd.OnMessage(2, 2) })
 	en.Run(2)
 	if nd.Snap().Fast {
-		t.Fatal("fast mode triggered by a non-neighbor estimate")
+		t.Fatal("fast mode held by a departed neighbor's estimate")
+	}
+	return en, g, nd
+}
+
+func TestFastModeOnlyTriggersOnCurrentNeighbors(t *testing.T) {
+	lostNeighbor(t)
+}
+
+// TestReaddedNeighbourCountsAgain: the estimate of a departed neighbor
+// survives in est, so when the edge returns OnEdgeAdded alone — no new
+// message — must put the node back into fast mode.
+func TestReaddedNeighbourCountsAgain(t *testing.T) {
+	en, g, nd := lostNeighbor(t)
+	en.Schedule(3, "readd", func() {
+		g.Add(3, dyngraph.E(0, 1))
+		nd.OnEdgeAdded(1)
+	})
+	en.Run(3)
+	if !nd.Snap().Fast {
+		t.Fatal("re-added neighbor's surviving estimate did not trigger fast mode")
+	}
+	if err := nd.CheckNeighborMax(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scanRule is the O(degree) evaluation of the fast-mode rule that
+// recompute ran on every event before the neighbor maximum was cached:
+// the topology is queried afresh and every neighbor's estimate aged and
+// compared on its own. It is the reference the cached rule must equal
+// bit for bit. maxNorm is the largest neighbor norm, the value nbrNorm
+// caches.
+func scanRule(nd *Node, h, L float64) (fast bool, target, maxNorm float64) {
+	target, maxNorm = math.Inf(-1), math.Inf(-1)
+	for _, v := range nd.topo.AppendNeighbors(nd.id, nil) {
+		e, ok := nd.est[v]
+		if !ok {
+			continue
+		}
+		if e.norm > maxNorm {
+			maxNorm = e.norm
+		}
+		if est := e.norm + ageFactor(nd.p.Rho)*h; est-L > nd.p.Kappa {
+			fast = true
+			if est > target {
+				target = est
+			}
+		}
+	}
+	return fast, target, maxNorm
+}
+
+// stepClock is a hand-advanced seam.Clock shared by every node of the
+// property test; recTimer records the last arming instead of firing.
+type stepClock struct{ h float64 }
+
+func (c *stepClock) Now() float64                       { return c.h }
+func (c *stepClock) NewTimer(string, func()) seam.Timer { return &recTimer{} }
+
+type recTimer struct {
+	dH    float64
+	armed bool
+}
+
+func (t *recTimer) Reset(dH float64) { t.dH, t.armed = dH, true }
+func (t *recTimer) Stop()            { t.armed = false }
+func (t *recTimer) Pending() bool    { return t.armed }
+
+// relay delivers both discover notifications to both endpoints, as the
+// harnesses do.
+type relay []*Node
+
+func (r relay) EdgeAdded(_ float64, e dyngraph.Edge) {
+	r[e.U].OnEdgeAdded(e.V)
+	r[e.V].OnEdgeAdded(e.U)
+}
+
+func (r relay) EdgeRemoved(_ float64, e dyngraph.Edge) {
+	r[e.U].OnEdgeRemoved(e.V)
+	r[e.V].OnEdgeRemoved(e.U)
+}
+
+// TestCachedNeighborMaxMatchesScan drives a small network through a
+// seeded random history — edges added, removed and re-added on a real
+// dyngraph.Dynamic with both notifications, single and batched messages
+// over present edges, catch-up timers firing, beacons, crashes,
+// recoveries, resets under changed parameters — and after every step
+// holds each node against scanRule: the cached maximum equals the scan
+// unless a rescan is pending, and every node that re-evaluated its
+// regime in the step chose the scan's regime and armed the scan's target.
+func TestCachedNeighborMaxMatchesScan(t *testing.T) {
+	const n = 6
+	params := []Params{
+		{Rho: 0.01, Kappa: 0.2, JumpThreshold: math.Inf(1)},
+		{Rho: 0.05, Kappa: 0.1, Mu: 0.5, JumpThreshold: 1},
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		rnd := des.NewRand(seed)
+		clk := &stepClock{}
+		g := dyngraph.NewDynamic(n, dyngraph.Ring(n))
+		nodes := make(relay, n)
+		for i := range nodes {
+			nodes[i] = New(i, clk, params[i%2], nil, g)
+		}
+		g.Subscribe(nodes)
+
+		var fastSeen, rescans, readds int
+		everPresent := map[dyngraph.Edge]bool{}
+		check := func(step int, op string) {
+			t.Helper()
+			for _, nd := range nodes {
+				fast, target, maxNorm := scanRule(nd, clk.h, nd.baseL)
+				if !nd.nbrStale && nd.nbrNorm != maxNorm {
+					t.Fatalf("seed %d step %d (%s): node %d caches %v, scan finds %v", seed, step, op, nd.id, nd.nbrNorm, maxNorm)
+				}
+				if err := nd.CheckNeighborMax(); err != nil {
+					t.Fatalf("seed %d step %d (%s): %v", seed, step, op, err)
+				}
+				if nd.down || nd.baseH != clk.h {
+					continue // regime not re-evaluated in this step
+				}
+				tm := nd.catchupT.(*recTimer)
+				if nd.fast != fast || tm.armed != fast {
+					t.Fatalf("seed %d step %d (%s): node %d fast=%v armed=%v, scan says %v", seed, step, op, nd.id, nd.fast, tm.armed, fast)
+				}
+				if fast {
+					fastSeen++
+					if want := (target - nd.baseL) / nd.mult; tm.dH != want {
+						t.Fatalf("seed %d step %d (%s): node %d armed %v, scan target gives %v", seed, step, op, nd.id, tm.dH, want)
+					}
+				}
+			}
+		}
+
+		for step := 0; step < 4000; step++ {
+			clk.h += rnd.Range(0.001, 0.05)
+			u := rnd.Intn(n)
+			v := (u + 1 + rnd.Intn(n-1)) % n
+			e := dyngraph.E(u, v)
+			var op string
+			switch k := rnd.Intn(100); {
+			case k < 45 && g.Present(e):
+				// v hears u, a little behind to well ahead of the clock.
+				val := clk.h + rnd.Range(-0.5, 3)
+				if rnd.Bool(0.3) {
+					op = "values"
+					nodes[v].OnValues(u, []float64{val - 1, val, val - 0.1})
+				} else {
+					op = "message"
+					nodes[v].OnMessage(u, val)
+				}
+			case k < 60:
+				// Churn (also when there is no edge to send over).
+				if g.Present(e) {
+					op = "remove"
+					for _, x := range []int{u, v} {
+						if !nodes[x].nbrStale {
+							rescans++
+						}
+					}
+					g.Remove(clk.h, e)
+				} else {
+					op = "add"
+					if everPresent[e] {
+						readds++
+					}
+					g.Add(clk.h, e)
+				}
+				everPresent[e] = true
+			case k < 75:
+				op = "catchup"
+				if tm := nodes[u].catchupT.(*recTimer); tm.armed {
+					clk.h += tm.dH
+					tm.armed = false
+					nodes[u].recompute()
+				}
+			case k < 88:
+				op = "beacon"
+				nodes[u].emit()
+			case k < 93:
+				op = "crash"
+				nodes[u].Crash()
+			case k < 98:
+				op = "recover"
+				nodes[u].Recover()
+			default:
+				op = "reset"
+				nodes[u].Reset(params[rnd.Intn(2)])
+			}
+			check(step, op)
+		}
+		if fastSeen == 0 || rescans == 0 || readds == 0 {
+			t.Fatalf("seed %d: degenerate history: fast=%d rescans=%d readds=%d", seed, fastSeen, rescans, readds)
+		}
 	}
 }
 

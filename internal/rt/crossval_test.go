@@ -5,6 +5,7 @@ package rt
 import (
 	"math"
 	"testing"
+	"testing/synctest"
 
 	"gcs/internal/sim"
 )
@@ -150,5 +151,36 @@ func TestFaultChainsMatchDES(t *testing.T) {
 				t.Errorf("fault chains diverged between harnesses:\n des %+v\n rt  %+v", want, got)
 			}
 		})
+	}
+}
+
+// TestNeighborMaxMatchesScanAfterChurn pins the event-maintained Γ_u in
+// the harness where discover events are genuinely delayed: the churner
+// writes the router first and the endpoints learn of it through their
+// queues. After a rotating-star run has quiesced, each node's cached
+// neighbor maximum must equal a fresh scan of the router's adjacency
+// (or have a rescan pending). The horizon falls 0.05 after the last
+// teardown, while the departed hub's estimates are still the largest
+// some nodes hold — a lost discover(remove) shows as a cached maximum
+// above the scan; two beacon rounds later fresh estimates would have
+// overtaken it and hidden the loss.
+func TestNeighborMaxMatchesScanAfterChurn(t *testing.T) {
+	r, err := New(sim.Config{
+		N: 12, Seed: 46, Horizon: 7.3, Rho: 0.01, MaxDelay: 0.01,
+		Driver: sim.DriverSpec{Kind: sim.DriveRandomWalk, Interval: 1},
+		Churn:  sim.ChurnSpec{Kind: sim.ChurnRotatingStar, Period: 1, Overlap: 0.25},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep sim.SkewReport
+	synctest.Run(func() { rep = r.Run() })
+	if rep.EdgeRemoves == 0 || rep.TotalMessages == 0 {
+		t.Fatalf("degenerate run: removes=%d messages=%d", rep.EdgeRemoves, rep.TotalMessages)
+	}
+	for _, h := range r.hosts {
+		if err := h.node.CheckNeighborMax(); err != nil {
+			t.Error(err)
+		}
 	}
 }

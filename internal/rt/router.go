@@ -21,10 +21,11 @@ import (
 // rendering of the model's edge-removal losses.
 //
 // Adjacency is guarded by an RWMutex — node goroutines read it on
-// every broadcast and fast-mode scan, the churner writes it. Lock
-// order: a host lock may be held while taking the router lock, never
-// the reverse (the sampler snapshots edges before touching hosts, the
-// churner enqueues discovery only after releasing the write lock).
+// every broadcast and on the neighbor rescan after a lost edge, the
+// churner writes it. Lock order: a host lock may be held while taking
+// the router lock, never the reverse (the sampler snapshots edges
+// before touching hosts, the churner enqueues discover(add) and
+// discover(remove) only after releasing the write lock).
 type Router struct {
 	r                  *Runtime
 	minDelay, maxDelay float64

@@ -26,7 +26,11 @@
 //     [1-rho, 1+rho] (or outside it, under rate-excursion faults).
 //   - Router (router.go): shared topology + transport; adjacency under
 //     an RWMutex, deliveries via time.AfterFunc into the receiver's
-//     queue. Lock order is host -> router, never the reverse.
+//     queue. Lock order is host -> router, never the reverse. Nodes learn
+//     of topology changes through their queues (discover, removeStar),
+//     after the router write: until a host drains the notification its
+//     node may still count a departed neighbor, or not yet count a new
+//     one — the paper's bounded discover delay.
 //   - The sampler runs on the Run caller's goroutine, sleeping between
 //     skew observations; its sampling instants are offset by an
 //     irrational-ish phase (0.382 of a period) so they never coincide
@@ -207,6 +211,22 @@ func New(cfg sim.Config) (*Runtime, error) {
 	return &Runtime{cfg: cfg.WithDefaults()}, nil
 }
 
+// wire builds the router and one host per node — queue, drifting clock,
+// gcs node, message-delay stream — over an empty topology. r.start and
+// r.done must be set. Nothing runs yet: no goroutine, no timer.
+func (r *Runtime) wire(delayRoot *des.Rand) {
+	cfg := r.cfg
+	r.router = newRouter(r, cfg.N, cfg.MinDelay, cfg.MaxDelay)
+	r.hosts = make([]*host, cfg.N)
+	for i := range r.hosts {
+		h := &host{r: r, id: i, events: make(chan func(), 128)}
+		h.clk = newDriftClock(h, r.start)
+		h.node = gcs.New(i, h.clk, cfg.Node, r.router, r.router)
+		delayRoot.ForkInto(uint64(i), &h.delayRand)
+		r.hosts[i] = h
+	}
+}
+
 // simNow is the simulated time: wall seconds since the run started.
 func (r *Runtime) simNow() float64 { return time.Since(r.start).Seconds() } //gcslint:allow nondeterminism — rt's simulated time IS wall time by definition
 
@@ -247,13 +267,23 @@ func (r *Runtime) addStar(hub int, inline bool) {
 }
 
 // removeStar tears down hub's star, keeping edges shared with keepHub's
-// (dyngraph.RotatingStar's keep rule).
+// (dyngraph.RotatingStar's keep rule), and relays each edge actually
+// removed to both endpoint nodes — the paper's discover(remove). Like
+// discover, the notification is enqueued after the router lock is
+// released. Between the router write and the host draining its queue a
+// node still counts the departed neighbor toward its fast-mode rule:
+// that window is the model's bounded discover delay (the DES harness
+// runs with none).
 func (r *Runtime) removeStar(hub, keepHub int) {
 	for v := 0; v < r.cfg.N; v++ {
 		if v == hub || v == keepHub || hub == keepHub {
 			continue
 		}
-		r.router.removeEdge(hub, v)
+		if r.router.removeEdge(hub, v) {
+			hh, hv := r.hosts[hub], r.hosts[v]
+			hh.enqueue(func() { hh.node.OnEdgeRemoved(v) })
+			hv.enqueue(func() { hv.node.OnEdgeRemoved(hub) })
+		}
 	}
 }
 
@@ -325,15 +355,7 @@ func (r *Runtime) Run() sim.SkewReport {
 	root.ForkInto(0xd81fe, &driveRand)
 	root.ForkInto(0x9a5e, &phaseRand)
 
-	r.router = newRouter(r, n, cfg.MinDelay, cfg.MaxDelay)
-	r.hosts = make([]*host, n)
-	for i := 0; i < n; i++ {
-		h := &host{r: r, id: i, events: make(chan func(), 128)}
-		h.clk = newDriftClock(h, r.start)
-		h.node = gcs.New(i, h.clk, cfg.Node, r.router, r.router)
-		delayRoot.ForkInto(uint64(i), &h.delayRand)
-		r.hosts[i] = h
-	}
+	r.wire(&delayRoot)
 
 	// Initial topology. The rotating star ignores the backbone spec and
 	// adds its first star through the counting/discovering path at t=0,

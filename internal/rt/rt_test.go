@@ -3,7 +3,10 @@ package rt
 import (
 	"math"
 	"testing"
+	"time"
 
+	"gcs/internal/des"
+	"gcs/internal/gcs"
 	"gcs/internal/sim"
 )
 
@@ -84,5 +87,82 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	}
 	if _, err := New(sim.Config{N: 8, Rho: 2}); err == nil {
 		t.Fatal("New accepted Rho=2")
+	}
+}
+
+// TestRemoveStarDeliversDiscoverRemove drives removeStar by hand: the
+// runtime is wired but nothing is launched, and the test plays the host
+// goroutines by draining the queues itself, so the order of events is
+// fixed without a clock. A spoke held in fast mode by the old hub's
+// estimate must leave it once the hub's OnEdgeRemoved notification has
+// been drained; only edges actually removed notify, both endpoints each.
+func TestRemoveStarDeliversDiscoverRemove(t *testing.T) {
+	r, err := New(sim.Config{
+		N: 4, Horizon: 1,
+		Churn: sim.ChurnSpec{Kind: sim.ChurnRotatingStar, Period: 1, Overlap: 0.25},
+		// Jumps off: every reaction to a leading neighbor is fast mode.
+		Node: gcs.Params{Kappa: 0.5, JumpThreshold: math.Inf(1)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.start = time.Now()
+	r.done = make(chan struct{})
+	r.wire(des.NewRand(1))
+	t.Cleanup(func() {
+		close(r.done)
+		for _, h := range r.hosts {
+			for _, tm := range h.clk.timers {
+				tm.Stop()
+			}
+		}
+	})
+	drain := func() {
+		for _, h := range r.hosts {
+			for len(h.events) > 0 {
+				(<-h.events)()
+			}
+		}
+	}
+	queued := func() (q [4]int) {
+		for i, h := range r.hosts {
+			q[i] = len(h.events)
+		}
+		return q
+	}
+
+	// Hub 0's star, overlapping the start of hub 1's (silent installs: no
+	// discovery traffic to interleave with the notifications under test).
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}} {
+		r.router.installEdge(e[0], e[1])
+	}
+	spoke := r.hosts[2].node
+	spoke.OnMessage(0, 1000)
+	if !spoke.Snap().Fast {
+		t.Fatal("spoke not in fast mode with its hub far ahead")
+	}
+
+	r.removeStar(0, 1) // tears down {0,2} and {0,3}; {0,1} is the new hub's
+	if got, want := queued(), [4]int{2, 0, 1, 1}; got != want {
+		t.Fatalf("discover(remove) notifications queued per host = %v, want %v", got, want)
+	}
+	drain()
+	// The regime is re-evaluated at the spoke's next event of any kind.
+	spoke.OnMessage(1, 0.5)
+	if spoke.Snap().Fast {
+		t.Fatal("spoke still held in fast mode by the departed hub's estimate")
+	}
+	for _, h := range r.hosts {
+		if err := h.node.CheckNeighborMax(); err != nil {
+			t.Error(err)
+		}
+	}
+
+	r.removeStar(0, 1) // nothing left to remove
+	if got := queued(); got != [4]int{} {
+		t.Fatalf("removing absent edges queued notifications: %v", got)
+	}
+	if _, removes := r.router.churnStats(); removes != 2 {
+		t.Fatalf("router counted %d removals, want 2", removes)
 	}
 }

@@ -472,10 +472,12 @@ func wireGradient(prev *GradientChecker, cfg Config) *GradientChecker {
 	return prev
 }
 
-// discovery relays topology events to the algorithm layer: both
+// discovery relays topology events to the algorithm layer as the
+// paper's discover(add)/discover(remove), with zero discover delay: both
 // endpoints of a fresh edge beacon immediately over it instead of
 // waiting up to BeaconEvery, which is what the paper's catch-up
-// argument assumes of nodes that become adjacent. Churn mutates the
+// argument assumes of nodes that become adjacent, and both endpoints of
+// a lost edge stop counting each other as neighbors. Churn mutates the
 // graph only from global-engine events, so in the sharded harness the
 // handlers run serially with every shard barriered.
 type discovery struct{ c *core }
@@ -485,7 +487,10 @@ func (d discovery) EdgeAdded(t float64, e dyngraph.Edge) {
 	d.c.Nodes[e.V].OnEdgeAdded(e.U)
 }
 
-func (d discovery) EdgeRemoved(t float64, e dyngraph.Edge) {}
+func (d discovery) EdgeRemoved(t float64, e dyngraph.Edge) {
+	d.c.Nodes[e.U].OnEdgeRemoved(e.V)
+	d.c.Nodes[e.V].OnEdgeRemoved(e.U)
+}
 
 func (c *core) churner() dyngraph.Churner {
 	cfg := &c.Cfg
