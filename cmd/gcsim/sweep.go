@@ -30,7 +30,6 @@ type sweepRow struct {
 	Sent           uint64  `json:"sent"`
 	Delivered      uint64  `json:"delivered"`
 	Dropped        uint64  `json:"dropped"`
-	Coalesced      uint64  `json:"coalesced"`
 	EventsExecuted uint64  `json:"events_executed"`
 	// Faults counts injected disturbances; ReconvergenceTime is -1 when
 	// the cell never re-entered its bound (JSON has no +Inf). Both are
@@ -127,11 +126,11 @@ func runSweep(args []string) {
 	elapsed := time.Since(start)
 
 	var csv strings.Builder
-	csv.WriteString("scenario,topology,driver,churn,n,seed,max_global_skew,final_skew,bound,jumps,sent,delivered,dropped,coalesced,events,faults,reconvergence_time,violated\n")
+	csv.WriteString("scenario,topology,driver,churn,n,seed,max_global_skew,final_skew,bound,jumps,sent,delivered,dropped,events,faults,reconvergence_time,violated\n")
 	rows := make([]sweepRow, 0, len(results))
 	violations := 0
-	fmt.Printf("%-40s %12s %12s %10s %12s %10s\n",
-		"scenario", "maxSkew", "bound", "jumps", "events", "coalesced")
+	fmt.Printf("%-40s %12s %12s %10s %12s\n",
+		"scenario", "maxSkew", "bound", "jumps", "events")
 	for _, res := range results {
 		rpt := res.Report
 		topoName := res.Cfg.Topology.Kind.String()
@@ -152,7 +151,6 @@ func runSweep(args []string) {
 			Sent:           rpt.Transport.Sent,
 			Delivered:      rpt.Transport.Delivered,
 			Dropped:        rpt.Transport.Dropped,
-			Coalesced:      rpt.Transport.Coalesced,
 			EventsExecuted: rpt.EventsExecuted,
 			Faults:         rpt.Faults.Total(),
 			Violated:       rpt.MaxGlobalSkew > rpt.Bound,
@@ -170,13 +168,13 @@ func runSweep(args []string) {
 			violations++
 		}
 		rows = append(rows, row)
-		fmt.Fprintf(&csv, "%s,%s,%s,%s,%d,%d,%g,%g,%g,%d,%d,%d,%d,%d,%d,%d,%g,%t\n",
+		fmt.Fprintf(&csv, "%s,%s,%s,%s,%d,%d,%g,%g,%g,%d,%d,%d,%d,%d,%d,%g,%t\n",
 			row.Scenario, row.Topology, row.Driver, row.Churn, row.N, row.Seed,
 			row.MaxGlobalSkew, row.FinalSkew, row.Bound, row.Jumps,
-			row.Sent, row.Delivered, row.Dropped, row.Coalesced, row.EventsExecuted,
+			row.Sent, row.Delivered, row.Dropped, row.EventsExecuted,
 			row.Faults, row.ReconvergenceTime, row.Violated)
-		fmt.Printf("%-40s %12.6f %12.4f %10d %12d %10d\n",
-			row.Scenario, row.MaxGlobalSkew, row.Bound, row.Jumps, row.EventsExecuted, row.Coalesced)
+		fmt.Printf("%-40s %12.6f %12.4f %10d %12d\n",
+			row.Scenario, row.MaxGlobalSkew, row.Bound, row.Jumps, row.EventsExecuted)
 	}
 
 	csvPath := filepath.Join(*out, "sweep_results.csv")

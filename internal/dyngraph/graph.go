@@ -3,8 +3,9 @@
 // and disappear arbitrarily, subject to the T-interval connectivity
 // constraint (Definition 3.1). The package records the full edge history
 // of an execution so that interval connectivity and "edge exists
-// throughout [t1,t2]" queries are exact, and notifies subscribers (the
-// transport layer) of topology events as they happen.
+// throughout [t1,t2]" queries are exact (the transports' loss rule is
+// one such query per delivery), and notifies subscribers (the harness's
+// neighbor discovery) of topology events as they happen.
 package dyngraph
 
 import (
@@ -67,7 +68,7 @@ func (iv Interval) Covers(t1, t2 float64) bool { return iv.Start <= t1 && t2 < i
 
 // Subscriber receives topology change notifications at the instant they
 // occur (the add/remove events of the model, not the delayed discover
-// events — those are the transport layer's job).
+// events — those are the subscribing harness's job).
 type Subscriber interface {
 	EdgeAdded(t float64, e Edge)
 	EdgeRemoved(t float64, e Edge)
@@ -301,11 +302,17 @@ func (g *Dynamic) ExistsAt(e Edge, t float64) bool {
 }
 
 // ExistsThroughout reports whether e exists throughout [t1, t2] in the
-// paper's sense.
+// paper's sense (t1 <= t2). Both DES transports ask it once per
+// delivered message, about a flight that has just ended, so it scans the
+// history newest-first: intervals are appended in time order and are
+// disjoint, so the first one with Start <= t1 either covers [t1, t2] or
+// nothing earlier can — every older interval ends at or before that
+// Start. A delivery-time query is O(1) however long the edge has churned.
 func (g *Dynamic) ExistsThroughout(e Edge, t1, t2 float64) bool {
-	for _, iv := range g.hist[e] {
-		if iv.Covers(t1, t2) {
-			return true
+	ivs := g.hist[e]
+	for i := len(ivs) - 1; i >= 0; i-- {
+		if ivs[i].Start <= t1 {
+			return ivs[i].Covers(t1, t2)
 		}
 	}
 	return false

@@ -1,8 +1,11 @@
 package dyngraph
 
 import (
+	"math"
 	"reflect"
 	"testing"
+
+	"gcs/internal/des"
 )
 
 func TestNeighborsTrackAddsAndRemoves(t *testing.T) {
@@ -93,6 +96,82 @@ func TestRangeCurrentEdgesVisitsExactlyPresentEdges(t *testing.T) {
 	for _, e := range want {
 		if seen[e] != 1 {
 			t.Fatalf("edge %v visited %d times", e, seen[e])
+		}
+	}
+}
+
+// existsThroughoutForward is the oldest-first scan ExistsThroughout used
+// to be, kept as the reference for the newest-first early exit.
+func existsThroughoutForward(g *Dynamic, e Edge, t1, t2 float64) bool {
+	for _, iv := range g.hist[e] {
+		if iv.Covers(t1, t2) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestExistsThroughoutMatchesForwardScan builds seeded add/remove
+// histories (same-instant flaps included, which leave empty intervals)
+// and compares ExistsThroughout with the reference on queries that start
+// and end at, just before, just after and across every interval end, and
+// on random ones.
+func TestExistsThroughoutMatchesForwardScan(t *testing.T) {
+	const n = 4
+	for seed := uint64(1); seed <= 8; seed++ {
+		rnd := des.NewRand(seed)
+		g := NewDynamic(n, Ring(n))
+		now := 0.0
+		for step := 0; step < 200; step++ {
+			if !rnd.Bool(0.15) { // otherwise: a second event at the same instant
+				now += rnd.Range(0.01, 1)
+			}
+			u := rnd.Intn(n)
+			e := E(u, (u+1+rnd.Intn(n-1))%n)
+			if g.Present(e) {
+				g.Remove(now, e)
+			} else {
+				g.Add(now, e)
+			}
+		}
+		queries, hits := 0, 0
+		check := func(e Edge, t1, t2 float64) {
+			t.Helper()
+			if t1 > t2 {
+				return
+			}
+			got, want := g.ExistsThroughout(e, t1, t2), existsThroughoutForward(g, e, t1, t2)
+			if got != want {
+				t.Fatalf("seed %d: ExistsThroughout(%v, %v, %v) = %v, forward scan %v (history %v)",
+					seed, e, t1, t2, got, want, g.hist[e])
+			}
+			queries++
+			if got {
+				hits++
+			}
+		}
+		const eps = 1e-9
+		for e, ivs := range g.hist {
+			var marks []float64
+			for _, iv := range ivs {
+				for _, m := range []float64{iv.Start, iv.End} {
+					if !math.IsInf(m, 1) {
+						marks = append(marks, m-eps, m, m+eps)
+					}
+				}
+			}
+			for _, t1 := range marks {
+				for _, t2 := range marks {
+					check(e, t1, t2)
+				}
+			}
+			for i := 0; i < 200; i++ {
+				t1 := rnd.Range(0, now+1)
+				check(e, t1, t1+rnd.Range(0, 0.5))
+			}
+		}
+		if hits == 0 || hits == queries {
+			t.Fatalf("seed %d: degenerate queries: %d of %d true", seed, hits, queries)
 		}
 	}
 }

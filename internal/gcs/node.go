@@ -232,7 +232,7 @@ type Node struct {
 	// nbrNorm is the largest est[v].norm over the current neighbors v —
 	// the node's rendering of the paper's Γ_u, maintained by the discover
 	// events instead of re-derived per message: raised when a neighbor's
-	// estimate rises (OnMessage/OnValues) or a neighbor with a surviving
+	// estimate rises (OnMessage) or a neighbor with a surviving
 	// estimate returns (OnEdgeAdded). Normalized estimates never reorder
 	// with time, so this one number decides the fast-mode rule. A lost
 	// edge (OnEdgeRemoved) can only lower it, which is not incremental:
@@ -414,11 +414,11 @@ func (nd *Node) logicalAt(h float64) float64 {
 // drift bound rho (see Node.age).
 func ageFactor(rho float64) float64 { return (1 - rho) / (1 + rho) }
 
-// OnMessage ingests a beacon carrying the sender's logical value and
-// re-evaluates the jump and fast-mode rules. The harness calls it only
-// for a message that crossed a present edge, so from is a current
-// neighbor: transport.Network cancels flights when their edge is
-// removed, the sharded harness delivers only over an edge that existed
+// OnMessage ingests a beacon carrying the sender's logical value: it
+// folds the value into the sender's estimate and both running maxima,
+// then re-evaluates the jump and fast-mode rules. The harness calls it
+// only for a message that crossed a present edge, so from is a current
+// neighbor: both DES harnesses deliver only over an edge that existed
 // throughout the flight, and rt.Router re-checks presence at delivery.
 //
 //gcslint:zeroalloc
@@ -429,38 +429,6 @@ func (nd *Node) OnMessage(from int, value float64) {
 		return
 	}
 	nd.msgs++
-	nd.hear(from, value)
-}
-
-// OnValues ingests a coalesced batch of beacons from one sender in a
-// single pass: only the largest value can raise the stored estimate (all
-// values share the ingest instant, so aging is identical), so the batch
-// folds to one max scan, one estimate update, and one recompute instead
-// of len(values) of each. Ingesting the values one OnMessage at a time
-// reaches the same estimate and regime; only the jump counter can differ
-// (a staged arrival may jump more than once where the fold jumps once).
-// The OnMessage contract on from applies.
-//
-//gcslint:zeroalloc
-func (nd *Node) OnValues(from int, values []float64) {
-	if nd.down || len(values) == 0 {
-		return
-	}
-	nd.msgs += len(values)
-	maxV := values[0]
-	for _, v := range values[1:] {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	nd.hear(from, maxV)
-}
-
-// hear folds one value from neighbor `from` into its estimate and both
-// running maxima, then re-evaluates the rules.
-//
-//gcslint:zeroalloc
-func (nd *Node) hear(from int, value float64) {
 	norm := value - nd.age*nd.clk.Now()
 	if e, ok := nd.est[from]; !ok || norm > e.norm {
 		nd.est[from] = estimate{norm: norm}

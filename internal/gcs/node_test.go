@@ -17,6 +17,14 @@ import (
 // dyngraph.Dynamic the seam.Topology).
 func pair(t *testing.T, p Params, rate0, rate1, delay float64) (*des.Engine, []*Node) {
 	t.Helper()
+	en, _, nodes := pairNet(t, p, rate0, rate1, delay)
+	return en, nodes
+}
+
+// pairNet is pair that also returns the transport, for tests that
+// inject their own traffic.
+func pairNet(t *testing.T, p Params, rate0, rate1, delay float64) (*des.Engine, *transport.Network, []*Node) {
+	t.Helper()
 	en := des.NewEngine()
 	g := dyngraph.NewDynamic(2, []dyngraph.Edge{dyngraph.E(0, 1)})
 	net := transport.New(en, g, transport.FixedDelay(delay), delay)
@@ -29,7 +37,14 @@ func pair(t *testing.T, p Params, rate0, rate1, delay float64) (*des.Engine, []*
 			nodes[i].OnMessage(m.From, m.Value)
 		})
 	}
-	return en, nodes
+	return en, net, nodes
+}
+
+// solo builds an isolated node (no transport) on a fresh engine.
+func solo(p Params) (*des.Engine, *clock.HardwareClock, *Node) {
+	en := des.NewEngine()
+	hw := clock.New(en, 1)
+	return en, hw, New(0, hw, p, nil, nil)
 }
 
 // nbrs is a fixed neighbor set: the seam.Topology for isolated unit
@@ -297,14 +312,8 @@ func TestCachedNeighborMaxMatchesScan(t *testing.T) {
 			switch k := rnd.Intn(100); {
 			case k < 45 && g.Present(e):
 				// v hears u, a little behind to well ahead of the clock.
-				val := clk.h + rnd.Range(-0.5, 3)
-				if rnd.Bool(0.3) {
-					op = "values"
-					nodes[v].OnValues(u, []float64{val - 1, val, val - 0.1})
-				} else {
-					op = "message"
-					nodes[v].OnMessage(u, val)
-				}
+				op = "message"
+				nodes[v].OnMessage(u, clk.h+rnd.Range(-0.5, 3))
 			case k < 60:
 				// Churn (also when there is no edge to send over).
 				if g.Present(e) {
@@ -377,5 +386,35 @@ func TestBeaconCadenceIsSubjective(t *testing.T) {
 	fb, sb := fast.Snap().Beacons, slow.Snap().Beacons
 	if fb < 2*sb-2 || fb > 2*sb+2 {
 		t.Fatalf("beacon counts fast=%d slow=%d; want ~2x ratio", fb, sb)
+	}
+}
+
+// TestNodeResetClearsState pins the arena-reuse contract: after a
+// hardware-clock and node reset the node is indistinguishable from a
+// freshly constructed one — counters zero, no estimates, logical clock
+// rebased to the fresh hardware reading.
+func TestNodeResetClearsState(t *testing.T) {
+	p := Params{Rho: 0.01, MaxDelay: 0.01, BeaconEvery: 0.1, JumpThreshold: 0}
+	en, hw, nd := solo(p)
+	nd.Start(0)
+	en.Run(1)
+	nd.OnMessage(1, 50)
+	if s := nd.Snap(); s.Jumps == 0 || s.Beacons == 0 {
+		t.Fatalf("warm-up execution degenerate: %+v", s)
+	}
+
+	en.Reset()
+	hw.Reset(1)
+	nd.Reset(p)
+	s := nd.Snap()
+	if s.Logical != 0 || s.Hardware != 0 || s.Messages != 0 || s.Jumps != 0 ||
+		s.Beacons != 0 || s.Discoveries != 0 || s.Fast || !math.IsInf(s.MaxEstimate, -1) {
+		t.Fatalf("reset node retains state: %+v", s)
+	}
+	// The node runs normally after reset.
+	nd.Start(0)
+	en.Run(1)
+	if s := nd.Snap(); s.Beacons == 0 || s.Logical <= 0 {
+		t.Fatalf("node inert after reset: %+v", s)
 	}
 }

@@ -202,8 +202,6 @@ func (rt *Router) deliverAfter(from, to int, value float64, delay float64) {
 }
 
 // Stats returns the traffic counters in the shared report shape.
-// Coalesced is always 0: the runtime sends every value as its own
-// datagram.
 func (rt *Router) Stats() transport.Stats {
 	return transport.Stats{
 		Sent:      rt.sent.Load(),

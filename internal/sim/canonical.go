@@ -10,7 +10,14 @@ import (
 // struct it embeds) or the encoding order changes: the canonical bytes
 // are the basis of the result store's content addresses, and a silent
 // layout change would alias old cached results onto new physics.
-const canonicalVersion = 1
+//
+// 1 -> 2: the trailing byte for the transport-batching opt-out is gone
+// with that Config field, and the serial transport now drops a message
+// at its delivery event instead of cancelling that event when the edge
+// goes, so a serial cell with drops reports EventsExecuted higher by its
+// Transport.Dropped (nothing else in the report moves). A version-1
+// fact must not answer a version-2 run.
+const canonicalVersion = 2
 
 // AppendCanonical appends a canonical binary encoding of the config to
 // dst and returns the extended slice. The encoding is the identity of a
@@ -30,7 +37,7 @@ const canonicalVersion = 1
 //     and NaN included) and exact — no formatting round-trip.
 //
 // Every remaining field is physics (Seed, delay law, topology, driver,
-// churn, node parameters, fault plan, gradient-check shape, coalescing)
+// churn, node parameters, fault plan, gradient-check shape)
 // and is encoded in declared order behind a version byte.
 func (c Config) AppendCanonical(dst []byte) []byte {
 	d := c.WithDefaults()
@@ -82,8 +89,6 @@ func (c Config) AppendCanonical(dst []byte) []byte {
 	dst = appendF64(dst, d.Faults.RateExcursionFactor)
 	dst = appendF64(dst, d.Faults.RateExcursionFor)
 	dst = appendF64(dst, d.Faults.Until)
-
-	dst = appendBool(dst, d.NoCoalesce)
 	return dst
 }
 

@@ -292,19 +292,8 @@ type Config struct {
 	// outside [1-rho, 1+rho]. Faults are physics, like Shards and
 	// MinDelay: every draw comes from per-node streams, so faulted
 	// reports are bit-identical across reruns and worker counts, and the
-	// zero value leaves the execution untouched draw for draw. Plans
-	// with message faults force NoCoalesce (a verdict is per send).
+	// zero value leaves the execution untouched draw for draw.
 	Faults FaultSpec
-
-	// NoCoalesce disables transport beacon coalescing (on by default):
-	// with coalescing, values sent over the same directed edge within one
-	// engine event share a single pooled multi-value delivery, capping
-	// delivery cost at one event per directed edge per tick. The current
-	// algorithm sends at most one value per directed edge per tick, so
-	// every batch is a singleton and the coalesced execution is
-	// bit-identical to the uncoalesced one (pinned by the equivalence
-	// tests); the cap protects future multi-send-per-tick workloads.
-	NoCoalesce bool
 }
 
 // WithDefaults returns the config with unset fields filled in. It is
@@ -341,13 +330,6 @@ func (c Config) WithDefaults() Config {
 	c.Node.MaxDelay = c.MaxDelay
 	c.Node = c.Node.WithDefaults()
 	c.Faults = c.Faults.WithDefaults(c.Horizon)
-	if c.Faults.MessageFaults() {
-		// A fault verdict is drawn per send; coalescing would fold many
-		// values under one verdict. Only message-faulted plans pay this —
-		// crash/rate-only plans (and the zero Spec) keep coalescing, so
-		// they stay bit-identical to their unfaulted execution elsewhere.
-		c.NoCoalesce = true
-	}
 	return c
 }
 

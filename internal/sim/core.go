@@ -615,7 +615,7 @@ func (c *core) startSampler() {
 // runs: GlobalSkewBound materializes the topology and runs a BFS, so a
 // reused simulation must not recompute it per run. The cache keys on
 // every field the bound depends on (Seed, Horizon, SampleEvery, Driver,
-// and the check/coalesce toggles do not affect it).
+// and the gradient-check fields do not affect it).
 func (c *core) boundFor() float64 {
 	key := c.Cfg
 	key.Seed = 0
@@ -625,7 +625,6 @@ func (c *core) boundFor() float64 {
 	key.CheckGradient = false
 	key.GradientRadius = 0
 	key.GradientSources = 0
-	key.NoCoalesce = false
 	key.Parallel = false
 	key.Shards = 0
 	key.Workers = 0

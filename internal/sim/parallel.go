@@ -20,19 +20,14 @@ import (
 // on the coordinator's global engine, which observes every shard
 // barriered at a single consistent instant.
 //
-// Parallel mode is its own physics, not a reimplementation of the
-// serial Simulation's:
-//
-//   - message delays are drawn from per-node PRNG streams (the sender's
-//     stream, in the sender's local send order) and lie in (MinDelay,
-//     MaxDelay] — the positive floor is the engine's lookahead, the
-//     amount of simulated time shard windows may run ahead of each
-//     other;
-//   - messages are not coalesced, and a message crossing a removed edge
-//     is dropped at delivery time by an edge-history check
-//     (dyngraph.ExistsThroughout) instead of by an eager cancel, so the
-//     drop semantics — lost iff the edge was absent at any point of the
-//     flight — match the paper's model exactly.
+// Parallel mode differs from the serial Simulation in one piece of
+// physics: message delays are drawn from per-node PRNG streams (the
+// sender's stream, in the sender's local send order) and lie in
+// (MinDelay, MaxDelay] — the positive floor is the engine's lookahead,
+// the amount of simulated time shard windows may run ahead of each
+// other. The drop rule is the serial transport's: a message is lost iff
+// its edge was absent at any point of the flight, decided at delivery
+// time by dyngraph.ExistsThroughout.
 //
 // Because every delay draw, event order, and cross-shard merge is a
 // pure function of the Config (Shards included, Workers excluded), the

@@ -63,13 +63,13 @@ type SkewReport struct {
 }
 
 // Simulation is one fully wired scenario on the serial engine: the
-// harness core with every node on one des.Engine, plus the slot-table
-// transport. It is exposed so tests can inspect mid-run state; most
-// callers use Run. A Simulation is reusable: Reset rewires it in place
-// for another config, recycling the engine's event pool, the graph's
-// adjacency and history storage, the transport's flight arena, and every
-// per-node object, so repeated runs of same-shape configs allocate
-// nothing (see Arena).
+// harness core with every node on one des.Engine, plus one
+// transport.Network drawing every delay from one shared stream. It is
+// exposed so tests can inspect mid-run state; most callers use Run. A
+// Simulation is reusable: Reset rewires it in place for another config,
+// recycling the engine's event pool, the graph's adjacency and history
+// storage, the transport's flight arena, and every per-node object, so
+// repeated runs of same-shape configs allocate nothing (see Arena).
 type Simulation struct {
 	core
 	Engine *des.Engine
@@ -92,13 +92,7 @@ func New(cfg Config) *Simulation {
 	s.global = s.Engine
 	s.engineOf = func(int) *des.Engine { return s.Engine }
 	s.scan = func() (lo, hi float64) { return s.scanRange(0, len(s.Nodes)) }
-	s.onMessage = func(m transport.Message) {
-		if m.Values != nil {
-			s.Nodes[m.To].OnValues(m.From, m.Values)
-		} else {
-			s.Nodes[m.To].OnMessage(m.From, m.Value)
-		}
-	}
+	s.onMessage = func(m transport.Message) { s.Nodes[m.To].OnMessage(m.From, m.Value) }
 	s.Reset(cfg)
 	return s
 }
@@ -125,7 +119,6 @@ func (s *Simulation) Reset(cfg Config) {
 	} else {
 		s.Net.Reset(s.delayFn, cfg.MaxDelay)
 	}
-	s.Net.SetCoalescing(!cfg.NoCoalesce)
 	for i := 0; i < cfg.N; i++ {
 		s.Net.SetHandler(i, s.onMessage)
 	}

@@ -103,6 +103,38 @@ func TestRotatingStar64(t *testing.T) {
 		rpt.MaxGlobalSkew, rpt.MaxAdjacentSkew, rpt.Bound, rpt.Transport.Sent, rpt.Transport.Dropped)
 }
 
+// TestTrafficConservedUnderChurn runs the hub-heavy and churn-heavy
+// scenarios — the ones that lose messages in flight — and asserts each
+// satisfies the skew invariants and conserves traffic accounting: once
+// every flight has ended, every sent message was delivered or dropped.
+func TestTrafficConservedUnderChurn(t *testing.T) {
+	for _, cfg := range []Config{
+		{
+			N: 24, Seed: 6, Horizon: 20, Rho: 0.01, MaxDelay: 0.01,
+			Driver: DriverSpec{Kind: DriveRandomWalk, Interval: 0.5},
+			Churn:  ChurnSpec{Kind: ChurnRotatingStar, Period: 1, Overlap: 0.25},
+		},
+		churnyConfig(21),
+	} {
+		s := New(cfg)
+		rpt := s.Run()
+		assertSkewInvariants(t, cfg, rpt)
+		if rpt.Transport.Dropped == 0 {
+			t.Fatalf("no message lost in flight; scenario degenerate: %+v", rpt.Transport)
+		}
+		// Messages in flight at the horizon are neither delivered nor
+		// dropped yet. Silence the senders (a crashed node neither beacons
+		// nor answers a fresh edge) and let the last flights end.
+		for _, nd := range s.Nodes {
+			nd.Crash()
+		}
+		s.Engine.Run(s.Cfg.Horizon + s.Cfg.MaxDelay)
+		if ts := s.Net.Stats(); ts.Sent != rpt.Transport.Sent || ts.Sent != ts.Delivered+ts.Dropped {
+			t.Fatalf("traffic not conserved: %+v (sent %d at the horizon)", ts, rpt.Transport.Sent)
+		}
+	}
+}
+
 // TestVolatileChurnStaysIntervalConnected cross-checks the harness
 // against the dyngraph verifier: a volatile-edges execution with a static
 // backbone is T-interval connected for any T.

@@ -1,10 +1,10 @@
 // Package simtest holds shared test helpers for the harness packages.
 // Its centerpiece is the golden-report assertion: many suites pin that
 // two executions produce bit-identical SkewReports (same-config
-// determinism, parallel worker-invariance, coalescing equivalence,
-// arena reuse), and a bare reflect.DeepEqual failure on a 20-field
-// struct is unreadable. AssertSameReport diffs field by field and fails
-// with exactly the fields that diverged.
+// determinism, parallel worker-invariance, arena reuse), and a bare
+// reflect.DeepEqual failure on a 20-field struct is unreadable.
+// AssertSameReport diffs field by field and fails with exactly the
+// fields that diverged.
 //
 // The helpers take `any` and work by reflection so this package imports
 // none of the harness packages — it is usable from sim's own in-package
@@ -88,7 +88,7 @@ func Equal(got, want any) bool { return len(Diff(got, want)) == 0 }
 
 // AssertSameReport fails the test unless got and want are bit-identical,
 // listing exactly the fields that diverged. label names the equivalence
-// being pinned ("workers=4 vs workers=1", "rerun", "coalescing off").
+// being pinned ("workers=4 vs workers=1", "rerun", "arena reuse").
 func AssertSameReport(tb TB, label string, got, want any) {
 	tb.Helper()
 	if diffs := Diff(got, want); len(diffs) != 0 {

@@ -112,40 +112,29 @@ func TestResetClearsFaults(t *testing.T) {
 	}
 }
 
-// TestResetDuringCoalescedFlightsConservesAccounting is the regression
-// pinning Reset called while coalesced multi-value flights are in
-// flight: the flights (and their pooled value buffers) are discarded
-// cleanly, and post-reset value accounting — including the
-// values-not-messages Dropped counter — starts from zero and stays
-// conserved.
-func TestResetDuringCoalescedFlightsConservesAccounting(t *testing.T) {
+// TestResetWithFlightsPendingConservesAccounting pins Reset called
+// while messages are in flight in both directions: the flights are
+// discarded cleanly — never delivered, never counted — and accounting
+// after the reset starts from zero and stays conserved
+// (Sent = Delivered + Dropped once every flight has ended).
+func TestResetWithFlightsPendingConservesAccounting(t *testing.T) {
 	e := dyngraph.E(0, 1)
 	r := newRig(t, 2, []dyngraph.Edge{e}, FixedDelay(0.5), 1)
-	r.net.SetCoalescing(true)
-	// Two batches in flight: a 3-value batch 0->1 and a 2-value batch
-	// 1->0, neither delivered yet.
 	r.net.Send(0, 1, 1)
 	r.net.Send(0, 1, 2)
 	r.net.Send(0, 1, 3)
 	r.net.Send(1, 0, 4)
 	r.net.Send(1, 0, 5)
-	if got := r.net.InFlight(e); got != 5 {
-		t.Fatalf("in flight = %d values, want 5", got)
-	}
 	r.en.Reset()
 	r.g.Reset(2, []dyngraph.Edge{e})
 	r.net.Reset(FixedDelay(0.5), 1)
 	if s := r.net.Stats(); s != (Stats{}) {
 		t.Fatalf("stats after mid-flight reset = %+v, want zero", s)
 	}
-	if got := r.net.InFlight(e); got != 0 {
-		t.Fatalf("in-flight values survived reset: %d", got)
-	}
 
-	// A fresh coalesced batch goes up, the edge is cut mid-flight: the
-	// drop counter must count exactly the 2 values of the new batch —
-	// nothing left over from the 5 discarded pre-reset values.
-	r.net.SetCoalescing(true)
+	// Two fresh messages go up and the edge is cut mid-flight: the drop
+	// counter must count exactly those two — nothing left over from the
+	// five discarded before the reset.
 	r.net.Send(0, 1, 6)
 	r.net.Send(0, 1, 7)
 	r.en.Schedule(0.2, "cut", func() { r.g.Remove(r.en.Now(), e) })

@@ -1,44 +1,33 @@
 // Package transport implements the paper's bounded-delay message model
 // (Kuhn, Locher, Oshman, SPAA 2009, Section 3.2) on top of the dynamic
 // graph: every message sent over a present edge is delivered to the other
-// endpoint after a delay in (0, maxDelay], unless the edge disappears
-// while the message is in flight, in which case the message is lost.
-// Messages never survive an edge removal — a later re-add of the same
-// edge does not resurrect them — and deliveries on one edge with equal
-// delays are FIFO (the DES kernel breaks ties by scheduling order).
-//
-// The layer subscribes to dyngraph topology events, so user code only
-// drives the graph; in-flight bookkeeping is automatic.
+// endpoint after a delay in (0, maxDelay] iff the edge exists throughout
+// the flight; otherwise it is lost. One Send is one flight and one
+// delivery event, and the rule is checked once, when that event fires,
+// against the history the graph has recorded by then:
+// dyngraph.ExistsThroughout(edge, SentAt, DeliverAt), i.e. the edge's
+// current interval has Start <= SentAt and DeliverAt < End. That is the
+// predicate the sharded harness applies, so the two DES harnesses agree
+// on every tie: a removal that has happened by the time the delivery
+// fires loses the message even at exactly DeliverAt, a message sent at
+// the instant its edge is added is carried, and a removal inside the
+// flight loses it even if the edge is back by DeliverAt. The network
+// keeps no per-edge state and does not listen to the graph. Deliveries on
+// one edge with equal delays are FIFO (the DES kernel breaks ties by
+// scheduling order).
 //
 // Delays are drawn per message from a base DelayFn, optionally overridden
 // per directed edge by an EdgeDelayFn mask — the instrument of the
 // Section 4 adversary, which charges asymmetric delays across the
 // lower-bound network's two chains.
 //
-// With coalescing enabled (SetCoalescing), values sent over the same
-// directed edge within one engine event are folded into a single pooled
-// multi-value flight: the batch shares one drawn delay and one delivery
-// event, capping delivery cost at one event per directed edge per tick
-// however many values a tick carries. A singleton batch is
-// indistinguishable from an uncoalesced send — same delay draw, same
-// delivery — which is what the sim harness's coalesced/uncoalesced
-// equivalence tests pin (the GCS algorithm sends at most one value per
-// directed edge per tick, so its batches are all singletons today; the
-// cap exists for multi-send workloads). Each layer owns its own
-// default: a raw Network starts with coalescing off, so tests and
-// adversarial schedules that construct one directly get the one-delivery
-// -per-Send semantics, while the sim harness — the layer that wires
-// production scenarios — switches it on for every run unless
-// Config.NoCoalesce opts out. Code that wants batching on a raw Network
-// must call SetCoalescing(true) itself.
-//
 // The send/deliver path is allocation-free in steady state: payloads are
 // typed float64 values (the only payload the GCS model carries — a
 // logical clock reading — so no boxing through an interface), in-flight
-// batches live in a pooled arena indexed by small integers, the per-edge
-// in-flight table and the per-node handler table are slice-backed, and
-// Broadcast reuses one neighbor buffer per network and skips the edge
-// presence check entirely (its targets come from the live adjacency).
+// messages live in a pooled arena indexed by small integers, the per-node
+// handler table is slice-backed, and Broadcast reuses one neighbor buffer
+// per network and skips the edge presence check entirely (its targets
+// come from the live adjacency).
 package transport
 
 import (
@@ -51,16 +40,10 @@ import (
 
 // Message is one point-to-point payload in flight or delivered. Value is
 // the sender's logical clock reading — the model's only message content.
-// When coalescing folded several same-tick values into one delivery,
-// Values holds all of them (Value is Values[0], the first sent) and
-// aliases pooled storage: handlers must consume it before sending new
-// messages and must not retain it. Values is nil for singleton
-// deliveries.
 type Message struct {
 	From, To  int
 	Edge      dyngraph.Edge
 	Value     float64
-	Values    []float64
 	SentAt    des.Time
 	DeliverAt des.Time
 }
@@ -125,44 +108,17 @@ func FixedDelay(d float64) DelayFn {
 // wiring time) keeps the path allocation-free.
 type EdgeDelayFn func(from, to int) DelayFn
 
-// Stats counts transport activity over an execution. All counters count
-// logical values, not batches: a coalesced delivery of k values counts k
-// toward Delivered, so the traffic accounting of a coalesced execution
-// matches its uncoalesced counterpart.
+// Stats counts transport activity over an execution.
 type Stats struct {
-	// Sent counts values accepted for delivery.
+	// Sent counts messages accepted for delivery.
 	Sent uint64
-	// Delivered counts values handed to a receiver handler.
+	// Delivered counts messages handed to a receiver handler.
 	Delivered uint64
-	// Dropped counts in-flight values lost to edge removals.
+	// Dropped counts messages whose edge did not exist throughout the
+	// flight, found out at their delivery time.
 	Dropped uint64
 	// Refused counts sends attempted over absent edges.
 	Refused uint64
-	// Coalesced counts values folded into an already-open batch (a
-	// same-tick second send on a directed edge); each saved one delivery
-	// event. Always 0 with coalescing off.
-	Coalesced uint64
-}
-
-// flight is one in-flight batch: the delivery-event metadata plus the
-// values folded into it (vals[0] mirrors msg.Value). Flights live in the
-// Network's arena and are addressed by index, never by pointer, so
-// recycling them — value buffers included — costs nothing.
-type flight struct {
-	msg  Message
-	vals []float64
-	ev   des.EventRef
-	slot int32 // edge slot owning this flight
-	pos  int32 // index within the slot's in-flight list
-	dir  int8  // 0: sent U -> V, 1: sent V -> U
-}
-
-// slotState is the per-live-edge bookkeeping: the arena indices of the
-// flights in flight on the edge, plus, per direction, the flight (index
-// + 1; 0 = none) still accepting same-tick values while coalescing.
-type slotState struct {
-	flights []uint32
-	open    [2]uint32
 }
 
 // Network is the bounded-delay transport over one dynamic graph. It is
@@ -174,19 +130,11 @@ type Network struct {
 	delay    DelayFn
 	// mask, when non-nil, overrides delay per directed (from, to) pair.
 	mask EdgeDelayFn
-	// coalesce folds same-tick sends on a directed edge into one flight.
-	coalesce bool
 	// handlers is indexed by node id.
 	handlers []Handler
-	// edgeSlot assigns each edge currently carrying traffic a slot in
-	// slots. Removing an edge recycles its slot through freeSlots
-	// (keeping the list's capacity), so the table is bounded by the live
-	// edge count even when churn eventually touches every node pair.
-	edgeSlot  map[dyngraph.Edge]int32
-	slots     []slotState
-	freeSlots []int32
-	// flights is the arena; freeFlights lists recycled indices.
-	flights     []flight
+	// flights is the arena of in-flight messages, addressed by index so
+	// recycling one costs nothing; freeFlights lists recycled indices.
+	flights     []Message
 	freeFlights []uint32
 	// deliverFn is the single engine callback backing every delivery;
 	// the event arg is the flight's arena index.
@@ -201,8 +149,7 @@ type Network struct {
 	faultStats fault.Stats
 }
 
-// New creates a transport over g with the given delay law and bound, and
-// subscribes it to g's topology events.
+// New creates a transport over g with the given delay law and bound.
 func New(en *des.Engine, g *dyngraph.Dynamic, delay DelayFn, maxDelay float64) *Network {
 	if maxDelay <= 0 {
 		panic("transport: maxDelay must be positive")
@@ -216,21 +163,19 @@ func New(en *des.Engine, g *dyngraph.Dynamic, delay DelayFn, maxDelay float64) *
 		maxDelay: maxDelay,
 		delay:    delay,
 		handlers: make([]Handler, g.N()),
-		edgeSlot: make(map[dyngraph.Edge]int32),
 	}
 	n.deliverFn = func(arg uint64) { n.deliver(uint32(arg)) }
-	g.Subscribe(n)
 	return n
 }
 
-// Reset drops all in-flight traffic and counters and installs a new
-// delay law, reusing the slot table, flight arena (value buffers
-// included), and handler table, so a rewired simulation's transport
-// allocates nothing in steady state. The delay mask is removed; the
-// coalescing setting is kept. Call it after the engine has been Reset —
-// pending delivery events are already recycled, so flights are released
-// without cancelling them. Handlers registered for surviving node ids
-// stay registered; the table grows if the graph was Reset to more nodes.
+// Reset forgets all in-flight traffic and counters and installs a new
+// delay law, reusing the flight arena and handler table, so a rewired
+// simulation's transport allocates nothing in steady state. The delay
+// mask and fault plan are removed. Call it after the engine has been
+// Reset: the pending delivery events are gone with it, so the flights
+// they pointed at are simply released. Handlers registered for surviving
+// node ids stay registered; the table grows if the graph was Reset to
+// more nodes.
 func (n *Network) Reset(delay DelayFn, maxDelay float64) {
 	if maxDelay <= 0 {
 		panic("transport: maxDelay must be positive")
@@ -241,18 +186,8 @@ func (n *Network) Reset(delay DelayFn, maxDelay float64) {
 	n.maxDelay = maxDelay
 	n.delay = delay
 	n.mask = nil
-	clear(n.edgeSlot)
-	n.freeSlots = n.freeSlots[:0]
-	for i := range n.slots {
-		n.slots[i].flights = n.slots[i].flights[:0]
-		n.slots[i].open = [2]uint32{}
-		n.freeSlots = append(n.freeSlots, int32(i))
-	}
+	n.flights = n.flights[:0]
 	n.freeFlights = n.freeFlights[:0]
-	for i := range n.flights {
-		n.flights[i].ev = des.EventRef{}
-		n.freeFlights = append(n.freeFlights, uint32(i))
-	}
 	if g := n.g.N(); g > len(n.handlers) {
 		grown := make([]Handler, g)
 		copy(grown, n.handlers)
@@ -271,15 +206,9 @@ func (n *Network) MaxDelay() float64 { return n.maxDelay }
 // DelayFn; a non-nil answer overrides the network's base delay law for
 // that message, a nil answer falls through to it. Masked delays are
 // subject to the same (0, maxDelay] validation as base delays, and
-// masked messages keep the usual in-flight semantics (in particular they
-// are still dropped if their edge disappears before delivery). With
-// coalescing, the mask is consulted once per batch (when the batch
-// opens).
+// masked messages are dropped like any other if their edge disappears
+// before delivery.
 func (n *Network) SetDelayMask(mask EdgeDelayFn) { n.mask = mask }
-
-// SetCoalescing enables or disables same-tick batching of sends on a
-// directed edge. Changing the setting affects subsequent sends only.
-func (n *Network) SetCoalescing(on bool) { n.coalesce = on }
 
 // SetFaults installs (or, with nil, removes) a message-fault plan:
 // every send first draws a verdict from it — dropped messages count
@@ -287,10 +216,7 @@ func (n *Network) SetCoalescing(on bool) { n.coalesce = on }
 // toward Dropped (no edge removal occurred); duplicated messages send
 // a second flight with its own nominal delay; spiked messages charge a
 // delay beyond MaxDelay, exempt from the (0, maxDelay] validation.
-// Message faults are meant to run with coalescing off (the sim harness
-// enforces it): a verdict is drawn per send, and folding sends into an
-// open batch would let one verdict govern many values. Reset removes
-// the plan.
+// Reset removes the plan.
 func (n *Network) SetFaults(m *fault.Messages) { n.faults = m }
 
 // FaultStats returns the fault counters accumulated so far.
@@ -303,19 +229,6 @@ func (n *Network) Stats() Stats { return n.stats }
 // previous one. Messages delivered to a node with no handler are counted
 // as delivered and discarded.
 func (n *Network) SetHandler(u int, h Handler) { n.handlers[u] = h }
-
-// InFlight returns the number of values currently in flight on e.
-func (n *Network) InFlight(e dyngraph.Edge) int {
-	slot, ok := n.edgeSlot[e]
-	if !ok {
-		return 0
-	}
-	total := 0
-	for _, fi := range n.slots[slot].flights {
-		total += len(n.flights[fi].vals)
-	}
-	return total
-}
 
 // Send transmits value from one endpoint of a present edge to the other.
 // It reports whether the message was accepted; a send over an absent
@@ -349,7 +262,7 @@ func (n *Network) send(from, to int, e dyngraph.Edge, value float64) {
 	n.sendOne(from, to, e, value, 0)
 }
 
-// sendOne transmits one value over an edge known to be present.
+// sendOne puts one message in flight over an edge known to be present.
 // spikedDelay, when positive, is a fault-injected delay that may exceed
 // maxDelay and bypasses the nominal-law validation; 0 draws from the
 // usual delay law.
@@ -357,34 +270,15 @@ func (n *Network) send(from, to int, e dyngraph.Edge, value float64) {
 //gcslint:zeroalloc
 func (n *Network) sendOne(from, to int, e dyngraph.Edge, value float64, spikedDelay float64) {
 	now := n.en.Now()
-	slot := n.slotFor(e)
-	sl := &n.slots[slot]
-	var dir int8
-	if from != e.U {
-		dir = 1
-	}
-	if n.coalesce {
-		if oi := sl.open[dir]; oi != 0 {
-			if f := &n.flights[oi-1]; f.msg.SentAt == now {
-				// Same tick, same directed edge: fold into the open batch.
-				f.vals = append(f.vals, value)
-				n.stats.Sent++
-				n.stats.Coalesced++
-				return
-			}
-			sl.open[dir] = 0
-		}
-	}
 	fi := n.allocFlight()
-	f := &n.flights[fi]
-	f.msg = Message{
+	msg := &n.flights[fi]
+	*msg = Message{
 		From:   from,
 		To:     to,
 		Edge:   e,
 		Value:  value,
 		SentAt: now,
 	}
-	f.vals = append(f.vals[:0], value)
 	d := spikedDelay
 	if d == 0 {
 		delay := n.delay
@@ -393,20 +287,13 @@ func (n *Network) sendOne(from, to int, e dyngraph.Edge, value float64, spikedDe
 				delay = m
 			}
 		}
-		d = delay(&f.msg)
+		d = delay(msg)
 		if d <= 0 || d > n.maxDelay {
 			panic(fmt.Sprintf("transport: delay %v outside (0, %v]", d, n.maxDelay))
 		}
 	}
-	f.msg.DeliverAt = now + d
-	f.ev = n.en.ScheduleArg(f.msg.DeliverAt, "transport.deliver", n.deliverFn, uint64(fi))
-	f.slot = slot
-	f.dir = dir
-	f.pos = int32(len(sl.flights))
-	sl.flights = append(sl.flights, fi)
-	if n.coalesce {
-		sl.open[dir] = fi + 1
-	}
+	msg.DeliverAt = now + d
+	n.en.ScheduleArg(msg.DeliverAt, "transport.deliver", n.deliverFn, uint64(fi))
 	n.stats.Sent++
 }
 
@@ -437,96 +324,25 @@ func (n *Network) allocFlight() uint32 {
 		n.freeFlights = n.freeFlights[:k-1]
 		return fi
 	}
-	n.flights = append(n.flights, flight{})
+	n.flights = append(n.flights, Message{})
 	return uint32(len(n.flights) - 1)
 }
 
-// slotFor returns e's slot, assigning one (recycled if possible) on
-// first use since the edge last appeared.
-//
-//gcslint:zeroalloc
-func (n *Network) slotFor(e dyngraph.Edge) int32 {
-	slot, ok := n.edgeSlot[e]
-	if !ok {
-		if k := len(n.freeSlots); k > 0 {
-			slot = n.freeSlots[k-1]
-			n.freeSlots = n.freeSlots[:k-1]
-		} else {
-			slot = int32(len(n.slots))
-			n.slots = append(n.slots, slotState{})
-		}
-		n.edgeSlot[e] = slot
-	}
-	return slot
-}
-
-// deliver hands flight fi's batch to the destination handler and
-// recycles the flight. A singleton flight is released before the handler
-// runs, so the handler may send new messages that reuse it; a multi-value
-// flight is released after the handler returns, because the delivered
-// Message.Values aliases the flight's pooled buffer.
+// deliver recycles flight fi and hands its message to the destination
+// handler, unless the edge was absent at any point of the flight (the
+// paper's drop rule; see the package comment for the ties). The flight
+// is released first, so the handler may send messages that reuse it.
 //
 //gcslint:zeroalloc
 func (n *Network) deliver(fi uint32) {
-	f := &n.flights[fi]
-	sl := &n.slots[f.slot]
-	if sl.open[f.dir] == fi+1 {
-		sl.open[f.dir] = 0
-	}
-	// Unlink from the edge's in-flight list: swap-remove, fixing the
-	// moved flight's position.
-	list := sl.flights
-	last := len(list) - 1
-	moved := list[last]
-	list[f.pos] = moved
-	n.flights[moved].pos = f.pos
-	sl.flights = list[:last]
-
-	msg := f.msg
-	k := len(f.vals)
-	n.stats.Delivered += uint64(k)
-	if k > 1 {
-		msg.Values = f.vals
-		if h := n.handlers[msg.To]; h != nil {
-			h(msg)
-		}
-		f = &n.flights[fi] // the handler may have grown the arena
-		f.ev = des.EventRef{}
-		n.freeFlights = append(n.freeFlights, fi)
+	msg := n.flights[fi]
+	n.freeFlights = append(n.freeFlights, fi)
+	if !n.g.ExistsThroughout(msg.Edge, msg.SentAt, msg.DeliverAt) {
+		n.stats.Dropped++
 		return
 	}
-	f.ev = des.EventRef{}
-	n.freeFlights = append(n.freeFlights, fi)
+	n.stats.Delivered++
 	if h := n.handlers[msg.To]; h != nil {
 		h(msg)
 	}
-}
-
-// EdgeAdded implements dyngraph.Subscriber. A fresh edge carries no
-// traffic: in particular, messages dropped during an earlier absence of
-// the same edge stay dropped.
-func (n *Network) EdgeAdded(t float64, e dyngraph.Edge) {}
-
-// EdgeRemoved implements dyngraph.Subscriber: every value in flight on
-// the removed edge is lost (the paper's model drops messages whose edge
-// disappears before delivery).
-func (n *Network) EdgeRemoved(t float64, e dyngraph.Edge) {
-	slot, ok := n.edgeSlot[e]
-	if !ok {
-		return
-	}
-	sl := &n.slots[slot]
-	for _, fi := range sl.flights {
-		f := &n.flights[fi]
-		n.en.Cancel(f.ev)
-		f.ev = des.EventRef{}
-		n.stats.Dropped += uint64(len(f.vals))
-		n.freeFlights = append(n.freeFlights, fi)
-	}
-	// Recycle the slot: all its flights are gone, and the edge must be
-	// re-added before it can carry traffic again.
-	sl.flights = sl.flights[:0]
-	sl.open = [2]uint32{}
-	delete(n.edgeSlot, e)
-	n.freeSlots = append(n.freeSlots, slot)
 }
