@@ -102,9 +102,6 @@ func (p *ParallelEngine) Shard(i int) *Engine { return p.shards[i] }
 // with every shard barriered at the event's exact time.
 func (p *ParallelEngine) Global() *Engine { return p.global }
 
-// Lookahead returns the safe-window extension.
-func (p *ParallelEngine) Lookahead() Time { return p.lookahead }
-
 // SetCrossHandler installs the cross-shard delivery callback.
 func (p *ParallelEngine) SetCrossHandler(fn CrossHandler) { p.onCross = fn }
 

@@ -24,8 +24,6 @@ type VolatileEdges struct {
 	Lifetime   float64 // mean present duration
 	Absence    float64 // mean absent duration
 	Rand       *des.Rand
-	// StartPresent adds every candidate at time 0.
-	StartPresent bool
 }
 
 // Install implements Churner.
@@ -49,10 +47,7 @@ func (c VolatileEdges) Install(en *des.Engine, g *Dynamic) {
 			g.Remove(en.Now(), e)
 			en.ScheduleAfter(rr.Exp(c.Absence), "churn.add", appear)
 		}
-		if c.StartPresent || g.Present(e) {
-			if !g.Present(e) {
-				g.Add(0, e)
-			}
+		if g.Present(e) {
 			en.ScheduleAfter(rr.Exp(c.Lifetime), "churn.remove", vanish)
 		} else {
 			en.ScheduleAfter(rr.Exp(c.Absence), "churn.add", appear)
@@ -70,8 +65,6 @@ func (c VolatileEdges) Install(en *des.Engine, g *Dynamic) {
 type RotatingStar struct {
 	Period  float64
 	Overlap float64 // how long consecutive stars coexist; 0 < Overlap < Period
-	// Hubs optionally fixes the hub sequence; default cycles 0..n-1.
-	Hubs []int
 }
 
 // Install implements Churner. The initial graph should contain the star
@@ -82,12 +75,6 @@ func (c RotatingStar) Install(en *des.Engine, g *Dynamic) {
 		panic("dyngraph: RotatingStar needs 0 < Overlap < Period")
 	}
 	n := g.N()
-	hubAt := func(k int) int {
-		if len(c.Hubs) > 0 {
-			return c.Hubs[k%len(c.Hubs)]
-		}
-		return k % n
-	}
 	addStar := func(hub int) {
 		for v := 0; v < n; v++ {
 			if v != hub {
@@ -108,12 +95,12 @@ func (c RotatingStar) Install(en *des.Engine, g *Dynamic) {
 		}
 	}
 	k := 0
-	addStar(hubAt(0))
+	addStar(0)
 	var rotate func()
 	rotate = func() {
-		old := hubAt(k)
+		old := k % n
 		k++
-		next := hubAt(k)
+		next := k % n
 		addStar(next)
 		en.ScheduleAfter(c.Overlap, "churn.star.remove", func() {
 			removeStar(old, next)
@@ -121,90 +108,4 @@ func (c RotatingStar) Install(en *des.Engine, g *Dynamic) {
 		en.ScheduleAfter(c.Period, "churn.star.rotate", rotate)
 	}
 	en.ScheduleAfter(c.Period, "churn.star.rotate", rotate)
-}
-
-// AlternatingTrees alternates between two spanning structures with
-// overlap: TreeA is present during even phases, TreeB during odd phases,
-// and both during the Overlap at each transition. Any window of length >=
-// Period+Overlap fully contains one tree, so the execution is
-// (Period+Overlap)-interval connected while being minimally connected in
-// between — the worst legal case for the Lemma 6.8 max-propagation bound.
-type AlternatingTrees struct {
-	TreeA, TreeB []Edge
-	Period       float64
-	Overlap      float64
-}
-
-// Install implements Churner. The initial graph should contain TreeA (or
-// be empty; TreeA is added at time 0 if absent).
-func (c AlternatingTrees) Install(en *des.Engine, g *Dynamic) {
-	if c.Period <= 0 || c.Overlap <= 0 {
-		panic("dyngraph: AlternatingTrees needs positive Period and Overlap")
-	}
-	inB := make(map[Edge]bool, len(c.TreeB))
-	for _, e := range c.TreeB {
-		inB[e] = true
-	}
-	inA := make(map[Edge]bool, len(c.TreeA))
-	for _, e := range c.TreeA {
-		inA[e] = true
-	}
-	addAll := func(es []Edge) {
-		for _, e := range es {
-			g.Add(en.Now(), e)
-		}
-	}
-	removeUnless := func(es []Edge, keep map[Edge]bool) {
-		for _, e := range es {
-			if !keep[e] {
-				g.Remove(en.Now(), e)
-			}
-		}
-	}
-	addAll(c.TreeA)
-	phaseA := true
-	var flip func()
-	flip = func() {
-		if phaseA {
-			addAll(c.TreeB)
-			en.ScheduleAfter(c.Overlap, "churn.trees.removeA", func() {
-				removeUnless(c.TreeA, inB)
-			})
-		} else {
-			addAll(c.TreeA)
-			en.ScheduleAfter(c.Overlap, "churn.trees.removeB", func() {
-				removeUnless(c.TreeB, inA)
-			})
-		}
-		phaseA = !phaseA
-		en.ScheduleAfter(c.Period, "churn.trees.flip", flip)
-	}
-	en.ScheduleAfter(c.Period, "churn.trees.flip", flip)
-}
-
-// ScriptedChange is a single scheduled topology event.
-type ScriptedChange struct {
-	At     float64
-	E      Edge
-	Remove bool
-}
-
-// Script replays an explicit list of topology changes; used by the
-// lower-bound scenario (new edges appear at time T1) and by tests.
-type Script struct {
-	Changes []ScriptedChange
-}
-
-// Install implements Churner.
-func (c Script) Install(en *des.Engine, g *Dynamic) {
-	for _, ch := range c.Changes {
-		ch := ch
-		en.Schedule(ch.At, "churn.script", func() {
-			if ch.Remove {
-				g.Remove(en.Now(), ch.E)
-			} else {
-				g.Add(en.Now(), ch.E)
-			}
-		})
-	}
 }

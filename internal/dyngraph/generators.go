@@ -1,10 +1,6 @@
 package dyngraph
 
-import (
-	"fmt"
-
-	"gcs/internal/des"
-)
+import "fmt"
 
 // Topology generators. Each returns the edge list of a classic static
 // topology; scenarios use them as initial edge sets E_0 or as churn
@@ -69,34 +65,6 @@ func Grid(w, h int) []Edge {
 	return edges
 }
 
-// RandomConnected returns a connected Erdos-Renyi-style graph: a random
-// spanning tree (uniform attachment) plus each remaining potential edge
-// independently with probability p.
-func RandomConnected(n int, p float64, r *des.Rand) []Edge {
-	if n < 1 {
-		panic("dyngraph: n must be positive")
-	}
-	have := map[Edge]bool{}
-	var edges []Edge
-	// Random tree: attach node i to a uniformly random earlier node.
-	perm := r.Perm(n)
-	for i := 1; i < n; i++ {
-		e := E(perm[i], perm[r.Intn(i)])
-		have[e] = true
-		edges = append(edges, e)
-	}
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			e := Edge{U: u, V: v}
-			if !have[e] && r.Bool(p) {
-				have[e] = true
-				edges = append(edges, e)
-			}
-		}
-	}
-	return edges
-}
-
 // TwoChains builds the Theorem 4.1 / Figure 1 network: two parallel
 // chains A and B sharing endpoints w0 = node 0 and wn = node n-1.
 //
@@ -139,9 +107,6 @@ func NewTwoChains(n int) *TwoChains {
 	return tc
 }
 
-// LenA returns the number of interior nodes on chain A.
-func (tc *TwoChains) LenA() int { return tc.lenA }
-
 // LenB returns the number of interior nodes on chain B.
 func (tc *TwoChains) LenB() int { return tc.lenB }
 
@@ -171,22 +136,4 @@ func (tc *TwoChains) BIndex(i int) int {
 		return tc.N - 1
 	}
 	panic(fmt.Sprintf("dyngraph: chain B position %d out of range", i))
-}
-
-// APath returns the node indices along chain A from w0 to wn.
-func (tc *TwoChains) APath() []int {
-	out := make([]int, 0, tc.lenA+2)
-	for i := 0; i <= tc.lenA+1; i++ {
-		out = append(out, tc.AIndex(i))
-	}
-	return out
-}
-
-// BPath returns the node indices along chain B from w0 to wn.
-func (tc *TwoChains) BPath() []int {
-	out := make([]int, 0, tc.lenB+2)
-	for i := 0; i <= tc.lenB+1; i++ {
-		out = append(out, tc.BIndex(i))
-	}
-	return out
 }

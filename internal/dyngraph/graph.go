@@ -32,18 +32,6 @@ func E(u, v int) Edge {
 	return Edge{U: u, V: v}
 }
 
-// Other returns the endpoint of e that is not x. It panics if x is not an
-// endpoint.
-func (e Edge) Other(x int) int {
-	switch x {
-	case e.U:
-		return e.V
-	case e.V:
-		return e.U
-	}
-	panic(fmt.Sprintf("dyngraph: node %d not an endpoint of %v", x, e))
-}
-
 // Has reports whether x is an endpoint of e.
 func (e Edge) Has(x int) bool { return e.U == x || e.V == x }
 
@@ -316,21 +304,6 @@ func (g *Dynamic) ExistsThroughout(e Edge, t1, t2 float64) bool {
 		}
 	}
 	return false
-}
-
-// EdgesAt returns E(t), sorted.
-func (g *Dynamic) EdgesAt(t float64) []Edge {
-	var out []Edge
-	for e, ivs := range g.hist {
-		for _, iv := range ivs {
-			if iv.Contains(t) {
-				out = append(out, e)
-				break
-			}
-		}
-	}
-	sortEdges(out)
-	return out
 }
 
 // EdgesThroughout returns the set E|[t1,t2] of edges existing throughout

@@ -138,31 +138,3 @@ func FlexibleDistances(n int, edges []Edge, constrained map[Edge]bool, src int) 
 	}
 	return dist
 }
-
-// SpanningTree returns the edges of a BFS spanning tree rooted at src, or
-// nil if the graph is disconnected.
-func SpanningTree(n int, edges []Edge, src int) []Edge {
-	adj := Adjacency(n, edges)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[src] = src
-	queue := []int{src}
-	var tree []Edge
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range adj[u] {
-			if parent[v] < 0 {
-				parent[v] = u
-				tree = append(tree, E(u, v))
-				queue = append(queue, v)
-			}
-		}
-	}
-	if len(tree) != n-1 && n > 1 {
-		return nil
-	}
-	return tree
-}

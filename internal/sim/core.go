@@ -8,7 +8,6 @@ import (
 	"gcs/internal/dyngraph"
 	"gcs/internal/fault"
 	"gcs/internal/gcs"
-	"gcs/internal/seam"
 	"gcs/internal/transport"
 )
 
@@ -156,23 +155,24 @@ func (f *Fold) SetFaults(fs fault.Stats) {
 
 // core is the part of a DES harness that does not depend on how many
 // engines execute it. Simulation is the core with one engine;
-// ParallelSim is the core with one engine per shard plus its own
-// transport and sample scan. A harness fills in the four parameters
-// below, then wires a run as begin → (its transport) → arm.
+// ParallelSim is the core with one engine per shard plus its own sample
+// scan. A harness fills in the three parameters below, then wires a run
+// as begin → Net (new, or Reset with the harness's delay law) → arm.
 type core struct {
 	Cfg    Config
 	Graph  *dyngraph.Dynamic
 	Clocks []*clock.HardwareClock
 	Nodes  []*gcs.Node
+	// Net is the transport every node transmits through, one lane per
+	// engine.
+	Net *transport.Network
 
 	// global carries the events that see every node at one consistent
 	// instant (churn, fault chains, sampling); engineOf(i) carries node
-	// i's clock, beacon timers and rate driver. sender is the transport
-	// nodes transmit through. scan reads every node into vals and returns
-	// the live extrema.
+	// i's clock, beacon timers and rate driver. scan reads every node into
+	// vals and returns the live extrema.
 	global   *des.Engine
 	engineOf func(i int) *des.Engine
-	sender   seam.Sender
 	scan     func() (lo, hi float64)
 
 	// allClocks/allNodes are the grow-only pools backing the public
@@ -192,6 +192,8 @@ type core struct {
 	driveFn, crashFn, rateFn des.ArgHandler
 	sampleFn                 func()
 	edgeFn                   func(dyngraph.Edge)
+	// onMessage is the single delivery handler shared by every node.
+	onMessage transport.Handler
 
 	// wired records that a first wiring has filled the graph and made the
 	// one-time discovery subscription; edgeCfg/boundCfg key the cached
@@ -222,14 +224,12 @@ type core struct {
 	// started records whether the periodic sampler has been installed.
 	started bool
 
-	// Fault-injection state (Config.Faults). msgFaults points at msgPlan
-	// only while the active plan has message faults (msgPlan keeps the
-	// grown stream table across rewires); the harness's transport draws
-	// verdicts from it per send. injector holds the crash/recover and
-	// rate-excursion chains, stepped by events on the global engine;
-	// downMask aliases its live mask so sampling can exclude crashed
-	// nodes.
-	msgFaults  *fault.Messages
+	// Fault-injection state (Config.Faults). msgPlan is the message-fault
+	// plan (it keeps the grown stream table across rewires); Net draws
+	// verdicts from it per send while the active plan has message faults.
+	// injector holds the crash/recover and rate-excursion chains, stepped
+	// by events on the global engine; downMask aliases its live mask so
+	// sampling can exclude crashed nodes.
 	msgPlan    fault.Messages
 	injector   fault.Injector
 	faultStats fault.Stats
@@ -259,6 +259,7 @@ func (c *core) init() {
 	c.crashFn = c.crashStep
 	c.rateFn = c.rateStep
 	c.edgeFn = func(e dyngraph.Edge) { c.fold.Adjacent(c.vals[e.U], c.vals[e.V]) }
+	c.onMessage = func(m transport.Message) { c.Nodes[m.To].OnMessage(m.From, m.Value) }
 	c.sampleFn = func() {
 		c.observe()
 		c.global.ScheduleAfter(c.Cfg.SampleEvery, "sim.sample", c.sampleFn)
@@ -268,7 +269,7 @@ func (c *core) init() {
 // begin starts a rewire: it validates and defaults cfg, reseeds the
 // root stream and resets the graph to the (cached) initial edge set (a
 // first wiring leaves filling it to arm). The harness resets its engines
-// and transport next, then calls arm.
+// and Net next, then calls arm.
 func (c *core) begin(cfg Config) Config {
 	// New/Reset keep the panic contract for programmer errors; the
 	// error-returning boundary is sim.Run/RunSweep, which Validate first.
@@ -278,8 +279,6 @@ func (c *core) begin(cfg Config) Config {
 	cfg = cfg.WithDefaults()
 	c.Cfg = cfg
 	c.root.Reseed(cfg.Seed)
-	// No verdicts are drawn until armFaults installs this run's plan.
-	c.msgFaults = nil
 
 	star := cfg.Churn.Kind == ChurnRotatingStar
 	if key := (edgeKey{topo: cfg.Topology, n: cfg.N, star: star}); key != c.edgeCfg {
@@ -302,17 +301,17 @@ func (c *core) begin(cfg Config) Config {
 	return cfg
 }
 
-// arm finishes a rewire once the harness's engines and transport are
-// reset. The order below assigns the tie-breaking event sequence numbers
-// and is part of the physics: drivers per node, churner, node start
-// phases, fault chains; the sampler follows on the first advance.
+// arm finishes a rewire once the harness's engines and Net are reset.
+// The order below assigns the tie-breaking event sequence numbers and is
+// part of the physics: drivers per node, churner, node start phases,
+// fault chains; the sampler follows on the first advance.
 func (c *core) arm() {
 	cfg := &c.Cfg
 	n := cfg.N
 
 	// Grow the node/clock pools up to n, then reset the live prefix.
-	// Nodes are wired straight to the harness's transport and the
-	// (stable) graph through the harness seam.
+	// Nodes are wired straight to Net and the (stable) graph through the
+	// harness seam.
 	if cap(c.allClocks) < n {
 		c.allClocks = append(make([]*clock.HardwareClock, 0, n), c.allClocks...)
 		c.allNodes = append(make([]*gcs.Node, 0, n), c.allNodes...)
@@ -320,7 +319,7 @@ func (c *core) arm() {
 	for i := len(c.allClocks); i < n; i++ {
 		hw := clock.New(c.engineOf(i), 1)
 		c.allClocks = append(c.allClocks, hw)
-		c.allNodes = append(c.allNodes, gcs.New(i, hw, cfg.Node, c.sender, c.Graph))
+		c.allNodes = append(c.allNodes, gcs.New(i, hw, cfg.Node, c.Net, c.Graph))
 	}
 	c.Clocks = c.allClocks[:n]
 	c.Nodes = c.allNodes[:n]
@@ -336,6 +335,7 @@ func (c *core) arm() {
 	for i := 0; i < n; i++ {
 		c.Clocks[i].Reset(1)
 		c.Nodes[i].Reset(cfg.Node)
+		c.Net.SetHandler(i, c.onMessage)
 		c.drivers[i].Start(i, &c.driveRand)
 		c.driveStep(uint64(i))
 	}
@@ -388,11 +388,13 @@ func (c *core) driveStep(arg uint64) {
 
 // armFaults arms fault injection for one run. The fault root is forked
 // from the scenario root (never advancing it, so a zero-valued Spec
-// leaves every other stream bit-identical). Message verdicts are drawn
-// by the harness's transport from msgFaults; the crash/recover and
-// rate-excursion chains run as events on the global engine — with every
-// shard barriered in the sharded harness, so touching any node or clock
-// from them is safe and deterministic.
+// leaves every other stream bit-identical). Net draws message verdicts
+// from msgPlan, installed here — after everything arm sends while wiring
+// at time 0 (discovery over a rotating star's first edges), which
+// therefore draws no verdict, and removed again by the next Net.Reset.
+// The crash/recover and rate-excursion chains run as events on the
+// global engine — with every shard barriered in the sharded harness, so
+// touching any node or clock from them is safe and deterministic.
 func (c *core) armFaults() {
 	cfg := &c.Cfg
 	c.downMask = nil
@@ -405,7 +407,7 @@ func (c *core) armFaults() {
 	c.root.ForkInto(0xfa07, &faultRoot)
 	if cfg.Faults.MessageFaults() {
 		c.msgPlan.Wire(cfg.Faults, cfg.MaxDelay, cfg.N, &faultRoot)
-		c.msgFaults = &c.msgPlan
+		c.Net.SetFaults(&c.msgPlan)
 	}
 	c.injector.Wire(cfg.Faults, cfg.N, cfg.Rho, &faultRoot)
 	c.downMask = c.injector.Down()
@@ -638,11 +640,10 @@ func (c *core) boundFor() float64 {
 }
 
 // finalise builds the report once the engines have reached the horizon.
-// The harness supplies what only it can count: its transport's traffic
-// and message-fault stats and its engines' fired-event total. Everything
-// is recomputed from live state on every call, so a harness's Run is
-// idempotent.
-func (c *core) finalise(traffic transport.Stats, executed uint64, msgFaults fault.Stats) SkewReport {
+// The harness supplies what only it can count: its engines' fired-event
+// total. Everything is recomputed from live state on every call, so a
+// harness's Run is idempotent.
+func (c *core) finalise(executed uint64) SkewReport {
 	// End-of-run state at exactly the horizon, unless the periodic
 	// sampler already landed there (Horizon a multiple of SampleEvery).
 	if c.fold.Report.Samples == 0 || c.fold.lastT < c.Cfg.Horizon {
@@ -650,7 +651,7 @@ func (c *core) finalise(traffic transport.Stats, executed uint64, msgFaults faul
 	}
 	rep := &c.fold.Report
 	rep.Bound = c.boundFor()
-	rep.Transport = traffic
+	rep.Transport = c.Net.Stats()
 	rep.EventsExecuted = executed
 	rep.EdgeAdds, rep.EdgeRemoves = c.Graph.Stats()
 	if c.gradient != nil {
@@ -663,10 +664,9 @@ func (c *core) finalise(traffic transport.Stats, executed uint64, msgFaults faul
 		c.fold.AddNode(mn, mx, c.Nodes[i].Snap())
 	}
 	if c.Cfg.Faults.Enabled() {
-		// Merge is order-independent (sums and maxes), so per-shard stats
-		// folded in any fixed order stay worker-invariant.
-		msgFaults.Merge(c.faultStats)
-		c.fold.SetFaults(msgFaults)
+		faults := c.Net.FaultStats()
+		faults.Merge(c.faultStats)
+		c.fold.SetFaults(faults)
 	}
 	return *rep
 }

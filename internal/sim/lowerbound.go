@@ -86,23 +86,10 @@ func (c LowerBoundConfig) WithDefaults() LowerBoundConfig {
 	return c
 }
 
-// MaxFlexDist returns the largest flexible distance (Definition 4.3)
-// from the reference endpoint w0 over the two-chain network, with chain
-// B's edges constrained: roughly n/4, attained by the middle of chain A.
-func (c LowerBoundConfig) MaxFlexDist() int {
-	return maxFlexDist(c.N)
-}
-
-// SwitchHorizon returns the real time at which the farthest node's
+// switchHorizon returns the real time at which the farthest node's
 // layered schedule switches from rate 1+rho back to rate 1 — the moment
-// the adversary has banked its full MaxDelay*maxDist hardware offset.
-func (c LowerBoundConfig) SwitchHorizon() float64 {
-	return c.WithDefaults().switchHorizon()
-}
-
-// switchHorizon assumes Rho and MaxDelay have already been defaulted; it
-// exists so WithDefaults can derive the horizon without recursing into
-// itself through the exported wrapper.
+// the adversary has banked its full MaxDelay*maxDist hardware offset. It
+// assumes Rho and MaxDelay have already been defaulted.
 func (c LowerBoundConfig) switchHorizon() float64 {
 	return c.MaxDelay * float64(maxFlexDist(c.N)) / c.Rho
 }

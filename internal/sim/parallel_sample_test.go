@@ -50,7 +50,7 @@ func TestObserveShardBlocks(t *testing.T) {
 	} {
 		cfg := parallelRingConfig(tc.n, tc.shards)
 		ps := NewParallel(cfg)
-		shards := len(ps.shards)
+		shards := ps.P.NumShards()
 		if got := len(ps.shardStart); got != shards+1 {
 			t.Fatalf("n=%d shards=%d: len(shardStart) = %d, want %d", tc.n, tc.shards, got, shards+1)
 		}

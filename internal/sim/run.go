@@ -63,17 +63,16 @@ type SkewReport struct {
 }
 
 // Simulation is one fully wired scenario on the serial engine: the
-// harness core with every node on one des.Engine, plus one
-// transport.Network drawing every delay from one shared stream. It is
-// exposed so tests can inspect mid-run state; most callers use Run. A
-// Simulation is reusable: Reset rewires it in place for another config,
-// recycling the engine's event pool, the graph's adjacency and history
-// storage, the transport's flight arena, and every per-node object, so
-// repeated runs of same-shape configs allocate nothing (see Arena).
+// harness core with every node on one des.Engine and every delay drawn
+// from one shared stream. It is exposed so tests can inspect mid-run
+// state; most callers use Run. A Simulation is reusable: Reset rewires
+// it in place for another config, recycling the engine's event pool, the
+// graph's adjacency and history storage, the transport's flight arena,
+// and every per-node object, so repeated runs of same-shape configs
+// allocate nothing (see Arena).
 type Simulation struct {
 	core
 	Engine *des.Engine
-	Net    *transport.Network
 
 	delayRand *des.Rand
 	// delayFn is the long-lived base delay law over delayRand; it is
@@ -81,8 +80,6 @@ type Simulation struct {
 	delayFn  transport.DelayFn
 	delayMax float64
 	delayMin float64
-	// onMessage is the single delivery handler shared by every node.
-	onMessage transport.Handler
 }
 
 // New wires a simulation from the config without running it.
@@ -92,7 +89,6 @@ func New(cfg Config) *Simulation {
 	s.global = s.Engine
 	s.engineOf = func(int) *des.Engine { return s.Engine }
 	s.scan = func() (lo, hi float64) { return s.scanRange(0, len(s.Nodes)) }
-	s.onMessage = func(m transport.Message) { s.Nodes[m.To].OnMessage(m.From, m.Value) }
 	s.Reset(cfg)
 	return s
 }
@@ -105,29 +101,20 @@ func (s *Simulation) Reset(cfg Config) {
 	s.Engine.Reset()
 	cfg = s.begin(cfg)
 
+	// The serial delay law: every message draws from one shared stream,
+	// in global send order, uniformly in (MinDelay, MaxDelay].
 	if s.delayFn == nil || s.delayMax != cfg.MaxDelay || s.delayMin != cfg.MinDelay {
 		s.delayMax = cfg.MaxDelay
 		s.delayMin = cfg.MinDelay
-		// A zero MinDelay draws the bit-identical sequence as the legacy
-		// UniformDelay law, so existing serial reports are unchanged.
 		s.delayFn = transport.UniformDelayIn(cfg.MinDelay, cfg.MaxDelay, s.delayRand)
 	}
 	s.root.ForkInto(0xde1a9, s.delayRand)
 	if s.Net == nil {
 		s.Net = transport.New(s.Engine, s.Graph, s.delayFn, cfg.MaxDelay)
-		s.sender = s.Net
 	} else {
 		s.Net.Reset(s.delayFn, cfg.MaxDelay)
 	}
-	for i := 0; i < cfg.N; i++ {
-		s.Net.SetHandler(i, s.onMessage)
-	}
-
 	s.arm()
-	// Installed after arm, like every fault: sends made while wiring at
-	// time 0 (discovery over a rotating star's first edges) draw no
-	// verdict.
-	s.Net.SetFaults(s.msgFaults)
 }
 
 // AttachTrace registers tr to receive one (time, per-node logical
@@ -151,7 +138,7 @@ func (s *Simulation) Advance(t float64) {
 // jump, message and beacon exactly once.
 func (s *Simulation) Run() SkewReport {
 	s.Advance(s.Cfg.Horizon)
-	return s.finalise(s.Net.Stats(), s.Engine.Executed(), s.Net.FaultStats())
+	return s.finalise(s.Engine.Executed())
 }
 
 // Run wires and executes cfg in one call, dispatching to the sharded
@@ -162,8 +149,5 @@ func Run(cfg Config) (SkewReport, error) {
 	if err := cfg.Validate(); err != nil {
 		return SkewReport{}, err
 	}
-	if cfg.Parallel {
-		return NewParallel(cfg).Run(), nil
-	}
-	return New(cfg).Run(), nil
+	return NewArena().Run(cfg), nil
 }

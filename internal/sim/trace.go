@@ -85,9 +85,6 @@ func (tr *TraceRecorder) Record(t float64, vals []float64) {
 // Len returns the number of samples currently held.
 func (tr *TraceRecorder) Len() int { return tr.count }
 
-// Capacity returns the maximum number of samples the ring holds.
-func (tr *TraceRecorder) Capacity() int { return tr.capacity }
-
 // Nodes returns the per-sample row width (the node count).
 func (tr *TraceRecorder) Nodes() int { return tr.n }
 

@@ -145,54 +145,80 @@ func TestDeliveryTimeDropMatchesEagerCancel(t *testing.T) {
 // TestDropRuleTies pins the rule where the measure-zero cases decide:
 // a message is carried iff dyngraph's Interval.Covers(SentAt, DeliverAt)
 // holds for the edge's current interval, i.e. Start <= SentAt and
-// DeliverAt < End. The sharded harness (sim's pshard.deliver) asks the
-// same ExistsThroughout, but its delays come from per-node streams and
-// cannot be pinned to a tie, so this is where the answers are fixed for
-// both — the one predicate is what makes the two DES harnesses agree.
+// DeliverAt < End. Each tie is pinned twice, with FixedDelay through the
+// delay mask: sender and receiver on one lane (the serial harness), and
+// on two lanes with the flight crossing between them (the sharded one) —
+// lane.deliver is the one predicate both harnesses ask.
 func TestDropRuleTies(t *testing.T) {
 	e := dyngraph.E(0, 1)
 	const d = 0.5
-
-	t.Run("removal at exactly DeliverAt is a drop", func(t *testing.T) {
-		r := newRig(t, 2, []dyngraph.Edge{e}, FixedDelay(d), 1)
-		// Scheduled before the send, so at t = d the removal fires first —
-		// as it always does on the sharded harness, where churn runs in the
-		// global phase ahead of the shard events of the same instant. (A
-		// removal event ordered after the delivery has not happened yet
-		// when the flight ends, and cannot lose it.)
-		r.en.Schedule(d, "cut", func() { r.g.Remove(r.en.Now(), e) })
+	fixed := FixedDelay(d)
+	send := func(r *laneRig) {
 		r.net.Send(0, 1, 1)
-		r.en.Run(1)
-		if s := r.net.Stats(); s.Dropped != 1 || s.Delivered != 0 || len(r.got[1]) != 0 {
-			t.Fatalf("stats = %+v, deliveries %v; want the message lost", s, r.got[1])
-		}
-	})
+		r.flush()
+	}
+	ties := []struct {
+		name    string
+		edges   []dyngraph.Edge
+		script  func(r *laneRig)
+		sentAt  float64
+		carried bool
+		present bool // the edge's state at the end
+	}{
+		// On the script engine, so at t = d the removal fires first — as it
+		// always does on the sharded harness, where churn runs in the global
+		// phase ahead of the shard events of the same instant. (A removal
+		// event ordered after the delivery has not happened yet when the
+		// flight ends, and cannot lose it.)
+		{"removal at exactly DeliverAt is a drop", []dyngraph.Edge{e}, func(r *laneRig) {
+			r.script.Schedule(d, "cut", func() { r.g.Remove(r.script.Now(), e) })
+			send(r)
+		}, 0, false, false},
+		{"a send at the instant of Add is carried", nil, func(r *laneRig) {
+			r.script.Schedule(0.3, "add+send", func() {
+				r.g.Add(r.script.Now(), e)
+				send(r)
+			})
+		}, 0.3, true, true},
+		{"remove and re-add inside one flight is a drop", []dyngraph.Edge{e}, func(r *laneRig) {
+			send(r)
+			r.script.Schedule(0.2, "flap", func() {
+				r.g.Remove(r.script.Now(), e)
+				r.g.Add(r.script.Now(), e)
+			})
+		}, 0, false, true},
+	}
+	for _, tie := range ties {
+		t.Run(tie.name, func(t *testing.T) {
+			for lanes := 1; lanes <= 2; lanes++ {
+				t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+					r := newLaneRig(lanes, 2, tie.edges, UniformDelay(1, des.NewRand(1)), 1)
+					r.net.SetDelayMask(func(from, to int) DelayFn { return fixed })
+					tie.script(r)
+					r.run(1)
 
-	t.Run("a send at the instant of Add is carried", func(t *testing.T) {
-		r := newRig(t, 2, nil, FixedDelay(d), 1)
-		r.en.Schedule(0.3, "add+send", func() {
-			r.g.Add(r.en.Now(), e)
-			r.net.Send(0, 1, 1)
+					if r.g.Present(e) != tie.present {
+						t.Fatalf("edge present = %v at the end, want %v", !tie.present, tie.present)
+					}
+					want := Stats{Sent: 1, Dropped: 1}
+					if tie.carried {
+						want = Stats{Sent: 1, Delivered: 1}
+					}
+					if s := r.net.Stats(); s != want || len(r.got) != int(want.Delivered) {
+						t.Fatalf("stats = %+v, deliveries %v; want %+v", s, r.got, want)
+					}
+					m := Message{From: 0, To: 1, Edge: e, Value: 1, SentAt: tie.sentAt, DeliverAt: tie.sentAt + d}
+					if tie.carried && r.got[0] != m {
+						t.Fatalf("delivered %+v, want %+v", r.got[0], m)
+					}
+					// The flight ended on the receiver's engine; the sender's fired
+					// nothing.
+					if lanes == 2 && (r.lanes[0].Executed() != 0 || r.lanes[1].Executed() != 1) {
+						t.Fatalf("lane engines fired %d and %d events, want 0 and 1",
+							r.lanes[0].Executed(), r.lanes[1].Executed())
+					}
+				})
+			}
 		})
-		r.en.Run(1)
-		if s := r.net.Stats(); s.Delivered != 1 || s.Dropped != 0 || len(r.got[1]) != 1 {
-			t.Fatalf("stats = %+v, deliveries %v; want the message carried", s, r.got[1])
-		}
-	})
-
-	t.Run("remove and re-add inside one flight is a drop", func(t *testing.T) {
-		r := newRig(t, 2, []dyngraph.Edge{e}, FixedDelay(d), 1)
-		r.net.Send(0, 1, 1)
-		r.en.Schedule(0.2, "flap", func() {
-			r.g.Remove(r.en.Now(), e)
-			r.g.Add(r.en.Now(), e)
-		})
-		r.en.Run(1)
-		if !r.g.Present(e) {
-			t.Fatal("edge not back after the flap")
-		}
-		if s := r.net.Stats(); s.Dropped != 1 || s.Delivered != 0 || len(r.got[1]) != 0 {
-			t.Fatalf("stats = %+v, deliveries %v; want the message lost", s, r.got[1])
-		}
-	})
+	}
 }

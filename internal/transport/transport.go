@@ -6,15 +6,27 @@
 // delivery event, and the rule is checked once, when that event fires,
 // against the history the graph has recorded by then:
 // dyngraph.ExistsThroughout(edge, SentAt, DeliverAt), i.e. the edge's
-// current interval has Start <= SentAt and DeliverAt < End. That is the
-// predicate the sharded harness applies, so the two DES harnesses agree
-// on every tie: a removal that has happened by the time the delivery
-// fires loses the message even at exactly DeliverAt, a message sent at
-// the instant its edge is added is carried, and a removal inside the
-// flight loses it even if the edge is back by DeliverAt. The network
-// keeps no per-edge state and does not listen to the graph. Deliveries on
-// one edge with equal delays are FIFO (the DES kernel breaks ties by
-// scheduling order).
+// current interval has Start <= SentAt and DeliverAt < End. Both DES
+// harnesses run this one rule, so they agree on every tie: a removal that
+// has happened by the time the delivery fires loses the message even at
+// exactly DeliverAt, a message sent at the instant its edge is added is
+// carried, and a removal inside the flight loses it even if the edge is
+// back by DeliverAt. The network keeps no per-edge state and does not
+// listen to the graph. Deliveries on one edge with equal delays are FIFO
+// (the DES kernel breaks ties by scheduling order).
+//
+// A Network serves one engine (New) or several (NewSharded), with one
+// lane per engine holding everything a send or a delivery writes: the
+// flight arena, the Broadcast buffer and the counters of the nodes that
+// engine carries. A lane may be touched only by its own engine's events
+// or while every engine is stopped; the delay law, mask, fault plan,
+// handler table and graph are shared and read-only while engines run, so
+// a DelayFn or fault plan that keeps state must key it by sender. A send
+// runs on the sender's lane; a flight bound for another lane is handed,
+// finished, to the cross callback, whose owner must Accept it on the
+// destination's lane before that engine reaches DeliverAt — that the
+// delay law leaves it the time (a floor at the engines' lookahead) is the
+// caller's DelayFn contract, and des.ParallelEngine.merge checks it.
 //
 // Delays are drawn per message from a base DelayFn, optionally overridden
 // per directed edge by an EdgeDelayFn mask — the instrument of the
@@ -26,8 +38,8 @@
 // logical clock reading — so no boxing through an interface), in-flight
 // messages live in a pooled arena indexed by small integers, the per-node
 // handler table is slice-backed, and Broadcast reuses one neighbor buffer
-// per network and skips the edge presence check entirely (its targets
-// come from the live adjacency).
+// per lane and skips the edge presence check entirely (its targets come
+// from the live adjacency).
 package transport
 
 import (
@@ -121,10 +133,9 @@ type Stats struct {
 	Refused uint64
 }
 
-// Network is the bounded-delay transport over one dynamic graph. It is
-// single-threaded, owned by the graph's engine.
+// Network is the bounded-delay transport over one dynamic graph: the
+// shared, read-only-while-running half, plus one lane per engine.
 type Network struct {
-	en       *des.Engine
 	g        *dyngraph.Dynamic
 	maxDelay float64
 	delay    DelayFn
@@ -132,50 +143,92 @@ type Network struct {
 	mask EdgeDelayFn
 	// handlers is indexed by node id.
 	handlers []Handler
+	// faults, when non-nil, draws a per-message fault verdict (drop,
+	// duplicate, delay spike) before the normal send path.
+	faults *fault.Messages
+
+	// lanes holds one lane per engine; laneOf maps node -> lane and is nil
+	// on a one-lane network. cross takes a flight whose destination lives
+	// on another lane; label tags every delivery event.
+	lanes  []*lane
+	laneOf []int32
+	cross  func(src, dst int, m *Message)
+	label  string
+}
+
+// lane is the per-engine half of a Network (see the package comment for
+// who may touch it). Lanes are allocated separately so two workers'
+// counters never share a cache line.
+type lane struct {
+	net *Network
+	idx int
+	en  *des.Engine
 	// flights is the arena of in-flight messages, addressed by index so
-	// recycling one costs nothing; freeFlights lists recycled indices.
-	flights     []Message
-	freeFlights []uint32
+	// recycling one costs nothing; free lists recycled indices.
+	flights []Message
+	free    []uint32
 	// deliverFn is the single engine callback backing every delivery;
 	// the event arg is the flight's arena index.
 	deliverFn des.ArgHandler
 	// nbuf is the reused Broadcast neighbor buffer.
-	nbuf  []int
-	stats Stats
-	// faults, when non-nil, draws a per-message fault verdict (drop,
-	// duplicate, delay spike) before the normal send path; faultStats
-	// accumulates what fired.
-	faults     *fault.Messages
+	nbuf       []int
+	stats      Stats
 	faultStats fault.Stats
 }
 
-// New creates a transport over g with the given delay law and bound.
+// New creates a one-lane transport over g with the given delay law and
+// bound: every node sends and receives on en.
 func New(en *des.Engine, g *dyngraph.Dynamic, delay DelayFn, maxDelay float64) *Network {
-	if maxDelay <= 0 {
-		panic("transport: maxDelay must be positive")
-	}
-	if delay == nil {
-		panic("transport: nil DelayFn")
+	return NewSharded([]*des.Engine{en}, g, delay, maxDelay, nil, "transport.deliver", nil)
+}
+
+// NewSharded creates a transport with one lane per engine. laneOf maps
+// every node of g to the engine that carries it and label tags the
+// delivery events. cross is handed each finished flight (delay drawn,
+// DeliverAt set, Sent counted) whose destination is on another lane, dst,
+// than its sender's, src; m points into src's arena and is recycled when
+// cross returns: copy, don't keep. A single engine needs neither laneOf
+// nor cross.
+func NewSharded(engines []*des.Engine, g *dyngraph.Dynamic, delay DelayFn, maxDelay float64,
+	laneOf []int32, label string, cross func(src, dst int, m *Message)) *Network {
+	if len(engines) == 0 {
+		panic("transport: need at least one engine")
 	}
 	n := &Network{
-		en:       en,
 		g:        g,
-		maxDelay: maxDelay,
-		delay:    delay,
 		handlers: make([]Handler, g.N()),
+		lanes:    make([]*lane, len(engines)),
+		cross:    cross,
+		label:    label,
 	}
-	n.deliverFn = func(arg uint64) { n.deliver(uint32(arg)) }
+	if len(engines) > 1 {
+		if cross == nil {
+			panic("transport: more than one lane needs a cross hand-off")
+		}
+		for u, l := range laneOf {
+			if l < 0 || int(l) >= len(engines) {
+				panic(fmt.Sprintf("transport: node %d mapped to lane %d of %d", u, l, len(engines)))
+			}
+		}
+		n.laneOf = laneOf
+	}
+	for i, en := range engines {
+		l := &lane{net: n, idx: i, en: en}
+		l.deliverFn = func(arg uint64) { l.deliver(uint32(arg)) }
+		n.lanes[i] = l
+	}
+	n.Reset(delay, maxDelay)
 	return n
 }
 
 // Reset forgets all in-flight traffic and counters and installs a new
-// delay law, reusing the flight arena and handler table, so a rewired
+// delay law, reusing the flight arenas and handler table, so a rewired
 // simulation's transport allocates nothing in steady state. The delay
-// mask and fault plan are removed. Call it after the engine has been
-// Reset: the pending delivery events are gone with it, so the flights
+// mask and fault plan are removed. Call it after the engines have been
+// Reset: the pending delivery events are gone with them, so the flights
 // they pointed at are simply released. Handlers registered for surviving
 // node ids stay registered; the table grows if the graph was Reset to
-// more nodes.
+// more nodes (a lane map must already cover them).
 func (n *Network) Reset(delay DelayFn, maxDelay float64) {
 	if maxDelay <= 0 {
 		panic("transport: maxDelay must be positive")
@@ -183,19 +236,24 @@ func (n *Network) Reset(delay DelayFn, maxDelay float64) {
 	if delay == nil {
 		panic("transport: nil DelayFn")
 	}
+	if len(n.lanes) > 1 && len(n.laneOf) < n.g.N() {
+		panic(fmt.Sprintf("transport: lane map covers %d of %d nodes", len(n.laneOf), n.g.N()))
+	}
 	n.maxDelay = maxDelay
 	n.delay = delay
 	n.mask = nil
-	n.flights = n.flights[:0]
-	n.freeFlights = n.freeFlights[:0]
+	n.faults = nil
 	if g := n.g.N(); g > len(n.handlers) {
 		grown := make([]Handler, g)
 		copy(grown, n.handlers)
 		n.handlers = grown
 	}
-	n.stats = Stats{}
-	n.faults = nil
-	n.faultStats = fault.Stats{}
+	for _, l := range n.lanes {
+		l.flights = l.flights[:0]
+		l.free = l.free[:0]
+		l.stats = Stats{}
+		l.faultStats = fault.Stats{}
+	}
 }
 
 // MaxDelay returns the configured delay bound.
@@ -219,59 +277,89 @@ func (n *Network) SetDelayMask(mask EdgeDelayFn) { n.mask = mask }
 // Reset removes the plan.
 func (n *Network) SetFaults(m *fault.Messages) { n.faults = m }
 
-// FaultStats returns the fault counters accumulated so far.
-func (n *Network) FaultStats() fault.Stats { return n.faultStats }
+// FaultStats returns the fault counters accumulated so far, merged over
+// the lanes (an order-independent fold: counter sums, max time).
+func (n *Network) FaultStats() fault.Stats {
+	var st fault.Stats
+	for _, l := range n.lanes {
+		st.Merge(l.faultStats)
+	}
+	return st
+}
 
-// Stats returns the counters accumulated so far.
-func (n *Network) Stats() Stats { return n.stats }
+// Stats returns the counters accumulated so far, summed over the lanes.
+func (n *Network) Stats() Stats {
+	var st Stats
+	for _, l := range n.lanes {
+		st.Sent += l.stats.Sent
+		st.Delivered += l.stats.Delivered
+		st.Dropped += l.stats.Dropped
+		st.Refused += l.stats.Refused
+	}
+	return st
+}
 
 // SetHandler registers the delivery callback for node u, replacing any
 // previous one. Messages delivered to a node with no handler are counted
 // as delivered and discarded.
 func (n *Network) SetHandler(u int, h Handler) { n.handlers[u] = h }
 
+// laneFor returns the lane of the engine that carries node u.
+func (n *Network) laneFor(u int) *lane {
+	if n.laneOf == nil {
+		return n.lanes[0]
+	}
+	return n.lanes[n.laneOf[u]]
+}
+
 // Send transmits value from one endpoint of a present edge to the other.
 // It reports whether the message was accepted; a send over an absent
 // edge is refused (the model has no way to transmit without an edge).
 func (n *Network) Send(from, to int, value float64) bool {
+	l := n.laneFor(from)
 	e := dyngraph.E(from, to)
 	if !n.g.Present(e) {
-		n.stats.Refused++
+		l.stats.Refused++
 		return false
 	}
-	n.send(from, to, e, value)
+	l.send(from, to, e, value)
 	return true
 }
 
-// send accepts a value over an edge known to be present, applying the
-// fault plan (if any) before the normal path.
-func (n *Network) send(from, to int, e dyngraph.Edge, value float64) {
-	if n.faults != nil {
-		v := n.faults.Draw(from, n.en.Now(), &n.faultStats)
+// send accepts a value over an edge known to be present from a node of
+// this lane, applying the fault plan (if any) before the normal path.
+// Verdicts come from the sender's own stream in its own send order.
+func (l *lane) send(from, to int, e dyngraph.Edge, value float64) {
+	if faults := l.net.faults; faults != nil {
+		v := faults.Draw(from, l.en.Now(), &l.faultStats)
 		if v.Drop {
 			// The sender paid for the message; the fault plan ate it.
-			n.stats.Sent++
+			l.stats.Sent++
 			return
 		}
-		n.sendOne(from, to, e, value, v.Delay)
+		l.sendOne(from, to, e, value, v.Delay)
 		if v.Dup {
-			n.sendOne(from, to, e, value, 0)
+			l.sendOne(from, to, e, value, 0)
 		}
 		return
 	}
-	n.sendOne(from, to, e, value, 0)
+	l.sendOne(from, to, e, value, 0)
 }
 
-// sendOne puts one message in flight over an edge known to be present.
-// spikedDelay, when positive, is a fault-injected delay that may exceed
-// maxDelay and bypasses the nominal-law validation; 0 draws from the
-// usual delay law.
+// sendOne puts one message in flight over an edge known to be present:
+// a delivery event on this lane's engine when the destination is local,
+// a hand-off to the network's cross otherwise. spikedDelay, when
+// positive, is a fault-injected delay that may exceed maxDelay and
+// bypasses the nominal-law validation; 0 draws from the usual delay law.
+// The flight is built in the arena — a stack Message would escape
+// through the DelayFn value.
 //
 //gcslint:zeroalloc
-func (n *Network) sendOne(from, to int, e dyngraph.Edge, value float64, spikedDelay float64) {
-	now := n.en.Now()
-	fi := n.allocFlight()
-	msg := &n.flights[fi]
+func (l *lane) sendOne(from, to int, e dyngraph.Edge, value float64, spikedDelay float64) {
+	n := l.net
+	now := l.en.Now()
+	fi := l.allocFlight()
+	msg := &l.flights[fi]
 	*msg = Message{
 		From:   from,
 		To:     to,
@@ -293,39 +381,59 @@ func (n *Network) sendOne(from, to int, e dyngraph.Edge, value float64, spikedDe
 		}
 	}
 	msg.DeliverAt = now + d
-	n.en.ScheduleArg(msg.DeliverAt, "transport.deliver", n.deliverFn, uint64(fi))
-	n.stats.Sent++
+	l.stats.Sent++
+	if n.laneOf != nil {
+		if dst := int(n.laneOf[to]); dst != l.idx {
+			n.cross(l.idx, dst, msg)
+			l.free = append(l.free, fi)
+			return
+		}
+	}
+	l.en.ScheduleArg(msg.DeliverAt, n.label, l.deliverFn, uint64(fi))
 }
 
 // Broadcast sends value from u to every current neighbor, in ascending
 // neighbor order, and returns the number of values sent. The neighbor
 // set comes from the live adjacency, so the per-send edge presence check
-// is skipped entirely. It reuses one per-network neighbor buffer, so it
+// is skipped entirely. It reuses one per-lane neighbor buffer, so it
 // must not be called reentrantly from inside another Broadcast's send
 // loop (deliveries happen later, from engine events, so handlers may
 // broadcast freely).
 //
 //gcslint:zeroalloc
 func (n *Network) Broadcast(from int, value float64) int {
-	n.nbuf = n.g.AppendNeighbors(from, n.nbuf[:0])
-	for _, v := range n.nbuf {
-		n.send(from, v, dyngraph.E(from, v), value)
+	l := n.laneFor(from)
+	l.nbuf = n.g.AppendNeighbors(from, l.nbuf[:0])
+	for _, v := range l.nbuf {
+		l.send(from, v, dyngraph.E(from, v), value)
 	}
-	return len(n.nbuf)
+	return len(l.nbuf)
+}
+
+// Accept puts a flight that cross was handed in flight on its
+// destination's lane. Call it with that lane's engine stopped and not
+// past m.DeliverAt.
+//
+//gcslint:zeroalloc
+func (n *Network) Accept(m Message) {
+	l := n.laneFor(m.To)
+	fi := l.allocFlight()
+	l.flights[fi] = m
+	l.en.ScheduleArg(m.DeliverAt, n.label, l.deliverFn, uint64(fi))
 }
 
 // allocFlight returns a free arena index, growing the arena if the free
 // list is empty.
 //
 //gcslint:zeroalloc
-func (n *Network) allocFlight() uint32 {
-	if k := len(n.freeFlights); k > 0 {
-		fi := n.freeFlights[k-1]
-		n.freeFlights = n.freeFlights[:k-1]
+func (l *lane) allocFlight() uint32 {
+	if k := len(l.free); k > 0 {
+		fi := l.free[k-1]
+		l.free = l.free[:k-1]
 		return fi
 	}
-	n.flights = append(n.flights, Message{})
-	return uint32(len(n.flights) - 1)
+	l.flights = append(l.flights, Message{})
+	return uint32(len(l.flights) - 1)
 }
 
 // deliver recycles flight fi and hands its message to the destination
@@ -334,15 +442,15 @@ func (n *Network) allocFlight() uint32 {
 // is released first, so the handler may send messages that reuse it.
 //
 //gcslint:zeroalloc
-func (n *Network) deliver(fi uint32) {
-	msg := n.flights[fi]
-	n.freeFlights = append(n.freeFlights, fi)
-	if !n.g.ExistsThroughout(msg.Edge, msg.SentAt, msg.DeliverAt) {
-		n.stats.Dropped++
+func (l *lane) deliver(fi uint32) {
+	msg := l.flights[fi]
+	l.free = append(l.free, fi)
+	if !l.net.g.ExistsThroughout(msg.Edge, msg.SentAt, msg.DeliverAt) {
+		l.stats.Dropped++
 		return
 	}
-	n.stats.Delivered++
-	if h := n.handlers[msg.To]; h != nil {
+	l.stats.Delivered++
+	if h := l.net.handlers[msg.To]; h != nil {
 		h(msg)
 	}
 }
