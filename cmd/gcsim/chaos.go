@@ -52,7 +52,7 @@ func runChaos(args []string) {
 		parallel = fs.Bool("parallel", false, "run every cell on the sharded parallel engine (its own delay physics)")
 		out      = fs.String("out", ".", "directory for chaos_grid.csv and chaos_report.json")
 	)
-	fs.Parse(args)
+	parseFlags(fs, args)
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fail("chaos: %v", err)
 	}

@@ -6,56 +6,22 @@ import (
 	"gcs/internal/sim"
 )
 
-// faultFlags holds the -fault-* flag values shared by the scenario,
-// sweep, and gradient commands. Register the flags with addFaultFlags
-// and convert them to a sim.FaultSpec with spec(); a spec built from
-// untouched flags is zero-valued, so the fault subsystem stays wired
-// out entirely.
-type faultFlags struct {
-	drop        *float64
-	dup         *float64
-	spike       *float64
-	spikeFactor *float64
-	crashEvery  *float64
-	crashDown   *float64
-	crashStop   *bool
-	rateEvery   *float64
-	rateFactor  *float64
-	rateFor     *float64
-	until       *float64
-}
-
-// addFaultFlags registers the fault-plan flags on fs and returns the
-// holder to read after parsing.
-func addFaultFlags(fs *flag.FlagSet) *faultFlags {
-	f := &faultFlags{}
-	f.drop = fs.Float64("fault-drop", 0, "per-message drop probability")
-	f.dup = fs.Float64("fault-dup", 0, "per-message duplication probability")
-	f.spike = fs.Float64("fault-spike", 0, "per-message delay-spike probability (delay beyond the MaxDelay bound)")
-	f.spikeFactor = fs.Float64("fault-spike-factor", 0, "spiked delay cap as a multiple of MaxDelay (0 = default 4)")
-	f.crashEvery = fs.Float64("fault-crash-every", 0, "mean seconds between per-node crashes (0 = no crashes)")
-	f.crashDown = fs.Float64("fault-crash-downtime", 0, "mean downtime before a crashed node recovers (0 = default 1)")
-	f.crashStop = fs.Bool("fault-crash-stop", false, "crashed nodes never recover (crash-stop instead of crash-recover)")
-	f.rateEvery = fs.Float64("fault-rate-every", 0, "mean seconds between per-node hardware-rate excursions outside [1-rho, 1+rho] (0 = none)")
-	f.rateFactor = fs.Float64("fault-rate-factor", 0, "excursion magnitude cap as a multiple of rho (0 = default 3)")
-	f.rateFor = fs.Float64("fault-rate-for", 0, "mean excursion duration in seconds (0 = default 0.5)")
-	f.until = fs.Float64("fault-until", 0, "inject fault onsets only before this simulated time (0 = horizon/2)")
+// addFaultFlags registers the -fault-* flags shared by the scenario,
+// sweep, and gradient commands on fs, bound straight to the fields of the
+// returned fault plan; a plan built from untouched flags is zero-valued,
+// so the fault subsystem stays wired out entirely.
+func addFaultFlags(fs *flag.FlagSet) *sim.FaultSpec {
+	f := &sim.FaultSpec{}
+	fs.Float64Var(&f.Drop, "fault-drop", 0, "per-message drop probability")
+	fs.Float64Var(&f.Dup, "fault-dup", 0, "per-message duplication probability")
+	fs.Float64Var(&f.DelaySpike, "fault-spike", 0, "per-message delay-spike probability (delay beyond the MaxDelay bound)")
+	fs.Float64Var(&f.SpikeFactor, "fault-spike-factor", 0, "spiked delay cap as a multiple of MaxDelay (0 = default 4)")
+	fs.Float64Var(&f.CrashEvery, "fault-crash-every", 0, "mean seconds between per-node crashes (0 = no crashes)")
+	fs.Float64Var(&f.CrashDowntime, "fault-crash-downtime", 0, "mean downtime before a crashed node recovers (0 = default 1)")
+	fs.BoolVar(&f.CrashStop, "fault-crash-stop", false, "crashed nodes never recover (crash-stop instead of crash-recover)")
+	fs.Float64Var(&f.RateExcursionEvery, "fault-rate-every", 0, "mean seconds between per-node hardware-rate excursions outside [1-rho, 1+rho] (0 = none)")
+	fs.Float64Var(&f.RateExcursionFactor, "fault-rate-factor", 0, "excursion magnitude cap as a multiple of rho (0 = default 3)")
+	fs.Float64Var(&f.RateExcursionFor, "fault-rate-for", 0, "mean excursion duration in seconds (0 = default 0.5)")
+	fs.Float64Var(&f.Until, "fault-until", 0, "inject fault onsets only before this simulated time (0 = horizon/2)")
 	return f
-}
-
-// spec converts the parsed flags into a fault plan.
-func (f *faultFlags) spec() sim.FaultSpec {
-	return sim.FaultSpec{
-		Drop:                *f.drop,
-		Dup:                 *f.dup,
-		DelaySpike:          *f.spike,
-		SpikeFactor:         *f.spikeFactor,
-		CrashEvery:          *f.crashEvery,
-		CrashDowntime:       *f.crashDown,
-		CrashStop:           *f.crashStop,
-		RateExcursionEvery:  *f.rateEvery,
-		RateExcursionFactor: *f.rateFactor,
-		RateExcursionFor:    *f.rateFor,
-		Until:               *f.until,
-	}
 }

@@ -54,8 +54,8 @@ func runGradient(args []string) {
 		workers = fs.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS)")
 		out     = fs.String("out", ".", "directory for gradient_skew.csv and gradient_report.json")
 	)
-	ff := addFaultFlags(fs)
-	fs.Parse(args)
+	faults := addFaultFlags(fs)
+	parseFlags(fs, args)
 	if *n < 4 {
 		fail("gradient: -n must be at least 4")
 	}
@@ -98,7 +98,7 @@ func runGradient(args []string) {
 				Churn:         topo.ch,
 				SampleEvery:   *sample,
 				CheckGradient: true,
-				Faults:        ff.spec(),
+				Faults:        *faults,
 			}
 			cfg.Node.BeaconEvery = *beacon
 			cells = append(cells, sim.SweepCell{

@@ -34,7 +34,7 @@ func runLowerBound(args []string) {
 		workers = fs.Int("workers", 1, "parallel sweep workers (0 = GOMAXPROCS, 1 = serial with shared arena)")
 		out     = fs.String("out", ".", "directory for lowerbound_skew.csv and lowerbound_report.json")
 	)
-	fs.Parse(args)
+	parseFlags(fs, args)
 
 	ns, err := parseNs(*nsFlag)
 	if err != nil {

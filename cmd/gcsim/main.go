@@ -14,11 +14,6 @@
 //
 //	go run ./cmd/gcsim -n 100000 -horizon 5 -parallel -shards 16
 //
-// The `bench` subcommand wraps the simulation benchmark suite and writes
-// a BENCH_<rev>.json snapshot for cross-PR performance tracking:
-//
-//	go run ./cmd/gcsim bench -bench . -benchtime 1x -out .
-//
 // The `lowerbound` subcommand runs the Theorem 4.1 adversarial scenario
 // (two chains, layered rate schedules, asymmetric delay mask) over a
 // sweep of node counts, demonstrating the Omega(n) global skew, and
@@ -63,9 +58,6 @@ import (
 func main() {
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
-		case "bench":
-			runBench(os.Args[2:])
-			return
 		case "lowerbound":
 			runLowerBound(os.Args[2:])
 			return
@@ -99,7 +91,7 @@ func runScenario() {
 		workers  = flag.Int("workers", 0, "parallel worker goroutines — never affects the report (0 = GOMAXPROCS)")
 		minDelay = flag.Float64("min-delay", 0, "parallel delay floor = conservative lookahead (0 = delay/4)")
 	)
-	flag.Parse()
+	parseFlags(flag.CommandLine, os.Args[1:])
 
 	cfg, err := sf.config()
 	if err != nil {
@@ -155,6 +147,16 @@ func runScenario() {
 		}
 	}
 	gate(eff, rpt, 1)
+}
+
+// parseFlags parses args into fs and rejects whatever is left over, so a
+// misspelt subcommand or a stray argument fails instead of silently
+// running the default scenario.
+func parseFlags(fs *flag.FlagSet, args []string) {
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		fail("unknown subcommand or argument %q", fs.Arg(0))
+	}
 }
 
 func fail(format string, args ...any) {

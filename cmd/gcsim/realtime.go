@@ -17,7 +17,7 @@ import (
 func runRealtime(args []string) {
 	fs := flag.NewFlagSet("realtime", flag.ExitOnError)
 	sf := addScenarioFlags(fs, 5)
-	fs.Parse(args)
+	parseFlags(fs, args)
 
 	cfg, err := sf.config()
 	if err != nil {

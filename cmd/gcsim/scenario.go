@@ -18,7 +18,7 @@ type scenarioFlags struct {
 	topo, driver, churn string
 	gridW               int
 	period, overlap     float64
-	faults              *faultFlags
+	faults              *sim.FaultSpec
 }
 
 // addScenarioFlags registers the scenario and fault-plan flags on fs and
@@ -50,7 +50,7 @@ func addScenarioFlags(fs *flag.FlagSet, horizon float64) *scenarioFlags {
 // belong to the DES command, which is the only one that can run it.
 func (f *scenarioFlags) config() (sim.Config, error) {
 	cfg := f.cfg
-	cfg.Faults = f.faults.spec()
+	cfg.Faults = *f.faults
 
 	var ok bool
 	if cfg.Topology.Kind, ok = sim.ParseTopologyKind(f.topo); !ok {

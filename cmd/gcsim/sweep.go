@@ -72,8 +72,8 @@ func runSweep(args []string) {
 		daemon   = fs.String("daemon", "", "submit the sweep to a gcsimd instance at this base URL instead of running locally")
 		out      = fs.String("out", ".", "directory for sweep_results.csv and sweep_report.json")
 	)
-	ff := addFaultFlags(fs)
-	fs.Parse(args)
+	faults := addFaultFlags(fs)
+	parseFlags(fs, args)
 
 	ns, err := parseNs(*nsFlag)
 	if err != nil {
@@ -97,7 +97,7 @@ func runSweep(args []string) {
 		Interval: *interval,
 		Parallel: *parallel,
 		Shards:   *shards,
-		Faults:   ff.spec(),
+		Faults:   *faults,
 	}
 	if err := spec.Validate(); err != nil {
 		fail("sweep: %v", err)

@@ -3,6 +3,7 @@ package jobd
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -33,6 +34,11 @@ func (e *OverloadError) Error() string {
 // expired; the cell is left unfinished for the next daemon to resume.
 var errAbandoned = errors.New("jobd: cell abandoned by drain")
 
+// errDeadline marks a cell that outran CellTimeout. The deadline is a
+// property of this daemon and its host, not of the config, so a cell
+// that ends on it fails its jobs without becoming a stored fact.
+var errDeadline = errors.New("jobd: cell exceeded its deadline")
+
 // Config configures a Daemon. Repo is required; everything else has a
 // usable default.
 type Config struct {
@@ -53,7 +59,9 @@ type Config struct {
 	CellTimeout time.Duration
 	// MaxRetries is how many times a failed cell is re-executed after
 	// its first attempt; negative normalizes to 0. A cell that fails
-	// every attempt is stored as a terminal error fact.
+	// every attempt is stored as a terminal error fact — unless the last
+	// attempt outran CellTimeout: that fails the waiting jobs but stores
+	// nothing, so a later job runs the cell again.
 	MaxRetries int
 	// BackoffBase and BackoffLimit shape the decorrelated-jitter retry
 	// schedule (see NewBackoff for the defaults their zero values take).
@@ -96,6 +104,9 @@ type job struct {
 	cached    int
 	failed    int
 	doneCh    chan struct{}
+	// local holds the cells this job failed without a stored fact (a
+	// deadline), by cell index.
+	local map[int]store.CellResult
 }
 
 func (j *job) view() JobView {
@@ -114,8 +125,8 @@ type JobView struct {
 	ID     string          `json:"id"`
 	Status store.JobStatus `json:"status"`
 	Cells  int             `json:"cells"`
-	// Done counts cells with a stored fact (including cached ones);
-	// Failed counts those whose fact is a terminal error; Cached counts
+	// Done counts finished cells (including cached ones); Failed counts
+	// those that ended in a terminal error; Cached counts
 	// cells served from the store at admission without running.
 	Done   int `json:"done"`
 	Failed int `json:"failed"`
@@ -123,7 +134,7 @@ type JobView struct {
 }
 
 // CellView is one cell's observable state; Result is nil until the
-// cell has a stored fact.
+// cell finishes.
 type CellView struct {
 	Index  int               `json:"index"`
 	Name   string            `json:"name"`
@@ -269,6 +280,7 @@ func (d *Daemon) Submit(spec SweepSpec) (JobView, bool, error) {
 		done:      make([]bool, len(cells)),
 		remaining: len(cells),
 		doneCh:    make(chan struct{}),
+		local:     map[int]store.CellResult{},
 	}
 	for i := range cells {
 		k := keys[i]
@@ -368,13 +380,18 @@ func (d *Daemon) Results(id string) ([]CellView, bool) {
 	}
 	cells, keys := j.cells, j.keys
 	done := append([]bool(nil), j.done...)
+	local := maps.Clone(j.local)
 	d.mu.Unlock()
 
 	out := make([]CellView, len(cells))
 	for i := range cells {
 		out[i] = CellView{Index: i, Name: cells[i].Name, Done: done[i]}
 		if done[i] {
-			if res, ok := d.repo.GetCell(keys[i]); ok {
+			res, ok := local[i]
+			if !ok {
+				res, ok = d.repo.GetCell(keys[i])
+			}
+			if ok {
 				out[i].Result = &res
 			}
 		}
@@ -458,7 +475,7 @@ func (d *Daemon) runTask(a **sim.Arena, t task) {
 	// The fact may have landed (another daemon, an earlier job) between
 	// enqueue and now; serve it without running.
 	if res, ok := d.repo.GetCell(t.key); ok {
-		d.complete(t.key, res)
+		d.complete(t.key, res, true)
 		return
 	}
 	cfg := t.cfg.WithDefaults()
@@ -475,10 +492,18 @@ func (d *Daemon) runTask(a **sim.Arena, t task) {
 			return
 		}
 		if attempts > d.cfg.MaxRetries {
-			// A terminal failure is still a fact: deterministic cells
-			// fail deterministically, so caching the error is as sound
-			// as caching a report.
-			d.finish(store.CellResult{Key: t.key, Cfg: cfg, Err: err.Error(), Attempts: attempts})
+			res := store.CellResult{Key: t.key, Cfg: cfg, Err: err.Error(), Attempts: attempts}
+			if errors.Is(err, errDeadline) {
+				// Storing it would serve this host's timeout as the
+				// config's outcome forever; only the waiting jobs fail.
+				d.complete(t.key, res, false)
+				return
+			}
+			// Any other terminal failure is still a fact: deterministic
+			// cells fail deterministically (a validation error, a
+			// contained panic), so caching the error is as sound as
+			// caching a report.
+			d.finish(res)
 			return
 		}
 		select {
@@ -511,7 +536,7 @@ func (d *Daemon) execCell(a **sim.Arena, cfg sim.Config) (rpt sim.SkewReport, er
 		if d.abandon.Load() {
 			return sim.SkewReport{}, errAbandoned
 		}
-		return sim.SkewReport{}, fmt.Errorf("jobd: cell exceeded its %s deadline", d.cfg.CellTimeout)
+		return sim.SkewReport{}, fmt.Errorf("%w (%s)", errDeadline, d.cfg.CellTimeout)
 	}
 	return rpt, nil
 }
@@ -523,12 +548,13 @@ func (d *Daemon) finish(res store.CellResult) {
 	if err := d.repo.PutCell(res); err != nil {
 		d.cfg.Logf("jobd: persist cell %s: %v", res.Key, err)
 	}
-	d.complete(res.Key, res)
+	d.complete(res.Key, res, true)
 }
 
 // complete marks the cell done in every interested job, closing and
-// persisting jobs whose last cell this was.
-func (d *Daemon) complete(k store.Key, res store.CellResult) {
+// persisting jobs whose last cell this was. A result that is not a
+// stored fact (stored=false) is kept by each job for its Results.
+func (d *Daemon) complete(k store.Key, res store.CellResult, stored bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.queued--
@@ -542,6 +568,9 @@ func (d *Daemon) complete(k store.Key, res store.CellResult) {
 		r.j.remaining--
 		if res.Failed() {
 			r.j.failed++
+		}
+		if !stored {
+			r.j.local[r.idx] = res
 		}
 		if r.j.remaining == 0 {
 			r.j.rec.Status = store.StatusDone

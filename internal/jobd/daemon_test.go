@@ -42,6 +42,12 @@ func (c *fakeClock) After(d time.Duration) <-chan time.Time {
 	return ch
 }
 
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+}
+
 func (c *fakeClock) recorded() []time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -375,6 +381,73 @@ func TestDaemonRetrySchedule(t *testing.T) {
 		if exp := want.Next(); w != exp {
 			t.Fatalf("wait %d was %s, want the seeded schedule's %s", i, w, exp)
 		}
+	}
+}
+
+// TestDaemonDeadlineIsNotAFact: a cell that outruns CellTimeout on
+// every attempt fails its job but is not stored under the config's
+// content address, so a later job over the same config runs the cell
+// again instead of being served the timeout as a cached fact.
+func TestDaemonDeadlineIsNotAFact(t *testing.T) {
+	clock := newFakeClock()
+	repo := store.NewMemory()
+	var runs atomic.Int32
+	d, err := New(Config{
+		Repo:        repo,
+		Clock:       clock,
+		Workers:     1,
+		CellTimeout: time.Minute,
+		MaxRetries:  1,
+		RunCell: func(a *sim.Arena, cfg sim.Config, slice float64, cont func() bool) (sim.SkewReport, bool) {
+			if runs.Add(1) <= 2 {
+				// Both attempts of the first job outrun the deadline:
+				// after the clock moves, cont reports it passed.
+				clock.advance(2 * time.Minute)
+				return sim.SkewReport{}, cont()
+			}
+			return a.RunSliced(cfg, slice, cont)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Drain(0)
+
+	first := tinySpec()
+	v1, _, err := d.Submit(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, d, v1.ID)
+	results, _ := d.Results(v1.ID)
+	if r := results[0].Result; r == nil || !r.Failed() || !strings.Contains(r.Err, "deadline") || r.Attempts != 2 {
+		t.Fatalf("want the job's cell failed on its deadline after 2 attempts, got %+v", r)
+	}
+	if v, _ := d.Job(v1.ID); v.Status != store.StatusDone || v.Failed != 1 {
+		t.Fatalf("job view after a deadline: %+v", v)
+	}
+	cells, _ := first.Cells()
+	key := store.KeyOf(cells[0].Cfg)
+	if res, ok := repo.GetCell(key); ok {
+		t.Fatalf("deadline stored as the config's fact: %+v", res)
+	}
+
+	// A later job over the same config runs the cell again.
+	second := tinySpec()
+	second.Ns = []int{8, 12}
+	v2, _, err := d.Submit(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, d, v2.ID)
+	if v, _ := d.Job(v2.ID); v.Cached != 0 || v.Failed != 0 {
+		t.Fatalf("resubmitted config served from the store or failed: %+v", v)
+	}
+	if got := runs.Load(); got != 4 {
+		t.Fatalf("simulator ran %d times, want 4 (2 timed-out attempts + 2 cells)", got)
+	}
+	if res, ok := repo.GetCell(key); !ok || res.Failed() {
+		t.Fatalf("rerun did not store a clean fact: ok=%t %+v", ok, res)
 	}
 }
 

@@ -80,51 +80,96 @@ func TestArenaGrowAndShrink(t *testing.T) {
 	}
 }
 
-// TestArenaSecondRunZeroAlloc is the tentpole acceptance pin: re-running
-// a same-shape config on a reused arena — engine reset, graph reset,
-// transport reset, node resets, driver reseeds, the full execution, and
-// the report — performs zero allocations. The config exercises the
-// random-walk driver so the reseedable per-node driver streams are on
-// the measured path.
+// TestArenaSecondRunZeroAlloc pins the allocation budget of a same-shape
+// re-run on a reused arena — engine reset, graph reset, transport reset,
+// node resets, driver reseeds, the full execution, and the report — for
+// each workload shape. Unfaulted and faulted rings, the grid and the
+// sharded ring (the same harness core, one worker so no window
+// goroutines run) allocate nothing. The churn shapes and the sweep carry
+// exact measured budgets: a run above its budget is a regression, one
+// below it means the budget should be lowered to what it now reads.
 func TestArenaSecondRunZeroAlloc(t *testing.T) {
-	cfg := Config{
+	ring := Config{
 		N: 64, Seed: 11, Horizon: 5, Rho: 0.01, MaxDelay: 0.01,
 		Topology: TopologySpec{Kind: TopoRing},
 		Driver:   DriverSpec{Kind: DriveRandomWalk, Interval: 0.5},
 	}
-	a := NewArena()
-	a.Run(cfg) // first run pays the wiring
-	// AllocsPerRun's warm-up call absorbs free-list capacity growth from
-	// releasing the first run's still-pending events; every measured
-	// cycle is a steady-state reuse.
-	allocs := testing.AllocsPerRun(3, func() {
-		a.Run(cfg)
+	faulted := ring
+	faulted.Faults = FaultSpec{
+		Drop: 0.05, Dup: 0.02, DelaySpike: 0.05,
+		CrashEvery: 20, RateExcursionEvery: 20,
+	}
+	grid := ring
+	grid.Topology = TopologySpec{Kind: TopoGrid, W: 8, H: 8}
+	sharded := ring
+	sharded.Parallel, sharded.Shards, sharded.Workers = true, 4, 1
+	star := ring
+	star.Topology = TopologySpec{}
+	star.Churn = ChurnSpec{Kind: ChurnRotatingStar, Period: 2, Overlap: 0.5}
+	volatile := ring
+	volatile.Churn = ChurnSpec{Kind: ChurnVolatile, Lifetime: 1.5, Absence: 1.0, ExtraEdges: 32}
+
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		budget float64
+	}{
+		{"ring", ring, 0},
+		{"faulted ring", faulted, 0},
+		{"grid", grid, 0},
+		{"sharded ring", sharded, 0},
+		{"rotating star", star, 8},
+		// The volatile churner re-arms its per-edge closures every run.
+		{"volatile overlay", volatile, 130},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewArena()
+			rpt := a.Run(tc.cfg) // first run pays the wiring
+			if f := rpt.Faults; tc.cfg.Faults.Enabled() &&
+				(f.Drops == 0 || f.Dups == 0 || f.DelaySpikes == 0 || f.Crashes == 0 || f.RateExcursions == 0) {
+				t.Fatalf("fault plan left a fault class off the measured path: %+v", f)
+			}
+			// AllocsPerRun's warm-up call absorbs free-list capacity
+			// growth from releasing the first run's still-pending
+			// events; every measured cycle is a steady-state reuse.
+			checkAllocs(t, tc.budget, func() { a.Run(tc.cfg) })
+		})
+	}
+	t.Run("serial sweep", func(t *testing.T) {
+		cells := allocSweepCells()
+		// A fresh arena per call, rewired across the cells' shapes.
+		checkAllocs(t, 685, func() { RunSweep(cells, 1) })
 	})
-	if allocs > 0 {
-		t.Errorf("re-run on a reused arena allocated %v objects/op, want 0", allocs)
+}
+
+func checkAllocs(t *testing.T, budget float64, run func()) {
+	t.Helper()
+	if allocs := testing.AllocsPerRun(3, run); allocs != budget {
+		t.Errorf("allocated %v objects/op, budget %v", allocs, budget)
 	}
 }
 
-// TestArenaShardedRewireZeroAlloc is the sharded counterpart: the
-// sharded harness rewires through the same harness core, so a same-shape
-// re-run reuses the cached initial edge set and analytic bound instead
-// of rebuilding them per rewire. One worker, so no window goroutines are
-// spawned on the measured path.
-func TestArenaShardedRewireZeroAlloc(t *testing.T) {
-	cfg := Config{
-		N: 64, Seed: 11, Horizon: 5, Rho: 0.01, MaxDelay: 0.01,
-		Topology: TopologySpec{Kind: TopoRing},
-		Driver:   DriverSpec{Kind: DriveRandomWalk, Interval: 0.5},
-		Parallel: true, Shards: 4, Workers: 1,
+// allocSweepCells is the gradient-grid sweep shape: two node counts x
+// two drivers x ring and line, one derived seed per cell.
+func allocSweepCells() []SweepCell {
+	var cells []SweepCell
+	for _, n := range []int{16, 32} {
+		for _, drv := range []DriverSpec{
+			{Kind: DriveRandomWalk, Interval: 0.5},
+			{Kind: DriveBangBang, Interval: 0.7},
+		} {
+			for _, topo := range []TopologySpec{{Kind: TopoRing}, {Kind: TopoLine}} {
+				cells = append(cells, SweepCell{
+					Name: topo.Kind.String(),
+					Cfg: Config{
+						N: n, Seed: CellSeed(1, len(cells)), Horizon: 5,
+						Rho: 0.01, MaxDelay: 0.01, Topology: topo, Driver: drv,
+					},
+				})
+			}
+		}
 	}
-	a := NewArena()
-	a.Run(cfg)
-	allocs := testing.AllocsPerRun(3, func() {
-		a.Run(cfg)
-	})
-	if allocs > 0 {
-		t.Errorf("sharded re-run on a reused arena allocated %v objects/op, want 0", allocs)
-	}
+	return cells
 }
 
 // TestArenaTraceReuse pins that a TraceRecorder attached per run on a
