@@ -80,11 +80,8 @@ func main() {
 
 func runScenario() {
 	var (
-		sf      = addScenarioFlags(flag.CommandLine, 30)
-		life    = flag.Float64("lifetime", 1.5, "volatile edge mean lifetime")
-		absence = flag.Float64("absence", 1.0, "volatile edge mean absence")
-		extra   = flag.Int("extra-edges", 10, "volatile candidate edge count")
-		events  = flag.Bool("events", false, "print a per-label event breakdown (via the DES trace hook)")
+		sf     = addScenarioFlags(flag.CommandLine, 30)
+		events = flag.Bool("events", false, "print a per-label event breakdown (via the DES trace hook)")
 
 		parallel = flag.Bool("parallel", false, "run on the sharded parallel engine (its own delay physics; see -shards)")
 		shards   = flag.Int("shards", 0, "parallel shard count — part of the physics (0 = default)")
@@ -96,9 +93,6 @@ func runScenario() {
 	cfg, err := sf.config()
 	if err != nil {
 		fail("%v", err)
-	}
-	if cfg.Churn.Kind == sim.ChurnVolatile {
-		cfg.Churn.Lifetime, cfg.Churn.Absence, cfg.Churn.ExtraEdges = *life, *absence, *extra
 	}
 	cfg.Parallel, cfg.Shards, cfg.Workers, cfg.MinDelay = *parallel, *shards, *workers, *minDelay
 	if *parallel && *events {

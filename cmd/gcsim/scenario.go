@@ -18,6 +18,8 @@ type scenarioFlags struct {
 	topo, driver, churn string
 	gridW               int
 	period, overlap     float64
+	lifetime, absence   float64
+	extraEdges          int
 	faults              *sim.FaultSpec
 }
 
@@ -35,9 +37,12 @@ func addScenarioFlags(fs *flag.FlagSet, horizon float64) *scenarioFlags {
 	fs.IntVar(&f.gridW, "grid-w", 0, "grid width (topo=grid; 0 = square)")
 	fs.StringVar(&f.driver, "driver", "randomwalk", "clock driver: constant|randomwalk|bangbang")
 	fs.Float64Var(&f.cfg.Driver.Interval, "interval", 1, "driver rate-change interval")
-	fs.StringVar(&f.churn, "churn", "none", "churn: none|volatile|rotatingstar (realtime: none|rotatingstar)")
+	fs.StringVar(&f.churn, "churn", "none", "churn: none|volatile|rotatingstar")
 	fs.Float64Var(&f.period, "period", 2, "rotating-star period")
 	fs.Float64Var(&f.overlap, "overlap", 0.5, "rotating-star overlap")
+	fs.Float64Var(&f.lifetime, "lifetime", 1.5, "volatile edge mean lifetime")
+	fs.Float64Var(&f.absence, "absence", 1.0, "volatile edge mean absence")
+	fs.IntVar(&f.extraEdges, "extra-edges", 10, "volatile candidate edge count")
 	fs.Float64Var(&f.cfg.Node.BeaconEvery, "beacon", 0.1, "beacon interval (hardware time)")
 	fs.Float64Var(&f.cfg.SampleEvery, "sample", 0.1, "skew sampling period")
 	return f
@@ -45,9 +50,7 @@ func addScenarioFlags(fs *flag.FlagSet, horizon float64) *scenarioFlags {
 
 // config converts the parsed flags into a scenario config. It rejects
 // what only the flags can get wrong (unknown names, a grid width that
-// does not divide n); everything else is Config.Validate's job. A
-// volatile churn spec comes back with its durations unset — those flags
-// belong to the DES command, which is the only one that can run it.
+// does not divide n); everything else is Config.Validate's job.
 func (f *scenarioFlags) config() (sim.Config, error) {
 	cfg := f.cfg
 	cfg.Faults = *f.faults
@@ -74,8 +77,11 @@ func (f *scenarioFlags) config() (sim.Config, error) {
 	if cfg.Churn.Kind, ok = sim.ParseChurnKind(f.churn); !ok {
 		return cfg, fmt.Errorf("unknown churn %q", f.churn)
 	}
-	if cfg.Churn.Kind == sim.ChurnRotatingStar {
+	switch cfg.Churn.Kind {
+	case sim.ChurnRotatingStar:
 		cfg.Churn.Period, cfg.Churn.Overlap = f.period, f.overlap
+	case sim.ChurnVolatile:
+		cfg.Churn.Lifetime, cfg.Churn.Absence, cfg.Churn.ExtraEdges = f.lifetime, f.absence, f.extraEdges
 	}
 	return cfg, nil
 }

@@ -76,9 +76,11 @@ func TestScenarioFlagsToConfig(t *testing.T) {
 			want: base(func(c *sim.Config) {
 				c.Churn = sim.ChurnSpec{Kind: sim.ChurnRotatingStar, Period: 3, Overlap: 0.75}
 			})},
-		{name: "volatile leaves durations to the DES command",
-			args: []string{"-churn", "volatile"},
-			want: base(func(c *sim.Config) { c.Churn.Kind = sim.ChurnVolatile })},
+		{name: "volatile carries its durations",
+			args: []string{"-churn", "volatile", "-lifetime", "2", "-absence", "0.5", "-extra-edges", "7"},
+			want: base(func(c *sim.Config) {
+				c.Churn = sim.ChurnSpec{Kind: sim.ChurnVolatile, Lifetime: 2, Absence: 0.5, ExtraEdges: 7}
+			})},
 		{name: "fault plan",
 			args: []string{"-fault-drop", "0.2", "-fault-crash-every", "5", "-fault-crash-stop", "-fault-until", "3"},
 			want: base(func(c *sim.Config) {
@@ -107,21 +109,15 @@ func TestScenarioFlagsToConfig(t *testing.T) {
 }
 
 // TestRealtimeScenarioFlags: realtime shares the parser (with its own
-// default horizon) and leaves DES-only scenarios to rt.Supports, which
-// must name the feature rather than complain about missing durations.
+// default horizon), and rt accepts every churn kind the flags name.
 func TestRealtimeScenarioFlags(t *testing.T) {
-	cfg, err := parseScenario(t, 5)
-	if err != nil || cfg.Horizon != 5 {
-		t.Fatalf("realtime defaults: horizon %v, err %v", cfg.Horizon, err)
-	}
-	if _, err := rt.New(cfg); err != nil {
-		t.Fatalf("realtime rejected its default scenario: %v", err)
-	}
-	cfg, err = parseScenario(t, 5, "-churn", "volatile")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.New(cfg); err == nil || !strings.Contains(err.Error(), "volatile churn is not implemented") {
-		t.Fatalf("realtime -churn volatile: %v, want rt's unsupported-feature error", err)
+	for _, args := range [][]string{nil, {"-churn", "volatile"}, {"-churn", "rotatingstar"}} {
+		cfg, err := parseScenario(t, 5, args...)
+		if err != nil || cfg.Horizon != 5 {
+			t.Fatalf("realtime %v: horizon %v, err %v", args, cfg.Horizon, err)
+		}
+		if _, err := rt.New(cfg); err != nil {
+			t.Fatalf("realtime rejected %v: %v", args, err)
+		}
 	}
 }

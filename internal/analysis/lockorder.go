@@ -8,14 +8,14 @@ import (
 // Lockorder machine-enforces the real-time runtime's documented lock
 // hierarchy: host.mu before Router.mu, never the reverse. The comment
 // in rt.go ("Lock order is host -> router") was the only thing standing
-// between the sampler/churner/router triangle and a deadlock; this rule
+// between the sampler/churn/router triangle and a deadlock; this rule
 // turns it into a build failure. Within each function body (closures
 // analyzed separately, with an empty held-set — they run on other
 // goroutines), acquiring a host lock while the router lock is held is
 // flagged. The analysis is intra-procedural and syntactic: it tracks
 // Lock/RLock/Unlock/RUnlock calls on the two ranked mutexes in source
 // order, treats a deferred unlock as held-to-return, and ignores
-// unranked mutexes (e.g. Runtime.churnMu, which nests under nothing).
+// unranked mutexes, which nest under nothing.
 var Lockorder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "enforce the rt lock hierarchy: host.mu acquired before Router.mu, never while holding it",

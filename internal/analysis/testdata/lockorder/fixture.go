@@ -68,17 +68,17 @@ func closureRuns(h *host, r *Router) {
 }
 
 // unranked mutexes nest freely in either direction.
-type churner struct {
-	churnMu sync.Mutex
+type sampler struct {
+	mu sync.Mutex
 }
 
-func unrankedOK(c *churner, h *host, r *Router) {
-	c.churnMu.Lock()
+func unrankedOK(s *sampler, h *host, r *Router) {
+	s.mu.Lock()
 	r.mu.Lock()
 	r.mu.Unlock()
 	h.mu.Lock()
 	h.mu.Unlock()
-	c.churnMu.Unlock()
+	s.mu.Unlock()
 }
 
 // allowEscape: a reviewed exception is suppressed per site but still

@@ -3,11 +3,12 @@
 // stays within [1-rho, 1+rho] times real time, with H_u(0) = 0.
 //
 // Clocks are piecewise linear: the rate changes only at discrete
-// breakpoints (driven by rate drivers or adversarial schedules), so
-// reading a clock between events is exact. The package also provides
-// subjective timers — "fire when H_u has advanced by dH" — which are the
-// primitive behind the algorithm's set_timer(dt, id) calls. Subjective
-// timers stay correct across rate changes: timer targets are fixed
+// breakpoints (SetRate calls from the harness's rate drivers, the lower
+// bound's adversarial schedules included), so reading a clock between
+// events is exact. The package also provides subjective timers — "fire
+// when H_u has advanced by dH" — which are the primitive behind the
+// algorithm's set_timer(dt, id) calls. Subjective timers stay correct
+// across rate changes: timer targets are fixed
 // hardware readings, so a rate change only moves the real-time instant
 // at which each target is reached.
 //

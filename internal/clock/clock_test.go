@@ -205,93 +205,6 @@ func TestTargetH(t *testing.T) {
 	en.Run(20)
 }
 
-func TestScheduleDriver(t *testing.T) {
-	en := des.NewEngine()
-	c := New(en, 1.0)
-	Schedule{
-		Initial: 1.0,
-		Breakpoints: []Breakpoint{
-			{At: 10, Rate: 2.0},
-			{At: 20, Rate: 0.5},
-		},
-	}.Install(en, c)
-	en.Run(30)
-	// H = 10 + 10*2 + 10*0.5 = 35
-	if got := c.Now(); math.Abs(got-35) > 1e-9 {
-		t.Fatalf("H(30) = %v, want 35", got)
-	}
-	min, max := c.RateBoundsSeen()
-	if min != 0.5 || max != 2.0 {
-		t.Fatalf("rate bounds = %v,%v", min, max)
-	}
-}
-
-func TestLayeredRateMatchesEquationOne(t *testing.T) {
-	// Eq. (1) of the paper: H(t) = t + min(rho*t, maxDelay*dist).
-	const rho = 0.01
-	const maxDelay = 1.0
-	for _, dist := range []int{0, 1, 3, 7} {
-		en := des.NewEngine()
-		c := New(en, 1.0)
-		LayeredRate(rho, maxDelay, dist).Install(en, c)
-		for _, sample := range []des.Time{50, 100, 300, 500, 1000} {
-			en.Run(sample)
-			want := sample + math.Min(rho*sample, maxDelay*float64(dist))
-			if got := c.Now(); math.Abs(got-want) > 1e-6 {
-				t.Fatalf("dist=%d H(%v) = %v, want %v", dist, sample, got, want)
-			}
-		}
-	}
-}
-
-func TestRandomWalkStaysInBounds(t *testing.T) {
-	en := des.NewEngine()
-	c := New(en, 1.0)
-	RandomWalk{Rho: 0.05, Interval: 1, Rand: des.NewRand(3)}.Install(en, c)
-	en.Run(200)
-	min, max := c.RateBoundsSeen()
-	if min < 0.95 || max > 1.05 {
-		t.Fatalf("random walk escaped drift bounds: [%v, %v]", min, max)
-	}
-	// The clock must have advanced roughly like real time.
-	h := c.Now()
-	if h < 200*0.95 || h > 200*1.05 {
-		t.Fatalf("H(200) = %v outside drift envelope", h)
-	}
-}
-
-func TestBangBang(t *testing.T) {
-	en := des.NewEngine()
-	a := New(en, 1.0)
-	b := New(en, 1.0)
-	BangBang{Rho: 0.1, Interval: 5, StartHigh: true}.Install(en, a)
-	BangBang{Rho: 0.1, Interval: 5, StartHigh: false}.Install(en, b)
-	en.Run(5)
-	// After one interval the clocks are 2*rho*interval apart.
-	gap := a.Now() - b.Now()
-	if math.Abs(gap-1.0) > 1e-9 {
-		t.Fatalf("gap after 5s = %v, want 1.0", gap)
-	}
-	en.Run(10)
-	// Second interval reverses the rates; gap returns to 0.
-	gap = a.Now() - b.Now()
-	if math.Abs(gap) > 1e-9 {
-		t.Fatalf("gap after 10s = %v, want 0", gap)
-	}
-}
-
-func TestValidateRate(t *testing.T) {
-	ValidateRate(1.0, 0.01)
-	ValidateRate(0.99, 0.01)
-	ValidateRate(1.01, 0.01)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-bounds rate did not panic")
-		}
-	}()
-	ValidateRate(1.02, 0.01)
-}
-
 // Property: for any sequence of rate changes within [1-rho, 1+rho], the
 // clock's advance over any window respects the drift bound (paper §3.3):
 // (1-rho)(t2-t1) <= H(t2)-H(t1) <= (1+rho)(t2-t1).

@@ -110,7 +110,7 @@ func (s SweepSpec) ID() (string, error) {
 
 // Cells expands the spec into its sweep cells with the CLI grid's exact
 // semantics: loop order n -> topology -> driver -> churn; the rotating
-// star ignores the topology spec (the churner builds its own stars), so
+// star ignores the topology spec (its churn builds its own stars), so
 // it is emitted once per (n, driver) — on the first topology of the
 // list — labeled "-"; every cell gets Workers=1 (the daemon already
 // parallelizes across cells) and a seed derived from the base seed and

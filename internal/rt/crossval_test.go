@@ -48,6 +48,15 @@ func TestCrossHarnessValidation(t *testing.T) {
 			},
 		},
 		{
+			name: "VolatileRing16",
+			cfg: sim.Config{
+				N: 16, Seed: 47, Horizon: 10, Rho: 0.01, MaxDelay: 0.01,
+				Topology: sim.TopologySpec{Kind: sim.TopoRing},
+				Driver:   sim.DriverSpec{Kind: sim.DriveRandomWalk, Interval: 1},
+				Churn:    sim.ChurnSpec{Kind: sim.ChurnVolatile, Lifetime: 1.5, Absence: 1, ExtraEdges: 10},
+			},
+		},
+		{
 			name: "FaultedRing12",
 			cfg: sim.Config{
 				N: 12, Seed: 44, Horizon: 12, Rho: 0.01, MaxDelay: 0.01,
@@ -154,8 +163,42 @@ func TestFaultChainsMatchDES(t *testing.T) {
 	}
 }
 
+// TestChurnChainsMatchDES pins what sharing sim.ChurnState buys: its
+// steps read only their own streams and hub counter, so from the same
+// seed the DES and the real-time runtime add and remove exactly the same
+// number of edges. Horizons fall between steps, clear of the runtime's
+// shutdown grace.
+func TestChurnChainsMatchDES(t *testing.T) {
+	for name, cfg := range map[string]sim.Config{
+		"rotatingstar": {
+			N: 12, Seed: 48, Horizon: 7.5, Rho: 0.01, MaxDelay: 0.01,
+			Churn: sim.ChurnSpec{Kind: sim.ChurnRotatingStar, Period: 1, Overlap: 0.25},
+		},
+		"volatile": {
+			N: 16, Seed: 49, Horizon: 10, Rho: 0.01, MaxDelay: 0.01,
+			Topology: sim.TopologySpec{Kind: sim.TopoRing},
+			Churn:    sim.ChurnSpec{Kind: sim.ChurnVolatile, Lifetime: 1.5, Absence: 1, ExtraEdges: 10},
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			desRep, err := sim.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rtRep := runBubble(t, cfg)
+			if desRep.EdgeAdds == 0 || desRep.EdgeRemoves == 0 {
+				t.Fatalf("no churn: adds=%d removes=%d", desRep.EdgeAdds, desRep.EdgeRemoves)
+			}
+			if rtRep.EdgeAdds != desRep.EdgeAdds || rtRep.EdgeRemoves != desRep.EdgeRemoves {
+				t.Errorf("churn diverged between harnesses: des adds=%d removes=%d, rt adds=%d removes=%d",
+					desRep.EdgeAdds, desRep.EdgeRemoves, rtRep.EdgeAdds, rtRep.EdgeRemoves)
+			}
+		})
+	}
+}
+
 // TestNeighborMaxMatchesScanAfterChurn pins the event-maintained Γ_u in
-// the harness where discover events are genuinely delayed: the churner
+// the harness where discover events are genuinely delayed: churn
 // writes the router first and the endpoints learn of it through their
 // queues. After a rotating-star run has quiesced, each node's cached
 // neighbor maximum must equal a fresh scan of the router's adjacency

@@ -6,8 +6,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gcs/internal/dyngraph"
 	"gcs/internal/fault"
 	"gcs/internal/seam"
+	"gcs/internal/sim"
 	"gcs/internal/transport"
 )
 
@@ -18,13 +20,16 @@ import (
 // DES engine's) and deliver through a time.AfterFunc into the
 // receiver's event queue. Edge presence is re-checked at delivery time:
 // a message whose edge disappeared mid-flight is lost, the runtime's
-// rendering of the model's edge-removal losses.
+// rendering of the model's edge-removal losses. The DES harnesses ask
+// instead whether the edge existed throughout the flight
+// (ExistsThroughout), so one that vanished and came back mid-flight loses
+// the message there and delivers it here.
 //
 // Adjacency is guarded by an RWMutex — node goroutines read it on
-// every broadcast and on the neighbor rescan after a lost edge, the
-// churner writes it. Lock order: a host lock may be held while taking
-// the router lock, never the reverse (the sampler snapshots edges
-// before touching hosts, the churner enqueues discover(add) and
+// every broadcast and on the neighbor rescan after a lost edge, churn
+// steps write it. Lock order: a host lock may be held while taking the
+// router lock, never the reverse (the sampler snapshots edges before
+// touching hosts, Add and Remove relay discover(add) and
 // discover(remove) only after releasing the write lock).
 type Router struct {
 	r                  *Runtime
@@ -44,8 +49,9 @@ type Router struct {
 }
 
 var (
-	_ seam.Sender   = (*Router)(nil)
-	_ seam.Topology = (*Router)(nil)
+	_ seam.Sender    = (*Router)(nil)
+	_ seam.Topology  = (*Router)(nil)
+	_ sim.EdgeWriter = (*Router)(nil)
 )
 
 func newRouter(r *Runtime, n int, minDelay, maxDelay float64) *Router {
@@ -86,32 +92,29 @@ func removeSorted(s []int, v int) ([]int, bool) {
 	return append(s[:i], s[i+1:]...), true
 }
 
-// addEdge inserts {u, v}, reporting whether it was absent before.
-func (rt *Router) addEdge(u, v int) bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	var added bool
-	rt.adj[u], added = insertSorted(rt.adj[u], v)
-	if !added {
-		return false
-	}
-	rt.adj[v], _ = insertSorted(rt.adj[v], u)
-	rt.edgeAdds++
-	return true
+// Add and Remove implement sim.EdgeWriter for the churn chain: an edge
+// that actually changes is counted, and both endpoints learn of it
+// (discover(add), discover(remove)) once the write lock is released.
+func (rt *Router) Add(_ float64, e dyngraph.Edge) {
+	rt.change(e, insertSorted, &rt.edgeAdds, true)
 }
 
-// removeEdge deletes {u, v}, reporting whether it was present.
-func (rt *Router) removeEdge(u, v int) bool {
+func (rt *Router) Remove(_ float64, e dyngraph.Edge) {
+	rt.change(e, removeSorted, &rt.edgeRemoves, false)
+}
+
+func (rt *Router) change(e dyngraph.Edge, op func([]int, int) ([]int, bool), count *int, added bool) {
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	var removed bool
-	rt.adj[u], removed = removeSorted(rt.adj[u], v)
-	if !removed {
-		return false
+	var changed bool
+	rt.adj[e.U], changed = op(rt.adj[e.U], e.V)
+	if changed {
+		rt.adj[e.V], _ = op(rt.adj[e.V], e.U)
+		*count++
 	}
-	rt.adj[v], _ = removeSorted(rt.adj[v], u)
-	rt.edgeRemoves++
-	return true
+	rt.mu.Unlock()
+	if changed {
+		rt.r.relay(e, added)
+	}
 }
 
 // present reports edge presence; callers hold rt.mu (either mode).

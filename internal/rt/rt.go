@@ -27,10 +27,12 @@
 //   - Router (router.go): shared topology + transport; adjacency under
 //     an RWMutex, deliveries via time.AfterFunc into the receiver's
 //     queue. Lock order is host -> router, never the reverse. Nodes learn
-//     of topology changes through their queues (discover, removeStar),
-//     after the router write: until a host drains the notification its
-//     node may still count a departed neighbor, or not yet count a new
-//     one — the paper's bounded discover delay.
+//     of topology changes through their queues (relay), after the router
+//     write: until a host drains the notification its node may still
+//     count a departed neighbor, or not yet count a new one — the paper's
+//     bounded discover delay.
+//   - Churn: the DES harness's steps (sim.ChurnState), each run by a wall
+//     timer that writes the router and arms the steps that follow.
 //   - The sampler runs on the Run caller's goroutine, sleeping between
 //     skew observations; its sampling instants are offset by an
 //     irrational-ish phase (0.382 of a period) so they never coincide
@@ -45,6 +47,7 @@ import (
 	"time"
 
 	"gcs/internal/des"
+	"gcs/internal/dyngraph"
 	"gcs/internal/fault"
 	"gcs/internal/gcs"
 	"gcs/internal/sim"
@@ -170,15 +173,17 @@ type Runtime struct {
 	// steps only node i's, on its own goroutine.
 	injector fault.Injector
 
+	// churn's chains (one per volatile candidate, the star's rotations,
+	// its removals) touch disjoint state, each stepped in order.
+	churn sim.ChurnState
+	// launched is set before any churn timer or node goroutine starts;
+	// until then nothing drains the queues, so relay runs callbacks inline.
+	launched bool
+
 	// Sampler-owned observation state.
 	vals  []float64
 	edges [][2]int
 	fold  sim.Fold
-
-	// churnMu guards the churn chain's timers: the rotate chain re-arms
-	// them from its own goroutine while shutdown stops them from Run's.
-	churnMu             sync.Mutex
-	churnT, starRemoveT *time.Timer
 }
 
 // Supports reports whether the real-time runtime can execute cfg,
@@ -190,8 +195,6 @@ func Supports(cfg sim.Config) error {
 		return fmt.Errorf("rt: Parallel selects the sharded DES engine; the real-time runtime is inherently concurrent")
 	case cfg.CheckGradient:
 		return fmt.Errorf("rt: CheckGradient requires the DES harness's consistent-cut distance tracking")
-	case cfg.Churn.Kind == sim.ChurnVolatile:
-		return fmt.Errorf("rt: volatile churn is not implemented in the real-time runtime (use the DES harness)")
 	}
 	return nil
 }
@@ -200,8 +203,7 @@ func Supports(cfg sim.Config) error {
 // sim's: same defaulting, same analytic bounds, same fault plan.
 func New(cfg sim.Config) (*Runtime, error) {
 	// Supports first: a DES-only feature is named as such even when the
-	// config is also incomplete for the DES (`gcsim realtime -churn
-	// volatile` carries no volatile durations).
+	// config is also invalid.
 	if err := Supports(cfg); err != nil {
 		return nil, err
 	}
@@ -241,50 +243,42 @@ func (r *Runtime) closed() bool {
 	}
 }
 
-// discover relays a fresh edge to both endpoint nodes (the immediate
-// beacon exchange the DES harness's discovery subscriber performs).
-// inline runs the callbacks directly — only legal during single-threaded
-// setup, before the node goroutines launch.
-func (r *Runtime) discover(u, v int, inline bool) {
-	hu, hv := r.hosts[u], r.hosts[v]
-	if inline {
-		hu.node.OnEdgeAdded(v)
-		hv.node.OnEdgeAdded(u)
+// relay tells both endpoints of e that it was added (discover(add): the
+// immediate beacon exchange the DES harness's discovery subscriber
+// performs) or removed (discover(remove)). Between the router write and
+// the host draining its queue a node still counts a departed neighbor
+// toward its fast-mode rule: that window is the model's bounded discover
+// delay (the DES harness runs with none).
+func (r *Runtime) relay(e dyngraph.Edge, added bool) {
+	for _, p := range [2][2]int{{e.U, e.V}, {e.V, e.U}} {
+		h, peer := r.hosts[p[0]], p[1]
+		fn := func() { h.node.OnEdgeRemoved(peer) }
+		if added {
+			fn = func() { h.node.OnEdgeAdded(peer) }
+		}
+		if r.launched {
+			h.enqueue(fn)
+		} else {
+			fn()
+		}
+	}
+}
+
+// churnAfter arms a wall timer for churn event ev. The step runs on the
+// timer's goroutine and arms the steps that follow it, so each chain's
+// steps stay in order; one firing after shutdown does nothing.
+func (r *Runtime) churnAfter(ev sim.ChurnEvent) {
+	if ev.After < 0 {
 		return
 	}
-	hu.enqueue(func() { hu.node.OnEdgeAdded(v) })
-	hv.enqueue(func() { hv.node.OnEdgeAdded(u) })
-}
-
-// addStar inserts the complete star around hub, firing discovery for
-// every edge actually added.
-func (r *Runtime) addStar(hub int, inline bool) {
-	for v := 0; v < r.cfg.N; v++ {
-		if v != hub && r.router.addEdge(hub, v) {
-			r.discover(hub, v, inline)
+	time.AfterFunc(durOf(ev.After), func() {
+		if r.closed() {
+			return
 		}
-	}
-}
-
-// removeStar tears down hub's star, keeping edges shared with keepHub's
-// (dyngraph.RotatingStar's keep rule), and relays each edge actually
-// removed to both endpoint nodes — the paper's discover(remove). Like
-// discover, the notification is enqueued after the router lock is
-// released. Between the router write and the host draining its queue a
-// node still counts the departed neighbor toward its fast-mode rule:
-// that window is the model's bounded discover delay (the DES harness
-// runs with none).
-func (r *Runtime) removeStar(hub, keepHub int) {
-	for v := 0; v < r.cfg.N; v++ {
-		if v == hub || v == keepHub || hub == keepHub {
-			continue
-		}
-		if r.router.removeEdge(hub, v) {
-			hh, hv := r.hosts[hub], r.hosts[v]
-			hh.enqueue(func() { hh.node.OnEdgeRemoved(v) })
-			hv.enqueue(func() { hv.node.OnEdgeRemoved(hub) })
-		}
-	}
+		first, second := r.churn.Step(ev.Arg, r.simNow(), r.router)
+		r.churnAfter(first)
+		r.churnAfter(second)
+	})
 }
 
 // sample takes one skew observation: snapshot the edge set (router lock
@@ -357,14 +351,13 @@ func (r *Runtime) Run() sim.SkewReport {
 
 	r.wire(&delayRoot)
 
-	// Initial topology. The rotating star ignores the backbone spec and
-	// adds its first star through the counting/discovering path at t=0,
-	// exactly like dyngraph.RotatingStar.Install against an empty graph.
-	star := cfg.Churn.Kind == sim.ChurnRotatingStar
-	if star {
-		r.addStar(0, true)
-	} else {
-		for _, e := range cfg.Topology.Edges(n) {
+	// Initial topology: the backbone, installed silently like the DES
+	// graph's initial edge set. The rotating star ignores it and adds its
+	// first star through churn below.
+	var backbone []dyngraph.Edge
+	if cfg.Churn.Kind != sim.ChurnRotatingStar {
+		backbone = cfg.Topology.Edges(n)
+		for _, e := range backbone {
 			r.router.installEdge(e.U, e.V)
 		}
 	}
@@ -372,6 +365,14 @@ func (r *Runtime) Run() sim.SkewReport {
 	for i, h := range r.hosts {
 		h.driver.Start(i, &driveRand)
 		h.stepDriver()
+	}
+
+	// Churn, in the DES harness's arm order: after the drivers, before the
+	// fault plan, so discovery over the first star draws no fault verdict.
+	first := r.churn.Start(&r.cfg, root, backbone, r.router)
+	r.launched = true
+	for _, ev := range first {
+		r.churnAfter(ev)
 	}
 
 	// Fault plan, from the same fault root as the DES harness: message
@@ -393,32 +394,6 @@ func (r *Runtime) Run() sim.SkewReport {
 	}
 	bound := cfg.GlobalSkewBound()
 	r.fold.Reset(spec.Enabled(), bound)
-
-	// Rotating-star churn chain, on its own goroutine timeline. k, old,
-	// and next are owned by the chain (each firing schedules the next, so
-	// accesses are ordered through the timers).
-	if star {
-		k := 0
-		var rotate func()
-		rotate = func() {
-			if r.closed() {
-				return
-			}
-			old := k % n
-			k++
-			next := k % n
-			r.addStar(next, false)
-			r.churnMu.Lock()
-			r.starRemoveT = time.AfterFunc(durOf(cfg.Churn.Overlap), func() {
-				if !r.closed() {
-					r.removeStar(old, next)
-				}
-			})
-			r.churnT.Reset(durOf(cfg.Churn.Period))
-			r.churnMu.Unlock()
-		}
-		r.churnT = time.AfterFunc(durOf(cfg.Churn.Period), rotate)
-	}
 
 	// Start every node at its drawn beacon phase, then launch the node
 	// goroutines. Setup so far ran single-threaded at t=0.
@@ -455,7 +430,8 @@ func (r *Runtime) Run() sim.SkewReport {
 
 	// Shutdown: release the node goroutines, then silence every
 	// long-lived timer chain. In-flight delivery callbacks only ever
-	// enqueue, and enqueue gives up once done is closed.
+	// enqueue, and enqueue gives up once done is closed; churn steps
+	// check closed.
 	close(r.done)
 	wg.Wait()
 	for _, h := range r.hosts {
@@ -468,10 +444,6 @@ func (r *Runtime) Run() sim.SkewReport {
 		}
 		h.mu.Unlock()
 	}
-	r.churnMu.Lock()
-	stopTimer(r.churnT)
-	stopTimer(r.starRemoveT)
-	r.churnMu.Unlock()
 
 	rep := &r.fold.Report
 	rep.Bound = bound

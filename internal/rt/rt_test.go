@@ -2,6 +2,7 @@ package rt
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -61,9 +62,8 @@ func TestRealTimeSmoke(t *testing.T) {
 func TestSupportsRejectsDESOnlyFeatures(t *testing.T) {
 	base := sim.Config{N: 4, Horizon: 1, Topology: sim.TopologySpec{Kind: sim.TopoRing}}
 	for name, mut := range map[string]func(*sim.Config){
-		"parallel":      func(c *sim.Config) { c.Parallel = true },
-		"gradient":      func(c *sim.Config) { c.CheckGradient = true },
-		"volatileChurn": func(c *sim.Config) { c.Churn = sim.ChurnSpec{Kind: sim.ChurnVolatile, Lifetime: 1, Absence: 1} },
+		"parallel": func(c *sim.Config) { c.Parallel = true },
+		"gradient": func(c *sim.Config) { c.CheckGradient = true },
 	} {
 		cfg := base
 		mut(&cfg)
@@ -90,25 +90,22 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
-// TestRemoveStarDeliversDiscoverRemove drives removeStar by hand: the
-// runtime is wired but nothing is launched, and the test plays the host
-// goroutines by draining the queues itself, so the order of events is
-// fixed without a clock. A spoke held in fast mode by the old hub's
-// estimate must leave it once the hub's OnEdgeRemoved notification has
-// been drained; only edges actually removed notify, both endpoints each.
-func TestRemoveStarDeliversDiscoverRemove(t *testing.T) {
-	r, err := New(sim.Config{
-		N: 4, Horizon: 1,
-		Churn: sim.ChurnSpec{Kind: sim.ChurnRotatingStar, Period: 1, Overlap: 0.25},
-		// Jumps off: every reaction to a leading neighbor is fast mode.
-		Node: gcs.Params{Kappa: 0.5, JumpThreshold: math.Inf(1)},
-	})
+// wiredRuntime wires cfg without launching anything — no node goroutine,
+// no timer — so a test can play the churn timers and the host goroutines
+// itself: it steps r.churn by hand and drains the queues, which fixes the
+// order of events without a clock. Delays of 5 to 10 s keep the beacons a
+// drained discover(add) sends out of the queues meanwhile.
+func wiredRuntime(t *testing.T, cfg sim.Config) *Runtime {
+	t.Helper()
+	cfg.MinDelay, cfg.MaxDelay = 5, 10
+	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.start = time.Now()
 	r.done = make(chan struct{})
 	r.wire(des.NewRand(1))
+	r.launched = true
 	t.Cleanup(func() {
 		close(r.done)
 		for _, h := range r.hosts {
@@ -117,52 +114,124 @@ func TestRemoveStarDeliversDiscoverRemove(t *testing.T) {
 			}
 		}
 	})
-	drain := func() {
+	return r
+}
+
+// queued returns each host's queue length.
+func queued(r *Runtime) []int {
+	q := make([]int, len(r.hosts))
+	for i, h := range r.hosts {
+		q[i] = len(h.events)
+	}
+	return q
+}
+
+// drain runs every queued event, host by host.
+func drain(r *Runtime) {
+	for _, h := range r.hosts {
+		for len(h.events) > 0 {
+			(<-h.events)()
+		}
+	}
+}
+
+// TestChurnStepsRelayDiscover steps the churn chain by hand against the
+// router: only edges that actually change notify, both endpoints once
+// each, and a spoke held in fast mode by the old hub's estimate leaves it
+// once the hub's discover(remove) has been drained.
+func TestChurnStepsRelayDiscover(t *testing.T) {
+	t.Run("RotatingStar", func(t *testing.T) {
+		r := wiredRuntime(t, sim.Config{
+			N: 4, Horizon: 1,
+			Churn: sim.ChurnSpec{Kind: sim.ChurnRotatingStar, Period: 1, Overlap: 0.25},
+			// Jumps off: every reaction to a leading neighbor is fast mode.
+			Node: gcs.Params{Kappa: 0.5, JumpThreshold: math.Inf(1)},
+		})
+		expect := func(what string, want ...int) {
+			t.Helper()
+			if got := queued(r); !slices.Equal(got, want) {
+				t.Fatalf("%s: notifications queued per host = %v, want %v", what, got, want)
+			}
+			drain(r)
+		}
+		rotate := r.churn.Start(&r.cfg, des.NewRand(1), nil, r.router)[0]
+		expect("hub 0's star", 3, 1, 1, 1)
+		remove, _ := r.churn.Step(rotate.Arg, 1, r.router)
+		expect("hub 1's star, sharing {0,1}", 0, 2, 1, 1)
+
+		spoke := r.hosts[2].node
+		spoke.OnMessage(0, 1000)
+		if !spoke.Snap().Fast {
+			t.Fatal("spoke not in fast mode with its hub far ahead")
+		}
+		r.churn.Step(remove.Arg, 1.25, r.router)
+		expect("hub 0's star torn down but {0,1}", 2, 0, 1, 1)
+		// The regime is re-evaluated at the spoke's next event of any kind.
+		spoke.OnMessage(1, 0.5)
+		if spoke.Snap().Fast {
+			t.Fatal("spoke still held in fast mode by the departed hub's estimate")
+		}
 		for _, h := range r.hosts {
-			for len(h.events) > 0 {
-				(<-h.events)()
+			if err := h.node.CheckNeighborMax(); err != nil {
+				t.Error(err)
 			}
 		}
-	}
-	queued := func() (q [4]int) {
-		for i, h := range r.hosts {
-			q[i] = len(h.events)
+
+		r.churn.Step(remove.Arg, 1.25, r.router)
+		expect("nothing left to remove", 0, 0, 0, 0)
+		if adds, removes := r.router.churnStats(); adds != 5 || removes != 2 {
+			t.Fatalf("router counted %d adds, %d removals; want 5, 2", adds, removes)
 		}
-		return q
-	}
-
-	// Hub 0's star, overlapping the start of hub 1's (silent installs: no
-	// discovery traffic to interleave with the notifications under test).
-	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}} {
-		r.router.installEdge(e[0], e[1])
-	}
-	spoke := r.hosts[2].node
-	spoke.OnMessage(0, 1000)
-	if !spoke.Snap().Fast {
-		t.Fatal("spoke not in fast mode with its hub far ahead")
-	}
-
-	r.removeStar(0, 1) // tears down {0,2} and {0,3}; {0,1} is the new hub's
-	if got, want := queued(), [4]int{2, 0, 1, 1}; got != want {
-		t.Fatalf("discover(remove) notifications queued per host = %v, want %v", got, want)
-	}
-	drain()
-	// The regime is re-evaluated at the spoke's next event of any kind.
-	spoke.OnMessage(1, 0.5)
-	if spoke.Snap().Fast {
-		t.Fatal("spoke still held in fast mode by the departed hub's estimate")
-	}
-	for _, h := range r.hosts {
-		if err := h.node.CheckNeighborMax(); err != nil {
-			t.Error(err)
+	})
+	t.Run("Volatile", func(t *testing.T) {
+		r := wiredRuntime(t, sim.Config{
+			N: 8, Horizon: 1, Topology: sim.TopologySpec{Kind: sim.TopoRing},
+			Churn: sim.ChurnSpec{Kind: sim.ChurnVolatile, Lifetime: 1, Absence: 1, ExtraEdges: 2},
+		})
+		backbone := r.cfg.Topology.Edges(r.cfg.N)
+		for _, e := range backbone {
+			r.router.installEdge(e.U, e.V)
 		}
-	}
-
-	r.removeStar(0, 1) // nothing left to remove
-	if got := queued(); got != [4]int{} {
-		t.Fatalf("removing absent edges queued notifications: %v", got)
-	}
-	if _, removes := r.router.churnStats(); removes != 2 {
-		t.Fatalf("router counted %d removals, want 2", removes)
-	}
+		first := r.churn.Start(&r.cfg, des.NewRand(1), backbone, r.router)
+		if len(first) != 2 || slices.Max(queued(r)) != 0 {
+			t.Fatalf("Start: %d events, queues %v; want 2 and no notification", len(first), queued(r))
+		}
+		// notified drains and returns the hosts that had one notification
+		// queued, failing on any with more.
+		notified := func() (ids []int) {
+			t.Helper()
+			for i, q := range queued(r) {
+				if q > 1 {
+					t.Fatalf("host %d queued %d notifications", i, q)
+				}
+				if q == 1 {
+					ids = append(ids, i)
+				}
+			}
+			drain(r)
+			return ids
+		}
+		for _, add := range first {
+			remove, _ := r.churn.Step(add.Arg, 0, r.router)
+			ends := notified()
+			if len(ends) != 2 || !slices.Contains(r.router.AppendNeighbors(ends[0], nil), ends[1]) {
+				t.Fatalf("add notified hosts %v, want both endpoints of a new edge", ends)
+			}
+			r.churn.Step(add.Arg, 0, r.router)
+			if got := notified(); got != nil {
+				t.Fatalf("adding a present edge notified hosts %v", got)
+			}
+			r.churn.Step(remove.Arg, 0, r.router)
+			if got := notified(); !slices.Equal(got, ends) {
+				t.Fatalf("remove notified hosts %v, want %v", got, ends)
+			}
+			r.churn.Step(remove.Arg, 0, r.router)
+			if got := notified(); got != nil {
+				t.Fatalf("removing an absent edge notified hosts %v", got)
+			}
+		}
+		if adds, removes := r.router.churnStats(); adds != 2 || removes != 2 {
+			t.Fatalf("router counted %d adds, %d removals; want 2, 2", adds, removes)
+		}
+	})
 }

@@ -6,13 +6,11 @@ package sim
 // component in place — but the O(n) per-run wiring (engine event pool,
 // graph adjacency and history storage, transport flight arena, clocks,
 // nodes, trace and sample buffers, the analytic bound's topology BFS) is
-// paid once per shape and then reused: re-running a same-shape
-// churn-free config allocates nothing, which TestArenaSecondRunZeroAlloc
-// pins. Churn configs come close but not to zero: the volatile candidate
-// set is cached, but each run still re-arms O(ExtraEdges) per-candidate
-// timer closures (rotating stars, a handful of rotation closures).
-// Growing to a larger N reuses the smaller prefix and allocates only the
-// delta, so ascending sweeps (the lower-bound n-sweep) stay cheap.
+// paid once per shape and then reused: re-running a same-shape config,
+// churn included, allocates nothing, which TestArenaSecondRunZeroAlloc
+// pins. Growing to a larger N reuses the smaller prefix and allocates
+// only the delta, so ascending sweeps (the lower-bound n-sweep) stay
+// cheap.
 //
 // An Arena is single-threaded, like the Simulation it owns; parallel
 // sweeps give each worker its own Arena (see RunSweep).

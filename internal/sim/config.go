@@ -1,5 +1,5 @@
 // Package sim is the scenario harness: it wires engine, dynamic graph,
-// churner, per-node clock drivers, bounded-delay transport, and n GCS
+// churn, per-node clock drivers, bounded-delay transport, and n GCS
 // nodes from a declarative Config, runs the execution to a horizon, and
 // reports skew and traffic statistics. Every future scaling or
 // lower-bound experiment drives a simulation through this package.
@@ -160,11 +160,10 @@ func ParseDriverKind(name string) (DriverKind, bool) {
 }
 
 // DriverSpec is a declarative per-node clock driver choice. The same
-// spec instantiates one driver per node (DriverState, which reproduces
-// the clock package's driver semantics with reseedable per-node
-// streams): RandomWalk forks an independent stream per node, BangBang
-// anti-phases odd and even nodes (the worst benign pattern for adjacent
-// skew).
+// spec instantiates one driver per node (DriverState, with reseedable
+// per-node streams): RandomWalk forks an independent stream per node,
+// BangBang anti-phases odd and even nodes (the worst benign pattern for
+// adjacent skew).
 type DriverSpec struct {
 	Kind DriverKind
 	// Interval is the rate-change period (RandomWalk, BangBang).
@@ -182,7 +181,7 @@ const (
 	ChurnVolatile
 	// ChurnRotatingStar ignores the topology spec and cycles complete
 	// stars with rotating hubs (the maximally dynamic pattern); the
-	// execution is Period-interval connected.
+	// execution is Overlap-interval connected.
 	ChurnRotatingStar
 )
 
@@ -207,8 +206,9 @@ type ChurnSpec struct {
 	ExtraEdges        int
 }
 
-// T returns the interval-connectivity parameter contributed by the churn
-// process: the longest wait before a propagation path is guaranteed.
+// T returns the churn process's slack in the analytic bounds: the longest
+// wait before a propagation path is guaranteed. For the rotating star
+// that is Period, although it is only Overlap-interval connected.
 func (s ChurnSpec) T() float64 {
 	if s.Kind == ChurnRotatingStar {
 		return s.Period

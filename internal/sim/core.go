@@ -11,14 +11,16 @@ import (
 	"gcs/internal/transport"
 )
 
-// DriverState is one node's rate-driver chain: the per-node PRNG stream
-// and the BangBang phase. It is the production implementation of the
-// clock package's reference drivers (clock.RandomWalk, clock.BangBang,
-// clock.ConstantRate), pinned against them draw for draw by
-// TestDriverStateMatchesClockDrivers.
+// DriverState is one node's rate-driver chain: the per-node PRNG stream,
+// the BangBang phase, and the lower bound's Eq. (1) head start. It is the
+// one driver implementation; TestDriverStateMatchesClockDrivers pins it
+// draw for draw against the reference drivers in driver_test.go.
 type DriverState struct {
 	rand des.Rand
 	high bool
+	// lead is the delay to the end of an Eq. (1) head start at rate 1+rho,
+	// zero when there is none.
+	lead float64
 }
 
 // Start seeds the chain for node from the run's driver stream:
@@ -27,17 +29,35 @@ type DriverState struct {
 func (d *DriverState) Start(node int, driveRand *des.Rand) {
 	driveRand.ForkInto(uint64(node), &d.rand)
 	d.high = node%2 == 0
+	d.lead = 0
+}
+
+// StartLayered gives a constant driver's chain the lower bound's Eq. (1)
+// schedule (Section 4) for a node at flexible distance dist from the
+// reference node, H(t) = t + min(rho*t, maxDelay*dist): rate 1+rho until
+// t = maxDelay*dist/rho, then 1, one breakpoint per Step. A node at
+// distance 0 runs at rate 1 throughout.
+func (d *DriverState) StartLayered(rho, maxDelay float64, dist int) {
+	d.lead = 0
+	if dist > 0 && rho != 0 {
+		d.lead = maxDelay * float64(dist) / rho
+	}
 }
 
 // Step advances the chain: it returns the hardware rate the node runs
 // at from now on and the delay to the next step, negative when there is
-// none (the constant driver sets its rate once). Like the fault chains
-// of fault.Injector it leaves turning that delay into a future call to
-// the harness — a DES event in core.driveStep, a re-armed wall timer in
-// internal/rt — so the chain logic exists once.
+// none (the constant driver sets its rate once, after any head start
+// StartLayered gave it). Like the fault chains of fault.Injector it
+// leaves turning that delay into a future call to the harness — a DES
+// event in core.driveStep, a re-armed wall timer in internal/rt — so the
+// chain logic exists once.
 func (d *DriverState) Step(spec DriverSpec, rho float64) (rate, next float64) {
 	switch spec.Kind {
 	case DriveConstant:
+		if d.lead > 0 {
+			next, d.lead = d.lead, 0
+			return 1 + rho, next
+		}
 		return 1, -1
 	case DriveRandomWalk:
 		rate = d.rand.Range(1-rho, 1+rho)
@@ -180,6 +200,7 @@ type core struct {
 	allClocks []*clock.HardwareClock
 	allNodes  []*gcs.Node
 	drivers   []DriverState
+	churn     ChurnState
 
 	// Reseedable PRNG streams, one per subsystem, matching the fork ids a
 	// fresh wiring would draw so reuse stays bit-identical.
@@ -190,6 +211,7 @@ type core struct {
 	// Long-lived callbacks, bound once so rewiring and sampling allocate
 	// nothing.
 	driveFn, crashFn, rateFn des.ArgHandler
+	churnFn                  des.ArgHandler
 	sampleFn                 func()
 	edgeFn                   func(dyngraph.Edge)
 	// onMessage is the single delivery handler shared by every node.
@@ -203,15 +225,9 @@ type core struct {
 	boundCfg Config
 	bound    float64
 	// initialEdges is the backbone edge set materialized once per
-	// topology shape and reused by the churner setup (Topology.Edges is
+	// topology shape and reused by the churn setup (Topology.Edges is
 	// O(n) or worse, so it must not be recomputed per run).
 	initialEdges []dyngraph.Edge
-	// volCands caches the volatile-churn candidate set, which is a
-	// deterministic function of volKey (the rejection sampling draws from
-	// a dedicated root fork), so same-config re-runs skip the O(n) map
-	// rebuild.
-	volCands []dyngraph.Edge
-	volKey   volCandKey
 
 	// vals is the reused logical-clock sample buffer.
 	vals []float64
@@ -243,19 +259,11 @@ type edgeKey struct {
 	star bool
 }
 
-// volCandKey identifies the inputs the cached volatile candidate set
-// depends on: the backbone shape, the node count, the request size, and
-// the seed driving the rejection sampling.
-type volCandKey struct {
-	edges edgeKey
-	seed  uint64
-	extra int
-}
-
 // init binds the long-lived callbacks; call once, with c at its final
 // address.
 func (c *core) init() {
 	c.driveFn = c.driveStep
+	c.churnFn = c.churnStep
 	c.crashFn = c.crashStep
 	c.rateFn = c.rateStep
 	c.edgeFn = func(e dyngraph.Edge) { c.fold.Adjacent(c.vals[e.U], c.vals[e.V]) }
@@ -303,8 +311,8 @@ func (c *core) begin(cfg Config) Config {
 
 // arm finishes a rewire once the harness's engines and Net are reset.
 // The order below assigns the tie-breaking event sequence numbers and is
-// part of the physics: drivers per node, churner, node start phases,
-// fault chains; the sampler follows on the first advance.
+// part of the physics: drivers per node, churn, node start phases, fault
+// chains; the sampler follows on the first advance.
 func (c *core) arm() {
 	cfg := &c.Cfg
 	n := cfg.N
@@ -340,16 +348,16 @@ func (c *core) arm() {
 		c.driveStep(uint64(i))
 	}
 
-	// Neighbor discovery: subscribe before the churner installs, so even
-	// edges a churn process adds at time 0 trigger an immediate beacon
-	// exchange across the fresh edge. The graph keeps its subscribers
-	// across Reset, so this happens exactly once.
+	// Neighbor discovery: subscribe before churn starts, so even edges a
+	// churn process adds at time 0 trigger an immediate beacon exchange
+	// across the fresh edge. The graph keeps its subscribers across Reset,
+	// so this happens exactly once.
 	if !c.wired {
 		c.Graph.Subscribe(discovery{c})
 		c.wired = true
 	}
-	if ch := c.churner(); ch != nil {
-		ch.Install(c.global, c.Graph)
+	for _, ev := range c.churn.Start(cfg, &c.root, c.initialEdges, c.Graph) {
+		c.afterChurn(ev)
 	}
 
 	c.root.ForkInto(0x9a5e, &c.phaseRand)
@@ -380,10 +388,31 @@ func (c *core) driveStep(arg uint64) {
 		return
 	}
 	label := "clock.walk"
-	if c.Cfg.Driver.Kind == DriveBangBang {
+	switch c.Cfg.Driver.Kind {
+	case DriveBangBang:
 		label = "clock.bang"
+	case DriveConstant: // only an Eq. (1) head start has a next step
+		label = "clock.rate"
 	}
 	c.engineOf(i).ScheduleAfterArg(next, label, c.driveFn, arg)
+}
+
+// churnStep is the run's churn event. It runs on the global engine, so
+// in the sharded harness every shard is barriered while the graph (and
+// through discovery, the endpoint nodes) change.
+//
+//gcslint:zeroalloc
+func (c *core) churnStep(arg uint64) {
+	first, second := c.churn.Step(arg, c.global.Now(), c.Graph)
+	c.afterChurn(first)
+	c.afterChurn(second)
+}
+
+// afterChurn schedules churn event ev unless there is none.
+func (c *core) afterChurn(ev ChurnEvent) {
+	if ev.After >= 0 {
+		c.global.ScheduleAfterArg(ev.After, ev.Label, c.churnFn, ev.Arg)
+	}
 }
 
 // armFaults arms fault injection for one run. The fault root is forked
@@ -492,69 +521,6 @@ func (d discovery) EdgeAdded(t float64, e dyngraph.Edge) {
 func (d discovery) EdgeRemoved(t float64, e dyngraph.Edge) {
 	d.c.Nodes[e.U].OnEdgeRemoved(e.V)
 	d.c.Nodes[e.V].OnEdgeRemoved(e.U)
-}
-
-func (c *core) churner() dyngraph.Churner {
-	cfg := &c.Cfg
-	switch cfg.Churn.Kind {
-	case ChurnNone:
-		return nil
-	case ChurnVolatile:
-		if key := (volCandKey{edges: c.edgeCfg, seed: cfg.Seed, extra: cfg.Churn.ExtraEdges}); c.volCands == nil || key != c.volKey {
-			c.volCands = volatileCandidates(cfg.N, cfg.Churn.ExtraEdges, c.initialEdges, c.root.Fork(0xca9d))
-			c.volKey = key
-		}
-		return dyngraph.VolatileEdges{
-			Candidates: c.volCands,
-			Lifetime:   cfg.Churn.Lifetime,
-			Absence:    cfg.Churn.Absence,
-			Rand:       c.root.Fork(0xc400),
-		}
-	case ChurnRotatingStar:
-		return dyngraph.RotatingStar{
-			Period:  cfg.Churn.Period,
-			Overlap: cfg.Churn.Overlap,
-		}
-	}
-	panic("sim: unknown churn kind")
-}
-
-// volatileCandidates draws extra distinct random edges over n nodes that
-// are not part of the static backbone. Rejection sampling is capped, so
-// on dense backbones it can exhaust its attempt budget short of the
-// request; the remainder is then filled by deterministic enumeration of
-// the unused non-backbone pairs, so the churner is under-provisioned
-// only when the graph genuinely has fewer candidates than requested.
-func volatileCandidates(n, extra int, backboneEdges []dyngraph.Edge, r *des.Rand) []dyngraph.Edge {
-	backbone := map[dyngraph.Edge]bool{}
-	for _, e := range backboneEdges {
-		backbone[e] = true
-	}
-	seen := map[dyngraph.Edge]bool{}
-	var out []dyngraph.Edge
-	for attempts := 0; len(out) < extra && attempts < 100*extra+100; attempts++ {
-		u := r.Intn(n)
-		v := r.Intn(n)
-		if u == v {
-			continue
-		}
-		e := dyngraph.E(u, v)
-		if backbone[e] || seen[e] {
-			continue
-		}
-		seen[e] = true
-		out = append(out, e)
-	}
-	for u := 0; u < n && len(out) < extra; u++ {
-		for v := u + 1; v < n && len(out) < extra; v++ {
-			e := dyngraph.Edge{U: u, V: v}
-			if backbone[e] || seen[e] {
-				continue
-			}
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // scanRange reads nodes [from, to) into vals and returns the extrema of

@@ -7,7 +7,7 @@ import (
 )
 
 // churnyConfig exercises every stochastic subsystem at once: seeded
-// RandomWalk clock drivers, VolatileEdges churn, and uniform random
+// RandomWalk clock drivers, volatile churn, and uniform random
 // message delays.
 func churnyConfig(seed uint64) Config {
 	return Config{

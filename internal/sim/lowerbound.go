@@ -21,7 +21,6 @@ package sim
 import (
 	"math"
 
-	"gcs/internal/clock"
 	"gcs/internal/dyngraph"
 	"gcs/internal/transport"
 )
@@ -142,8 +141,8 @@ func lowerBoundDists(n int) (dists []int, isB []bool) {
 }
 
 // NewLowerBound wires the Theorem 4.1 scenario: the two-chain topology,
-// one LayeredRate schedule per node keyed on its flexible distance, and
-// a transport delay mask charging MaxDelay across chain A and Epsilon
+// one Eq. (1) rate chain per node keyed on its flexible distance, and a
+// transport delay mask charging MaxDelay across chain A and Epsilon
 // across chain B. The returned simulation has not run yet; attach a
 // TraceRecorder before running to capture the skew time series.
 func NewLowerBound(cfg LowerBoundConfig) *Simulation {
@@ -186,11 +185,12 @@ func newLowerBoundWired(a *Arena, cfg LowerBoundConfig, dists []int, isB []bool)
 	})
 
 	// Eq. (1) rate schedules: node x runs at 1+rho until its hardware
-	// clock is ahead by MaxDelay*dist_M(w0, x), then at 1. Installing
-	// over the ConstantRate driver the base wiring set is safe — the
-	// schedule resets the rate at the current instant (time 0).
+	// clock is ahead by MaxDelay*dist_M(w0, x), then at 1. The base wiring
+	// stepped each constant driver once; stepping it again after
+	// StartLayered sets the Eq. (1) rate at the current instant (time 0).
 	for v, d := range dists {
-		clock.LayeredRate(cfg.Rho, cfg.MaxDelay, d).Install(s.Engine, s.Clocks[v])
+		s.drivers[v].StartLayered(cfg.Rho, cfg.MaxDelay, d)
+		s.driveStep(uint64(v))
 	}
 	return s
 }

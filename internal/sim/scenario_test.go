@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"testing"
+
+	"gcs/internal/dyngraph"
 )
 
 // assertSkewInvariants checks the properties every legal execution must
@@ -135,16 +137,49 @@ func TestTrafficConservedUnderChurn(t *testing.T) {
 	}
 }
 
-// TestVolatileChurnStaysIntervalConnected cross-checks the harness
-// against the dyngraph verifier: a volatile-edges execution with a static
-// backbone is T-interval connected for any T.
+// TestVolatileChurnStaysIntervalConnected pins Definition 3.1 with the
+// dyngraph verifier. Volatile churn keeps a static backbone, so it is
+// T-interval connected for any T on both DES harnesses. The rotating
+// star is T-interval connected for T = Overlap, when one complete star
+// spans every window, but not for T = Period: a window that starts after
+// a removal and ends past the next one holds no complete star.
 func TestVolatileChurnStaysIntervalConnected(t *testing.T) {
-	cfg := churnyConfig(11)
-	s := New(cfg)
-	rpt := s.Run()
-	assertSkewInvariants(t, cfg, rpt)
-	if at, ok := s.Graph.VerifyIntervalConnectivity(1, cfg.Horizon); !ok {
-		t.Fatalf("interval connectivity violated at window start %v", at)
+	sharded := churnyConfig(11)
+	sharded.Parallel, sharded.Shards, sharded.Workers = true, 4, 1
+	star := Config{
+		N: 16, Seed: 3, Horizon: 20, Rho: 0.01, MaxDelay: 0.01,
+		Driver: DriverSpec{Kind: DriveRandomWalk, Interval: 1},
+		Churn:  ChurnSpec{Kind: ChurnRotatingStar, Period: 2, Overlap: 0.5},
+	}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		T      float64
+		wantOK bool
+	}{
+		{"volatile serial", churnyConfig(11), 1, true},
+		{"volatile sharded", sharded, 1, true},
+		{"rotating star T=Overlap", star, 0.5, true},
+		{"rotating star T=Period", star, 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var g *dyngraph.Dynamic
+			var rpt SkewReport
+			if tc.cfg.Parallel {
+				ps := NewParallel(tc.cfg)
+				rpt, g = ps.Run(), ps.Graph
+			} else {
+				s := New(tc.cfg)
+				rpt, g = s.Run(), s.Graph
+			}
+			assertSkewInvariants(t, tc.cfg, rpt)
+			if rpt.EdgeAdds == 0 || rpt.EdgeRemoves == 0 {
+				t.Fatalf("no churn: adds=%d removes=%d", rpt.EdgeAdds, rpt.EdgeRemoves)
+			}
+			if at, ok := g.VerifyIntervalConnectivity(tc.T, tc.cfg.Horizon); ok != tc.wantOK {
+				t.Fatalf("%v-interval connected = %v (first violating window at %v), want %v", tc.T, ok, at, tc.wantOK)
+			}
+		})
 	}
 }
 
