@@ -5,8 +5,12 @@
 //
 //	gcslint ./...              # lint packages, exit 1 on findings
 //
-// As a vettool (the CI path — shares vet's build cache and per-package
-// work units):
+// Only the standalone driver runs the module rules (testonly), which
+// need every package at once: run it over `./...`, since a narrower
+// pattern misses the references other packages make.
+//
+// As a vettool (shares vet's build cache and per-package work units;
+// runs the per-package rules only):
 //
 //	go build -o gcslint ./cmd/gcslint
 //	go vet -vettool=$PWD/gcslint ./...
@@ -66,22 +70,15 @@ func printVersion() {
 	fmt.Printf("%s version devel buildID=%02x\n", name, h.Sum(nil))
 }
 
-// vetConfig is the unit description cmd/go writes for each package.
+// vetConfig is the part of the unit description cmd/go writes for each
+// package that gcslint reads.
 type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
-	GoVersion                 string
 	SucceedOnTypecheckFailure bool
 }
 

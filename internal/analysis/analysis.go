@@ -1,7 +1,7 @@
 // Package analysis is gcslint's analyzer suite: a small, stdlib-only
 // reimplementation of the go/analysis Analyzer/Pass shape (the module
 // has no external dependencies, so golang.org/x/tools is off the table)
-// hosting the five rules that machine-enforce this repository's
+// hosting the six rules that machine-enforce this repository's
 // headline invariants:
 //
 //   - nondeterminism: no wall-clock reads (time.Now/Since/Until) and no
@@ -19,6 +19,9 @@
 //   - maprange: a `for range` over a map in a deterministic package
 //     must sort what it collects before anything downstream can observe
 //     the iteration order.
+//   - testonly: every package-level declaration and method in a
+//     non-test file has a non-test reference in the module, so no
+//     production API survives only because tests call it.
 //
 // Suppression is explicit and auditable: a `//gcslint:allow <rule> —
 // reason` comment on the flagged line (or the line above) silences one
@@ -26,9 +29,10 @@
 // lives in config.go next to the analyzers. There is no blanket opt
 // out.
 //
-// The suite runs three ways: `gcslint ./...` standalone, `go vet
-// -vettool=$(which gcslint) ./...` under the build cache, and per-rule
-// fixture tests (fixture.go) that fail if a rule stops firing.
+// The suite runs three ways: `gcslint ./...` standalone (every rule),
+// `go vet -vettool=$(which gcslint) ./...` under the build cache (the
+// per-package rules only: a vet unit is one package), and per-rule
+// fixture tests (fixture_test.go) that fail if a rule stops firing.
 package analysis
 
 import (
@@ -42,11 +46,14 @@ import (
 )
 
 // Analyzer is one named rule. Run inspects a type-checked package via
-// the Pass and reports findings through it.
+// the Pass and reports findings through it. A module rule sets
+// RunModule instead and sees every linted package at once, so only
+// LintPackages runs it: a vet unit is a single package.
 type Analyzer struct {
-	Name string
-	Doc  string
-	Run  func(*Pass) error
+	Name      string
+	Doc       string
+	Run       func(*Pass) error
+	RunModule func([]*Pass) error
 }
 
 // Diagnostic is one finding, positioned and attributed to its rule.
@@ -128,13 +135,27 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, d)
 }
 
-// RunAnalyzers executes every analyzer that applies to pkg (per the
-// package policy in config.go) over one type-checked package and
-// returns the surfaced diagnostics, sorted by position. Suppressed
-// findings are dropped here; drivers that want to audit the allowlist
-// use RunAll.
+// RunAnalyzers executes every per-package analyzer that applies to pkg
+// (per the package policy in config.go) over one type-checked package
+// and returns the surfaced diagnostics, sorted by position.
 func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) []Diagnostic {
-	all := RunAll(fset, files, pkg, info)
+	var diags []Diagnostic
+	runPackage(Analyzers, fset, files, pkg, info, &diags)
+	sortDiagnostics(diags)
+	return surfaced(diags)
+}
+
+// runPackage runs the per-package analyzers among as that apply to pkg.
+func runPackage(as []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, diags *[]Diagnostic) {
+	for _, a := range as {
+		if a.Run == nil || !appliesTo(a, pkg.Path()) {
+			continue
+		}
+		checkRun(diags, a, a.Run(newPass(a, fset, files, pkg, info, diags)))
+	}
+}
+
+func surfaced(all []Diagnostic) []Diagnostic {
 	out := all[:0]
 	for _, d := range all {
 		if d.Surfaced {
@@ -144,23 +165,18 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 	return out
 }
 
-// RunAll is RunAnalyzers without the suppression filter: allowed
-// findings come back with Surfaced == false.
-func RunAll(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) []Diagnostic {
-	var diags []Diagnostic
-	for _, a := range Analyzers {
-		if !appliesTo(a, pkg.Path()) {
-			continue
-		}
-		pass := newPass(a, fset, files, pkg, info, &diags)
-		if err := a.Run(pass); err != nil {
-			diags = append(diags, Diagnostic{
-				Rule:     a.Name,
-				Message:  fmt.Sprintf("analyzer error: %v", err),
-				Surfaced: true,
-			})
-		}
+// checkRun records an analyzer's own failure as a surfaced finding.
+func checkRun(diags *[]Diagnostic, a *Analyzer, err error) {
+	if err != nil {
+		*diags = append(*diags, Diagnostic{
+			Rule:     a.Name,
+			Message:  fmt.Sprintf("analyzer error: %v", err),
+			Surfaced: true,
+		})
 	}
+}
+
+func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {
@@ -171,5 +187,4 @@ func RunAll(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *ty
 		}
 		return a.Column < b.Column
 	})
-	return diags
 }

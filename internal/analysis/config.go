@@ -79,8 +79,9 @@ func appliesTo(a *Analyzer, pkgPath string) bool {
 		return path == seamPkg
 	case "lockorder":
 		return path == lockorderTargetPkg
-	case "zeroalloc":
-		// Annotation-driven: cheap to run everywhere in the module.
+	case "zeroalloc", "testonly":
+		// zeroalloc is annotation-driven, so cheap to run everywhere;
+		// testonly's contract is module-wide by definition.
 		return strings.HasPrefix(path, modulePathPrefix) || path == "gcs"
 	}
 	return false

@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -39,17 +40,8 @@ var fixtureEnv struct {
 func fixtureExports(t *testing.T) map[string]string {
 	t.Helper()
 	fixtureEnv.once.Do(func() {
-		pkgs, _, err := GoList(".", "gcs/...", "time", "math/rand", "sync", "fmt", "sort", "strings")
-		if err != nil {
-			fixtureEnv.err = err
-			return
-		}
-		fixtureEnv.exports = map[string]string{}
-		for path, p := range pkgs {
-			if p.Export != "" {
-				fixtureEnv.exports[path] = p.Export
-			}
-		}
+		pkgs, err := GoList(".", "gcs/...", "time", "math/rand", "sync", "fmt", "sort", "strings")
+		fixtureEnv.exports, fixtureEnv.err = exportFiles(pkgs), err
 	})
 	if fixtureEnv.err != nil {
 		t.Fatalf("loading export data: %v", fixtureEnv.err)
@@ -117,7 +109,11 @@ func runFixture(t *testing.T, a *Analyzer, dir, asImportPath string) {
 
 	var diags []Diagnostic
 	pass := newPass(a, fset, files, pkg, info, &diags)
-	if err := a.Run(pass); err != nil {
+	run := a.Run
+	if a.RunModule != nil {
+		run = func(p *Pass) error { return a.RunModule([]*Pass{p}) }
+	}
+	if err := run(pass); err != nil {
 		t.Fatalf("analyzer %s: %v", a.Name, err)
 	}
 
@@ -175,11 +171,43 @@ func TestMaprangeFixture(t *testing.T) {
 	runFixture(t, Maprange, "maprange", "gcs/internal/dyngraph")
 }
 
+func TestTestonlyFixture(t *testing.T) {
+	runFixture(t, Testonly, "testonly", "gcs/internal/fixture")
+}
+
+// TestModuleHasNoTestOnlyDecls runs testonly over the whole module, as
+// `gcslint ./...` does, so regrowth of test-only production code fails
+// the ordinary test run and not only the lint job. Every allow must
+// state its reason.
+func TestModuleHasNoTestOnlyDecls(t *testing.T) {
+	diags, err := lint(".", []*Analyzer{Testonly}, "gcs/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		if d.Surfaced {
+			t.Errorf("%s", d)
+			continue
+		}
+		data, err := os.ReadFile(d.Pos.Filename)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The directive sits on the flagged line or the one above.
+		lines := strings.Split(string(data), "\n")
+		if !allowReasonRe.MatchString(strings.Join(lines[d.Pos.Line-2:d.Pos.Line], "\n")) {
+			t.Errorf("%s: allowed without a reason (want //gcslint:allow testonly — <reason>)", d.Pos)
+		}
+	}
+}
+
+var allowReasonRe = regexp.MustCompile(`//gcslint:allow testonly — \S`)
+
 // TestRegistryAndPolicy pins the suite's composition and the package
 // policy: dropping a rule from the registry, or a package from a rule's
 // scope, must be a deliberate diff here.
 func TestRegistryAndPolicy(t *testing.T) {
-	want := []string{"nondeterminism", "seampurity", "lockorder", "zeroalloc", "maprange"}
+	want := []string{"nondeterminism", "seampurity", "lockorder", "zeroalloc", "maprange", "testonly"}
 	if len(Analyzers) != len(want) {
 		t.Fatalf("registry has %d analyzers, want %d", len(Analyzers), len(want))
 	}
@@ -187,8 +215,8 @@ func TestRegistryAndPolicy(t *testing.T) {
 		if a.Name != want[i] {
 			t.Errorf("Analyzers[%d] = %s, want %s", i, a.Name, want[i])
 		}
-		if a.Doc == "" || a.Run == nil {
-			t.Errorf("analyzer %s missing Doc or Run", a.Name)
+		if a.Doc == "" || (a.Run == nil) == (a.RunModule == nil) {
+			t.Errorf("analyzer %s needs a Doc and exactly one of Run and RunModule", a.Name)
 		}
 	}
 	cases := []struct {
@@ -206,6 +234,9 @@ func TestRegistryAndPolicy(t *testing.T) {
 		{"lockorder", "gcs/internal/des", false},
 		{"zeroalloc", "gcs/internal/transport", true},
 		{"zeroalloc", "fmt", false},
+		{"testonly", "gcs/benchmark", true},
+		{"testonly", "gcs/cmd/gcsim", true},
+		{"testonly", "fmt", false},
 	}
 	for _, c := range cases {
 		a := analyzerByName(t, c.rule)

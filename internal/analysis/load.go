@@ -22,8 +22,9 @@ import (
 // -deps -export -json` yields, for every package in the transitive
 // closure, the source file list and a build-cache path to compiled
 // export data; importer.ForCompiler("gc") then resolves imports from
-// those files while we parse and type-check the target package from
-// source. No network, no GOPATH pkg dirs — just the build cache the
+// those files while we parse and type-check the target packages from
+// source (the standalone driver checks module imports from source too;
+// see lint). No network, no GOPATH pkg dirs — just the build cache the
 // toolchain already maintains.
 
 // ListedPackage is the subset of cmd/go's -json output the loader needs.
@@ -38,9 +39,9 @@ type ListedPackage struct {
 }
 
 // GoList runs `go list -deps -export -json patterns...` in dir and
-// returns every listed package keyed by import path, plus the root
-// (non-dep) import paths in listing order.
-func GoList(dir string, patterns ...string) (map[string]*ListedPackage, []string, error) {
+// returns every listed package in listing order: dependencies before
+// their dependents, roots (DepOnly false) among them.
+func GoList(dir string, patterns ...string) ([]*ListedPackage, error) {
 	args := append([]string{"list", "-deps", "-export", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -48,13 +49,12 @@ func GoList(dir string, patterns ...string) (map[string]*ListedPackage, []string
 	cmd.Stderr = &stderr
 	out, err := cmd.StdoutPipe()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := cmd.Start(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	pkgs := map[string]*ListedPackage{}
-	var roots []string
+	var pkgs []*ListedPackage
 	dec := json.NewDecoder(out)
 	for {
 		var p ListedPackage
@@ -62,17 +62,25 @@ func GoList(dir string, patterns ...string) (map[string]*ListedPackage, []string
 			break
 		} else if err != nil {
 			cmd.Wait()
-			return nil, nil, fmt.Errorf("go list: decoding output: %v", err)
+			return nil, fmt.Errorf("go list: decoding output: %v", err)
 		}
-		pkgs[p.ImportPath] = &p
-		if !p.DepOnly {
-			roots = append(roots, p.ImportPath)
-		}
+		pkgs = append(pkgs, &p)
 	}
 	if err := cmd.Wait(); err != nil {
-		return nil, nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
+		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
 	}
-	return pkgs, roots, nil
+	return pkgs, nil
+}
+
+// exportFiles maps each listed package's import path to its export data.
+func exportFiles(pkgs []*ListedPackage) map[string]string {
+	exports := map[string]string{}
+	for _, p := range pkgs {
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+	}
+	return exports
 }
 
 // ExportImporter returns a types.Importer that resolves import paths
@@ -129,29 +137,38 @@ func ParseAndCheck(fset *token.FileSet, imp types.Importer, importPath string, f
 
 // LintPackages is the standalone driver: it loads the packages matching
 // patterns (relative to dir), runs the suite on every in-module root,
-// and returns the surfaced diagnostics.
+// module rules included, and returns the surfaced diagnostics.
 func LintPackages(dir string, patterns ...string) ([]Diagnostic, error) {
-	pkgs, roots, err := GoList(dir, patterns...)
+	diags, err := lint(dir, Analyzers, patterns...)
+	return surfaced(diags), err
+}
+
+// lint type-checks every in-module package the patterns reach from
+// source, dependencies first, so a module import resolves to the
+// package already checked and a module rule sees one object per
+// declaration; only the standard library comes from export data. It
+// runs the per-package analyzers on each root, then the module
+// analyzers over all roots, and keeps suppressed findings.
+func lint(dir string, analyzers []*Analyzer, patterns ...string) ([]Diagnostic, error) {
+	pkgs, err := GoList(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	exports := map[string]string{}
-	for path, p := range pkgs {
-		if p.Export != "" {
-			exports[path] = p.Export
+	fset := token.NewFileSet()
+	std := ExportImporter(fset, nil, exportFiles(pkgs))
+	checked := map[string]*types.Package{}
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if pkg := checked[path]; pkg != nil {
+			return pkg, nil
 		}
-	}
+		return std.Import(path)
+	})
 	var diags []Diagnostic
-	for _, root := range roots {
-		p := pkgs[root]
+	modulePasses := map[*Analyzer][]*Pass{}
+	for _, p := range pkgs {
 		if p.Standard || len(p.GoFiles) == 0 || p.Error != nil {
 			continue
 		}
-		if !anyRuleApplies(p.ImportPath) {
-			continue
-		}
-		fset := token.NewFileSet()
-		imp := ExportImporter(fset, nil, exports)
 		var filenames []string
 		for _, g := range p.GoFiles {
 			filenames = append(filenames, filepath.Join(p.Dir, g))
@@ -160,16 +177,26 @@ func LintPackages(dir string, patterns ...string) ([]Diagnostic, error) {
 		if err != nil {
 			return diags, err
 		}
-		diags = append(diags, RunAnalyzers(fset, files, pkg, info)...)
+		checked[p.ImportPath] = pkg
+		if p.DepOnly {
+			continue
+		}
+		runPackage(analyzers, fset, files, pkg, info, &diags)
+		for _, a := range analyzers {
+			if a.RunModule != nil && appliesTo(a, p.ImportPath) {
+				modulePasses[a] = append(modulePasses[a], newPass(a, fset, files, pkg, info, &diags))
+			}
+		}
 	}
+	for _, a := range analyzers {
+		if passes := modulePasses[a]; len(passes) > 0 {
+			checkRun(&diags, a, a.RunModule(passes))
+		}
+	}
+	sortDiagnostics(diags)
 	return diags, nil
 }
 
-func anyRuleApplies(pkgPath string) bool {
-	for _, a := range Analyzers {
-		if appliesTo(a, pkgPath) {
-			return true
-		}
-	}
-	return false
-}
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

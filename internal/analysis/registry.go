@@ -7,4 +7,5 @@ var Analyzers = []*Analyzer{
 	Lockorder,
 	Zeroalloc,
 	Maprange,
+	Testonly,
 }

@@ -27,7 +27,6 @@ package clock
 
 import (
 	"fmt"
-	"math"
 
 	"gcs/internal/des"
 )
@@ -120,9 +119,6 @@ func (c *HardwareClock) ReadAt(t des.Time) float64 {
 	return c.lastH + c.rate*(t-c.lastT)
 }
 
-// Rate returns the clock's current rate (d H / d t).
-func (c *HardwareClock) Rate() float64 { return c.rate }
-
 // RateBoundsSeen returns the minimum and maximum rates the clock has run
 // at since creation. Tests use it to assert the drift bound.
 func (c *HardwareClock) RateBoundsSeen() (min, max float64) {
@@ -194,19 +190,6 @@ type TimerRef struct {
 
 // Pending reports whether the referenced timer is still set.
 func (r TimerRef) Pending() bool { return r.tm != nil && r.tm.gen == r.gen }
-
-// Done reports whether the referenced timer has fired or been cancelled.
-// The zero TimerRef is neither pending nor done.
-func (r TimerRef) Done() bool { return r.tm != nil && r.tm.gen != r.gen }
-
-// TargetH returns the hardware reading at which the timer fires, or NaN
-// once the ref is stale.
-func (r TimerRef) TargetH() float64 {
-	if !r.Pending() {
-		return math.NaN()
-	}
-	return r.tm.targetH
-}
 
 // SetTimer schedules fn to run when the clock has advanced by dH from its
 // current reading (the paper's set_timer(dt, id)). dH must be
@@ -300,9 +283,6 @@ func (c *HardwareClock) CancelTimer(r TimerRef) {
 		}
 	}
 }
-
-// PendingTimers returns the number of subjective timers currently set.
-func (c *HardwareClock) PendingTimers() int { return len(c.active) }
 
 // ---- 4-ary index heap over pending timers, ordered by (targetH, seq) ----
 

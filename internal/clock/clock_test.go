@@ -131,8 +131,8 @@ func TestCancelTimer(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled timer fired")
 	}
-	if c.PendingTimers() != 0 {
-		t.Fatalf("PendingTimers = %d, want 0", c.PendingTimers())
+	if len(c.active) != 0 {
+		t.Fatalf("pending timers = %d, want 0", len(c.active))
 	}
 	c.CancelTimer(tm) // no-op
 	c.CancelTimer(TimerRef{})
@@ -142,11 +142,11 @@ func TestTimerDoneFlag(t *testing.T) {
 	en := des.NewEngine()
 	c := New(en, 1.0)
 	tm := c.SetTimer(5, "tick", func() {})
-	if tm.Done() || !tm.Pending() {
+	if !tm.Pending() {
 		t.Fatal("timer marked done before firing")
 	}
 	en.Run(10)
-	if !tm.Done() || tm.Pending() {
+	if tm.Pending() {
 		t.Fatal("timer not marked done after firing")
 	}
 	c.CancelTimer(tm) // no-op after fire
@@ -198,8 +198,8 @@ func TestTargetH(t *testing.T) {
 	c := New(en, 1.0)
 	en.Schedule(2, "set", func() {
 		tm := c.SetTimer(7, "x", func() {})
-		if got := tm.TargetH(); math.Abs(got-9) > 1e-12 {
-			t.Errorf("TargetH = %v, want 9", got)
+		if got := tm.tm.targetH; math.Abs(got-9) > 1e-12 {
+			t.Errorf("target reading = %v, want 9", got)
 		}
 	})
 	en.Run(20)
@@ -275,8 +275,8 @@ func TestBatchedTimersOneEngineEvent(t *testing.T) {
 		d := float64(i + 1)
 		c.SetTimer(d, "tm", func() {})
 	}
-	if c.PendingTimers() != 100 {
-		t.Fatalf("PendingTimers = %d, want 100", c.PendingTimers())
+	if len(c.active) != 100 {
+		t.Fatalf("pending timers = %d, want 100", len(c.active))
 	}
 	if en.Pending() != 1 {
 		t.Fatalf("engine holds %d events for 100 timers, want 1", en.Pending())
@@ -333,8 +333,8 @@ func TestBatchedTimerCancelHeadReArms(t *testing.T) {
 	if !fired {
 		t.Fatal("next timer did not fire after head cancel")
 	}
-	if c.PendingTimers() != 0 {
-		t.Fatalf("PendingTimers = %d, want 0", c.PendingTimers())
+	if len(c.active) != 0 {
+		t.Fatalf("pending timers = %d, want 0", len(c.active))
 	}
 	last := c.SetTimer(1, "last", func() {})
 	c.CancelTimer(last)

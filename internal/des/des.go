@@ -75,24 +75,6 @@ type EventRef struct {
 // yet fired or cancelled).
 func (r EventRef) Pending() bool { return r.e != nil && r.e.gen == r.gen }
 
-// Time returns the scheduled fire time while the event is pending, and
-// NaN once the ref is stale (the underlying Event may have been recycled).
-func (r EventRef) Time() Time {
-	if !r.Pending() {
-		return math.NaN()
-	}
-	return r.e.t
-}
-
-// Label returns the debug label while the event is pending, and "" once
-// the ref is stale.
-func (r EventRef) Label() string {
-	if !r.Pending() {
-		return ""
-	}
-	return r.e.label
-}
-
 // Engine is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use.
 type Engine struct {
@@ -102,10 +84,12 @@ type Engine struct {
 	nextSeq uint64
 	// executed counts events that have fired (not cancelled ones).
 	executed uint64
-	// stopped is set by Stop to end Run early.
-	stopped bool
 	// trace, when non-nil, observes every fired event.
 	trace TraceFn
+	// A ParallelEngine allocates its shard engines back to back and runs
+	// them concurrently; the trailing line of padding keeps one shard's
+	// hot fields off the cache lines of the next.
+	_ [64]byte
 }
 
 // NewEngine returns an engine positioned at time 0 with an empty queue.
@@ -131,7 +115,6 @@ func (en *Engine) Reset() {
 	en.now = 0
 	en.nextSeq = 0
 	en.executed = 0
-	en.stopped = false
 }
 
 // Executed returns the number of events that have fired so far.
@@ -146,10 +129,6 @@ func (en *Engine) SetTraceHook(fn TraceFn) { en.trace = fn }
 // removed eagerly, so every counted event will fire unless cancelled
 // later.
 func (en *Engine) Pending() int { return len(en.heap) }
-
-// PoolSize returns the number of recycled events on the free list, for
-// observability in tests.
-func (en *Engine) PoolSize() int { return len(en.free) }
 
 // Schedule registers fn to run at absolute time t and returns a handle
 // that can be cancelled. Scheduling in the past (t < Now) panics: the
@@ -254,21 +233,6 @@ func (en *Engine) fire(e *Event) {
 	}
 }
 
-// Stop requests that event execution halt. A Stop issued from inside an
-// event handler makes the surrounding Run/RunUntilIdle return after the
-// handler completes; a Stop issued between runs makes the next
-// Run/RunUntilIdle return before firing any event. The request is sticky
-// until a run loop consumes it — it is never silently discarded — and
-// each request stops exactly one run. A consumed stop leaves Now() at
-// the last fired event's time (the queue may still hold earlier-than-
-// horizon events), so a later Step or Run resumes exactly where the
-// stopped run left off.
-func (en *Engine) Stop() { en.stopped = true }
-
-// Stopped reports whether a Stop request is pending (not yet consumed by
-// a run loop).
-func (en *Engine) Stopped() bool { return en.stopped }
-
 // Step fires the single earliest pending event, if any, and reports
 // whether an event fired.
 func (en *Engine) Step() bool {
@@ -281,19 +245,14 @@ func (en *Engine) Step() bool {
 	return true
 }
 
-// Run fires events in order until the queue is empty, Stop is called, or
-// the next event would fire strictly after horizon. When the loop drains
-// the queue or breaks on the horizon check, Now() is advanced to horizon
-// so that callers can sample end-of-run state. When Stop halted the loop,
-// Now() stays at the last fired event's time: events earlier than the
-// horizon may still be pending, and advancing past them would make a
-// later Step fire them in the simulated past (time running backwards)
-// and make legitimate Schedule calls between the pending event and the
-// horizon panic. The head of the queue is fired directly — cancellation
+// Run fires events in order until the queue is empty or the next event
+// would fire strictly after horizon, then advances Now() to horizon so
+// that callers can sample end-of-run state. The head of the queue is
+// fired directly — cancellation
 // removes events eagerly, so no skip pass is needed between the peek and
 // the fire.
 func (en *Engine) Run(horizon Time) {
-	for !en.stopped && len(en.heap) > 0 {
+	for len(en.heap) > 0 {
 		e := en.heap[0]
 		if e.t > horizon {
 			break
@@ -301,20 +260,15 @@ func (en *Engine) Run(horizon Time) {
 		en.remove(0)
 		en.fire(e)
 	}
-	if en.stopped {
-		en.stopped = false // consume the request; Now stays put
-		return
-	}
 	if en.now < horizon {
 		en.now = horizon
 	}
 }
 
 // RunBefore fires events in order while the head's time is strictly less
-// than limit, without ever advancing Now beyond the last fired event.
-// Unlike Run it ignores Stop requests (it is the inner loop of the
-// parallel coordinator, which checks Stop at window barriers). It returns
-// the number of events fired.
+// than limit, without ever advancing Now beyond the last fired event
+// (it is the inner loop of the parallel coordinator). It returns the
+// number of events fired.
 func (en *Engine) RunBefore(limit Time) int {
 	fired := 0
 	for len(en.heap) > 0 {
@@ -343,18 +297,15 @@ func (en *Engine) AdvanceTo(t Time) {
 	en.now = t
 }
 
-// RunUntilIdle fires events until none remain or Stop is called (see
-// Stop for the sticky consume-one-run semantics Run shares). It panics
-// if more than maxEvents fire, as a guard against runaway
-// self-rescheduling loops.
+// RunUntilIdle fires events until none remain. It panics if more than
+// maxEvents fire, as a guard against runaway self-rescheduling loops.
 func (en *Engine) RunUntilIdle(maxEvents uint64) {
 	start := en.executed
-	for !en.stopped && en.Step() {
+	for en.Step() {
 		if en.executed-start > maxEvents {
 			panic(fmt.Sprintf("des: exceeded %d events (runaway schedule?)", maxEvents))
 		}
 	}
-	en.stopped = false
 }
 
 // NextEventTime returns the fire time of the earliest pending event and

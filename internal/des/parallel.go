@@ -47,7 +47,6 @@ type ParallelEngine struct {
 	// after every phase.
 	out     [][][]CrossMsg
 	onCross CrossHandler
-	stopped bool
 	windows uint64
 }
 
@@ -166,14 +165,6 @@ func (p *ParallelEngine) runWindow(limit Time, workers int) {
 	wg.Wait()
 }
 
-// Stop requests that Run return at the next phase barrier. Like
-// Engine.Stop it is sticky: a Stop between runs halts the next Run
-// before any phase executes, and each request stops exactly one run.
-func (p *ParallelEngine) Stop() { p.stopped = true }
-
-// Stopped reports whether a Stop request is pending.
-func (p *ParallelEngine) Stopped() bool { return p.stopped }
-
 // Windows returns the number of parallel window phases executed, for
 // observability in tests and benchmarks.
 func (p *ParallelEngine) Windows() uint64 { return p.windows }
@@ -198,24 +189,18 @@ func (p *ParallelEngine) Reset() {
 			p.out[i][j] = p.out[i][j][:0]
 		}
 	}
-	p.stopped = false
 	p.windows = 0
 }
 
 // Run executes the simulation to horizon: events at or before the
 // horizon fire (shard events concurrently inside safe windows, global
 // events serially at barriers), and every engine finishes with Now() at
-// the horizon. A pending Stop halts execution at a phase boundary,
-// leaving every engine where its last phase ended; see Stop.
+// the horizon.
 func (p *ParallelEngine) Run(horizon Time, workers int) {
 	// Events at exactly the horizon are in scope, so windows are capped
 	// at the first representable time past it.
 	limitH := math.Nextafter(horizon, math.Inf(1))
 	for {
-		if p.stopped {
-			p.stopped = false
-			return
-		}
 		gt, gok := p.global.NextEventTime()
 		if !gok {
 			gt = math.Inf(1)

@@ -156,28 +156,6 @@ func TestParallelHorizonSemantics(t *testing.T) {
 	}
 }
 
-// TestParallelStopSticky pins the coordinator's Stop semantics: a Stop
-// between runs halts the next Run before any phase, is consumed by it,
-// and a later Run resumes.
-func TestParallelStopSticky(t *testing.T) {
-	p := NewParallelEngine(2, 0.1)
-	p.SetCrossHandler(func(int, CrossMsg) {})
-	fired := false
-	p.Shard(0).Schedule(1, "a", func() { fired = true })
-	p.Stop()
-	p.Run(5, 2)
-	if fired {
-		t.Fatal("Run executed a phase despite a pending Stop")
-	}
-	if p.Stopped() {
-		t.Fatal("Run did not consume the Stop request")
-	}
-	p.Run(5, 2)
-	if !fired {
-		t.Fatal("second Run did not resume")
-	}
-}
-
 // TestParallelLookaheadViolationPanics pins the machine-checked safety
 // net: a cross message whose delivery time is behind the destination
 // shard's clock (a delay below the lookahead) panics at merge rather

@@ -21,16 +21,10 @@ func NewRand(seed uint64) *Rand {
 	return &Rand{state: seed}
 }
 
-// Fork derives an independent stream keyed by id. Streams forked with
-// distinct ids from the same parent are statistically independent.
-func (r *Rand) Fork(id uint64) *Rand {
-	return &Rand{state: forkState(r.state, id)}
-}
-
-// ForkInto is the allocation-free form of Fork: it reseeds dst to the
-// exact stream Fork(id) would return, so reusable harnesses (the sim
-// arena) can rewire their per-subsystem streams in place and stay
-// bit-identical to a freshly forked execution.
+// ForkInto reseeds dst to an independent stream keyed by id. Streams
+// forked with distinct ids from the same parent are statistically
+// independent; forking in place lets reusable harnesses (the sim arena)
+// rewire their per-subsystem streams without allocating.
 func (r *Rand) ForkInto(id uint64, dst *Rand) {
 	dst.state = forkState(r.state, id)
 }
@@ -76,19 +70,6 @@ func (r *Rand) Intn(n int) int {
 		panic("des: Intn with n <= 0")
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Bool returns true with probability p.

@@ -120,27 +120,6 @@ func (bd *BoundedDistances) Ball(u int) (nodes, dists []int32) {
 	return bd.nodes[lo:hi], bd.dists[lo:hi]
 }
 
-// Dist returns the current hop distance between u and v, or -1 when v
-// lies outside u's radius-capped ball (farther than the radius, or
-// disconnected). It scans u's ball, so it is meant for tests and
-// spot-checks; bulk consumers iterate Ball directly.
-func (bd *BoundedDistances) Dist(u, v int) int {
-	if u == v {
-		return 0
-	}
-	nodes, dists := bd.Ball(u)
-	for i, w := range nodes {
-		if int(w) == v {
-			return int(dists[i])
-		}
-	}
-	return -1
-}
-
-// Stored returns the total number of (source, member) pairs currently
-// held — the O(n·k) footprint tests pin against the all-pairs matrix.
-func (bd *BoundedDistances) Stored() int { return len(bd.nodes) }
-
 // Recomputes returns the number of full truncated-BFS sweeps performed,
 // for asserting that revalidation is lazy.
 func (bd *BoundedDistances) Recomputes() int { return bd.recomputes }

@@ -72,15 +72,6 @@ func (dm *DistanceMatrix) bfsFrom(g *Dynamic, src int) {
 	dm.queue = q[:0]
 }
 
-// Dist returns the current hop distance between u and v, or -1 if they
-// are disconnected. Update must have run at least once.
-func (dm *DistanceMatrix) Dist(u, v int) int {
-	if !dm.valid {
-		panic("dyngraph: DistanceMatrix read before first Update")
-	}
-	return int(dm.dist[u*dm.n+v])
-}
-
 // Row returns the distances from u to every node (-1 for unreachable).
 // The slice aliases the matrix and is valid until the next Update.
 func (dm *DistanceMatrix) Row(u int) []int32 {
@@ -88,21 +79,6 @@ func (dm *DistanceMatrix) Row(u int) []int32 {
 		panic("dyngraph: DistanceMatrix read before first Update")
 	}
 	return dm.dist[u*dm.n : (u+1)*dm.n]
-}
-
-// MaxFinite returns the largest finite distance in the matrix (the
-// current diameter), or 0 for a single node or fully disconnected graph.
-func (dm *DistanceMatrix) MaxFinite() int {
-	if !dm.valid {
-		panic("dyngraph: DistanceMatrix read before first Update")
-	}
-	max := int32(0)
-	for _, d := range dm.dist {
-		if d > max {
-			max = d
-		}
-	}
-	return int(max)
 }
 
 // Recomputes returns the number of full BFS sweeps performed, for

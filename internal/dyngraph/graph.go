@@ -32,9 +32,6 @@ func E(u, v int) Edge {
 	return Edge{U: u, V: v}
 }
 
-// Has reports whether x is an endpoint of e.
-func (e Edge) Has(x int) bool { return e.U == x || e.V == x }
-
 // String renders the edge as its unordered pair.
 func (e Edge) String() string { return fmt.Sprintf("{%d,%d}", e.U, e.V) }
 
@@ -45,9 +42,6 @@ func (e Edge) String() string { return fmt.Sprintf("{%d,%d}", e.U, e.V) }
 type Interval struct {
 	Start, End float64
 }
-
-// Contains reports whether t is in [Start, End).
-func (iv Interval) Contains(t float64) bool { return t >= iv.Start && t < iv.End }
 
 // Covers reports whether [t1, t2] is fully inside [Start, End): the edge
 // exists throughout [t1, t2] per the paper (present at t1 and not removed
@@ -69,9 +63,9 @@ type Dynamic struct {
 	present map[Edge]bool
 	hist    map[Edge][]Interval
 	// adj mirrors present as per-node sorted neighbor slices, so that
-	// Neighbors and Degree cost O(deg) instead of scanning every edge
-	// ever seen, and AppendNeighbors yields a deterministic ascending
-	// order without sorting or allocating.
+	// AppendNeighbors costs O(deg) instead of scanning every edge ever
+	// seen, and yields a deterministic ascending order without sorting
+	// or allocating.
 	adj   [][]int
 	subs  []Subscriber
 	lastT float64
@@ -240,15 +234,6 @@ func (g *Dynamic) Stats() (adds, removes int) { return g.adds, g.removes }
 // bracket an interval over which the current edge set did not change.
 func (g *Dynamic) Epoch() uint64 { return g.epoch }
 
-// Neighbors returns a copy of the nodes currently adjacent to u, sorted
-// ascending.
-func (g *Dynamic) Neighbors(u int) []int {
-	return append([]int(nil), g.adj[u]...)
-}
-
-// Degree returns the number of edges currently incident to u.
-func (g *Dynamic) Degree(u int) int { return len(g.adj[u]) }
-
 // AppendNeighbors appends the nodes currently adjacent to u to buf, in
 // ascending order, and returns the extended slice. Callers on hot paths
 // reuse buf across calls to avoid allocating; the deterministic order
@@ -259,34 +244,11 @@ func (g *Dynamic) AppendNeighbors(u int, buf []int) []int {
 
 // RangeCurrentEdges calls f for every edge present now, in unspecified
 // order, without allocating. Use it for order-independent aggregations
-// (maxima, counts) on hot paths; use CurrentEdges when a sorted snapshot
-// is needed.
+// (maxima, counts).
 func (g *Dynamic) RangeCurrentEdges(f func(Edge)) {
 	for e := range g.present { //gcslint:allow maprange — callers are contractually order-independent (see doc comment)
 		f(e)
 	}
-}
-
-// CurrentEdges returns the edges present now, sorted. Remove deletes
-// presence entries, so every key in the map is a present edge.
-func (g *Dynamic) CurrentEdges() []Edge {
-	out := make([]Edge, 0, len(g.present))
-	for e := range g.present {
-		out = append(out, e)
-	}
-	sortEdges(out)
-	return out
-}
-
-// ExistsAt reports whether e is in E(t) according to the recorded
-// history.
-func (g *Dynamic) ExistsAt(e Edge, t float64) bool {
-	for _, iv := range g.hist[e] {
-		if iv.Contains(t) {
-			return true
-		}
-	}
-	return false
 }
 
 // ExistsThroughout reports whether e exists throughout [t1, t2] in the
@@ -356,6 +318,8 @@ func (g *Dynamic) EventTimes() []float64 {
 // when t crosses an event time (or t+T does), it suffices to test window
 // starts at 0 and at every event time s and s-T within range. Returns the
 // first violating window start, or (0, true) if the property holds.
+//
+//gcslint:allow testonly — the paper's Def. 3.1 premise; churn cells are to assert it before their bounds apply
 func (g *Dynamic) VerifyIntervalConnectivity(T, horizon float64) (float64, bool) {
 	if T <= 0 {
 		panic("dyngraph: T must be positive")

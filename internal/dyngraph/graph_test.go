@@ -10,43 +10,40 @@ import (
 
 func TestNeighborsTrackAddsAndRemoves(t *testing.T) {
 	g := NewDynamic(5, []Edge{E(0, 2), E(0, 1)})
-	if got := g.Neighbors(0); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Fatalf("Neighbors(0) = %v, want [1 2]", got)
+	if got := g.AppendNeighbors(0, nil); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("neighbors of 0 = %v, want [1 2]", got)
 	}
 	g.Add(1, E(0, 4))
 	g.Add(1, E(3, 4))
-	if got := g.Neighbors(0); !reflect.DeepEqual(got, []int{1, 2, 4}) {
-		t.Fatalf("Neighbors(0) after add = %v, want [1 2 4]", got)
-	}
-	if got := g.Degree(0); got != 3 {
-		t.Fatalf("Degree(0) = %d, want 3", got)
+	if got := g.AppendNeighbors(0, nil); !reflect.DeepEqual(got, []int{1, 2, 4}) {
+		t.Fatalf("neighbors of 0 after add = %v, want [1 2 4]", got)
 	}
 	g.Remove(2, E(0, 2))
-	if got := g.Neighbors(0); !reflect.DeepEqual(got, []int{1, 4}) {
-		t.Fatalf("Neighbors(0) after remove = %v, want [1 4]", got)
+	if got := g.AppendNeighbors(0, nil); !reflect.DeepEqual(got, []int{1, 4}) {
+		t.Fatalf("neighbors of 0 after remove = %v, want [1 4]", got)
 	}
-	if got := g.Degree(2); got != 0 {
-		t.Fatalf("Degree(2) = %d, want 0", got)
+	if got := g.AppendNeighbors(2, nil); len(got) != 0 {
+		t.Fatalf("neighbors of 2 = %v, want none", got)
 	}
 	// Re-adding the removed edge restores adjacency.
 	g.Add(3, E(0, 2))
-	if got := g.Neighbors(2); !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("Neighbors(2) after re-add = %v, want [0]", got)
+	if got := g.AppendNeighbors(2, nil); !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("neighbors of 2 after re-add = %v, want [0]", got)
 	}
 }
 
 func TestHistorySurvivesPresenceDeletion(t *testing.T) {
 	// Remove deletes the presence entry; the interval history must still
-	// answer ExistsAt/ExistsThroughout for the past.
+	// answer ExistsThroughout for the past.
 	g := NewDynamic(3, []Edge{E(0, 1)})
 	g.Remove(5, E(0, 1))
 	if g.Present(E(0, 1)) {
 		t.Fatal("edge still present after removal")
 	}
-	if !g.ExistsAt(E(0, 1), 3) {
+	if !g.ExistsThroughout(E(0, 1), 3, 3) {
 		t.Fatal("history lost: edge existed at t=3")
 	}
-	if g.ExistsAt(E(0, 1), 5) {
+	if g.ExistsThroughout(E(0, 1), 5, 5) {
 		t.Fatal("half-open interval violated: edge removed at t=5 is not in E(5)")
 	}
 	if !g.ExistsThroughout(E(0, 1), 0, 4) {
@@ -58,13 +55,16 @@ func TestHistorySurvivesPresenceDeletion(t *testing.T) {
 	}
 }
 
+// TestCurrentEdgesAfterChurn reads E(t) as the degenerate window
+// E|[t,t]: after a removal and an addition it is exactly the present
+// edges, sorted.
 func TestCurrentEdgesAfterChurn(t *testing.T) {
 	g := NewDynamic(4, Line(4))
 	g.Remove(1, E(1, 2))
 	g.Add(2, E(0, 3))
 	want := []Edge{{0, 1}, {0, 3}, {2, 3}}
-	if got := g.CurrentEdges(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("CurrentEdges = %v, want %v", got, want)
+	if got := g.EdgesThroughout(2, 2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("E(2) = %v, want %v", got, want)
 	}
 }
 

@@ -38,14 +38,6 @@ func Connected(n int, edges []Edge) bool {
 	return count == n
 }
 
-// Distances returns BFS hop distances from src in the static graph;
-// unreachable nodes get -1. This is the paper's dist(src, v).
-func Distances(n int, edges []Edge, src int) []int {
-	dist := make([]int, n)
-	bfs(Adjacency(n, edges), src, dist, make([]int, 0, n))
-	return dist
-}
-
 // bfs fills dist with hop distances from src (-1 for unreachable),
 // reusing the caller's queue buffer, and returns the eccentricity of src
 // (the largest finite distance).

@@ -299,7 +299,7 @@ func TestInjectorStepTable(t *testing.T) {
 	inj.Wire(spec, n, rho, des.NewRand(seed))
 
 	t.Run("crash", func(t *testing.T) {
-		want := des.NewRand(seed).Fork(2).Fork(node)
+		want := forkPath(des.NewRand(seed), 2, node)
 		var st Stats
 		now := want.Exp(spec.CrashEvery)
 		if got := inj.CrashStart(node); got != now {
@@ -332,7 +332,7 @@ func TestInjectorStepTable(t *testing.T) {
 	})
 
 	t.Run("rate", func(t *testing.T) {
-		want := des.NewRand(seed).Fork(3).Fork(node)
+		want := forkPath(des.NewRand(seed), 3, node)
 		var st Stats
 		now := want.Exp(spec.RateExcursionEvery)
 		if got := inj.RateStart(node); got != now {
@@ -383,4 +383,14 @@ func TestInjectorStepTable(t *testing.T) {
 			t.Fatal("a plan without excursions started a rate chain")
 		}
 	})
+}
+
+// forkPath returns the stream r.ForkInto derives along ids, one fork per
+// id, in a fresh generator; r is left untouched.
+func forkPath(r *des.Rand, ids ...uint64) *des.Rand {
+	out := *r
+	for _, id := range ids {
+		out.ForkInto(id, &out)
+	}
+	return &out
 }

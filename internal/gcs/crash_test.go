@@ -102,7 +102,7 @@ func TestRecoverRestartsLogicalFromHardware(t *testing.T) {
 	}
 	nodes[1].Crash()
 	nodes[1].Recover()
-	if l, h := nodes[1].Logical(), nodes[1].Clock().Now(); math.Abs(l-h) > 1e-9 {
+	if l, h := nodes[1].Logical(), nodes[1].clk.Now(); math.Abs(l-h) > 1e-9 {
 		t.Fatalf("recovered logical %v != hardware %v (volatile state survived)", l, h)
 	}
 }

@@ -56,6 +56,8 @@ import (
 // stay usable, which previously made an explicit zero boost
 // inexpressible — WithDefaults silently rewrote Mu: 0 to Mu: 1. Any
 // negative Mu is treated as this sentinel.
+//
+//gcslint:allow testonly — the documented Params sentinel; callers that want the jump-only regime name it
 const MuDisabled = -1
 
 // Params configures one node's algorithm.
@@ -350,14 +352,6 @@ func (nd *Node) OnEdgeRemoved(peer int) {
 	nd.nbrStale = true
 }
 
-// ID returns the node's identifier.
-func (nd *Node) ID() int { return nd.id }
-
-// Clock returns the node's hardware clock, as the seam interface the
-// node itself sees. Harnesses keep the concrete handle (for rate drift
-// and reset); tests that only need readings can go through this.
-func (nd *Node) Clock() seam.Clock { return nd.clk }
-
 // Start installs the beacon loop. phase is the hardware-time offset of
 // the first beacon (stagger nodes to avoid synchronized bursts); it must
 // be nonnegative.
@@ -476,6 +470,8 @@ func (nd *Node) scanNeighbors() float64 {
 // maximum agrees with a fresh scan of the topology — an invariant for
 // harness tests to assert at quiescent points (every discover event
 // delivered). It is vacuous while a rescan is already pending.
+//
+//gcslint:allow testonly — test-support API: the harness tests assert this invariant
 func (nd *Node) CheckNeighborMax() error {
 	if nd.nbrStale {
 		return nil

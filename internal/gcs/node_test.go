@@ -86,8 +86,8 @@ func TestLogicalNeverDecreasesAndDominatesHardware(t *testing.T) {
 			if l < prev[i]-1e-12 {
 				t.Fatalf("node %d logical clock decreased: %v -> %v", i, prev[i], l)
 			}
-			if l < nd.Clock().Now()-1e-12 {
-				t.Fatalf("node %d logical %v below hardware %v", i, l, nd.Clock().Now())
+			if l < nd.clk.Now()-1e-12 {
+				t.Fatalf("node %d logical %v below hardware %v", i, l, nd.clk.Now())
 			}
 			prev[i] = l
 		}

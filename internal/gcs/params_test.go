@@ -50,8 +50,8 @@ func TestJumpOnlyRegimeNeverEntersFastMode(t *testing.T) {
 	if s.Jumps != 1 || s.Logical < 100 {
 		t.Fatalf("jump rule did not fire: %+v", s)
 	}
-	if hw.PendingTimers() != 0 {
-		t.Fatalf("catch-up timers armed in the jump-only regime: %d pending", hw.PendingTimers())
+	if en.Pending() != 0 {
+		t.Fatalf("catch-up timers armed in the jump-only regime: %d events pending", en.Pending())
 	}
 }
 

@@ -68,9 +68,6 @@ func (c *DriftClock) Now() float64 {
 	return c.lastH + c.rate*time.Since(c.lastW).Seconds()
 }
 
-// Rate returns the current hardware rate.
-func (c *DriftClock) Rate() float64 { return c.rate }
-
 // RateBoundsSeen returns the smallest and largest rates the clock has
 // run at, for validating the [1-rho, 1+rho] drift bound.
 func (c *DriftClock) RateBoundsSeen() (min, max float64) { return c.minRate, c.maxRate }

@@ -636,7 +636,3 @@ func (c *core) finalise(executed uint64) SkewReport {
 	}
 	return *rep
 }
-
-// Gradient returns the simulation's gradient checker, or nil when
-// Config.CheckGradient is off.
-func (c *core) Gradient() *GradientChecker { return c.gradient }

@@ -132,7 +132,7 @@ func TestDriverStateMatchesClockDrivers(t *testing.T) {
 	}{
 		{"RandomWalk", DriverSpec{Kind: DriveRandomWalk, Interval: 0.5},
 			func(node int, rho float64, driveRand *des.Rand) refDriver {
-				return RandomWalk{Rho: rho, Interval: 0.5, Rand: driveRand.Fork(uint64(node))}
+				return RandomWalk{Rho: rho, Interval: 0.5, Rand: forkPath(driveRand, uint64(node))}
 			}},
 		{"BangBang", DriverSpec{Kind: DriveBangBang, Interval: 0.7},
 			func(node int, rho float64, driveRand *des.Rand) refDriver {
@@ -159,26 +159,27 @@ func TestDriverStateMatchesClockDrivers(t *testing.T) {
 			// from the same per-node streams the harness forks (root seed ->
 			// fork 0xd81fe -> fork node).
 			en := des.NewEngine()
-			driveRand := des.NewRand(cfg.Seed).Fork(0xd81fe)
+			driveRand := forkPath(des.NewRand(cfg.Seed), 0xd81fe)
 			ref := make([]*clock.HardwareClock, cfg.N)
 			for i := 0; i < cfg.N; i++ {
 				ref[i] = clock.New(en, 1)
 				tc.ref(i, cfg.Rho, driveRand).Install(en, ref[i])
 			}
 
-			// Rates are pure functions of driver events, so comparing them
-			// at a grid of times compares the whole trajectory.
+			// Readings integrate the rate trajectory from the driver events,
+			// so comparing them at a grid of times compares the whole
+			// trajectory.
 			for at := 0.25; at <= cfg.Horizon; at += 0.25 {
 				s.Advance(at)
 				ps.P.Run(at, 1)
 				en.Run(at)
 				for i := 0; i < cfg.N; i++ {
-					want := ref[i].Rate()
-					if got := s.Clocks[i].Rate(); got != want {
-						t.Fatalf("t=%v node %d: serial harness rate %v, reference rate %v", at, i, got, want)
+					want := ref[i].Now()
+					if got := s.Clocks[i].Now(); got != want {
+						t.Fatalf("t=%v node %d: serial harness reading %v, reference reading %v", at, i, got, want)
 					}
-					if got := ps.Clocks[i].Rate(); got != want {
-						t.Fatalf("t=%v node %d: sharded harness rate %v, reference rate %v", at, i, got, want)
+					if got := ps.Clocks[i].Now(); got != want {
+						t.Fatalf("t=%v node %d: sharded harness reading %v, reference reading %v", at, i, got, want)
 					}
 				}
 			}
@@ -200,12 +201,12 @@ func TestDriverStateMatchesClockDrivers(t *testing.T) {
 // draws the reference drivers make, in their order.
 func TestDriverStateSteps(t *testing.T) {
 	const rho, interval, node, steps = 0.02, 0.5, 3, 6
-	driveRand := des.NewRand(9).Fork(0xd81fe)
+	driveRand := forkPath(des.NewRand(9), 0xd81fe)
 
 	t.Run("RandomWalk", func(t *testing.T) {
 		var d DriverState
 		d.Start(node, driveRand)
-		want := driveRand.Fork(node)
+		want := forkPath(driveRand, node)
 		for k := 0; k < steps; k++ {
 			rate, next := d.Step(DriverSpec{Kind: DriveRandomWalk, Interval: interval}, rho)
 			wantRate := want.Range(1-rho, 1+rho)
@@ -249,7 +250,7 @@ func TestDriverStateSteps(t *testing.T) {
 func TestLayeredRateMatchesEquationOne(t *testing.T) {
 	cfg := LowerBoundConfig{N: 32, Seed: 1}.WithDefaults()
 	dists, _ := lowerBoundDists(cfg.N)
-	s := NewLowerBound(cfg)
+	s := newLowerBound(cfg)
 	for at := 0.5; at <= cfg.Horizon; at += 0.5 {
 		s.Advance(at)
 		for v, d := range dists {
@@ -284,8 +285,8 @@ func TestChurnStateSteps(t *testing.T) {
 		}
 		for i, ev := range first {
 			// Candidate i toggles absent -> present -> absent ..., drawing
-			// Exp(Absence) then Exp(Lifetime) from root.Fork(0xc400).Fork(i).
-			want := root.Fork(0xc400).Fork(uint64(i))
+			// Exp(Absence) then Exp(Lifetime) from root's 0xc400 -> i stream.
+			want := forkPath(root, 0xc400, uint64(i))
 			var edge string
 			for k := 0; k < toggles; k++ {
 				var wantEv ChurnEvent
@@ -354,4 +355,14 @@ func TestChurnStateSteps(t *testing.T) {
 			}
 		}
 	})
+}
+
+// forkPath returns the stream r.ForkInto derives along ids, one fork per
+// id, in a fresh generator; r is left untouched.
+func forkPath(r *des.Rand, ids ...uint64) *des.Rand {
+	out := *r
+	for _, id := range ids {
+		out.ForkInto(id, &out)
+	}
+	return &out
 }

@@ -268,44 +268,3 @@ func TestReconvergenceAfterCrashRecovery(t *testing.T) {
 			rpt.ReconvergenceTime)
 	}
 }
-
-// TestParallelStickyStopWithPendingFaults: stopping a faulted parallel
-// run mid-flight leaves crash/recovery events pending; resuming Run
-// consumes the sticky stop and finishes the run with fault accounting
-// intact. The resumed run executes one extra observe and the stop event
-// itself, so the comparison pins the deterministic subset.
-func TestParallelStickyStopWithPendingFaults(t *testing.T) {
-	cfg := faultedParallelConfig(64, 4)
-	cfg.Workers = 2
-	ref := mustRun(t, cfg)
-
-	ps := NewParallel(cfg)
-	ps.P.Global().Schedule(2.05, "test.stop", func() { ps.P.Stop() })
-	interrupted := ps.Run()
-	if got := ps.P.Global().Now(); got >= cfg.Horizon {
-		t.Fatalf("stop ignored: global clock at %v", got)
-	}
-	if interrupted.Samples >= ref.Samples {
-		t.Fatalf("interrupted run sampled %d >= full run's %d", interrupted.Samples, ref.Samples)
-	}
-	if _, ok := ps.P.Global().NextEventTime(); !ok {
-		t.Fatal("no pending global events at the stop point — fault schedule drained early")
-	}
-
-	resumed := ps.Run()
-	if resumed.Faults != ref.Faults {
-		t.Fatalf("resumed fault stats diverged:\n got %+v\nwant %+v", resumed.Faults, ref.Faults)
-	}
-	if resumed.Transport != ref.Transport {
-		t.Fatalf("resumed transport stats diverged:\n got %+v\nwant %+v", resumed.Transport, ref.Transport)
-	}
-	if resumed.TotalBeacons != ref.TotalBeacons ||
-		resumed.FinalGlobalSkew != ref.FinalGlobalSkew ||
-		resumed.MaxGlobalSkew != ref.MaxGlobalSkew {
-		t.Fatalf("resumed physics diverged from uninterrupted run:\n got %+v\nwant %+v", resumed, ref)
-	}
-	if resumed.Samples != ref.Samples+1 {
-		t.Fatalf("resumed samples = %d, want %d (one duplicate at the stop cut)",
-			resumed.Samples, ref.Samples+1)
-	}
-}

@@ -82,7 +82,7 @@ func TestGoldenReports(t *testing.T) {
 	}
 	t.Run("lowerbound_n32", func(t *testing.T) {
 		var want LowerBoundResult
-		checkGolden(t, "lowerbound_n32", RunLowerBound(LowerBoundConfig{N: 32, Seed: 1}, nil), &want)
+		checkGolden(t, "lowerbound_n32", NewArena().RunLowerBound(LowerBoundConfig{N: 32, Seed: 1}, nil), &want)
 	})
 }
 

@@ -186,43 +186,17 @@ func (gc *GradientChecker) observeRow(u int, vals []float64) {
 	}
 }
 
-// MaxDist returns the largest distance bucket holding data.
-func (gc *GradientChecker) MaxDist() int { return gc.maxDist }
-
-// MaxSkewAt returns the largest |L_u - L_v| observed over any pair at
-// current distance d, or 0 if no pair was ever at that distance.
-func (gc *GradientChecker) MaxSkewAt(d int) float64 {
-	if d < 1 || d >= len(gc.maxByDist) {
-		return 0
-	}
-	return gc.maxByDist[d]
-}
-
-// Samples returns the number of samples folded in.
-func (gc *GradientChecker) Samples() int { return gc.samples }
-
 // Recomputes returns the number of distance BFS sweeps performed during
 // the current run (one per distinct topology epoch observed).
 func (gc *GradientChecker) Recomputes() int { return gc.structRecomputes() - gc.recomputeBase }
 
-// PerDistance returns a fresh slice s with s[d] = MaxSkewAt(d) for d in
-// [0, MaxDist]; s[0] is always 0. Empty (nil) when no samples had any
+// PerDistance returns a fresh slice s whose s[d] is the largest
+// |L_u - L_v| observed over any pair at current distance d, for d in
+// [0, maxDist]; s[0] is always 0. Empty (nil) when no samples had any
 // connected pair.
 func (gc *GradientChecker) PerDistance() []float64 {
 	if gc.maxDist == 0 {
 		return nil
 	}
 	return append([]float64(nil), gc.maxByDist[:gc.maxDist+1]...)
-}
-
-// Check compares every bucket against bound(d) and returns the first
-// violating distance with its observed skew, or (0, 0, true) if every
-// bucket is within its bound.
-func (gc *GradientChecker) Check(bound func(d int) float64) (d int, skew float64, ok bool) {
-	for d := 1; d <= gc.maxDist; d++ {
-		if gc.maxByDist[d] > bound(d) {
-			return d, gc.maxByDist[d], false
-		}
-	}
-	return 0, 0, true
 }

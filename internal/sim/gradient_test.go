@@ -41,33 +41,33 @@ func TestGradientWithinBoundOnScenarios(t *testing.T) {
 			cfg.CheckGradient = true
 			s := New(cfg)
 			rpt := s.Run()
-			gc := s.Gradient()
-			if gc == nil || gc.Samples() != rpt.Samples {
+			gc := s.gradient
+			if gc == nil || gc.samples != rpt.Samples {
 				t.Fatalf("checker missing or undersampled: %+v", gc)
 			}
-			if gc.MaxDist() < 1 {
+			if gc.maxDist < 1 {
 				t.Fatal("no pair at any positive distance: checker degenerate")
 			}
-			if d, skew, ok := gc.Check(cfg.GradientBound); !ok {
+			if d, skew, ok := firstViolation(gc, cfg.GradientBound); !ok {
 				t.Fatalf("gradient violated at distance %d: skew %v > bound %v",
 					d, skew, cfg.GradientBound(d))
 			}
 			// The report mirrors the checker's buckets.
-			if len(rpt.PerDistanceSkew) != gc.MaxDist()+1 {
+			if len(rpt.PerDistanceSkew) != gc.maxDist+1 {
 				t.Fatalf("report buckets %d, checker maxDist %d",
-					len(rpt.PerDistanceSkew), gc.MaxDist())
+					len(rpt.PerDistanceSkew), gc.maxDist)
 			}
-			for d := 1; d <= gc.MaxDist(); d++ {
-				if rpt.PerDistanceSkew[d] != gc.MaxSkewAt(d) {
+			for d := 1; d <= gc.maxDist; d++ {
+				if rpt.PerDistanceSkew[d] != gc.maxByDist[d] {
 					t.Fatalf("report bucket %d = %v, checker %v",
-						d, rpt.PerDistanceSkew[d], gc.MaxSkewAt(d))
+						d, rpt.PerDistanceSkew[d], gc.maxByDist[d])
 				}
 			}
 			// The distance-1 bucket and MaxAdjacentSkew observe the same
 			// quantity (edges are exactly the distance-1 pairs).
-			if gc.MaxSkewAt(1) != rpt.MaxAdjacentSkew {
+			if gc.maxByDist[1] != rpt.MaxAdjacentSkew {
 				t.Fatalf("distance-1 bucket %v != MaxAdjacentSkew %v",
-					gc.MaxSkewAt(1), rpt.MaxAdjacentSkew)
+					gc.maxByDist[1], rpt.MaxAdjacentSkew)
 			}
 		})
 	}
@@ -107,18 +107,18 @@ func TestGradientDistanceMatrixInvalidationAcrossChurn(t *testing.T) {
 	cfg.CheckGradient = true
 	s := New(cfg)
 	rpt := s.Run()
-	gc := s.Gradient()
+	gc := s.gradient
 	if rpt.EdgeAdds == 0 {
 		t.Fatal("churn never fired")
 	}
 	if gc.Recomputes() < 2 {
 		t.Fatalf("distance matrix never invalidated across churn epochs: %d recomputes", gc.Recomputes())
 	}
-	if gc.Recomputes() > gc.Samples() {
+	if gc.Recomputes() > gc.samples {
 		t.Fatalf("recomputed %d times over %d samples: revalidation not lazy",
-			gc.Recomputes(), gc.Samples())
+			gc.Recomputes(), gc.samples)
 	}
-	if d, skew, ok := gc.Check(cfg.GradientBound); !ok {
+	if d, skew, ok := firstViolation(gc, cfg.GradientBound); !ok {
 		t.Fatalf("gradient violated under churn at distance %d: skew %v > bound %v",
 			d, skew, cfg.GradientBound(d))
 	}
@@ -261,12 +261,12 @@ func TestGradientRadiusCappedAgreesWithExact(t *testing.T) {
 				capped.GradientRadius = radius
 				s := New(capped)
 				s.Run()
-				gc := s.Gradient()
-				if gc.MaxDist() > radius {
-					t.Fatalf("radius %d checker filled bucket %d", radius, gc.MaxDist())
+				gc := s.gradient
+				if gc.maxDist > radius {
+					t.Fatalf("radius %d checker filled bucket %d", radius, gc.maxDist)
 				}
 				for d := 1; d <= radius; d++ {
-					if got, want := gc.MaxSkewAt(d), exact.Gradient().MaxSkewAt(d); got != want {
+					if got, want := gc.maxByDist[d], exact.gradient.maxByDist[d]; got != want {
 						t.Fatalf("radius %d bucket %d = %v, exact %v", radius, d, got, want)
 					}
 				}
@@ -293,14 +293,14 @@ func TestGradientSampledSourcesSubsetOfExact(t *testing.T) {
 	sampled.GradientSources = 6
 	s1 := New(sampled)
 	r1 := s1.Run()
-	gc := s1.Gradient()
-	if gc.MaxDist() < 1 {
+	gc := s1.gradient
+	if gc.maxDist < 1 {
 		t.Fatal("sampled checker observed no pairs")
 	}
-	for d := 1; d <= gc.MaxDist(); d++ {
-		if gc.MaxSkewAt(d) > exact.Gradient().MaxSkewAt(d) {
+	for d := 1; d <= gc.maxDist; d++ {
+		if gc.maxByDist[d] > exact.gradient.maxByDist[d] {
 			t.Fatalf("sampled bucket %d = %v exceeds exact %v",
-				d, gc.MaxSkewAt(d), exact.Gradient().MaxSkewAt(d))
+				d, gc.maxByDist[d], exact.gradient.maxByDist[d])
 		}
 	}
 	// Determinism: a second identical run reproduces the report exactly.
@@ -315,8 +315,8 @@ func TestGradientSampledSourcesSubsetOfExact(t *testing.T) {
 	both.GradientRadius = 2
 	s3 := New(both)
 	s3.Run()
-	if s3.Gradient().MaxDist() > 2 {
-		t.Fatalf("radius+sources checker filled bucket %d", s3.Gradient().MaxDist())
+	if s3.gradient.maxDist > 2 {
+		t.Fatalf("radius+sources checker filled bucket %d", s3.gradient.maxDist)
 	}
 }
 
@@ -336,4 +336,16 @@ func TestGradientCappedSteadyStateDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { s.observe() }); allocs > 0 {
 		t.Errorf("capped gradient check allocated %v objects/op, want 0", allocs)
 	}
+}
+
+// firstViolation compares every bucket of gc against bound(d) and
+// returns the first violating distance with its observed skew, or
+// (0, 0, true) if every bucket is within its bound.
+func firstViolation(gc *GradientChecker, bound func(d int) float64) (d int, skew float64, ok bool) {
+	for d := 1; d <= gc.maxDist; d++ {
+		if gc.maxByDist[d] > bound(d) {
+			return d, gc.maxByDist[d], false
+		}
+	}
+	return 0, 0, true
 }

@@ -20,6 +20,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 
 	"gcs/internal/dyngraph"
 	"gcs/internal/transport"
@@ -90,36 +91,24 @@ func (c LowerBoundConfig) WithDefaults() LowerBoundConfig {
 // the adversary has banked its full MaxDelay*maxDist hardware offset. It
 // assumes Rho and MaxDelay have already been defaulted.
 func (c LowerBoundConfig) switchHorizon() float64 {
-	return c.MaxDelay * float64(maxFlexDist(c.N)) / c.Rho
+	dists, _ := lowerBoundDists(c.N)
+	return c.MaxDelay * float64(slices.Max(dists)) / c.Rho
 }
 
-// maxFlexDist returns the largest flexible distance over the n-node
-// two-chain network with chain B constrained.
-func maxFlexDist(n int) int {
-	dists, _ := lowerBoundDists(n)
-	max := 0
-	for _, d := range dists {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// OmegaSkew returns the analytic Omega(n) reference curve for the
-// configuration: any view of the fastest node's clock held at the chain
-// ends is stale by at least MaxDelay per flexible hop, and conservative
-// aging recovers only a (1-rho)/(1+rho) fraction of the clock's true
-// growth over that staleness, so the adversary forces skew of at least
+// omegaSkew returns the analytic Omega(n) reference curve for a
+// defaulted configuration whose largest flexible distance is maxDist:
+// any view of the fastest node's clock held at the chain ends is stale
+// by at least MaxDelay per flexible hop, and conservative aging
+// recovers only a (1-rho)/(1+rho) fraction of the clock's true growth
+// over that staleness, so the adversary forces skew of at least
 //
 //	2*Rho/(1+Rho) * MaxDelay * maxDist,
 //
 // which grows linearly in n. Observed skew exceeds it because beacons
 // add a scheduling staleness of up to one beacon interval per hop on
 // top of the delay bound.
-func (c LowerBoundConfig) OmegaSkew() float64 {
-	c = c.WithDefaults()
-	return 2 * c.Rho / (1 + c.Rho) * c.MaxDelay * float64(maxFlexDist(c.N))
+func (c LowerBoundConfig) omegaSkew(maxDist int) float64 {
+	return 2 * c.Rho / (1 + c.Rho) * c.MaxDelay * float64(maxDist)
 }
 
 // lowerBoundDists builds the two-chain network for n nodes and returns
@@ -140,21 +129,12 @@ func lowerBoundDists(n int) (dists []int, isB []bool) {
 	return dyngraph.FlexibleDistances(n, tc.Edges, constrained, 0), isB
 }
 
-// NewLowerBound wires the Theorem 4.1 scenario: the two-chain topology,
-// one Eq. (1) rate chain per node keyed on its flexible distance, and a
-// transport delay mask charging MaxDelay across chain A and Epsilon
-// across chain B. The returned simulation has not run yet; attach a
-// TraceRecorder before running to capture the skew time series.
-func NewLowerBound(cfg LowerBoundConfig) *Simulation {
-	cfg = cfg.WithDefaults()
-	dists, isB := lowerBoundDists(cfg.N)
-	return newLowerBoundWired(NewArena(), cfg, dists, isB)
-}
-
-// newLowerBoundWired does NewLowerBound's wiring from a precomputed
-// layout, so callers that already ran the 0/1-BFS (RunLowerBound needs
-// the distances for its report too) do not recompute it, onto a reusable
-// arena, so sweeps pay the O(n) base wiring only when n grows. cfg must
+// newLowerBoundWired wires the Theorem 4.1 scenario onto a reusable
+// arena, so sweeps pay the O(n) base wiring only when n grows: the
+// two-chain topology, one Eq. (1) rate chain per node keyed on its
+// flexible distance dists[v], and a transport delay mask charging
+// MaxDelay across chain A and Epsilon across chain B (isB marks the
+// chain-B interior). The returned simulation has not run yet. cfg must
 // already have defaults applied.
 func newLowerBoundWired(a *Arena, cfg LowerBoundConfig, dists []int, isB []bool) *Simulation {
 	base := Config{
@@ -206,7 +186,7 @@ type LowerBoundResult struct {
 	// FinalGlobalSkew is the spread at the horizon.
 	FinalGlobalSkew float64 `json:"final_global_skew"`
 	// OmegaSkew is the analytic Omega(n) reference the observation is
-	// plotted against (see LowerBoundConfig.OmegaSkew).
+	// plotted against (see LowerBoundConfig.omegaSkew).
 	OmegaSkew float64 `json:"omega_skew"`
 	// UpperBound is the harness's analytic worst-case global skew for
 	// the same topology, bracketing the observation from above.
@@ -220,28 +200,17 @@ type LowerBoundResult struct {
 	Transport      transport.Stats `json:"transport"`
 }
 
-// RunLowerBound wires and executes one Theorem 4.1 run. If tr is
-// non-nil it is attached (and reset) to record the per-node logical
-// clock time series. Results are deterministic in the config: same
-// config, bit-identical result.
-func RunLowerBound(cfg LowerBoundConfig, tr *TraceRecorder) LowerBoundResult {
-	return NewArena().RunLowerBound(cfg, tr)
-}
-
-// RunLowerBound executes one Theorem 4.1 run on the arena's reusable
-// simulation; see the package-level RunLowerBound. Reports are
+// RunLowerBound wires and executes one Theorem 4.1 run on the arena's
+// reusable simulation. If tr is non-nil it is attached (and reset) to
+// record the per-node logical clock time series. Results are
+// deterministic in the config (same config, bit-identical result) and
 // bit-identical to freshly wired runs.
 func (a *Arena) RunLowerBound(cfg LowerBoundConfig, tr *TraceRecorder) LowerBoundResult {
 	cfg = cfg.WithDefaults()
 	// One layout computation serves the wiring, the reported maxDist,
 	// and the Omega curve.
 	dists, isB := lowerBoundDists(cfg.N)
-	maxDist := 0
-	for _, d := range dists {
-		if d > maxDist {
-			maxDist = d
-		}
-	}
+	maxDist := slices.Max(dists)
 	s := newLowerBoundWired(a, cfg, dists, isB)
 	if tr != nil {
 		s.AttachTrace(tr)
@@ -252,7 +221,7 @@ func (a *Arena) RunLowerBound(cfg LowerBoundConfig, tr *TraceRecorder) LowerBoun
 		MaxDist:         maxDist,
 		MaxGlobalSkew:   rpt.MaxGlobalSkew,
 		FinalGlobalSkew: rpt.FinalGlobalSkew,
-		OmegaSkew:       2 * cfg.Rho / (1 + cfg.Rho) * cfg.MaxDelay * float64(maxDist),
+		OmegaSkew:       cfg.omegaSkew(maxDist),
 		UpperBound:      rpt.Bound,
 		Horizon:         cfg.Horizon,
 		Samples:         rpt.Samples,
@@ -261,21 +230,10 @@ func (a *Arena) RunLowerBound(cfg LowerBoundConfig, tr *TraceRecorder) LowerBoun
 	}
 }
 
-// LowerBoundSweep runs the scenario at each node count in ns (base's N
-// is ignored) and returns one result per n. The sweep demonstrates the
-// Omega(n) growth: observed max global skew scales linearly with n. One
-// arena is reused across the whole sweep, so each step's wiring cost is
-// only the delta over the largest n seen so far — run ascending sweeps
-// for the cheapest schedule.
-func LowerBoundSweep(base LowerBoundConfig, ns []int) []LowerBoundResult {
-	// A fixed horizon copied from a single run would cut large-n runs
-	// short of banking their full Omega(n) skew; always re-derive it from
-	// the rate schedule per n.
-	base.Horizon = 0
-	return LowerBoundSweepParallel(base, ns, 1, nil)
-}
-
-// LowerBoundSweepParallel fans the n-sweep across workers goroutines
+// LowerBoundSweepParallel runs the scenario at each node count in ns
+// (base's N is ignored) and returns one result per n; the sweep
+// demonstrates the Omega(n) growth, observed max global skew scaling
+// linearly with n. It fans the n-sweep across workers goroutines
 // (<= 0 means GOMAXPROCS), each owning a private arena and trace
 // recorder reshaped per run, and returns results in ns order —
 // bit-identical for every worker count, like RunSweep. base.Horizon is

@@ -12,7 +12,7 @@ import (
 // fast nodes' beacons look on-time and no jump rule can fire (the
 // paper's indistinguishability argument, executed rather than argued).
 func TestLowerBoundOmegaGrowth(t *testing.T) {
-	results := LowerBoundSweep(LowerBoundConfig{Seed: 1}, []int{32, 64, 128, 256})
+	results := LowerBoundSweepParallel(LowerBoundConfig{Seed: 1}, []int{32, 64, 128, 256}, 1, nil)
 	for _, res := range results {
 		if res.MaxGlobalSkew < res.OmegaSkew {
 			t.Errorf("n=%d: observed skew %v below analytic lower bound %v",
@@ -43,11 +43,11 @@ func TestLowerBoundOmegaGrowth(t *testing.T) {
 func TestLowerBoundSweepMatchesIndividualRuns(t *testing.T) {
 	base := LowerBoundConfig{Seed: 3}
 	ns := []int{32, 48, 64}
-	swept := LowerBoundSweep(base, ns)
+	swept := LowerBoundSweepParallel(base, ns, 1, nil)
 	for i, n := range ns {
 		cfg := base
 		cfg.N = n
-		want := RunLowerBound(cfg, nil)
+		want := NewArena().RunLowerBound(cfg, nil)
 		if !reflect.DeepEqual(swept[i], want) {
 			t.Fatalf("n=%d: sweep result diverged from individual run:\n  sweep = %+v\n  fresh = %+v",
 				n, swept[i], want)
@@ -60,7 +60,7 @@ func TestLowerBoundSweepMatchesIndividualRuns(t *testing.T) {
 // to rate 1 — the executions stay indistinguishable, so the final skew
 // equals the maximum.
 func TestLowerBoundSkewPersists(t *testing.T) {
-	res := RunLowerBound(LowerBoundConfig{N: 64, Seed: 1}, nil)
+	res := NewArena().RunLowerBound(LowerBoundConfig{N: 64, Seed: 1}, nil)
 	if res.FinalGlobalSkew != res.MaxGlobalSkew {
 		t.Fatalf("skew decayed: final %v < max %v", res.FinalGlobalSkew, res.MaxGlobalSkew)
 	}
@@ -70,8 +70,8 @@ func TestLowerBoundDeterminism(t *testing.T) {
 	cfg := LowerBoundConfig{N: 48, Seed: 7}
 	trA := NewTraceRecorder(48, 2048)
 	trB := NewTraceRecorder(48, 2048)
-	a := RunLowerBound(cfg, trA)
-	b := RunLowerBound(cfg, trB)
+	a := NewArena().RunLowerBound(cfg, trA)
+	b := NewArena().RunLowerBound(cfg, trB)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same config diverged:\n  a = %+v\n  b = %+v", a, b)
 	}
@@ -95,7 +95,7 @@ func TestLowerBoundDeterminism(t *testing.T) {
 // trace recording included — stays allocation-free once warm.
 func TestLowerBoundSteadyStateDoesNotAllocate(t *testing.T) {
 	cfg := LowerBoundConfig{N: 32, Seed: 1}.WithDefaults()
-	s := NewLowerBound(cfg)
+	s := newLowerBound(cfg)
 	tr := NewTraceRecorder(cfg.N, 64)
 	s.AttachTrace(tr)
 	// Warm up: arenas, event pool, estimate maps, and the trace ring all
@@ -125,4 +125,11 @@ func TestLowerBoundConfigValidation(t *testing.T) {
 			cfg.WithDefaults()
 		}()
 	}
+}
+
+// newLowerBound wires cfg (defaults already applied) onto a fresh arena
+// without running it.
+func newLowerBound(cfg LowerBoundConfig) *Simulation {
+	dists, isB := lowerBoundDists(cfg.N)
+	return newLowerBoundWired(NewArena(), cfg, dists, isB)
 }

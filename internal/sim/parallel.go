@@ -178,9 +178,10 @@ func (ps *ParallelSim) build(cfg Config) {
 }
 
 // parallelSampleMinNodes gates the concurrent sample scan: below this
-// node count the serial scan wins (and the tight allocs/op pins of the
-// small-N benches stay intact — spawning sample workers costs a few
-// allocations per sample). Tests lower it to force the concurrent path.
+// node count the serial scan wins (and the zero budget of the sharded
+// row of TestArenaSecondRunZeroAlloc holds — spawning sample workers
+// costs a few allocations per sample). Tests lower it to force the
+// concurrent path.
 var parallelSampleMinNodes = 4096
 
 // observeShard scans shard s's node block, filling the shared value

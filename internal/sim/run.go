@@ -145,6 +145,8 @@ func (s *Simulation) Run() SkewReport {
 // parallel harness when Config.Parallel is set. A malformed config is
 // rejected with Validate's error before anything is wired — the
 // harness-boundary contract a long-running sweep service relies on.
+//
+//gcslint:allow testonly — the validating one-call entry point for library callers
 func Run(cfg Config) (SkewReport, error) {
 	if err := cfg.Validate(); err != nil {
 		return SkewReport{}, err

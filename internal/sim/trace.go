@@ -85,9 +85,6 @@ func (tr *TraceRecorder) Record(t float64, vals []float64) {
 // Len returns the number of samples currently held.
 func (tr *TraceRecorder) Len() int { return tr.count }
 
-// Nodes returns the per-sample row width (the node count).
-func (tr *TraceRecorder) Nodes() int { return tr.n }
-
 // Sample returns the i-th held sample in chronological order (0 is the
 // oldest). The returned slice aliases the ring's storage: it is valid
 // until the next Record or Reset and must not be modified.

@@ -56,8 +56,8 @@ func TestTraceRecorderResetReusesBuffers(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("Reset to smaller node count allocated %v objects", allocs)
 	}
-	if tr.Len() != 0 || tr.Nodes() != 4 {
-		t.Fatalf("reset state: len=%d nodes=%d", tr.Len(), tr.Nodes())
+	if tr.Len() != 0 || tr.n != 4 {
+		t.Fatalf("reset state: len=%d nodes=%d", tr.Len(), tr.n)
 	}
 	// Growing requires one reallocation, after which recording is free.
 	tr.Reset(32)
@@ -94,8 +94,8 @@ func TestSimulationTraceMatchesReport(t *testing.T) {
 	tr := NewTraceRecorder(1, 256) // wrong shape on purpose; AttachTrace resets
 	s.AttachTrace(tr)
 	rpt := s.Run()
-	if tr.Nodes() != 8 {
-		t.Fatalf("AttachTrace did not reshape the recorder: nodes=%d", tr.Nodes())
+	if tr.n != 8 {
+		t.Fatalf("AttachTrace did not reshape the recorder: nodes=%d", tr.n)
 	}
 	if tr.Len() != rpt.Samples {
 		t.Fatalf("trace holds %d samples, report counted %d", tr.Len(), rpt.Samples)

@@ -89,6 +89,8 @@ func Equal(got, want any) bool { return len(Diff(got, want)) == 0 }
 // AssertSameReport fails the test unless got and want are bit-identical,
 // listing exactly the fields that diverged. label names the equivalence
 // being pinned ("workers=4 vs workers=1", "rerun", "arena reuse").
+//
+//gcslint:allow testonly — simtest is the shared test-support package
 func AssertSameReport(tb TB, label string, got, want any) {
 	tb.Helper()
 	if diffs := Diff(got, want); len(diffs) != 0 {
@@ -102,6 +104,8 @@ func AssertSameReport(tb TB, label string, got, want any) {
 
 // AssertReportsDiffer fails the test if got and want are bit-identical —
 // the negative control (e.g. a seed change must perturb the execution).
+//
+//gcslint:allow testonly — simtest is the shared test-support package
 func AssertReportsDiffer(tb TB, label string, got, want any) {
 	tb.Helper()
 	if Equal(got, want) {

@@ -29,11 +29,11 @@ import (
 // with the next segment. Records are independent facts, so dropping a
 // suffix is always consistent — at worst a cell re-runs.
 //
-// The active segment rotates at SegmentBytes; Compact rewrites the live
+// The active segment rotates at SegmentBytes. When replay saw
+// superseded records (duplicate cell puts from retries, job status
+// rewrites) or recovered garbage, Open compacts: it rewrites the live
 // state (every cell fact, each job's latest record) into a fresh
-// segment and removes the old ones. Open compacts automatically when
-// replay saw superseded records (duplicate cell puts from retries, job
-// status rewrites) or recovered garbage.
+// segment chain and removes the old segments.
 type WAL struct {
 	dir      string
 	segBytes int64
@@ -60,7 +60,7 @@ type WALStats struct {
 	// Superseded counts replayed or written records that overwrote an
 	// earlier record (retry duplicates, job status updates).
 	Superseded int
-	// Compactions counts Compact runs (including the automatic one).
+	// Compactions counts compactions on open.
 	Compactions int
 }
 
@@ -376,17 +376,11 @@ func (w *WAL) Close() error {
 	return nil
 }
 
-// Compact rewrites the live state into a fresh segment chain (rotating
-// at the size cap as usual) and removes the old segments, folding out
-// superseded records and recovered garbage. The rewrite is ordered
-// (jobs by ID, then cells by key) so compacted segments are
+// compactLocked rewrites the live state into a fresh segment chain
+// (rotating at the size cap as usual) and removes the old segments,
+// folding out superseded records and recovered garbage. The rewrite is
+// ordered (jobs by ID, then cells by key) so compacted segments are
 // byte-deterministic functions of the state.
-func (w *WAL) Compact() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.compactLocked()
-}
-
 func (w *WAL) compactLocked() error {
 	if w.active == nil {
 		return fmt.Errorf("store: WAL is closed")

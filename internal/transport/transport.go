@@ -256,9 +256,6 @@ func (n *Network) Reset(delay DelayFn, maxDelay float64) {
 	}
 }
 
-// MaxDelay returns the configured delay bound.
-func (n *Network) MaxDelay() float64 { return n.maxDelay }
-
 // SetDelayMask installs (or, with nil, removes) a per-edge delay mask.
 // While a mask is set, every send first asks mask(from, to) for a
 // DelayFn; a non-nil answer overrides the network's base delay law for
@@ -273,7 +270,7 @@ func (n *Network) SetDelayMask(mask EdgeDelayFn) { n.mask = mask }
 // toward Sent (the sender paid for them) and the plan's Drops, never
 // toward Dropped (no edge removal occurred); duplicated messages send
 // a second flight with its own nominal delay; spiked messages charge a
-// delay beyond MaxDelay, exempt from the (0, maxDelay] validation.
+// delay beyond maxDelay, exempt from the (0, maxDelay] validation.
 // Reset removes the plan.
 func (n *Network) SetFaults(m *fault.Messages) { n.faults = m }
 
