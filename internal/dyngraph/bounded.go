@@ -4,10 +4,12 @@ package dyngraph
 // graph's current edge set: for every source u it stores the ball of
 // nodes within the given radius, in CSR form (one offsets slice, one
 // concatenated members slice). Where DistanceMatrix costs O(n²) memory
-// and a full n-source BFS sweep per topology epoch, BoundedDistances
-// costs O(n·k) for ball size k and truncates each BFS at the radius —
-// the structure behind neighborhood-capped gradient checking at scales
-// where the all-pairs matrix stops fitting. Like DistanceMatrix it is
+// and an all-pairs recompute per topology epoch (a BFS from every node,
+// 64 sources at a time, each reaching its whole component),
+// BoundedDistances costs O(n·k) for ball size k and runs one
+// single-source BFS per node, stopped at the radius — the structure
+// behind neighborhood-capped gradient checking at scales where the
+// all-pairs matrix stops fitting. Like DistanceMatrix it is
 // epoch-lazy (one integer compare per Update while the topology is
 // unchanged) and allocation-free in steady state once the CSR arrays
 // have grown to the workload's ball sizes.

@@ -1,24 +1,108 @@
 package dyngraph
 
 import (
+	"fmt"
 	"testing"
+
+	"gcs/internal/des"
 )
 
-// TestDistanceMatrixMatchesDistances cross-checks the multi-source BFS
-// against the single-source reference on a static graph.
+// TestDistanceMatrixMatchesDistances cross-checks the bit-parallel
+// multi-source BFS against the single-source reference, entry for
+// entry, at node counts on both sides of the 64-source batch boundary
+// (one partial batch, exactly one, one plus one source, several with a
+// partial last). Each count runs the static shapes, then a seeded run of
+// edge toggles on the sparse graph with an Update after each, so stale
+// columns from an earlier recompute or batch would show.
 func TestDistanceMatrixMatchesDistances(t *testing.T) {
-	n := 12
-	edges := Ring(n)
-	g := NewDynamic(n, edges)
-	dm := NewDistanceMatrix(n)
-	if !dm.Update(g) {
-		t.Fatal("first Update did not recompute")
+	for _, n := range []int{1, 2, 63, 64, 65, 130, 257} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			w := 1
+			for x := 1; x*x <= n; x++ {
+				if n%x == 0 {
+					w = x
+				}
+			}
+			ring := Line(n) // the ring of fewer than three nodes
+			if n >= 3 {
+				ring = Ring(n)
+			}
+			for _, s := range []struct {
+				name  string
+				edges []Edge
+			}{
+				{"ring", ring},
+				{"line", Line(n)},
+				{"grid", Grid(w, n/w)},
+				{"star", Star(n)},
+				{"sparse", sparseEdges(n, des.NewRand(uint64(n)))},
+			} {
+				g := NewDynamic(n, s.edges)
+				dm := NewDistanceMatrix(n)
+				if !dm.Update(g) {
+					t.Fatalf("%s: first Update did not recompute", s.name)
+				}
+				checkMatrix(t, s.name, dm, g)
+			}
+
+			// Toggle random pairs of the sparse graph; a removal can split
+			// a component and an addition can join two.
+			r := des.NewRand(uint64(7 * n))
+			g := NewDynamic(n, sparseEdges(n, r))
+			dm := NewDistanceMatrix(n)
+			dm.Update(g)
+			for step := 1; n > 1 && step <= 40; step++ {
+				u, v := r.Intn(n), r.Intn(n)
+				if u == v {
+					continue
+				}
+				if e, at := E(u, v), float64(step); g.Present(e) {
+					g.Remove(at, e)
+				} else {
+					g.Add(at, e)
+				}
+				if !dm.Update(g) {
+					t.Fatalf("step %d: Update ignored an epoch change", step)
+				}
+				checkMatrix(t, fmt.Sprintf("step %d", step), dm, g)
+			}
+		})
 	}
-	for src := 0; src < n; src++ {
-		want := distances(n, edges, src)
-		for v, got := range dm.Row(src) {
+}
+
+// sparseEdges returns about n/2 random edges among the first 3n/4 nodes:
+// the rest are isolated, so for n >= 2 the graph has at least two
+// components, and the edges alone usually form several more.
+func sparseEdges(n int, r *des.Rand) []Edge {
+	m := n - max(1, n/4)
+	var edges []Edge
+	for i := 0; m > 1 && i < n/2; i++ {
+		if u, v := r.Intn(m), r.Intn(m); u != v {
+			edges = append(edges, E(u, v))
+		}
+	}
+	return edges
+}
+
+// checkMatrix asserts that dm, just updated against g, holds the
+// single-source reference distance at every entry, is symmetric and has
+// a zero diagonal.
+func checkMatrix(t *testing.T, label string, dm *DistanceMatrix, g *Dynamic) {
+	t.Helper()
+	n := g.N()
+	var edges []Edge
+	g.RangeCurrentEdges(func(e Edge) { edges = append(edges, e) })
+	for u := 0; u < n; u++ {
+		row, want := dm.Row(u), distances(n, edges, u)
+		if row[u] != 0 {
+			t.Fatalf("%s: dist(%d,%d) = %d, want 0", label, u, u, row[u])
+		}
+		for v, got := range row {
 			if int(got) != want[v] {
-				t.Fatalf("dist(%d,%d) = %d, want %d", src, v, got, want[v])
+				t.Fatalf("%s: dist(%d,%d) = %d, want %d", label, u, v, got, want[v])
+			}
+			if back := dm.Row(v)[u]; back != got {
+				t.Fatalf("%s: dist(%d,%d) = %d but dist(%d,%d) = %d", label, u, v, got, v, u, back)
 			}
 		}
 	}
