@@ -14,12 +14,12 @@ import (
 
 // runLowerBound implements `gcsim lowerbound`: it sweeps the Theorem 4.1
 // two-chain adversarial scenario over several node counts, prints the
-// observed-vs-analytic skew table, and dumps the skew time series as CSV
-// plus the full report as JSON for plotting. Serially (the default) one
-// arena and one trace recorder are reshaped across the whole sweep; with
-// -workers > 1 the node counts fan across arena-backed goroutines, each
-// with a private recorder, and results (CSV rows included) are emitted
-// in sweep order — bit-identical to the serial output.
+// observed-vs-analytic skew table, and dumps each run's skew series as
+// CSV plus the full report as JSON for plotting. Serially (the default)
+// one arena is reshaped across the whole sweep; with -workers > 1 the
+// node counts fan across arena-backed goroutines, and results (CSV rows
+// included) are emitted in sweep order — bit-identical to the serial
+// output.
 func runLowerBound(args []string) {
 	fs := flag.NewFlagSet("gcsim lowerbound", flag.ExitOnError)
 	var (
@@ -73,11 +73,13 @@ func runLowerBound(args []string) {
 
 	var csv strings.Builder
 	csv.WriteString("n,t,min,max,skew\n")
-	results, rows := lowerBoundSweep(base, ns, *workers)
+	results := sim.LowerBoundSweepParallel(base, ns, *workers)
 	fmt.Printf("%6s %8s %14s %14s %12s %12s\n",
 		"n", "maxDist", "maxSkew", "finalSkew", "omega(n)", "upperBound")
-	for i, res := range results {
-		csv.WriteString(rows[i])
+	for _, res := range results {
+		for _, p := range res.Series {
+			fmt.Fprintf(&csv, "%d,%g,%g,%g,%g\n", res.N, p.T, p.Lo, p.Hi, p.Hi-p.Lo)
+		}
 		fmt.Printf("%6d %8d %14.6f %14.6f %12.6f %12.2f\n",
 			res.N, res.MaxDist, res.MaxGlobalSkew, res.FinalGlobalSkew, res.OmegaSkew, res.UpperBound)
 	}
@@ -115,24 +117,6 @@ func runLowerBound(args []string) {
 		fail("lowerbound: %v", err)
 	}
 	fmt.Printf("wrote %s and %s\n", csvPath, jsonPath)
-}
-
-// lowerBoundSweep runs the Theorem 4.1 scenario at each node count via
-// sim.LowerBoundSweepParallel and returns, in ns order, the results and
-// the per-run CSV trace rows (rendered synchronously in the collect
-// callback, since the recorder is reshaped for the worker's next run).
-func lowerBoundSweep(base sim.LowerBoundConfig, ns []int, workers int) ([]sim.LowerBoundResult, []string) {
-	rows := make([]string, len(ns))
-	results := sim.LowerBoundSweepParallel(base, ns, workers,
-		func(i int, res sim.LowerBoundResult, tr *sim.TraceRecorder) {
-			var b strings.Builder
-			for s := 0; s < tr.Len(); s++ {
-				t, min, max := tr.Skew(s)
-				fmt.Fprintf(&b, "%d,%g,%g,%g,%g\n", res.N, t, min, max, max-min)
-			}
-			rows[i] = b.String()
-		})
-	return results, rows
 }
 
 // parseNs parses a comma-separated list of node counts.

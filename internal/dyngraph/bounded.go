@@ -7,12 +7,12 @@ package dyngraph
 // and an all-pairs recompute per topology epoch (a BFS from every node,
 // 64 sources at a time, each reaching its whole component),
 // BoundedDistances costs O(n·k) for ball size k and runs one
-// single-source BFS per node, stopped at the radius — the structure
-// behind neighborhood-capped gradient checking at scales where the
-// all-pairs matrix stops fitting. Like DistanceMatrix it is
-// epoch-lazy (one integer compare per Update while the topology is
+// single-source BFS per node, stopped at the radius. Like DistanceMatrix
+// it is epoch-lazy (one integer compare per Update while the topology is
 // unchanged) and allocation-free in steady state once the CSR arrays
-// have grown to the workload's ball sizes.
+// have grown to the workload's ball sizes. The simulator no longer uses
+// it (the gradient check is exact, over DistanceMatrix); only the
+// benchmark's dyngraph.bounded_update_ms probe still times it.
 type BoundedDistances struct {
 	n      int
 	radius int
@@ -50,9 +50,6 @@ func NewBoundedDistances(n, radius int) *BoundedDistances {
 		queue:   make([]int32, 0, n),
 	}
 }
-
-// Radius returns the truncation radius the structure was built with.
-func (bd *BoundedDistances) Radius() int { return bd.radius }
 
 // Update revalidates the balls against g's current edge set: a no-op
 // while g.Epoch() matches the epoch of the last recompute, a full
@@ -109,19 +106,3 @@ func (bd *BoundedDistances) ballFrom(g *Dynamic, src int) {
 	}
 	bd.queue = q[:0]
 }
-
-// Ball returns the nodes within the radius of u (excluding u itself)
-// and their distances, in BFS layer order. Both slices alias internal
-// storage and are valid until the next Update. Update must have run at
-// least once.
-func (bd *BoundedDistances) Ball(u int) (nodes, dists []int32) {
-	if !bd.valid {
-		panic("dyngraph: BoundedDistances read before first Update")
-	}
-	lo, hi := bd.offsets[u], bd.offsets[u+1]
-	return bd.nodes[lo:hi], bd.dists[lo:hi]
-}
-
-// Recomputes returns the number of full truncated-BFS sweeps performed,
-// for asserting that revalidation is lazy.
-func (bd *BoundedDistances) Recomputes() int { return bd.recomputes }

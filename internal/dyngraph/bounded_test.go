@@ -22,6 +22,22 @@ func randomDynamic(n int, extra int, r *des.Rand) *Dynamic {
 	return NewDynamic(n, edges)
 }
 
+// Ball returns the nodes within the radius of u (excluding u itself)
+// and their distances, in BFS layer order. Both slices alias internal
+// storage and are valid until the next Update. Update must have run at
+// least once.
+func (bd *BoundedDistances) Ball(u int) (nodes, dists []int32) {
+	if !bd.valid {
+		panic("dyngraph: BoundedDistances read before first Update")
+	}
+	lo, hi := bd.offsets[u], bd.offsets[u+1]
+	return bd.nodes[lo:hi], bd.dists[lo:hi]
+}
+
+// Recomputes returns the number of full truncated-BFS sweeps performed,
+// for asserting that revalidation is lazy.
+func (bd *BoundedDistances) Recomputes() int { return bd.recomputes }
+
 // ballDist returns the hop distance between u and v, or -1 when v lies
 // outside u's radius-capped ball (farther than the radius, or
 // disconnected), by scanning u's ball.

@@ -5,7 +5,7 @@ package sim
 // wired Run(cfg) — the arena reseeds every PRNG stream and resets every
 // component in place — but the O(n) per-run wiring (engine event pool,
 // graph adjacency and history storage, transport flight arena, clocks,
-// nodes, trace and sample buffers, the analytic bound's topology BFS) is
+// nodes, sample buffers and skew series, the analytic bound's topology BFS) is
 // paid once per shape and then reused: re-running a same-shape config,
 // churn included, allocates nothing, which TestArenaSecondRunZeroAlloc
 // pins. Growing to a larger N reuses the smaller prefix and allocates
@@ -17,7 +17,6 @@ package sim
 type Arena struct {
 	s  *Simulation
 	ps *ParallelSim
-	tr *TraceRecorder
 }
 
 // NewArena returns an empty arena; the first Sim or Run call wires it.
@@ -88,17 +87,4 @@ func (a *Arena) RunSliced(cfg Config, slice float64, cont func() bool) (report S
 		}
 	}
 	return s.Run(), true
-}
-
-// Trace returns the arena's reusable trace recorder reshaped for n
-// nodes and capacity samples, creating it on first use. Like the
-// simulation it accompanies, the recorder's buffers are reused across
-// runs; its previous contents are dropped by the reshape.
-func (a *Arena) Trace(n, capacity int) *TraceRecorder {
-	if a.tr == nil {
-		a.tr = NewTraceRecorder(n, capacity)
-	} else {
-		a.tr.ResetSize(n, capacity)
-	}
-	return a.tr
 }

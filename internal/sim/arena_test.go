@@ -171,35 +171,3 @@ func allocSweepCells() []SweepCell {
 	}
 	return cells
 }
-
-// TestArenaTraceReuse pins that a TraceRecorder attached per run on a
-// reused arena records the same series as on a fresh simulation.
-func TestArenaTraceReuse(t *testing.T) {
-	cfg := arenaConfigs()[0]
-	a := NewArena()
-	a.Run(cfg) // warm
-	tr := NewTraceRecorder(1, 256)
-	s := a.Sim(cfg)
-	s.AttachTrace(tr)
-	got := s.Run()
-
-	want := New(cfg)
-	trWant := NewTraceRecorder(cfg.N, 256)
-	want.AttachTrace(trWant)
-	want.Run()
-
-	if tr.Len() == 0 || tr.Len() != trWant.Len() {
-		t.Fatalf("trace lengths diverged: arena %d, fresh %d", tr.Len(), trWant.Len())
-	}
-	for i := 0; i < tr.Len(); i++ {
-		ta, va := tr.Sample(i)
-		tb, vb := trWant.Sample(i)
-		if ta != tb {
-			t.Fatalf("trace sample %d at time %v, fresh at %v", i, ta, tb)
-		}
-		simtest.AssertSameReport(t, fmt.Sprintf("trace sample %d", i), va, vb)
-	}
-	if got.Samples != tr.Len() {
-		t.Fatalf("report counted %d samples, trace holds %d", got.Samples, tr.Len())
-	}
-}

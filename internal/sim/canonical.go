@@ -17,7 +17,13 @@ import (
 // goes, so a serial cell with drops reports EventsExecuted higher by its
 // Transport.Dropped (nothing else in the report moves). A version-1
 // fact must not answer a version-2 run.
-const canonicalVersion = 2
+//
+// 2 -> 3: Config lost the gradient check's radius and source-count
+// fields, and the encoding their two words. No report moves (nothing
+// that stores facts ever set them), but one version names one layout,
+// so a version-2 fact is recomputed once instead of being kept under a
+// layout this binary no longer writes.
+const canonicalVersion = 3
 
 // AppendCanonical appends a canonical binary encoding of the config to
 // dst and returns the extended slice. The encoding is the identity of a
@@ -37,7 +43,7 @@ const canonicalVersion = 2
 //     and NaN included) and exact — no formatting round-trip.
 //
 // Every remaining field is physics (Seed, delay law, topology, driver,
-// churn, node parameters, fault plan, gradient-check shape)
+// churn, node parameters, fault plan, whether the gradient is checked)
 // and is encoded in declared order behind a version byte.
 func (c Config) AppendCanonical(dst []byte) []byte {
 	d := c.WithDefaults()
@@ -71,8 +77,6 @@ func (c Config) AppendCanonical(dst []byte) []byte {
 
 	dst = appendF64(dst, d.SampleEvery)
 	dst = appendBool(dst, d.CheckGradient)
-	dst = appendU64(dst, uint64(d.GradientRadius))
-	dst = appendU64(dst, uint64(d.GradientSources))
 
 	dst = appendBool(dst, d.Parallel)
 	dst = appendU64(dst, uint64(d.Shards))

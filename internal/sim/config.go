@@ -242,21 +242,6 @@ type Config struct {
 	// Off by default — the exact check reads n^2 pairs per sample.
 	CheckGradient bool
 
-	// GradientRadius, when positive, caps the gradient check at pairs
-	// within that many hops: distances come from a radius-capped
-	// BoundedDistances (O(n·k) memory for ball size k) instead of the
-	// all-pairs matrix, and only buckets 1..GradientRadius are
-	// verified. The gradient property is per-distance, so the truncated
-	// check is exact for the buckets it covers. 0 keeps the exact
-	// all-distance check.
-	GradientRadius int
-
-	// GradientSources, when positive, checks only that many evenly
-	// spaced source nodes per sample instead of all n — a deterministic
-	// function of (N, GradientSources), so reports stay pure functions
-	// of the Config. 0 checks every node.
-	GradientSources int
-
 	// Parallel runs the scenario on the sharded conservative-parallel
 	// engine (des.ParallelEngine) instead of the serial kernel. Parallel
 	// mode is its own physics: message delays are drawn from per-node

@@ -75,10 +75,10 @@ func (d *DriverState) Step(spec DriverSpec, rho float64) (rate, next float64) {
 
 // Fold accumulates skew samples and per-node totals into a SkewReport.
 // It is the one definition of the report's observed fields for all three
-// harnesses: each harness reads its nodes its own way (one scan, shard
-// blocks in parallel, under host locks) and hands the fold the sample's
-// extrema, the endpoint readings of every current edge, and at the end
-// each node's counters.
+// harnesses: each harness reads its nodes its own way (one serial scan on
+// both DES harnesses, under host locks in rt) and hands the fold the
+// sample's extrema, the endpoint readings of every current edge, and at
+// the end each node's counters.
 type Fold struct {
 	Report SkewReport
 
@@ -173,11 +173,17 @@ func (f *Fold) SetFaults(fs fault.Stats) {
 	}
 }
 
+// SkewPoint is one skew sample: its time and the extrema of the live
+// nodes' logical clocks (+Inf/-Inf when every node is down).
+type SkewPoint struct{ T, Lo, Hi float64 }
+
 // core is the part of a DES harness that does not depend on how many
 // engines execute it. Simulation is the core with one engine;
-// ParallelSim is the core with one engine per shard plus its own sample
-// scan. A harness fills in the three parameters below, then wires a run
-// as begin → Net (new, or Reset with the harness's delay law) → arm.
+// ParallelSim is the core with one engine per shard. Both sample through
+// the same path (observe: one serial scan, the exact gradient check, the
+// skew series), so a harness fills in only the two parameters below,
+// then wires a run as begin → Net (new, or Reset with the harness's
+// delay law) → arm.
 type core struct {
 	Cfg    Config
 	Graph  *dyngraph.Dynamic
@@ -189,11 +195,9 @@ type core struct {
 
 	// global carries the events that see every node at one consistent
 	// instant (churn, fault chains, sampling); engineOf(i) carries node
-	// i's clock, beacon timers and rate driver. scan reads every node into
-	// vals and returns the live extrema.
+	// i's clock, beacon timers and rate driver.
 	global   *des.Engine
 	engineOf func(i int) *des.Engine
-	scan     func() (lo, hi float64)
 
 	// allClocks/allNodes are the grow-only pools backing the public
 	// slices, which are views of the first Cfg.N entries.
@@ -232,8 +236,9 @@ type core struct {
 	// vals is the reused logical-clock sample buffer.
 	vals []float64
 	fold Fold
-	// trace, when non-nil, receives one row of logical values per sample.
-	trace *TraceRecorder
+	// series holds one point per sample of the current run, in time
+	// order; arm sizes it once and reuses it.
+	series []SkewPoint
 	// gradient, when non-nil (Config.CheckGradient), folds every sample
 	// into per-distance skew buckets.
 	gradient *GradientChecker
@@ -371,9 +376,18 @@ func (c *core) arm() {
 		c.vals = make([]float64, n)
 	}
 	c.vals = c.vals[:n]
-	c.trace = nil
+	// One point per sampling period from t = 0, plus a final one at the
+	// horizon. Presizing stops at maxPresized points: a longer run grows
+	// the series as it samples instead of reserving it all up front.
+	if want := min(int(math.Ceil(cfg.Horizon/cfg.SampleEvery))+2, maxPresized); cap(c.series) < want {
+		c.series = make([]SkewPoint, 0, want)
+	}
+	c.series = c.series[:0]
 	c.started = false
 }
+
+// maxPresized caps the skew series arm reserves for one run (1.5 MiB).
+const maxPresized = 1 << 16
 
 // driveStep is node arg's rate-driver event: apply the chain's next rate
 // and schedule the following step on the node's own engine. arm calls it
@@ -481,23 +495,15 @@ func (c *core) rateStep(arg uint64) {
 	c.afterFault(next, label, c.rateFn, i)
 }
 
-// wireGradient returns the checker for cfg, reusing prev when its shape
-// still fits (reset in place) and replacing it otherwise; nil when the
-// check is off.
+// wireGradient returns the checker for cfg, reusing prev when it was
+// sized for the same node count (reset in place) and replacing it
+// otherwise; nil when the check is off.
 func wireGradient(prev *GradientChecker, cfg Config) *GradientChecker {
 	if !cfg.CheckGradient {
 		return nil
 	}
-	wantSources := cfg.GradientSources
-	if wantSources >= cfg.N {
-		wantSources = 0 // sampling every node is the exact check
-	}
-	r, src := 0, 0
-	if prev != nil {
-		r, src = prev.shape()
-	}
-	if prev == nil || prev.nodes() != cfg.N || r != cfg.GradientRadius || src != wantSources {
-		return newGradientChecker(cfg.N, cfg.GradientRadius, wantSources)
+	if prev == nil || len(prev.maxByDist) != cfg.N {
+		return newGradientChecker(cfg.N)
 	}
 	prev.reset()
 	return prev
@@ -523,14 +529,14 @@ func (d discovery) EdgeRemoved(t float64, e dyngraph.Edge) {
 	d.c.Nodes[e.V].OnEdgeRemoved(e.U)
 }
 
-// scanRange reads nodes [from, to) into vals and returns the extrema of
-// the live ones. Disjoint ranges may be scanned concurrently while every
-// engine is stopped at the sample instant.
+// scan reads every node into vals and returns the extrema of the live
+// ones. Every engine is at the sample instant, so on the sharded harness
+// too this is one serial pass over consistent clocks.
 //
 //gcslint:zeroalloc
-func (c *core) scanRange(from, to int) (lo, hi float64) {
+func (c *core) scan() (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
-	for i := from; i < to; i++ {
+	for i := range c.vals {
 		if c.downMask != nil && c.downMask[i] {
 			// A crashed node has no logical clock. Poisoning its sample with
 			// NaN makes every consumer skip it for free: NaN fails the lo/hi
@@ -552,16 +558,15 @@ func (c *core) scanRange(from, to int) (lo, hi float64) {
 }
 
 // observe records one skew sample at the global engine's current time,
-// when every node is at that same instant. It reuses the sample buffer
-// and edge observer, so sampling allocates nothing.
+// when every node is at that same instant. It reuses the sample buffer,
+// the presized series and the edge observer, so sampling allocates
+// nothing.
 //
 //gcslint:zeroalloc
 func (c *core) observe() {
 	lo, hi := c.scan()
 	now := c.global.Now()
-	if c.trace != nil {
-		c.trace.Record(now, c.vals)
-	}
+	c.series = append(c.series, SkewPoint{T: now, Lo: lo, Hi: hi})
 	if c.gradient != nil {
 		c.gradient.observe(c.Graph, c.vals)
 	}
@@ -582,8 +587,8 @@ func (c *core) startSampler() {
 // boundFor returns the analytic global skew bound for Cfg, cached across
 // runs: GlobalSkewBound materializes the topology and runs a BFS, so a
 // reused simulation must not recompute it per run. The cache keys on
-// every field the bound depends on (Seed, Horizon, SampleEvery, Driver,
-// and the gradient-check fields do not affect it).
+// every field the bound depends on (Seed, Horizon, SampleEvery, Driver
+// and CheckGradient do not affect it).
 func (c *core) boundFor() float64 {
 	key := c.Cfg
 	key.Seed = 0
@@ -591,8 +596,6 @@ func (c *core) boundFor() float64 {
 	key.SampleEvery = 0
 	key.Driver = DriverSpec{}
 	key.CheckGradient = false
-	key.GradientRadius = 0
-	key.GradientSources = 0
 	key.Parallel = false
 	key.Shards = 0
 	key.Workers = 0

@@ -125,7 +125,7 @@ func TestGradientDistanceMatrixInvalidationAcrossChurn(t *testing.T) {
 }
 
 // TestGradientCheckSteadyStateDoesNotAllocate pins the per-sample check:
-// once wired, an observe pass (clock reads, trace-free sampling, distance
+// once wired, an observe pass (clock reads, the series append, distance
 // revalidation, full pair scan) allocates nothing on a static topology.
 func TestGradientCheckSteadyStateDoesNotAllocate(t *testing.T) {
 	cfg := Config{
@@ -237,104 +237,6 @@ func TestDiscoveryBeaconsOverFreshEdge(t *testing.T) {
 	rpt := s.Run()
 	if rpt.TotalDiscoveries != 2 {
 		t.Fatalf("TotalDiscoveries = %d, want 2", rpt.TotalDiscoveries)
-	}
-}
-
-// TestGradientRadiusCappedAgreesWithExact pins the truncation contract:
-// a radius-capped checker must produce exactly the exact checker's
-// buckets 1..r and nothing beyond, on both static and churny scenarios.
-func TestGradientRadiusCappedAgreesWithExact(t *testing.T) {
-	base := Config{
-		N: 24, Seed: 9, Horizon: 15, Rho: 0.01, MaxDelay: 0.01,
-		Topology:      TopologySpec{Kind: TopoRing},
-		Driver:        DriverSpec{Kind: DriveRandomWalk, Interval: 0.5},
-		CheckGradient: true,
-	}
-	churny := churnyConfig(9)
-	churny.CheckGradient = true
-	for name, cfg := range map[string]Config{"Ring": base, "Churny": churny} {
-		t.Run(name, func(t *testing.T) {
-			exact := New(cfg)
-			exact.Run()
-			for _, radius := range []int{1, 3, 5} {
-				capped := cfg
-				capped.GradientRadius = radius
-				s := New(capped)
-				s.Run()
-				gc := s.gradient
-				if gc.maxDist > radius {
-					t.Fatalf("radius %d checker filled bucket %d", radius, gc.maxDist)
-				}
-				for d := 1; d <= radius; d++ {
-					if got, want := gc.maxByDist[d], exact.gradient.maxByDist[d]; got != want {
-						t.Fatalf("radius %d bucket %d = %v, exact %v", radius, d, got, want)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestGradientSampledSourcesSubsetOfExact pins source sampling: every
-// bucket a sampled checker fills is bounded by the exact checker's
-// bucket (it observes a subset of pairs), the distance-1 observations
-// still catch real skew, and the source choice is deterministic.
-func TestGradientSampledSourcesSubsetOfExact(t *testing.T) {
-	cfg := Config{
-		N: 24, Seed: 9, Horizon: 15, Rho: 0.01, MaxDelay: 0.01,
-		Topology:      TopologySpec{Kind: TopoRing},
-		Driver:        DriverSpec{Kind: DriveRandomWalk, Interval: 0.5},
-		CheckGradient: true,
-	}
-	exact := New(cfg)
-	exact.Run()
-
-	sampled := cfg
-	sampled.GradientSources = 6
-	s1 := New(sampled)
-	r1 := s1.Run()
-	gc := s1.gradient
-	if gc.maxDist < 1 {
-		t.Fatal("sampled checker observed no pairs")
-	}
-	for d := 1; d <= gc.maxDist; d++ {
-		if gc.maxByDist[d] > exact.gradient.maxByDist[d] {
-			t.Fatalf("sampled bucket %d = %v exceeds exact %v",
-				d, gc.maxByDist[d], exact.gradient.maxByDist[d])
-		}
-	}
-	// Determinism: a second identical run reproduces the report exactly.
-	s2 := New(sampled)
-	r2 := s2.Run()
-	if !reflect.DeepEqual(r1, r2) {
-		t.Fatalf("sampled-source run not deterministic:\n  %+v\n  %+v", r1, r2)
-	}
-
-	// Radius + sources compose.
-	both := sampled
-	both.GradientRadius = 2
-	s3 := New(both)
-	s3.Run()
-	if s3.gradient.maxDist > 2 {
-		t.Fatalf("radius+sources checker filled bucket %d", s3.gradient.maxDist)
-	}
-}
-
-// TestGradientCappedSteadyStateDoesNotAllocate extends the zero-alloc
-// pin to the radius-capped, source-sampled observe path.
-func TestGradientCappedSteadyStateDoesNotAllocate(t *testing.T) {
-	cfg := Config{
-		N: 64, Seed: 3, Horizon: 10, Rho: 0.01, MaxDelay: 0.01,
-		Topology:        TopologySpec{Kind: TopoRing},
-		Driver:          DriverSpec{Kind: DriveRandomWalk, Interval: 0.5},
-		CheckGradient:   true,
-		GradientRadius:  4,
-		GradientSources: 16,
-	}
-	s := New(cfg)
-	s.Advance(2)
-	if allocs := testing.AllocsPerRun(100, func() { s.observe() }); allocs > 0 {
-		t.Errorf("capped gradient check allocated %v objects/op, want 0", allocs)
 	}
 }
 

@@ -19,7 +19,6 @@ package sim
 // repo demonstrates.
 
 import (
-	"math"
 	"slices"
 
 	"gcs/internal/dyngraph"
@@ -47,8 +46,7 @@ type LowerBoundConfig struct {
 	// the rate schedule: the last layered schedule switches back to rate
 	// 1 at MaxDelay*maxDist/Rho, plus a settle margin.
 	Horizon float64
-	// SampleEvery is the skew sampling (and trace recording) period
-	// (default 0.1).
+	// SampleEvery is the skew sampling period (default 0.1).
 	SampleEvery float64
 }
 
@@ -198,23 +196,22 @@ type LowerBoundResult struct {
 	// EventsExecuted is the DES kernel's fired-event count.
 	EventsExecuted uint64          `json:"events_executed"`
 	Transport      transport.Stats `json:"transport"`
+	// Series is the run's skew sample series, one point per sample; the
+	// CLI writes it as CSV, so the JSON report leaves it out.
+	Series []SkewPoint `json:"-"`
 }
 
 // RunLowerBound wires and executes one Theorem 4.1 run on the arena's
-// reusable simulation. If tr is non-nil it is attached (and reset) to
-// record the per-node logical clock time series. Results are
+// reusable simulation. Results, the skew series included, are
 // deterministic in the config (same config, bit-identical result) and
 // bit-identical to freshly wired runs.
-func (a *Arena) RunLowerBound(cfg LowerBoundConfig, tr *TraceRecorder) LowerBoundResult {
+func (a *Arena) RunLowerBound(cfg LowerBoundConfig) LowerBoundResult {
 	cfg = cfg.WithDefaults()
 	// One layout computation serves the wiring, the reported maxDist,
 	// and the Omega curve.
 	dists, isB := lowerBoundDists(cfg.N)
 	maxDist := slices.Max(dists)
 	s := newLowerBoundWired(a, cfg, dists, isB)
-	if tr != nil {
-		s.AttachTrace(tr)
-	}
 	rpt := s.Run()
 	return LowerBoundResult{
 		N:               cfg.N,
@@ -227,6 +224,8 @@ func (a *Arena) RunLowerBound(cfg LowerBoundConfig, tr *TraceRecorder) LowerBoun
 		Samples:         rpt.Samples,
 		EventsExecuted:  rpt.EventsExecuted,
 		Transport:       rpt.Transport,
+		// A copy: the arena reuses its series for the next run.
+		Series: slices.Clone(s.series),
 	}
 }
 
@@ -234,33 +233,18 @@ func (a *Arena) RunLowerBound(cfg LowerBoundConfig, tr *TraceRecorder) LowerBoun
 // (base's N is ignored) and returns one result per n; the sweep
 // demonstrates the Omega(n) growth, observed max global skew scaling
 // linearly with n. It fans the n-sweep across workers goroutines
-// (<= 0 means GOMAXPROCS), each owning a private arena and trace
-// recorder reshaped per run, and returns results in ns order —
-// bit-identical for every worker count, like RunSweep. base.Horizon is
-// honored as given (the CLI passes the user's -horizon through); leave
-// it 0 to re-derive the horizon from the rate schedule per n, which a
-// Theorem 4.1 demonstration needs. collect, when non-nil, is called
-// once per completed run from the worker goroutine with the sweep index
-// and the worker's recorder; the recorder is only valid for the
-// duration of the call (it is reshaped for the worker's next run), so
-// consumers must extract what they need synchronously. With a nil
-// collect no traces are recorded.
-func LowerBoundSweepParallel(base LowerBoundConfig, ns []int, workers int,
-	collect func(i int, res LowerBoundResult, tr *TraceRecorder)) []LowerBoundResult {
+// (<= 0 means GOMAXPROCS), each owning a private arena reused per run,
+// and returns results in ns order — bit-identical for every worker
+// count, like RunSweep. base.Horizon is honored as given (the CLI passes
+// the user's -horizon through); leave it 0 to re-derive the horizon from
+// the rate schedule per n, which a Theorem 4.1 demonstration needs.
+func LowerBoundSweepParallel(base LowerBoundConfig, ns []int, workers int) []LowerBoundResult {
 	results := make([]LowerBoundResult, len(ns))
 	forEachCell(len(ns), workers, func(i int, a *Arena) {
 		cfg := base
 		cfg.N = ns[i]
 		// An unset base Horizon re-derives per n in WithDefaults.
-		cfg = cfg.WithDefaults()
-		var tr *TraceRecorder
-		if collect != nil {
-			tr = a.Trace(cfg.N, int(math.Ceil(cfg.Horizon/cfg.SampleEvery))+2)
-		}
-		results[i] = a.RunLowerBound(cfg, tr)
-		if collect != nil {
-			collect(i, results[i], tr)
-		}
+		results[i] = a.RunLowerBound(cfg)
 	})
 	return results
 }

@@ -12,7 +12,7 @@ import (
 // fast nodes' beacons look on-time and no jump rule can fire (the
 // paper's indistinguishability argument, executed rather than argued).
 func TestLowerBoundOmegaGrowth(t *testing.T) {
-	results := LowerBoundSweepParallel(LowerBoundConfig{Seed: 1}, []int{32, 64, 128, 256}, 1, nil)
+	results := LowerBoundSweepParallel(LowerBoundConfig{Seed: 1}, []int{32, 64, 128, 256}, 1)
 	for _, res := range results {
 		if res.MaxGlobalSkew < res.OmegaSkew {
 			t.Errorf("n=%d: observed skew %v below analytic lower bound %v",
@@ -43,11 +43,11 @@ func TestLowerBoundOmegaGrowth(t *testing.T) {
 func TestLowerBoundSweepMatchesIndividualRuns(t *testing.T) {
 	base := LowerBoundConfig{Seed: 3}
 	ns := []int{32, 48, 64}
-	swept := LowerBoundSweepParallel(base, ns, 1, nil)
+	swept := LowerBoundSweepParallel(base, ns, 1)
 	for i, n := range ns {
 		cfg := base
 		cfg.N = n
-		want := NewArena().RunLowerBound(cfg, nil)
+		want := NewArena().RunLowerBound(cfg)
 		if !reflect.DeepEqual(swept[i], want) {
 			t.Fatalf("n=%d: sweep result diverged from individual run:\n  sweep = %+v\n  fresh = %+v",
 				n, swept[i], want)
@@ -60,46 +60,34 @@ func TestLowerBoundSweepMatchesIndividualRuns(t *testing.T) {
 // to rate 1 — the executions stay indistinguishable, so the final skew
 // equals the maximum.
 func TestLowerBoundSkewPersists(t *testing.T) {
-	res := NewArena().RunLowerBound(LowerBoundConfig{N: 64, Seed: 1}, nil)
+	res := NewArena().RunLowerBound(LowerBoundConfig{N: 64, Seed: 1})
 	if res.FinalGlobalSkew != res.MaxGlobalSkew {
 		t.Fatalf("skew decayed: final %v < max %v", res.FinalGlobalSkew, res.MaxGlobalSkew)
 	}
 }
 
+// TestLowerBoundDeterminism: the same config reproduces the result, its
+// skew series included, point for point.
 func TestLowerBoundDeterminism(t *testing.T) {
 	cfg := LowerBoundConfig{N: 48, Seed: 7}
-	trA := NewTraceRecorder(48, 2048)
-	trB := NewTraceRecorder(48, 2048)
-	a := NewArena().RunLowerBound(cfg, trA)
-	b := NewArena().RunLowerBound(cfg, trB)
+	a := NewArena().RunLowerBound(cfg)
+	b := NewArena().RunLowerBound(cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same config diverged:\n  a = %+v\n  b = %+v", a, b)
 	}
-	if a.EventsExecuted == 0 || a.Transport.Delivered == 0 {
-		t.Fatalf("degenerate execution: %+v", a)
-	}
-	if trA.Len() != trB.Len() {
-		t.Fatalf("trace lengths diverged: %d vs %d", trA.Len(), trB.Len())
-	}
-	for i := 0; i < trA.Len(); i++ {
-		ta, va := trA.Sample(i)
-		tb, vb := trB.Sample(i)
-		if ta != tb || !reflect.DeepEqual(va, vb) {
-			t.Fatalf("trace sample %d diverged", i)
-		}
+	if a.EventsExecuted == 0 || a.Transport.Delivered == 0 || len(a.Series) != a.Samples {
+		t.Fatalf("degenerate execution: %d series points over %d samples, %+v", len(a.Series), a.Samples, a)
 	}
 }
 
 // TestLowerBoundSteadyStateDoesNotAllocate pins the acceptance
 // criterion that the adversarial run — mask lookups, layered schedules,
-// trace recording included — stays allocation-free once warm.
+// the skew series included — stays allocation-free once warm.
 func TestLowerBoundSteadyStateDoesNotAllocate(t *testing.T) {
 	cfg := LowerBoundConfig{N: 32, Seed: 1}.WithDefaults()
 	s := newLowerBound(cfg)
-	tr := NewTraceRecorder(cfg.N, 64)
-	s.AttachTrace(tr)
-	// Warm up: arenas, event pool, estimate maps, and the trace ring all
-	// reach steady state within a few beacon intervals.
+	// Warm up: arenas, event pool and estimate maps all reach steady
+	// state within a few beacon intervals.
 	s.Advance(2)
 	cursor := 2.0
 	allocs := testing.AllocsPerRun(100, func() {

@@ -3,8 +3,6 @@ package sim
 import (
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"gcs/internal/des"
 	"gcs/internal/dyngraph"
@@ -18,7 +16,8 @@ import (
 // Net) that carries the shard's clocks, drivers, beacon timers and
 // message deliveries; skew sampling, gradient checking, and topology
 // churn run on the coordinator's global engine, which observes every
-// shard barriered at a single consistent instant. Delays lie in
+// shard barriered at a single consistent instant — through the core's
+// one serial sample path, the same as Simulation's. Delays lie in
 // (MinDelay, MaxDelay] — the positive floor is the engine's lookahead,
 // the amount of simulated time shard windows may run ahead of each other.
 //
@@ -46,20 +45,6 @@ type ParallelSim struct {
 	// shape keys the rebuild decision: engines and per-node objects are
 	// reconstructed only when it changes.
 	shape pshape
-
-	// Shard-local sample reduction. shardStart[s]..shardStart[s+1] is
-	// shard s's contiguous node block (the same block partition as
-	// shardOf); sampleLo/sampleHi hold per-shard partial extrema, merged
-	// in fixed shard order so the result is bit-identical to the serial
-	// left-to-right scan. runWorkers is the worker count Run resolved;
-	// like Workers itself it is execution, not physics.
-	shardStart   []int32
-	sampleLo     []float64
-	sampleHi     []float64
-	sampleNext   atomic.Int64
-	sampleWG     sync.WaitGroup
-	sampleWorker func()
-	runWorkers   int
 }
 
 // pshape is the allocation shape of a wired ParallelSim: changing any
@@ -77,7 +62,6 @@ func NewParallel(cfg Config) *ParallelSim {
 	ps := &ParallelSim{}
 	ps.init()
 	ps.engineOf = func(i int) *des.Engine { return ps.P.Shard(int(ps.shardOf[i])) }
-	ps.scan = ps.observeScan
 	// The sharded delay law: each message draws from its sender's private
 	// stream, in the sender's own send order — never in the order shard
 	// windows interleave — uniformly in (MinDelay, MaxDelay].
@@ -122,25 +106,6 @@ func (ps *ParallelSim) build(cfg Config) {
 		// keep almost all edges shard-internal.
 		ps.shardOf[i] = int32(i * cfg.Shards / cfg.N)
 	}
-	// Shard block boundaries for the sample scan: shard s's first node is
-	// the least i with i*Shards/N >= s, i.e. ceil(s*N/Shards); an empty
-	// shard (Shards > N) comes out as a zero-width range.
-	ps.shardStart = make([]int32, cfg.Shards+1)
-	for s := range ps.shardStart {
-		ps.shardStart[s] = int32((s*cfg.N + cfg.Shards - 1) / cfg.Shards)
-	}
-	ps.sampleLo = make([]float64, cfg.Shards)
-	ps.sampleHi = make([]float64, cfg.Shards)
-	ps.sampleWorker = func() {
-		defer ps.sampleWG.Done()
-		for {
-			s := int(ps.sampleNext.Add(1) - 1)
-			if s >= ps.P.NumShards() {
-				return
-			}
-			ps.observeShard(s)
-		}
-	}
 
 	// A flight whose destination is on another shard crosses as a packed
 	// des.CrossMsg and is put in flight on the owning lane at the merge.
@@ -177,64 +142,16 @@ func (ps *ParallelSim) build(cfg Config) {
 	ps.allClocks, ps.allNodes = nil, nil
 }
 
-// parallelSampleMinNodes gates the concurrent sample scan: below this
-// node count the serial scan wins (and the zero budget of the sharded
-// row of TestArenaSecondRunZeroAlloc holds — spawning sample workers
-// costs a few allocations per sample). Tests lower it to force the
-// concurrent path.
-var parallelSampleMinNodes = 4096
-
-// observeShard scans shard s's node block, filling the shared value
-// slice (disjoint index ranges per shard) and the shard's partial
-// extrema. Safe to run concurrently across shards: at the sample
-// instant every shard is barriered, so clock reads are consistent and
-// nothing else touches vals.
-func (ps *ParallelSim) observeShard(s int) {
-	ps.sampleLo[s], ps.sampleHi[s] = ps.scanRange(int(ps.shardStart[s]), int(ps.shardStart[s+1]))
-}
-
-// observeScan computes the sample's global extrema and fills vals.
-// Large runs with multiple workers scan shard blocks concurrently and
-// merge the per-shard partials in fixed shard order — float min/max is
-// exact and the blocks tile the index range, so the result is
-// bit-identical to the serial left-to-right scan it replaces (which was
-// the last O(n) serial stretch on the sampling path).
-func (ps *ParallelSim) observeScan() (lo, hi float64) {
-	shards := ps.P.NumShards()
-	if w := min(ps.runWorkers, shards); w > 1 && len(ps.Nodes) >= parallelSampleMinNodes {
-		ps.sampleNext.Store(0)
-		ps.sampleWG.Add(w)
-		for k := 0; k < w; k++ {
-			go ps.sampleWorker()
-		}
-		ps.sampleWG.Wait()
-	} else {
-		for s := 0; s < shards; s++ {
-			ps.observeShard(s)
-		}
-	}
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for s := 0; s < shards; s++ {
-		if ps.sampleLo[s] < lo {
-			lo = ps.sampleLo[s]
-		}
-		if ps.sampleHi[s] > hi {
-			hi = ps.sampleHi[s]
-		}
-	}
-	return lo, hi
-}
-
 // Run executes the scenario to its horizon and returns the report. Like
 // the serial Run it is idempotent; the report is a pure function of the
 // Config — Workers only decides how many goroutines execute the shard
 // windows.
 func (ps *ParallelSim) Run() SkewReport {
 	ps.startSampler()
-	ps.runWorkers = ps.Cfg.Workers
-	if ps.runWorkers <= 0 {
-		ps.runWorkers = runtime.GOMAXPROCS(0)
+	workers := ps.Cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	ps.P.Run(ps.Cfg.Horizon, ps.runWorkers)
+	ps.P.Run(ps.Cfg.Horizon, workers)
 	return ps.finalise(ps.P.Executed())
 }

@@ -137,23 +137,26 @@ func TestParallelSimPhysics(t *testing.T) {
 	}
 }
 
-// TestParallelSimGradientCheck runs the radius-capped gradient checker
-// on the parallel harness: the global-phase barrier makes every sample a
-// consistent cut, so buckets must populate and respect the bound shape.
+// TestParallelSimGradientCheck runs the exact gradient checker on the
+// parallel harness: the global-phase barrier makes every sample a
+// consistent cut, so on a static ring every bucket from 1 to the
+// diameter n/2 fills, each within GradientBound(d).
 func TestParallelSimGradientCheck(t *testing.T) {
 	cfg := parallelRingConfig(64, 4)
 	cfg.CheckGradient = true
-	cfg.GradientRadius = 3
 	rpt := mustRun(t, cfg)
-	if len(rpt.PerDistanceSkew) == 0 || rpt.DistanceRecomputes == 0 {
-		t.Fatalf("gradient checker recorded nothing: %+v", rpt.PerDistanceSkew)
+	if rpt.DistanceRecomputes != 1 {
+		t.Fatalf("static ring recomputed distances %d times, want 1", rpt.DistanceRecomputes)
 	}
-	if got := len(rpt.PerDistanceSkew) - 1; got > cfg.GradientRadius {
-		t.Fatalf("bucket at distance %d beyond radius %d", got, cfg.GradientRadius)
+	if got := len(rpt.PerDistanceSkew) - 1; got != cfg.N/2 {
+		t.Fatalf("buckets reach distance %d, want the ring's diameter %d", got, cfg.N/2)
 	}
 	for d := 1; d < len(rpt.PerDistanceSkew); d++ {
 		if rpt.PerDistanceSkew[d] <= 0 {
 			t.Fatalf("empty bucket at distance %d on a static ring", d)
+		}
+		if rpt.PerDistanceSkew[d] > cfg.GradientBound(d) {
+			t.Fatalf("bucket %d = %v above GradientBound %v", d, rpt.PerDistanceSkew[d], cfg.GradientBound(d))
 		}
 	}
 }

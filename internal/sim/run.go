@@ -88,7 +88,6 @@ func New(cfg Config) *Simulation {
 	s.init()
 	s.global = s.Engine
 	s.engineOf = func(int) *des.Engine { return s.Engine }
-	s.scan = func() (lo, hi float64) { return s.scanRange(0, len(s.Nodes)) }
 	s.Reset(cfg)
 	return s
 }
@@ -115,14 +114,6 @@ func (s *Simulation) Reset(cfg Config) {
 		s.Net.Reset(s.delayFn, cfg.MaxDelay)
 	}
 	s.arm()
-}
-
-// AttachTrace registers tr to receive one (time, per-node logical
-// values) row per skew sample. tr is reset to the scenario's node count;
-// call after wiring (New or Reset), before the simulation runs.
-func (s *Simulation) AttachTrace(tr *TraceRecorder) {
-	tr.Reset(s.Cfg.N)
-	s.trace = tr
 }
 
 // Advance runs the execution up to real time t, installing the periodic

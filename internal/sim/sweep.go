@@ -87,32 +87,14 @@ func forEachCell(n, workers int, run func(i int, a *Arena)) {
 // as fatal keep a single check while sweep services read the per-cell
 // slice.
 func RunSweep(cells []SweepCell, workers int) ([]SweepResult, error) {
-	out := RunSweepWith(cells, workers, nil)
-	var errs []error
-	for i := range out {
-		if out[i].Err != nil {
-			errs = append(errs, out[i].Err)
-		}
-	}
-	return out, errors.Join(errs...)
-}
-
-// RunSweepWith is RunSweep's progress-callback form: onCell, when
-// non-nil, is invoked once per cell as it completes — malformed cells
-// first (with Err set, before any execution starts), then finished
-// cells in whatever order the workers complete them. onCell is called
-// from worker goroutines and must be safe for concurrent use; the
-// returned slice is always in cell order regardless.
-func RunSweepWith(cells []SweepCell, workers int, onCell func(i int, r SweepResult)) []SweepResult {
 	out := make([]SweepResult, len(cells))
 	valid := make([]int, 0, len(cells))
+	var errs []error
 	for i := range cells {
 		out[i].Name = cells[i].Name
 		if err := cells[i].Cfg.Validate(); err != nil {
 			out[i].Err = fmt.Errorf("sweep cell %d (%s): %w", i, cells[i].Name, err)
-			if onCell != nil {
-				onCell(i, out[i])
-			}
+			errs = append(errs, out[i].Err)
 			continue
 		}
 		valid = append(valid, i)
@@ -124,9 +106,6 @@ func RunSweepWith(cells []SweepCell, workers int, onCell func(i int, r SweepResu
 			Cfg:    cells[i].Cfg.WithDefaults(),
 			Report: a.Run(cells[i].Cfg),
 		}
-		if onCell != nil {
-			onCell(i, out[i])
-		}
 	})
-	return out
+	return out, errors.Join(errs...)
 }
