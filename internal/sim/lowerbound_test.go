@@ -39,10 +39,12 @@ func TestLowerBoundOmegaGrowth(t *testing.T) {
 
 // TestLowerBoundSweepMatchesIndividualRuns pins the sweep's arena reuse:
 // sharing one simulation across the n-sweep must not change any result
-// relative to independently wired runs.
+// relative to independently wired runs. The largest n runs first, so
+// later runs reuse its series buffer: a result that aliased it would be
+// overwritten.
 func TestLowerBoundSweepMatchesIndividualRuns(t *testing.T) {
 	base := LowerBoundConfig{Seed: 3}
-	ns := []int{32, 48, 64}
+	ns := []int{64, 32, 48}
 	swept := LowerBoundSweepParallel(base, ns, 1)
 	for i, n := range ns {
 		cfg := base
