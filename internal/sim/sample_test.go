@@ -19,48 +19,68 @@ func runWithSeries(a *Arena, cfg Config) (SkewReport, []SkewPoint) {
 	return rpt, append([]SkewPoint(nil), s.series...)
 }
 
-// TestSkewSeriesMatchesReport pins the one sample path: the series
-// holds exactly one point per counted sample, from t = 0 to the horizon
-// in time order, its largest spread is MaxGlobalSkew bit for bit and its
-// last point's spread is FinalGlobalSkew. Both DES harnesses, on a fresh
-// arena and on one reused across a different shape, produce the same
-// series.
-func TestSkewSeriesMatchesReport(t *testing.T) {
-	other := arenaConfigs()[2] // a different shape, rewired in between
-	for name, cfg := range map[string]Config{
+// seriesConfigs are the two DES harnesses the series tests run on.
+func seriesConfigs() map[string]Config {
+	return map[string]Config{
 		"serial":  arenaConfigs()[0],
 		"sharded": parallelChurnConfig(64, 4),
-	} {
+	}
+}
+
+// checkSeriesMatchesReport fails t unless the series holds exactly one
+// point per counted sample, from t = 0 to the horizon in time order, its
+// largest spread is MaxGlobalSkew bit for bit and its last point's
+// spread is FinalGlobalSkew.
+func checkSeriesMatchesReport(t *testing.T, run string, cfg Config, rpt SkewReport, series []SkewPoint) {
+	t.Helper()
+	if len(series) != rpt.Samples || rpt.Samples < 2 {
+		t.Fatalf("%s: series holds %d points, report counted %d samples", run, len(series), rpt.Samples)
+	}
+	if series[0].T != 0 || series[len(series)-1].T != cfg.Horizon {
+		t.Fatalf("%s: series spans [%v, %v], want [0, %v]", run, series[0].T, series[len(series)-1].T, cfg.Horizon)
+	}
+	maxSpread := 0.0
+	for i, p := range series {
+		if i > 0 && p.T <= series[i-1].T {
+			t.Fatalf("%s: point %d at %v not after point %d at %v", run, i, p.T, i-1, series[i-1].T)
+		}
+		maxSpread = max(maxSpread, p.Hi-p.Lo)
+	}
+	if maxSpread != rpt.MaxGlobalSkew {
+		t.Fatalf("%s: series max spread %v != MaxGlobalSkew %v", run, maxSpread, rpt.MaxGlobalSkew)
+	}
+	if last := series[len(series)-1]; last.Hi-last.Lo != rpt.FinalGlobalSkew {
+		t.Fatalf("%s: last spread %v != FinalGlobalSkew %v", run, last.Hi-last.Lo, rpt.FinalGlobalSkew)
+	}
+}
+
+// TestSimulationTraceMatchesReport pins the one sample path on a fresh
+// arena: on both DES harnesses the run's skew series agrees with its
+// report (see checkSeriesMatchesReport).
+func TestSimulationTraceMatchesReport(t *testing.T) {
+	for name, cfg := range seriesConfigs() {
+		t.Run(name, func(t *testing.T) {
+			rpt, series := runWithSeries(NewArena(), cfg)
+			checkSeriesMatchesReport(t, "fresh", cfg, rpt, series)
+		})
+	}
+}
+
+// TestArenaTraceReuse pins the series on a reused arena: after a run of
+// a different shape in between, both DES harnesses produce a series that
+// still agrees with its report and equals the fresh arena's point for
+// point.
+func TestArenaTraceReuse(t *testing.T) {
+	other := arenaConfigs()[2] // a different shape, rewired in between
+	for name, cfg := range seriesConfigs() {
 		t.Run(name, func(t *testing.T) {
 			a := NewArena()
-			var fresh []SkewPoint
-			for _, run := range []string{"fresh", "reused"} {
-				rpt, series := runWithSeries(a, cfg)
-				if len(series) != rpt.Samples || rpt.Samples < 2 {
-					t.Fatalf("%s: series holds %d points, report counted %d samples", run, len(series), rpt.Samples)
-				}
-				if series[0].T != 0 || series[len(series)-1].T != cfg.Horizon {
-					t.Fatalf("%s: series spans [%v, %v], want [0, %v]", run, series[0].T, series[len(series)-1].T, cfg.Horizon)
-				}
-				maxSpread := 0.0
-				for i, p := range series {
-					if i > 0 && p.T <= series[i-1].T {
-						t.Fatalf("%s: point %d at %v not after point %d at %v", run, i, p.T, i-1, series[i-1].T)
-					}
-					maxSpread = max(maxSpread, p.Hi-p.Lo)
-				}
-				if maxSpread != rpt.MaxGlobalSkew {
-					t.Fatalf("%s: series max spread %v != MaxGlobalSkew %v", run, maxSpread, rpt.MaxGlobalSkew)
-				}
-				if last := series[len(series)-1]; last.Hi-last.Lo != rpt.FinalGlobalSkew {
-					t.Fatalf("%s: last spread %v != FinalGlobalSkew %v", run, last.Hi-last.Lo, rpt.FinalGlobalSkew)
-				}
-				if fresh == nil {
-					fresh = series
-				} else if !reflect.DeepEqual(series, fresh) {
-					t.Fatalf("%s: series diverged from the fresh arena's", run)
-				}
-				a.Run(other)
+			_, fresh := runWithSeries(a, cfg)
+			a.Run(other)
+			rpt, series := runWithSeries(a, cfg)
+			checkSeriesMatchesReport(t, "reused", cfg, rpt, series)
+			if !reflect.DeepEqual(series, fresh) {
+				t.Fatal("reused: series diverged from the fresh arena's")
 			}
 		})
 	}
