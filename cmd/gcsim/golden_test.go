@@ -14,11 +14,13 @@ import (
 // hand-edited: CI reruns `-update` and fails on any git diff.
 var update = flag.Bool("update", false, "rewrite testdata/<row> from the current code")
 
-// TestCLIGolden pins the stdout and -out artifacts of the subcommands
-// that print no elapsed time, byte for byte across commits. Each row
-// re-execs the test binary as `gcsim <args> -out <tmp>`; the only
-// run-specific text is the -out directory in the "wrote" line, which is
-// spelled OUT in the golden.
+// TestCLIGolden pins the stdout and -out artifacts of the commands that
+// print no elapsed time, byte for byte across commits. Each row re-execs
+// the test binary as `gcsim <args>`, plus `-out <tmp>` for a row with
+// artifacts; the only run-specific text is the -out directory in the
+// "wrote" line, which is spelled OUT in the golden. The scenario rows
+// have no artifacts; with -events their stdout carries the serial
+// engine's per-label event counts.
 func TestCLIGolden(t *testing.T) {
 	for _, row := range []struct {
 		name      string
@@ -29,10 +31,18 @@ func TestCLIGolden(t *testing.T) {
 			[]string{"gradient_skew.csv", "gradient_report.json"}},
 		{"lowerbound", []string{"lowerbound", "-n", "16,32", "-workers", "2"},
 			[]string{"lowerbound_skew.csv", "lowerbound_report.json"}},
+		{"scenario-rotatingstar", []string{"-n", "16", "-horizon", "5", "-churn", "rotatingstar", "-events"}, nil},
+		{"scenario-faulted-grid", []string{"-n", "36", "-topo", "grid", "-churn", "volatile", "-horizon", "8",
+			"-fault-crash-every", "3", "-fault-drop", "0.1", "-events"}, nil},
+		{"scenario-parallel", []string{"-n", "64", "-horizon", "4", "-parallel", "-shards", "4", "-workers", "2"}, nil},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			out := t.TempDir()
-			cmd := exec.Command(os.Args[0], append(append([]string{"gcsim"}, row.args...), "-out", out)...)
+			args := append([]string{"gcsim"}, row.args...)
+			if len(row.artifacts) > 0 {
+				args = append(args, "-out", out)
+			}
+			cmd := exec.Command(os.Args[0], args...)
 			var stderr bytes.Buffer
 			cmd.Stderr = &stderr
 			stdout, err := cmd.Output()
