@@ -8,31 +8,28 @@
 // events is exact. The package also provides subjective timers — "fire
 // when H_u has advanced by dH" — which are the primitive behind the
 // algorithm's set_timer(dt, id) calls. Subjective timers stay correct
-// across rate changes: timer targets are fixed
-// hardware readings, so a rate change only moves the real-time instant
-// at which each target is reached.
+// across rate changes: timer targets are fixed hardware readings, so a
+// rate change only moves the real-time instant at which each target is
+// reached.
 //
-// Timers are batched behind a single engine event per clock: pending
-// timers sit in a per-clock min-heap ordered by target reading — an
-// order that is invariant under rate changes — and only the heap head
-// owns an engine event. A rate change therefore re-arms one event in
-// O(1) engine operations instead of rescheduling every pending timer,
-// which is what keeps the beacon-periodic workload cheap at large n.
-//
-// Timers are pooled: fired and cancelled Timer structs are recycled, user
-// code holds generation-checked TimerRef handles, and all timer firings
-// of one clock share a single long-lived engine callback, so the beacon
-// hot path allocates nothing per tick.
+// A timer is the seam.Timer itself: a long-lived struct with an armed
+// flag in the clock's timers slice, as in rt.DriftClock. A gcs node makes
+// two, so the head (the armed timer with the least (target, seq)) is found
+// by a scan. Only the head owns an engine event, so a rate change re-arms
+// one event, and re-arming a timer allocates nothing.
 package clock
 
 import (
 	"fmt"
 
 	"gcs/internal/des"
+	"gcs/internal/seam"
 )
 
 // HardwareClock is one node's drifting hardware clock. It is owned by a
-// single des.Engine and is not safe for concurrent use.
+// single des.Engine and is not safe for concurrent use. It implements
+// seam.Clock; the harness keeps the concrete handle for rate drift
+// (SetRate) and arena reuse (Reset).
 type HardwareClock struct {
 	en *des.Engine
 
@@ -41,26 +38,23 @@ type HardwareClock struct {
 	lastH float64
 	rate  float64
 
-	// Pending subjective timers in a 4-ary min-heap ordered by
-	// (targetH, seq). Targets are hardware readings, so the heap order
-	// never changes when the rate does; only the real-time instant of
-	// the head moves, and headEv is re-armed to track it.
-	active  []*Timer
+	// timers holds every timer created on this clock, armed or not. Their
+	// targets are hardware readings, so a rate change moves only the real
+	// time of the head, and headEv is re-armed to track it.
+	timers  []*timer
 	nextSeq uint64
-	// headEv is the single engine event backing the heap head (zero when
-	// no timers are pending).
+	// headEv is the single engine event backing the head (zero when no
+	// timer is armed).
 	headEv des.EventRef
-	// arena holds every Timer ever created for this clock, indexed by
-	// Timer.id; free lists the recycled ones.
-	arena []*Timer
-	free  []*Timer
 	// fire is the single engine callback backing all of this clock's
-	// timers: it drains every due timer from the heap head and re-arms.
+	// timers: it fires every due timer and re-arms.
 	fire des.ArgHandler
 
 	// maxRate/minRate observed, for drift validation in tests.
 	minRateSeen, maxRateSeen float64
 }
+
+var _ seam.Clock = (*HardwareClock)(nil)
 
 // New returns a hardware clock reading 0 at the engine's current time,
 // running at the given initial rate.
@@ -71,7 +65,6 @@ func New(en *des.Engine, initialRate float64) *HardwareClock {
 	c := &HardwareClock{
 		en:          en,
 		lastT:       en.Now(),
-		lastH:       0,
 		rate:        initialRate,
 		minRateSeen: initialRate,
 		maxRateSeen: initialRate,
@@ -81,20 +74,17 @@ func New(en *des.Engine, initialRate float64) *HardwareClock {
 }
 
 // Reset returns the clock to a fresh reading of 0 at the engine's
-// current time, running at initialRate, with no pending timers. It is
-// the arena-reuse counterpart of New: the timer arena and free list are
-// kept warm so re-arming timers after a reset allocates nothing. Call it
-// after the owning engine has been Reset — pending timers are released
-// without cancelling their (already recycled) engine event.
+// current time, running at initialRate, with every timer unarmed. It is
+// the arena-reuse counterpart of New: the timers stay registered, so
+// re-arming them after a reset allocates nothing. Call it after the
+// owning engine has been Reset — the head event is dropped without being
+// cancelled, since the engine has already recycled it.
 func (c *HardwareClock) Reset(initialRate float64) {
 	if initialRate <= 0 {
 		panic("clock: nonpositive rate")
 	}
-	for len(c.active) > 0 {
-		tm := c.active[len(c.active)-1]
-		c.active[len(c.active)-1] = nil
-		c.active = c.active[:len(c.active)-1]
-		c.pool(tm)
+	for _, tm := range c.timers {
+		tm.armed = false
 	}
 	c.headEv = des.EventRef{}
 	c.nextSeq = 0
@@ -126,12 +116,10 @@ func (c *HardwareClock) RateBoundsSeen() (min, max float64) {
 }
 
 // SetRate changes the clock rate as of the engine's current time. Timer
-// targets are hardware readings, so the pending-timer heap order is
-// unaffected; only the single engine event backing the heap head is
-// re-armed to the head's new real fire time — O(1) engine operations
-// regardless of how many timers are pending. Rates must be positive;
-// the paper's model requires rates in [1-rho, 1+rho] with rho < 1,
-// which drivers enforce.
+// targets are hardware readings, so which timer is the head is
+// unaffected; only the single engine event backing it is re-armed to
+// its new real fire time. Rates must be positive; the paper's model
+// requires rates in [1-rho, 1+rho] with rho < 1, which drivers enforce.
 func (c *HardwareClock) SetRate(rate float64) {
 	if rate <= 0 {
 		panic("clock: nonpositive rate")
@@ -146,8 +134,8 @@ func (c *HardwareClock) SetRate(rate float64) {
 	if rate > c.maxRateSeen {
 		c.maxRateSeen = rate
 	}
-	if len(c.active) > 0 {
-		c.armHead()
+	if h := c.head(); h != nil {
+		c.armHead(h)
 	}
 }
 
@@ -165,202 +153,98 @@ func (c *HardwareClock) timeWhen(hTarget float64) des.Time {
 	return now + (hTarget-h)/c.rate
 }
 
-// Timer is a pending subjective timer: it fires when the owning clock
-// reaches a target reading, surviving any number of rate changes in
-// between. Timers are owned and recycled by their clock; user code holds
-// TimerRef handles.
-type Timer struct {
+// NewTimer returns an unarmed subjective timer on this clock (the
+// paper's set_timer(dt, id) is its Reset, cancel(id) its Stop). The
+// timer is long-lived: one allocation here, none per arming.
+func (c *HardwareClock) NewTimer(label string, fn func()) seam.Timer {
+	tm := &timer{c: c, label: label, fn: fn}
+	c.timers = append(c.timers, tm)
+	return tm
+}
+
+// timer is one subjective timer: armed, it fires when its clock reads
+// targetH, surviving any number of rate changes in between.
+type timer struct {
+	c       *HardwareClock
 	targetH float64
-	seq     uint64 // insertion order, tie-break for equal targets
+	seq     uint64 // arming order, tie-break for equal targets
 	label   string
 	fn      func()
-	id      uint64 // arena index, fixed for the Timer's lifetime
-	gen     uint32
-	pos     int32 // index in the clock's timer heap, -1 when pooled
+	armed   bool
 }
 
-// TimerRef is a generation-checked handle to a subjective timer. The zero
-// TimerRef refers to no timer. A ref goes stale when its timer fires or
-// is cancelled; stale refs are safe to hold and to cancel (a no-op),
-// even after the clock recycles the Timer for a new SetTimer.
-type TimerRef struct {
-	tm  *Timer
-	gen uint32
+// head returns the armed timer with the least (targetH, seq), or nil.
+func (c *HardwareClock) head() *timer {
+	var h *timer
+	for _, tm := range c.timers {
+		if tm.armed && (h == nil || tm.targetH < h.targetH || tm.targetH == h.targetH && tm.seq < h.seq) {
+			h = tm
+		}
+	}
+	return h
 }
 
-// Pending reports whether the referenced timer is still set.
-func (r TimerRef) Pending() bool { return r.tm != nil && r.tm.gen == r.gen }
-
-// SetTimer schedules fn to run when the clock has advanced by dH from its
-// current reading (the paper's set_timer(dt, id)). dH must be
-// nonnegative. The callback is retained until the timer fires or is
-// cancelled; hot-path callers should pass a long-lived func value rather
-// than a fresh closure.
-func (c *HardwareClock) SetTimer(dH float64, label string, fn func()) TimerRef {
-	if dH < 0 {
-		panic("clock: negative timer duration")
-	}
-	var tm *Timer
-	if n := len(c.free); n > 0 {
-		tm = c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-	} else {
-		tm = &Timer{id: uint64(len(c.arena))}
-		c.arena = append(c.arena, tm)
-	}
-	tm.targetH = c.Now() + dH
-	tm.seq = c.nextSeq
-	c.nextSeq++
-	tm.label = label
-	tm.fn = fn
-	c.heapPush(tm)
-	if c.active[0] == tm {
-		c.armHead()
-	}
-	return TimerRef{tm: tm, gen: tm.gen}
-}
-
-// armHead (re)registers the single engine event to the heap head's fire
-// time. Call with a nonempty heap.
-func (c *HardwareClock) armHead() {
+// armHead (re)registers the single engine event to h's fire time.
+func (c *HardwareClock) armHead(h *timer) {
 	c.en.Cancel(c.headEv)
-	head := c.active[0]
-	c.headEv = c.en.ScheduleArg(c.timeWhen(head.targetH), head.label, c.fire, 0)
+	c.headEv = c.en.ScheduleArg(c.timeWhen(h.targetH), h.label, c.fire, 0)
 }
 
-// drainDue runs when the head event fires: it pops and fires every timer
-// that is due at the current time (equal targets fire in insertion
-// order, and a target reached exactly now by floating-point luck fires
-// now rather than being re-armed for the same instant), then re-arms the
-// event for the new head. Callbacks may set or cancel timers freely —
-// the loop re-reads the head each iteration.
+// drainDue runs when the head event fires: it fires every timer that is
+// due at the current time (equal targets fire in arming order, and a
+// target reached exactly now by floating-point luck fires now rather
+// than being re-armed for the same instant), then re-arms the event for
+// the new head. Callbacks may reset or stop timers freely — the loop
+// re-reads the head each iteration.
 func (c *HardwareClock) drainDue() {
 	c.headEv = des.EventRef{} // the firing event consumed itself
 	now := c.en.Now()
-	for len(c.active) > 0 {
-		tm := c.active[0]
+	for tm := c.head(); tm != nil; tm = c.head() {
 		if c.timeWhen(tm.targetH) > now {
-			break
+			// Callbacks may have armed the event themselves (a Reset or
+			// Stop that moved the head); only re-arm if none did.
+			if !c.headEv.Pending() {
+				c.armHead(tm)
+			}
+			return
 		}
-		c.heapRemove(tm)
-		fn := tm.fn
-		c.pool(tm)
-		fn()
-	}
-	if len(c.active) > 0 && !c.headEv.Pending() {
-		// Callbacks may have armed the event themselves (via SetTimer /
-		// CancelTimer on the new head); only re-arm if none did.
-		c.armHead()
+		tm.armed = false
+		tm.fn()
 	}
 }
 
-// pool invalidates outstanding refs to tm and returns it to the free
-// list. tm must already be out of the heap.
-func (c *HardwareClock) pool(tm *Timer) {
-	tm.pos = -1
-	tm.gen++
-	tm.fn = nil
-	c.free = append(c.free, tm)
+// Reset (re)arms the timer to fire when the clock has advanced by dH
+// from its current reading. dH must be nonnegative.
+func (tm *timer) Reset(dH float64) {
+	if dH < 0 {
+		panic("clock: negative timer duration")
+	}
+	c := tm.c
+	wasHead := tm.armed && c.head() == tm
+	tm.targetH = c.Now() + dH
+	tm.seq = c.nextSeq
+	c.nextSeq++
+	tm.armed = true
+	if h := c.head(); wasHead || h == tm {
+		c.armHead(h)
+	}
 }
 
-// CancelTimer cancels the referenced timer (the paper's cancel(id)).
-// Cancelling a zero or stale ref is a no-op.
-func (c *HardwareClock) CancelTimer(r TimerRef) {
-	tm := r.tm
-	if tm == nil || tm.gen != r.gen {
+// Stop disarms the timer; stopping an unarmed timer is a no-op.
+func (tm *timer) Stop() {
+	c := tm.c
+	wasHead := tm.armed && c.head() == tm
+	tm.armed = false
+	if !wasHead {
 		return
 	}
-	wasHead := tm.pos == 0
-	c.heapRemove(tm)
-	c.pool(tm)
-	if wasHead {
-		if len(c.active) > 0 {
-			c.armHead()
-		} else {
-			c.en.Cancel(c.headEv)
-			c.headEv = des.EventRef{}
-		}
+	if h := c.head(); h != nil {
+		c.armHead(h)
+	} else {
+		c.en.Cancel(c.headEv)
+		c.headEv = des.EventRef{}
 	}
 }
 
-// ---- 4-ary index heap over pending timers, ordered by (targetH, seq) ----
-
-func timerLess(a, b *Timer) bool {
-	if a.targetH != b.targetH {
-		return a.targetH < b.targetH
-	}
-	return a.seq < b.seq
-}
-
-func (c *HardwareClock) heapPush(tm *Timer) {
-	c.active = append(c.active, tm)
-	tm.pos = int32(len(c.active) - 1)
-	c.siftUp(len(c.active) - 1)
-}
-
-// heapRemove deletes tm from the heap, restoring the invariant.
-func (c *HardwareClock) heapRemove(tm *Timer) {
-	h := c.active
-	i := int(tm.pos)
-	n := len(h) - 1
-	if i != n {
-		moved := h[n]
-		h[i] = moved
-		moved.pos = int32(i)
-	}
-	h[n] = nil
-	c.active = h[:n]
-	if i < n {
-		moved := c.active[i]
-		c.siftDown(i)
-		c.siftUp(int(moved.pos))
-	}
-	tm.pos = -1
-}
-
-func (c *HardwareClock) siftUp(i int) {
-	h := c.active
-	tm := h[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !timerLess(tm, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		h[i].pos = int32(i)
-		i = p
-	}
-	h[i] = tm
-	tm.pos = int32(i)
-}
-
-func (c *HardwareClock) siftDown(i int) {
-	h := c.active
-	n := len(h)
-	tm := h[i]
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			break
-		}
-		m := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for j := first + 1; j < last; j++ {
-			if timerLess(h[j], h[m]) {
-				m = j
-			}
-		}
-		if !timerLess(h[m], tm) {
-			break
-		}
-		h[i] = h[m]
-		h[i].pos = int32(i)
-		i = m
-	}
-	h[i] = tm
-	tm.pos = int32(i)
-}
+// Pending reports whether the timer is armed.
+func (tm *timer) Pending() bool { return tm.armed }

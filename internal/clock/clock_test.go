@@ -2,10 +2,12 @@ package clock
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"gcs/internal/des"
+	"gcs/internal/seam"
 )
 
 func TestReadConstantRate(t *testing.T) {
@@ -69,11 +71,18 @@ func TestNonpositiveRatePanics(t *testing.T) {
 	New(en, 0)
 }
 
+// arm returns a new timer on c armed for dH.
+func arm(c *HardwareClock, dH float64, label string, fn func()) seam.Timer {
+	tm := c.NewTimer(label, fn)
+	tm.Reset(dH)
+	return tm
+}
+
 func TestTimerConstantRate(t *testing.T) {
 	en := des.NewEngine()
 	c := New(en, 2.0) // subjective time runs twice as fast
 	var firedAt des.Time = -1
-	c.SetTimer(10, "tick", func() { firedAt = en.Now() })
+	arm(c, 10, "tick", func() { firedAt = en.Now() })
 	en.Run(100)
 	// dH=10 at rate 2 -> 5 real seconds.
 	if math.Abs(firedAt-5) > 1e-9 {
@@ -85,7 +94,7 @@ func TestTimerSurvivesRateChange(t *testing.T) {
 	en := des.NewEngine()
 	c := New(en, 1.0)
 	var firedAt des.Time = -1
-	c.SetTimer(10, "tick", func() { firedAt = en.Now() })
+	arm(c, 10, "tick", func() { firedAt = en.Now() })
 	// At t=4 (H=4), slow down to 0.5: remaining dH=6 takes 12 real secs.
 	en.Schedule(4, "slow", func() { c.SetRate(0.5) })
 	en.Run(100)
@@ -98,7 +107,7 @@ func TestTimerSurvivesManyRateChanges(t *testing.T) {
 	en := des.NewEngine()
 	c := New(en, 1.0)
 	var firedAt des.Time = -1
-	c.SetTimer(10, "tick", func() { firedAt = en.Now() })
+	arm(c, 10, "tick", func() { firedAt = en.Now() })
 	// Alternate 0.5 / 2.0 every second; average progress per 2s = 2.5 H.
 	rate := 0.5
 	var flip func()
@@ -121,27 +130,30 @@ func TestTimerSurvivesManyRateChanges(t *testing.T) {
 	}
 }
 
-func TestCancelTimer(t *testing.T) {
+// TestStopTimer pins the paper's cancel(id): a stopped timer never
+// fires and leaves no engine event, and stopping it again, or stopping
+// a timer never armed, is a no-op.
+func TestStopTimer(t *testing.T) {
 	en := des.NewEngine()
 	c := New(en, 1.0)
 	fired := false
-	tm := c.SetTimer(5, "tick", func() { fired = true })
-	c.CancelTimer(tm)
+	tm := arm(c, 5, "tick", func() { fired = true })
+	tm.Stop()
+	if tm.Pending() || en.Pending() != 0 {
+		t.Fatalf("after Stop: timer pending %v, engine events %d; want false, 0", tm.Pending(), en.Pending())
+	}
 	en.Run(10)
 	if fired {
-		t.Fatal("cancelled timer fired")
+		t.Fatal("stopped timer fired")
 	}
-	if len(c.active) != 0 {
-		t.Fatalf("pending timers = %d, want 0", len(c.active))
-	}
-	c.CancelTimer(tm) // no-op
-	c.CancelTimer(TimerRef{})
+	tm.Stop() // no-op
+	c.NewTimer("idle", func() {}).Stop()
 }
 
 func TestTimerDoneFlag(t *testing.T) {
 	en := des.NewEngine()
 	c := New(en, 1.0)
-	tm := c.SetTimer(5, "tick", func() {})
+	tm := arm(c, 5, "tick", func() {})
 	if !tm.Pending() {
 		t.Fatal("timer marked done before firing")
 	}
@@ -149,23 +161,32 @@ func TestTimerDoneFlag(t *testing.T) {
 	if tm.Pending() {
 		t.Fatal("timer not marked done after firing")
 	}
-	c.CancelTimer(tm) // no-op after fire
+	tm.Stop() // no-op after fire
 }
 
-// A stale TimerRef must not cancel the recycled Timer now backing a new
-// SetTimer — the clock-layer analogue of the event pool's generation
-// guarantee.
-func TestStaleTimerRefCannotCancelRecycledTimer(t *testing.T) {
+// TestStopAfterClockResetIsNoOp: a clock Reset (after its engine's)
+// disarms every timer. Stopping one afterwards must not cancel the
+// recycled engine event now backing another timer, and the stopped
+// timer, re-armed, fires.
+func TestStopAfterClockResetIsNoOp(t *testing.T) {
 	en := des.NewEngine()
 	c := New(en, 1.0)
-	stale := c.SetTimer(1, "old", func() {})
-	en.Run(2) // fires and recycles the timer
-	fired := false
-	c.SetTimer(1, "new", func() { fired = true })
-	c.CancelTimer(stale) // must be a no-op
+	oldFired, newFired := 0, false
+	old := arm(c, 1, "old", func() { oldFired++ })
+	en.Reset()
+	c.Reset(1)
+	if old.Pending() {
+		t.Fatal("timer still armed after the clock's Reset")
+	}
+	arm(c, 1, "new", func() { newFired = true })
+	old.Stop() // must be a no-op
+	if en.Pending() != 1 {
+		t.Fatalf("engine holds %d events after a stale Stop, want 1", en.Pending())
+	}
+	old.Reset(2)
 	en.Run(5)
-	if !fired {
-		t.Fatal("stale CancelTimer killed a recycled timer")
+	if !newFired || oldFired != 1 {
+		t.Fatalf("new fired %v, re-armed old fired %d times; want true, 1", newFired, oldFired)
 	}
 }
 
@@ -173,7 +194,7 @@ func TestTimerZeroDuration(t *testing.T) {
 	en := des.NewEngine()
 	c := New(en, 1.0)
 	en.Schedule(3, "setup", func() {
-		c.SetTimer(0, "imm", func() {
+		arm(c, 0, "imm", func() {
 			if en.Now() != 3 {
 				t.Errorf("zero timer fired at %v, want 3", en.Now())
 			}
@@ -185,24 +206,27 @@ func TestTimerZeroDuration(t *testing.T) {
 func TestNegativeTimerPanics(t *testing.T) {
 	en := des.NewEngine()
 	c := New(en, 1.0)
+	tm := c.NewTimer("bad", func() {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative timer did not panic")
 		}
 	}()
-	c.SetTimer(-1, "bad", func() {})
+	tm.Reset(-1)
 }
 
+// TestTargetH: a timer armed for dH at reading H fires when the clock
+// reads H+dH, across a rate change in between.
 func TestTargetH(t *testing.T) {
 	en := des.NewEngine()
 	c := New(en, 1.0)
-	en.Schedule(2, "set", func() {
-		tm := c.SetTimer(7, "x", func() {})
-		if got := tm.tm.targetH; math.Abs(got-9) > 1e-12 {
-			t.Errorf("target reading = %v, want 9", got)
-		}
-	})
+	var got float64 = -1
+	en.Schedule(2, "set", func() { arm(c, 7, "x", func() { got = c.Now() }) })
+	en.Schedule(4, "speedup", func() { c.SetRate(1.5) })
 	en.Run(20)
+	if math.Abs(got-9) > 1e-12 {
+		t.Fatalf("reading at fire = %v, want 9", got)
+	}
 }
 
 // Property: for any sequence of rate changes within [1-rho, 1+rho], the
@@ -247,7 +271,7 @@ func TestPropertyTimerExactness(t *testing.T) {
 		c := New(en, r.Range(0.5, 2))
 		dH := r.Range(1, 20)
 		var readingAtFire float64 = -1
-		c.SetTimer(dH, "t", func() { readingAtFire = c.Now() })
+		arm(c, dH, "t", func() { readingAtFire = c.Now() })
 		// Random rate perturbations.
 		for i := 0; i < 20; i++ {
 			at := r.Range(0, 30)
@@ -265,18 +289,17 @@ func TestPropertyTimerExactness(t *testing.T) {
 }
 
 // TestBatchedTimersOneEngineEvent pins the batching contract: however
-// many subjective timers a clock holds, only the heap head owns an
-// engine event, and a rate change re-arms that single event instead of
+// many subjective timers a clock holds, only the head owns an engine
+// event, and a rate change re-arms that single event instead of
 // rescheduling every timer.
 func TestBatchedTimersOneEngineEvent(t *testing.T) {
 	en := des.NewEngine()
 	c := New(en, 1)
 	for i := 0; i < 100; i++ {
-		d := float64(i + 1)
-		c.SetTimer(d, "tm", func() {})
+		arm(c, float64(i+1), "tm", func() {})
 	}
-	if len(c.active) != 100 {
-		t.Fatalf("pending timers = %d, want 100", len(c.active))
+	if armed := armedCount(c); armed != 100 {
+		t.Fatalf("armed timers = %d, want 100", armed)
 	}
 	if en.Pending() != 1 {
 		t.Fatalf("engine holds %d events for 100 timers, want 1", en.Pending())
@@ -292,68 +315,152 @@ func TestBatchedTimersOneEngineEvent(t *testing.T) {
 	}
 }
 
+func armedCount(c *HardwareClock) int {
+	n := 0
+	for _, tm := range c.timers {
+		if tm.Pending() {
+			n++
+		}
+	}
+	return n
+}
+
 // TestBatchedTimersFireOrder pins that equal-target timers fire in
-// insertion order and distinct targets in target order, through the
+// arming order and distinct targets in target order, through the
 // single batched engine event.
 func TestBatchedTimersFireOrder(t *testing.T) {
 	en := des.NewEngine()
 	c := New(en, 1)
 	var got []int
 	rec := func(id int) func() { return func() { got = append(got, id) } }
-	c.SetTimer(2, "b", rec(1))
-	c.SetTimer(1, "a", rec(0))
-	c.SetTimer(2, "b2", rec(2))
-	c.SetTimer(3, "c", rec(3))
+	arm(c, 2, "b", rec(1))
+	arm(c, 1, "a", rec(0))
+	arm(c, 2, "b2", rec(2))
+	arm(c, 3, "c", rec(3))
 	en.Run(10)
-	want := []int{0, 1, 2, 3}
-	if len(got) != len(want) {
+	if want := []int{0, 1, 2, 3}; !slices.Equal(got, want) {
 		t.Fatalf("fired %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", got, want)
-		}
 	}
 }
 
-// TestBatchedTimerCancelHeadReArms pins that cancelling the head timer
-// re-arms the engine event for the next timer, and cancelling the last
+// TestBatchedTimerCancelHeadReArms pins that stopping the head timer
+// re-arms the engine event for the next timer, and stopping the last
 // timer clears it.
 func TestBatchedTimerCancelHeadReArms(t *testing.T) {
 	en := des.NewEngine()
 	c := New(en, 1)
 	fired := false
-	head := c.SetTimer(1, "head", func() { t.Error("cancelled head fired") })
-	c.SetTimer(2, "next", func() { fired = true })
-	c.CancelTimer(head)
+	head := arm(c, 1, "head", func() { t.Error("stopped head fired") })
+	arm(c, 2, "next", func() { fired = true })
+	head.Stop()
 	if en.Pending() != 1 {
-		t.Fatalf("engine holds %d events after head cancel, want 1", en.Pending())
+		t.Fatalf("engine holds %d events after head stop, want 1", en.Pending())
 	}
 	en.Run(10)
 	if !fired {
-		t.Fatal("next timer did not fire after head cancel")
+		t.Fatal("next timer did not fire after head stop")
 	}
-	if len(c.active) != 0 {
-		t.Fatalf("pending timers = %d, want 0", len(c.active))
+	if armed := armedCount(c); armed != 0 {
+		t.Fatalf("armed timers = %d, want 0", armed)
 	}
-	last := c.SetTimer(1, "last", func() {})
-	c.CancelTimer(last)
+	last := arm(c, 1, "last", func() {})
+	last.Stop()
 	if en.Pending() != 0 {
-		t.Fatalf("engine holds %d events after last cancel, want 0", en.Pending())
+		t.Fatalf("engine holds %d events after last stop, want 0", en.Pending())
 	}
 }
 
-// TestBatchedTimerSetDuringDrain pins that a callback setting a new
-// timer while the batched event drains gets a correctly armed event.
+// TestBatchedTimerSetDuringDrain pins that a callback arming a timer
+// while the batched event drains gets a correctly armed event.
 func TestBatchedTimerSetDuringDrain(t *testing.T) {
 	en := des.NewEngine()
 	c := New(en, 1)
 	var at float64 = -1
-	c.SetTimer(1, "outer", func() {
-		c.SetTimer(0.5, "inner", func() { at = c.Now() })
-	})
+	inner := c.NewTimer("inner", func() { at = c.Now() })
+	arm(c, 1, "outer", func() { inner.Reset(0.5) })
 	en.Run(10)
 	if math.Abs(at-1.5) > 1e-12 {
 		t.Fatalf("inner timer fired at H=%v, want 1.5", at)
+	}
+}
+
+// TestPropertyTimerScript runs seeded random scripts of Reset, Stop,
+// SetRate and advance over 1-4 timers on one clock against a model: the
+// armed (target, seq) pair of each timer. Every firing must be the
+// model's least armed pair, at a clock reading within 1e-9 of its
+// target (so a stopped timer never fires), and between steps the engine
+// holds one event exactly when some timer is armed. Durations come from
+// a short list, so timers armed at one instant often tie on target and
+// zero durations are due at once; callbacks sometimes re-arm their own
+// timer, as the gcs beacon does.
+func TestPropertyTimerScript(t *testing.T) {
+	type pair struct {
+		target float64
+		seq    uint64
+		armed  bool
+	}
+	durations := []float64{0, 0.5, 1, 2.5}
+	for seed := uint64(1); seed <= 300; seed++ {
+		r := des.NewRand(seed)
+		en := des.NewEngine()
+		c := New(en, r.Range(0.5, 2))
+		model := make([]pair, 1+r.Intn(4))
+		timers := make([]seam.Timer, len(model))
+		var seq uint64
+		reset := func(i int) {
+			dH := durations[r.Intn(len(durations))]
+			timers[i].Reset(dH)
+			model[i] = pair{c.Now() + dH, seq, true}
+			seq++
+		}
+		rearms := 0
+		for i := range timers {
+			timers[i] = c.NewTimer("t", func() {
+				for j, p := range model {
+					if p.armed && (p.target < model[i].target || p.target == model[i].target && p.seq < model[i].seq) {
+						t.Fatalf("seed %d: timer %d fired before timer %d (%+v before %+v)", seed, i, j, model[i], p)
+					}
+				}
+				if !model[i].armed {
+					t.Fatalf("seed %d: unarmed timer %d fired", seed, i)
+				}
+				if got := c.Now(); math.Abs(got-model[i].target) > 1e-9 {
+					t.Fatalf("seed %d: timer %d fired at reading %v, target %v", seed, i, got, model[i].target)
+				}
+				model[i].armed = false
+				if rearms < 20 && r.Intn(3) == 0 {
+					rearms++
+					reset(i)
+				}
+			})
+		}
+		for step := 0; step < 80; step++ {
+			switch r.Intn(4) {
+			case 0:
+				reset(r.Intn(len(timers)))
+			case 1:
+				i := r.Intn(len(timers))
+				timers[i].Stop()
+				model[i].armed = false
+			case 2:
+				c.SetRate(r.Range(0.5, 2))
+			case 3:
+				en.Run(en.Now() + r.Range(0, 2))
+			}
+			anyArmed := false
+			for i, p := range model {
+				if timers[i].Pending() != p.armed {
+					t.Fatalf("seed %d step %d: timer %d Pending() = %v, model %v", seed, step, i, timers[i].Pending(), p.armed)
+				}
+				anyArmed = anyArmed || p.armed
+			}
+			want := 0
+			if anyArmed {
+				want = 1
+			}
+			if en.Pending() != want {
+				t.Fatalf("seed %d step %d: engine holds %d events, want %d", seed, step, en.Pending(), want)
+			}
+		}
 	}
 }
