@@ -1,12 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"gcs/internal/sim"
@@ -177,10 +175,6 @@ func runGradient(args []string) {
 			cell.PerDistanceSkew[worstD], cell.PerDistanceBound[worstD], cell.WorstRatio, cell.Epochs)
 	}
 
-	csvPath := filepath.Join(*out, "gradient_skew.csv")
-	if err := os.WriteFile(csvPath, []byte(csv.String()), 0o644); err != nil {
-		fail("gradient: %v", err)
-	}
 	report := struct {
 		Seed        uint64         `json:"seed"`
 		N           int            `json:"n"`
@@ -191,14 +185,7 @@ func runGradient(args []string) {
 		SampleEvery float64        `json:"sample_every"`
 		Cells       []gradientCell `json:"cells"`
 	}{*seed, *n, *horizon, *rho, *delay, *beacon, *sample, gcells}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fail("gradient: %v", err)
-	}
-	jsonPath := filepath.Join(*out, "gradient_report.json")
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		fail("gradient: %v", err)
-	}
+	csvPath, jsonPath := writeArtifacts("gradient", *out, "gradient_skew.csv", csv.String(), "gradient_report.json", report)
 	fmt.Printf("wrote %s and %s\n", csvPath, jsonPath)
 
 	if violations > 0 {

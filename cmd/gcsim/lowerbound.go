@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -91,10 +89,6 @@ func runLowerBound(args []string) {
 			last.N, first.N, ratio, float64(last.N)/float64(first.N))
 	}
 
-	csvPath := filepath.Join(*out, "lowerbound_skew.csv")
-	if err := os.WriteFile(csvPath, []byte(csv.String()), 0o644); err != nil {
-		fail("lowerbound: %v", err)
-	}
 	effEps := *eps
 	if effEps == 0 {
 		effEps = *delay / 1000
@@ -108,14 +102,7 @@ func runLowerBound(args []string) {
 		SampleEvery float64                `json:"sample_every"`
 		Results     []sim.LowerBoundResult `json:"results"`
 	}{*seed, *rho, *delay, effEps, *beacon, *sample, results}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fail("lowerbound: %v", err)
-	}
-	jsonPath := filepath.Join(*out, "lowerbound_report.json")
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		fail("lowerbound: %v", err)
-	}
+	csvPath, jsonPath := writeArtifacts("lowerbound", *out, "lowerbound_skew.csv", csv.String(), "lowerbound_report.json", report)
 	fmt.Printf("wrote %s and %s\n", csvPath, jsonPath)
 }
 

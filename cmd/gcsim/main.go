@@ -45,9 +45,11 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 
@@ -156,4 +158,22 @@ func parseFlags(fs *flag.FlagSet, args []string) {
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "gcsim: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// writeArtifacts writes a subcommand's CSV table and then its indented
+// JSON report, newline-terminated, into dir and returns both paths. Any
+// error fails the command under its name.
+func writeArtifacts(cmd, dir, csvName, csv, jsonName string, report any) (csvPath, jsonPath string) {
+	csvPath, jsonPath = filepath.Join(dir, csvName), filepath.Join(dir, jsonName)
+	if err := os.WriteFile(csvPath, []byte(csv), 0o644); err != nil {
+		fail("%s: %v", cmd, err)
+	}
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		fail("%s: %v", cmd, err)
+	}
+	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
+		fail("%s: %v", cmd, err)
+	}
+	return csvPath, jsonPath
 }

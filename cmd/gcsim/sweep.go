@@ -1,12 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
@@ -177,10 +175,6 @@ func runSweep(args []string) {
 			row.Scenario, row.MaxGlobalSkew, row.Bound, row.Jumps, row.EventsExecuted)
 	}
 
-	csvPath := filepath.Join(*out, "sweep_results.csv")
-	if err := os.WriteFile(csvPath, []byte(csv.String()), 0o644); err != nil {
-		fail("sweep: %v", err)
-	}
 	report := struct {
 		Seed        uint64     `json:"seed"`
 		Horizon     float64    `json:"horizon"`
@@ -192,14 +186,7 @@ func runSweep(args []string) {
 		ElapsedSec  float64    `json:"elapsed_sec"`
 		Cells       []sweepRow `json:"cells"`
 	}{*seed, *horizon, *rho, *delay, *beacon, *sample, w, elapsed.Seconds(), rows}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fail("sweep: %v", err)
-	}
-	jsonPath := filepath.Join(*out, "sweep_report.json")
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		fail("sweep: %v", err)
-	}
+	csvPath, jsonPath := writeArtifacts("sweep", *out, "sweep_results.csv", csv.String(), "sweep_report.json", report)
 	fmt.Printf("wrote %s and %s (%d cells in %.2fs)\n", csvPath, jsonPath, len(rows), elapsed.Seconds())
 
 	if violations > 0 {
