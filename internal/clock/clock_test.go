@@ -386,13 +386,13 @@ func TestBatchedTimerSetDuringDrain(t *testing.T) {
 
 // TestPropertyTimerScript runs seeded random scripts of Reset, Stop,
 // SetRate and advance over 1-4 timers on one clock against a model: the
-// armed (target, seq) pair of each timer. Every firing must be the
-// model's least armed pair, at a clock reading within 1e-9 of its
-// target (so a stopped timer never fires), and between steps the engine
-// holds one event exactly when some timer is armed. Durations come from
-// a short list, so timers armed at one instant often tie on target and
-// zero durations are due at once; callbacks sometimes re-arm their own
-// timer, as the gcs beacon does.
+// armed (target, seq) pair of each timer. Every firing must be of an
+// armed timer (a stopped one never fires) holding the model's least
+// pair, at a clock reading within 1e-9 of its target, and between steps
+// the engine holds one event exactly when some timer is armed.
+// Durations come from a short list, so timers armed at one instant often
+// tie on target and zero durations are due at once; callbacks sometimes
+// re-arm their own timer, as the gcs beacon does.
 func TestPropertyTimerScript(t *testing.T) {
 	type pair struct {
 		target float64
