@@ -67,7 +67,7 @@ func runChaos(args []string) {
 	if err != nil {
 		fail("chaos: %v", err)
 	}
-	elapsed := time.Since(start)
+	fmt.Fprintf(os.Stderr, "chaos: %d cells in %.2fs\n", len(results), time.Since(start).Seconds())
 
 	var csv strings.Builder
 	csv.WriteString("scenario,n,seed,max_global_skew,bound,drops,dups,delay_spikes,crashes,recoveries,rate_excursions,last_fault_t,reconverged,reconvergence_time\n")
@@ -118,16 +118,15 @@ func runChaos(args []string) {
 	}
 
 	report := struct {
-		Seed       uint64     `json:"seed"`
-		N          int        `json:"n"`
-		Horizon    float64    `json:"horizon"`
-		Parallel   bool       `json:"parallel"`
-		Workers    int        `json:"workers"`
-		ElapsedSec float64    `json:"elapsed_sec"`
-		Cells      []chaosRow `json:"cells"`
-	}{*seed, *n, *horizon, *parallel, w, elapsed.Seconds(), rows}
+		Seed     uint64     `json:"seed"`
+		N        int        `json:"n"`
+		Horizon  float64    `json:"horizon"`
+		Parallel bool       `json:"parallel"`
+		Workers  int        `json:"workers"`
+		Cells    []chaosRow `json:"cells"`
+	}{*seed, *n, *horizon, *parallel, w, rows}
 	csvPath, jsonPath := writeArtifacts("chaos", *out, "chaos_grid.csv", csv.String(), "chaos_report.json", report)
-	fmt.Printf("wrote %s and %s (%d cells in %.2fs)\n", csvPath, jsonPath, len(rows), elapsed.Seconds())
+	fmt.Printf("wrote %s and %s (%d cells)\n", csvPath, jsonPath, len(rows))
 
 	if failures > 0 {
 		fail("chaos: %d cell(s) failed the gate (no faults injected, or no re-convergence)", failures)

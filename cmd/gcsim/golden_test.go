@@ -14,8 +14,9 @@ import (
 // hand-edited: CI reruns `-update` and fails on any git diff.
 var update = flag.Bool("update", false, "rewrite testdata/<row> from the current code")
 
-// TestCLIGolden pins the stdout and -out artifacts of the commands that
-// print no elapsed time, byte for byte across commits. Each row re-execs
+// TestCLIGolden pins the stdout and -out artifacts of the subcommands,
+// byte for byte across commits (sweep and chaos print their elapsed time
+// to stderr, which is not pinned). Each row re-execs
 // the test binary as `gcsim <args>`, plus `-out <tmp>` for a row with
 // artifacts; the only run-specific text is the -out directory in the
 // "wrote" line, which is spelled OUT in the golden. The scenario rows
@@ -31,6 +32,10 @@ func TestCLIGolden(t *testing.T) {
 			[]string{"gradient_skew.csv", "gradient_report.json"}},
 		{"lowerbound", []string{"lowerbound", "-n", "16,32", "-workers", "2"},
 			[]string{"lowerbound_skew.csv", "lowerbound_report.json"}},
+		{"sweep", []string{"sweep", "-n", "16,32", "-topos", "ring", "-drivers", "randomwalk", "-horizon", "4", "-workers", "2"},
+			[]string{"sweep_results.csv", "sweep_report.json"}},
+		{"chaos", []string{"chaos", "-n", "16", "-horizon", "8", "-workers", "2"},
+			[]string{"chaos_grid.csv", "chaos_report.json"}},
 		{"scenario-rotatingstar", []string{"-n", "16", "-horizon", "5", "-churn", "rotatingstar", "-events"}, nil},
 		{"scenario-faulted-grid", []string{"-n", "36", "-topo", "grid", "-churn", "volatile", "-horizon", "8",
 			"-fault-crash-every", "3", "-fault-drop", "0.1", "-events"}, nil},

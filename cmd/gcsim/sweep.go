@@ -121,7 +121,7 @@ func runSweep(args []string) {
 			fail("sweep: %v", err)
 		}
 	}
-	elapsed := time.Since(start)
+	fmt.Fprintf(os.Stderr, "sweep: %d cells in %.2fs\n", len(results), time.Since(start).Seconds())
 
 	var csv strings.Builder
 	csv.WriteString("scenario,topology,driver,churn,n,seed,max_global_skew,final_skew,bound,jumps,sent,delivered,dropped,events,faults,reconvergence_time,violated\n")
@@ -183,11 +183,10 @@ func runSweep(args []string) {
 		BeaconEvery float64    `json:"beacon_every"`
 		SampleEvery float64    `json:"sample_every"`
 		Workers     int        `json:"workers"`
-		ElapsedSec  float64    `json:"elapsed_sec"`
 		Cells       []sweepRow `json:"cells"`
-	}{*seed, *horizon, *rho, *delay, *beacon, *sample, w, elapsed.Seconds(), rows}
+	}{*seed, *horizon, *rho, *delay, *beacon, *sample, w, rows}
 	csvPath, jsonPath := writeArtifacts("sweep", *out, "sweep_results.csv", csv.String(), "sweep_report.json", report)
-	fmt.Printf("wrote %s and %s (%d cells in %.2fs)\n", csvPath, jsonPath, len(rows), elapsed.Seconds())
+	fmt.Printf("wrote %s and %s (%d cells)\n", csvPath, jsonPath, len(rows))
 
 	if violations > 0 {
 		fail("sweep: %d cell(s) exceeded the analytic global skew bound (or, with faults, never re-converged)", violations)

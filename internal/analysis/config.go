@@ -9,10 +9,11 @@ import "strings"
 // through the tree.
 //
 // internal/rt is deliberately inside the nondeterminism contract even
-// though it is the wall-clock runtime: its four intentional wall reads
-// (DriftClock's piecewise-linear anchor and the runtime's simNow) carry
-// per-site //gcslint:allow annotations, so any NEW wall read added to
-// rt has to be argued for in review instead of sliding in silently.
+// though it is the wall-clock runtime: its two intentional wall reads
+// (the run epoch and simNow, through which every clock reading and
+// topology stamp goes) carry per-site //gcslint:allow annotations, so
+// any NEW wall read added to rt has to be argued for in review instead
+// of sliding in silently.
 
 // deterministicPkgs are the packages whose executions must be pure
 // functions of the scenario Config (bit-identical reports across reruns

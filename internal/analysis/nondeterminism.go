@@ -21,7 +21,7 @@ import (
 //     des.Rand is the only sanctioned randomness (splittable, seeded,
 //     stable across Go releases).
 //
-// internal/rt's four by-design wall reads carry //gcslint:allow
+// internal/rt's two by-design wall reads carry //gcslint:allow
 // nondeterminism annotations; see config.go for why rt is in scope.
 var Nondeterminism = &Analyzer{
 	Name: "nondeterminism",

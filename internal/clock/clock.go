@@ -13,42 +13,64 @@
 // reached.
 //
 // A timer is the seam.Timer itself: a long-lived struct with an armed
-// flag in the clock's timers slice, as in rt.DriftClock. A gcs node makes
-// two, so the head (the armed timer with the least (target, seq)) is found
-// by a scan. Only the head owns an engine event, so a rate change re-arms
-// one event, and re-arming a timer allocates nothing.
+// flag in the clock's timers slice. A gcs node makes two, so the head (the
+// armed timer with the least (target, seq)) is found by a scan. Only the
+// head owns a firing in the clock's Base, so a rate change re-arms one
+// firing, and re-arming a timer allocates nothing.
+//
+// The Base is everything a clock needs from its harness: a real-time
+// source and one re-armable firing. The DES harnesses use New, whose base
+// is the engine (engine time, one engine event); the real-time runtime
+// supplies a wall-clock base through NewOn.
 package clock
 
 import (
 	"fmt"
+	"math"
 
 	"gcs/internal/des"
 	"gcs/internal/seam"
 )
 
-// HardwareClock is one node's drifting hardware clock. It is owned by a
-// single des.Engine and is not safe for concurrent use. It implements
-// seam.Clock; the harness keeps the concrete handle for rate drift
-// (SetRate) and arena reuse (Reset).
+// Base is a clock's environment: a time source plus one re-armable
+// firing. When the firing happens the base calls the clock's Fire, in the
+// owning node's execution context.
+type Base interface {
+	// Now returns the current real time.
+	Now() float64
+	// Arm schedules the firing for real time at (never before Now),
+	// replacing any pending one; label tags it for tracing.
+	Arm(at float64, label string)
+	// Disarm cancels the pending firing, if any.
+	Disarm()
+}
+
+// HardwareClock is one node's drifting hardware clock. It is not safe for
+// concurrent use: every method runs in its node's execution context. It
+// implements seam.Clock; the harness keeps the concrete handle for rate
+// drift (SetRate) and arena reuse (Reset).
 type HardwareClock struct {
-	en *des.Engine
+	base Base
+	// res is the base's resolution in real time: a timer due within res of
+	// now fires now. It is 0 for the engine, whose firings are exact.
+	res float64
 
 	// Piecewise-linear state: H(t) = lastH + rate*(t-lastT) for t >= lastT.
-	lastT des.Time
+	lastT float64
 	lastH float64
 	rate  float64
 
 	// timers holds every timer created on this clock, armed or not. Their
 	// targets are hardware readings, so a rate change moves only the real
-	// time of the head, and headEv is re-armed to track it.
+	// time of the head, and the base's firing is re-armed to track it.
 	timers  []*timer
 	nextSeq uint64
-	// headEv is the single engine event backing the head (zero when no
-	// timer is armed).
-	headEv des.EventRef
-	// fire is the single engine callback backing all of this clock's
-	// timers: it fires every due timer and re-arms.
-	fire des.ArgHandler
+	// headAt is the real time the base's firing is armed for, +Inf when
+	// it is not armed.
+	headAt float64
+
+	// eng is the engine base of a clock made by New; base points at it.
+	eng engineBase
 
 	// maxRate/minRate observed, for drift validation in tests.
 	minRateSeen, maxRateSeen float64
@@ -56,53 +78,81 @@ type HardwareClock struct {
 
 var _ seam.Clock = (*HardwareClock)(nil)
 
-// New returns a hardware clock reading 0 at the engine's current time,
-// running at the given initial rate.
+// engineBase is the DES Base: engine time, and one engine event whose
+// single callback is the clock's Fire.
+type engineBase struct {
+	en   *des.Engine
+	ev   des.EventRef
+	fire des.ArgHandler
+}
+
+func (b *engineBase) Now() float64 { return b.en.Now() }
+
+// Arm re-registers the clock's one engine event.
+//
+//gcslint:zeroalloc
+func (b *engineBase) Arm(at float64, label string) {
+	b.en.Cancel(b.ev)
+	b.ev = b.en.ScheduleArg(at, label, b.fire, 0)
+}
+
+func (b *engineBase) Disarm() {
+	b.en.Cancel(b.ev)
+	b.ev = des.EventRef{}
+}
+
+// New returns a hardware clock on the engine, reading 0 at the engine's
+// current time and running at the given initial rate.
 func New(en *des.Engine, initialRate float64) *HardwareClock {
-	if initialRate <= 0 {
-		panic("clock: nonpositive rate")
-	}
-	c := &HardwareClock{
-		en:          en,
-		lastT:       en.Now(),
-		rate:        initialRate,
-		minRateSeen: initialRate,
-		maxRateSeen: initialRate,
-	}
-	c.fire = func(uint64) { c.drainDue() }
+	c := &HardwareClock{}
+	c.eng = engineBase{en: en, fire: func(uint64) { c.Fire() }}
+	c.base = &c.eng
+	c.Reset(initialRate)
 	return c
 }
 
-// Reset returns the clock to a fresh reading of 0 at the engine's
-// current time, running at initialRate, with every timer unarmed. It is
-// the arena-reuse counterpart of New: the timers stay registered, so
+// NewOn returns a hardware clock on base b with resolution res, reading 0
+// at b's current time and running at the given initial rate.
+func NewOn(b Base, res, initialRate float64) *HardwareClock {
+	c := &HardwareClock{base: b, res: res}
+	c.Reset(initialRate)
+	return c
+}
+
+// Reset returns the clock to a fresh reading of 0 at the base's current
+// time, running at initialRate, with every timer unarmed. It is the
+// arena-reuse counterpart of New: the timers stay registered, so
 // re-arming them after a reset allocates nothing. Call it after the
-// owning engine has been Reset — the head event is dropped without being
-// cancelled, since the engine has already recycled it.
+// owning engine has been Reset; disarming then cancels nothing, since the
+// engine has already recycled the head event.
 func (c *HardwareClock) Reset(initialRate float64) {
-	if initialRate <= 0 {
-		panic("clock: nonpositive rate")
-	}
+	checkRate(initialRate)
 	for _, tm := range c.timers {
 		tm.armed = false
 	}
-	c.headEv = des.EventRef{}
+	c.disarm()
 	c.nextSeq = 0
-	c.lastT = c.en.Now()
+	c.lastT = c.base.Now()
 	c.lastH = 0
 	c.rate = initialRate
 	c.minRateSeen = initialRate
 	c.maxRateSeen = initialRate
 }
 
-// Now returns the hardware clock reading at the engine's current time.
+func checkRate(rate float64) {
+	if !(rate > 0) {
+		panic("clock: nonpositive rate")
+	}
+}
+
+// Now returns the hardware clock reading at the base's current time.
 func (c *HardwareClock) Now() float64 {
-	return c.ReadAt(c.en.Now())
+	return c.ReadAt(c.base.Now())
 }
 
 // ReadAt returns H(t). t must not precede the last rate breakpoint; the
-// simulation only ever reads clocks at or after the current event time.
-func (c *HardwareClock) ReadAt(t des.Time) float64 {
+// harnesses only ever read clocks at or after the current time.
+func (c *HardwareClock) ReadAt(t float64) float64 {
 	if t < c.lastT {
 		panic(fmt.Sprintf("clock: read at %v before last breakpoint %v", t, c.lastT))
 	}
@@ -115,16 +165,14 @@ func (c *HardwareClock) RateBoundsSeen() (min, max float64) {
 	return c.minRateSeen, c.maxRateSeen
 }
 
-// SetRate changes the clock rate as of the engine's current time. Timer
+// SetRate changes the clock rate as of the base's current time. Timer
 // targets are hardware readings, so which timer is the head is
-// unaffected; only the single engine event backing it is re-armed to
-// its new real fire time. Rates must be positive; the paper's model
-// requires rates in [1-rho, 1+rho] with rho < 1, which drivers enforce.
+// unaffected; only the base's firing is re-armed to its new real fire
+// time. Rates must be positive; the paper's model requires rates in
+// [1-rho, 1+rho] with rho < 1, which drivers enforce.
 func (c *HardwareClock) SetRate(rate float64) {
-	if rate <= 0 {
-		panic("clock: nonpositive rate")
-	}
-	now := c.en.Now()
+	checkRate(rate)
+	now := c.base.Now()
 	c.lastH = c.ReadAt(now)
 	c.lastT = now
 	c.rate = rate
@@ -135,15 +183,13 @@ func (c *HardwareClock) SetRate(rate float64) {
 		c.maxRateSeen = rate
 	}
 	if h := c.head(); h != nil {
-		c.armHead(h)
+		c.armHead(now, h)
 	}
 }
 
 // timeWhen returns the real time at which the clock will read hTarget,
-// assuming the current rate persists. hTarget must be >= the current
-// reading.
-func (c *HardwareClock) timeWhen(hTarget float64) des.Time {
-	now := c.en.Now()
+// assuming the current rate persists.
+func (c *HardwareClock) timeWhen(now, hTarget float64) float64 {
 	h := c.ReadAt(now)
 	if hTarget < h {
 		// Timer target already passed; fire immediately. This can only
@@ -184,27 +230,36 @@ func (c *HardwareClock) head() *timer {
 	return h
 }
 
-// armHead (re)registers the single engine event to h's fire time.
-func (c *HardwareClock) armHead(h *timer) {
-	c.en.Cancel(c.headEv)
-	c.headEv = c.en.ScheduleArg(c.timeWhen(h.targetH), h.label, c.fire, 0)
+// armHead (re)arms the base's firing for h's fire time.
+func (c *HardwareClock) armHead(now float64, h *timer) {
+	c.headAt = c.timeWhen(now, h.targetH)
+	c.base.Arm(c.headAt, h.label)
 }
 
-// drainDue runs when the head event fires: it fires every timer that is
-// due at the current time (equal targets fire in arming order, and a
-// target reached exactly now by floating-point luck fires now rather
-// than being re-armed for the same instant), then re-arms the event for
+func (c *HardwareClock) disarm() {
+	c.headAt = math.Inf(1)
+	c.base.Disarm()
+}
+
+// Fire is the base's firing. It fires every timer due within the base's
+// resolution of the current time (equal targets fire in arming order, and
+// a target reached exactly now by floating-point luck fires now rather
+// than being re-armed for the same instant), then re-arms the base for
 // the new head. Callbacks may reset or stop timers freely — the loop
-// re-reads the head each iteration.
-func (c *HardwareClock) drainDue() {
-	c.headEv = des.EventRef{} // the firing event consumed itself
-	now := c.en.Now()
+// re-reads the head each iteration. A firing that comes more than res
+// before headAt is stale (a Stop or re-arm raced it) and does nothing.
+func (c *HardwareClock) Fire() {
+	now := c.base.Now()
+	if now+c.res < c.headAt {
+		return
+	}
+	c.headAt = math.Inf(1) // the firing consumed itself
 	for tm := c.head(); tm != nil; tm = c.head() {
-		if c.timeWhen(tm.targetH) > now {
-			// Callbacks may have armed the event themselves (a Reset or
+		if c.timeWhen(now, tm.targetH) > now+c.res {
+			// Callbacks may have armed the base themselves (a Reset or
 			// Stop that moved the head); only re-arm if none did.
-			if !c.headEv.Pending() {
-				c.armHead(tm)
+			if math.IsInf(c.headAt, 1) {
+				c.armHead(now, tm)
 			}
 			return
 		}
@@ -221,12 +276,13 @@ func (tm *timer) Reset(dH float64) {
 	}
 	c := tm.c
 	wasHead := tm.armed && c.head() == tm
-	tm.targetH = c.Now() + dH
+	now := c.base.Now()
+	tm.targetH = c.ReadAt(now) + dH
 	tm.seq = c.nextSeq
 	c.nextSeq++
 	tm.armed = true
 	if h := c.head(); wasHead || h == tm {
-		c.armHead(h)
+		c.armHead(now, h)
 	}
 }
 
@@ -239,10 +295,9 @@ func (tm *timer) Stop() {
 		return
 	}
 	if h := c.head(); h != nil {
-		c.armHead(h)
+		c.armHead(c.base.Now(), h)
 	} else {
-		c.en.Cancel(c.headEv)
-		c.headEv = des.EventRef{}
+		c.disarm()
 	}
 }
 

@@ -384,15 +384,59 @@ func TestBatchedTimerSetDuringDrain(t *testing.T) {
 	}
 }
 
+// sloppyBase is a test Base over an engine that takes the liberties a
+// base of resolution res may take, as a wall-clock one does: it fires up
+// to 0.9·res early, and one time in three a re-arm or Disarm leaves the
+// replaced firing to fire anyway, stale. fire is its firing callback,
+// with the firing's arming id as argument.
+type sloppyBase struct {
+	en       *des.Engine
+	r        *des.Rand
+	res      float64
+	ref      des.EventRef
+	at       float64 // the current firing's requested time
+	cur, ids uint64  // the current firing's id (0: none), the last id issued
+	ops      int     // Arm and Disarm calls
+	fire     des.ArgHandler
+}
+
+func (b *sloppyBase) Now() float64 { return b.en.Now() }
+
+func (b *sloppyBase) Arm(at float64, label string) {
+	b.retire()
+	b.ids++
+	b.cur, b.at = b.ids, at
+	b.ref = b.en.ScheduleArg(max(b.en.Now(), at-0.9*b.res*b.r.Float64()), label, b.fire, b.cur)
+}
+
+func (b *sloppyBase) Disarm() { b.retire() }
+
+// retire cancels the current firing, or one time in three leaves it to
+// fire stale.
+func (b *sloppyBase) retire() {
+	b.ops++
+	if b.r.Intn(3) != 0 {
+		b.en.Cancel(b.ref)
+	}
+	b.cur = 0
+}
+
 // TestPropertyTimerScript runs seeded random scripts of Reset, Stop,
 // SetRate and advance over 1-4 timers on one clock against a model: the
 // armed (target, seq) pair of each timer. Every firing must be of an
 // armed timer (a stopped one never fires) holding the model's least
-// pair, at a clock reading within 1e-9 of its target, and between steps
-// the engine holds one event exactly when some timer is armed.
-// Durations come from a short list, so timers armed at one instant often
-// tie on target and zero durations are due at once; callbacks sometimes
-// re-arm their own timer, as the gcs beacon does.
+// pair, at a clock reading at most res·rate before its target (within
+// 1e-9). Durations come from a short list, so timers armed at one
+// instant often tie on target and zero durations are due at once;
+// callbacks sometimes re-arm their own timer, as the gcs beacon does.
+//
+// The scripts run on the engine base, where between steps the engine
+// holds one event exactly when some timer is armed, and on a sloppyBase
+// with res = 0.05, where an armed timer always has a current firing
+// coming and every firing keeps the resolution contract: it fires each
+// timer due within 0.99·res, and when none is due within 1.01·res it
+// does nothing at all — no timer fires and the base is neither re-armed
+// nor disarmed.
 func TestPropertyTimerScript(t *testing.T) {
 	type pair struct {
 		target float64
@@ -400,66 +444,108 @@ func TestPropertyTimerScript(t *testing.T) {
 		armed  bool
 	}
 	durations := []float64{0, 0.5, 1, 2.5}
-	for seed := uint64(1); seed <= 300; seed++ {
-		r := des.NewRand(seed)
-		en := des.NewEngine()
-		c := New(en, r.Range(0.5, 2))
-		model := make([]pair, 1+r.Intn(4))
-		timers := make([]seam.Timer, len(model))
-		var seq uint64
-		reset := func(i int) {
-			dH := durations[r.Intn(len(durations))]
-			timers[i].Reset(dH)
-			model[i] = pair{c.Now() + dH, seq, true}
-			seq++
-		}
-		rearms := 0
-		for i := range timers {
-			timers[i] = c.NewTimer("t", func() {
-				for j, p := range model {
-					if p.armed && (p.target < model[i].target || p.target == model[i].target && p.seq < model[i].seq) {
-						t.Fatalf("seed %d: timer %d fired before timer %d (%+v before %+v)", seed, i, j, model[i], p)
+	for _, res := range []float64{0, 0.05} {
+		for seed := uint64(1); seed <= 300; seed++ {
+			r := des.NewRand(seed)
+			en := des.NewEngine()
+			rate := r.Range(0.5, 2)
+			var c *HardwareClock
+			var sloppy *sloppyBase
+			if res == 0 {
+				c = New(en, rate)
+			} else {
+				sloppy = &sloppyBase{en: en, r: r, res: res}
+				c = NewOn(sloppy, res, rate)
+			}
+			model := make([]pair, 1+r.Intn(4))
+			timers := make([]seam.Timer, len(model))
+			var seq uint64
+			reset := func(i int) {
+				dH := durations[r.Intn(len(durations))]
+				timers[i].Reset(dH)
+				model[i] = pair{c.Now() + dH, seq, true}
+				seq++
+			}
+			rearms, fired := 0, 0
+			for i := range timers {
+				timers[i] = c.NewTimer("t", func() {
+					for j, p := range model {
+						if p.armed && (p.target < model[i].target || p.target == model[i].target && p.seq < model[i].seq) {
+							t.Fatalf("res %v seed %d: timer %d fired before timer %d (%+v before %+v)", res, seed, i, j, model[i], p)
+						}
+					}
+					if !model[i].armed {
+						t.Fatalf("res %v seed %d: unarmed timer %d fired", res, seed, i)
+					}
+					if got := c.Now(); got < model[i].target-res*rate-1e-9 || got > model[i].target+1e-9 {
+						t.Fatalf("res %v seed %d: timer %d fired at reading %v, target %v", res, seed, i, got, model[i].target)
+					}
+					model[i].armed = false
+					fired++
+					if rearms < 20 && r.Intn(3) == 0 {
+						rearms++
+						reset(i)
+					}
+				})
+			}
+			if sloppy != nil {
+				sloppy.fire = func(id uint64) {
+					stale := id != sloppy.cur
+					if !stale {
+						sloppy.cur = 0
+					}
+					due, idle := false, true
+					for _, p := range model {
+						if gap := p.target - c.Now(); p.armed && gap <= 1.01*res*rate {
+							idle = false
+							due = due || gap <= 0.99*res*rate
+						}
+					}
+					quiet := stale && idle && (sloppy.cur == 0 || sloppy.at > en.Now()+1.01*res)
+					ops, n := sloppy.ops, fired
+					c.Fire()
+					if due && fired == n {
+						t.Fatalf("res %v seed %d: a firing at %v left a timer due within res unfired", res, seed, en.Now())
+					}
+					if quiet && (fired != n || sloppy.ops != ops) {
+						t.Fatalf("res %v seed %d: a stale firing at %v with no timer due did %d base calls and fired %d timers", res, seed, en.Now(), sloppy.ops-ops, fired-n)
 					}
 				}
-				if !model[i].armed {
-					t.Fatalf("seed %d: unarmed timer %d fired", seed, i)
-				}
-				if got := c.Now(); math.Abs(got-model[i].target) > 1e-9 {
-					t.Fatalf("seed %d: timer %d fired at reading %v, target %v", seed, i, got, model[i].target)
-				}
-				model[i].armed = false
-				if rearms < 20 && r.Intn(3) == 0 {
-					rearms++
-					reset(i)
-				}
-			})
-		}
-		for step := 0; step < 80; step++ {
-			switch r.Intn(4) {
-			case 0:
-				reset(r.Intn(len(timers)))
-			case 1:
-				i := r.Intn(len(timers))
-				timers[i].Stop()
-				model[i].armed = false
-			case 2:
-				c.SetRate(r.Range(0.5, 2))
-			case 3:
-				en.Run(en.Now() + r.Range(0, 2))
 			}
-			anyArmed := false
-			for i, p := range model {
-				if timers[i].Pending() != p.armed {
-					t.Fatalf("seed %d step %d: timer %d Pending() = %v, model %v", seed, step, i, timers[i].Pending(), p.armed)
+			for step := 0; step < 80; step++ {
+				switch r.Intn(4) {
+				case 0:
+					reset(r.Intn(len(timers)))
+				case 1:
+					i := r.Intn(len(timers))
+					timers[i].Stop()
+					model[i].armed = false
+				case 2:
+					rate = r.Range(0.5, 2)
+					c.SetRate(rate)
+				case 3:
+					en.Run(en.Now() + r.Range(0, 2))
 				}
-				anyArmed = anyArmed || p.armed
-			}
-			want := 0
-			if anyArmed {
-				want = 1
-			}
-			if en.Pending() != want {
-				t.Fatalf("seed %d step %d: engine holds %d events, want %d", seed, step, en.Pending(), want)
+				anyArmed := false
+				for i, p := range model {
+					if timers[i].Pending() != p.armed {
+						t.Fatalf("res %v seed %d step %d: timer %d Pending() = %v, model %v", res, seed, step, i, timers[i].Pending(), p.armed)
+					}
+					anyArmed = anyArmed || p.armed
+				}
+				if sloppy != nil {
+					if anyArmed && sloppy.cur == 0 {
+						t.Fatalf("res %v seed %d step %d: timers armed but no current firing", res, seed, step)
+					}
+					continue
+				}
+				want := 0
+				if anyArmed {
+					want = 1
+				}
+				if en.Pending() != want {
+					t.Fatalf("res %v seed %d step %d: engine holds %d events, want %d", res, seed, step, en.Pending(), want)
+				}
 			}
 		}
 	}

@@ -71,10 +71,6 @@ type EventRef struct {
 	gen uint32
 }
 
-// Pending reports whether the referenced event is still scheduled (not
-// yet fired or cancelled).
-func (r EventRef) Pending() bool { return r.e != nil && r.e.gen == r.gen }
-
 // Engine is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use.
 type Engine struct {

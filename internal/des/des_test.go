@@ -6,6 +6,10 @@ import (
 	"testing/quick"
 )
 
+// Pending reports whether the referenced event is still scheduled (not
+// yet fired or cancelled).
+func (r EventRef) Pending() bool { return r.e != nil && r.e.gen == r.gen }
+
 func TestScheduleAndRunOrder(t *testing.T) {
 	en := NewEngine()
 	var got []int

@@ -1,7 +1,6 @@
 package rt
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,18 +17,17 @@ import (
 // Sends draw a bounded random delay from the sender's own PRNG stream
 // (so delay sequences are per-sender deterministic, like the parallel
 // DES engine's) and deliver through a time.AfterFunc into the
-// receiver's event queue. Edge presence is re-checked at delivery time:
-// a message whose edge disappeared mid-flight is lost, the runtime's
-// rendering of the model's edge-removal losses. The DES harnesses ask
-// instead whether the edge existed throughout the flight
-// (ExistsThroughout), so one that vanished and came back mid-flight loses
-// the message there and delivers it here.
+// receiver's event queue. The topology is a dyngraph.Dynamic stamped
+// with simulated time, and the loss rule is the DES transports': a
+// message is delivered iff its edge existed throughout the flight
+// (ExistsThroughout), so one whose edge vanished at any point in flight
+// is lost, even if the edge is back at delivery.
 //
-// Adjacency is guarded by an RWMutex — node goroutines read it on
-// every broadcast and on the neighbor rescan after a lost edge, churn
-// steps write it. Lock order: a host lock may be held while taking the
-// router lock, never the reverse (the sampler snapshots edges before
-// touching hosts, Add and Remove relay discover(add) and
+// The graph is guarded by an RWMutex — node goroutines read it on
+// every broadcast and delivery and on the neighbor rescan after a lost
+// edge, churn steps write it. Lock order: a host lock may be held while
+// taking the router lock, never the reverse (the sampler snapshots edges
+// before touching hosts, Add and Remove relay discover(add) and
 // discover(remove) only after releasing the write lock).
 type Router struct {
 	r                  *Runtime
@@ -39,11 +37,8 @@ type Router struct {
 	// engine the DES transport uses.
 	faults *fault.Messages
 
-	mu  sync.RWMutex
-	adj [][]int // sorted neighbor slices, symmetric
-	// edgeAdds/edgeRemoves count distinct edge insertions/removals (an
-	// add of a present edge or remove of an absent one is a no-op).
-	edgeAdds, edgeRemoves int
+	mu sync.RWMutex
+	g  *dyngraph.Dynamic
 
 	sent, delivered, dropped, refused atomic.Uint64
 }
@@ -54,80 +49,41 @@ var (
 	_ sim.EdgeWriter = (*Router)(nil)
 )
 
-func newRouter(r *Runtime, n int, minDelay, maxDelay float64) *Router {
-	return &Router{r: r, minDelay: minDelay, maxDelay: maxDelay, adj: make([][]int, n)}
-}
-
 // drawDelay returns a nominal delay in (minDelay, maxDelay], the
 // transport.UniformDelayIn law over the sender's own stream.
 func (rt *Router) drawDelay(h *host) float64 {
 	return rt.minDelay + (rt.maxDelay-rt.minDelay)*(1-h.delayRand.Float64())
 }
 
-// installEdge inserts an initial-topology edge without counting it as a
-// churn add, mirroring dyngraph.NewDynamic's silent initial edge set.
-func (rt *Router) installEdge(u, v int) {
-	rt.adj[u], _ = insertSorted(rt.adj[u], v)
-	rt.adj[v], _ = insertSorted(rt.adj[v], u)
-}
+// Add and Remove implement sim.EdgeWriter for the churn chain. The step's
+// time argument is ignored: churn chains step on separate timer
+// goroutines, so the graph is stamped with the time read inside the write
+// lock, which keeps its writes in time order. An edge that actually
+// changes (the graph's epoch moves) is relayed to both endpoints
+// (discover(add), discover(remove)) once the lock is released.
+func (rt *Router) Add(_ float64, e dyngraph.Edge) { rt.change(e, true) }
 
-// insertSorted/removeSorted maintain one endpoint's sorted neighbor
-// slice, reporting whether the set changed.
-func insertSorted(s []int, v int) ([]int, bool) {
-	i := sort.SearchInts(s, v)
-	if i < len(s) && s[i] == v {
-		return s, false
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s, true
-}
+func (rt *Router) Remove(_ float64, e dyngraph.Edge) { rt.change(e, false) }
 
-func removeSorted(s []int, v int) ([]int, bool) {
-	i := sort.SearchInts(s, v)
-	if i >= len(s) || s[i] != v {
-		return s, false
-	}
-	return append(s[:i], s[i+1:]...), true
-}
-
-// Add and Remove implement sim.EdgeWriter for the churn chain: an edge
-// that actually changes is counted, and both endpoints learn of it
-// (discover(add), discover(remove)) once the write lock is released.
-func (rt *Router) Add(_ float64, e dyngraph.Edge) {
-	rt.change(e, insertSorted, &rt.edgeAdds, true)
-}
-
-func (rt *Router) Remove(_ float64, e dyngraph.Edge) {
-	rt.change(e, removeSorted, &rt.edgeRemoves, false)
-}
-
-func (rt *Router) change(e dyngraph.Edge, op func([]int, int) ([]int, bool), count *int, added bool) {
+func (rt *Router) change(e dyngraph.Edge, added bool) {
 	rt.mu.Lock()
-	var changed bool
-	rt.adj[e.U], changed = op(rt.adj[e.U], e.V)
-	if changed {
-		rt.adj[e.V], _ = op(rt.adj[e.V], e.U)
-		*count++
+	epoch := rt.g.Epoch()
+	if added {
+		rt.g.Add(rt.r.simNow(), e)
+	} else {
+		rt.g.Remove(rt.r.simNow(), e)
 	}
+	changed := rt.g.Epoch() != epoch
 	rt.mu.Unlock()
 	if changed {
 		rt.r.relay(e, added)
 	}
 }
 
-// present reports edge presence; callers hold rt.mu (either mode).
-func (rt *Router) present(u, v int) bool {
-	s := rt.adj[u]
-	i := sort.SearchInts(s, v)
-	return i < len(s) && s[i] == v
-}
-
 // AppendNeighbors implements seam.Topology.
 func (rt *Router) AppendNeighbors(u int, buf []int) []int {
 	rt.mu.RLock()
-	buf = append(buf, rt.adj[u]...)
+	buf = rt.g.AppendNeighbors(u, buf)
 	rt.mu.RUnlock()
 	return buf
 }
@@ -137,9 +93,7 @@ func (rt *Router) AppendNeighbors(u int, buf []int) []int {
 // transports). Runs on the sending node's goroutine.
 func (rt *Router) Broadcast(from int, value float64) int {
 	h := rt.r.hosts[from]
-	rt.mu.RLock()
-	h.sendBuf = append(h.sendBuf[:0], rt.adj[from]...)
-	rt.mu.RUnlock()
+	h.sendBuf = rt.AppendNeighbors(from, h.sendBuf[:0])
 	for _, to := range h.sendBuf {
 		rt.send(from, to, value)
 	}
@@ -150,7 +104,7 @@ func (rt *Router) Broadcast(from int, value float64) int {
 // beacon); a send over an absent edge is refused.
 func (rt *Router) Send(from, to int, value float64) bool {
 	rt.mu.RLock()
-	ok := rt.present(from, to)
+	ok := rt.g.Present(dyngraph.E(from, to))
 	rt.mu.RUnlock()
 	if !ok {
 		rt.refused.Add(1)
@@ -166,9 +120,10 @@ func (rt *Router) Send(from, to int, value float64) bool {
 // copy counts as its own send with its own delay draw.
 func (rt *Router) send(from, to int, value float64) {
 	h := rt.r.hosts[from]
+	now := rt.r.simNow()
 	var v fault.Verdict
 	if rt.faults != nil {
-		v = rt.faults.Draw(from, rt.r.simNow(), &h.fstats)
+		v = rt.faults.Draw(from, now, &h.fstats)
 	}
 	if v.Drop {
 		rt.sent.Add(1)
@@ -178,30 +133,33 @@ func (rt *Router) send(from, to int, value float64) {
 	if delay == 0 {
 		delay = rt.drawDelay(h)
 	}
-	rt.deliverAfter(from, to, value, delay)
+	rt.deliverAfter(from, to, value, now, delay)
 	if v.Dup {
-		rt.deliverAfter(from, to, value, rt.drawDelay(h))
+		rt.deliverAfter(from, to, value, now, rt.drawDelay(h))
 	}
 }
 
-// deliverAfter schedules one delivery. The presence re-check and the
-// node callback run in the receiver's event context.
-func (rt *Router) deliverAfter(from, to int, value float64, delay float64) {
+// deliverAfter puts one message sent at sentAt in flight for delay.
+func (rt *Router) deliverAfter(from, to int, value, sentAt, delay float64) {
 	rt.sent.Add(1)
 	dst := rt.r.hosts[to]
 	time.AfterFunc(durOf(delay), func() {
-		dst.enqueue(func() {
-			rt.mu.RLock()
-			ok := rt.present(from, to)
-			rt.mu.RUnlock()
-			if !ok {
-				rt.dropped.Add(1)
-				return
-			}
-			rt.delivered.Add(1)
-			dst.node.OnMessage(from, value)
-		})
+		dst.enqueue(func() { rt.deliver(from, to, value, sentAt) })
 	})
+}
+
+// deliver ends a flight in the receiver's event context: the message
+// reaches the node iff its edge existed throughout [sentAt, now].
+func (rt *Router) deliver(from, to int, value, sentAt float64) {
+	rt.mu.RLock()
+	ok := rt.g.ExistsThroughout(dyngraph.E(from, to), sentAt, rt.r.simNow())
+	rt.mu.RUnlock()
+	if !ok {
+		rt.dropped.Add(1)
+		return
+	}
+	rt.delivered.Add(1)
+	rt.r.hosts[to].node.OnMessage(from, value)
 }
 
 // Stats returns the traffic counters in the shared report shape.
@@ -212,28 +170,4 @@ func (rt *Router) Stats() transport.Stats {
 		Dropped:   rt.dropped.Load(),
 		Refused:   rt.refused.Load(),
 	}
-}
-
-// churnStats returns the distinct edge add/remove counts (initial
-// edges excluded, like dyngraph.Dynamic.Stats).
-func (rt *Router) churnStats() (adds, removes int) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.edgeAdds, rt.edgeRemoves
-}
-
-// snapshotEdges appends every current edge as an (u, v) pair with u < v
-// to buf and returns it. The sampler copies under the read lock and
-// releases before touching host locks (lock-order discipline).
-func (rt *Router) snapshotEdges(buf [][2]int) [][2]int {
-	rt.mu.RLock()
-	for u, nbrs := range rt.adj {
-		for _, v := range nbrs {
-			if u < v {
-				buf = append(buf, [2]int{u, v})
-			}
-		}
-	}
-	rt.mu.RUnlock()
-	return buf
 }

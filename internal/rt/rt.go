@@ -21,12 +21,13 @@
 //     goroutine. Everything that touches gcs.Node state — timer
 //     firings, deliveries, fault injections — is enqueued and runs
 //     under the host lock on the host's goroutine.
-//   - DriftClock (clock.go): the node's hardware clock, a
-//     piecewise-linear function of wall time with rate in
-//     [1-rho, 1+rho] (or outside it, under rate-excursion faults).
-//   - Router (router.go): shared topology + transport; adjacency under
+//   - The node's hardware clock is the DES harness's clock.HardwareClock
+//     over a wall-time base (the host): simulated time is wall time, and
+//     the clock's one head firing is a wall timer that queues its Fire.
+//   - Router (router.go): shared transport over a dyngraph.Dynamic under
 //     an RWMutex, deliveries via time.AfterFunc into the receiver's
-//     queue. Lock order is host -> router, never the reverse. Nodes learn
+//     queue, dropped unless the edge existed throughout the flight. Lock
+//     order is host -> router, never the reverse. Nodes learn
 //     of topology changes through their queues (relay), after the router
 //     write: until a host drains the notification its node may still
 //     count a departed neighbor, or not yet count a new one — the paper's
@@ -46,6 +47,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gcs/internal/clock"
 	"gcs/internal/des"
 	"gcs/internal/dyngraph"
 	"gcs/internal/fault"
@@ -58,9 +60,26 @@ import (
 // at integer multiples of their intervals).
 const samplePhase = 0.382
 
+// wallRes is the hardware clocks' resolution in simulated seconds: wall
+// timers count whole nanoseconds, so a subjective timer due within 1 ns
+// fires at once rather than re-arming for a remainder no wall timer can
+// express.
+const wallRes = 1e-9
+
+// durOf converts simulated seconds to a wall duration, rounding up to a
+// whole nanosecond, so a delay never becomes zero (the transport law is
+// (0, MaxDelay]) and a timer never fires before its simulated time.
+func durOf(sec float64) time.Duration {
+	if sec <= 0 {
+		return 0
+	}
+	return time.Duration(math.Ceil(sec * float64(time.Second)))
+}
+
 // host owns one node's execution context: a goroutine draining an event
 // queue, with a mutex held around each event so the sampler can take
-// consistent off-goroutine readings between events.
+// consistent off-goroutine readings between events. It is also its
+// clock's clock.Base.
 type host struct {
 	r  *Runtime
 	id int
@@ -68,7 +87,7 @@ type host struct {
 	mu     sync.Mutex
 	events chan func()
 
-	clk  *DriftClock
+	clk  *clock.HardwareClock
 	node *gcs.Node
 
 	// delayRand is the node's message-delay stream (router, sender-side),
@@ -81,11 +100,19 @@ type host struct {
 
 	sendBuf []int // reusable broadcast fan-out buffer
 
-	// Reusable chain timers: each drives a self-rescheduling event chain
-	// (driver steps; crash/recover; excursion start/end), so the callback
-	// is fixed and the timer is re-armed in place.
-	driverT, crashT, rateT *time.Timer
+	// Reusable timers, each re-armed in place with a fixed callback: the
+	// clock's head firing and the three self-rescheduling chains (driver
+	// steps; crash/recover; excursion start/end).
+	clockT, driverT, crashT, rateT *time.Timer
 }
+
+// Now, Arm and Disarm make the host its clock's Base. A firing that a
+// Stop or re-arm raced still queues the clock's Fire, which ignores it.
+func (h *host) Now() float64 { return h.r.simNow() }
+
+func (h *host) Arm(at float64, _ string) { h.arm(&h.clockT, max(0, at-h.Now()), h.clk.Fire) }
+
+func (h *host) Disarm() { stopTimer(h.clockT) }
 
 // enqueue hands fn to the host's goroutine, giving up at shutdown.
 // Never called while holding any host lock (timer and churn goroutines
@@ -182,7 +209,7 @@ type Runtime struct {
 
 	// Sampler-owned observation state.
 	vals  []float64
-	edges [][2]int
+	edges []dyngraph.Edge
 	fold  sim.Fold
 }
 
@@ -213,20 +240,27 @@ func New(cfg sim.Config) (*Runtime, error) {
 	return &Runtime{cfg: cfg.WithDefaults()}, nil
 }
 
-// wire builds the router and one host per node — queue, drifting clock,
-// gcs node, message-delay stream — over an empty topology. r.start and
-// r.done must be set. Nothing runs yet: no goroutine, no timer.
-func (r *Runtime) wire(delayRoot *des.Rand) {
+// wire builds the router over the initial topology and one host per node
+// — queue, drifting clock, gcs node, message-delay stream — and returns
+// that topology. It is the backbone, present from time 0 like the DES
+// graph's initial edge set; the rotating star ignores it and adds its
+// first star through churn. r.start and r.done must be set. Nothing runs
+// yet: no goroutine, no timer.
+func (r *Runtime) wire(delayRoot *des.Rand) (backbone []dyngraph.Edge) {
 	cfg := r.cfg
-	r.router = newRouter(r, cfg.N, cfg.MinDelay, cfg.MaxDelay)
+	if cfg.Churn.Kind != sim.ChurnRotatingStar {
+		backbone = cfg.Topology.Edges(cfg.N)
+	}
+	r.router = &Router{r: r, minDelay: cfg.MinDelay, maxDelay: cfg.MaxDelay, g: dyngraph.NewDynamic(cfg.N, backbone)}
 	r.hosts = make([]*host, cfg.N)
 	for i := range r.hosts {
 		h := &host{r: r, id: i, events: make(chan func(), 128)}
-		h.clk = newDriftClock(h, r.start)
+		h.clk = clock.NewOn(h, wallRes, 1)
 		h.node = gcs.New(i, h.clk, cfg.Node, r.router, r.router)
 		delayRoot.ForkInto(uint64(i), &h.delayRand)
 		r.hosts[i] = h
 	}
+	return backbone
 }
 
 // simNow is the simulated time: wall seconds since the run started.
@@ -288,7 +322,10 @@ func (r *Runtime) churnAfter(ev sim.ChurnEvent) {
 // is a consistent cut; in real time it is a best-effort cut, which the
 // non-bubble smoke tests account for with slack.
 func (r *Runtime) sample() {
-	r.edges = r.router.snapshotEdges(r.edges[:0])
+	r.edges = r.edges[:0]
+	r.router.mu.RLock()
+	r.router.g.RangeCurrentEdges(func(e dyngraph.Edge) { r.edges = append(r.edges, e) })
+	r.router.mu.RUnlock()
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i, h := range r.hosts {
 		h.mu.Lock()
@@ -309,7 +346,7 @@ func (r *Runtime) sample() {
 		h.mu.Unlock()
 	}
 	for _, e := range r.edges {
-		r.fold.Adjacent(r.vals[e[0]], r.vals[e[1]])
+		r.fold.Adjacent(r.vals[e.U], r.vals[e.V])
 	}
 	r.fold.Sample(r.simNow(), lo, hi)
 }
@@ -349,19 +386,7 @@ func (r *Runtime) Run() sim.SkewReport {
 	root.ForkInto(0xd81fe, &driveRand)
 	root.ForkInto(0x9a5e, &phaseRand)
 
-	r.wire(&delayRoot)
-
-	// Initial topology: the backbone, installed silently like the DES
-	// graph's initial edge set. The rotating star ignores it and adds its
-	// first star through churn below.
-	var backbone []dyngraph.Edge
-	if cfg.Churn.Kind != sim.ChurnRotatingStar {
-		backbone = cfg.Topology.Edges(n)
-		for _, e := range backbone {
-			r.router.installEdge(e.U, e.V)
-		}
-	}
-
+	backbone := r.wire(&delayRoot)
 	for i, h := range r.hosts {
 		h.driver.Start(i, &driveRand)
 		h.stepDriver()
@@ -435,21 +460,19 @@ func (r *Runtime) Run() sim.SkewReport {
 	close(r.done)
 	wg.Wait()
 	for _, h := range r.hosts {
+		stopTimer(h.clockT)
 		stopTimer(h.driverT)
 		stopTimer(h.crashT)
 		stopTimer(h.rateT)
-		h.mu.Lock()
-		for _, tm := range h.clk.timers {
-			tm.Stop()
-		}
-		h.mu.Unlock()
 	}
 
 	rep := &r.fold.Report
 	rep.Bound = bound
 	rep.Transport = r.router.Stats()
 	rep.EventsExecuted = r.events.Load()
-	rep.EdgeAdds, rep.EdgeRemoves = r.router.churnStats()
+	r.router.mu.RLock() // a churn step that began before close may still be writing
+	rep.EdgeAdds, rep.EdgeRemoves = r.router.g.Stats()
+	r.router.mu.RUnlock()
 	r.fold.ResetTotals()
 	var fs fault.Stats
 	for _, h := range r.hosts {

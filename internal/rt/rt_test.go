@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gcs/internal/des"
+	"gcs/internal/dyngraph"
 	"gcs/internal/gcs"
 	"gcs/internal/sim"
 )
@@ -109,9 +110,7 @@ func wiredRuntime(t *testing.T, cfg sim.Config) *Runtime {
 	t.Cleanup(func() {
 		close(r.done)
 		for _, h := range r.hosts {
-			for _, tm := range h.clk.timers {
-				tm.Stop()
-			}
+			stopTimer(h.clockT)
 		}
 	})
 	return r
@@ -179,7 +178,7 @@ func TestChurnStepsRelayDiscover(t *testing.T) {
 
 		r.churn.Step(remove.Arg, 1.25, r.router)
 		expect("nothing left to remove", 0, 0, 0, 0)
-		if adds, removes := r.router.churnStats(); adds != 5 || removes != 2 {
+		if adds, removes := r.router.g.Stats(); adds != 5 || removes != 2 {
 			t.Fatalf("router counted %d adds, %d removals; want 5, 2", adds, removes)
 		}
 	})
@@ -188,11 +187,7 @@ func TestChurnStepsRelayDiscover(t *testing.T) {
 			N: 8, Horizon: 1, Topology: sim.TopologySpec{Kind: sim.TopoRing},
 			Churn: sim.ChurnSpec{Kind: sim.ChurnVolatile, Lifetime: 1, Absence: 1, ExtraEdges: 2},
 		})
-		backbone := r.cfg.Topology.Edges(r.cfg.N)
-		for _, e := range backbone {
-			r.router.installEdge(e.U, e.V)
-		}
-		first := r.churn.Start(&r.cfg, des.NewRand(1), backbone, r.router)
+		first := r.churn.Start(&r.cfg, des.NewRand(1), r.cfg.Topology.Edges(r.cfg.N), r.router)
 		if len(first) != 2 || slices.Max(queued(r)) != 0 {
 			t.Fatalf("Start: %d events, queues %v; want 2 and no notification", len(first), queued(r))
 		}
@@ -230,8 +225,38 @@ func TestChurnStepsRelayDiscover(t *testing.T) {
 				t.Fatalf("removing an absent edge notified hosts %v", got)
 			}
 		}
-		if adds, removes := r.router.churnStats(); adds != 2 || removes != 2 {
+		if adds, removes := r.router.g.Stats(); adds != 2 || removes != 2 {
 			t.Fatalf("router counted %d adds, %d removals; want 2, 2", adds, removes)
 		}
 	})
+}
+
+// TestDeliveryNeedsEdgeThroughoutFlight pins the router's loss rule, the
+// DES transports' ExistsThroughout: a message whose edge is removed and
+// re-added while it is in flight is dropped, even though the edge is
+// present again when it arrives, while one sent after the re-add is
+// delivered.
+func TestDeliveryNeedsEdgeThroughoutFlight(t *testing.T) {
+	r := wiredRuntime(t, sim.Config{N: 4, Horizon: 1, Topology: sim.TopologySpec{Kind: sim.TopoRing}})
+	e := dyngraph.E(0, 1)
+	sentAt := r.simNow()
+	time.Sleep(time.Millisecond) // the flap starts strictly after the send
+	r.router.Remove(0, e)
+	r.router.Add(0, e)
+	if got := queued(r); !slices.Equal(got, []int{2, 2, 0, 0}) {
+		t.Fatalf("flap queued %v discover notifications, want remove and add at both ends", got)
+	}
+	drain(r)
+
+	r.router.deliver(0, 1, 7, sentAt)
+	if st := r.router.Stats(); st.Dropped != 1 || st.Delivered != 0 {
+		t.Fatalf("in-flight flap: dropped %d, delivered %d; want 1, 0", st.Dropped, st.Delivered)
+	}
+	r.router.deliver(0, 1, 7, r.simNow())
+	if st := r.router.Stats(); st.Dropped != 1 || st.Delivered != 1 {
+		t.Fatalf("send after the flap: dropped %d, delivered %d; want 1, 1", st.Dropped, st.Delivered)
+	}
+	if got := r.hosts[1].node.Snap().Messages; got != 1 {
+		t.Fatalf("receiver ingested %d messages, want 1", got)
+	}
 }

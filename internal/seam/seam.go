@@ -8,10 +8,11 @@
 //     owned by a des.Engine, with simulated time under the harness's
 //     control (the reproduction and experiment surface);
 //   - the real-time runtime (internal/rt): a goroutine-per-node
-//     runtime over in-process channels, where the Clock is a drifting
-//     function of the wall clock, timers are time.Timer-backed, and
-//     deliveries arrive on real goroutines (the deployable surface,
-//     tested deterministically under testing/synctest).
+//     runtime over in-process channels, where the Clock is the same
+//     HardwareClock over a wall-time base (one wall timer per clock), the
+//     Topology the same Dynamic under a lock, and deliveries arrive on
+//     real goroutines (the deployable surface, tested deterministically
+//     under testing/synctest).
 //
 // The seam is deliberately minimal: it is exactly the set of operations
 // the paper's pseudocode assumes of its environment — read the local
