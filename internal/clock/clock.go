@@ -104,11 +104,19 @@ func (b *engineBase) Disarm() {
 // New returns a hardware clock on the engine, reading 0 at the engine's
 // current time and running at the given initial rate.
 func New(en *des.Engine, initialRate float64) *HardwareClock {
-	c := &HardwareClock{}
+	c := new(HardwareClock)
+	c.Init(en, initialRate)
+	return c
+}
+
+// Init sets c up in place exactly as New would, overwriting whatever it
+// held; a harness that allocates its clocks as one slab calls it on each
+// element.
+func (c *HardwareClock) Init(en *des.Engine, initialRate float64) {
+	*c = HardwareClock{}
 	c.eng = engineBase{en: en, fire: func(uint64) { c.Fire() }}
 	c.base = &c.eng
 	c.Reset(initialRate)
-	return c
 }
 
 // NewOn returns a hardware clock on base b with resolution res, reading 0

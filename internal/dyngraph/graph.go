@@ -59,13 +59,14 @@ type Subscriber interface {
 // Dynamic is the evolving graph of one execution. Add and Remove must be
 // called with nondecreasing times (they are driven by simulation events).
 type Dynamic struct {
-	n       int
-	present map[Edge]bool
-	hist    map[Edge][]Interval
-	// adj mirrors present as per-node sorted neighbor slices, so that
-	// AppendNeighbors costs O(deg) instead of scanning every edge ever
-	// seen, and yields a deterministic ascending order without sorting
-	// or allocating.
+	n int
+	// hist holds every edge's presence intervals in time order; an edge
+	// is present exactly when its last interval is still open.
+	hist map[Edge][]Interval
+	// adj holds the present edges as per-node sorted neighbor slices, so
+	// that AppendNeighbors costs O(deg) instead of scanning every edge
+	// ever seen, and both it and RangeCurrentEdges yield a deterministic
+	// ascending order without sorting or allocating.
 	adj   [][]int
 	subs  []Subscriber
 	lastT float64
@@ -84,29 +85,20 @@ func NewDynamic(n int, initial []Edge) *Dynamic {
 		panic("dyngraph: need at least one node")
 	}
 	g := &Dynamic{
-		n:       n,
-		present: make(map[Edge]bool),
-		hist:    make(map[Edge][]Interval),
-		adj:     make([][]int, n),
+		n:    n,
+		hist: make(map[Edge][]Interval),
+		adj:  make([][]int, n),
 	}
-	for _, e := range initial {
-		g.check(e)
-		if g.present[e] {
-			continue
-		}
-		g.present[e] = true
-		g.linkAdj(e)
-		g.hist[e] = append(g.hist[e], Interval{Start: 0, End: math.Inf(1)})
-	}
+	g.addInitial(initial)
 	return g
 }
 
 // Reset rewinds the graph to time 0 over n nodes with a fresh initial
-// edge set, reusing every buffer the previous execution grew: presence
-// and history maps keep their buckets (history interval slices are
-// truncated in place, so re-adding an edge seen before allocates
-// nothing), adjacency slices keep their capacity, and subscribers stay
-// registered — component wiring outlives individual runs. No
+// edge set, reusing every buffer the previous execution grew: the history
+// map keeps its buckets (its interval slices are truncated in place, so
+// re-adding an edge seen before allocates nothing), adjacency slices keep
+// their capacity, and subscribers stay registered — component wiring
+// outlives individual runs. No
 // EdgeAdded/EdgeRemoved notifications fire for either the discarded or
 // the new initial edges, matching NewDynamic. The topology-change epoch
 // is bumped (not rewound) so cached consumers like DistanceMatrix
@@ -122,19 +114,23 @@ func (g *Dynamic) Reset(n int, initial []Edge) {
 		g.adj[i] = g.adj[i][:0]
 	}
 	g.n = n
-	clear(g.present)
 	for e, ivs := range g.hist { //gcslint:allow maprange — bulk clear, no order observable
 		g.hist[e] = ivs[:0]
 	}
 	g.lastT = 0
 	g.adds, g.removes = 0, 0
 	g.epoch++
+	g.addInitial(initial)
+}
+
+// addInitial makes the initial edges present from time 0, skipping
+// repeats.
+func (g *Dynamic) addInitial(initial []Edge) {
 	for _, e := range initial {
 		g.check(e)
-		if g.present[e] {
+		if g.Present(e) {
 			continue
 		}
-		g.present[e] = true
 		g.linkAdj(e)
 		g.hist[e] = append(g.hist[e], Interval{Start: 0, End: math.Inf(1)})
 	}
@@ -178,18 +174,21 @@ func (g *Dynamic) N() int { return g.n }
 // Subscribe registers a topology-event subscriber.
 func (g *Dynamic) Subscribe(s Subscriber) { g.subs = append(g.subs, s) }
 
-// Present reports whether e is currently in the graph.
-func (g *Dynamic) Present(e Edge) bool { return g.present[e] }
+// Present reports whether e is currently in the graph: its last presence
+// interval is still open.
+func (g *Dynamic) Present(e Edge) bool {
+	ivs := g.hist[e]
+	return len(ivs) > 0 && math.IsInf(ivs[len(ivs)-1].End, 1)
+}
 
 // Add inserts edge e at time t. Adding a present edge is a no-op (the
 // model assumes no simultaneous add+remove of the same edge).
 func (g *Dynamic) Add(t float64, e Edge) {
 	g.check(e)
 	g.advance(t)
-	if g.present[e] {
+	if g.Present(e) {
 		return
 	}
-	g.present[e] = true
 	g.linkAdj(e)
 	g.hist[e] = append(g.hist[e], Interval{Start: t, End: math.Inf(1)})
 	g.adds++
@@ -203,15 +202,12 @@ func (g *Dynamic) Add(t float64, e Edge) {
 func (g *Dynamic) Remove(t float64, e Edge) {
 	g.check(e)
 	g.advance(t)
-	if !g.present[e] {
+	if !g.Present(e) {
 		return
 	}
-	// Delete rather than set false: under heavy churn the presence map
-	// would otherwise grow with every edge ever seen.
-	delete(g.present, e)
-	g.unlinkAdj(e)
 	ivs := g.hist[e]
 	ivs[len(ivs)-1].End = t
+	g.unlinkAdj(e)
 	g.removes++
 	g.epoch++
 	for _, s := range g.subs {
@@ -242,12 +238,14 @@ func (g *Dynamic) AppendNeighbors(u int, buf []int) []int {
 	return append(buf, g.adj[u]...)
 }
 
-// RangeCurrentEdges calls f for every edge present now, in unspecified
-// order, without allocating. Use it for order-independent aggregations
-// (maxima, counts).
+// RangeCurrentEdges calls f for every edge present now, in ascending
+// (U, V) order, without allocating.
 func (g *Dynamic) RangeCurrentEdges(f func(Edge)) {
-	for e := range g.present { //gcslint:allow maprange — callers are contractually order-independent (see doc comment)
-		f(e)
+	for u, nbrs := range g.adj[:g.n] {
+		// Each edge is listed at both endpoints; report it from U.
+		for _, v := range nbrs[sort.SearchInts(nbrs, u+1):] {
+			f(Edge{U: u, V: v})
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ func TestNeighborsTrackAddsAndRemoves(t *testing.T) {
 }
 
 func TestHistorySurvivesPresenceDeletion(t *testing.T) {
-	// Remove deletes the presence entry; the interval history must still
+	// Remove closes the edge's last interval; the history must still
 	// answer ExistsThroughout for the past.
 	g := NewDynamic(3, []Edge{E(0, 1)})
 	g.Remove(5, E(0, 1))
@@ -96,6 +96,89 @@ func TestRangeCurrentEdgesVisitsExactlyPresentEdges(t *testing.T) {
 	for _, e := range want {
 		if seen[e] != 1 {
 			t.Fatalf("edge %v visited %d times", e, seen[e])
+		}
+	}
+}
+
+// TestPresenceAndOrderMatchModel drives seeded histories of adds,
+// removes (same-instant flaps included) and Resets to other node counts
+// and initial edge sets (repeats included), and after every step holds
+// the graph against an adjacency-matrix model: Present answers the model
+// for every pair, RangeCurrentEdges visits exactly the model's edges in
+// ascending (U, V) order, and AppendNeighbors lists each node's model
+// neighbors in ascending order.
+func TestPresenceAndOrderMatchModel(t *testing.T) {
+	const maxN = 12
+	for seed := uint64(1); seed <= 8; seed++ {
+		rnd := des.NewRand(seed)
+		var model [maxN][maxN]bool
+		n := maxN
+		g := NewDynamic(n, nil)
+		now := 0.0
+		var resets, removes int
+		for step := 0; step < 2000; step++ {
+			var op string
+			if rnd.Bool(0.01) {
+				op = "reset"
+				resets++
+				n = 2 + rnd.Intn(maxN-1)
+				model = [maxN][maxN]bool{}
+				var initial []Edge
+				for k := rnd.Intn(2 * n); k > 0; k-- {
+					u := rnd.Intn(n)
+					e := E(u, (u+1+rnd.Intn(n-1))%n)
+					initial = append(initial, e)
+					model[e.U][e.V] = true
+				}
+				g.Reset(n, initial)
+				now = 0
+			} else {
+				if !rnd.Bool(0.15) { // otherwise: a second event at the same instant
+					now += rnd.Range(0.01, 1)
+				}
+				u := rnd.Intn(n)
+				e := E(u, (u+1+rnd.Intn(n-1))%n)
+				if model[e.U][e.V] {
+					op = "remove"
+					removes++
+					g.Remove(now, e)
+				} else {
+					op = "add"
+					g.Add(now, e)
+				}
+				model[e.U][e.V] = !model[e.U][e.V]
+			}
+
+			var want []Edge
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < n; v++ {
+					if got := g.Present(E(u, v)); got != model[u][v] {
+						t.Fatalf("seed %d step %d (%s): Present(%v) = %v, model %v", seed, step, op, E(u, v), got, model[u][v])
+					}
+					if model[u][v] {
+						want = append(want, E(u, v))
+					}
+				}
+			}
+			var got []Edge
+			g.RangeCurrentEdges(func(e Edge) { got = append(got, e) })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d (%s): RangeCurrentEdges visited %v, model %v", seed, step, op, got, want)
+			}
+			for u := 0; u < n; u++ {
+				var nbrs []int
+				for v := 0; v < n; v++ {
+					if v != u && model[min(u, v)][max(u, v)] {
+						nbrs = append(nbrs, v)
+					}
+				}
+				if got := g.AppendNeighbors(u, nil); !reflect.DeepEqual(got, nbrs) {
+					t.Fatalf("seed %d step %d (%s): AppendNeighbors(%d) = %v, model %v", seed, step, op, u, got, nbrs)
+				}
+			}
+		}
+		if resets == 0 || removes == 0 {
+			t.Fatalf("seed %d: degenerate history: resets=%d removes=%d", seed, resets, removes)
 		}
 	}
 }

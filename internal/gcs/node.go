@@ -169,11 +169,12 @@ func (p Params) validate() {
 	}
 }
 
-// estimate is the largest value heard from one source, stored normalized
-// to local hardware time zero: the aged value at local reading h is
-// norm + age*h. Normalizing makes the aged ordering of estimates
+// estimate is the largest value heard from source from, stored
+// normalized to local hardware time zero: the aged value at local reading
+// h is norm + age*h. Normalizing makes the aged ordering of estimates
 // time-invariant, so the global maximum is maintainable in O(1).
 type estimate struct {
+	from int
 	norm float64
 }
 
@@ -227,11 +228,14 @@ type Node struct {
 	// L(h) = baseL + mult*(h - baseH), rebased at every regime change.
 	baseH, baseL, mult float64
 
-	est map[int]estimate
+	// est is the estimate table: one entry per source heard since the
+	// last forget, sorted by source id and searched by binary search. A
+	// ring node keeps two entries, the rotating-star hub one per spoke.
+	est []estimate
 	// maxNorm is the running maximum of est[*].norm (-Inf when empty);
 	// per-source norms only ever increase, so it never needs a rescan.
 	maxNorm float64
-	// nbrNorm is the largest est[v].norm over the current neighbors v —
+	// nbrNorm is the largest estimate norm over the current neighbors —
 	// the node's rendering of the paper's Γ_u, maintained by the discover
 	// events instead of re-derived per message: raised when a neighbor's
 	// estimate rises (OnMessage) or a neighbor with a surviving
@@ -260,6 +264,15 @@ type Node struct {
 // and graph; either may be nil for isolated unit tests (treated as no
 // neighbors, no sends).
 func New(id int, clk seam.Clock, p Params, net seam.Sender, topo seam.Topology) *Node {
+	nd := new(Node)
+	nd.Init(id, clk, p, net, topo)
+	return nd
+}
+
+// Init sets nd up in place exactly as New would, overwriting whatever it
+// held; a harness that allocates its nodes as one slab calls it on each
+// element.
+func (nd *Node) Init(id int, clk seam.Clock, p Params, net seam.Sender, topo seam.Topology) {
 	p = p.WithDefaults()
 	p.validate()
 	if net == nil {
@@ -268,7 +281,7 @@ func New(id int, clk seam.Clock, p Params, net seam.Sender, topo seam.Topology) 
 	if topo == nil {
 		topo = noopTopo{}
 	}
-	nd := &Node{
+	*nd = Node{
 		id:      id,
 		clk:     clk,
 		p:       p,
@@ -278,7 +291,6 @@ func New(id int, clk seam.Clock, p Params, net seam.Sender, topo seam.Topology) 
 		baseL:   clk.Now(),
 		mult:    1,
 		age:     ageFactor(p.Rho),
-		est:     make(map[int]estimate),
 		maxNorm: math.Inf(-1),
 		nbrNorm: math.Inf(-1),
 	}
@@ -287,12 +299,11 @@ func New(id int, clk seam.Clock, p Params, net seam.Sender, topo seam.Topology) 
 		nd.emit()
 		nd.beaconT.Reset(nd.p.BeaconEvery)
 	})
-	return nd
 }
 
 // Reset returns the node to its initial state under (possibly new)
-// parameters, keeping the seam wiring, the timers, the estimate map's
-// buckets, and the neighbor scratch buffer, so re-running a node on a
+// parameters, keeping the seam wiring, the timers, the estimate table's
+// capacity, and the neighbor scratch buffer, so re-running a node on a
 // reused arena allocates nothing. The clock must already have been
 // reset by the harness; the logical clock restarts at the (fresh)
 // hardware reading.
@@ -314,7 +325,7 @@ func (nd *Node) Reset(p Params) {
 func (nd *Node) forget() {
 	h := nd.clk.Now()
 	nd.baseH, nd.baseL, nd.mult = h, h, 1
-	clear(nd.est)
+	nd.est = nd.est[:0]
 	nd.maxNorm = math.Inf(-1)
 	nd.nbrNorm, nd.nbrStale = math.Inf(-1), false
 	nd.fast = false
@@ -330,8 +341,8 @@ func (nd *Node) forget() {
 // within one message delay, so topology-created local skew starts being
 // corrected at the fast rate (or by a jump) right away.
 func (nd *Node) OnEdgeAdded(peer int) {
-	if e, ok := nd.est[peer]; ok && e.norm > nd.nbrNorm {
-		nd.nbrNorm = e.norm
+	if i, ok := nd.find(peer); ok && nd.est[i].norm > nd.nbrNorm {
+		nd.nbrNorm = nd.est[i].norm
 	}
 	if nd.down {
 		return
@@ -408,12 +419,31 @@ func (nd *Node) logicalAt(h float64) float64 {
 // drift bound rho (see Node.age).
 func ageFactor(rho float64) float64 { return (1 - rho) / (1 + rho) }
 
+// find returns the position of source from in the estimate table and
+// whether it is there; when it is not, the position is where it belongs.
+// It is written out rather than calling slices.BinarySearchFunc so that it
+// inlines into OnMessage, with no call per comparison.
+//
+//gcslint:zeroalloc
+func (nd *Node) find(from int) (int, bool) {
+	lo, hi := 0, len(nd.est)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if nd.est[m].from < from {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(nd.est) && nd.est[lo].from == from
+}
+
 // OnMessage ingests a beacon carrying the sender's logical value: it
 // folds the value into the sender's estimate and both running maxima,
 // then re-evaluates the jump and fast-mode rules. The harness calls it
 // only for a message that crossed a present edge, so from is a current
-// neighbor: both DES harnesses deliver only over an edge that existed
-// throughout the flight, and rt.Router re-checks presence at delivery.
+// neighbor: every harness, rt.Router included, delivers only over an
+// edge that existed throughout the flight (dyngraph's ExistsThroughout).
 //
 //gcslint:zeroalloc
 func (nd *Node) OnMessage(from int, value float64) {
@@ -424,8 +454,13 @@ func (nd *Node) OnMessage(from int, value float64) {
 	}
 	nd.msgs++
 	norm := value - nd.age*nd.clk.Now()
-	if e, ok := nd.est[from]; !ok || norm > e.norm {
-		nd.est[from] = estimate{norm: norm}
+	if i, ok := nd.find(from); !ok || norm > nd.est[i].norm {
+		if !ok {
+			// A source heard for the first time: open its sorted slot.
+			nd.est = append(nd.est, estimate{})
+			copy(nd.est[i+1:], nd.est[i:])
+		}
+		nd.est[i] = estimate{from: from, norm: norm}
 		if norm > nd.maxNorm {
 			nd.maxNorm = norm
 		}
@@ -459,8 +494,8 @@ func (nd *Node) scanNeighbors() float64 {
 	m := math.Inf(-1)
 	nd.nbuf = nd.topo.AppendNeighbors(nd.id, nd.nbuf[:0])
 	for _, v := range nd.nbuf {
-		if e, ok := nd.est[v]; ok && e.norm > m {
-			m = e.norm
+		if i, ok := nd.find(v); ok && nd.est[i].norm > m {
+			m = nd.est[i].norm
 		}
 	}
 	return m

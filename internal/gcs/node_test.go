@@ -204,10 +204,11 @@ func TestReaddedNeighbourCountsAgain(t *testing.T) {
 func scanRule(nd *Node, h, L float64) (fast bool, target, maxNorm float64) {
 	target, maxNorm = math.Inf(-1), math.Inf(-1)
 	for _, v := range nd.topo.AppendNeighbors(nd.id, nil) {
-		e, ok := nd.est[v]
+		i, ok := nd.find(v)
 		if !ok {
 			continue
 		}
+		e := nd.est[i]
 		if e.norm > maxNorm {
 			maxNorm = e.norm
 		}

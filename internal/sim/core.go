@@ -322,17 +322,22 @@ func (c *core) arm() {
 	cfg := &c.Cfg
 	n := cfg.N
 
-	// Grow the node/clock pools up to n, then reset the live prefix.
-	// Nodes are wired straight to Net and the (stable) graph through the
+	// Grow the node/clock pools up to n, then reset the live prefix. Each
+	// growth is one clock slab and one node slab, set up in place. Nodes
+	// are wired straight to Net and the (stable) graph through the
 	// harness seam.
-	if cap(c.allClocks) < n {
+	if have := len(c.allClocks); have < n {
 		c.allClocks = append(make([]*clock.HardwareClock, 0, n), c.allClocks...)
 		c.allNodes = append(make([]*gcs.Node, 0, n), c.allNodes...)
-	}
-	for i := len(c.allClocks); i < n; i++ {
-		hw := clock.New(c.engineOf(i), 1)
-		c.allClocks = append(c.allClocks, hw)
-		c.allNodes = append(c.allNodes, gcs.New(i, hw, cfg.Node, c.Net, c.Graph))
+		clocks := make([]clock.HardwareClock, n-have)
+		nodes := make([]gcs.Node, n-have)
+		for j := range clocks {
+			i := have + j
+			clocks[j].Init(c.engineOf(i), 1)
+			nodes[j].Init(i, &clocks[j], cfg.Node, c.Net, c.Graph)
+			c.allClocks = append(c.allClocks, &clocks[j])
+			c.allNodes = append(c.allNodes, &nodes[j])
+		}
 	}
 	c.Clocks = c.allClocks[:n]
 	c.Nodes = c.allNodes[:n]
