@@ -29,6 +29,23 @@ func (r *Rand) ForkInto(id uint64, dst *Rand) {
 	dst.state = forkState(r.state, id)
 }
 
+// ForkTable fills a per-node stream table: it grows table to n entries
+// and reseeds entry i as child i of this generator's child id, so node
+// i's draws depend only on its own sequence. It allocates only when the
+// table must grow, and never advances the parent.
+func (r *Rand) ForkTable(id uint64, n int, table []Rand) []Rand {
+	if cap(table) < n {
+		table = make([]Rand, n)
+	}
+	table = table[:n]
+	var sub Rand
+	r.ForkInto(id, &sub)
+	for i := range table {
+		sub.ForkInto(uint64(i), &table[i])
+	}
+	return table
+}
+
 // Reseed resets the generator in place to the state NewRand(seed) would
 // produce.
 func (r *Rand) Reseed(seed uint64) { r.state = seed }

@@ -229,16 +229,7 @@ func (m *Messages) Wire(spec Spec, maxDelay float64, n int, root *des.Rand) {
 	m.drop, m.dup, m.spike = spec.Drop, spec.Dup, spec.DelaySpike
 	m.spikeLo, m.spikeHi = maxDelay, spec.SpikeFactor*maxDelay
 	m.until = spec.Until
-	if cap(m.rands) < n {
-		m.rands = make([]des.Rand, n)
-	} else {
-		m.rands = m.rands[:n]
-	}
-	var sub des.Rand
-	root.ForkInto(1, &sub)
-	for i := range m.rands {
-		sub.ForkInto(uint64(i), &m.rands[i])
-	}
+	m.rands = root.ForkTable(1, n, m.rands)
 }
 
 // Draw returns the verdict for one message sent by `from` at time
@@ -306,23 +297,14 @@ func (inj *Injector) Wire(spec Spec, n int, rho float64, root *des.Rand) {
 	if cap(inj.down) < n {
 		inj.down = make([]bool, n)
 		inj.excursed = make([]bool, n)
-		inj.crashRands = make([]des.Rand, n)
-		inj.rateRands = make([]des.Rand, n)
 	} else {
 		inj.down = inj.down[:n]
 		inj.excursed = inj.excursed[:n]
-		inj.crashRands = inj.crashRands[:n]
-		inj.rateRands = inj.rateRands[:n]
 		clear(inj.down)
 		clear(inj.excursed)
 	}
-	var crashRoot, rateRoot des.Rand
-	root.ForkInto(2, &crashRoot)
-	root.ForkInto(3, &rateRoot)
-	for i := 0; i < n; i++ {
-		crashRoot.ForkInto(uint64(i), &inj.crashRands[i])
-		rateRoot.ForkInto(uint64(i), &inj.rateRands[i])
-	}
+	inj.crashRands = root.ForkTable(2, n, inj.crashRands)
+	inj.rateRands = root.ForkTable(3, n, inj.rateRands)
 }
 
 // Down returns the live down-node mask, indexed by node. The harness

@@ -10,6 +10,15 @@ import (
 	"gcs/internal/sim"
 )
 
+// runDES validates cfg and runs it on the DES harness.
+func runDES(t *testing.T, cfg sim.Config) sim.SkewReport {
+	t.Helper()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return sim.NewArena().Run(cfg)
+}
+
 // TestCrossHarnessValidation is the acceptance gate for the real-time
 // runtime: the same scenario configs run through both harnesses — the
 // discrete-event simulation and the goroutine-per-node real-time
@@ -69,10 +78,7 @@ func TestCrossHarnessValidation(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			desRep, err := sim.Run(sc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			desRep := runDES(t, sc.cfg)
 			rtRep := runBubble(t, sc.cfg)
 
 			for _, h := range []struct {
@@ -148,11 +154,7 @@ func TestFaultChainsMatchDES(t *testing.T) {
 				Driver:   sim.DriverSpec{Kind: sim.DriveRandomWalk, Interval: 1},
 				Faults:   plan,
 			}
-			desRep, err := sim.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, got := desRep.Faults, runBubble(t, cfg).Faults
+			want, got := runDES(t, cfg).Faults, runBubble(t, cfg).Faults
 			if want.Crashes == 0 {
 				t.Fatalf("plan injected no crash: %+v", want)
 			}
@@ -181,10 +183,7 @@ func TestChurnChainsMatchDES(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			desRep, err := sim.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			desRep := runDES(t, cfg)
 			rtRep := runBubble(t, cfg)
 			if desRep.EdgeAdds == 0 || desRep.EdgeRemoves == 0 {
 				t.Fatalf("no churn: adds=%d removes=%d", desRep.EdgeAdds, desRep.EdgeRemoves)

@@ -14,9 +14,9 @@ import (
 
 // Router is the real-time runtime's in-process transport and live
 // topology: the seam.Sender and seam.Topology every node is wired to.
-// Sends draw a bounded random delay from the sender's own PRNG stream
-// (so delay sequences are per-sender deterministic, like the parallel
-// DES engine's) and deliver through a time.AfterFunc into the
+// Sends draw their delay from the DES harnesses' law, transport.Delays
+// (the sender's own stream, so delay sequences are per-sender
+// deterministic), and deliver through a time.AfterFunc into the
 // receiver's event queue. The topology is a dyngraph.Dynamic stamped
 // with simulated time, and the loss rule is the DES transports': a
 // message is delivered iff its edge existed throughout the flight
@@ -30,8 +30,10 @@ import (
 // before touching hosts, Add and Remove relay discover(add) and
 // discover(remove) only after releasing the write lock).
 type Router struct {
-	r                  *Runtime
-	minDelay, maxDelay float64
+	r *Runtime
+	// delays is the nominal delay law; a sender draws only from its own
+	// stream, on its own goroutine.
+	delays transport.Delays
 	// faults, when non-nil, draws per-send fault verdicts (drop, dup,
 	// delay spike) from per-sender streams, the same fault.Messages
 	// engine the DES transport uses.
@@ -48,12 +50,6 @@ var (
 	_ seam.Topology  = (*Router)(nil)
 	_ sim.EdgeWriter = (*Router)(nil)
 )
-
-// drawDelay returns a nominal delay in (minDelay, maxDelay], the
-// transport.UniformDelayIn law over the sender's own stream.
-func (rt *Router) drawDelay(h *host) float64 {
-	return rt.minDelay + (rt.maxDelay-rt.minDelay)*(1-h.delayRand.Float64())
-}
 
 // Add and Remove implement sim.EdgeWriter for the churn chain. The step's
 // time argument is ignored: churn chains step on separate timer
@@ -131,11 +127,11 @@ func (rt *Router) send(from, to int, value float64) {
 	}
 	delay := v.Delay
 	if delay == 0 {
-		delay = rt.drawDelay(h)
+		delay = rt.delays.Draw(from)
 	}
 	rt.deliverAfter(from, to, value, now, delay)
 	if v.Dup {
-		rt.deliverAfter(from, to, value, now, rt.drawDelay(h))
+		rt.deliverAfter(from, to, value, now, rt.delays.Draw(from))
 	}
 }
 

@@ -90,13 +90,10 @@ type host struct {
 	clk  *clock.HardwareClock
 	node *gcs.Node
 
-	// delayRand is the node's message-delay stream (router, sender-side),
-	// forked like the parallel DES harness's so the draw sequence depends
-	// only on this node's own send order. driver is its rate-driver chain
-	// and fstats its share of the fault counters.
-	delayRand des.Rand
-	driver    sim.DriverState
-	fstats    fault.Stats
+	// driver is the node's rate-driver chain and fstats its share of the
+	// fault counters.
+	driver sim.DriverState
+	fstats fault.Stats
 
 	sendBuf []int // reusable broadcast fan-out buffer
 
@@ -240,24 +237,24 @@ func New(cfg sim.Config) (*Runtime, error) {
 	return &Runtime{cfg: cfg.WithDefaults()}, nil
 }
 
-// wire builds the router over the initial topology and one host per node
-// — queue, drifting clock, gcs node, message-delay stream — and returns
-// that topology. It is the backbone, present from time 0 like the DES
-// graph's initial edge set; the rotating star ignores it and adds its
-// first star through churn. r.start and r.done must be set. Nothing runs
-// yet: no goroutine, no timer.
-func (r *Runtime) wire(delayRoot *des.Rand) (backbone []dyngraph.Edge) {
+// wire builds the router over the initial topology, with its delay law
+// seeded from root, and one host per node — queue, drifting clock, gcs
+// node — and returns that topology. It is the backbone, present from
+// time 0 like the DES graph's initial edge set; the rotating star
+// ignores it and adds its first star through churn. r.start and r.done
+// must be set. Nothing runs yet: no goroutine, no timer.
+func (r *Runtime) wire(root *des.Rand) (backbone []dyngraph.Edge) {
 	cfg := r.cfg
 	if cfg.Churn.Kind != sim.ChurnRotatingStar {
 		backbone = cfg.Topology.Edges(cfg.N)
 	}
-	r.router = &Router{r: r, minDelay: cfg.MinDelay, maxDelay: cfg.MaxDelay, g: dyngraph.NewDynamic(cfg.N, backbone)}
+	r.router = &Router{r: r, g: dyngraph.NewDynamic(cfg.N, backbone)}
+	r.router.delays.Wire(cfg.MinDelay, cfg.MaxDelay, cfg.N, root)
 	r.hosts = make([]*host, cfg.N)
 	for i := range r.hosts {
 		h := &host{r: r, id: i, events: make(chan func(), 128)}
 		h.clk = clock.NewOn(h, wallRes, 1)
 		h.node = gcs.New(i, h.clk, cfg.Node, r.router, r.router)
-		delayRoot.ForkInto(uint64(i), &h.delayRand)
 		r.hosts[i] = h
 	}
 	return backbone
@@ -381,12 +378,11 @@ func (r *Runtime) Run() sim.SkewReport {
 	// (structural mirroring; cross-harness comparisons are bound-based,
 	// not bit-based, since the executions schedule differently).
 	root := des.NewRand(cfg.Seed)
-	var delayRoot, driveRand, phaseRand, faultRoot des.Rand
-	root.ForkInto(0xde1a9, &delayRoot)
+	var driveRand, phaseRand, faultRoot des.Rand
 	root.ForkInto(0xd81fe, &driveRand)
 	root.ForkInto(0x9a5e, &phaseRand)
 
-	backbone := r.wire(&delayRoot)
+	backbone := r.wire(root)
 	for i, h := range r.hosts {
 		h.driver.Start(i, &driveRand)
 		h.stepDriver()
@@ -486,7 +482,7 @@ func (r *Runtime) Run() sim.SkewReport {
 	return *rep
 }
 
-// Run wires and executes cfg in one call — the rt analog of sim.Run.
+// Run validates cfg, then wires and executes it in one call.
 func Run(cfg sim.Config) (sim.SkewReport, error) {
 	r, err := New(cfg)
 	if err != nil {

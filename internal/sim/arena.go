@@ -2,7 +2,7 @@ package sim
 
 // Arena owns one reusable Simulation and re-runs configs through it.
 // Each run of a config produces a report bit-identical to a freshly
-// wired Run(cfg) — the arena reseeds every PRNG stream and resets every
+// wired simulation's — the arena reseeds every PRNG stream and resets every
 // component in place — but the O(n) per-run wiring (engine event pool,
 // graph adjacency and history storage, transport flight arena, clocks,
 // nodes, sample buffers and skew series, the analytic bound's topology BFS) is
@@ -62,7 +62,7 @@ func (a *Arena) Run(cfg Config) SkewReport {
 // calling cont between slices; when cont returns false the run is
 // abandoned — ok is false, the report is zero-valued, and the arena is
 // left ready for the next cell (the next Run rewires it in place).
-// A completed run's report is bit-identical to Run(cfg): slicing only
+// A completed run's report is bit-identical to a.Run(cfg): slicing only
 // changes where the engine pauses, never what it executes, which
 // TestArenaRunSlicedBitIdentical pins.
 //

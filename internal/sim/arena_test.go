@@ -138,7 +138,7 @@ func TestArenaSecondRunZeroAlloc(t *testing.T) {
 	t.Run("serial sweep", func(t *testing.T) {
 		cells := allocSweepCells()
 		// A fresh arena per call, rewired across the cells' shapes.
-		checkAllocs(t, 553, func() { RunSweep(cells, 1) })
+		checkAllocs(t, 555, func() { RunSweep(cells, 1) })
 	})
 }
 

@@ -23,7 +23,14 @@ import (
 // that stores facts ever set them), but one version names one layout,
 // so a version-2 fact is recomputed once instead of being kept under a
 // layout this binary no longer writes.
-const canonicalVersion = 3
+//
+// 3 -> 4: the serial harness drew every delay from one shared stream in
+// global send order; it now draws each from the sender's own stream
+// (transport.Delays), as the sharded harness always did. The layout is
+// unchanged, but every serial report with traffic moves, so a version-3
+// serial fact no longer matches the code. Sharded facts still would;
+// they are recomputed once with the rest.
+const canonicalVersion = 4
 
 // AppendCanonical appends a canonical binary encoding of the config to
 // dst and returns the extended slice. The encoding is the identity of a

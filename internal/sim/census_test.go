@@ -133,6 +133,7 @@ func census(s *Simulation) []censusRow {
 	}
 	handlers := field(s.Net, "handlers")
 	add("transport flights and handlers", flights+handlers.Cap()*int(handlers.Type().Elem().Size()))
+	add("transport delay streams", field(&s.delays, "rands").Cap()*int(unsafe.Sizeof(des.Rand{})))
 	return rows
 }
 

@@ -243,14 +243,14 @@ type Config struct {
 	CheckGradient bool
 
 	// Parallel runs the scenario on the sharded conservative-parallel
-	// engine (des.ParallelEngine) instead of the serial kernel. Parallel
-	// mode is its own physics: message delays are drawn from per-node
-	// streams (so results do not depend on global event interleavings)
-	// and lie in (MinDelay, MaxDelay] instead of (0, MaxDelay] — the
-	// positive floor is the engine's lookahead. Reports are deterministic
-	// functions of the Config; the worker count is an execution detail
-	// and never changes a report, which the parallel determinism suite
-	// pins.
+	// engine (des.ParallelEngine) instead of the serial kernel. Both
+	// engines draw each message's delay from its sender's own stream, in
+	// (MinDelay, MaxDelay], but parallel mode defaults MinDelay to a
+	// positive floor (the engine's lookahead) and orders same-instant
+	// events by shard, so its reports differ from the serial engine's.
+	// Reports are deterministic functions of the Config; the worker count
+	// is an execution detail and never changes a report, which the
+	// parallel determinism suite pins.
 	Parallel bool
 
 	// Shards is the number of node shards in parallel mode (0 = 8,
@@ -265,10 +265,9 @@ type Config struct {
 	// reference.
 	Workers int
 
-	// MinDelay is the positive message-delay floor, the parallel
-	// engine's lookahead. 0 defaults to MaxDelay/4 in parallel mode and
-	// keeps the legacy (0, MaxDelay] law in serial mode (a zero floor
-	// draws the bit-identical delay sequence).
+	// MinDelay is the message-delay floor: every nominal delay lies in
+	// (MinDelay, MaxDelay]. It is the parallel engine's lookahead, so 0
+	// defaults to MaxDelay/4 in parallel mode; the serial engine keeps 0.
 	MinDelay float64
 
 	// Faults is the declarative fault-injection plan: probabilistic

@@ -179,11 +179,12 @@ type SkewPoint struct{ T, Lo, Hi float64 }
 
 // core is the part of a DES harness that does not depend on how many
 // engines execute it. Simulation is the core with one engine;
-// ParallelSim is the core with one engine per shard. Both sample through
-// the same path (observe: one serial scan, the exact gradient check, the
-// skew series), so a harness fills in only the two parameters below,
-// then wires a run as begin → Net (new, or Reset with the harness's
-// delay law) → arm.
+// ParallelSim is the core with one engine per shard. Both draw every
+// delay from the core's one law (transport.Delays: the sender's own
+// stream) and sample through the same path (observe: one serial scan,
+// the exact gradient check, the skew series), so a harness fills in only
+// the two parameters below, then wires a run as begin → Net (new, or
+// Reset, with delayFn) → arm.
 type core struct {
 	Cfg    Config
 	Graph  *dyngraph.Dynamic
@@ -212,8 +213,13 @@ type core struct {
 	driveRand des.Rand
 	phaseRand des.Rand
 
+	// delays is the run's delay law, rewired by begin.
+	delays transport.Delays
+
 	// Long-lived callbacks, bound once so rewiring and sampling allocate
-	// nothing.
+	// nothing. delayFn draws from delays and is every harness's base
+	// DelayFn.
+	delayFn                  transport.DelayFn
 	driveFn, crashFn, rateFn des.ArgHandler
 	churnFn                  des.ArgHandler
 	sampleFn                 func()
@@ -267,6 +273,7 @@ type edgeKey struct {
 // init binds the long-lived callbacks; call once, with c at its final
 // address.
 func (c *core) init() {
+	c.delayFn = func(m *transport.Message) float64 { return c.delays.Draw(m.From) }
 	c.driveFn = c.driveStep
 	c.churnFn = c.churnStep
 	c.crashFn = c.crashStep
@@ -280,18 +287,19 @@ func (c *core) init() {
 }
 
 // begin starts a rewire: it validates and defaults cfg, reseeds the
-// root stream and resets the graph to the (cached) initial edge set (a
-// first wiring leaves filling it to arm). The harness resets its engines
-// and Net next, then calls arm.
+// root stream and the delay law and resets the graph to the (cached)
+// initial edge set (a first wiring leaves filling it to arm). The
+// harness resets its engines and Net next, then calls arm.
 func (c *core) begin(cfg Config) Config {
 	// New/Reset keep the panic contract for programmer errors; the
-	// error-returning boundary is sim.Run/RunSweep, which Validate first.
+	// error-returning boundary is RunSweep, which validates every cell.
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
 	cfg = cfg.WithDefaults()
 	c.Cfg = cfg
 	c.root.Reseed(cfg.Seed)
+	c.delays.Wire(cfg.MinDelay, cfg.MaxDelay, cfg.N, &c.root)
 
 	star := cfg.Churn.Kind == ChurnRotatingStar
 	if key := (edgeKey{topo: cfg.Topology, n: cfg.N, star: star}); key != c.edgeCfg {

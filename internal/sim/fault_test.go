@@ -33,8 +33,8 @@ func faultedParallelConfig(n, shards int) Config {
 }
 
 // TestRunReturnsErrorsNotPanics is the harness-boundary contract: every
-// malformed config comes back from sim.Run as a descriptive error, and
-// never as a panic.
+// malformed config is rejected by Validate with a descriptive error
+// before anything is wired, and never as a panic.
 func TestRunReturnsErrorsNotPanics(t *testing.T) {
 	valid := churnyConfig(1)
 	for name, mut := range map[string]func(*Config){
@@ -60,7 +60,7 @@ func TestRunReturnsErrorsNotPanics(t *testing.T) {
 	} {
 		cfg := valid
 		mut(&cfg)
-		rpt, err := Run(cfg) // must not panic
+		rpt, err := runValidated(cfg) // must not panic
 		if err == nil {
 			t.Errorf("%s: Run accepted a malformed config", name)
 		}

@@ -10,21 +10,23 @@ import (
 )
 
 // ParallelSim runs one scenario on the sharded conservative-parallel
-// engine (des.ParallelEngine). It differs from Simulation in the delay
-// law and the engine count. Nodes are block-partitioned into
+// engine (des.ParallelEngine). It differs from Simulation only in its
+// engine set. Nodes are block-partitioned into
 // Config.Shards shards, each owning a serial DES engine (and a lane of
 // Net) that carries the shard's clocks, drivers, beacon timers and
 // message deliveries; skew sampling, gradient checking, and topology
 // churn run on the coordinator's global engine, which observes every
 // shard barriered at a single consistent instant — through the core's
-// one serial sample path, the same as Simulation's. Delays lie in
-// (MinDelay, MaxDelay] — the positive floor is the engine's lookahead,
-// the amount of simulated time shard windows may run ahead of each other.
+// one serial sample path, the same as Simulation's. MinDelay, the delay
+// floor, is the engine's lookahead: the amount of simulated time shard
+// windows may run ahead of each other.
 //
-// Because every delay draw, event order, and cross-shard merge is a
-// pure function of the Config (Shards included, Workers excluded), the
-// report is bit-identical for every worker count; workers=1 is the
-// serial reference the determinism suite compares against.
+// A delay is drawn from its sender's stream in the sender's own send
+// order, never in the order shard windows interleave, and every event
+// order and cross-shard merge is a pure function of the Config (Shards
+// included, Workers excluded), so the report is bit-identical for every
+// worker count; workers=1 is the serial reference the determinism suite
+// compares against.
 //
 // A ParallelSim is reusable like Simulation: Reset rewires it in place,
 // recycling engines, graph storage, flight arenas, and per-node objects
@@ -35,12 +37,6 @@ type ParallelSim struct {
 
 	// shardOf maps node -> shard (block partition).
 	shardOf []int32
-
-	// delayRands[i] is node i's private delay stream, forked per run from
-	// the delay root; delayFn is the long-lived delay law over them.
-	delayRoot  des.Rand
-	delayRands []des.Rand
-	delayFn    transport.DelayFn
 
 	// shape keys the rebuild decision: engines and per-node objects are
 	// reconstructed only when it changes.
@@ -62,12 +58,6 @@ func NewParallel(cfg Config) *ParallelSim {
 	ps := &ParallelSim{}
 	ps.init()
 	ps.engineOf = func(i int) *des.Engine { return ps.P.Shard(int(ps.shardOf[i])) }
-	// The sharded delay law: each message draws from its sender's private
-	// stream, in the sender's own send order — never in the order shard
-	// windows interleave — uniformly in (MinDelay, MaxDelay].
-	ps.delayFn = func(m *transport.Message) float64 {
-		return ps.Cfg.MinDelay + (ps.Cfg.MaxDelay-ps.Cfg.MinDelay)*(1-ps.delayRands[m.From].Float64())
-	}
 	ps.Reset(cfg)
 	return ps
 }
@@ -88,10 +78,6 @@ func (ps *ParallelSim) Reset(cfg Config) {
 		ps.P.Reset()
 		ps.Net.Reset(ps.delayFn, cfg.MaxDelay)
 	}
-	ps.root.ForkInto(0xde1a9, &ps.delayRoot)
-	for i := 0; i < cfg.N; i++ {
-		ps.delayRoot.ForkInto(uint64(i), &ps.delayRands[i])
-	}
 	ps.arm()
 }
 
@@ -99,7 +85,6 @@ func (ps *ParallelSim) Reset(cfg Config) {
 // (one lane per shard) for a new shape.
 func (ps *ParallelSim) build(cfg Config) {
 	ps.P = des.NewParallelEngine(cfg.Shards, cfg.MinDelay)
-	ps.delayRands = make([]des.Rand, cfg.N)
 	ps.shardOf = make([]int32, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		// Block partition: contiguous node ranges, so ring/grid topologies

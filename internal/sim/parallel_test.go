@@ -1,11 +1,15 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"gcs/internal/dyngraph"
 	"gcs/internal/simtest"
+	"gcs/internal/transport"
 )
 
 func parallelRingConfig(n, shards int) Config {
@@ -53,6 +57,70 @@ func TestParallelSimWorkerInvariance(t *testing.T) {
 				simtest.AssertSameReport(t, fmt.Sprintf("workers=%d vs serial reference", workers), got, want)
 			}
 		})
+	}
+}
+
+// TestSerialAndShardedShareDelayLaw pins the one delay law: on one
+// config the serial and the sharded harness draw the same delay sequence
+// for every sender. Each delivery is recorded as its sender's delay; on
+// a static ring without faults a node sends only its beacon broadcast,
+// at most once per instant and in ascending neighbor order, so ordering
+// a sender's messages by (SentAt, To) recovers its send order. Only a
+// message sent at least MaxDelay before the horizon is sure to have been
+// delivered, so each sequence is cut there, and the two harnesses are
+// compared over their common prefix.
+func TestSerialAndShardedShareDelayLaw(t *testing.T) {
+	cfg := parallelRingConfig(24, 4)
+	cfg.MinDelay, cfg.Workers = 0.002, 1
+	serial := cfg
+	serial.Parallel = false
+
+	// record re-registers every node's handler to log its deliveries by
+	// sender before the node sees them.
+	record := func(c *core) [][]transport.Message {
+		got := make([][]transport.Message, c.Cfg.N)
+		for i := range c.Nodes {
+			c.Net.SetHandler(i, func(m transport.Message) {
+				got[m.From] = append(got[m.From], m)
+				c.onMessage(m)
+			})
+		}
+		return got
+	}
+	s := New(serial)
+	fromSerial := record(&s.core)
+	s.Run()
+	ps := NewParallel(cfg)
+	fromSharded := record(&ps.core)
+	ps.Run()
+
+	cut := cfg.Horizon - cfg.MaxDelay
+	inSendOrder := func(ms []transport.Message) []float64 {
+		slices.SortFunc(ms, func(a, b transport.Message) int {
+			return cmp.Or(cmp.Compare(a.SentAt, b.SentAt), cmp.Compare(a.To, b.To))
+		})
+		var d []float64
+		for _, m := range ms {
+			if m.SentAt < cut {
+				d = append(d, m.DeliverAt-m.SentAt)
+			}
+		}
+		return d
+	}
+	for u := range fromSerial {
+		a, b := inSendOrder(fromSerial[u]), inSendOrder(fromSharded[u])
+		n := min(len(a), len(b))
+		if n < 50 {
+			t.Fatalf("sender %d: only %d comparable sends (serial %d, sharded %d)", u, n, len(a), len(b))
+		}
+		for k := 0; k < n; k++ {
+			// DeliverAt-SentAt recovers the drawn delay up to the rounding of
+			// SentAt+delay, which differs where the two executions' send
+			// times do; a different draw differs by orders of magnitude more.
+			if math.Abs(a[k]-b[k]) > 1e-12 {
+				t.Fatalf("sender %d, send %d: serial delay %v, sharded %v", u, k, a[k], b[k])
+			}
+		}
 	}
 }
 

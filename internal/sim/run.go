@@ -63,28 +63,20 @@ type SkewReport struct {
 }
 
 // Simulation is one fully wired scenario on the serial engine: the
-// harness core with every node on one des.Engine and every delay drawn
-// from one shared stream. It is exposed so tests can inspect mid-run
-// state; most callers use Run. A Simulation is reusable: Reset rewires
-// it in place for another config, recycling the engine's event pool, the
-// graph's adjacency and history storage, the transport's flight arena,
-// and every per-node object, so repeated runs of same-shape configs
-// allocate nothing (see Arena).
+// harness core with every node on one des.Engine. It is exposed so tests
+// can inspect mid-run state; most callers use an Arena. A Simulation is
+// reusable: Reset rewires it in place for another config, recycling the
+// engine's event pool, the graph's adjacency and history storage, the
+// transport's flight arena, and every per-node object, so repeated runs
+// of same-shape configs allocate nothing (see Arena).
 type Simulation struct {
 	core
 	Engine *des.Engine
-
-	delayRand *des.Rand
-	// delayFn is the long-lived base delay law over delayRand; it is
-	// rebuilt only when the delay bounds change.
-	delayFn  transport.DelayFn
-	delayMax float64
-	delayMin float64
 }
 
 // New wires a simulation from the config without running it.
 func New(cfg Config) *Simulation {
-	s := &Simulation{Engine: des.NewEngine(), delayRand: des.NewRand(0)}
+	s := &Simulation{Engine: des.NewEngine()}
 	s.init()
 	s.global = s.Engine
 	s.engineOf = func(int) *des.Engine { return s.Engine }
@@ -99,15 +91,6 @@ func New(cfg Config) *Simulation {
 func (s *Simulation) Reset(cfg Config) {
 	s.Engine.Reset()
 	cfg = s.begin(cfg)
-
-	// The serial delay law: every message draws from one shared stream,
-	// in global send order, uniformly in (MinDelay, MaxDelay].
-	if s.delayFn == nil || s.delayMax != cfg.MaxDelay || s.delayMin != cfg.MinDelay {
-		s.delayMax = cfg.MaxDelay
-		s.delayMin = cfg.MinDelay
-		s.delayFn = transport.UniformDelayIn(cfg.MinDelay, cfg.MaxDelay, s.delayRand)
-	}
-	s.root.ForkInto(0xde1a9, s.delayRand)
 	if s.Net == nil {
 		s.Net = transport.New(s.Engine, s.Graph, s.delayFn, cfg.MaxDelay)
 	} else {
@@ -130,17 +113,4 @@ func (s *Simulation) Advance(t float64) {
 func (s *Simulation) Run() SkewReport {
 	s.Advance(s.Cfg.Horizon)
 	return s.finalise(s.Engine.Executed())
-}
-
-// Run wires and executes cfg in one call, dispatching to the sharded
-// parallel harness when Config.Parallel is set. A malformed config is
-// rejected with Validate's error before anything is wired — the
-// harness-boundary contract a long-running sweep service relies on.
-//
-//gcslint:allow testonly — the validating one-call entry point for library callers
-func Run(cfg Config) (SkewReport, error) {
-	if err := cfg.Validate(); err != nil {
-		return SkewReport{}, err
-	}
-	return NewArena().Run(cfg), nil
 }

@@ -2,14 +2,23 @@ package sim
 
 import "testing"
 
-// mustRun executes cfg via the package-level Run, failing the test on a
+// runValidated validates cfg, then runs it on a fresh Arena: the
+// error-returning harness boundary RunSweep applies to every cell.
+func runValidated(cfg Config) (SkewReport, error) {
+	if err := cfg.Validate(); err != nil {
+		return SkewReport{}, err
+	}
+	return NewArena().Run(cfg), nil
+}
+
+// mustRun executes cfg via runValidated, failing the test on a
 // validation error. Tests that exercise deliberately malformed configs
-// call Run directly and assert on the error instead.
+// call runValidated directly and assert on the error instead.
 func mustRun(t testing.TB, cfg Config) SkewReport {
 	t.Helper()
-	rpt, err := Run(cfg)
+	rpt, err := runValidated(cfg)
 	if err != nil {
-		t.Fatalf("Run(%+v): %v", cfg, err)
+		t.Fatalf("run %+v: %v", cfg, err)
 	}
 	return rpt
 }

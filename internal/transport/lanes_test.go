@@ -93,16 +93,13 @@ func (r *laneRig) run(t float64) {
 	}
 }
 
-// perSender returns a delay law drawing each message's delay from its
-// sender's own seeded stream — the sharded harness's law, and the only
-// kind whose draws do not depend on how lanes interleave.
-func perSender(n int, maxDelay float64, seed uint64) DelayFn {
-	rands := make([]des.Rand, n)
-	root := des.NewRand(seed)
-	for i := range rands {
-		root.ForkInto(uint64(i), &rands[i])
-	}
-	return func(m *Message) float64 { return maxDelay * (1 - rands[m.From].Float64()) }
+// delays returns the harnesses' delay law, Delays over n senders on (0,
+// maxDelay], as a DelayFn: the only kind of law whose draws do not
+// depend on how lanes interleave.
+func delays(n int, maxDelay float64, seed uint64) DelayFn {
+	var d Delays
+	d.Wire(0, maxDelay, n, des.NewRand(seed))
+	return func(m *Message) float64 { return d.Draw(m.From) }
 }
 
 // TestLanesMatchOneLane runs one seeded add / remove / send / advance
@@ -117,8 +114,8 @@ func TestLanesMatchOneLane(t *testing.T) {
 	const n, maxDelay = 6, 0.25
 	for seed := uint64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			one := newLaneRig(1, n, dyngraph.Ring(n), perSender(n, maxDelay, seed), maxDelay)
-			two := newLaneRig(2, n, dyngraph.Ring(n), perSender(n, maxDelay, seed), maxDelay)
+			one := newLaneRig(1, n, dyngraph.Ring(n), delays(n, maxDelay, seed), maxDelay)
+			two := newLaneRig(2, n, dyngraph.Ring(n), delays(n, maxDelay, seed), maxDelay)
 			rnd := des.NewRand(seed * 977)
 			// Per lane of the two-lane rig: accepted and refused sends by the
 			// sender's lane, flights by the destination's.

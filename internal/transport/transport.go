@@ -31,7 +31,8 @@
 // Delays are drawn per message from a base DelayFn, optionally overridden
 // per directed edge by an EdgeDelayFn mask — the instrument of the
 // Section 4 adversary, which charges asymmetric delays across the
-// lower-bound network's two chains.
+// lower-bound network's two chains. Every harness's base law is Delays:
+// uniform in (min, max], from the sender's own stream.
 //
 // The send/deliver path is allocation-free in steady state: payloads are
 // typed float64 values (the only payload the GCS model carries — a
@@ -81,23 +82,32 @@ func UniformDelay(maxDelay float64, r *des.Rand) DelayFn {
 	}
 }
 
-// UniformDelayIn returns a DelayFn drawing uniformly from (minDelay,
-// maxDelay] using the given deterministic source. With minDelay == 0 it
-// draws the identical sequence as UniformDelay(maxDelay, r) — bit for
-// bit, since 0 + (max-0)*u == max*u in float arithmetic — so a serial
-// configuration gains a positive delay floor (the parallel engine's
-// lookahead) without perturbing the legacy delay law.
-func UniformDelayIn(minDelay, maxDelay float64, r *des.Rand) DelayFn {
-	if maxDelay <= 0 {
-		panic("transport: maxDelay must be positive")
-	}
-	if minDelay < 0 || minDelay >= maxDelay {
-		panic("transport: minDelay must lie in [0, maxDelay)")
-	}
-	return func(*Message) float64 {
-		// 1 - Float64() is in (0, 1], so the delay is in (minDelay, maxDelay].
-		return minDelay + (maxDelay-minDelay)*(1-r.Float64())
-	}
+// Delays is the nominal delay law of every harness: a message's delay is
+// uniform in (min, max], drawn from its sender's own stream in the
+// sender's own send order. The Section 3.2 adversary picks each delay on
+// its own, so nothing in the model asks for one global stream, and with
+// per-sender streams sender u's delays do not depend on how other
+// senders' draws interleave — across shard windows in the sharded
+// harness, across goroutines in the real-time runtime. Draw(u) may run
+// concurrently with Draw(v) for u != v. Wire reseeds a Delays in place
+// and allocates nothing once its table has grown.
+type Delays struct {
+	min, max float64
+	rands    []des.Rand
+}
+
+// Wire reseeds the law for one run of n senders with delays in (min,
+// max]. Sender i's stream is child i of root's child 0xde1a9; root is
+// never advanced.
+func (d *Delays) Wire(min, max float64, n int, root *des.Rand) {
+	d.min, d.max = min, max
+	d.rands = root.ForkTable(0xde1a9, n, d.rands)
+}
+
+// Draw returns the delay of the next message sent by from.
+func (d *Delays) Draw(from int) float64 {
+	// 1 - Float64() is in (0, 1], so the delay is in (min, max].
+	return d.min + (d.max-d.min)*(1-d.rands[from].Float64())
 }
 
 // FixedDelay returns a DelayFn that always charges d. Adversarial

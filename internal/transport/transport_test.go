@@ -382,29 +382,61 @@ func TestNetworkResetReusesState(t *testing.T) {
 	}
 }
 
-// TestUniformDelayInMatchesUniformDelayAtZeroFloor pins the bit-identity
-// contract: UniformDelayIn(0, max, r) must draw the exact sequence of
-// UniformDelay(max, r) so serial configs are unperturbed by the floor
-// knob.
-func TestUniformDelayInMatchesUniformDelayAtZeroFloor(t *testing.T) {
-	a := UniformDelay(0.25, des.NewRand(99))
-	b := UniformDelayIn(0, 0.25, des.NewRand(99))
-	for i := 0; i < 1000; i++ {
-		da, db := a(nil), b(nil)
-		if da != db {
-			t.Fatalf("draw %d: UniformDelay %v != UniformDelayIn %v", i, da, db)
+// delaySeqs draws per delays for each of n senders from a fresh Delays
+// over (lo, hi], one draw at a time for the sender next picks (or the
+// next one with draws left), and returns each sender's sequence.
+func delaySeqs(n, per int, lo, hi float64, seed uint64, next func() int) [][]float64 {
+	var d Delays
+	d.Wire(lo, hi, n, des.NewRand(seed))
+	seqs := make([][]float64, n)
+	for left := n * per; left > 0; left-- {
+		u := next()
+		for len(seqs[u]) == per {
+			u = (u + 1) % n
+		}
+		seqs[u] = append(seqs[u], d.Draw(u))
+	}
+	return seqs
+}
+
+// TestDelaysDrawWithinBounds pins that every draw lands in (min, max].
+func TestDelaysDrawWithinBounds(t *testing.T) {
+	const lo, hi = 0.1, 0.25
+	k := 0
+	for s, seq := range delaySeqs(4, 1000, lo, hi, 5, func() int { k++; return k % 4 }) {
+		for k, d := range seq {
+			if d <= lo || d > hi {
+				t.Fatalf("sender %d draw %d: delay %v outside (%v, %v]", s, k, d, lo, hi)
+			}
 		}
 	}
 }
 
-// TestUniformDelayInRespectsFloor pins that every draw lands in
-// (minDelay, maxDelay].
-func TestUniformDelayInRespectsFloor(t *testing.T) {
-	fn := UniformDelayIn(0.1, 0.25, des.NewRand(5))
-	for i := 0; i < 1000; i++ {
-		d := fn(nil)
-		if d <= 0.1 || d > 0.25 {
-			t.Fatalf("draw %d: delay %v outside (0.1, 0.25]", i, d)
+// TestDelaysPerSender pins what makes the law usable by every harness:
+// sender u's sequence is the same however the senders' draws interleave
+// (here sender by sender, then in a seeded random order).
+func TestDelaysPerSender(t *testing.T) {
+	const n, per = 5, 400
+	k := 0
+	bySender := delaySeqs(n, per, 0, 0.01, 7, func() int { k++; return (k - 1) / per })
+	order := des.NewRand(11)
+	shuffled := delaySeqs(n, per, 0, 0.01, 7, func() int { return order.Intn(n) })
+	for s := range bySender {
+		for k := range bySender[s] {
+			if bySender[s][k] != shuffled[s][k] {
+				t.Fatalf("sender %d draw %d: %v drawn in sender order, %v interleaved", s, k, bySender[s][k], shuffled[s][k])
+			}
 		}
+	}
+}
+
+// TestDelaysRewireDoesNotAllocate: rewiring the same number of senders
+// reseeds the grown table in place.
+func TestDelaysRewireDoesNotAllocate(t *testing.T) {
+	var d Delays
+	root := des.NewRand(3)
+	d.Wire(0, 0.01, 64, root)
+	if allocs := testing.AllocsPerRun(100, func() { d.Wire(0.001, 0.01, 64, root) }); allocs != 0 {
+		t.Errorf("same-n Wire allocated %v objects/op, want 0", allocs)
 	}
 }
