@@ -67,6 +67,14 @@ func TestGoldenReports(t *testing.T) {
 			N: 40, Seed: 7, Horizon: 10, Topology: ring, Driver: walk,
 			Churn: volatile, Faults: chaosPlan(t, "all"),
 			Parallel: true, Shards: 4}},
+		// One shard on the sharded harness: the engine set degenerates to a
+		// single engine, and this row pins that the degenerate case keeps
+		// the physics of a sharded config (its MinDelay floor included).
+		{"sharded_one_shard", Config{
+			N: 24, Seed: 10, Horizon: 10,
+			Topology: TopologySpec{Kind: TopoGrid, W: 6, H: 4}, Driver: walk,
+			Churn: volatile, Faults: chaosPlan(t, "all"),
+			Parallel: true, Shards: 1}},
 		{"serial_chaos_all", Config{
 			N: 32, Seed: 8, Horizon: 10, Topology: ring, Driver: walk,
 			Faults: chaosPlan(t, "all")}},
