@@ -20,8 +20,8 @@ var update = flag.Bool("update", false, "rewrite testdata/<row> from the current
 // the test binary as `gcsim <args>`, plus `-out <tmp>` for a row with
 // artifacts; the only run-specific text is the -out directory in the
 // "wrote" line, which is spelled OUT in the golden. The scenario rows
-// have no artifacts; with -events their stdout carries the serial
-// engine's per-label event counts.
+// have no artifacts; with -events their stdout carries the per-label
+// event counts summed over every engine of the run.
 func TestCLIGolden(t *testing.T) {
 	for _, row := range []struct {
 		name      string
@@ -40,6 +40,7 @@ func TestCLIGolden(t *testing.T) {
 		{"scenario-faulted-grid", []string{"-n", "36", "-topo", "grid", "-churn", "volatile", "-horizon", "8",
 			"-fault-crash-every", "3", "-fault-drop", "0.1", "-events"}, nil},
 		{"scenario-parallel", []string{"-n", "64", "-horizon", "4", "-parallel", "-shards", "4", "-workers", "2"}, nil},
+		{"scenario-parallel-events", []string{"-n", "64", "-horizon", "4", "-parallel", "-shards", "4", "-workers", "2", "-events"}, nil},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			out := t.TempDir()

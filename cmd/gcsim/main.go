@@ -97,29 +97,27 @@ func runScenario() {
 		fail("%v", err)
 	}
 	cfg.Parallel, cfg.Shards, cfg.Workers, cfg.MinDelay = *parallel, *shards, *workers, *minDelay
-	if *parallel && *events {
-		fail("-events needs the serial engine's trace hook; drop -parallel")
-	}
 	// The harness boundary returns configuration errors instead of
 	// panicking; sim.New below only ever sees a validated config.
 	if err := cfg.Validate(); err != nil {
 		fail("%v", err)
 	}
 
-	var rpt sim.SkewReport
-	var eventCounts map[string]uint64
-	if *parallel {
-		rpt = sim.NewParallel(cfg).Run()
-	} else {
-		s := sim.New(cfg)
-		if *events {
-			eventCounts = map[string]uint64{}
-			s.Engine.SetTraceHook(func(_ des.Time, label string) {
-				eventCounts[label]++
-			})
+	s := sim.New(cfg)
+	// One count table per engine, since shard windows run concurrently. On
+	// one shard the global engine is Shard(0), so it is hooked once.
+	var counts []map[string]uint64
+	for i := 0; *events && i <= s.P.NumShards(); i++ {
+		en, m := s.Engine, map[string]uint64{}
+		if i < s.P.NumShards() {
+			en = s.P.Shard(i)
+		} else if en == s.P.Shard(0) {
+			break
 		}
-		rpt = s.Run()
+		counts = append(counts, m)
+		en.SetTraceHook(func(_ des.Time, label string) { m[label]++ })
 	}
+	rpt := s.Run()
 	eff := cfg.WithDefaults()
 	if eff.Workers <= 0 {
 		eff.Workers = runtime.GOMAXPROCS(0)
@@ -127,6 +125,12 @@ func runScenario() {
 	printReport("scenario:", eff, rpt)
 
 	if *events {
+		eventCounts := map[string]uint64{}
+		for _, m := range counts {
+			for l, c := range m {
+				eventCounts[l] += c
+			}
+		}
 		labels := make([]string, 0, len(eventCounts))
 		for l := range eventCounts {
 			labels = append(labels, l)

@@ -19,7 +19,7 @@
 // firing, and re-arming a timer allocates nothing.
 //
 // The Base is everything a clock needs from its harness: a real-time
-// source and one re-armable firing. The DES harnesses use New, whose base
+// source and one re-armable firing. The DES harness uses New, whose base
 // is the engine (engine time, one engine event); the real-time runtime
 // supplies a wall-clock base through NewOn.
 package clock

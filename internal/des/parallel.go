@@ -39,6 +39,9 @@ import (
 // The worker count is an execution detail, not part of the simulated
 // physics; the shard count IS part of the physics (it decides which
 // messages take the cross path), so it belongs to the scenario Config.
+//
+// One shard is the serial engine: the shard is the global engine, so
+// Run is that engine's own Run, in (t, seq) order with no windows.
 type ParallelEngine struct {
 	shards    []*Engine
 	global    *Engine
@@ -48,6 +51,7 @@ type ParallelEngine struct {
 	out     [][][]CrossMsg
 	onCross CrossHandler
 	windows uint64
+	one     [1]*Engine // backs shards on one shard, saving an allocation
 }
 
 // CrossMsg is one cross-shard payload: an opaque 3-word value plus its
@@ -65,23 +69,26 @@ type CrossMsg struct {
 type CrossHandler func(dst int, m CrossMsg)
 
 // NewParallelEngine returns a coordinator over the given number of
-// shards. lookahead must be positive: it is the amount of simulated
-// time a window may run past the earliest pending event, and the layer
-// above must guarantee no cross-shard message is delivered sooner than
-// lookahead after it is sent.
+// shards. lookahead must be positive (one shard, which has no windows,
+// also takes 0): it is the amount of simulated time a window may run
+// past the earliest pending event, and the layer above must guarantee
+// no cross-shard message is delivered sooner than lookahead after it is
+// sent.
 func NewParallelEngine(shards int, lookahead Time) *ParallelEngine {
 	if shards < 1 {
 		panic("des: ParallelEngine needs at least one shard")
 	}
-	if !(lookahead > 0) {
+	if !(lookahead > 0) && !(shards == 1 && lookahead == 0) {
 		panic("des: ParallelEngine needs positive lookahead")
 	}
-	p := &ParallelEngine{
-		shards:    make([]*Engine, shards),
-		global:    NewEngine(),
-		lookahead: lookahead,
-		out:       make([][][]CrossMsg, shards),
+	p := &ParallelEngine{global: NewEngine(), lookahead: lookahead}
+	if shards == 1 {
+		p.one[0] = p.global
+		p.shards = p.one[:]
+		return p
 	}
+	p.shards = make([]*Engine, shards)
+	p.out = make([][][]CrossMsg, shards)
 	for i := range p.shards {
 		p.shards[i] = NewEngine()
 		p.out[i] = make([][]CrossMsg, shards)
@@ -89,12 +96,15 @@ func NewParallelEngine(shards int, lookahead Time) *ParallelEngine {
 	return p
 }
 
+// serial reports whether the engine set is one shard, the global engine.
+func (p *ParallelEngine) serial() bool { return len(p.out) == 0 }
+
 // NumShards returns the shard count.
 func (p *ParallelEngine) NumShards() int { return len(p.shards) }
 
-// Shard returns shard i's serial engine. Scheduling onto it is only
-// safe from that shard's own events, from the global phase, or while
-// the coordinator is idle.
+// Shard returns shard i's serial engine (with one shard, the global
+// engine). Scheduling onto it is only safe from that shard's own events,
+// from the global phase, or while the coordinator is idle.
 func (p *ParallelEngine) Shard(i int) *Engine { return p.shards[i] }
 
 // Global returns the engine for cross-cutting events. Its handlers run
@@ -170,9 +180,12 @@ func (p *ParallelEngine) runWindow(limit Time, workers int) {
 func (p *ParallelEngine) Windows() uint64 { return p.windows }
 
 // Executed returns the total number of events fired across every shard
-// and the global engine.
+// and the global engine, counting each engine once.
 func (p *ParallelEngine) Executed() uint64 {
 	total := p.global.Executed()
+	if p.serial() {
+		return total
+	}
 	for _, sh := range p.shards {
 		total += sh.Executed()
 	}
@@ -183,6 +196,9 @@ func (p *ParallelEngine) Executed() uint64 {
 // queues, recycling pooled events and keeping outbox capacity.
 func (p *ParallelEngine) Reset() {
 	p.global.Reset()
+	if p.serial() {
+		return
+	}
 	for i, sh := range p.shards {
 		sh.Reset()
 		for j := range p.out[i] {
@@ -195,8 +211,13 @@ func (p *ParallelEngine) Reset() {
 // Run executes the simulation to horizon: events at or before the
 // horizon fire (shard events concurrently inside safe windows, global
 // events serially at barriers), and every engine finishes with Now() at
-// the horizon.
+// the horizon. On one shard it is the global engine's own Run. Run may
+// be called again with a later horizon to continue the execution.
 func (p *ParallelEngine) Run(horizon Time, workers int) {
+	if p.serial() {
+		p.global.Run(horizon)
+		return
+	}
 	// Events at exactly the horizon are in scope, so windows are capped
 	// at the first representable time past it.
 	limitH := math.Nextafter(horizon, math.Inf(1))

@@ -228,3 +228,42 @@ func TestParallelReset(t *testing.T) {
 		t.Fatal("unreachable")
 	}
 }
+
+// TestParallelOneShardIsSerial pins the one-shard engine set: its only
+// shard is the global engine, so shard and global events share one heap
+// and fire in (t, seq) order — a global event at t runs after a shard
+// event at t scheduled before it, which the multi-shard coordinator's
+// global-first barrier would reverse. Run opens no window, Executed and
+// Reset count that engine once, and lookahead 0 is accepted for one
+// shard only.
+func TestParallelOneShardIsSerial(t *testing.T) {
+	p := NewParallelEngine(1, 0)
+	if p.Shard(0) != p.Global() {
+		t.Fatal("one shard is not the global engine")
+	}
+	var order []string
+	p.Shard(0).Schedule(1, "shard", func() { order = append(order, "shard") })
+	p.Global().Schedule(1, "global", func() { order = append(order, "global") })
+	p.Shard(0).Schedule(2, "late", func() { order = append(order, "late") })
+	p.Run(1.5, 4)
+	if want := []string{"shard", "global"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("fired %v by t=1.5, want %v", order, want)
+	}
+	if p.Global().Now() != 1.5 || p.Windows() != 0 || p.Executed() != 2 {
+		t.Fatalf("now=%v windows=%d executed=%d, want 1.5, 0, 2", p.Global().Now(), p.Windows(), p.Executed())
+	}
+	p.Run(3, 1)
+	if len(order) != 3 || p.Executed() != 3 {
+		t.Fatalf("continued run fired %v (executed %d), want the late event too", order, p.Executed())
+	}
+	p.Reset()
+	if p.Global().Now() != 0 || p.Global().Pending() != 0 || p.Executed() != 0 {
+		t.Fatal("Reset left the one engine dirty")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("two shards accepted lookahead 0")
+		}
+	}()
+	NewParallelEngine(2, 0)
+}

@@ -269,14 +269,13 @@ func (m *Messages) Draw(from int, now float64, st *Stats) Verdict {
 // chain's state, counts into the caller's Stats, and returns the effect
 // the harness must apply now together with the delay to the chain's next
 // step (negative when the chain has ended). How a delay becomes a future
-// call is the harness's business — a DES event on the serial engine or
-// the parallel coordinator's global engine, a re-armed wall timer in the
-// real-time runtime — so the fault physics exists once. Each node's
-// chains draw from their own forked streams and touch only that node's
-// state, so schedules are independent of each other and of everything
-// else in the run, and distinct nodes may be stepped concurrently. An
-// Injector is reusable: the zero value is ready, and Wire reseeds it in
-// place.
+// call is the harness's business — a DES event on the global engine, a
+// re-armed wall timer in the real-time runtime — so the fault physics
+// exists once. Each node's chains draw from their own forked streams and
+// touch only that node's state, so schedules are independent of each
+// other and of everything else in the run, and distinct nodes may be
+// stepped concurrently. An Injector is reusable: the zero value is ready,
+// and Wire reseeds it in place.
 type Injector struct {
 	spec Spec
 	rho  float64

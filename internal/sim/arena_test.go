@@ -171,3 +171,36 @@ func allocSweepCells() []SweepCell {
 	}
 	return cells
 }
+
+// TestArenaOneShardReuse pins the one harness's engine sets: a serial
+// config runs on one shard that is the global engine, with no shard
+// table, and an arena keeps that engine and its node pool as N changes.
+// Switching to a sharded shape and back rebuilds, and every run still
+// matches a fresh wiring.
+func TestArenaOneShardReuse(t *testing.T) {
+	small := arenaConfigs()[0]
+	large := small
+	large.N = 2 * small.N
+	oneShard := churnyConfig(5)
+	oneShard.Parallel, oneShard.Shards = true, 1
+
+	a := NewArena()
+	s := a.Sim(small)
+	p, first := s.P, s.Nodes[0]
+	if s.P.NumShards() != 1 || s.P.Shard(0) != s.Engine || s.shardOf != nil {
+		t.Fatalf("serial config: %d shards, shard 0 is global: %v, shard table %v",
+			s.P.NumShards(), s.P.Shard(0) == s.Engine, s.shardOf)
+	}
+	simtest.AssertSameReport(t, "small", s.Run(), mustRun(t, small))
+	if s = a.Sim(large); s.P != p || s.Nodes[0] != first {
+		t.Fatal("growing N on one shard rebuilt the engine or the node pool")
+	}
+	simtest.AssertSameReport(t, "large after small", s.Run(), mustRun(t, large))
+	for _, cfg := range []Config{parallelRingConfig(32, 4), oneShard, small} {
+		s = a.Sim(cfg)
+		if want := max(cfg.Shards, 1); s.P.NumShards() != want {
+			t.Fatalf("%+v: %d shards, want %d", cfg, s.P.NumShards(), want)
+		}
+		simtest.AssertSameReport(t, fmt.Sprintf("shards=%d after a shape change", cfg.Shards), s.Run(), mustRun(t, cfg))
+	}
+}

@@ -6,7 +6,7 @@ import (
 )
 
 // EdgeWriter is the topology a churn step mutates: dyngraph.Dynamic in
-// the DES harnesses, rt.Router in the real-time runtime. Adding a present
+// the DES harness, rt.Router in the real-time runtime. Adding a present
 // edge and removing an absent one are no-ops.
 type EdgeWriter interface {
 	Add(t float64, e dyngraph.Edge)
@@ -36,7 +36,7 @@ var noChurn = ChurnEvent{After: -1}
 //
 // Like DriverState it is a step function: Step applies one event's edge
 // changes and returns the events that follow, which the harness schedules
-// — on the DES harnesses' global engine, as wall timers in internal/rt.
+// — on the DES harness's global engine, as wall timers in internal/rt.
 // An event's arg is x<<1|1 for a step that adds edges, x<<1 for one that
 // removes them; x is the candidate, or for a star's removal the old hub.
 type ChurnState struct {
@@ -45,9 +45,16 @@ type ChurnState struct {
 	// cands caches the volatile candidate set, a function of candKey, so
 	// same-config re-runs skip the O(n) map rebuild.
 	cands   []dyngraph.Edge
-	candKey Config
+	candKey candKey
 	streams []des.Rand
 	first   []ChurnEvent
+}
+
+// candKey is every input of the volatile candidate set.
+type candKey struct {
+	n, extra int
+	seed     uint64
+	topo     TopologySpec
 }
 
 // Start seeds the chain for one run of cfg over g, whose edges are the
@@ -59,7 +66,7 @@ func (c *ChurnState) Start(cfg *Config, root *des.Rand, backbone []dyngraph.Edge
 	c.first = c.first[:0]
 	switch cfg.Churn.Kind {
 	case ChurnVolatile:
-		key := Config{N: cfg.N, Seed: cfg.Seed, Topology: cfg.Topology, Churn: ChurnSpec{ExtraEdges: cfg.Churn.ExtraEdges}}
+		key := candKey{n: cfg.N, seed: cfg.Seed, topo: cfg.Topology, extra: cfg.Churn.ExtraEdges}
 		if c.cands == nil || key != c.candKey {
 			var r des.Rand
 			root.ForkInto(0xca9d, &r)

@@ -242,21 +242,23 @@ type Config struct {
 	// Off by default — the exact check reads n^2 pairs per sample.
 	CheckGradient bool
 
-	// Parallel runs the scenario on the sharded conservative-parallel
-	// engine (des.ParallelEngine) instead of the serial kernel. Both
-	// engines draw each message's delay from its sender's own stream, in
-	// (MinDelay, MaxDelay], but parallel mode defaults MinDelay to a
-	// positive floor (the engine's lookahead) and orders same-instant
-	// events by shard, so its reports differ from the serial engine's.
-	// Reports are deterministic functions of the Config; the worker count
-	// is an execution detail and never changes a report, which the
-	// parallel determinism suite pins.
+	// Parallel shards the scenario: it runs on Shards shards of the
+	// conservative-parallel engine (des.ParallelEngine) with lookahead
+	// MinDelay. Without it the run is one shard, which is the serial
+	// engine. Every run draws each message's delay from its sender's own
+	// stream, in (MinDelay, MaxDelay], but parallel mode defaults MinDelay
+	// to a positive floor (the lookahead) and, on more than one shard,
+	// orders same-instant events by shard, so its reports differ from a
+	// serial run's. Reports are deterministic functions of the Config; the
+	// worker count is an execution detail and never changes a report,
+	// which the parallel determinism suite pins.
 	Parallel bool
 
 	// Shards is the number of node shards in parallel mode (0 = 8,
-	// clamped to N). The shard count decides which messages take the
-	// cross-shard path and is therefore part of the simulated physics:
-	// changing it changes the report, unlike Workers.
+	// clamped to N; a serial run is one shard). The shard count decides
+	// which messages take the cross-shard path and is therefore part of
+	// the simulated physics: changing it changes the report, unlike
+	// Workers.
 	Shards int
 
 	// Workers is the goroutine count parallel mode executes shard
@@ -266,8 +268,9 @@ type Config struct {
 	Workers int
 
 	// MinDelay is the message-delay floor: every nominal delay lies in
-	// (MinDelay, MaxDelay]. It is the parallel engine's lookahead, so 0
-	// defaults to MaxDelay/4 in parallel mode; the serial engine keeps 0.
+	// (MinDelay, MaxDelay]. In parallel mode it is also the engine's
+	// lookahead, so 0 defaults to MaxDelay/4 there; a serial run keeps 0
+	// and has no lookahead, being one shard.
 	MinDelay float64
 
 	// Faults is the declarative fault-injection plan: probabilistic
@@ -319,8 +322,8 @@ func (c Config) WithDefaults() Config {
 
 // Validate checks the configuration at the harness boundary, returning
 // a descriptive error instead of panicking, so a long-running service
-// can reject a bad job and keep sweeping. Run and RunSweep call it
-// before wiring; New/NewParallel still panic on invalid configs (a
+// can reject a bad job and keep sweeping. RunSweep and the CLI call it
+// before wiring; New and Reset still panic on invalid configs (a
 // pre-validated programmer-error path, like the remaining internal
 // invariants: DES time regression, lookahead breach).
 func (c Config) Validate() error {

@@ -74,9 +74,9 @@ func (d *DriverState) Step(spec DriverSpec, rho float64) (rate, next float64) {
 }
 
 // Fold accumulates skew samples and per-node totals into a SkewReport.
-// It is the one definition of the report's observed fields for all three
-// harnesses: each harness reads its nodes its own way (one serial scan on
-// both DES harnesses, under host locks in rt) and hands the fold the
+// It is the one definition of the report's observed fields for both
+// harnesses: each reads its nodes its own way (one serial scan in the
+// DES, under host locks in rt) and hands the fold the
 // sample's extrema, the endpoint readings of every current edge, and at
 // the end each node's counters.
 type Fold struct {
@@ -177,92 +177,6 @@ func (f *Fold) SetFaults(fs fault.Stats) {
 // nodes' logical clocks (+Inf/-Inf when every node is down).
 type SkewPoint struct{ T, Lo, Hi float64 }
 
-// core is the part of a DES harness that does not depend on how many
-// engines execute it. Simulation is the core with one engine;
-// ParallelSim is the core with one engine per shard. Both draw every
-// delay from the core's one law (transport.Delays: the sender's own
-// stream) and sample through the same path (observe: one serial scan,
-// the exact gradient check, the skew series), so a harness fills in only
-// the two parameters below, then wires a run as begin → Net (new, or
-// Reset, with delayFn) → arm.
-type core struct {
-	Cfg    Config
-	Graph  *dyngraph.Dynamic
-	Clocks []*clock.HardwareClock
-	Nodes  []*gcs.Node
-	// Net is the transport every node transmits through, one lane per
-	// engine.
-	Net *transport.Network
-
-	// global carries the events that see every node at one consistent
-	// instant (churn, fault chains, sampling); engineOf(i) carries node
-	// i's clock, beacon timers and rate driver.
-	global   *des.Engine
-	engineOf func(i int) *des.Engine
-
-	// allClocks/allNodes are the grow-only pools backing the public
-	// slices, which are views of the first Cfg.N entries.
-	allClocks []*clock.HardwareClock
-	allNodes  []*gcs.Node
-	drivers   []DriverState
-	churn     ChurnState
-
-	// Reseedable PRNG streams, one per subsystem, matching the fork ids a
-	// fresh wiring would draw so reuse stays bit-identical.
-	root      des.Rand
-	driveRand des.Rand
-	phaseRand des.Rand
-
-	// delays is the run's delay law, rewired by begin.
-	delays transport.Delays
-
-	// Long-lived callbacks, bound once so rewiring and sampling allocate
-	// nothing. delayFn draws from delays and is every harness's base
-	// DelayFn.
-	delayFn                  transport.DelayFn
-	driveFn, crashFn, rateFn des.ArgHandler
-	churnFn                  des.ArgHandler
-	sampleFn                 func()
-	edgeFn                   func(dyngraph.Edge)
-	// onMessage is the single delivery handler shared by every node.
-	onMessage transport.Handler
-
-	// wired records that a first wiring has filled the graph and made the
-	// one-time discovery subscription; edgeCfg/boundCfg key the cached
-	// initial edge set and analytic bound.
-	wired    bool
-	edgeCfg  edgeKey
-	boundCfg Config
-	bound    float64
-	// initialEdges is the backbone edge set materialized once per
-	// topology shape and reused by the churn setup (Topology.Edges is
-	// O(n) or worse, so it must not be recomputed per run).
-	initialEdges []dyngraph.Edge
-
-	// vals is the reused logical-clock sample buffer.
-	vals []float64
-	fold Fold
-	// series holds one point per sample of the current run, in time
-	// order; arm sizes it once and reuses it.
-	series []SkewPoint
-	// gradient, when non-nil (Config.CheckGradient), folds every sample
-	// into per-distance skew buckets.
-	gradient *GradientChecker
-	// started records whether the periodic sampler has been installed.
-	started bool
-
-	// Fault-injection state (Config.Faults). msgPlan is the message-fault
-	// plan (it keeps the grown stream table across rewires); Net draws
-	// verdicts from it per send while the active plan has message faults.
-	// injector holds the crash/recover and rate-excursion chains, stepped
-	// by events on the global engine; downMask aliases its live mask so
-	// sampling can exclude crashed nodes.
-	msgPlan    fault.Messages
-	injector   fault.Injector
-	faultStats fault.Stats
-	downMask   []bool
-}
-
 // edgeKey identifies the inputs the cached initial edge set depends on.
 type edgeKey struct {
 	topo TopologySpec
@@ -270,133 +184,97 @@ type edgeKey struct {
 	star bool
 }
 
-// init binds the long-lived callbacks; call once, with c at its final
+// init binds the long-lived callbacks; call once, with s at its final
 // address.
-func (c *core) init() {
-	c.delayFn = func(m *transport.Message) float64 { return c.delays.Draw(m.From) }
-	c.driveFn = c.driveStep
-	c.churnFn = c.churnStep
-	c.crashFn = c.crashStep
-	c.rateFn = c.rateStep
-	c.edgeFn = func(e dyngraph.Edge) { c.fold.Adjacent(c.vals[e.U], c.vals[e.V]) }
-	c.onMessage = func(m transport.Message) { c.Nodes[m.To].OnMessage(m.From, m.Value) }
-	c.sampleFn = func() {
-		c.observe()
-		c.global.ScheduleAfter(c.Cfg.SampleEvery, "sim.sample", c.sampleFn)
+func (s *Simulation) init() {
+	s.delayFn = func(m *transport.Message) float64 { return s.delays.Draw(m.From) }
+	s.driveFn = s.driveStep
+	s.churnFn = s.churnStep
+	s.crashFn = s.crashStep
+	s.rateFn = s.rateStep
+	s.edgeFn = func(e dyngraph.Edge) { s.fold.Adjacent(s.vals[e.U], s.vals[e.V]) }
+	s.onMessage = func(m transport.Message) { s.Nodes[m.To].OnMessage(m.From, m.Value) }
+	s.sampleFn = func() {
+		s.observe()
+		s.Engine.ScheduleAfter(s.Cfg.SampleEvery, "sim.sample", s.sampleFn)
 	}
 }
 
-// begin starts a rewire: it validates and defaults cfg, reseeds the
-// root stream and the delay law and resets the graph to the (cached)
-// initial edge set (a first wiring leaves filling it to arm). The
-// harness resets its engines and Net next, then calls arm.
-func (c *core) begin(cfg Config) Config {
-	// New/Reset keep the panic contract for programmer errors; the
-	// error-returning boundary is RunSweep, which validates every cell.
-	if err := cfg.Validate(); err != nil {
-		panic(err.Error())
-	}
-	cfg = cfg.WithDefaults()
-	c.Cfg = cfg
-	c.root.Reseed(cfg.Seed)
-	c.delays.Wire(cfg.MinDelay, cfg.MaxDelay, cfg.N, &c.root)
-
-	star := cfg.Churn.Kind == ChurnRotatingStar
-	if key := (edgeKey{topo: cfg.Topology, n: cfg.N, star: star}); key != c.edgeCfg {
-		if star {
-			c.initialEdges = nil
-		} else {
-			c.initialEdges = cfg.Topology.Edges(cfg.N)
-		}
-		c.edgeCfg = key
-	}
-	if c.Graph == nil {
-		// A first wiring binds the transport and nodes to an empty graph and
-		// lets arm fill it once the node pools exist: the edge maps are the
-		// most pointer-dense part of the heap, and every collection the
-		// growing pools trigger would otherwise mark them again.
-		c.Graph = dyngraph.NewDynamic(cfg.N, nil)
-	} else {
-		c.Graph.Reset(cfg.N, c.initialEdges)
-	}
-	return cfg
-}
-
-// arm finishes a rewire once the harness's engines and Net are reset.
+// arm finishes a rewire once Reset has reset the engine set and Net.
 // The order below assigns the tie-breaking event sequence numbers and is
 // part of the physics: drivers per node, churn, node start phases, fault
 // chains; the sampler follows on the first advance.
-func (c *core) arm() {
-	cfg := &c.Cfg
+func (s *Simulation) arm() {
+	cfg := &s.Cfg
 	n := cfg.N
 
 	// Grow the node/clock pools up to n, then reset the live prefix. Each
 	// growth is one clock slab and one node slab, set up in place. Nodes
 	// are wired straight to Net and the (stable) graph through the
 	// harness seam.
-	if have := len(c.allClocks); have < n {
-		c.allClocks = append(make([]*clock.HardwareClock, 0, n), c.allClocks...)
-		c.allNodes = append(make([]*gcs.Node, 0, n), c.allNodes...)
+	if have := len(s.allClocks); have < n {
+		s.allClocks = append(make([]*clock.HardwareClock, 0, n), s.allClocks...)
+		s.allNodes = append(make([]*gcs.Node, 0, n), s.allNodes...)
 		clocks := make([]clock.HardwareClock, n-have)
 		nodes := make([]gcs.Node, n-have)
 		for j := range clocks {
 			i := have + j
-			clocks[j].Init(c.engineOf(i), 1)
-			nodes[j].Init(i, &clocks[j], cfg.Node, c.Net, c.Graph)
-			c.allClocks = append(c.allClocks, &clocks[j])
-			c.allNodes = append(c.allNodes, &nodes[j])
+			clocks[j].Init(s.engineOf(i), 1)
+			nodes[j].Init(i, &clocks[j], cfg.Node, s.Net, s.Graph)
+			s.allClocks = append(s.allClocks, &clocks[j])
+			s.allNodes = append(s.allNodes, &nodes[j])
 		}
 	}
-	c.Clocks = c.allClocks[:n]
-	c.Nodes = c.allNodes[:n]
-	if !c.wired {
-		c.Graph.Reset(n, c.initialEdges) // deferred by begin
+	s.Clocks = s.allClocks[:n]
+	s.Nodes = s.allNodes[:n]
+	if !s.wired {
+		s.Graph.Reset(n, s.initialEdges) // deferred by Reset
 	}
-	if cap(c.drivers) < n {
-		c.drivers = make([]DriverState, n)
+	if cap(s.drivers) < n {
+		s.drivers = make([]DriverState, n)
 	}
-	c.drivers = c.drivers[:n]
+	s.drivers = s.drivers[:n]
 
-	c.root.ForkInto(0xd81fe, &c.driveRand)
+	s.root.ForkInto(0xd81fe, &s.driveRand)
 	for i := 0; i < n; i++ {
-		c.Clocks[i].Reset(1)
-		c.Nodes[i].Reset(cfg.Node)
-		c.Net.SetHandler(i, c.onMessage)
-		c.drivers[i].Start(i, &c.driveRand)
-		c.driveStep(uint64(i))
+		s.Clocks[i].Reset(1)
+		s.Nodes[i].Reset(cfg.Node)
+		s.Net.SetHandler(i, s.onMessage)
+		s.drivers[i].Start(i, &s.driveRand)
+		s.driveStep(uint64(i))
 	}
 
 	// Neighbor discovery: subscribe before churn starts, so even edges a
 	// churn process adds at time 0 trigger an immediate beacon exchange
 	// across the fresh edge. The graph keeps its subscribers across Reset,
 	// so this happens exactly once.
-	if !c.wired {
-		c.Graph.Subscribe(discovery{c})
-		c.wired = true
+	if !s.wired {
+		s.Graph.Subscribe(discovery{s})
+		s.wired = true
 	}
-	for _, ev := range c.churn.Start(cfg, &c.root, c.initialEdges, c.Graph) {
-		c.afterChurn(ev)
+	for _, ev := range s.churn.Start(cfg, &s.root, s.initialEdges, s.Graph) {
+		s.afterChurn(ev)
 	}
 
-	c.root.ForkInto(0x9a5e, &c.phaseRand)
+	s.root.ForkInto(0x9a5e, &s.phaseRand)
 	for i := 0; i < n; i++ {
-		c.Nodes[i].Start(c.phaseRand.Range(0, cfg.Node.BeaconEvery))
+		s.Nodes[i].Start(s.phaseRand.Range(0, cfg.Node.BeaconEvery))
 	}
 
-	c.armFaults()
-	c.gradient = wireGradient(c.gradient, *cfg)
-	if cap(c.vals) < n {
-		c.vals = make([]float64, n)
+	s.armFaults()
+	s.gradient = wireGradient(s.gradient, *cfg)
+	if cap(s.vals) < n {
+		s.vals = make([]float64, n)
 	}
-	c.vals = c.vals[:n]
+	s.vals = s.vals[:n]
 	// One point per sampling period from t = 0, plus a final one at the
 	// horizon. Presizing stops at maxPresized points: a longer run grows
 	// the series as it samples instead of reserving it all up front.
-	if want := min(int(math.Ceil(cfg.Horizon/cfg.SampleEvery))+2, maxPresized); cap(c.series) < want {
-		c.series = make([]SkewPoint, 0, want)
+	if want := min(int(math.Ceil(cfg.Horizon/cfg.SampleEvery))+2, maxPresized); cap(s.series) < want {
+		s.series = make([]SkewPoint, 0, want)
 	}
-	c.series = c.series[:0]
-	c.started = false
+	s.series = s.series[:0]
+	s.started = false
 }
 
 // maxPresized caps the skew series arm reserves for one run (1.5 MiB).
@@ -407,38 +285,38 @@ const maxPresized = 1 << 16
 // directly at time 0, so each driver label is scheduled from here only.
 //
 //gcslint:zeroalloc
-func (c *core) driveStep(arg uint64) {
+func (s *Simulation) driveStep(arg uint64) {
 	i := int(arg)
-	rate, next := c.drivers[i].Step(c.Cfg.Driver, c.Cfg.Rho)
-	c.Clocks[i].SetRate(rate)
+	rate, next := s.drivers[i].Step(s.Cfg.Driver, s.Cfg.Rho)
+	s.Clocks[i].SetRate(rate)
 	if next < 0 {
 		return
 	}
 	label := "clock.walk"
-	switch c.Cfg.Driver.Kind {
+	switch s.Cfg.Driver.Kind {
 	case DriveBangBang:
 		label = "clock.bang"
 	case DriveConstant: // only an Eq. (1) head start has a next step
 		label = "clock.rate"
 	}
-	c.engineOf(i).ScheduleAfterArg(next, label, c.driveFn, arg)
+	s.engineOf(i).ScheduleAfterArg(next, label, s.driveFn, arg)
 }
 
 // churnStep is the run's churn event. It runs on the global engine, so
-// in the sharded harness every shard is barriered while the graph (and
-// through discovery, the endpoint nodes) change.
+// every shard is barriered while the graph (and through discovery, the
+// endpoint nodes) change.
 //
 //gcslint:zeroalloc
-func (c *core) churnStep(arg uint64) {
-	first, second := c.churn.Step(arg, c.global.Now(), c.Graph)
-	c.afterChurn(first)
-	c.afterChurn(second)
+func (s *Simulation) churnStep(arg uint64) {
+	first, second := s.churn.Step(arg, s.Engine.Now(), s.Graph)
+	s.afterChurn(first)
+	s.afterChurn(second)
 }
 
 // afterChurn schedules churn event ev unless there is none.
-func (c *core) afterChurn(ev ChurnEvent) {
+func (s *Simulation) afterChurn(ev ChurnEvent) {
 	if ev.After >= 0 {
-		c.global.ScheduleAfterArg(ev.After, ev.Label, c.churnFn, ev.Arg)
+		s.Engine.ScheduleAfterArg(ev.After, ev.Label, s.churnFn, ev.Arg)
 	}
 }
 
@@ -449,63 +327,63 @@ func (c *core) afterChurn(ev ChurnEvent) {
 // at time 0 (discovery over a rotating star's first edges), which
 // therefore draws no verdict, and removed again by the next Net.Reset.
 // The crash/recover and rate-excursion chains run as events on the
-// global engine — with every shard barriered in the sharded harness, so
-// touching any node or clock from them is safe and deterministic.
-func (c *core) armFaults() {
-	cfg := &c.Cfg
-	c.downMask = nil
-	c.faultStats = fault.Stats{}
+// global engine — with every shard barriered, so touching any node or
+// clock from them is safe and deterministic.
+func (s *Simulation) armFaults() {
+	cfg := &s.Cfg
+	s.downMask = nil
+	s.faultStats = fault.Stats{}
 	if !cfg.Faults.Enabled() {
-		c.fold.Reset(false, 0)
+		s.fold.Reset(false, 0)
 		return
 	}
 	var faultRoot des.Rand
-	c.root.ForkInto(0xfa07, &faultRoot)
+	s.root.ForkInto(0xfa07, &faultRoot)
 	if cfg.Faults.MessageFaults() {
-		c.msgPlan.Wire(cfg.Faults, cfg.MaxDelay, cfg.N, &faultRoot)
-		c.Net.SetFaults(&c.msgPlan)
+		s.msgPlan.Wire(cfg.Faults, cfg.MaxDelay, cfg.N, &faultRoot)
+		s.Net.SetFaults(&s.msgPlan)
 	}
-	c.injector.Wire(cfg.Faults, cfg.N, cfg.Rho, &faultRoot)
-	c.downMask = c.injector.Down()
+	s.injector.Wire(cfg.Faults, cfg.N, cfg.Rho, &faultRoot)
+	s.downMask = s.injector.Down()
 	for i := 0; i < cfg.N; i++ {
-		c.afterFault(c.injector.CrashStart(i), "fault.crash", c.crashFn, i)
+		s.afterFault(s.injector.CrashStart(i), "fault.crash", s.crashFn, i)
 	}
 	for i := 0; i < cfg.N; i++ {
-		c.afterFault(c.injector.RateStart(i), "fault.rate", c.rateFn, i)
+		s.afterFault(s.injector.RateStart(i), "fault.rate", s.rateFn, i)
 	}
-	c.fold.Reset(true, c.boundFor())
+	s.fold.Reset(true, s.boundFor())
 }
 
 // afterFault schedules node i's next fault-chain step unless the chain
 // has ended.
-func (c *core) afterFault(next float64, label string, fn des.ArgHandler, i int) {
+func (s *Simulation) afterFault(next float64, label string, fn des.ArgHandler, i int) {
 	if next >= 0 {
-		c.global.ScheduleAfterArg(next, label, fn, uint64(i))
+		s.Engine.ScheduleAfterArg(next, label, fn, uint64(i))
 	}
 }
 
-func (c *core) crashStep(arg uint64) {
+func (s *Simulation) crashStep(arg uint64) {
 	i := int(arg)
-	down, next := c.injector.CrashStep(i, c.global.Now(), &c.faultStats)
+	down, next := s.injector.CrashStep(i, s.Engine.Now(), &s.faultStats)
 	if down {
-		c.Nodes[i].Crash()
-		c.afterFault(next, "fault.recover", c.crashFn, i)
+		s.Nodes[i].Crash()
+		s.afterFault(next, "fault.recover", s.crashFn, i)
 		return
 	}
-	c.Nodes[i].Recover()
-	c.afterFault(next, "fault.crash", c.crashFn, i)
+	s.Nodes[i].Recover()
+	s.afterFault(next, "fault.crash", s.crashFn, i)
 }
 
-func (c *core) rateStep(arg uint64) {
+func (s *Simulation) rateStep(arg uint64) {
 	i := int(arg)
-	rate, next := c.injector.RateStep(i, c.global.Now(), &c.faultStats)
-	c.Clocks[i].SetRate(rate)
+	rate, next := s.injector.RateStep(i, s.Engine.Now(), &s.faultStats)
+	s.Clocks[i].SetRate(rate)
 	// An excursion's rate is strictly out of band, so only its end sets 1.
 	label := "fault.rate"
 	if rate != 1 {
 		label = "fault.rate.end"
 	}
-	c.afterFault(next, label, c.rateFn, i)
+	s.afterFault(next, label, s.rateFn, i)
 }
 
 // wireGradient returns the checker for cfg, reusing prev when it was
@@ -528,38 +406,38 @@ func wireGradient(prev *GradientChecker, cfg Config) *GradientChecker {
 // waiting up to BeaconEvery, which is what the paper's catch-up
 // argument assumes of nodes that become adjacent, and both endpoints of
 // a lost edge stop counting each other as neighbors. Churn mutates the
-// graph only from global-engine events, so in the sharded harness the
-// handlers run serially with every shard barriered.
-type discovery struct{ c *core }
+// graph only from global-engine events, so the handlers run serially
+// with every shard barriered.
+type discovery struct{ s *Simulation }
 
 func (d discovery) EdgeAdded(t float64, e dyngraph.Edge) {
-	d.c.Nodes[e.U].OnEdgeAdded(e.V)
-	d.c.Nodes[e.V].OnEdgeAdded(e.U)
+	d.s.Nodes[e.U].OnEdgeAdded(e.V)
+	d.s.Nodes[e.V].OnEdgeAdded(e.U)
 }
 
 func (d discovery) EdgeRemoved(t float64, e dyngraph.Edge) {
-	d.c.Nodes[e.U].OnEdgeRemoved(e.V)
-	d.c.Nodes[e.V].OnEdgeRemoved(e.U)
+	d.s.Nodes[e.U].OnEdgeRemoved(e.V)
+	d.s.Nodes[e.V].OnEdgeRemoved(e.U)
 }
 
 // scan reads every node into vals and returns the extrema of the live
-// ones. Every engine is at the sample instant, so on the sharded harness
-// too this is one serial pass over consistent clocks.
+// ones. Every engine is at the sample instant, so on many shards too
+// this is one serial pass over consistent clocks.
 //
 //gcslint:zeroalloc
-func (c *core) scan() (lo, hi float64) {
+func (s *Simulation) scan() (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
-	for i := range c.vals {
-		if c.downMask != nil && c.downMask[i] {
+	for i := range s.vals {
+		if s.downMask != nil && s.downMask[i] {
 			// A crashed node has no logical clock. Poisoning its sample with
 			// NaN makes every consumer skip it for free: NaN fails the lo/hi
 			// comparisons here, Fold.Adjacent's |L_u - L_v| > max test, and
 			// the gradient checker's bucket comparisons.
-			c.vals[i] = math.NaN()
+			s.vals[i] = math.NaN()
 			continue
 		}
-		l := c.Nodes[i].Logical()
-		c.vals[i] = l
+		l := s.Nodes[i].Logical()
+		s.vals[i] = l
 		if l < lo {
 			lo = l
 		}
@@ -576,24 +454,24 @@ func (c *core) scan() (lo, hi float64) {
 // nothing.
 //
 //gcslint:zeroalloc
-func (c *core) observe() {
-	lo, hi := c.scan()
-	now := c.global.Now()
-	c.series = append(c.series, SkewPoint{T: now, Lo: lo, Hi: hi})
-	if c.gradient != nil {
-		c.gradient.observe(c.Graph, c.vals)
+func (s *Simulation) observe() {
+	lo, hi := s.scan()
+	now := s.Engine.Now()
+	s.series = append(s.series, SkewPoint{T: now, Lo: lo, Hi: hi})
+	if s.gradient != nil {
+		s.gradient.observe(s.Graph, s.vals)
 	}
 	// Max over edges is order-independent, so the unordered allocation-free
 	// iteration is deterministic in its result.
-	c.Graph.RangeCurrentEdges(c.edgeFn)
-	c.fold.Sample(now, lo, hi)
+	s.Graph.RangeCurrentEdges(s.edgeFn)
+	s.fold.Sample(now, lo, hi)
 }
 
 // startSampler installs the periodic skew sampler on first call.
-func (c *core) startSampler() {
-	if !c.started {
-		c.started = true
-		c.global.Schedule(c.global.Now(), "sim.sample", c.sampleFn)
+func (s *Simulation) startSampler() {
+	if !s.started {
+		s.started = true
+		s.Engine.Schedule(s.Engine.Now(), "sim.sample", s.sampleFn)
 	}
 }
 
@@ -602,8 +480,8 @@ func (c *core) startSampler() {
 // reused simulation must not recompute it per run. The cache keys on
 // every field the bound depends on (Seed, Horizon, SampleEvery, Driver
 // and CheckGradient do not affect it).
-func (c *core) boundFor() float64 {
-	key := c.Cfg
+func (s *Simulation) boundFor() float64 {
+	key := s.Cfg
 	key.Seed = 0
 	key.Horizon = 0
 	key.SampleEvery = 0
@@ -614,41 +492,40 @@ func (c *core) boundFor() float64 {
 	key.Workers = 0
 	key.MinDelay = 0
 	key.Faults = FaultSpec{}
-	if key != c.boundCfg { // the zero key (N = 0) matches no valid config
-		c.bound = c.Cfg.GlobalSkewBound()
-		c.boundCfg = key
+	if key != s.boundCfg { // the zero key (N = 0) matches no valid config
+		s.bound = s.Cfg.GlobalSkewBound()
+		s.boundCfg = key
 	}
-	return c.bound
+	return s.bound
 }
 
-// finalise builds the report once the engines have reached the horizon.
-// The harness supplies what only it can count: its engines' fired-event
-// total. Everything is recomputed from live state on every call, so a
-// harness's Run is idempotent.
-func (c *core) finalise(executed uint64) SkewReport {
+// finalise builds the report once the engines have reached the horizon,
+// executed being their fired-event total. Everything is recomputed from
+// live state on every call, so Run is idempotent.
+func (s *Simulation) finalise(executed uint64) SkewReport {
 	// End-of-run state at exactly the horizon, unless the periodic
 	// sampler already landed there (Horizon a multiple of SampleEvery).
-	if c.fold.Report.Samples == 0 || c.fold.lastT < c.Cfg.Horizon {
-		c.observe()
+	if s.fold.Report.Samples == 0 || s.fold.lastT < s.Cfg.Horizon {
+		s.observe()
 	}
-	rep := &c.fold.Report
-	rep.Bound = c.boundFor()
-	rep.Transport = c.Net.Stats()
+	rep := &s.fold.Report
+	rep.Bound = s.boundFor()
+	rep.Transport = s.Net.Stats()
 	rep.EventsExecuted = executed
-	rep.EdgeAdds, rep.EdgeRemoves = c.Graph.Stats()
-	if c.gradient != nil {
-		rep.PerDistanceSkew = c.gradient.PerDistance()
-		rep.DistanceRecomputes = c.gradient.Recomputes()
+	rep.EdgeAdds, rep.EdgeRemoves = s.Graph.Stats()
+	if s.gradient != nil {
+		rep.PerDistanceSkew = s.gradient.PerDistance()
+		rep.DistanceRecomputes = s.gradient.Recomputes()
 	}
-	c.fold.ResetTotals()
-	for i, hw := range c.Clocks {
+	s.fold.ResetTotals()
+	for i, hw := range s.Clocks {
 		mn, mx := hw.RateBoundsSeen()
-		c.fold.AddNode(mn, mx, c.Nodes[i].Snap())
+		s.fold.AddNode(mn, mx, s.Nodes[i].Snap())
 	}
-	if c.Cfg.Faults.Enabled() {
-		faults := c.Net.FaultStats()
-		faults.Merge(c.faultStats)
-		c.fold.SetFaults(faults)
+	if s.Cfg.Faults.Enabled() {
+		faults := s.Net.FaultStats()
+		faults.Merge(s.faultStats)
+		s.fold.SetFaults(faults)
 	}
 	return *rep
 }

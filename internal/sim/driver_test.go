@@ -153,7 +153,7 @@ func TestDriverStateMatchesClockDrivers(t *testing.T) {
 			s := New(cfg)
 			pcfg := cfg
 			pcfg.Parallel, pcfg.Shards = true, 2
-			ps := NewParallel(pcfg)
+			ps := New(pcfg)
 
 			// Reference wiring: bare clocks driven by the reference drivers
 			// from the same per-node streams the harness forks (root seed ->

@@ -28,11 +28,11 @@ func parallelChurnConfig(n, shards int) Config {
 	return cfg
 }
 
-// TestParallelSimWorkerInvariance is the parallel determinism contract:
+// TestShardedWorkerInvariance is the parallel determinism contract:
 // the report is a pure function of the Config, and the worker count is
 // invisible — every worker count reproduces the workers=1 serial
 // reference bit for bit, on static and churning topologies alike.
-func TestParallelSimWorkerInvariance(t *testing.T) {
+func TestShardedWorkerInvariance(t *testing.T) {
 	star := parallelRingConfig(24, 4)
 	star.Churn = ChurnSpec{Kind: ChurnRotatingStar, Period: 1, Overlap: 0.25}
 	for name, base := range map[string]Config{
@@ -77,7 +77,7 @@ func TestSerialAndShardedShareDelayLaw(t *testing.T) {
 
 	// record re-registers every node's handler to log its deliveries by
 	// sender before the node sees them.
-	record := func(c *core) [][]transport.Message {
+	record := func(c *Simulation) [][]transport.Message {
 		got := make([][]transport.Message, c.Cfg.N)
 		for i := range c.Nodes {
 			c.Net.SetHandler(i, func(m transport.Message) {
@@ -88,10 +88,10 @@ func TestSerialAndShardedShareDelayLaw(t *testing.T) {
 		return got
 	}
 	s := New(serial)
-	fromSerial := record(&s.core)
+	fromSerial := record(s)
 	s.Run()
-	ps := NewParallel(cfg)
-	fromSharded := record(&ps.core)
+	ps := New(cfg)
+	fromSharded := record(ps)
 	ps.Run()
 
 	cut := cfg.Horizon - cfg.MaxDelay
@@ -124,10 +124,10 @@ func TestSerialAndShardedShareDelayLaw(t *testing.T) {
 	}
 }
 
-// TestParallelSimSeedSensitivity pins same-seed reproducibility and that
+// TestShardedSeedSensitivity pins same-seed reproducibility and that
 // the seed (and the shard count — part of the physics) actually steers
 // the execution.
-func TestParallelSimSeedSensitivity(t *testing.T) {
+func TestShardedSeedSensitivity(t *testing.T) {
 	cfg := parallelRingConfig(64, 4)
 	first := mustRun(t, cfg)
 	simtest.AssertSameReport(t, "same-config rerun", mustRun(t, cfg), first)
@@ -139,11 +139,11 @@ func TestParallelSimSeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestParallelSimArenaReuse pins arena-style reuse: re-running a config
+// TestShardedArenaReuse pins arena-style reuse: re-running a config
 // through one Arena — including across an intervening run of a different
 // shard shape, which forces a full rebuild — reproduces the fresh run
 // bit for bit.
-func TestParallelSimArenaReuse(t *testing.T) {
+func TestShardedArenaReuse(t *testing.T) {
 	cfgA := parallelChurnConfig(64, 4)
 	cfgB := parallelRingConfig(96, 6)
 	want := mustRun(t, cfgA)
@@ -153,14 +153,14 @@ func TestParallelSimArenaReuse(t *testing.T) {
 	simtest.AssertSameReport(t, "arena re-run after shape change vs fresh", a.Run(cfgA), want)
 }
 
-// TestParallelSimPhysics sanity-checks the parallel execution as a
+// TestShardedPhysics sanity-checks the parallel execution as a
 // simulation: skew within the analytic bound, drift within [1-rho,
 // 1+rho], value conservation (everything sent is delivered, dropped, or
 // still in flight at the horizon), and genuine cross-shard pipelining
 // (windows executed, traffic crossed shards).
-func TestParallelSimPhysics(t *testing.T) {
+func TestShardedPhysics(t *testing.T) {
 	cfg := parallelChurnConfig(96, 6)
-	ps := NewParallel(cfg)
+	ps := New(cfg)
 	rpt := ps.Run()
 	eff := cfg.WithDefaults()
 	if rpt.MaxGlobalSkew > rpt.Bound {
@@ -205,11 +205,11 @@ func TestParallelSimPhysics(t *testing.T) {
 	}
 }
 
-// TestParallelSimGradientCheck runs the exact gradient checker on the
+// TestShardedGradientCheck runs the exact gradient checker on the
 // parallel harness: the global-phase barrier makes every sample a
 // consistent cut, so on a static ring every bucket from 1 to the
 // diameter n/2 fills, each within GradientBound(d).
-func TestParallelSimGradientCheck(t *testing.T) {
+func TestShardedGradientCheck(t *testing.T) {
 	cfg := parallelRingConfig(64, 4)
 	cfg.CheckGradient = true
 	rpt := mustRun(t, cfg)

@@ -1,8 +1,14 @@
 package sim
 
 import (
+	"math"
+	"runtime"
+
+	"gcs/internal/clock"
 	"gcs/internal/des"
+	"gcs/internal/dyngraph"
 	"gcs/internal/fault"
+	"gcs/internal/gcs"
 	"gcs/internal/transport"
 )
 
@@ -62,55 +68,251 @@ type SkewReport struct {
 	ReconvergenceTime float64
 }
 
-// Simulation is one fully wired scenario on the serial engine: the
-// harness core with every node on one des.Engine. It is exposed so tests
-// can inspect mid-run state; most callers use an Arena. A Simulation is
-// reusable: Reset rewires it in place for another config, recycling the
-// engine's event pool, the graph's adjacency and history storage, the
-// transport's flight arena, and every per-node object, so repeated runs
-// of same-shape configs allocate nothing (see Arena).
+// Simulation is one fully wired scenario: the one DES harness. Its
+// engine set P runs a serial config on one shard, which is the serial
+// engine (one heap, (t, seq) order), and a Parallel config on
+// Config.Shards block-partitioned shards with lookahead MinDelay. A
+// shard's engine and lane of Net carry its nodes' clocks, drivers,
+// beacon timers and deliveries; churn, fault chains and sampling run on
+// the global engine, which sees every shard at one consistent instant.
+// Delays come from each sender's own stream and every event order and
+// cross-shard merge is a pure function of the Config, so the report is
+// bit-identical for every worker count.
+//
+// Tests inspect mid-run state through it; most callers use an Arena.
+// Reset rewires it in place, recycling event pools, graph storage,
+// flight arenas and per-node objects, so a same-shape re-run allocates
+// nothing.
 type Simulation struct {
-	core
+	Cfg    Config
+	Graph  *dyngraph.Dynamic
+	Clocks []*clock.HardwareClock
+	Nodes  []*gcs.Node
+	// Net is the transport every node transmits through, one lane per
+	// shard.
+	Net *transport.Network
+
+	// P is the engine set. Engine is P.Global(): it carries the events
+	// that see every node at one consistent instant (churn, fault chains,
+	// sampling), and on one shard it is the only engine.
+	P      *des.ParallelEngine
 	Engine *des.Engine
+
+	// shardOf maps node -> shard (block partition); nil on one shard.
+	shardOf []int32
+	// shape keys the rebuild decision: the engine set, the transport and
+	// the per-node objects are rebuilt only when it changes.
+	shape shape
+
+	// allClocks/allNodes are the grow-only pools backing the public
+	// slices, which are views of the first Cfg.N entries.
+	allClocks []*clock.HardwareClock
+	allNodes  []*gcs.Node
+	drivers   []DriverState
+	churn     ChurnState
+
+	// Reseedable PRNG streams, one per subsystem, matching the fork ids a
+	// fresh wiring would draw so reuse stays bit-identical.
+	root      des.Rand
+	driveRand des.Rand
+	phaseRand des.Rand
+
+	// delays is the run's delay law, rewired by Reset.
+	delays transport.Delays
+
+	// Long-lived callbacks, bound once so rewiring and sampling allocate
+	// nothing. delayFn draws from delays and is Net's base DelayFn.
+	delayFn                  transport.DelayFn
+	driveFn, crashFn, rateFn des.ArgHandler
+	churnFn                  des.ArgHandler
+	sampleFn                 func()
+	edgeFn                   func(dyngraph.Edge)
+	// onMessage is the single delivery handler shared by every node.
+	onMessage transport.Handler
+
+	// wired records that a first wiring has filled the graph and made the
+	// one-time discovery subscription; edgeCfg/boundCfg key the cached
+	// initial edge set and analytic bound.
+	wired    bool
+	edgeCfg  edgeKey
+	boundCfg Config
+	bound    float64
+	// initialEdges is the backbone edge set materialized once per
+	// topology shape and reused by the churn setup (Topology.Edges is
+	// O(n) or worse, so it must not be recomputed per run).
+	initialEdges []dyngraph.Edge
+
+	// vals is the reused logical-clock sample buffer.
+	vals []float64
+	fold Fold
+	// series holds one point per sample of the current run, in time
+	// order; arm sizes it once and reuses it.
+	series []SkewPoint
+	// gradient, when non-nil (Config.CheckGradient), folds every sample
+	// into per-distance skew buckets.
+	gradient *GradientChecker
+	// started records whether the periodic sampler has been installed.
+	started bool
+
+	// Fault-injection state (Config.Faults). msgPlan is the message-fault
+	// plan (it keeps the grown stream table across rewires); Net draws
+	// verdicts from it per send while the active plan has message faults.
+	// injector holds the crash/recover and rate-excursion chains, stepped
+	// by events on the global engine; downMask aliases its live mask so
+	// sampling can exclude crashed nodes.
+	msgPlan    fault.Messages
+	injector   fault.Injector
+	faultStats fault.Stats
+	downMask   []bool
+}
+
+// shape is the allocation shape of a wired Simulation: a change forces
+// a rebuild, because clocks bind to their shard's engine at construction.
+// N is part of it only on more than one shard, where the partition
+// depends on it; one shard keeps its engine and pools as N changes.
+type shape struct {
+	shards    int
+	lookahead float64
+	n         int
 }
 
 // New wires a simulation from the config without running it.
 func New(cfg Config) *Simulation {
-	s := &Simulation{Engine: des.NewEngine()}
+	s := &Simulation{}
 	s.init()
-	s.global = s.Engine
-	s.engineOf = func(int) *des.Engine { return s.Engine }
 	s.Reset(cfg)
 	return s
 }
 
-// Reset rewires the simulation in place for cfg, reusing every warm
-// buffer and pooled object of the previous run. After Reset the
-// simulation behaves exactly like New(cfg) — executions are
-// bit-identical — but a same-shape rewire performs zero allocations.
+// Reset rewires the simulation in place for cfg: it validates and
+// defaults cfg, reseeds the root stream and the delay law, resets the
+// graph to the (cached) initial edge set, resets or rebuilds the engine
+// set and Net, and arms the run. After Reset the simulation behaves
+// exactly like New(cfg), bit for bit, and a same-shape rewire performs
+// zero allocations.
 func (s *Simulation) Reset(cfg Config) {
-	s.Engine.Reset()
-	cfg = s.begin(cfg)
-	if s.Net == nil {
-		s.Net = transport.New(s.Engine, s.Graph, s.delayFn, cfg.MaxDelay)
+	// New/Reset keep the panic contract for programmer errors; the
+	// error-returning boundary is RunSweep, which validates every cell.
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
+	cfg = cfg.WithDefaults()
+	s.Cfg = cfg
+	s.root.Reseed(cfg.Seed)
+	s.delays.Wire(cfg.MinDelay, cfg.MaxDelay, cfg.N, &s.root)
+
+	star := cfg.Churn.Kind == ChurnRotatingStar
+	if key := (edgeKey{topo: cfg.Topology, n: cfg.N, star: star}); key != s.edgeCfg {
+		if star {
+			s.initialEdges = nil
+		} else {
+			s.initialEdges = cfg.Topology.Edges(cfg.N)
+		}
+		s.edgeCfg = key
+	}
+	if s.Graph == nil {
+		// A first wiring binds the transport and nodes to an empty graph and
+		// lets arm fill it once the node pools exist: the edge maps are the
+		// most pointer-dense part of the heap, and every collection the
+		// growing pools trigger would otherwise mark them again.
+		s.Graph = dyngraph.NewDynamic(cfg.N, nil)
 	} else {
+		s.Graph.Reset(cfg.N, s.initialEdges)
+	}
+
+	sh := shape{shards: 1}
+	if cfg.Parallel {
+		sh = shape{shards: cfg.Shards, lookahead: cfg.MinDelay}
+		if sh.shards > 1 {
+			sh.n = cfg.N
+		}
+	}
+	if s.P == nil || sh != s.shape {
+		s.build(cfg, sh)
+	} else {
+		s.P.Reset()
 		s.Net.Reset(s.delayFn, cfg.MaxDelay)
 	}
 	s.arm()
 }
 
+// build constructs the engine set, the node partition and the transport
+// (one lane per shard) for a new shape. Clocks bind to their shard's
+// engine and nodes to Net at construction, so arm rebuilds the pools.
+func (s *Simulation) build(cfg Config, sh shape) {
+	s.shape = sh
+	s.P = des.NewParallelEngine(sh.shards, sh.lookahead)
+	s.Engine = s.P.Global()
+	s.allClocks, s.allNodes = nil, nil
+	if sh.shards == 1 {
+		s.shardOf = nil
+		s.Net = transport.New(s.Engine, s.Graph, s.delayFn, cfg.MaxDelay)
+		return
+	}
+
+	// Block partition: contiguous node ranges, so ring/grid topologies
+	// keep almost all edges shard-internal.
+	s.shardOf = make([]int32, cfg.N)
+	for i := range s.shardOf {
+		s.shardOf[i] = int32(i * sh.shards / cfg.N)
+	}
+	engines := make([]*des.Engine, sh.shards)
+	for i := range engines {
+		engines[i] = s.P.Shard(i)
+	}
+	// A flight whose destination is on another shard crosses as a packed
+	// des.CrossMsg and is put in flight on the owning lane at the merge.
+	// The delay floor is the lookahead, so it always lands beyond the
+	// current safe window (ParallelEngine.merge checks).
+	s.Net = transport.NewSharded(engines, s.Graph, s.delayFn, cfg.MaxDelay, s.shardOf, "psim.deliver",
+		func(src, dst int, m *transport.Message) {
+			s.P.SendCross(src, dst, des.CrossMsg{
+				DeliverAt: m.DeliverAt,
+				W0:        uint64(uint32(m.From))<<32 | uint64(uint32(m.To)),
+				W1:        math.Float64bits(m.SentAt),
+				W2:        math.Float64bits(m.Value),
+			})
+		})
+	s.P.SetCrossHandler(func(_ int, m des.CrossMsg) {
+		from, to := int(m.W0>>32), int(uint32(m.W0))
+		s.Net.Accept(transport.Message{
+			From:      from,
+			To:        to,
+			Edge:      dyngraph.E(from, to),
+			Value:     math.Float64frombits(m.W2),
+			SentAt:    math.Float64frombits(m.W1),
+			DeliverAt: m.DeliverAt,
+		})
+	})
+}
+
+// engineOf returns the engine that carries node i.
+func (s *Simulation) engineOf(i int) *des.Engine {
+	if s.shardOf == nil {
+		return s.Engine
+	}
+	return s.P.Shard(int(s.shardOf[i]))
+}
+
 // Advance runs the execution up to real time t, installing the periodic
-// skew sampler on first call. Tests step a live scenario through it; Run
-// drives it to the horizon and finalizes the report.
+// skew sampler on first call. Tests and Arena.RunSliced step a live
+// scenario through it; Run drives it to the horizon and finalizes the
+// report.
 func (s *Simulation) Advance(t float64) {
 	s.startSampler()
-	s.Engine.Run(t)
+	workers := s.Cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	s.P.Run(t, workers)
 }
 
 // Run executes the scenario to its horizon and returns the report. It is
 // idempotent: calling it after Advance-stepping, or twice, reports each
-// jump, message and beacon exactly once.
+// jump, message and beacon exactly once. The report is a pure function
+// of the Config; Workers only decides how many goroutines execute the
+// shard windows.
 func (s *Simulation) Run() SkewReport {
 	s.Advance(s.Cfg.Horizon)
-	return s.finalise(s.Engine.Executed())
+	return s.finalise(s.P.Executed())
 }

@@ -6,14 +6,9 @@ import (
 	"testing"
 )
 
-// runWithSeries runs cfg on the arena's harness for it and returns the
-// report with a copy of the run's skew series.
+// runWithSeries runs cfg on the arena and returns the report with a
+// copy of the run's skew series.
 func runWithSeries(a *Arena, cfg Config) (SkewReport, []SkewPoint) {
-	if cfg.Parallel {
-		ps := a.Parallel(cfg)
-		rpt := ps.Run()
-		return rpt, append([]SkewPoint(nil), ps.series...)
-	}
 	s := a.Sim(cfg)
 	rpt := s.Run()
 	return rpt, append([]SkewPoint(nil), s.series...)
@@ -119,7 +114,7 @@ func TestObserveShardBlocks(t *testing.T) {
 	for _, tc := range []struct{ n, shards int }{
 		{96, 5}, {7, 3}, {4, 4}, {3, 5},
 	} {
-		ps := NewParallel(parallelRingConfig(tc.n, tc.shards))
+		ps := New(parallelRingConfig(tc.n, tc.shards))
 		if len(ps.shardOf) != tc.n || ps.shardOf[0] != 0 {
 			t.Fatalf("n=%d shards=%d: partition does not start at shard 0: %v", tc.n, tc.shards, ps.shardOf)
 		}

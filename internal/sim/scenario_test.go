@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"testing"
-
-	"gcs/internal/dyngraph"
 )
 
 // assertSkewInvariants checks the properties every legal execution must
@@ -163,15 +161,8 @@ func TestVolatileChurnStaysIntervalConnected(t *testing.T) {
 		{"rotating star T=Period", star, 2, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var g *dyngraph.Dynamic
-			var rpt SkewReport
-			if tc.cfg.Parallel {
-				ps := NewParallel(tc.cfg)
-				rpt, g = ps.Run(), ps.Graph
-			} else {
-				s := New(tc.cfg)
-				rpt, g = s.Run(), s.Graph
-			}
+			s := New(tc.cfg)
+			rpt, g := s.Run(), s.Graph
 			assertSkewInvariants(t, tc.cfg, rpt)
 			if rpt.EdgeAdds == 0 || rpt.EdgeRemoves == 0 {
 				t.Fatalf("no churn: adds=%d removes=%d", rpt.EdgeAdds, rpt.EdgeRemoves)

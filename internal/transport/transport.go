@@ -6,12 +6,12 @@
 // delivery event, and the rule is checked once, when that event fires,
 // against the history the graph has recorded by then:
 // dyngraph.ExistsThroughout(edge, SentAt, DeliverAt), i.e. the edge's
-// current interval has Start <= SentAt and DeliverAt < End. Both DES
-// harnesses run this one rule, so they agree on every tie: a removal that
-// has happened by the time the delivery fires loses the message even at
-// exactly DeliverAt, a message sent at the instant its edge is added is
-// carried, and a removal inside the flight loses it even if the edge is
-// back by DeliverAt. The network keeps no per-edge state and does not
+// current interval has Start <= SentAt and DeliverAt < End. Serial and
+// sharded runs share this one rule, so they agree on every tie: a
+// removal that has happened by the time the delivery fires loses the
+// message even at exactly DeliverAt, a message sent at the instant its
+// edge is added is carried, and a removal inside the flight loses it
+// even if the edge is back by DeliverAt. The network keeps no per-edge state and does not
 // listen to the graph. Deliveries on one edge with equal delays are FIFO
 // (the DES kernel breaks ties by scheduling order).
 //
