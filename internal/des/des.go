@@ -11,17 +11,28 @@
 // piecewise linear, so evaluating state lazily at event boundaries is
 // exact and introduces no discretization error.
 //
+// The event queue is a monotone radix heap (Ahuja, Mehlhorn, Orlin and
+// Tarjan, JACM 1990). Simulated time never goes backwards, and the
+// IEEE-754 bits of a nonnegative float64 order as the number does, so an
+// event's key is the bit pattern of its time. Bucket b holds the events
+// whose key first differs from the last popped minimum at bit b-1;
+// bucket 0 holds the events at exactly that minimum. Scheduling appends
+// to one bucket, and a pop with bucket 0 empty redistributes the lowest
+// non-empty bucket around its least key. Each bucket is a doubly linked
+// list in scheduling order, threaded through one slab of events, so
+// bucket 0 fires in (t, seq) order with no comparisons and a cancel
+// unlinks its event at once.
+//
 // The kernel is allocation-free in steady state: fired and cancelled
-// events are recycled through a free list, the priority queue is a
-// hand-rolled 4-ary index heap (shallower than a binary heap for the
-// push/pop-heavy simulation workload, with no container/heap interface
-// overhead), and ScheduleArg lets periodic schedulers reuse one
-// long-lived callback instead of allocating a closure per event.
+// events return their slab slot to a free list, and ScheduleArg lets
+// periodic schedulers reuse one long-lived callback instead of
+// allocating a closure per event.
 package des
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is a point in simulated real time, in seconds. The simulation
@@ -47,37 +58,51 @@ type ArgHandler func(arg uint64)
 // pre-sized ring buffers.
 type TraceFn func(t Time, label string)
 
-// Event is a scheduled occurrence in the simulation. Events are owned by
-// the engine and recycled after they fire or are cancelled; user code
-// only ever holds EventRef handles.
+// Event is the queue's half of one slot of an engine's event slab: the
+// time, argument and bucket links, and no pointers, so the slab grows by
+// a plain copy and the collector never scans it. The callback and label
+// are the slot's call. Slots are owned by the engine and recycled after
+// their event fires or is cancelled; user code only ever holds EventRef
+// handles.
 type Event struct {
-	t     Time
-	seq   uint64
-	arg   uint64
-	fn    Handler
-	afn   ArgHandler
-	label string
-	gen   uint32
-	index int32 // position in the heap, -1 when pooled
+	t   Time
+	arg uint64
+	gen uint32
+	// next and prev link the slot into its bucket (next alone links a
+	// free slot into the free list); 0 ends a list.
+	next, prev int32
 }
 
-// EventRef is a generation-checked handle to a scheduled event. The zero
-// EventRef refers to no event. A ref goes stale the instant its event
-// fires or is cancelled; stale refs are safe to hold and to Cancel (a
-// no-op), even after the engine recycles the underlying Event for a new
-// schedule.
+// EventRef is a generation-checked handle to a scheduled event: its slot
+// in the engine's slab and the slot's generation when it was scheduled.
+// The zero EventRef refers to no event. A ref goes stale the instant its
+// event fires or is cancelled; stale refs are safe to hold and to Cancel
+// (a no-op), even after the engine reuses the slot for a new schedule.
 type EventRef struct {
-	e   *Event
-	gen uint32
+	slot int32
+	gen  uint32
 }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use.
 type Engine struct {
-	now     Time
-	heap    []*Event // 4-ary min-heap ordered by (t, seq)
-	free    []*Event // recycled events
-	nextSeq uint64
+	now Time
+	// slab holds the queue half of every event slot and calls the
+	// callback half, in fixed-size chunks, so growing either copies no
+	// pointers. Slot 0 is never used, so a zero link or EventRef means
+	// none.
+	slab  []Event
+	calls []*callChunk
+	free  int32 // head of the free-slot list
+	live  int   // queued events
+	// last is the key of the most recently popped minimum: every queued
+	// key is at least last. min caches the least queued key while minOK;
+	// peeking fills it without moving last, so a later Schedule before
+	// the head stays legal.
+	last, min  uint64
+	minOK      bool
+	used       uint64 // bit b set when bucket b is non-empty
+	head, tail [64]int32
 	// executed counts events that have fired (not cancelled ones).
 	executed uint64
 	// trace, when non-nil, observes every fired event.
@@ -90,26 +115,46 @@ type Engine struct {
 
 // NewEngine returns an engine positioned at time 0 with an empty queue.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{slab: make([]Event, 1)}
 }
+
+// call is the callback half of an event slot.
+type call struct {
+	fn    Handler
+	afn   ArgHandler
+	label string
+}
+
+// callBits sizes a chunk of calls: 1024 of them, 32 KiB, an allocation
+// large enough to carry no per-object header, so a chunk wastes nothing.
+const callBits = 10
+
+type callChunk [1 << callBits]call
+
+// call returns slot s's call.
+func (en *Engine) call(s int32) *call { return &en.calls[s>>callBits][s&(1<<callBits-1)] }
 
 // Now returns the current simulated time. During an event handler this is
 // the handler's scheduled fire time.
 func (en *Engine) Now() Time { return en.now }
 
-// Reset returns the engine to time 0 with an empty queue, recycling every
-// pending event through the free list so a rewired simulation reuses the
-// warm pool instead of reallocating it. Outstanding EventRefs go stale
-// (Cancel on them stays a harmless no-op); the executed counter restarts;
-// an installed trace hook is kept.
+// Reset returns the engine to time 0 with an empty queue, returning every
+// pending event's slot to the free list so a rewired simulation reuses
+// the warm slab instead of reallocating it. Outstanding EventRefs go
+// stale (Cancel on them stays a harmless no-op); the executed counter
+// restarts; an installed trace hook is kept.
 func (en *Engine) Reset() {
-	for i, e := range en.heap {
-		en.heap[i] = nil
-		en.release(e)
+	for used := en.used; used != 0; used &= used - 1 {
+		for s := en.head[bits.TrailingZeros64(used)]; s != 0; {
+			e := &en.slab[s]
+			next := e.next
+			en.release(s, e)
+			s = next
+		}
 	}
-	en.heap = en.heap[:0]
+	en.head, en.tail = [64]int32{}, [64]int32{}
+	en.used, en.last, en.minOK, en.live = 0, 0, false, 0
 	en.now = 0
-	en.nextSeq = 0
 	en.executed = 0
 }
 
@@ -121,21 +166,19 @@ func (en *Engine) Executed() uint64 { return en.executed }
 // see TraceFn for the contract.
 func (en *Engine) SetTraceHook(fn TraceFn) { en.trace = fn }
 
-// Pending returns the number of events in the queue. Cancelled events are
-// removed eagerly, so every counted event will fire unless cancelled
+// Pending returns the number of events in the queue. Cancel unlinks its
+// event at once, so every counted event will fire unless cancelled
 // later.
-func (en *Engine) Pending() int { return len(en.heap) }
+func (en *Engine) Pending() int { return en.live }
 
 // Schedule registers fn to run at absolute time t and returns a handle
 // that can be cancelled. Scheduling in the past (t < Now) panics: the
 // network model has no retroactive events, so this is always a bug in the
-// caller.
+// caller. A time of -0 is scheduled as +0.
 //
 //gcslint:zeroalloc
 func (en *Engine) Schedule(t Time, label string, fn Handler) EventRef {
-	e := en.schedule(t, label)
-	e.fn = fn
-	return EventRef{e: e, gen: e.gen}
+	return en.schedule(t, label, fn, nil, 0)
 }
 
 // ScheduleArg registers fn(arg) to run at absolute time t. It is the
@@ -144,34 +187,39 @@ func (en *Engine) Schedule(t Time, label string, fn Handler) EventRef {
 //
 //gcslint:zeroalloc
 func (en *Engine) ScheduleArg(t Time, label string, fn ArgHandler, arg uint64) EventRef {
-	e := en.schedule(t, label)
-	e.afn = fn
-	e.arg = arg
-	return EventRef{e: e, gen: e.gen}
+	return en.schedule(t, label, nil, fn, arg)
 }
 
 //gcslint:zeroalloc
-func (en *Engine) schedule(t Time, label string) *Event {
+func (en *Engine) schedule(t Time, label string, fn Handler, afn ArgHandler, arg uint64) EventRef {
 	if math.IsNaN(t) {
 		panic("des: schedule at NaN time")
 	}
 	if t < en.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v (%s)", t, en.now, label))
 	}
-	var e *Event
-	if n := len(en.free); n > 0 {
-		e = en.free[n-1]
-		en.free[n-1] = nil
-		en.free = en.free[:n-1]
+	t += 0 // -0 keys as +0
+	s := en.free
+	if s != 0 {
+		en.free = en.slab[s].next
 	} else {
-		e = &Event{}
+		s = int32(len(en.slab))
+		en.slab = append(en.slab, Event{})
+		if int(s) >= len(en.calls)<<callBits {
+			en.calls = append(en.calls, new(callChunk))
+		}
 	}
+	e := &en.slab[s]
 	e.t = t
-	e.seq = en.nextSeq
-	e.label = label
-	en.nextSeq++
-	en.push(e)
-	return e
+	e.arg = arg
+	*en.call(s) = call{fn, afn, label}
+	key := math.Float64bits(t)
+	if en.live == 0 || en.minOK && key < en.min {
+		en.min, en.minOK = key, true
+	}
+	en.live++
+	en.link(s, e, en.bucket(key))
+	return EventRef{slot: s, gen: e.gen}
 }
 
 // ScheduleAfter registers fn to run d seconds of simulated time from now.
@@ -184,77 +232,77 @@ func (en *Engine) ScheduleAfterArg(d Time, label string, fn ArgHandler, arg uint
 	return en.ScheduleArg(en.now+d, label, fn, arg)
 }
 
-// Cancel removes the referenced event from the queue and recycles it. A
-// cancelled event never fires. Cancelling a zero or stale ref (already
-// fired, already cancelled, or recycled) is a no-op, mirroring the
-// paper's cancel(timer-ID) semantics.
+// Cancel unlinks the referenced event from its bucket and frees its
+// slot. A cancelled event never fires. Cancelling a zero or stale ref
+// (already fired, already cancelled, or its slot reused) is a no-op,
+// mirroring the paper's cancel(timer-ID) semantics.
 func (en *Engine) Cancel(r EventRef) {
-	e := r.e
-	if e == nil || e.gen != r.gen {
+	if r.slot == 0 {
 		return
 	}
-	en.remove(int(e.index))
-	en.release(e)
+	e := &en.slab[r.slot]
+	if e.gen != r.gen {
+		return
+	}
+	key := math.Float64bits(e.t)
+	en.unlink(e, en.bucket(key))
+	en.live--
+	if key == en.min && en.used&1 == 0 {
+		en.minOK = false
+	}
+	en.release(r.slot, e)
 }
 
-// release invalidates outstanding refs and returns e to the free list.
+// release invalidates outstanding refs to e, slot s's event, and
+// returns the slot to the free list.
 //
 //gcslint:zeroalloc
-func (en *Engine) release(e *Event) {
+func (en *Engine) release(s int32, e *Event) {
 	e.gen++
-	e.fn = nil
-	e.afn = nil
-	e.label = ""
-	e.index = -1
-	en.free = append(en.free, e)
+	*en.call(s) = call{}
+	e.next = en.free
+	en.free = s
 }
 
-// fire advances time to e, recycles it, and runs its callback. The event
-// is released before the callback so the callback may schedule new events
-// that reuse it; outstanding refs are already stale by then.
+// fire advances time to e, slot s's event, frees the slot, and runs
+// the callback. The slot is released before the callback so the
+// callback may schedule new events that reuse it; outstanding refs are
+// already stale by then.
 //
 //gcslint:zeroalloc
-func (en *Engine) fire(e *Event) {
+func (en *Engine) fire(s int32, e *Event) {
 	en.now = e.t
 	en.executed++
-	fn, afn, arg := e.fn, e.afn, e.arg
+	c, arg := *en.call(s), e.arg
+	en.release(s, e)
 	if en.trace != nil {
-		en.trace(e.t, e.label)
+		en.trace(en.now, c.label)
 	}
-	en.release(e)
-	if afn != nil {
-		afn(arg)
+	if c.afn != nil {
+		c.afn(arg)
 	} else {
-		fn()
+		c.fn()
 	}
 }
 
 // Step fires the single earliest pending event, if any, and reports
 // whether an event fired.
 func (en *Engine) Step() bool {
-	if len(en.heap) == 0 {
+	if en.live == 0 {
 		return false
 	}
-	e := en.heap[0]
-	en.remove(0)
-	en.fire(e)
+	en.fire(en.pop())
 	return true
 }
 
 // Run fires events in order until the queue is empty or the next event
 // would fire strictly after horizon, then advances Now() to horizon so
-// that callers can sample end-of-run state. The head of the queue is
-// fired directly — cancellation
-// removes events eagerly, so no skip pass is needed between the peek and
-// the fire.
+// that callers can sample end-of-run state. Looking at a head beyond the
+// horizon commits nothing, so a later Schedule before that head is
+// still in order.
 func (en *Engine) Run(horizon Time) {
-	for len(en.heap) > 0 {
-		e := en.heap[0]
-		if e.t > horizon {
-			break
-		}
-		en.remove(0)
-		en.fire(e)
+	for en.live > 0 && en.headTime() <= horizon {
+		en.fire(en.pop())
 	}
 	if en.now < horizon {
 		en.now = horizon
@@ -267,13 +315,8 @@ func (en *Engine) Run(horizon Time) {
 // number of events fired.
 func (en *Engine) RunBefore(limit Time) int {
 	fired := 0
-	for len(en.heap) > 0 {
-		e := en.heap[0]
-		if e.t >= limit {
-			break
-		}
-		en.remove(0)
-		en.fire(e)
+	for en.live > 0 && en.headTime() < limit {
+		en.fire(en.pop())
 		fired++
 	}
 	return fired
@@ -287,8 +330,8 @@ func (en *Engine) AdvanceTo(t Time) {
 	if t <= en.now {
 		return
 	}
-	if len(en.heap) > 0 && en.heap[0].t < t {
-		panic(fmt.Sprintf("des: AdvanceTo(%v) over pending event at %v", t, en.heap[0].t))
+	if head, ok := en.NextEventTime(); ok && head < t {
+		panic(fmt.Sprintf("des: AdvanceTo(%v) over pending event at %v", t, head))
 	}
 	en.now = t
 }
@@ -307,94 +350,109 @@ func (en *Engine) RunUntilIdle(maxEvents uint64) {
 // NextEventTime returns the fire time of the earliest pending event and
 // true, or (0, false) if the queue is empty.
 func (en *Engine) NextEventTime() (Time, bool) {
-	if len(en.heap) == 0 {
+	if en.live == 0 {
 		return 0, false
 	}
-	return en.heap[0].t, true
+	return en.headTime(), true
 }
 
-// ---- 4-ary index heap, ordered by (t, seq) ----
+// ---- monotone radix heap keyed on the bits of t ----
 
-func eventLess(a, b *Event) bool {
-	if a.t != b.t {
-		return a.t < b.t
+// bucket returns the bucket of a key at least last.
+func (en *Engine) bucket(key uint64) int { return bits.Len64(key ^ en.last) }
+
+// headTime returns the least queued time of a non-empty queue, filling
+// the min cache if needed. It never moves last.
+func (en *Engine) headTime() Time {
+	if !en.minOK {
+		en.scanMin()
 	}
-	return a.seq < b.seq
+	return math.Float64frombits(en.min)
 }
 
-//gcslint:zeroalloc
-func (en *Engine) push(e *Event) {
-	en.heap = append(en.heap, e)
-	e.index = int32(len(en.heap) - 1)
-	en.siftUp(len(en.heap) - 1)
+// scanMin fills the min cache from the lowest non-empty bucket, which
+// holds every key below the other buckets' keys.
+func (en *Engine) scanMin() {
+	en.min = math.MaxUint64
+	for s := en.head[bits.TrailingZeros64(en.used)]; s != 0; {
+		e := &en.slab[s]
+		en.min = min(en.min, math.Float64bits(e.t))
+		s = e.next
+	}
+	en.minOK = true
 }
 
-// remove deletes the event at heap position i, restoring the invariant.
+// pop unlinks and returns the head of a non-empty queue: the first event
+// of bucket 0, refilled if empty.
+func (en *Engine) pop() (int32, *Event) {
+	if en.used&1 == 0 {
+		en.refill()
+	}
+	s := en.head[0]
+	e := &en.slab[s]
+	next := e.next
+	en.head[0] = next
+	if next != 0 {
+		en.slab[next].prev = 0
+	} else {
+		en.tail[0] = 0
+		en.used &^= 1
+		en.minOK = false
+	}
+	en.live--
+	return s, e
+}
+
+// refill moves last up to the least key and redistributes the lowest
+// non-empty bucket, whose keys all land in lower buckets, the least in
+// bucket 0. The lower buckets are empty, so each keeps the scheduling
+// order of the list it came from.
 //
 //gcslint:zeroalloc
-func (en *Engine) remove(i int) {
-	h := en.heap
-	n := len(h) - 1
-	e := h[i]
-	if i != n {
-		moved := h[n]
-		h[i] = moved
-		moved.index = int32(i)
+func (en *Engine) refill() {
+	if !en.minOK {
+		en.scanMin()
 	}
-	h[n] = nil
-	en.heap = h[:n]
-	if i < n {
-		moved := en.heap[i]
-		en.siftDown(i)
-		en.siftUp(int(moved.index))
+	en.last = en.min
+	b := bits.TrailingZeros64(en.used)
+	s := en.head[b]
+	en.head[b], en.tail[b] = 0, 0
+	en.used &^= 1 << b
+	for s != 0 {
+		e := &en.slab[s]
+		next := e.next
+		en.link(s, e, en.bucket(math.Float64bits(e.t)))
+		s = next
 	}
-	e.index = -1
 }
 
+// link appends e, slot s's event, to the tail of bucket b.
+//
 //gcslint:zeroalloc
-func (en *Engine) siftUp(i int) {
-	h := en.heap
-	e := h[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !eventLess(e, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		h[i].index = int32(i)
-		i = p
+func (en *Engine) link(s int32, e *Event, b int) {
+	e.next, e.prev = 0, en.tail[b]
+	if e.prev != 0 {
+		en.slab[e.prev].next = s
+	} else {
+		en.head[b] = s
+		en.used |= 1 << b
 	}
-	h[i] = e
-	e.index = int32(i)
+	en.tail[b] = s
 }
 
-//gcslint:zeroalloc
-func (en *Engine) siftDown(i int) {
-	h := en.heap
-	n := len(h)
-	e := h[i]
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			break
-		}
-		m := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if eventLess(h[c], h[m]) {
-				m = c
-			}
-		}
-		if !eventLess(h[m], e) {
-			break
-		}
-		h[i] = h[m]
-		h[i].index = int32(i)
-		i = m
+// unlink removes e from bucket b.
+func (en *Engine) unlink(e *Event, b int) {
+	if e.prev != 0 {
+		en.slab[e.prev].next = e.next
+	} else {
+		en.head[b] = e.next
 	}
-	h[i] = e
-	e.index = int32(i)
+	if e.next != 0 {
+		en.slab[e.next].prev = e.prev
+	} else {
+		en.tail[b] = e.prev
+	}
+	if en.head[b] == 0 {
+		en.used &^= 1 << b
+	}
 }

@@ -6,9 +6,10 @@ import (
 	"testing/quick"
 )
 
-// Pending reports whether the referenced event is still scheduled (not
-// yet fired or cancelled).
-func (r EventRef) Pending() bool { return r.e != nil && r.e.gen == r.gen }
+// Pending reports whether the referenced event is still scheduled on en
+// (not yet fired or cancelled): its slot still carries the ref's
+// generation.
+func (r EventRef) Pending(en *Engine) bool { return r.slot != 0 && en.slab[r.slot].gen == r.gen }
 
 func TestScheduleAndRunOrder(t *testing.T) {
 	en := NewEngine()
@@ -77,7 +78,7 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if e.Pending() {
+	if e.Pending(en) {
 		t.Fatal("Pending() = true after Cancel")
 	}
 	// Cancelling again and cancelling the zero ref are no-ops.
@@ -224,11 +225,11 @@ func TestPendingCount(t *testing.T) {
 func TestEventAccessors(t *testing.T) {
 	en := NewEngine()
 	e := en.Schedule(9, "mylabel", func() {})
-	if !e.Pending() {
+	if !e.Pending(en) {
 		t.Fatal("Pending = false before firing")
 	}
 	en.Run(10)
-	if e.Pending() {
+	if e.Pending(en) {
 		t.Fatal("Pending = true after firing")
 	}
 }
@@ -258,10 +259,10 @@ func TestStaleRefCannotCancelRecycledEvent(t *testing.T) {
 	en := NewEngine()
 	stale := en.Schedule(1, "victim", func() {})
 	en.Run(1) // fires and recycles the event
-	if stale.Pending() {
+	if stale.Pending(en) {
 		t.Fatal("ref still pending after fire")
 	}
-	if len(en.free) == 0 {
+	if en.free == 0 {
 		t.Fatal("fired event was not pooled")
 	}
 	fired := false
@@ -271,7 +272,7 @@ func TestStaleRefCannotCancelRecycledEvent(t *testing.T) {
 	if !fired {
 		t.Fatal("stale Cancel killed a recycled event")
 	}
-	if fresh.Pending() {
+	if fresh.Pending(en) {
 		t.Fatal("fresh event still pending after firing")
 	}
 
@@ -314,7 +315,7 @@ func TestEventPoolStress(t *testing.T) {
 		case r.Float64() < 0.5 && len(refs) > 0:
 			// Cancel a random ref: live or stale, the engine must sort it out.
 			j := r.Intn(len(refs))
-			wasPending := refs[j].Pending()
+			wasPending := refs[j].Pending(en)
 			en.Cancel(refs[j])
 			if wasPending {
 				cancelled[j] = true
@@ -334,7 +335,7 @@ func TestEventPoolStress(t *testing.T) {
 				i, fireCount[i], want, cancelled[i])
 		}
 	}
-	if len(en.free) == 0 {
+	if en.free == 0 {
 		t.Fatal("stress run never pooled an event")
 	}
 	if en.Pending() != 0 {

@@ -107,9 +107,10 @@ func census(s *Simulation) []censusRow {
 	add("sim.DriverState (with its des.Rand)", cap(s.drivers)*int(unsafe.Sizeof(DriverState{})))
 	add("sim per-node slices", (cap(s.allClocks)+cap(s.allNodes)+cap(s.vals))*ptr)
 
-	heap, free := field(s.Engine, "heap"), field(s.Engine, "free")
-	add("des events (queued and pooled)",
-		(heap.Len()+free.Len())*int(unsafe.Sizeof(des.Event{}))+(heap.Cap()+free.Cap())*ptr)
+	slab, calls := field(s.Engine, "slab"), field(s.Engine, "calls")
+	add("des event slab (queued and free slots)",
+		slab.Cap()*int(unsafe.Sizeof(des.Event{}))+
+			calls.Len()*int(calls.Type().Elem().Elem().Size())+calls.Cap()*ptr)
 
 	adj := field(s.Graph, "adj")
 	adjBytes := adj.Cap() * int(adj.Type().Elem().Size())

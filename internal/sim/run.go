@@ -70,7 +70,7 @@ type SkewReport struct {
 
 // Simulation is one fully wired scenario: the one DES harness. Its
 // engine set P runs a serial config on one shard, which is the serial
-// engine (one heap, (t, seq) order), and a Parallel config on
+// engine (one queue, (t, seq) order), and a Parallel config on
 // Config.Shards block-partitioned shards with lookahead MinDelay. A
 // shard's engine and lane of Net carry its nodes' clocks, drivers,
 // beacon timers and deliveries; churn, fault chains and sampling run on
