@@ -13,11 +13,12 @@ import (
 // runLowerBound implements `gcsim lowerbound`: it sweeps the Theorem 4.1
 // two-chain adversarial scenario over several node counts, prints the
 // observed-vs-analytic skew table, and dumps each run's skew series as
-// CSV plus the full report as JSON for plotting. Serially (the default)
-// one arena is reshaped across the whole sweep; with -workers > 1 the
-// node counts fan across arena-backed goroutines, and results (CSV rows
-// included) are emitted in sweep order — bit-identical to the serial
-// output.
+// CSV plus the full report as JSON for plotting. Each n is a plain
+// sim.Config with LowerBoundEps set, so malformed flags come back as
+// Config.Validate errors. Serially (the default) one arena is reshaped
+// across the whole sweep; with -workers > 1 the node counts fan across
+// arena-backed goroutines, and results (CSV rows included) are emitted
+// in sweep order — bit-identical to the serial output.
 func runLowerBound(args []string) {
 	fs := flag.NewFlagSet("gcsim lowerbound", flag.ExitOnError)
 	var (
@@ -38,40 +39,35 @@ func runLowerBound(args []string) {
 	if err != nil {
 		fail("lowerbound: %v", err)
 	}
-	// Validate flag values here so bad input gets a CLI error, not a
-	// panic out of the sim layer's config invariants.
-	if *rho <= 0 || *rho >= 1 {
-		fail("lowerbound: -rho %v outside (0, 1)", *rho)
+	// Config reads a zero Rho or MaxDelay as "use the default", so a 0
+	// here would run something other than what was asked for.
+	if *rho == 0 || *delay == 0 {
+		fail("lowerbound: -rho and -delay must be nonzero")
 	}
-	if *delay <= 0 {
-		fail("lowerbound: -delay must be positive, got %v", *delay)
+	if *eps == 0 {
+		*eps = *delay / 1000
 	}
-	if *eps < 0 || *eps > *delay {
-		fail("lowerbound: -eps %v outside [0, -delay=%v] (0 means delay/1000)", *eps, *delay)
+	base := sim.Config{
+		Seed:          *seed,
+		Horizon:       *horizon,
+		Rho:           *rho,
+		MaxDelay:      *delay,
+		Topology:      sim.TopologySpec{Kind: sim.TopoTwoChains},
+		Driver:        sim.DriverSpec{Kind: sim.DriveConstant},
+		SampleEvery:   *sample,
+		LowerBoundEps: *eps,
 	}
-	if *beacon <= 0 || *sample <= 0 {
-		fail("lowerbound: -beacon and -sample must be positive")
-	}
-	if *horizon < 0 {
-		fail("lowerbound: -horizon must be nonnegative (0 derives it per n)")
+	base.Node.BeaconEvery = *beacon
+	results, err := sim.LowerBoundSweep(base, ns, *workers)
+	if err != nil {
+		fail("lowerbound: %v", err)
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fail("lowerbound: %v", err)
 	}
 
-	base := sim.LowerBoundConfig{
-		Seed:        *seed,
-		Rho:         *rho,
-		MaxDelay:    *delay,
-		Epsilon:     *eps,
-		BeaconEvery: *beacon,
-		SampleEvery: *sample,
-		Horizon:     *horizon,
-	}
-
 	var csv strings.Builder
 	csv.WriteString("n,t,min,max,skew\n")
-	results := sim.LowerBoundSweepParallel(base, ns, *workers)
 	fmt.Printf("%6s %8s %14s %14s %12s %12s\n",
 		"n", "maxDist", "maxSkew", "finalSkew", "omega(n)", "upperBound")
 	for _, res := range results {
@@ -89,10 +85,7 @@ func runLowerBound(args []string) {
 			last.N, first.N, ratio, float64(last.N)/float64(first.N))
 	}
 
-	effEps := *eps
-	if effEps == 0 {
-		effEps = *delay / 1000
-	}
+	eff := base.WithDefaults()
 	report := struct {
 		Seed        uint64                 `json:"seed"`
 		Rho         float64                `json:"rho"`
@@ -101,7 +94,7 @@ func runLowerBound(args []string) {
 		BeaconEvery float64                `json:"beacon_every"`
 		SampleEvery float64                `json:"sample_every"`
 		Results     []sim.LowerBoundResult `json:"results"`
-	}{*seed, *rho, *delay, effEps, *beacon, *sample, results}
+	}{eff.Seed, eff.Rho, eff.MaxDelay, eff.LowerBoundEps, eff.Node.BeaconEvery, eff.SampleEvery, results}
 	csvPath, jsonPath := writeArtifacts("lowerbound", *out, "lowerbound_skew.csv", csv.String(), "lowerbound_report.json", report)
 	fmt.Printf("wrote %s and %s\n", csvPath, jsonPath)
 }

@@ -15,7 +15,7 @@
 //	go run ./cmd/gcsim -n 100000 -horizon 5 -parallel -shards 16
 //
 // The `lowerbound` subcommand runs the Theorem 4.1 adversarial scenario
-// (two chains, layered rate schedules, asymmetric delay mask) over a
+// (two chains, layered rate schedules, asymmetric per-chain delays) over a
 // sweep of node counts, demonstrating the Omega(n) global skew, and
 // dumps the skew time series as CSV plus a JSON report for plotting:
 //

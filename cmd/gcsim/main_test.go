@@ -54,3 +54,19 @@ func TestRejectsUnknownArguments(t *testing.T) {
 		})
 	}
 }
+
+// TestLowerBoundRejectsBadEps: an adversary the model does not allow is
+// a Config.Validate error (exit 1, a sim: message), never a panic.
+func TestLowerBoundRejectsBadEps(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "gcsim", "lowerbound", "-n", "8", "-eps", "0.5", "-out", t.TempDir())
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("err %v, want exit status 1; stderr %q", err, stderr.String())
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "sim:") || strings.Contains(msg, "panic") {
+		t.Fatalf("stderr %q, want a sim: validation message and no panic", msg)
+	}
+}

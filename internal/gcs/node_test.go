@@ -27,7 +27,7 @@ func pairNet(t *testing.T, p Params, rate0, rate1, delay float64) (*des.Engine, 
 	t.Helper()
 	en := des.NewEngine()
 	g := dyngraph.NewDynamic(2, []dyngraph.Edge{dyngraph.E(0, 1)})
-	net := transport.New(en, g, transport.FixedDelay(delay), delay)
+	net := transport.New(en, g, func(*transport.Message) float64 { return delay }, delay)
 	nodes := make([]*Node, 2)
 	for i, rate := range []float64{rate0, rate1} {
 		i := i

@@ -219,6 +219,8 @@ func Supports(cfg sim.Config) error {
 		return fmt.Errorf("rt: Parallel selects the sharded DES engine; the real-time runtime is inherently concurrent")
 	case cfg.CheckGradient:
 		return fmt.Errorf("rt: CheckGradient requires the DES harness's consistent-cut distance tracking")
+	case cfg.LowerBoundEps != 0:
+		return fmt.Errorf("rt: LowerBoundEps selects the DES harness's Theorem 4.1 adversary; the real-time runtime draws uniform delays")
 	}
 	return nil
 }

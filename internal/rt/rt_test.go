@@ -65,6 +65,14 @@ func TestSupportsRejectsDESOnlyFeatures(t *testing.T) {
 	for name, mut := range map[string]func(*sim.Config){
 		"parallel": func(c *sim.Config) { c.Parallel = true },
 		"gradient": func(c *sim.Config) { c.CheckGradient = true },
+		// A valid sim config: rt would run its chains with uniform delays
+		// and free rates, silently dropping the adversary.
+		"lower bound": func(c *sim.Config) {
+			c.Topology.Kind, c.LowerBoundEps = sim.TopoTwoChains, 1e-5
+			if err := c.Validate(); err != nil {
+				t.Fatalf("lower bound: the adversary config is invalid: %v", err)
+			}
+		},
 	} {
 		cfg := base
 		mut(&cfg)

@@ -7,10 +7,10 @@ package sim
 // graph adjacency and history storage, transport flight arena, clocks,
 // nodes, sample buffers and skew series, the analytic bound's topology BFS) is
 // paid once per shape and then reused: re-running a same-shape config,
-// churn included, allocates nothing, which TestArenaSecondRunZeroAlloc
-// pins. On one shard, growing to a larger N reuses the smaller prefix
-// and allocates only the delta, so ascending sweeps (the lower-bound
-// n-sweep) stay cheap.
+// churn and the lower-bound adversary included, allocates nothing, which
+// TestArenaSecondRunZeroAlloc pins. On one shard, growing to a larger N
+// reuses the smaller prefix and allocates only the delta, so ascending
+// n-sweeps (LowerBoundSweep's, say) stay cheap.
 //
 // An Arena is single-threaded, like the Simulation it owns; parallel
 // sweeps give each worker its own Arena (see RunSweep).

@@ -85,10 +85,11 @@ func TestArenaGrowAndShrink(t *testing.T) {
 // node resets, driver and churn reseeds, the full execution, and the
 // report — for each workload shape. Unfaulted and faulted rings, the
 // grid, the sharded ring (the same harness core, one worker so no window
-// goroutines run), the rotating star and the volatile overlay allocate
-// nothing. The sweep, which wires a fresh arena per call, carries an
-// exact measured budget: a run above it is a regression, one below it
-// means the budget should be lowered to what it now reads.
+// goroutines run), the rotating star, the volatile overlay and the
+// Theorem 4.1 adversary allocate nothing. The sweep, which wires a fresh
+// arena per call, carries an exact measured budget: a run above it is a
+// regression, one below it means the budget should be lowered to what
+// it now reads.
 func TestArenaSecondRunZeroAlloc(t *testing.T) {
 	ring := Config{
 		N: 64, Seed: 11, Horizon: 5, Rho: 0.01, MaxDelay: 0.01,
@@ -109,6 +110,8 @@ func TestArenaSecondRunZeroAlloc(t *testing.T) {
 	star.Churn = ChurnSpec{Kind: ChurnRotatingStar, Period: 2, Overlap: 0.5}
 	volatile := ring
 	volatile.Churn = ChurnSpec{Kind: ChurnVolatile, Lifetime: 1.5, Absence: 1.0, ExtraEdges: 32}
+	lowerBound := lowerBoundBase(11)
+	lowerBound.N, lowerBound.Horizon = 64, 5
 
 	for _, tc := range []struct {
 		name   string
@@ -121,6 +124,7 @@ func TestArenaSecondRunZeroAlloc(t *testing.T) {
 		{"sharded ring", sharded, 0},
 		{"rotating star", star, 0},
 		{"volatile overlay", volatile, 0},
+		{"lower bound", lowerBound, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := NewArena()

@@ -9,7 +9,10 @@ import (
 // output with. Bump it whenever a field is added to Config (or to any
 // struct it embeds) or the encoding order changes: the canonical bytes
 // are the basis of the result store's content addresses, and a silent
-// layout change would alias old cached results onto new physics.
+// layout change would alias old cached results onto new physics. A
+// trailing field encoded only when non-zero (LowerBoundEps) needs no
+// bump: every config from before it encodes as it did, and every config
+// that sets it encodes longer than any of those.
 //
 // 1 -> 2: the trailing byte for the transport-batching opt-out is gone
 // with that Config field, and the serial transport now drops a message
@@ -50,8 +53,9 @@ const canonicalVersion = 4
 //     and NaN included) and exact — no formatting round-trip.
 //
 // Every remaining field is physics (Seed, delay law, topology, driver,
-// churn, node parameters, fault plan, whether the gradient is checked)
-// and is encoded in declared order behind a version byte.
+// churn, node parameters, fault plan, whether the gradient is checked,
+// the lower-bound adversary) and is encoded in declared order behind a
+// version byte.
 func (c Config) AppendCanonical(dst []byte) []byte {
 	d := c.WithDefaults()
 	dst = append(dst, canonicalVersion)
@@ -100,6 +104,9 @@ func (c Config) AppendCanonical(dst []byte) []byte {
 	dst = appendF64(dst, d.Faults.RateExcursionFactor)
 	dst = appendF64(dst, d.Faults.RateExcursionFor)
 	dst = appendF64(dst, d.Faults.Until)
+	if d.LowerBoundEps != 0 {
+		dst = appendF64(dst, d.LowerBoundEps)
+	}
 	return dst
 }
 

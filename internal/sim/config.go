@@ -30,8 +30,8 @@ const (
 	TopoComplete
 	// TopoTwoChains is the Theorem 4.1 / Figure 1 lower-bound network:
 	// two parallel chains sharing their endpoint nodes 0 and n-1 (see
-	// dyngraph.NewTwoChains). The LowerBound scenario layers adversarial
-	// rate schedules and delay masks over it.
+	// dyngraph.NewTwoChains). Config.LowerBoundEps runs the Theorem 4.1
+	// adversary over it.
 	TopoTwoChains
 )
 
@@ -281,6 +281,16 @@ type Config struct {
 	// reports are bit-identical across reruns and worker counts, and the
 	// zero value leaves the execution untouched draw for draw.
 	Faults FaultSpec
+
+	// LowerBoundEps, when positive, makes the run the Theorem 4.1
+	// adversary (Section 4) over the static TopoTwoChains network: every
+	// node follows the Eq. (1) layered rate schedule for its flexible
+	// distance from node 0, and every message takes exactly MaxDelay on
+	// chain A and exactly LowerBoundEps on chain B. It needs the constant
+	// driver (the adversary sets every rate) and MinDelay < LowerBoundEps
+	// <= MaxDelay. Zero is the ordinary run, and leaves the field out of
+	// the JSON form, as out of the canonical one.
+	LowerBoundEps float64 `json:",omitempty"`
 }
 
 // WithDefaults returns the config with unset fields filled in. It is
@@ -396,6 +406,15 @@ func (c Config) Validate() error {
 	}
 	if d.MinDelay < 0 || d.MinDelay >= d.MaxDelay {
 		return fmt.Errorf("sim: Config.MinDelay %v must lie in [0, MaxDelay %v)", d.MinDelay, d.MaxDelay)
+	}
+	if c.LowerBoundEps != 0 {
+		switch {
+		case c.Topology.Kind != TopoTwoChains || d.Churn.Kind != ChurnNone || d.Driver.Kind != DriveConstant:
+			return fmt.Errorf("sim: the lower-bound adversary needs the static two-chains topology and the constant driver")
+		case !(d.MinDelay < c.LowerBoundEps && c.LowerBoundEps <= d.MaxDelay):
+			return fmt.Errorf("sim: Config.LowerBoundEps %v must lie in (MinDelay %v, MaxDelay %v]",
+				c.LowerBoundEps, d.MinDelay, d.MaxDelay)
+		}
 	}
 	if err := d.Node.Validate(); err != nil {
 		return err

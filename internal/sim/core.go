@@ -18,8 +18,8 @@ import (
 type DriverState struct {
 	rand des.Rand
 	high bool
-	// lead is the delay to the end of an Eq. (1) head start at rate 1+rho,
-	// zero when there is none.
+	// lead is the delay to the end of the lower bound's Eq. (1) head
+	// start at rate 1+rho (arm sets it), zero when there is none.
 	lead float64
 }
 
@@ -32,25 +32,13 @@ func (d *DriverState) Start(node int, driveRand *des.Rand) {
 	d.lead = 0
 }
 
-// StartLayered gives a constant driver's chain the lower bound's Eq. (1)
-// schedule (Section 4) for a node at flexible distance dist from the
-// reference node, H(t) = t + min(rho*t, maxDelay*dist): rate 1+rho until
-// t = maxDelay*dist/rho, then 1, one breakpoint per Step. A node at
-// distance 0 runs at rate 1 throughout.
-func (d *DriverState) StartLayered(rho, maxDelay float64, dist int) {
-	d.lead = 0
-	if dist > 0 && rho != 0 {
-		d.lead = maxDelay * float64(dist) / rho
-	}
-}
-
 // Step advances the chain: it returns the hardware rate the node runs
 // at from now on and the delay to the next step, negative when there is
 // none (the constant driver sets its rate once, after any head start
-// StartLayered gave it). Like the fault chains of fault.Injector it
-// leaves turning that delay into a future call to the harness — a DES
-// event in core.driveStep, a re-armed wall timer in internal/rt — so the
-// chain logic exists once.
+// arm gave it). Like the fault chains of fault.Injector it leaves
+// turning that delay into a future call to the harness — a DES event in
+// core.driveStep, a re-armed wall timer in internal/rt — so the chain
+// logic exists once.
 func (d *DriverState) Step(spec DriverSpec, rho float64) (rate, next float64) {
 	switch spec.Kind {
 	case DriveConstant:
@@ -202,8 +190,9 @@ func (s *Simulation) init() {
 
 // arm finishes a rewire once Reset has reset the engine set and Net.
 // The order below assigns the tie-breaking event sequence numbers and is
-// part of the physics: drivers per node, churn, node start phases, fault
-// chains; the sampler follows on the first advance.
+// part of the physics: drivers per node, churn, node start phases, the
+// lower bound's head starts, fault chains; the sampler follows on the
+// first advance.
 func (s *Simulation) arm() {
 	cfg := &s.Cfg
 	n := cfg.N
@@ -259,6 +248,17 @@ func (s *Simulation) arm() {
 	s.root.ForkInto(0x9a5e, &s.phaseRand)
 	for i := 0; i < n; i++ {
 		s.Nodes[i].Start(s.phaseRand.Range(0, cfg.Node.BeaconEvery))
+	}
+
+	// The Eq. (1) schedule (Section 4) of a node at flexible distance d
+	// from node 0 is H(t) = t + min(rho*t, MaxDelay*d): rate 1+rho until
+	// t = MaxDelay*d/rho, then 1. Each driver took its rate-1 step above;
+	// this second step starts the head start at time 0.
+	if cfg.LowerBoundEps != 0 {
+		for v, d := range s.lbDists {
+			s.drivers[v].lead = cfg.MaxDelay * float64(d) / cfg.Rho
+			s.driveStep(uint64(v))
+		}
 	}
 
 	s.armFaults()

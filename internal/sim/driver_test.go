@@ -248,10 +248,12 @@ func TestDriverStateSteps(t *testing.T) {
 // node's hardware clock reads H(t) = t + min(rho*t, MaxDelay*dist), dist
 // being its flexible distance from the reference node.
 func TestLayeredRateMatchesEquationOne(t *testing.T) {
-	cfg := LowerBoundConfig{N: 32, Seed: 1}.WithDefaults()
-	dists, _ := lowerBoundDists(cfg.N)
-	s := newLowerBound(cfg)
-	for at := 0.5; at <= cfg.Horizon; at += 0.5 {
+	cfg := lowerBoundBase(1)
+	cfg.N = 32
+	cfg = cfg.WithDefaults()
+	dists := lowerBoundDists(cfg.N)
+	s := New(cfg)
+	for at := 0.5; at <= lowerBoundHorizon(cfg); at += 0.5 {
 		s.Advance(at)
 		for v, d := range dists {
 			want := at + math.Min(cfg.Rho*at, cfg.MaxDelay*float64(d))

@@ -12,13 +12,15 @@ import (
 // results. This is the boundary a long-running sweep service trusts
 // to reject arbitrary job payloads.
 func FuzzConfigValidate(f *testing.F) {
-	f.Add(16, uint64(1), 10.0, 0.01, 0.01, 0.0, int(TopoRing), 4, 4, int(DriveBangBang), 1.0, int(ChurnNone), 2.0, 0.5, false, 0, 0)
-	f.Add(12, uint64(7), 8.0, 0.02, 0.05, 0.01, int(TopoGrid), 3, 4, int(DriveRandomWalk), 0.5, int(ChurnRotatingStar), 1.0, 0.25, true, 4, 2)
-	f.Add(0, uint64(0), -1.0, 1.5, -0.5, 0.2, 99, 0, 0, 99, 0.0, 99, 0.0, 0.0, false, -3, -1)
-	f.Add(5, uint64(3), 6.0, 0.1, 0.02, 0.0, int(TopoComplete), 0, 0, int(DriveConstant), 0.0, int(ChurnVolatile), 1.5, 1.0, false, 0, 8)
+	f.Add(16, uint64(1), 10.0, 0.01, 0.01, 0.0, int(TopoRing), 4, 4, int(DriveBangBang), 1.0, int(ChurnNone), 2.0, 0.5, false, 0, 0, 0.0)
+	f.Add(12, uint64(7), 8.0, 0.02, 0.05, 0.01, int(TopoGrid), 3, 4, int(DriveRandomWalk), 0.5, int(ChurnRotatingStar), 1.0, 0.25, true, 4, 2, 0.0)
+	f.Add(0, uint64(0), -1.0, 1.5, -0.5, 0.2, 99, 0, 0, 99, 0.0, 99, 0.0, 0.0, false, -3, -1, -1.0)
+	f.Add(5, uint64(3), 6.0, 0.1, 0.02, 0.0, int(TopoComplete), 0, 0, int(DriveConstant), 0.0, int(ChurnVolatile), 1.5, 1.0, false, 0, 8, 0.0)
+	// The Theorem 4.1 adversary, as gcsim lowerbound builds it.
+	f.Add(32, uint64(1), 0.0, 0.01, 0.01, 0.0, int(TopoTwoChains), 0, 0, int(DriveConstant), 0.0, int(ChurnNone), 0.0, 0.0, false, 0, 0, 1e-5)
 	f.Fuzz(func(t *testing.T, n int, seed uint64, horizon, rho, maxDelay, minDelay float64,
 		topo, w, h, driver int, interval float64, churn int, period, overlap float64,
-		parallel bool, shards, extra int) {
+		parallel bool, shards, extra int, eps float64) {
 		cfg := Config{
 			N:        n,
 			Seed:     seed,
@@ -32,8 +34,9 @@ func FuzzConfigValidate(f *testing.F) {
 				Kind: ChurnKind(churn), Period: period, Overlap: overlap,
 				Lifetime: period, Absence: overlap, ExtraEdges: extra,
 			},
-			Parallel: parallel,
-			Shards:   shards,
+			Parallel:      parallel,
+			Shards:        shards,
+			LowerBoundEps: eps,
 		}
 		err := cfg.Validate()
 		if err != nil {
@@ -56,6 +59,13 @@ func FuzzConfigValidate(f *testing.F) {
 		// The gradient bound is monotone in distance.
 		if cfg.GradientBound(2) < cfg.GradientBound(1) {
 			t.Fatalf("gradient bound not monotone: d1=%v d2=%v", cfg.GradientBound(1), cfg.GradientBound(2))
+		}
+		// An accepted adversary has a two-chains network to lay out (a
+		// horizon that overflows to +Inf is LowerBoundSweep's to reject).
+		if eps != 0 {
+			if hz := lowerBoundHorizon(d); !(hz > 0) {
+				t.Fatalf("lower-bound horizon %v for accepted config %+v", hz, cfg)
+			}
 		}
 	})
 }

@@ -37,14 +37,34 @@ func chaosPlan(t *testing.T, name string) FaultSpec {
 // 10) and lives in its own file, so a deliberate physics change shows
 // up as a reviewable diff of exactly the cells it moved.
 func TestGoldenReports(t *testing.T) {
+	for _, c := range goldenCells(t) {
+		t.Run(c.name, func(t *testing.T) {
+			var want SkewReport
+			checkGolden(t, c.name, mustRun(t, c.cfg), &want)
+		})
+	}
+	t.Run("lowerbound_n32", func(t *testing.T) {
+		got := mustLowerBound(t, lowerBoundBase(1), 1, 32)[0]
+		got.Series = nil // not in the golden format (below)
+		var want LowerBoundResult
+		checkGolden(t, "lowerbound_n32", got, &want)
+	})
+}
+
+// goldenCell is one row of the golden scenario matrix.
+type goldenCell struct {
+	name string
+	cfg  Config
+}
+
+// goldenCells returns the scenario x harness matrix TestGoldenReports
+// pins, one file per cell.
+func goldenCells(t *testing.T) []goldenCell {
 	ring := TopologySpec{Kind: TopoRing}
 	walk := DriverSpec{Kind: DriveRandomWalk, Interval: 0.5}
 	volatile := ChurnSpec{Kind: ChurnVolatile, Lifetime: 1.5, Absence: 1.0, ExtraEdges: 16}
 	star := ChurnSpec{Kind: ChurnRotatingStar, Period: 2, Overlap: 0.5}
-	cells := []struct {
-		name string
-		cfg  Config
-	}{
+	return []goldenCell{
 		{"serial_ring_randomwalk", Config{
 			N: 32, Seed: 1, Horizon: 10, Topology: ring, Driver: walk}},
 		{"serial_line_constant", Config{
@@ -82,18 +102,6 @@ func TestGoldenReports(t *testing.T) {
 			N: 32, Seed: 9, Horizon: 10, Topology: ring, Driver: walk,
 			Faults: chaosPlan(t, "crashstop")}},
 	}
-	for _, c := range cells {
-		t.Run(c.name, func(t *testing.T) {
-			var want SkewReport
-			checkGolden(t, c.name, mustRun(t, c.cfg), &want)
-		})
-	}
-	t.Run("lowerbound_n32", func(t *testing.T) {
-		got := NewArena().RunLowerBound(LowerBoundConfig{N: 32, Seed: 1})
-		got.Series = nil // not in the golden format (below)
-		var want LowerBoundResult
-		checkGolden(t, "lowerbound_n32", got, &want)
-	})
 }
 
 // checkGolden diffs got against testdata/golden/<name>.golden decoded

@@ -2,8 +2,25 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
+
+// lowerBoundBase is the Theorem 4.1 adversary at the defaults gcsim
+// lowerbound runs: chain B charged MaxDelay/1000, N left to the sweep.
+func lowerBoundBase(seed uint64) Config {
+	return Config{Seed: seed, Topology: TopologySpec{Kind: TopoTwoChains}, LowerBoundEps: 0.01 / 1000}
+}
+
+// mustLowerBound runs base at each n in ns on workers goroutines.
+func mustLowerBound(t *testing.T, base Config, workers int, ns ...int) []LowerBoundResult {
+	t.Helper()
+	res, err := LowerBoundSweep(base, ns, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // TestLowerBoundOmegaGrowth is the Theorem 4.1 acceptance test: under
 // the layered adversary the observed max global skew grows linearly in
@@ -12,7 +29,7 @@ import (
 // fast nodes' beacons look on-time and no jump rule can fire (the
 // paper's indistinguishability argument, executed rather than argued).
 func TestLowerBoundOmegaGrowth(t *testing.T) {
-	results := LowerBoundSweepParallel(LowerBoundConfig{Seed: 1}, []int{32, 64, 128, 256}, 1)
+	results := mustLowerBound(t, lowerBoundBase(1), 1, 32, 64, 128, 256)
 	for _, res := range results {
 		if res.MaxGlobalSkew < res.OmegaSkew {
 			t.Errorf("n=%d: observed skew %v below analytic lower bound %v",
@@ -43,13 +60,11 @@ func TestLowerBoundOmegaGrowth(t *testing.T) {
 // later runs reuse its series buffer: a result that aliased it would be
 // overwritten.
 func TestLowerBoundSweepMatchesIndividualRuns(t *testing.T) {
-	base := LowerBoundConfig{Seed: 3}
+	base := lowerBoundBase(3)
 	ns := []int{64, 32, 48}
-	swept := LowerBoundSweepParallel(base, ns, 1)
+	swept := mustLowerBound(t, base, 1, ns...)
 	for i, n := range ns {
-		cfg := base
-		cfg.N = n
-		want := NewArena().RunLowerBound(cfg)
+		want := mustLowerBound(t, base, 1, n)[0]
 		if !reflect.DeepEqual(swept[i], want) {
 			t.Fatalf("n=%d: sweep result diverged from individual run:\n  sweep = %+v\n  fresh = %+v",
 				n, swept[i], want)
@@ -62,32 +77,32 @@ func TestLowerBoundSweepMatchesIndividualRuns(t *testing.T) {
 // to rate 1 — the executions stay indistinguishable, so the final skew
 // equals the maximum.
 func TestLowerBoundSkewPersists(t *testing.T) {
-	res := NewArena().RunLowerBound(LowerBoundConfig{N: 64, Seed: 1})
+	res := mustLowerBound(t, lowerBoundBase(1), 1, 64)[0]
 	if res.FinalGlobalSkew != res.MaxGlobalSkew {
 		t.Fatalf("skew decayed: final %v < max %v", res.FinalGlobalSkew, res.MaxGlobalSkew)
 	}
 }
 
 // TestLowerBoundDeterminism: the same config reproduces the result, its
-// skew series included, point for point.
+// skew series included, point for point, on any worker count.
 func TestLowerBoundDeterminism(t *testing.T) {
-	cfg := LowerBoundConfig{N: 48, Seed: 7}
-	a := NewArena().RunLowerBound(cfg)
-	b := NewArena().RunLowerBound(cfg)
+	a := mustLowerBound(t, lowerBoundBase(7), 1, 48, 16)
+	b := mustLowerBound(t, lowerBoundBase(7), 2, 48, 16)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same config diverged:\n  a = %+v\n  b = %+v", a, b)
 	}
-	if a.EventsExecuted == 0 || a.Transport.Delivered == 0 || len(a.Series) != a.Samples {
-		t.Fatalf("degenerate execution: %d series points over %d samples, %+v", len(a.Series), a.Samples, a)
+	if r := a[0]; r.EventsExecuted == 0 || r.Transport.Delivered == 0 || len(r.Series) != r.Samples {
+		t.Fatalf("degenerate execution: %d series points over %d samples, %+v", len(r.Series), r.Samples, r)
 	}
 }
 
 // TestLowerBoundSteadyStateDoesNotAllocate pins the acceptance
-// criterion that the adversarial run — mask lookups, layered schedules,
-// the skew series included — stays allocation-free once warm.
+// criterion that the adversarial run — its delay law, layered schedules
+// and the skew series included — stays allocation-free once warm.
 func TestLowerBoundSteadyStateDoesNotAllocate(t *testing.T) {
-	cfg := LowerBoundConfig{N: 32, Seed: 1}.WithDefaults()
-	s := newLowerBound(cfg)
+	cfg := lowerBoundBase(1)
+	cfg.N = 32
+	s := New(cfg)
 	// Warm up: arenas, event pool and estimate maps all reach steady
 	// state within a few beacon intervals.
 	s.Advance(2)
@@ -101,25 +116,36 @@ func TestLowerBoundSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestLowerBoundConfigValidation(t *testing.T) {
-	for name, cfg := range map[string]LowerBoundConfig{
-		"tiny n":      {N: 3},
-		"eps too big": {N: 8, Epsilon: 0.5, MaxDelay: 0.01},
+// TestLowerBoundValidation: Validate, not a panic, rejects an adversary
+// the model does not allow, and the sweep returns its error.
+func TestLowerBoundValidation(t *testing.T) {
+	for name, tc := range map[string]struct {
+		mut  func(*Config)
+		want string
+	}{
+		"tiny n":       {func(c *Config) { c.N = 3 }, "n >= 4"},
+		"eps too big":  {func(c *Config) { c.LowerBoundEps = 0.5 }, "LowerBoundEps"},
+		"negative eps": {func(c *Config) { c.LowerBoundEps = -0.001 }, "LowerBoundEps"},
+		"ring":         {func(c *Config) { c.Topology.Kind = TopoRing }, "two-chains"},
+		"churn": {func(c *Config) {
+			c.Churn = ChurnSpec{Kind: ChurnVolatile, Lifetime: 1, Absence: 1, ExtraEdges: 2}
+		}, "two-chains"},
+		"random walk": {func(c *Config) { c.Driver.Kind = DriveRandomWalk }, "constant driver"},
+		// The sharded harness's default MinDelay, MaxDelay/4, lies above eps.
+		"parallel": {func(c *Config) { c.Parallel = true }, "MinDelay"},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: WithDefaults did not panic", name)
-				}
-			}()
-			cfg.WithDefaults()
-		}()
+		cfg := lowerBoundBase(1)
+		cfg.N = 8
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s: the unmutated adversary is rejected: %v", name, err)
+		}
+		tc.mut(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error naming %q", name, err, tc.want)
+		}
+		if res, err := LowerBoundSweep(cfg, []int{cfg.N}, 1); err == nil || res != nil {
+			t.Errorf("%s: LowerBoundSweep = %v, %v; want no results and an error", name, res, err)
+		}
 	}
-}
-
-// newLowerBound wires cfg (defaults already applied) onto a fresh arena
-// without running it.
-func newLowerBound(cfg LowerBoundConfig) *Simulation {
-	dists, isB := lowerBoundDists(cfg.N)
-	return newLowerBoundWired(NewArena(), cfg, dists, isB)
 }

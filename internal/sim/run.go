@@ -120,8 +120,14 @@ type Simulation struct {
 	// delays is the run's delay law, rewired by Reset.
 	delays transport.Delays
 
+	// lbDists is each node's flexible distance in the lower bound's
+	// two-chains network, cached per node count; lbDelayFn is that run's
+	// delay law, bound on first use (Config.LowerBoundEps).
+	lbDists   []int
+	lbDelayFn transport.DelayFn
+
 	// Long-lived callbacks, bound once so rewiring and sampling allocate
-	// nothing. delayFn draws from delays and is Net's base DelayFn.
+	// nothing. delayFn draws from delays and is Net's delay law.
 	delayFn                  transport.DelayFn
 	driveFn, crashFn, rateFn des.ArgHandler
 	churnFn                  des.ArgHandler
@@ -185,11 +191,11 @@ func New(cfg Config) *Simulation {
 }
 
 // Reset rewires the simulation in place for cfg: it validates and
-// defaults cfg, reseeds the root stream and the delay law, resets the
-// graph to the (cached) initial edge set, resets or rebuilds the engine
-// set and Net, and arms the run. After Reset the simulation behaves
-// exactly like New(cfg), bit for bit, and a same-shape rewire performs
-// zero allocations.
+// defaults cfg, reseeds the root stream and the delay law (or picks the
+// lower-bound adversary's), resets the graph to the (cached) initial
+// edge set, resets or rebuilds the engine set and Net, and arms the
+// run. After Reset the simulation behaves exactly like New(cfg), bit for
+// bit, and a same-shape rewire performs zero allocations.
 func (s *Simulation) Reset(cfg Config) {
 	// New/Reset keep the panic contract for programmer errors; the
 	// error-returning boundary is RunSweep, which validates every cell.
@@ -200,6 +206,10 @@ func (s *Simulation) Reset(cfg Config) {
 	s.Cfg = cfg
 	s.root.Reseed(cfg.Seed)
 	s.delays.Wire(cfg.MinDelay, cfg.MaxDelay, cfg.N, &s.root)
+	delay := s.delayFn
+	if cfg.LowerBoundEps != 0 {
+		delay = s.adversary(cfg.N)
+	}
 
 	star := cfg.Churn.Kind == ChurnRotatingStar
 	if key := (edgeKey{topo: cfg.Topology, n: cfg.N, star: star}); key != s.edgeCfg {
@@ -228,25 +238,45 @@ func (s *Simulation) Reset(cfg Config) {
 		}
 	}
 	if s.P == nil || sh != s.shape {
-		s.build(cfg, sh)
+		s.build(cfg, sh, delay)
 	} else {
 		s.P.Reset()
-		s.Net.Reset(s.delayFn, cfg.MaxDelay)
+		s.Net.Reset(delay, cfg.MaxDelay)
 	}
 	s.arm()
 }
 
+// adversary returns the Theorem 4.1 delay law over n nodes: MaxDelay on
+// every flexible hop (chain A), LowerBoundEps on every constrained one
+// (chain B). The closure is bound on first use, so runs that never ask
+// for it do not pay for it.
+func (s *Simulation) adversary(n int) transport.DelayFn {
+	if len(s.lbDists) != n {
+		s.lbDists = lowerBoundDists(n)
+	}
+	if s.lbDelayFn == nil {
+		s.lbDelayFn = func(m *transport.Message) float64 {
+			if s.lbDists[m.From] > 0 || s.lbDists[m.To] > 0 {
+				return s.Cfg.MaxDelay
+			}
+			return s.Cfg.LowerBoundEps
+		}
+	}
+	return s.lbDelayFn
+}
+
 // build constructs the engine set, the node partition and the transport
-// (one lane per shard) for a new shape. Clocks bind to their shard's
-// engine and nodes to Net at construction, so arm rebuilds the pools.
-func (s *Simulation) build(cfg Config, sh shape) {
+// (one lane per shard, drawing from delay) for a new shape. Clocks bind
+// to their shard's engine and nodes to Net at construction, so arm
+// rebuilds the pools.
+func (s *Simulation) build(cfg Config, sh shape, delay transport.DelayFn) {
 	s.shape = sh
 	s.P = des.NewParallelEngine(sh.shards, sh.lookahead)
 	s.Engine = s.P.Global()
 	s.allClocks, s.allNodes = nil, nil
 	if sh.shards == 1 {
 		s.shardOf = nil
-		s.Net = transport.New(s.Engine, s.Graph, s.delayFn, cfg.MaxDelay)
+		s.Net = transport.New(s.Engine, s.Graph, delay, cfg.MaxDelay)
 		return
 	}
 
@@ -264,7 +294,7 @@ func (s *Simulation) build(cfg Config, sh shape) {
 	// des.CrossMsg and is put in flight on the owning lane at the merge.
 	// The delay floor is the lookahead, so it always lands beyond the
 	// current safe window (ParallelEngine.merge checks).
-	s.Net = transport.NewSharded(engines, s.Graph, s.delayFn, cfg.MaxDelay, s.shardOf, "psim.deliver",
+	s.Net = transport.NewSharded(engines, s.Graph, delay, cfg.MaxDelay, s.shardOf, "psim.deliver",
 		func(src, dst int, m *transport.Message) {
 			s.P.SendCross(src, dst, des.CrossMsg{
 				DeliverAt: m.DeliverAt,

@@ -42,7 +42,7 @@ func CellSeed(base uint64, index int) uint64 {
 // means GOMAXPROCS), each owning a private Arena reused from cell to
 // cell, and blocks until all cells ran. run must write only
 // index-disjoint state. This is the one worker-pool implementation
-// behind RunSweep and LowerBoundSweepParallel.
+// behind RunSweep and LowerBoundSweep.
 func forEachCell(n, workers int, run func(i int, a *Arena)) {
 	if n == 0 {
 		return

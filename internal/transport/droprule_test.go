@@ -145,10 +145,10 @@ func TestDeliveryTimeDropMatchesEagerCancel(t *testing.T) {
 // TestDropRuleTies pins the rule where the measure-zero cases decide:
 // a message is carried iff dyngraph's Interval.Covers(SentAt, DeliverAt)
 // holds for the edge's current interval, i.e. Start <= SentAt and
-// DeliverAt < End. Each tie is pinned twice, with FixedDelay through the
-// delay mask: sender and receiver on one lane (the serial harness), and
-// on two lanes with the flight crossing between them (the sharded one) —
-// lane.deliver is the one predicate both harnesses ask.
+// DeliverAt < End. Each tie is pinned twice, with a FixedDelay law:
+// sender and receiver on one lane (the serial harness), and on two lanes
+// with the flight crossing between them (the sharded one) — lane.deliver
+// is the one predicate both harnesses ask.
 func TestDropRuleTies(t *testing.T) {
 	e := dyngraph.E(0, 1)
 	const d = 0.5
@@ -192,8 +192,7 @@ func TestDropRuleTies(t *testing.T) {
 		t.Run(tie.name, func(t *testing.T) {
 			for lanes := 1; lanes <= 2; lanes++ {
 				t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
-					r := newLaneRig(lanes, 2, tie.edges, UniformDelay(1, des.NewRand(1)), 1)
-					r.net.SetDelayMask(func(from, to int) DelayFn { return fixed })
+					r := newLaneRig(lanes, 2, tie.edges, fixed, 1)
 					tie.script(r)
 					r.run(1)
 

@@ -19,8 +19,8 @@
 // lane per engine holding everything a send or a delivery writes: the
 // flight arena, the Broadcast buffer and the counters of the nodes that
 // engine carries. A lane may be touched only by its own engine's events
-// or while every engine is stopped; the delay law, mask, fault plan,
-// handler table and graph are shared and read-only while engines run, so
+// or while every engine is stopped; the delay law, fault plan, handler
+// table and graph are shared and read-only while engines run, so
 // a DelayFn or fault plan that keeps state must key it by sender. A send
 // runs on the sender's lane; a flight bound for another lane is handed,
 // finished, to the cross callback, whose owner must Accept it on the
@@ -28,11 +28,11 @@
 // delay law leaves it the time (a floor at the engines' lookahead) is the
 // caller's DelayFn contract, and des.ParallelEngine.merge checks it.
 //
-// Delays are drawn per message from a base DelayFn, optionally overridden
-// per directed edge by an EdgeDelayFn mask — the instrument of the
-// Section 4 adversary, which charges asymmetric delays across the
-// lower-bound network's two chains. Every harness's base law is Delays:
-// uniform in (min, max], from the sender's own stream.
+// Delays are drawn per message from one DelayFn, which sees the whole
+// message, sender and receiver included. Every harness's nominal law is
+// Delays: uniform in (min, max], from the sender's own stream. The
+// Section 4 adversary is another DelayFn, charging asymmetric delays
+// across the lower-bound network's two chains.
 //
 // The send/deliver path is allocation-free in steady state: payloads are
 // typed float64 values (the only payload the GCS model carries — a
@@ -110,26 +110,6 @@ func (d *Delays) Draw(from int) float64 {
 	return d.min + (d.max-d.min)*(1-d.rands[from].Float64())
 }
 
-// FixedDelay returns a DelayFn that always charges d. Adversarial
-// schedules and tests use it to pin message timing exactly.
-func FixedDelay(d float64) DelayFn {
-	if d <= 0 {
-		panic("transport: fixed delay must be positive")
-	}
-	return func(*Message) float64 { return d }
-}
-
-// EdgeDelayFn is a per-edge adversarial delay mask. It is consulted once
-// per send with the directed pair (from, to) and returns the DelayFn to
-// charge for that message, or nil to fall back to the network's base
-// delay. This is the adversary of the paper's Section 4 lower bound,
-// which charges the full maxDelay on the edges of one chain of the
-// two-chain network and a near-zero delay on the other. The mask runs on
-// the send hot path, so implementations must not allocate; returning
-// pre-built DelayFn values (e.g. FixedDelay closures created once at
-// wiring time) keeps the path allocation-free.
-type EdgeDelayFn func(from, to int) DelayFn
-
 // Stats counts transport activity over an execution.
 type Stats struct {
 	// Sent counts messages accepted for delivery.
@@ -149,8 +129,6 @@ type Network struct {
 	g        *dyngraph.Dynamic
 	maxDelay float64
 	delay    DelayFn
-	// mask, when non-nil, overrides delay per directed (from, to) pair.
-	mask EdgeDelayFn
 	// handlers is indexed by node id.
 	handlers []Handler
 	// faults, when non-nil, draws a per-message fault verdict (drop,
@@ -233,8 +211,8 @@ func NewSharded(engines []*des.Engine, g *dyngraph.Dynamic, delay DelayFn, maxDe
 
 // Reset forgets all in-flight traffic and counters and installs a new
 // delay law, reusing the flight arenas and handler table, so a rewired
-// simulation's transport allocates nothing in steady state. The delay
-// mask and fault plan are removed. Call it after the engines have been
+// simulation's transport allocates nothing in steady state. The fault
+// plan is removed. Call it after the engines have been
 // Reset: the pending delivery events are gone with them, so the flights
 // they pointed at are simply released. Handlers registered for surviving
 // node ids stay registered; the table grows if the graph was Reset to
@@ -251,7 +229,6 @@ func (n *Network) Reset(delay DelayFn, maxDelay float64) {
 	}
 	n.maxDelay = maxDelay
 	n.delay = delay
-	n.mask = nil
 	n.faults = nil
 	if g := n.g.N(); g > len(n.handlers) {
 		grown := make([]Handler, g)
@@ -265,15 +242,6 @@ func (n *Network) Reset(delay DelayFn, maxDelay float64) {
 		l.faultStats = fault.Stats{}
 	}
 }
-
-// SetDelayMask installs (or, with nil, removes) a per-edge delay mask.
-// While a mask is set, every send first asks mask(from, to) for a
-// DelayFn; a non-nil answer overrides the network's base delay law for
-// that message, a nil answer falls through to it. Masked delays are
-// subject to the same (0, maxDelay] validation as base delays, and
-// masked messages are dropped like any other if their edge disappears
-// before delivery.
-func (n *Network) SetDelayMask(mask EdgeDelayFn) { n.mask = mask }
 
 // SetFaults installs (or, with nil, removes) a message-fault plan:
 // every send first draws a verdict from it — dropped messages count
@@ -376,13 +344,7 @@ func (l *lane) sendOne(from, to int, e dyngraph.Edge, value float64, spikedDelay
 	}
 	d := spikedDelay
 	if d == 0 {
-		delay := n.delay
-		if n.mask != nil {
-			if m := n.mask(from, to); m != nil {
-				delay = m
-			}
-		}
-		d = delay(msg)
+		d = n.delay(msg)
 		if d <= 0 || d > n.maxDelay {
 			panic(fmt.Sprintf("transport: delay %v outside (0, %v]", d, n.maxDelay))
 		}

@@ -7,6 +7,15 @@ import (
 	"gcs/internal/dyngraph"
 )
 
+// FixedDelay returns a DelayFn that always charges d, pinning message
+// timing exactly.
+func FixedDelay(d float64) DelayFn {
+	if d <= 0 {
+		panic("transport: fixed delay must be positive")
+	}
+	return func(*Message) float64 { return d }
+}
+
 // rig is a two-node-plus graph with a recording handler on every node.
 type rig struct {
 	en  *des.Engine
@@ -198,95 +207,48 @@ func TestFlightPoolReuseAfterDrops(t *testing.T) {
 	}
 }
 
-func TestEdgeDelayMaskOverridesBase(t *testing.T) {
-	// Base delay 0.5; the mask charges 0.1, but only in the 0 -> 1
-	// direction, so the reverse direction falls through to the base law.
-	r := newRig(t, 2, []dyngraph.Edge{dyngraph.E(0, 1)}, FixedDelay(0.5), 1)
-	masked := FixedDelay(0.1)
-	r.net.SetDelayMask(func(from, to int) DelayFn {
-		if from == 0 && to == 1 {
-			return masked
-		}
-		return nil
-	})
+// directional charges 0.1 from node 0 to node 1 and 0.5 the other way:
+// a delay law sees the whole message, so an adversary keyed on the
+// sender and receiver (Section 4's two chains) is just a DelayFn.
+func directional(m *Message) float64 {
+	if m.From == 0 && m.To == 1 {
+		return 0.1
+	}
+	return 0.5
+}
+
+func TestDelayFnKeyedOnDirection(t *testing.T) {
+	r := newRig(t, 2, []dyngraph.Edge{dyngraph.E(0, 1)}, directional, 1)
 	r.net.Send(0, 1, 1)
 	r.net.Send(1, 0, 2)
 	r.en.Run(0.2)
 	if len(r.got[1]) != 1 {
-		t.Fatalf("masked 0->1 message not delivered at masked delay: got %v", r.got[1])
+		t.Fatalf("0->1 message not delivered at its 0.1 delay: got %v", r.got[1])
 	}
 	if d := r.got[1][0].DeliverAt - r.got[1][0].SentAt; d != 0.1 {
-		t.Fatalf("masked delay = %v, want 0.1", d)
+		t.Fatalf("0->1 delay = %v, want 0.1", d)
 	}
 	if len(r.got[0]) != 0 {
-		t.Fatalf("unmasked 1->0 message arrived before base delay: %v", r.got[0])
+		t.Fatalf("1->0 message arrived before its 0.5 delay: %v", r.got[0])
 	}
 	r.en.Run(1)
 	if len(r.got[0]) != 1 {
-		t.Fatalf("unmasked message never delivered: %v", r.got[0])
+		t.Fatalf("1->0 message never delivered: %v", r.got[0])
 	}
 	if d := r.got[0][0].DeliverAt - r.got[0][0].SentAt; d != 0.5 {
-		t.Fatalf("unmasked delay = %v, want base 0.5", d)
-	}
-	// Removing the mask restores the base law in both directions.
-	r.net.SetDelayMask(nil)
-	r.net.Send(0, 1, 3)
-	r.en.Run(5)
-	if d := r.got[1][1].DeliverAt - r.got[1][1].SentAt; d != 0.5 {
-		t.Fatalf("delay after mask removal = %v, want base 0.5", d)
-	}
-}
-
-func TestMaskedInFlightMessageStillDroppedOnEdgeRemoval(t *testing.T) {
-	e := dyngraph.E(0, 1)
-	r := newRig(t, 2, []dyngraph.Edge{e}, FixedDelay(0.1), 1)
-	slow := FixedDelay(0.5)
-	r.net.SetDelayMask(func(from, to int) DelayFn { return slow })
-	r.net.Send(0, 1, 1)
-	r.en.Schedule(0.2, "cut", func() { r.g.Remove(r.en.Now(), e) })
-	r.en.Run(5)
-	if len(r.got[1]) != 0 {
-		t.Fatalf("masked message survived edge removal: %v", r.got[1])
-	}
-	if s := r.net.Stats(); s.Sent != 1 || s.Dropped != 1 || s.Delivered != 0 {
-		t.Fatalf("stats = %+v", s)
+		t.Fatalf("1->0 delay = %v, want 0.5", d)
 	}
 }
 
 // The send/deliver hot path must not allocate once arenas are warm: this
-// is the tentpole property the benchmark numbers rest on.
+// is the tentpole property the benchmark numbers rest on. The delay law
+// reads the message, as the lower-bound adversary's does, and both
+// directions send.
 func TestSendSteadyStateDoesNotAllocate(t *testing.T) {
 	en := des.NewEngine()
 	g := dyngraph.NewDynamic(2, []dyngraph.Edge{dyngraph.E(0, 1)})
-	net := New(en, g, FixedDelay(0.1), 1)
+	net := New(en, g, directional, 1)
 	// Warm up the flight arena and event pool.
-	for i := 0; i < 64; i++ {
-		net.Send(0, 1, float64(i))
-	}
-	en.Run(64)
-	allocs := testing.AllocsPerRun(200, func() {
-		net.Broadcast(0, 1)
-		en.Run(en.Now() + 1)
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state broadcast+deliver allocated %v objects/op, want 0", allocs)
-	}
-}
-
-// A delay mask sits on the same hot path, so masked sends must stay
-// allocation-free too (the lower-bound scenario sends every message
-// through its mask).
-func TestMaskedSendSteadyStateDoesNotAllocate(t *testing.T) {
-	en := des.NewEngine()
-	g := dyngraph.NewDynamic(2, []dyngraph.Edge{dyngraph.E(0, 1)})
-	net := New(en, g, FixedDelay(0.1), 1)
-	masked := FixedDelay(0.05)
-	net.SetDelayMask(func(from, to int) DelayFn {
-		if from < to {
-			return masked
-		}
-		return nil
-	})
 	for i := 0; i < 64; i++ {
 		net.Send(0, 1, float64(i))
 		net.Send(1, 0, float64(i))
@@ -298,7 +260,7 @@ func TestMaskedSendSteadyStateDoesNotAllocate(t *testing.T) {
 		en.Run(en.Now() + 1)
 	})
 	if allocs > 0 {
-		t.Errorf("steady-state masked broadcast+deliver allocated %v objects/op, want 0", allocs)
+		t.Errorf("steady-state broadcast+deliver allocated %v objects/op, want 0", allocs)
 	}
 }
 
@@ -347,8 +309,8 @@ func TestHandlerSendDuringDeliveryGrowsArena(t *testing.T) {
 }
 
 // TestNetworkResetReusesState: after Reset the network behaves like a
-// fresh one (clean stats, no traffic left over, mask removed) while
-// reusing its arena, and handlers stay registered.
+// fresh one (clean stats, no traffic left over, the new delay law in
+// force) while reusing its arena, and handlers stay registered.
 func TestNetworkResetReusesState(t *testing.T) {
 	e := dyngraph.E(0, 1)
 	en := des.NewEngine()
@@ -356,7 +318,6 @@ func TestNetworkResetReusesState(t *testing.T) {
 	net := New(en, g, FixedDelay(0.5), 1)
 	var got []Message
 	net.SetHandler(1, func(m Message) { got = append(got, m) })
-	net.SetDelayMask(func(from, to int) DelayFn { return FixedDelay(0.9) })
 	for i := 0; i < 8; i++ {
 		net.Send(0, 1, float64(i))
 	}
@@ -373,9 +334,9 @@ func TestNetworkResetReusesState(t *testing.T) {
 	if len(got) != 1 || got[0].Value != 42 {
 		t.Fatalf("post-reset delivery = %v, want [42] and nothing from before the reset", got)
 	}
-	// The new base delay applies and the old mask is gone.
+	// The new delay law applies.
 	if d := got[0].DeliverAt - got[0].SentAt; d != 0.25 {
-		t.Fatalf("post-reset delay = %v, want fresh base 0.25", d)
+		t.Fatalf("post-reset delay = %v, want the new law's 0.25", d)
 	}
 	if s := net.Stats(); s.Sent != 1 || s.Delivered != 1 {
 		t.Fatalf("post-reset stats = %+v", s)
