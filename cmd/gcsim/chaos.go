@@ -47,7 +47,7 @@ func runChaos(args []string) {
 		seed     = fs.Uint64("seed", 1, "base seed; each cell derives its own")
 		horizon  = fs.Float64("horizon", 12, "simulated seconds per cell (faults stop at half)")
 		workers  = fs.Int("workers", 0, "parallel workers across cells — never affects the reports (0 = GOMAXPROCS)")
-		parallel = fs.Bool("parallel", false, "run every cell on the sharded parallel engine (its own delay physics)")
+		parallel = fs.Bool("parallel", false, "run every cell on the windowed engine: delay floor delay/4, 8 shards")
 		out      = fs.String("out", ".", "directory for chaos_grid.csv and chaos_report.json")
 	)
 	parseFlags(fs, args)

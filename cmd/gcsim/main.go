@@ -7,10 +7,10 @@
 //
 //	go run ./cmd/gcsim -n 64 -horizon 100 -churn rotatingstar -period 2 -overlap 0.5
 //
-// -parallel switches the scenario onto the sharded conservative
-// parallel engine; -shards and -min-delay are part of that engine's
-// physics, while -workers only changes how many goroutines execute it —
-// the report is bit-identical for every worker count:
+// -min-delay sets the message-delay floor (physics); above 0 the scenario
+// runs on the windowed conservative parallel engine with that lookahead.
+// -shards and -workers are execution: the report is bit-identical for
+// every value. -parallel is shorthand for -shards 8 -min-delay delay/4:
 //
 //	go run ./cmd/gcsim -n 100000 -horizon 5 -parallel -shards 16
 //
@@ -85,10 +85,10 @@ func runScenario() {
 		sf     = addScenarioFlags(flag.CommandLine, 30)
 		events = flag.Bool("events", false, "print a per-label event breakdown (via the DES trace hook)")
 
-		parallel = flag.Bool("parallel", false, "run on the sharded parallel engine (its own delay physics; see -shards)")
-		shards   = flag.Int("shards", 0, "parallel shard count — part of the physics (0 = default)")
-		workers  = flag.Int("workers", 0, "parallel worker goroutines — never affects the report (0 = GOMAXPROCS)")
-		minDelay = flag.Float64("min-delay", 0, "parallel delay floor = conservative lookahead (0 = delay/4)")
+		parallel = flag.Bool("parallel", false, "shorthand: -shards 8 and -min-delay delay/4 where unset")
+		shards   = flag.Int("shards", 0, "shard count of the windowed engine; needs -min-delay or -parallel — never affects the report (0 = 1)")
+		workers  = flag.Int("workers", 0, "worker goroutines of the windowed engine — never affects the report (0 = GOMAXPROCS)")
+		minDelay = flag.Float64("min-delay", 0, "message-delay floor, physics: above 0 it is the windowed engine's lookahead (0 = none, delay/4 with -parallel)")
 	)
 	parseFlags(flag.CommandLine, os.Args[1:])
 
@@ -105,7 +105,7 @@ func runScenario() {
 
 	s := sim.New(cfg)
 	// One count table per engine, since shard windows run concurrently. On
-	// one shard the global engine is Shard(0), so it is hooked once.
+	// the serial engine the global engine is Shard(0), so it is hooked once.
 	var counts []map[string]uint64
 	for i := 0; *events && i <= s.P.NumShards(); i++ {
 		en, m := s.Engine, map[string]uint64{}

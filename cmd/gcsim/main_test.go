@@ -58,15 +58,28 @@ func TestRejectsUnknownArguments(t *testing.T) {
 // TestLowerBoundRejectsBadEps: an adversary the model does not allow is
 // a Config.Validate error (exit 1, a sim: message), never a panic.
 func TestLowerBoundRejectsBadEps(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "gcsim", "lowerbound", "-n", "8", "-eps", "0.5", "-out", t.TempDir())
+	wantValidationError(t, "lowerbound", "-n", "8", "-eps", "0.5", "-out", t.TempDir())
+}
+
+// TestShardsNeedADelayFloor: a shard count without -min-delay or
+// -parallel is rejected, not silently run on the serial engine.
+func TestShardsNeedADelayFloor(t *testing.T) {
+	wantValidationError(t, "-shards", "4", "-n", "16", "-horizon", "1")
+}
+
+// wantValidationError runs gcsim with args and wants exit status 1 with
+// a sim: message on stderr and no panic.
+func wantValidationError(t *testing.T, args ...string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"gcsim"}, args...)...)
 	var stderr strings.Builder
 	cmd.Stderr = &stderr
 	err := cmd.Run()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Fatalf("err %v, want exit status 1; stderr %q", err, stderr.String())
+		t.Fatalf("gcsim %v: err %v, want exit status 1; stderr %q", args, err, stderr.String())
 	}
 	if msg := stderr.String(); !strings.Contains(msg, "sim:") || strings.Contains(msg, "panic") {
-		t.Fatalf("stderr %q, want a sim: validation message and no panic", msg)
+		t.Fatalf("gcsim %v: stderr %q, want a sim: validation message and no panic", args, msg)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // default horizon is short. The report shape is shared with the DES, and
 // the same pass/fail gates apply — with 2x slack on the skew gate,
 // because a wall-clock sampler takes fuzzy cuts, not the DES's exact
-// ones. What only the DES can run (-parallel, the gradient check) has no
-// flag here; rt.Supports names it for library callers.
+// ones. What only the DES can run (the gradient check, the lower-bound
+// adversary) has no flag here; rt.Supports names it for library callers.
 func runRealtime(args []string) {
 	fs := flag.NewFlagSet("realtime", flag.ExitOnError)
 	sf := addScenarioFlags(fs, 5)

@@ -94,9 +94,9 @@ func (f *scenarioFlags) config() (sim.Config, error) {
 func printReport(command string, eff sim.Config, rpt sim.SkewReport) {
 	fmt.Printf("%s n=%d topo=%v driver=%v churn=%v horizon=%gs rho=%g maxDelay=%g seed=%d\n",
 		command, eff.N, eff.Topology.Kind, eff.Driver.Kind, eff.Churn.Kind, eff.Horizon, eff.Rho, eff.MaxDelay, eff.Seed)
-	if eff.Parallel {
+	if eff.MinDelay > 0 {
 		fmt.Printf("parallel: shards=%d minDelay=%g (workers=%d — execution only, never in the report)\n",
-			eff.Shards, eff.MinDelay, eff.Workers)
+			max(eff.Shards, 1), eff.MinDelay, eff.Workers)
 	}
 	fmt.Printf("skew:     maxGlobal=%.6f  maxAdjacent=%.6f  final=%.6f  bound=%.6f\n",
 		rpt.MaxGlobalSkew, rpt.MaxAdjacentSkew, rpt.FinalGlobalSkew, rpt.Bound)

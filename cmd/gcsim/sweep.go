@@ -65,8 +65,8 @@ func runSweep(args []string) {
 		sample   = fs.Float64("sample", 0.1, "skew sampling period (real time)")
 		interval = fs.Float64("interval", 1, "driver rate-change interval")
 		workers  = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		parallel = fs.Bool("parallel", false, "run every cell on the sharded parallel engine (its own delay physics)")
-		shards   = fs.Int("shards", 0, "parallel shard count per cell — part of the physics (0 = default)")
+		parallel = fs.Bool("parallel", false, "run every cell on the windowed engine: delay floor delay/4, 8 shards")
+		shards   = fs.Int("shards", 0, "shard count per cell with -parallel — never affects a report (0 = 8)")
 		daemon   = fs.String("daemon", "", "submit the sweep to a gcsimd instance at this base URL instead of running locally")
 		out      = fs.String("out", ".", "directory for sweep_results.csv and sweep_report.json")
 	)

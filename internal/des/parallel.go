@@ -1,8 +1,10 @@
 package des
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -18,62 +20,63 @@ import (
 //   - Window phase: with tmin the earliest pending shard event and gt
 //     the earliest pending global event, all shards concurrently fire
 //     their events in [tmin, W) where W = min(tmin+lookahead, gt,
-//     horizon). The lookahead is the minimum cross-shard message delay,
-//     so nothing fired inside the window can schedule into another
-//     shard before W — the classical conservative-PDES safety argument.
+//     horizon). The lookahead is the minimum message delay, so no
+//     message sent inside the window is due before W — the classical
+//     conservative-PDES safety argument.
 //   - Global phase: when gt <= tmin, every shard is advanced to exactly
 //     gt (a barrier; AdvanceTo panics if a shard still has an earlier
 //     event, so the invariant is machine-checked) and the global events
 //     at gt run serially, free to read and mutate any shard's state.
 //
-// Cross-shard communication goes through per-(src, dst) outboxes:
-// during a phase each shard appends its outgoing messages to its own
-// outboxes (no synchronization — a shard writes only its own), and
-// after the phase barrier the coordinator hands them to the cross
-// handler in a fixed merge order (destination-major, then source shard,
-// then FIFO). Every shard therefore observes cross messages in an
-// order that is a pure function of the event structure, never of the
-// worker interleaving: a run with workers=W is bit-identical to the
-// workers=1 serial reference, which is what the determinism suite pins.
+// Every message goes through per-(src, dst) outboxes, a shard's own
+// included: a shard appends only to its own. Each window first hands
+// every shard what was sent to it since the last window began, one
+// node's same-instant messages in stable W0 order, then runs it. Neither
+// the batch a message joins nor that order depends on the partition, so
+// one node's same-instant deliveries meet alike on every shard and
+// worker count (Rönngren and Liljenstam, "On event ordering in parallel
+// discrete event simulation", PADS 1999): both counts are execution.
 //
-// The worker count is an execution detail, not part of the simulated
-// physics; the shard count IS part of the physics (it decides which
-// messages take the cross path), so it belongs to the scenario Config.
-//
-// One shard is the serial engine: the shard is the global engine, so
-// Run is that engine's own Run, in (t, seq) order with no windows.
+// With lookahead 0 the one shard is the global engine, and Run is its
+// own Run in (t, seq) order. One shard with lookahead is windowed.
 type ParallelEngine struct {
 	shards    []*Engine
 	global    *Engine
 	lookahead Time
-	// out[src][dst] is src's outbox toward dst, drained in merge order
-	// after every phase.
-	out     [][][]CrossMsg
+	// out[g][src][dst] is src's outbox toward dst in generation g; sends
+	// go to generation cur, and a window drains the other.
+	out [2][][][]CrossMsg
+	cur int
+	// due[src] is the earliest DeliverAt in src's generation-cur outboxes.
+	due []Time
+	// seen[dst] is dst's scratch set of hashed delivery times.
+	seen    [][1 << tieLog / 64]uint64
 	onCross CrossHandler
 	windows uint64
-	one     [1]*Engine // backs shards on one shard, saving an allocation
+	// next is the next shard a window's workers take; wg waits for them.
+	next atomic.Int64
+	wg   sync.WaitGroup
+	one  [1]*Engine // backs shards on one shard, saving an allocation
 }
 
-// CrossMsg is one cross-shard payload: an opaque 3-word value plus its
-// delivery time. The coordinator never interprets the words — the
-// layer above packs whatever it needs (sender, receiver, value bits).
+// CrossMsg is one message through the outboxes: an opaque 3-word value
+// plus its delivery time. The coordinator never interprets the words —
+// the layer above packs whatever it needs (sender, receiver, value bits).
 type CrossMsg struct {
 	DeliverAt  Time
 	W0, W1, W2 uint64
 }
 
-// CrossHandler receives merged cross messages destined for shard dst,
-// in deterministic merge order, with every engine barriered at or
-// before the messages' delivery times. Implementations schedule the
-// delivery on the dst shard's Engine.
+// CrossHandler receives the messages for shard dst, those with one
+// DeliverAt in W0 order, and schedules them on dst's Engine. Calls for
+// distinct dst may run concurrently.
 type CrossHandler func(dst int, m CrossMsg)
 
 // NewParallelEngine returns a coordinator over the given number of
-// shards. lookahead must be positive (one shard, which has no windows,
-// also takes 0): it is the amount of simulated time a window may run
-// past the earliest pending event, and the layer above must guarantee
-// no cross-shard message is delivered sooner than lookahead after it is
-// sent.
+// shards. lookahead is the amount of simulated time a window may run
+// past the earliest pending event, and the layer above must guarantee no
+// message is delivered sooner than lookahead after it is sent. It must
+// be positive, or 0 for the one-shard serial engine.
 func NewParallelEngine(shards int, lookahead Time) *ParallelEngine {
 	if shards < 1 {
 		panic("des: ParallelEngine needs at least one shard")
@@ -82,27 +85,30 @@ func NewParallelEngine(shards int, lookahead Time) *ParallelEngine {
 		panic("des: ParallelEngine needs positive lookahead")
 	}
 	p := &ParallelEngine{global: NewEngine(), lookahead: lookahead}
-	if shards == 1 {
+	if lookahead == 0 {
 		p.one[0] = p.global
 		p.shards = p.one[:]
 		return p
 	}
 	p.shards = make([]*Engine, shards)
-	p.out = make([][][]CrossMsg, shards)
+	p.seen = make([][1 << tieLog / 64]uint64, shards)
+	p.due = make([]Time, shards)
+	p.flip()
+	p.out = [2][][][]CrossMsg{make([][][]CrossMsg, shards), make([][][]CrossMsg, shards)}
 	for i := range p.shards {
 		p.shards[i] = NewEngine()
-		p.out[i] = make([][]CrossMsg, shards)
+		p.out[0][i], p.out[1][i] = make([][]CrossMsg, shards), make([][]CrossMsg, shards)
 	}
 	return p
 }
 
-// serial reports whether the engine set is one shard, the global engine.
-func (p *ParallelEngine) serial() bool { return len(p.out) == 0 }
+// serial reports whether the engine set is the one-shard serial engine.
+func (p *ParallelEngine) serial() bool { return p.out[0] == nil }
 
 // NumShards returns the shard count.
 func (p *ParallelEngine) NumShards() int { return len(p.shards) }
 
-// Shard returns shard i's serial engine (with one shard, the global
+// Shard returns shard i's engine (on the serial engine, the global
 // engine). Scheduling onto it is only safe from that shard's own events,
 // from the global phase, or while the coordinator is idle.
 func (p *ParallelEngine) Shard(i int) *Engine { return p.shards[i] }
@@ -114,65 +120,87 @@ func (p *ParallelEngine) Global() *Engine { return p.global }
 // SetCrossHandler installs the cross-shard delivery callback.
 func (p *ParallelEngine) SetCrossHandler(fn CrossHandler) { p.onCross = fn }
 
-// SendCross enqueues m from shard src toward shard dst. It must be
-// called from src's own execution (one of its events, or the global
-// phase attributing the send to src); the message reaches the cross
-// handler after the current phase's barrier. DeliverAt must be more
-// than the lookahead after the sending event's time — the merge
-// validates it against the destination clock and panics on violation.
+// SendCross enqueues m from shard src toward shard dst, for the cross
+// handler when the next window begins. Call it from src's own execution
+// (one of its events, or the global phase sending for src), with
+// DeliverAt more than the lookahead later; the merge panics otherwise.
 func (p *ParallelEngine) SendCross(src, dst int, m CrossMsg) {
-	p.out[src][dst] = append(p.out[src][dst], m)
-}
-
-// merge drains every outbox in deterministic order: destination-major,
-// then source shard, then FIFO within one outbox.
-func (p *ParallelEngine) merge() {
-	for dst := range p.shards {
-		en := p.shards[dst]
-		for src := range p.shards {
-			box := p.out[src][dst]
-			for i := range box {
-				if box[i].DeliverAt < en.Now() {
-					panic(fmt.Sprintf("des: cross message into shard %d at %v behind its clock %v (lookahead violated)",
-						dst, box[i].DeliverAt, en.Now()))
-				}
-				p.onCross(dst, box[i])
-			}
-			p.out[src][dst] = box[:0]
-		}
+	p.out[p.cur][src][dst] = append(p.out[p.cur][src][dst], m)
+	if m.DeliverAt < p.due[src] { // rarely true, so workers seldom share a line
+		p.due[src] = m.DeliverAt
 	}
 }
 
-// runWindow fires every shard's events strictly before limit, using up
-// to workers goroutines. Shards only touch their own state and their
-// own outboxes, so any assignment of shards to workers produces the
-// same result; the worker count is invisible to the simulation.
+// flip starts a new outbox generation; the next window drains the other.
+func (p *ParallelEngine) flip() {
+	p.cur ^= 1
+	for i := range p.due {
+		p.due[i] = math.Inf(1)
+	}
+}
+
+// tieLog is the log2 size of the hashed set mergeInto finds ties with.
+const tieLog = 14
+
+// mergeInto appends every drained outbox toward dst to dst's own and
+// hands that batch to the cross handler, messages with one DeliverAt in
+// stable W0 order (equal keys are one sender's, in its send order). The
+// engine orders distinct times, so a batch with no hashed tie is unsorted.
+func (p *ParallelEngine) mergeInto(dst int) {
+	out := p.out[p.cur^1]
+	in := out[dst][dst]
+	for src, row := range out {
+		if src != dst {
+			in = append(in, row[dst]...)
+			row[dst] = row[dst][:0]
+		}
+	}
+	seen := &p.seen[dst]
+	clear(seen[:])
+	for _, m := range in {
+		h := math.Float64bits(m.DeliverAt) * 0x9e3779b97f4a7c15 >> (64 - tieLog)
+		if seen[h/64]&(1<<(h%64)) != 0 {
+			slices.SortStableFunc(in, func(a, b CrossMsg) int {
+				return cmp.Or(cmp.Compare(a.DeliverAt, b.DeliverAt), cmp.Compare(a.W0, b.W0))
+			})
+			break
+		}
+		seen[h/64] |= 1 << (h % 64)
+	}
+	en := p.shards[dst]
+	for i := range in {
+		if in[i].DeliverAt < en.Now() {
+			panic(fmt.Sprintf("des: cross message into shard %d at %v behind its clock %v (lookahead violated)",
+				dst, in[i].DeliverAt, en.Now()))
+		}
+		p.onCross(dst, in[i])
+	}
+	out[dst][dst] = in[:0]
+}
+
+// runWindow hands every shard its batch and fires its events strictly
+// before limit, on up to workers goroutines. Shard i touches only its own
+// engine and outboxes and the drained outboxes toward it, so the worker
+// count is invisible to the simulation.
 func (p *ParallelEngine) runWindow(limit Time, workers int) {
-	if workers > len(p.shards) {
-		workers = len(p.shards)
-	}
-	if workers <= 1 {
-		for _, sh := range p.shards {
-			sh.RunBefore(limit)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	p.next.Store(0)
+	for w := 1; w < min(workers, len(p.shards)); w++ {
+		p.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(p.shards) {
-					return
-				}
-				p.shards[i].RunBefore(limit)
-			}
+			defer p.wg.Done()
+			p.work(limit)
 		}()
 	}
-	wg.Wait()
+	p.work(limit) // the calling goroutine is a worker too
+	p.wg.Wait()
+}
+
+// work runs the shards runWindow has not handed out yet.
+func (p *ParallelEngine) work(limit Time) {
+	for i := int(p.next.Add(1)) - 1; i < len(p.shards); i = int(p.next.Add(1)) - 1 {
+		p.mergeInto(i)
+		p.shards[i].RunBefore(limit)
+	}
 }
 
 // Windows returns the number of parallel window phases executed, for
@@ -183,11 +211,10 @@ func (p *ParallelEngine) Windows() uint64 { return p.windows }
 // and the global engine, counting each engine once.
 func (p *ParallelEngine) Executed() uint64 {
 	total := p.global.Executed()
-	if p.serial() {
-		return total
-	}
 	for _, sh := range p.shards {
-		total += sh.Executed()
+		if sh != p.global {
+			total += sh.Executed()
+		}
 	}
 	return total
 }
@@ -201,18 +228,21 @@ func (p *ParallelEngine) Reset() {
 	}
 	for i, sh := range p.shards {
 		sh.Reset()
-		for j := range p.out[i] {
-			p.out[i][j] = p.out[i][j][:0]
+		for _, gen := range p.out {
+			for j := range gen[i] {
+				gen[i][j] = gen[i][j][:0]
+			}
 		}
 	}
 	p.windows = 0
+	p.flip()
 }
 
 // Run executes the simulation to horizon: events at or before the
 // horizon fire (shard events concurrently inside safe windows, global
 // events serially at barriers), and every engine finishes with Now() at
-// the horizon. On one shard it is the global engine's own Run. Run may
-// be called again with a later horizon to continue the execution.
+// the horizon. The serial engine runs the global engine's own Run. Run
+// may be called again with a later horizon to continue the execution.
 func (p *ParallelEngine) Run(horizon Time, workers int) {
 	if p.serial() {
 		p.global.Run(horizon)
@@ -226,7 +256,8 @@ func (p *ParallelEngine) Run(horizon Time, workers int) {
 		if !gok {
 			gt = math.Inf(1)
 		}
-		tmin := math.Inf(1)
+		// The earliest shard event may still be a message in an outbox.
+		tmin := slices.Min(p.due)
 		for _, sh := range p.shards {
 			if t, ok := sh.NextEventTime(); ok && t < tmin {
 				tmin = t
@@ -236,24 +267,16 @@ func (p *ParallelEngine) Run(horizon Time, workers int) {
 			break
 		}
 		if gt <= tmin {
-			// Global phase: barrier every shard at exactly gt, then run
-			// the global events at gt.
+			// Global phase: barrier every shard at gt and run the global
+			// events there; their sends join the next window's batch.
 			for _, sh := range p.shards {
 				sh.AdvanceTo(gt)
 			}
 			p.global.RunBefore(math.Nextafter(gt, math.Inf(1)))
-			p.merge()
 			continue
 		}
-		w := tmin + p.lookahead
-		if gt < w {
-			w = gt
-		}
-		if limitH < w {
-			w = limitH
-		}
-		p.runWindow(w, workers)
-		p.merge()
+		p.flip()
+		p.runWindow(min(tmin+p.lookahead, gt, limitH), workers)
 		p.windows++
 	}
 	for _, sh := range p.shards {

@@ -235,7 +235,7 @@ func TestParallelReset(t *testing.T) {
 // event at t scheduled before it, which the multi-shard coordinator's
 // global-first barrier would reverse. Run opens no window, Executed and
 // Reset count that engine once, and lookahead 0 is accepted for one
-// shard only.
+// shard only. One shard with a positive lookahead is windowed instead.
 func TestParallelOneShardIsSerial(t *testing.T) {
 	p := NewParallelEngine(1, 0)
 	if p.Shard(0) != p.Global() {
@@ -260,10 +260,67 @@ func TestParallelOneShardIsSerial(t *testing.T) {
 	if p.Global().Now() != 0 || p.Global().Pending() != 0 || p.Executed() != 0 {
 		t.Fatal("Reset left the one engine dirty")
 	}
+	if w := NewParallelEngine(1, 0.1); w.Shard(0) == w.Global() {
+		t.Fatal("one shard with positive lookahead is the global engine")
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("two shards accepted lookahead 0")
 		}
 	}()
 	NewParallelEngine(2, 0)
+}
+
+// TestParallelMergeOrder pins the one delivery order: the merge hands a
+// destination the messages that share a DeliverAt in stable W0 order,
+// whatever shard sent each and in whatever order the shards sent them —
+// equal keys keep their sender's FIFO order — and so does every worker
+// count. Each shard sends its batch from one event at time 0, so the
+// whole batch merges at once.
+func TestParallelMergeOrder(t *testing.T) {
+	type got struct {
+		at     Time
+		w0, w1 uint64
+	}
+	run := func(workers int) [][]got {
+		p := NewParallelEngine(3, 0.5)
+		out := make([][]got, 3)
+		p.SetCrossHandler(func(dst int, m CrossMsg) {
+			out[dst] = append(out[dst], got{m.DeliverAt, m.W0, m.W1})
+		})
+		for src := 0; src < 3; src++ {
+			src := src
+			p.Shard(src).Schedule(0, "send", func() {
+				// Senders 2-src and 5-src on every shard, so a later source
+				// shard holds lower keys; W1 tags the send order.
+				for i, w0 := range []uint64{uint64(5 - src), uint64(2 - src), uint64(5 - src), uint64(2 - src)} {
+					for dst := 0; dst < 3; dst++ {
+						at := 1.0
+						if i == 3 {
+							at = 0.75
+						}
+						p.SendCross(src, dst, CrossMsg{DeliverAt: at, W0: w0, W1: uint64(src*10 + i)})
+					}
+				}
+			})
+		}
+		p.Run(1.5, workers)
+		return out
+	}
+	one := run(1)
+	for dst, batch := range one {
+		if len(batch) != 12 {
+			t.Fatalf("shard %d merged %d messages, want 12", dst, len(batch))
+		}
+		last := map[Time]got{}
+		for _, b := range batch {
+			if a, ok := last[b.at]; ok && (a.w0 > b.w0 || a.w0 == b.w0 && a.w1 > b.w1) {
+				t.Fatalf("shard %d: %+v handed over before %+v", dst, a, b)
+			}
+			last[b.at] = b
+		}
+	}
+	if two := run(2); !reflect.DeepEqual(two, one) {
+		t.Fatalf("two workers merged\n%v\none merged\n%v", two, one)
+	}
 }

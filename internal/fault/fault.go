@@ -10,12 +10,12 @@
 //   - hardware-rate excursions outside [1-rho, 1+rho]
 //
 // — while keeping every report a pure function of the scenario Config.
-// Faults are physics, exactly like shard counts and delay floors: every
-// draw comes from per-node streams forked off a dedicated root
-// (des.Rand.ForkInto never advances the parent), consumed in an order
-// that only depends on the node's own event sequence. A faulted run is
-// therefore bit-identical across reruns and across parallel worker
-// counts, and a zero-valued Spec leaves the unfaulted execution
+// Faults are physics, exactly like delay floors: every draw comes from
+// per-node streams forked off a dedicated root (des.Rand.ForkInto never
+// advances the parent), consumed in an order that only depends on the
+// node's own event sequence. A faulted run is therefore bit-identical
+// across reruns and across shard and worker counts, and a zero-valued
+// Spec leaves the unfaulted execution
 // untouched down to the last PRNG draw.
 //
 // Injection stops at Spec.Until (default half the horizon), leaving the

@@ -168,6 +168,62 @@ func TestDaemonDedupeAcrossJobs(t *testing.T) {
 	}
 }
 
+// TestDaemonShardsShareCells: the shard count is execution, so two
+// specs that differ only in it have the same cell keys, and the second
+// job is served wholly from the first one's facts.
+func TestDaemonShardsShareCells(t *testing.T) {
+	var runs atomic.Int32
+	d, err := New(Config{
+		Repo:    store.NewMemory(),
+		Workers: 1,
+		RunCell: func(a *sim.Arena, cfg sim.Config, slice float64, cont func() bool) (sim.SkewReport, bool) {
+			runs.Add(1)
+			return a.RunSliced(cfg, slice, cont)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Drain(0)
+
+	two := tinySpec()
+	two.Ns, two.Churns, two.Parallel, two.Shards = []int{8, 12}, []string{"none", "rotatingstar"}, true, 2
+	five := two
+	five.Shards = 5
+	a, err := two.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := five.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != len(b) || len(a) < 4 {
+		t.Fatalf("%d and %d cells, want one grid of at least 4", len(a), len(b))
+	}
+	for i := range a {
+		if store.KeyOf(a[i].Cfg) != store.KeyOf(b[i].Cfg) {
+			t.Fatalf("cell %d (%s): 2 and 5 shards have different keys", i, a[i].Name)
+		}
+	}
+	v1, _, err := d.Submit(two)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, d, v1.ID)
+	v2, created, err := d.Submit(five)
+	if err != nil || !created {
+		t.Fatalf("submit 5 shards: created=%t err=%v", created, err)
+	}
+	waitDone(t, d, v2.ID)
+	if v, _ := d.Job(v2.ID); v.Cached != len(a) || v.Done != len(a) {
+		t.Fatalf("5-shard job not served from the 2-shard facts: %+v", v)
+	}
+	if got := runs.Load(); int(got) != len(a) {
+		t.Fatalf("simulator ran %d cells, want %d (the second job fully cached)", got, len(a))
+	}
+}
+
 // TestDaemonCrashResume is the tentpole acceptance test at unit scale:
 // interrupt a sweep partway (drain with zero grace abandons the
 // in-flight cell, exactly like a crash — nothing unfinished is

@@ -212,11 +212,9 @@ type Runtime struct {
 
 // Supports reports whether the real-time runtime can execute cfg,
 // returning a descriptive error for the features only the DES harness
-// provides.
+// provides. Shards and Workers are execution, so a sharded config runs.
 func Supports(cfg sim.Config) error {
 	switch {
-	case cfg.Parallel:
-		return fmt.Errorf("rt: Parallel selects the sharded DES engine; the real-time runtime is inherently concurrent")
 	case cfg.CheckGradient:
 		return fmt.Errorf("rt: CheckGradient requires the DES harness's consistent-cut distance tracking")
 	case cfg.LowerBoundEps != 0:

@@ -63,7 +63,6 @@ func TestRealTimeSmoke(t *testing.T) {
 func TestSupportsRejectsDESOnlyFeatures(t *testing.T) {
 	base := sim.Config{N: 4, Horizon: 1, Topology: sim.TopologySpec{Kind: sim.TopoRing}}
 	for name, mut := range map[string]func(*sim.Config){
-		"parallel": func(c *sim.Config) { c.Parallel = true },
 		"gradient": func(c *sim.Config) { c.CheckGradient = true },
 		// A valid sim config: rt would run its chains with uniform delays
 		// and free rates, silently dropping the adversary.
@@ -85,6 +84,18 @@ func TestSupportsRejectsDESOnlyFeatures(t *testing.T) {
 	}
 	if err := Supports(base); err != nil {
 		t.Errorf("Supports rejected a plain ring: %v", err)
+	}
+	// Shards and workers are execution, so the sharding sugar is no
+	// DES-only feature: rt takes the config, with its MinDelay default.
+	sharded := base
+	sharded.Parallel, sharded.Shards, sharded.Workers = true, 2, 2
+	if err := Supports(sharded); err != nil {
+		t.Errorf("Supports rejected a sharded ring: %v", err)
+	}
+	if r, err := New(sharded); err != nil {
+		t.Errorf("New rejected a sharded ring: %v", err)
+	} else if got, want := r.cfg.MinDelay, sharded.WithDefaults().MaxDelay/4; got != want || want == 0 {
+		t.Errorf("sharded ring runs with MinDelay %v, want the sugar's default %v", got, want)
 	}
 }
 

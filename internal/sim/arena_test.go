@@ -178,10 +178,11 @@ func allocSweepCells() []SweepCell {
 }
 
 // TestArenaOneShardReuse pins the one harness's engine sets: a serial
-// config runs on one shard that is the global engine, with no shard
-// table, and an arena keeps that engine and its node pool as N changes.
-// Switching to a sharded shape and back rebuilds, and every run still
-// matches a fresh wiring.
+// config (MinDelay 0) runs on one shard that is the global engine, with
+// no shard table, and an arena keeps that engine and its node pool as N
+// changes. One shard with a delay floor is windowed, its shard apart from
+// the global engine. Switching to a sharded shape and back rebuilds, and
+// every run still matches a fresh wiring.
 func TestArenaOneShardReuse(t *testing.T) {
 	small := arenaConfigs()[0]
 	large := small
@@ -205,6 +206,9 @@ func TestArenaOneShardReuse(t *testing.T) {
 		s = a.Sim(cfg)
 		if want := max(cfg.Shards, 1); s.P.NumShards() != want {
 			t.Fatalf("%+v: %d shards, want %d", cfg, s.P.NumShards(), want)
+		}
+		if windowed := s.Cfg.MinDelay > 0; windowed == (s.P.Shard(0) == s.Engine) {
+			t.Fatalf("%+v: MinDelay %v, shard 0 is the global engine: %v", cfg, s.Cfg.MinDelay, !windowed)
 		}
 		simtest.AssertSameReport(t, fmt.Sprintf("shards=%d after a shape change", cfg.Shards), s.Run(), mustRun(t, cfg))
 	}

@@ -33,6 +33,8 @@ import (
 // unchanged, but every serial report with traffic moves, so a version-3
 // serial fact no longer matches the code. Sharded facts still would;
 // they are recomputed once with the rest.
+// Within 4 the shard count left the encoding: a sharded cell took its
+// serial twin's address, which no stored fact has (no job sets MinDelay).
 const canonicalVersion = 4
 
 // AppendCanonical appends a canonical binary encoding of the config to
@@ -46,9 +48,9 @@ const canonicalVersion = 4
 //
 //   - The encoding is over the *defaulted* config, so an unset field
 //     and its explicit default are the same cell.
-//   - Workers is excluded: it is pure execution (the worker-invariance
-//     suites pin that it never changes a report), so runs of the same
-//     cell at different worker counts dedupe.
+//   - Workers and Shards are execution (the invariance suites pin that
+//     they never change a report), so their slots always hold the serial
+//     values (false, 0); the sharding sugar's MinDelay is in MinDelay.
 //   - Floats are encoded as IEEE-754 bits, making the map total (Inf
 //     and NaN included) and exact — no formatting round-trip.
 //
@@ -89,8 +91,8 @@ func (c Config) AppendCanonical(dst []byte) []byte {
 	dst = appendF64(dst, d.SampleEvery)
 	dst = appendBool(dst, d.CheckGradient)
 
-	dst = appendBool(dst, d.Parallel)
-	dst = appendU64(dst, uint64(d.Shards))
+	dst = appendBool(dst, false)
+	dst = appendU64(dst, 0)
 	dst = appendF64(dst, d.MinDelay)
 
 	dst = appendF64(dst, d.Faults.Drop)

@@ -29,6 +29,31 @@ func TestCanonicalWorkersExcluded(t *testing.T) {
 	}
 }
 
+// TestCanonicalShardsExcluded: the shard count is execution too, and the
+// sharding sugar is only defaults, so a sharded config encodes byte for
+// byte like its serial twin with the same effective MinDelay, whatever
+// its shard count.
+func TestCanonicalShardsExcluded(t *testing.T) {
+	for _, base := range []Config{{N: 64, Seed: 9}, churnyConfig(3), {N: 40, Seed: 7, Faults: chaosPlan(t, "all")}} {
+		base.Parallel, base.Shards = false, 0
+		twin := base
+		twin.MinDelay = base.WithDefaults().MaxDelay / 4
+		want := twin.AppendCanonical(nil)
+		for _, k := range []int{0, 1, 3, 7} {
+			sharded := base
+			sharded.Parallel, sharded.Shards = true, k
+			if got := sharded.AppendCanonical(nil); !bytes.Equal(got, want) {
+				t.Errorf("Parallel, Shards %d: encodes unlike its serial twin with MinDelay %v", k, twin.MinDelay)
+			}
+			twinK := twin
+			twinK.Shards = k
+			if got := twinK.AppendCanonical(nil); !bytes.Equal(got, want) {
+				t.Errorf("Shards %d at MinDelay %v: the shard count leaked into the encoding", k, twin.MinDelay)
+			}
+		}
+	}
+}
+
 // TestCanonicalDistinguishesPhysics: every field that changes the
 // simulated execution must change the encoding — aliasing two physics
 // onto one content address would serve wrong cached results.
@@ -49,9 +74,9 @@ func TestCanonicalDistinguishesPhysics(t *testing.T) {
 		"beacon":   func(c *Config) { c.Node.BeaconEvery = 0.2 },
 		"sample":   func(c *Config) { c.SampleEvery = 0.25 },
 		"gradient": func(c *Config) { c.CheckGradient = true },
+		// The sharding sugar's MinDelay default is physics.
 		"parallel": func(c *Config) { c.Parallel = true },
-		"shards":   func(c *Config) { c.Parallel = true; c.Shards = 5 },
-		"minDelay": func(c *Config) { c.Parallel = true; c.MinDelay = 0.004 },
+		"minDelay": func(c *Config) { c.MinDelay = 0.004 },
 		"faults":   func(c *Config) { c.Faults.Drop = 0.1 },
 	} {
 		cfg := base
@@ -83,18 +108,20 @@ func TestCanonicalStable(t *testing.T) {
 // TestCanonicalLowerBoundEpsOnlyWhenSet: Config.LowerBoundEps joined
 // the encoding without a version bump, so a zero field must leave every
 // existing content address as it was. The digests below are SHA-256 of
-// the golden configs' bytes from before the field existed
-// (canonicalVersion 4); a set field must change those bytes.
+// the golden configs' bytes (canonicalVersion 4): the serial ones from
+// before the field existed, the sharded ones from after the shard count
+// left the encoding, when they took their serial twins' addresses. A set
+// field must change those bytes.
 func TestCanonicalLowerBoundEpsOnlyWhenSet(t *testing.T) {
 	want := map[string]string{
 		"serial_ring_randomwalk":                 "17d246aa6cc79e53eda63a5cf0b76063b069749245ceb00622e3966cac397da9",
 		"serial_line_constant":                   "0606036df9c6a3010f4d3e77f678bbf57145a8b98189e9dd3d5534af9d95ad16",
 		"serial_grid_bangbang_volatile_gradient": "a9225b6a2ef1e3bae1cd12474baa533f7bf18fe1af826e243dfbba87e7073078",
 		"serial_rotating_star":                   "3811cda0f5b279530bc248d0505090479176d4231c377dab1dc72f7bdf081eb2",
-		"sharded_ring":                           "bd89becc24c178b7d4bb076ed1a9f16c89ed1ea8d41257de6366063f9b833bcf",
-		"sharded_rotating_star_bangbang":         "d8566ab1dbf5b5fb12fcd9079434c69f8f68e3cc5aac8abd3fe49325988f9b48",
-		"sharded_volatile_chaos_all":             "e972790a2779bffe55f2063c5d8fc36642d2a280e05b9728d78ccfab12b9a1cd",
-		"sharded_one_shard":                      "745f8af9a3565300e4e2665206ba7e1915dec84214c2ed446e30e755bbba79f3",
+		"sharded_ring":                           "6328db3c83b249ae42abf6d630478844be5d77a5a059490837e9320ac847091f",
+		"sharded_rotating_star_bangbang":         "22ab932f6452997b2d7e7e6675c09028eb985a06f82e754252ff3b55012799a5",
+		"sharded_volatile_chaos_all":             "7e3e0c7fd21dc1e6e0d4d455a974d78abdee1717b4c024d8d35d9ae0d7bfe8f4",
+		"sharded_one_shard":                      "c2f56bccb9afd99fac3a8b043487b127edb3fd39b92ce0929bb0c62a890bc95e",
 		"serial_chaos_all":                       "c98f57308e1be43050b207b4839d4248f20d35b95f1e33f3acb01a7417b11392",
 		"serial_crashstop":                       "857b06542a211ada07006a985f5fed6db9e0af006f36abc415f19f5957130fc1",
 	}

@@ -242,43 +242,33 @@ type Config struct {
 	// Off by default — the exact check reads n^2 pairs per sample.
 	CheckGradient bool
 
-	// Parallel shards the scenario: it runs on Shards shards of the
-	// conservative-parallel engine (des.ParallelEngine) with lookahead
-	// MinDelay. Without it the run is one shard, which is the serial
-	// engine. Every run draws each message's delay from its sender's own
-	// stream, in (MinDelay, MaxDelay], but parallel mode defaults MinDelay
-	// to a positive floor (the lookahead) and, on more than one shard,
-	// orders same-instant events by shard, so its reports differ from a
-	// serial run's. Reports are deterministic functions of the Config; the
-	// worker count is an execution detail and never changes a report,
-	// which the parallel determinism suite pins.
+	// Parallel is defaults sugar: it sets Shards to 8 and MinDelay to
+	// MaxDelay/4 where unset, and a Parallel config runs, reports and
+	// encodes exactly like one with those values set by hand.
 	Parallel bool
 
-	// Shards is the number of node shards in parallel mode (0 = 8,
-	// clamped to N; a serial run is one shard). The shard count decides
-	// which messages take the cross-shard path and is therefore part of
-	// the simulated physics: changing it changes the report, unlike
-	// Workers.
+	// Shards is the windowed engine's node shard count (0 = 1, clamped
+	// to N; more than one needs MinDelay > 0). Execution, like Workers:
+	// every shard count gives the bit-identical report.
 	Shards int
 
-	// Workers is the goroutine count parallel mode executes shard
-	// windows with (0 = GOMAXPROCS). Pure execution detail: every worker
-	// count produces the bit-identical report, with 1 the serial
-	// reference.
+	// Workers is the goroutine count the windowed engine executes shard
+	// windows and merges with (0 = GOMAXPROCS). Pure execution detail:
+	// every worker count produces the bit-identical report, with 1 the
+	// serial reference.
 	Workers int
 
 	// MinDelay is the message-delay floor: every nominal delay lies in
-	// (MinDelay, MaxDelay]. In parallel mode it is also the engine's
-	// lookahead, so 0 defaults to MaxDelay/4 there; a serial run keeps 0
-	// and has no lookahead, being one shard.
+	// (MinDelay, MaxDelay]. At 0 the run is the serial engine; above 0
+	// it is the windowed engine's lookahead (see des.ParallelEngine).
 	MinDelay float64
 
 	// Faults is the declarative fault-injection plan: probabilistic
 	// message loss/duplication, delay spikes beyond MaxDelay, node
 	// crash-stop/crash-recover schedules, and hardware-rate excursions
-	// outside [1-rho, 1+rho]. Faults are physics, like Shards and
-	// MinDelay: every draw comes from per-node streams, so faulted
-	// reports are bit-identical across reruns and worker counts, and the
+	// outside [1-rho, 1+rho]. Faults are physics, like MinDelay: every
+	// draw comes from per-node streams, so faulted reports are
+	// bit-identical across reruns and shard and worker counts, and the
 	// zero value leaves the execution untouched draw for draw.
 	Faults FaultSpec
 
@@ -312,17 +302,13 @@ func (c Config) WithDefaults() Config {
 	if c.SampleEvery == 0 {
 		c.SampleEvery = 0.1
 	}
-	if c.Parallel {
-		if c.Shards == 0 {
-			c.Shards = 8
-		}
-		if c.Shards > c.N {
-			c.Shards = c.N
-		}
-		if c.MinDelay == 0 {
-			c.MinDelay = c.MaxDelay / 4
-		}
+	if c.Parallel && c.Shards == 0 {
+		c.Shards = 8
 	}
+	if c.Parallel && c.MinDelay == 0 {
+		c.MinDelay = c.MaxDelay / 4
+	}
+	c.Shards = min(c.Shards, c.N)
 	c.Node.Rho = c.Rho
 	c.Node.MaxDelay = c.MaxDelay
 	c.Node = c.Node.WithDefaults()
@@ -401,11 +387,11 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("sim: unknown churn kind %d", int(d.Churn.Kind))
 	}
-	if c.Shards < 0 || (c.Parallel && d.Shards < 1) {
-		return fmt.Errorf("sim: Config.Shards must be positive (got %d)", c.Shards)
-	}
-	if d.MinDelay < 0 || d.MinDelay >= d.MaxDelay {
+	if !(d.MinDelay >= 0 && d.MinDelay < d.MaxDelay) {
 		return fmt.Errorf("sim: Config.MinDelay %v must lie in [0, MaxDelay %v)", d.MinDelay, d.MaxDelay)
+	}
+	if c.Shards < 0 || d.Shards > 1 && d.MinDelay == 0 {
+		return fmt.Errorf("sim: Config.Shards %d must be nonnegative, and above 1 needs a positive MinDelay (the lookahead)", c.Shards)
 	}
 	if c.LowerBoundEps != 0 {
 		switch {

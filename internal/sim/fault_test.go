@@ -53,6 +53,7 @@ func TestRunReturnsErrorsNotPanics(t *testing.T) {
 		"unknownChurn":    func(c *Config) { c.Churn.Kind = ChurnKind(99) },
 		"churnLifetime":   func(c *Config) { c.Churn = ChurnSpec{Kind: ChurnVolatile, Lifetime: -1, Absence: 1} },
 		"negativeShards":  func(c *Config) { c.Shards = -2 },
+		"shardsNoFloor":   func(c *Config) { c.Shards = 4 },
 		"minDelayTooBig":  func(c *Config) { c.Parallel = true; c.MinDelay = c.MaxDelay * 2 },
 		"beaconNegative":  func(c *Config) { c.Node.BeaconEvery = -1 },
 		"faultDropRange":  func(c *Config) { c.Faults.Drop = 1.5 },

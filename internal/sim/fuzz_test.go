@@ -16,6 +16,10 @@ func FuzzConfigValidate(f *testing.F) {
 	f.Add(12, uint64(7), 8.0, 0.02, 0.05, 0.01, int(TopoGrid), 3, 4, int(DriveRandomWalk), 0.5, int(ChurnRotatingStar), 1.0, 0.25, true, 4, 2, 0.0)
 	f.Add(0, uint64(0), -1.0, 1.5, -0.5, 0.2, 99, 0, 0, 99, 0.0, 99, 0.0, 0.0, false, -3, -1, -1.0)
 	f.Add(5, uint64(3), 6.0, 0.1, 0.02, 0.0, int(TopoComplete), 0, 0, int(DriveConstant), 0.0, int(ChurnVolatile), 1.5, 1.0, false, 0, 8, 0.0)
+	// Shards without a delay floor (rejected), and with one but without
+	// the sharding sugar (accepted).
+	f.Add(16, uint64(1), 4.0, 0.01, 0.01, 0.0, int(TopoRing), 0, 0, int(DriveRandomWalk), 0.5, int(ChurnNone), 0.0, 0.0, false, 4, 0, 0.0)
+	f.Add(16, uint64(1), 4.0, 0.01, 0.01, 0.0025, int(TopoRing), 0, 0, int(DriveRandomWalk), 0.5, int(ChurnNone), 0.0, 0.0, false, 4, 0, 0.0)
 	// The Theorem 4.1 adversary, as gcsim lowerbound builds it.
 	f.Add(32, uint64(1), 0.0, 0.01, 0.01, 0.0, int(TopoTwoChains), 0, 0, int(DriveConstant), 0.0, int(ChurnNone), 0.0, 0.0, false, 0, 0, 1e-5)
 	f.Fuzz(func(t *testing.T, n int, seed uint64, horizon, rho, maxDelay, minDelay float64,
@@ -46,6 +50,10 @@ func FuzzConfigValidate(f *testing.F) {
 		d := cfg.WithDefaults()
 		if again := d.Validate(); again != nil {
 			t.Fatalf("defaulted form of an accepted config rejected: %v\ncfg: %+v", again, cfg)
+		}
+		// More than one shard runs only on the windowed engine.
+		if d.Shards > 1 && !(d.MinDelay > 0) {
+			t.Fatalf("accepted %d shards at MinDelay %v: %+v", d.Shards, d.MinDelay, cfg)
 		}
 		if b := cfg.GlobalSkewBound(); math.IsNaN(b) || b < 0 {
 			t.Fatalf("GlobalSkewBound = %v for accepted config %+v", b, cfg)

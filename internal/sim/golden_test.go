@@ -87,9 +87,8 @@ func goldenCells(t *testing.T) []goldenCell {
 			N: 40, Seed: 7, Horizon: 10, Topology: ring, Driver: walk,
 			Churn: volatile, Faults: chaosPlan(t, "all"),
 			Parallel: true, Shards: 4}},
-		// One shard on the sharded harness: the engine set degenerates to a
-		// single engine, and this row pins that the degenerate case keeps
-		// the physics of a sharded config (its MinDelay floor included).
+		// One shard on the windowed engine: the report of a sharded config
+		// does not depend on its shard count, one included.
 		{"sharded_one_shard", Config{
 			N: 24, Seed: 10, Horizon: 10,
 			Topology: TopologySpec{Kind: TopoGrid, W: 6, H: 4}, Driver: walk,

@@ -131,7 +131,7 @@ func TestLowerBoundValidation(t *testing.T) {
 			c.Churn = ChurnSpec{Kind: ChurnVolatile, Lifetime: 1, Absence: 1, ExtraEdges: 2}
 		}, "two-chains"},
 		"random walk": {func(c *Config) { c.Driver.Kind = DriveRandomWalk }, "constant driver"},
-		// The sharded harness's default MinDelay, MaxDelay/4, lies above eps.
+		// The sharding sugar's default MinDelay, MaxDelay/4, lies above eps.
 		"parallel": {func(c *Config) { c.Parallel = true }, "MinDelay"},
 	} {
 		cfg := lowerBoundBase(1)

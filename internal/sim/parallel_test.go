@@ -60,20 +60,21 @@ func TestShardedWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestSerialAndShardedShareDelayLaw pins the one delay law: on one
-// config the serial and the sharded harness draw the same delay sequence
-// for every sender. Each delivery is recorded as its sender's delay; on
-// a static ring without faults a node sends only its beacon broadcast,
-// at most once per instant and in ascending neighbor order, so ordering
-// a sender's messages by (SentAt, To) recovers its send order. Only a
-// message sent at least MaxDelay before the horizon is sure to have been
-// delivered, so each sequence is cut there, and the two harnesses are
-// compared over their common prefix.
+// TestSerialAndShardedShareDelayLaw pins the one delay law: the serial
+// engine (no delay floor) and the sharded one (floor MinDelay) draw the
+// same sequence from every sender's stream, each delay the same fraction
+// of its (floor, MaxDelay] range. Each delivery is recorded as its
+// sender's delay; on a static ring without faults a node sends only its
+// beacon broadcast, at most once per instant and in ascending neighbor
+// order, so ordering a sender's messages by (SentAt, To) recovers its
+// send order. Only a message sent at least MaxDelay before the horizon is
+// sure to have been delivered, so each sequence is cut there, and the two
+// harnesses are compared over their common prefix.
 func TestSerialAndShardedShareDelayLaw(t *testing.T) {
 	cfg := parallelRingConfig(24, 4)
 	cfg.MinDelay, cfg.Workers = 0.002, 1
 	serial := cfg
-	serial.Parallel = false
+	serial.Parallel, serial.Shards, serial.MinDelay = false, 0, 0
 
 	// record re-registers every node's handler to log its deliveries by
 	// sender before the node sees them.
@@ -95,29 +96,30 @@ func TestSerialAndShardedShareDelayLaw(t *testing.T) {
 	ps.Run()
 
 	cut := cfg.Horizon - cfg.MaxDelay
-	inSendOrder := func(ms []transport.Message) []float64 {
+	// inSendOrder returns a sender's delays, as fractions of (floor, MaxDelay].
+	inSendOrder := func(ms []transport.Message, floor float64) []float64 {
 		slices.SortFunc(ms, func(a, b transport.Message) int {
 			return cmp.Or(cmp.Compare(a.SentAt, b.SentAt), cmp.Compare(a.To, b.To))
 		})
 		var d []float64
 		for _, m := range ms {
 			if m.SentAt < cut {
-				d = append(d, m.DeliverAt-m.SentAt)
+				d = append(d, (m.DeliverAt-m.SentAt-floor)/(cfg.MaxDelay-floor))
 			}
 		}
 		return d
 	}
 	for u := range fromSerial {
-		a, b := inSendOrder(fromSerial[u]), inSendOrder(fromSharded[u])
+		a, b := inSendOrder(fromSerial[u], 0), inSendOrder(fromSharded[u], cfg.MinDelay)
 		n := min(len(a), len(b))
 		if n < 50 {
 			t.Fatalf("sender %d: only %d comparable sends (serial %d, sharded %d)", u, n, len(a), len(b))
 		}
 		for k := 0; k < n; k++ {
 			// DeliverAt-SentAt recovers the drawn delay up to the rounding of
-			// SentAt+delay, which differs where the two executions' send
-			// times do; a different draw differs by orders of magnitude more.
-			if math.Abs(a[k]-b[k]) > 1e-12 {
+			// SentAt+delay (~1e-15 s, ~1e-13 as a fraction of the range);
+			// a different draw differs by orders of magnitude more.
+			if math.Abs(a[k]-b[k]) > 1e-9 {
 				t.Fatalf("sender %d, send %d: serial delay %v, sharded %v", u, k, a[k], b[k])
 			}
 		}
@@ -125,8 +127,7 @@ func TestSerialAndShardedShareDelayLaw(t *testing.T) {
 }
 
 // TestShardedSeedSensitivity pins same-seed reproducibility and that
-// the seed (and the shard count — part of the physics) actually steers
-// the execution.
+// the seed actually steers the execution.
 func TestShardedSeedSensitivity(t *testing.T) {
 	cfg := parallelRingConfig(64, 4)
 	first := mustRun(t, cfg)

@@ -69,15 +69,13 @@ type SkewReport struct {
 }
 
 // Simulation is one fully wired scenario: the one DES harness. Its
-// engine set P runs a serial config on one shard, which is the serial
-// engine (one queue, (t, seq) order), and a Parallel config on
-// Config.Shards block-partitioned shards with lookahead MinDelay. A
-// shard's engine and lane of Net carry its nodes' clocks, drivers,
-// beacon timers and deliveries; churn, fault chains and sampling run on
-// the global engine, which sees every shard at one consistent instant.
-// Delays come from each sender's own stream and every event order and
-// cross-shard merge is a pure function of the Config, so the report is
-// bit-identical for every worker count.
+// engine set P is the serial engine (one queue, (t, seq) order) at
+// MinDelay 0, else the windowed engine with lookahead MinDelay over
+// max(Shards, 1) block-partitioned shards. A shard's engine and lane of
+// Net carry its nodes' clocks, drivers, beacon timers and deliveries;
+// churn, fault chains and sampling run on the global engine, which sees
+// every shard at one consistent instant. No event order depends on the
+// partition, so the report is the same for every shard and worker count.
 //
 // Tests inspect mid-run state through it; most callers use an Arena.
 // Reset rewires it in place, recycling event pools, graph storage,
@@ -94,11 +92,12 @@ type Simulation struct {
 
 	// P is the engine set. Engine is P.Global(): it carries the events
 	// that see every node at one consistent instant (churn, fault chains,
-	// sampling), and on one shard it is the only engine.
+	// sampling), and on the serial engine it is the only engine.
 	P      *des.ParallelEngine
 	Engine *des.Engine
 
-	// shardOf maps node -> shard (block partition); nil on one shard.
+	// shardOf maps node -> shard (block partition); nil on the serial
+	// engine.
 	shardOf []int32
 	// shape keys the rebuild decision: the engine set, the transport and
 	// the per-node objects are rebuilt only when it changes.
@@ -174,8 +173,8 @@ type Simulation struct {
 
 // shape is the allocation shape of a wired Simulation: a change forces
 // a rebuild, because clocks bind to their shard's engine at construction.
-// N is part of it only on more than one shard, where the partition
-// depends on it; one shard keeps its engine and pools as N changes.
+// N is part of it on the windowed engine, where the partition depends
+// on it; the serial engine keeps its engine and pools as N changes.
 type shape struct {
 	shards    int
 	lookahead float64
@@ -231,11 +230,8 @@ func (s *Simulation) Reset(cfg Config) {
 	}
 
 	sh := shape{shards: 1}
-	if cfg.Parallel {
-		sh = shape{shards: cfg.Shards, lookahead: cfg.MinDelay}
-		if sh.shards > 1 {
-			sh.n = cfg.N
-		}
+	if cfg.MinDelay > 0 {
+		sh = shape{shards: max(cfg.Shards, 1), lookahead: cfg.MinDelay, n: cfg.N}
 	}
 	if s.P == nil || sh != s.shape {
 		s.build(cfg, sh, delay)
@@ -273,9 +269,8 @@ func (s *Simulation) build(cfg Config, sh shape, delay transport.DelayFn) {
 	s.shape = sh
 	s.P = des.NewParallelEngine(sh.shards, sh.lookahead)
 	s.Engine = s.P.Global()
-	s.allClocks, s.allNodes = nil, nil
-	if sh.shards == 1 {
-		s.shardOf = nil
+	s.allClocks, s.allNodes, s.shardOf = nil, nil, nil
+	if sh.lookahead == 0 {
 		s.Net = transport.New(s.Engine, s.Graph, delay, cfg.MaxDelay)
 		return
 	}
@@ -290,10 +285,8 @@ func (s *Simulation) build(cfg Config, sh shape, delay transport.DelayFn) {
 	for i := range engines {
 		engines[i] = s.P.Shard(i)
 	}
-	// A flight whose destination is on another shard crosses as a packed
-	// des.CrossMsg and is put in flight on the owning lane at the merge.
-	// The delay floor is the lookahead, so it always lands beyond the
-	// current safe window (ParallelEngine.merge checks).
+	// Every flight crosses as a packed des.CrossMsg, put in flight on the
+	// destination's lane at the merge (which checks the lookahead).
 	s.Net = transport.NewSharded(engines, s.Graph, delay, cfg.MaxDelay, s.shardOf, "psim.deliver",
 		func(src, dst int, m *transport.Message) {
 			s.P.SendCross(src, dst, des.CrossMsg{
@@ -340,8 +333,8 @@ func (s *Simulation) Advance(t float64) {
 // Run executes the scenario to its horizon and returns the report. It is
 // idempotent: calling it after Advance-stepping, or twice, reports each
 // jump, message and beacon exactly once. The report is a pure function
-// of the Config; Workers only decides how many goroutines execute the
-// shard windows.
+// of the Config's physics; Shards and Workers only decide how the
+// windows are executed.
 func (s *Simulation) Run() SkewReport {
 	s.Advance(s.Cfg.Horizon)
 	return s.finalise(s.P.Executed())

@@ -11,7 +11,8 @@ import (
 )
 
 // laneRig is a Network over `lanes` raw engines stepped in lock-step,
-// with a test-local outbox as the cross hand-off. Nodes are
+// with a test-local outbox as the cross hand-off, which carries every
+// flight, a lane's own included. Nodes are
 // block-partitioned over the lanes. script carries the test's own
 // topology events and always fires first at an instant, as the sharded
 // harness's global phase does: with one lane it is the lane's engine
@@ -24,7 +25,9 @@ type laneRig struct {
 	net    *Network
 	laneOf []int32
 	outbox []Message
-	got    []Message
+	// crossed counts the flights handed to the outbox.
+	crossed int
+	got     []Message
 }
 
 func newLaneRig(lanes, n int, edges []dyngraph.Edge, delay DelayFn, maxDelay float64) *laneRig {
@@ -42,9 +45,10 @@ func newLaneRig(lanes, n int, edges []dyngraph.Edge, delay DelayFn, maxDelay flo
 		r.script = des.NewEngine()
 		r.net = NewSharded(r.lanes, r.g, delay, maxDelay, r.laneOf, "test.deliver",
 			func(src, dst int, m *Message) {
-				if int(r.laneOf[m.From]) != src || int(r.laneOf[m.To]) != dst || src == dst {
+				if int(r.laneOf[m.From]) != src || int(r.laneOf[m.To]) != dst {
 					panic(fmt.Sprintf("cross(%d, %d) for %+v", src, dst, *m))
 				}
+				r.crossed++
 				r.outbox = append(r.outbox, *m)
 			})
 	}
@@ -106,10 +110,10 @@ func delays(n int, maxDelay float64, seed uint64) DelayFn {
 // script on a one-lane Network and on a two-lane Network over two
 // engines: same per-sender delay law, so the same messages must be
 // delivered, field for field, with equal Stats. On the two-lane network
-// every counter and every delivery event must also sit on the lane that
-// owns it — Sent and Refused with the sender, Delivered and Dropped (and
-// the event) with the destination — since a lane's worker may write no
-// other.
+// every flight must cross, a lane's own included, and every counter and
+// every delivery event must sit on the lane that owns it — Sent and
+// Refused with the sender, Delivered and Dropped (and the event) with the
+// destination — since a lane's worker may write no other.
 func TestLanesMatchOneLane(t *testing.T) {
 	const n, maxDelay = 6, 0.25
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -120,7 +124,7 @@ func TestLanesMatchOneLane(t *testing.T) {
 			// Per lane of the two-lane rig: accepted and refused sends by the
 			// sender's lane, flights by the destination's.
 			var sent, refused, flights [2]uint64
-			crossed := 0
+			local := 0
 			now := 0.0
 			for step := 0; step < 3000; step++ {
 				now += rnd.Range(0.001, 0.08)
@@ -139,8 +143,8 @@ func TestLanesMatchOneLane(t *testing.T) {
 					if ok {
 						sent[two.laneOf[u]]++
 						flights[two.laneOf[v]]++
-						if two.laneOf[u] != two.laneOf[v] {
-							crossed++
+						if two.laneOf[u] == two.laneOf[v] {
+							local++
 						}
 					} else {
 						refused[two.laneOf[u]]++
@@ -173,8 +177,11 @@ func TestLanesMatchOneLane(t *testing.T) {
 			if s.Sent != s.Delivered+s.Dropped {
 				t.Fatalf("traffic not conserved after the last flight ended: %+v", s)
 			}
-			if s.Delivered == 0 || s.Dropped == 0 || s.Refused == 0 || crossed == 0 {
-				t.Fatalf("degenerate script: %+v, %d cross-lane sends", s, crossed)
+			if s.Delivered == 0 || s.Dropped == 0 || s.Refused == 0 || local == 0 || uint64(local) == s.Sent {
+				t.Fatalf("degenerate script: %+v, %d same-lane sends", s, local)
+			}
+			if uint64(two.crossed) != s.Sent {
+				t.Fatalf("%d of %d flights crossed, want every one", two.crossed, s.Sent)
 			}
 			for k, l := range two.net.lanes {
 				ls := l.stats

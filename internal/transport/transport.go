@@ -22,11 +22,11 @@
 // or while every engine is stopped; the delay law, fault plan, handler
 // table and graph are shared and read-only while engines run, so
 // a DelayFn or fault plan that keeps state must key it by sender. A send
-// runs on the sender's lane; a flight bound for another lane is handed,
-// finished, to the cross callback, whose owner must Accept it on the
-// destination's lane before that engine reaches DeliverAt — that the
-// delay law leaves it the time (a floor at the engines' lookahead) is the
-// caller's DelayFn contract, and des.ParallelEngine.merge checks it.
+// runs on the sender's lane; a network with a cross callback hands it
+// every flight, finished, whose owner must Accept it on the destination's
+// lane before that engine reaches DeliverAt — that the delay law leaves
+// it the time (a floor at the engines' lookahead) is the caller's DelayFn
+// contract, and des.ParallelEngine's merge checks it.
 //
 // Delays are drawn per message from one DelayFn, which sees the whole
 // message, sender and receiver included. Every harness's nominal law is
@@ -136,8 +136,8 @@ type Network struct {
 	faults *fault.Messages
 
 	// lanes holds one lane per engine; laneOf maps node -> lane and is nil
-	// on a one-lane network. cross takes a flight whose destination lives
-	// on another lane; label tags every delivery event.
+	// on a one-lane network. cross, when set, takes every flight; label
+	// tags every delivery event.
 	lanes  []*lane
 	laneOf []int32
 	cross  func(src, dst int, m *Message)
@@ -172,11 +172,11 @@ func New(en *des.Engine, g *dyngraph.Dynamic, delay DelayFn, maxDelay float64) *
 
 // NewSharded creates a transport with one lane per engine. laneOf maps
 // every node of g to the engine that carries it and label tags the
-// delivery events. cross is handed each finished flight (delay drawn,
-// DeliverAt set, Sent counted) whose destination is on another lane, dst,
-// than its sender's, src; m points into src's arena and is recycled when
-// cross returns: copy, don't keep. A single engine needs neither laneOf
-// nor cross.
+// delivery events. cross, if set, is handed every finished flight (delay
+// drawn, DeliverAt set, Sent counted) with its sender's lane src and its
+// destination's dst, maybe equal; m points into src's arena and is
+// recycled when cross returns: copy, don't keep. A single engine needs
+// neither laneOf nor cross.
 func NewSharded(engines []*des.Engine, g *dyngraph.Dynamic, delay DelayFn, maxDelay float64,
 	laneOf []int32, label string, cross func(src, dst int, m *Message)) *Network {
 	if len(engines) == 0 {
@@ -322,8 +322,8 @@ func (l *lane) send(from, to int, e dyngraph.Edge, value float64) {
 }
 
 // sendOne puts one message in flight over an edge known to be present:
-// a delivery event on this lane's engine when the destination is local,
-// a hand-off to the network's cross otherwise. spikedDelay, when
+// a hand-off to the network's cross when it has one, a delivery event on
+// this lane's engine otherwise. spikedDelay, when
 // positive, is a fault-injected delay that may exceed maxDelay and
 // bypasses the nominal-law validation; 0 draws from the usual delay law.
 // The flight is built in the arena — a stack Message would escape
@@ -351,12 +351,10 @@ func (l *lane) sendOne(from, to int, e dyngraph.Edge, value float64, spikedDelay
 	}
 	msg.DeliverAt = now + d
 	l.stats.Sent++
-	if n.laneOf != nil {
-		if dst := int(n.laneOf[to]); dst != l.idx {
-			n.cross(l.idx, dst, msg)
-			l.free = append(l.free, fi)
-			return
-		}
+	if n.cross != nil {
+		n.cross(l.idx, n.laneFor(to).idx, msg)
+		l.free = append(l.free, fi)
+		return
 	}
 	l.en.ScheduleArg(msg.DeliverAt, n.label, l.deliverFn, uint64(fi))
 }
