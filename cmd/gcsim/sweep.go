@@ -97,10 +97,7 @@ func runSweep(args []string) {
 		Shards:   *shards,
 		Faults:   *faults,
 	}
-	if err := spec.Validate(); err != nil {
-		fail("sweep: %v", err)
-	}
-	cells, err := spec.Cells()
+	cells, err := spec.ValidCells()
 	if err != nil {
 		fail("sweep: %v", err)
 	}

@@ -217,15 +217,17 @@ func New(cfg Config) (*Daemon, error) {
 // job with created=false. Cells whose facts are already stored are
 // served from the store; cells another job is already running are
 // joined, not re-enqueued.
-func (d *Daemon) Submit(spec SweepSpec) (JobView, bool, error) {
-	cells, err := spec.Cells()
+func (d *Daemon) Submit(spec SweepSpec) (JobView, bool, error) { return d.admit(spec, false) }
+
+// admit is Submit; resumed marks a job read back from the repository.
+func (d *Daemon) admit(spec SweepSpec, resumed bool) (JobView, bool, error) {
+	run := spec
+	if resumed && !spec.Parallel {
+		run.Shards = 0 // stored before shards needed a delay floor: it ran serially
+	}
+	cells, err := run.ValidCells()
 	if err != nil {
 		return JobView{}, false, err
-	}
-	for i := range cells {
-		if err := cells[i].Cfg.Validate(); err != nil {
-			return JobView{}, false, fmt.Errorf("jobd: cell %d (%s): %w", i, cells[i].Name, err)
-		}
 	}
 	if len(cells) > d.cfg.MaxCellsPerJob {
 		return JobView{}, false, fmt.Errorf("jobd: job has %d cells; this daemon caps jobs at %d",
@@ -326,7 +328,7 @@ func (d *Daemon) Resume() error {
 			errs = append(errs, fmt.Errorf("jobd: resume job %s: %w", rec.ID, err))
 			continue
 		}
-		if _, _, err := d.Submit(spec); err != nil {
+		if _, _, err := d.admit(spec, true); err != nil {
 			errs = append(errs, fmt.Errorf("jobd: resume job %s: %w", rec.ID, err))
 		}
 	}

@@ -224,6 +224,71 @@ func TestDaemonShardsShareCells(t *testing.T) {
 	}
 }
 
+// TestDaemonResumesShardsWithoutFloor pins the resume path for a job
+// stored before shards needed a delay floor: a spec with shards and no
+// parallel ran serially then. A new submission of it is rejected, but
+// the stored job resumes under its own ID as its serial twin, whose
+// facts it shares.
+func TestDaemonResumesShardsWithoutFloor(t *testing.T) {
+	repo := store.NewMemory()
+	var runs atomic.Int32
+	newDaemon := func() *Daemon {
+		d, err := New(Config{
+			Repo:    repo,
+			Workers: 1,
+			RunCell: func(a *sim.Arena, cfg sim.Config, slice float64, cont func() bool) (sim.SkewReport, bool) {
+				runs.Add(1)
+				return a.RunSliced(cfg, slice, cont)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	serial := tinySpec()
+	serial.Ns = []int{8, 12}
+	legacy := serial
+	legacy.Shards = 4
+
+	d1 := newDaemon()
+	if _, _, err := d1.Submit(legacy); err == nil || !strings.Contains(err.Error(), "sim: ") {
+		t.Fatalf("submit shards without a floor: err=%v, want a sim: validation error", err)
+	}
+	v, _, err := d1.Submit(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, d1, v.ID)
+	if err := d1.Drain(0); err != nil {
+		t.Fatal(err)
+	}
+	specJSON, err := legacy.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := legacy.ID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.PutJob(store.JobRecord{ID: id, Spec: specJSON, Status: store.StatusRunning, Cells: 2}); err != nil {
+		t.Fatal(err)
+	}
+
+	d2 := newDaemon()
+	defer d2.Drain(0)
+	if err := d2.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, d2, id)
+	if got, _ := d2.Job(id); got.Done != 2 || got.Cached != 2 || got.Failed != 0 {
+		t.Fatalf("resumed job %s: %+v, want both cells served from the serial facts", id, got)
+	}
+	if got := runs.Load(); got != 2 {
+		t.Fatalf("simulator ran %d cells, want 2 (the serial job only)", got)
+	}
+}
+
 // TestDaemonCrashResume is the tentpole acceptance test at unit scale:
 // interrupt a sweep partway (drain with zero grace abandons the
 // in-flight cell, exactly like a crash — nothing unfinished is

@@ -25,10 +25,10 @@ func FuzzJobSpecDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := spec.Validate(); err != nil {
+		if _, err := spec.ValidCells(); err != nil {
 			return
 		}
-		// A validated spec must expand (Validate already did) and carry
+		// A validated spec must expand (ValidCells already did) and carry
 		// a deterministic identity that survives its canonical JSON.
 		cells, err := spec.Cells()
 		if err != nil {

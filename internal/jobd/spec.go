@@ -178,19 +178,19 @@ func (s SweepSpec) Cells() ([]sim.SweepCell, error) {
 	return cells, nil
 }
 
-// Validate expands the spec and validates every cell config, so a bad
+// ValidCells expands the spec and validates every cell config, so a bad
 // spec is rejected whole at admission instead of failing cell by cell.
-func (s SweepSpec) Validate() error {
+func (s SweepSpec) ValidCells() ([]sim.SweepCell, error) {
 	cells, err := s.Cells()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for i := range cells {
 		if err := cells[i].Cfg.Validate(); err != nil {
-			return fmt.Errorf("jobd: cell %d (%s): %w", i, cells[i].Name, err)
+			return nil, fmt.Errorf("jobd: cell %d (%s): %w", i, cells[i].Name, err)
 		}
 	}
-	return nil
+	return cells, nil
 }
 
 // ParseTopology maps a topology name to its spec; grid uses the most

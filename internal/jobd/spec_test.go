@@ -113,8 +113,8 @@ func TestSpecErrors(t *testing.T) {
 	}
 	badCell := tinySpec()
 	badCell.Rho = -1
-	if err := badCell.Validate(); err == nil {
-		t.Error("spec with invalid cell config passed Validate")
+	if _, err := badCell.ValidCells(); err == nil {
+		t.Error("spec with invalid cell config passed ValidCells")
 	}
 }
 
