@@ -95,12 +95,12 @@ func (bd *BoundedDistances) ballFrom(g *Dynamic, src int) {
 			break
 		}
 		u := q[head]
-		for _, v := range g.adj[u] {
-			if bd.seen[v] != bd.stamp {
+		for _, k := range g.adj[u] {
+			if v := k.V; bd.seen[v] != bd.stamp {
 				bd.seen[v] = bd.stamp
-				bd.nodes = append(bd.nodes, int32(v))
+				bd.nodes = append(bd.nodes, v)
 				bd.dists = append(bd.dists, int32(depth+1))
-				q = append(q, int32(v))
+				q = append(q, v)
 			}
 		}
 	}

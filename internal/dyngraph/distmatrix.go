@@ -97,7 +97,7 @@ func (dm *DistanceMatrix) Update(g *Dynamic) bool {
 // plus one pass over the nodes they reached.
 //
 //gcslint:zeroalloc
-func (dm *DistanceMatrix) sweep(adj [][]int, base, k int) {
+func (dm *DistanceMatrix) sweep(adj [][]Link, base, k int) {
 	n, dist, marks := dm.n, dm.dist, dm.marks
 	frontier, touched := dm.frontier[:0], dm.touched[:n+1]
 	for i := 0; i < k; i++ {
@@ -115,12 +115,12 @@ func (dm *DistanceMatrix) sweep(adj [][]int, base, k int) {
 		nt := 0
 		for _, u := range frontier {
 			bu := marks[u].visit
-			for _, v := range adj[u] {
-				m := &marks[v]
+			for _, k := range adj[u] {
+				m := &marks[k.V]
 				gain := bu &^ m.seen
 				old := m.next
 				m.next = old | gain
-				touched[nt] = int32(v)
+				touched[nt] = k.V
 				nt += isZero(old) &^ isZero(old|gain)
 			}
 		}

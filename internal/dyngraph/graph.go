@@ -1,17 +1,20 @@
 // Package dyngraph models the paper's dynamic network graph (Section
 // 3.2): a fixed node set V = {0..n-1} over which undirected edges appear
 // and disappear arbitrarily, subject to the T-interval connectivity
-// constraint (Definition 3.1). The package records the full edge history
-// of an execution so that interval connectivity and "edge exists
-// throughout [t1,t2]" queries are exact (the transports' loss rule is
-// one such query per delivery), and notifies subscribers (the harness's
-// neighbor discovery) of topology events as they happen.
+// constraint (Definition 3.1). The package records an execution's edge
+// history as a presence log, one record per presence interval, so that
+// interval connectivity queries are exact, and notifies subscribers (the
+// harness's neighbor discovery) of topology events as they happen. The
+// transports' loss rule reads one record: a message is delivered iff the
+// presence record the flight was sent on (Current) is still open at
+// DeliverAt (Until).
 package dyngraph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Edge is an undirected potential edge {U, V} with U < V (an element of
@@ -35,18 +38,17 @@ func E(u, v int) Edge {
 // String renders the edge as its unordered pair.
 func (e Edge) String() string { return fmt.Sprintf("{%d,%d}", e.U, e.V) }
 
-// Interval is a half-open presence interval [Start, End). End is +Inf
-// while the edge is still present. The half-open convention matches the
-// paper's definition of E(t): an edge removed exactly at time t is not in
-// E(t), while an edge added at time t is.
-type Interval struct {
+// record is one presence interval [Start, End) of edge {U, V}, End +Inf
+// while the edge is present. Half-open as the paper's E(t) is: an edge
+// removed at time t is not in E(t), one added at t is.
+type record struct {
+	U, V       int32
 	Start, End float64
 }
 
-// Covers reports whether [t1, t2] is fully inside [Start, End): the edge
-// exists throughout [t1, t2] per the paper (present at t1 and not removed
-// at any point of [t1, t2], inclusive).
-func (iv Interval) Covers(t1, t2 float64) bool { return iv.Start <= t1 && t2 < iv.End }
+// Link is one entry of a node's adjacency: a present neighbour V and the
+// id of the presence record of the edge to it.
+type Link struct{ V, Rec int32 }
 
 // Subscriber receives topology change notifications at the instant they
 // occur (the add/remove events of the model, not the delayed discover
@@ -60,14 +62,15 @@ type Subscriber interface {
 // called with nondecreasing times (they are driven by simulation events).
 type Dynamic struct {
 	n int
-	// hist holds every edge's presence intervals in time order; an edge
-	// is present exactly when its last interval is still open.
-	hist map[Edge][]Interval
-	// adj holds the present edges as per-node sorted neighbor slices, so
-	// that AppendNeighbors costs O(deg) instead of scanning every edge
-	// ever seen, and both it and RangeCurrentEdges yield a deterministic
-	// ascending order without sorting or allocating.
-	adj   [][]int
+	// log holds one record per effective Add (initial edges included) in
+	// time order, so in order of Start; a record id is its index. A
+	// record is open exactly while its edge is present.
+	log []record
+	// adj holds the present edges as per-node neighbour-sorted links into
+	// log: AppendNeighbors costs O(deg), it and RangeCurrentEdges yield
+	// ascending order without sorting, and an open record is one binary
+	// search away.
+	adj   [][]Link
 	subs  []Subscriber
 	lastT float64
 	// counts for reporting
@@ -84,25 +87,20 @@ func NewDynamic(n int, initial []Edge) *Dynamic {
 	if n < 1 {
 		panic("dyngraph: need at least one node")
 	}
-	g := &Dynamic{
-		n:    n,
-		hist: make(map[Edge][]Interval),
-		adj:  make([][]int, n),
-	}
+	g := &Dynamic{n: n, adj: make([][]Link, n)}
 	g.addInitial(initial)
 	return g
 }
 
 // Reset rewinds the graph to time 0 over n nodes with a fresh initial
-// edge set, reusing every buffer the previous execution grew: the history
-// map keeps its buckets (its interval slices are truncated in place, so
-// re-adding an edge seen before allocates nothing), adjacency slices keep
-// their capacity, and subscribers stay registered — component wiring
-// outlives individual runs. No
-// EdgeAdded/EdgeRemoved notifications fire for either the discarded or
-// the new initial edges, matching NewDynamic. The topology-change epoch
-// is bumped (not rewound) so cached consumers like DistanceMatrix
-// revalidate.
+// edge set, reusing every buffer the previous execution grew: the
+// presence log and the adjacency slices are truncated in place, so
+// record ids restart at 0 (a transport forgets its flights, and their
+// records, on its own Reset). Subscribers stay registered — component
+// wiring outlives individual runs. No EdgeAdded/EdgeRemoved
+// notifications fire for the discarded or the new initial edges,
+// matching NewDynamic. The topology-change epoch is bumped (not rewound)
+// so cached consumers like DistanceMatrix revalidate.
 func (g *Dynamic) Reset(n int, initial []Edge) {
 	if n < 1 {
 		panic("dyngraph: need at least one node")
@@ -114,9 +112,7 @@ func (g *Dynamic) Reset(n int, initial []Edge) {
 		g.adj[i] = g.adj[i][:0]
 	}
 	g.n = n
-	for e, ivs := range g.hist { //gcslint:allow maprange — bulk clear, no order observable
-		g.hist[e] = ivs[:0]
-	}
+	g.log = g.log[:0]
 	g.lastT = 0
 	g.adds, g.removes = 0, 0
 	g.epoch++
@@ -128,38 +124,44 @@ func (g *Dynamic) Reset(n int, initial []Edge) {
 func (g *Dynamic) addInitial(initial []Edge) {
 	for _, e := range initial {
 		g.check(e)
-		if g.Present(e) {
-			continue
+		if !g.Present(e) {
+			g.open(0, e)
 		}
-		g.linkAdj(e)
-		g.hist[e] = append(g.hist[e], Interval{Start: 0, End: math.Inf(1)})
 	}
 }
 
-// linkAdj inserts each endpoint into the other's sorted neighbor slice.
-func (g *Dynamic) linkAdj(e Edge) {
-	g.adj[e.U] = insertSorted(g.adj[e.U], e.V)
-	g.adj[e.V] = insertSorted(g.adj[e.V], e.U)
+// open appends a record for e starting at t and links it into both
+// endpoints' adjacency.
+func (g *Dynamic) open(t float64, e Edge) {
+	if len(g.log) == math.MaxInt32 {
+		panic("dyngraph: presence log full: more than MaxInt32 edge additions in one execution")
+	}
+	rec := int32(len(g.log))
+	g.log = append(g.log, record{U: int32(e.U), V: int32(e.V), Start: t, End: math.Inf(1)})
+	g.adj[e.U] = insertLink(g.adj[e.U], Link{V: int32(e.V), Rec: rec})
+	g.adj[e.V] = insertLink(g.adj[e.V], Link{V: int32(e.U), Rec: rec})
 }
 
-// unlinkAdj removes each endpoint from the other's sorted neighbor slice.
-func (g *Dynamic) unlinkAdj(e Edge) {
-	g.adj[e.U] = removeSorted(g.adj[e.U], e.V)
-	g.adj[e.V] = removeSorted(g.adj[e.V], e.U)
-}
-
-func insertSorted(s []int, v int) []int {
-	i := sort.SearchInts(s, v)
-	s = append(s, 0)
+func insertLink(s []Link, k Link) []Link {
+	i := search(s, int(k.V))
+	s = append(s, k)
 	copy(s[i+1:], s[i:])
-	s[i] = v
+	s[i] = k
 	return s
 }
 
-func removeSorted(s []int, v int) []int {
-	i := sort.SearchInts(s, v)
-	copy(s[i:], s[i+1:])
-	return s[:len(s)-1]
+// search returns the index of the first link in s (sorted by V) whose
+// neighbour is not below v.
+func search(s []Link, v int) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); int(s[m].V) < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 func (g *Dynamic) check(e Edge) {
@@ -174,12 +176,34 @@ func (g *Dynamic) N() int { return g.n }
 // Subscribe registers a topology-event subscriber.
 func (g *Dynamic) Subscribe(s Subscriber) { g.subs = append(g.subs, s) }
 
-// Present reports whether e is currently in the graph: its last presence
-// interval is still open.
+// Present reports whether e is currently in the graph.
 func (g *Dynamic) Present(e Edge) bool {
-	ivs := g.hist[e]
-	return len(ivs) > 0 && math.IsInf(ivs[len(ivs)-1].End, 1)
+	_, ok := g.Current(e)
+	return ok
 }
+
+// Current returns the id of e's open presence record, the one a message
+// sent over e now is sent on, and whether e is present at all.
+//
+//gcslint:zeroalloc
+func (g *Dynamic) Current(e Edge) (int32, bool) {
+	s := g.adj[e.U]
+	if i := search(s, e.V); i < len(s) && int(s[i].V) == e.V {
+		return s[i].Rec, true
+	}
+	return 0, false
+}
+
+// Until returns the end of presence record rec: +Inf while it is open,
+// else the time its edge was removed. A flight sent on rec is delivered
+// iff its DeliverAt is below Until(rec).
+//
+//gcslint:zeroalloc
+func (g *Dynamic) Until(rec int32) float64 { return g.log[rec].End }
+
+// Links returns u's adjacency, ascending by neighbour: the graph's own
+// slice, to read before the next Add or Remove.
+func (g *Dynamic) Links(u int) []Link { return g.adj[u] }
 
 // Add inserts edge e at time t. Adding a present edge is a no-op (the
 // model assumes no simultaneous add+remove of the same edge).
@@ -189,8 +213,7 @@ func (g *Dynamic) Add(t float64, e Edge) {
 	if g.Present(e) {
 		return
 	}
-	g.linkAdj(e)
-	g.hist[e] = append(g.hist[e], Interval{Start: t, End: math.Inf(1)})
+	g.open(t, e)
 	g.adds++
 	g.epoch++
 	for _, s := range g.subs {
@@ -202,12 +225,14 @@ func (g *Dynamic) Add(t float64, e Edge) {
 func (g *Dynamic) Remove(t float64, e Edge) {
 	g.check(e)
 	g.advance(t)
-	if !g.Present(e) {
+	rec, ok := g.Current(e)
+	if !ok {
 		return
 	}
-	ivs := g.hist[e]
-	ivs[len(ivs)-1].End = t
-	g.unlinkAdj(e)
+	g.log[rec].End = t
+	u, v := g.adj[e.U], g.adj[e.V]
+	i, j := search(u, e.V), search(v, e.U)
+	g.adj[e.U], g.adj[e.V] = slices.Delete(u, i, i+1), slices.Delete(v, j, j+1)
 	g.removes++
 	g.epoch++
 	for _, s := range g.subs {
@@ -235,32 +260,36 @@ func (g *Dynamic) Epoch() uint64 { return g.epoch }
 // reuse buf across calls to avoid allocating; the deterministic order
 // makes broadcast fan-out (and hence PRNG draw order) reproducible.
 func (g *Dynamic) AppendNeighbors(u int, buf []int) []int {
-	return append(buf, g.adj[u]...)
+	for _, k := range g.adj[u] {
+		buf = append(buf, int(k.V))
+	}
+	return buf
 }
 
 // RangeCurrentEdges calls f for every edge present now, in ascending
 // (U, V) order, without allocating.
 func (g *Dynamic) RangeCurrentEdges(f func(Edge)) {
-	for u, nbrs := range g.adj[:g.n] {
+	for u, links := range g.adj[:g.n] {
 		// Each edge is listed at both endpoints; report it from U.
-		for _, v := range nbrs[sort.SearchInts(nbrs, u+1):] {
-			f(Edge{U: u, V: v})
+		for _, k := range links[search(links, u+1):] {
+			f(Edge{U: u, V: int(k.V)})
 		}
 	}
 }
 
 // ExistsThroughout reports whether e exists throughout [t1, t2] in the
-// paper's sense (t1 <= t2). Both DES transports ask it once per
-// delivered message, about a flight that has just ended, so it scans the
-// history newest-first: intervals are appended in time order and are
-// disjoint, so the first one with Start <= t1 either covers [t1, t2] or
-// nothing earlier can — every older interval ends at or before that
-// Start. A delivery-time query is O(1) however long the edge has churned.
+// paper's sense (t1 <= t2): present at t1 and not removed at any point
+// of [t1, t2]. It scans e's records newest-first from the open one, if
+// any: they are disjoint and in time order, so the first with Start <=
+// t1 either covers [t1, t2] or no older one can.
 func (g *Dynamic) ExistsThroughout(e Edge, t1, t2 float64) bool {
-	ivs := g.hist[e]
-	for i := len(ivs) - 1; i >= 0; i-- {
-		if ivs[i].Start <= t1 {
-			return ivs[i].Covers(t1, t2)
+	i := len(g.log) - 1
+	if rec, ok := g.Current(e); ok {
+		i = int(rec)
+	}
+	for ; i >= 0; i-- {
+		if r := &g.log[i]; int(r.U) == e.U && int(r.V) == e.V && r.Start <= t1 {
+			return t2 < r.End
 		}
 	}
 	return false
@@ -271,43 +300,30 @@ func (g *Dynamic) ExistsThroughout(e Edge, t1, t2 float64) bool {
 // subgraph G[t1,t2].
 func (g *Dynamic) EdgesThroughout(t1, t2 float64) []Edge {
 	var out []Edge
-	for e, ivs := range g.hist {
-		for _, iv := range ivs {
-			if iv.Covers(t1, t2) {
-				out = append(out, e)
-				break
-			}
+	for _, r := range g.log {
+		// An edge's records are disjoint, so at most one covers [t1, t2].
+		if r.Start <= t1 && t2 < r.End {
+			out = append(out, Edge{U: int(r.U), V: int(r.V)})
 		}
 	}
-	sortEdges(out)
+	slices.SortFunc(out, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
 	return out
-}
-
-// IntervalConnected reports whether G[t1,t2] is connected.
-func (g *Dynamic) IntervalConnected(t1, t2 float64) bool {
-	return Connected(g.n, g.EdgesThroughout(t1, t2))
 }
 
 // EventTimes returns the sorted distinct times at which any edge was
 // added or removed (excluding time 0 initial edges).
 func (g *Dynamic) EventTimes() []float64 {
-	seen := map[float64]bool{}
-	for _, ivs := range g.hist {
-		for _, iv := range ivs {
-			if iv.Start > 0 {
-				seen[iv.Start] = true
-			}
-			if !math.IsInf(iv.End, 1) {
-				seen[iv.End] = true
-			}
+	var out []float64
+	for _, r := range g.log {
+		if r.Start > 0 {
+			out = append(out, r.Start)
+		}
+		if !math.IsInf(r.End, 1) {
+			out = append(out, r.End)
 		}
 	}
-	out := make([]float64, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Float64s(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // VerifyIntervalConnectivity checks Definition 3.1 exactly over [0,
@@ -322,35 +338,19 @@ func (g *Dynamic) VerifyIntervalConnectivity(T, horizon float64) (float64, bool)
 	if T <= 0 {
 		panic("dyngraph: T must be positive")
 	}
-	starts := map[float64]bool{0: true}
+	starts := []float64{0}
 	for _, s := range g.EventTimes() {
-		for _, cand := range []float64{s, s - T} {
+		for _, cand := range [2]float64{s, s - T} {
 			if cand >= 0 && cand+T <= horizon {
-				starts[cand] = true
+				starts = append(starts, cand)
 			}
 		}
 	}
-	sorted := make([]float64, 0, len(starts))
-	for s := range starts {
-		sorted = append(sorted, s)
-	}
-	sort.Float64s(sorted)
-	for _, s := range sorted {
-		if s+T > horizon {
-			continue
-		}
-		if !g.IntervalConnected(s, s+T) {
+	slices.Sort(starts)
+	for _, s := range slices.Compact(starts) {
+		if s+T <= horizon && !Connected(g.n, g.EdgesThroughout(s, s+T)) {
 			return s, false
 		}
 	}
 	return 0, true
-}
-
-func sortEdges(es []Edge) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].U != es[j].U {
-			return es[i].U < es[j].U
-		}
-		return es[i].V < es[j].V
-	})
 }

@@ -183,27 +183,18 @@ func TestPresenceAndOrderMatchModel(t *testing.T) {
 	}
 }
 
-// existsThroughoutForward is the oldest-first scan ExistsThroughout used
-// to be, kept as the reference for the newest-first early exit.
-func existsThroughoutForward(g *Dynamic, e Edge, t1, t2 float64) bool {
-	for _, iv := range g.hist[e] {
-		if iv.Covers(t1, t2) {
-			return true
-		}
-	}
-	return false
-}
-
 // TestExistsThroughoutMatchesForwardScan builds seeded add/remove
 // histories (same-instant flaps included, which leave empty intervals)
-// and compares ExistsThroughout with the reference on queries that start
-// and end at, just before, just after and across every interval end, and
-// on random ones.
+// and compares ExistsThroughout, which scans the log newest-first from
+// the open record, with refHistory's oldest-first scan on queries that
+// start and end at, just before, just after and across every interval
+// end, and on random ones.
 func TestExistsThroughoutMatchesForwardScan(t *testing.T) {
 	const n = 4
 	for seed := uint64(1); seed <= 8; seed++ {
 		rnd := des.NewRand(seed)
 		g := NewDynamic(n, Ring(n))
+		ref := newRef(g)
 		now := 0.0
 		for step := 0; step < 200; step++ {
 			if !rnd.Bool(0.15) { // otherwise: a second event at the same instant
@@ -212,9 +203,9 @@ func TestExistsThroughoutMatchesForwardScan(t *testing.T) {
 			u := rnd.Intn(n)
 			e := E(u, (u+1+rnd.Intn(n-1))%n)
 			if g.Present(e) {
-				g.Remove(now, e)
+				ref.remove(g, now, e)
 			} else {
-				g.Add(now, e)
+				ref.add(t, g, now, e)
 			}
 		}
 		queries, hits := 0, 0
@@ -223,10 +214,10 @@ func TestExistsThroughoutMatchesForwardScan(t *testing.T) {
 			if t1 > t2 {
 				return
 			}
-			got, want := g.ExistsThroughout(e, t1, t2), existsThroughoutForward(g, e, t1, t2)
+			got, want := g.ExistsThroughout(e, t1, t2), ref.existsThroughout(e, t1, t2)
 			if got != want {
 				t.Fatalf("seed %d: ExistsThroughout(%v, %v, %v) = %v, forward scan %v (history %v)",
-					seed, e, t1, t2, got, want, g.hist[e])
+					seed, e, t1, t2, got, want, ref.ivs[e])
 			}
 			queries++
 			if got {
@@ -234,10 +225,10 @@ func TestExistsThroughoutMatchesForwardScan(t *testing.T) {
 			}
 		}
 		const eps = 1e-9
-		for e, ivs := range g.hist {
+		for e, ivs := range ref.ivs {
 			var marks []float64
 			for _, iv := range ivs {
-				for _, m := range []float64{iv.Start, iv.End} {
+				for _, m := range []float64{iv.start, iv.end} {
 					if !math.IsInf(m, 1) {
 						marks = append(marks, m-eps, m, m+eps)
 					}

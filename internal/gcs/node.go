@@ -442,8 +442,8 @@ func (nd *Node) find(from int) (int, bool) {
 // folds the value into the sender's estimate and both running maxima,
 // then re-evaluates the jump and fast-mode rules. The harness calls it
 // only for a message that crossed a present edge, so from is a current
-// neighbor: every harness, rt.Router included, delivers only over an
-// edge that existed throughout the flight (dyngraph's ExistsThroughout).
+// neighbor: every harness, rt.Router included, delivers a message iff
+// the presence record the flight was sent on is still open at DeliverAt.
 //
 //gcslint:zeroalloc
 func (nd *Node) OnMessage(from int, value float64) {

@@ -19,9 +19,9 @@ import (
 // deterministic), and deliver through a time.AfterFunc into the
 // receiver's event queue. The topology is a dyngraph.Dynamic stamped
 // with simulated time, and the loss rule is the DES transports': a
-// message is delivered iff its edge existed throughout the flight
-// (ExistsThroughout), so one whose edge vanished at any point in flight
-// is lost, even if the edge is back at delivery.
+// message is delivered iff the presence record the flight was sent on is
+// still open at DeliverAt, so one whose edge vanished at any point in
+// flight is lost, even if the edge is back at delivery.
 //
 // The graph is guarded by an RWMutex — node goroutines read it on
 // every broadcast and delivery and on the neighbor rescan after a lost
@@ -89,9 +89,11 @@ func (rt *Router) AppendNeighbors(u int, buf []int) []int {
 // transports). Runs on the sending node's goroutine.
 func (rt *Router) Broadcast(from int, value float64) int {
 	h := rt.r.hosts[from]
-	h.sendBuf = rt.AppendNeighbors(from, h.sendBuf[:0])
-	for _, to := range h.sendBuf {
-		rt.send(from, to, value)
+	rt.mu.RLock()
+	h.sendBuf = append(h.sendBuf[:0], rt.g.Links(from)...)
+	rt.mu.RUnlock()
+	for _, k := range h.sendBuf {
+		rt.send(from, int(k.V), k.Rec, value)
 	}
 	return len(h.sendBuf)
 }
@@ -100,21 +102,21 @@ func (rt *Router) Broadcast(from int, value float64) int {
 // beacon); a send over an absent edge is refused.
 func (rt *Router) Send(from, to int, value float64) bool {
 	rt.mu.RLock()
-	ok := rt.g.Present(dyngraph.E(from, to))
+	rec, ok := rt.g.Current(dyngraph.E(from, to))
 	rt.mu.RUnlock()
 	if !ok {
 		rt.refused.Add(1)
 		return false
 	}
-	rt.send(from, to, value)
+	rt.send(from, to, rec, value)
 	return true
 }
 
-// send accepts a value over an edge known to be present, applying the
-// fault plan first. Accounting mirrors the DES transport: a
-// fault-dropped message counts Sent (the sender paid for it), a dup's
-// copy counts as its own send with its own delay draw.
-func (rt *Router) send(from, to int, value float64) {
+// send accepts a value on presence record rec, applying the fault plan
+// first. Accounting mirrors the DES transport: a fault-dropped message
+// counts Sent (the sender paid for it), a dup's copy counts as its own
+// send with its own delay draw.
+func (rt *Router) send(from, to int, rec int32, value float64) {
 	h := rt.r.hosts[from]
 	now := rt.r.simNow()
 	var v fault.Verdict
@@ -129,26 +131,27 @@ func (rt *Router) send(from, to int, value float64) {
 	if delay == 0 {
 		delay = rt.delays.Draw(from)
 	}
-	rt.deliverAfter(from, to, value, now, delay)
+	rt.deliverAfter(from, to, rec, value, delay)
 	if v.Dup {
-		rt.deliverAfter(from, to, value, now, rt.delays.Draw(from))
+		rt.deliverAfter(from, to, rec, value, rt.delays.Draw(from))
 	}
 }
 
-// deliverAfter puts one message sent at sentAt in flight for delay.
-func (rt *Router) deliverAfter(from, to int, value, sentAt, delay float64) {
+// deliverAfter puts one message on presence record rec in flight for
+// delay.
+func (rt *Router) deliverAfter(from, to int, rec int32, value, delay float64) {
 	rt.sent.Add(1)
 	dst := rt.r.hosts[to]
 	time.AfterFunc(durOf(delay), func() {
-		dst.enqueue(func() { rt.deliver(from, to, value, sentAt) })
+		dst.enqueue(func() { rt.deliver(from, to, rec, value) })
 	})
 }
 
 // deliver ends a flight in the receiver's event context: the message
-// reaches the node iff its edge existed throughout [sentAt, now].
-func (rt *Router) deliver(from, to int, value, sentAt float64) {
+// reaches the node iff its presence record is still open now.
+func (rt *Router) deliver(from, to int, rec int32, value float64) {
 	rt.mu.RLock()
-	ok := rt.g.ExistsThroughout(dyngraph.E(from, to), sentAt, rt.r.simNow())
+	ok := rt.r.simNow() < rt.g.Until(rec)
 	rt.mu.RUnlock()
 	if !ok {
 		rt.dropped.Add(1)

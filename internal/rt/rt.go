@@ -95,7 +95,7 @@ type host struct {
 	driver sim.DriverState
 	fstats fault.Stats
 
-	sendBuf []int // reusable broadcast fan-out buffer
+	sendBuf []dyngraph.Link // reusable broadcast fan-out buffer
 
 	// Reusable timers, each re-armed in place with a fixed callback: the
 	// clock's head firing and the three self-rescheduling chains (driver

@@ -251,15 +251,15 @@ func TestChurnStepsRelayDiscover(t *testing.T) {
 }
 
 // TestDeliveryNeedsEdgeThroughoutFlight pins the router's loss rule, the
-// DES transports' ExistsThroughout: a message whose edge is removed and
+// DES transports': a message is delivered iff the presence record it was
+// sent on is still open when it arrives. One whose edge is removed and
 // re-added while it is in flight is dropped, even though the edge is
 // present again when it arrives, while one sent after the re-add is
 // delivered.
 func TestDeliveryNeedsEdgeThroughoutFlight(t *testing.T) {
 	r := wiredRuntime(t, sim.Config{N: 4, Horizon: 1, Topology: sim.TopologySpec{Kind: sim.TopoRing}})
 	e := dyngraph.E(0, 1)
-	sentAt := r.simNow()
-	time.Sleep(time.Millisecond) // the flap starts strictly after the send
+	sentOn, _ := r.router.g.Current(e)
 	r.router.Remove(0, e)
 	r.router.Add(0, e)
 	if got := queued(r); !slices.Equal(got, []int{2, 2, 0, 0}) {
@@ -267,11 +267,12 @@ func TestDeliveryNeedsEdgeThroughoutFlight(t *testing.T) {
 	}
 	drain(r)
 
-	r.router.deliver(0, 1, 7, sentAt)
+	r.router.deliver(0, 1, sentOn, 7)
 	if st := r.router.Stats(); st.Dropped != 1 || st.Delivered != 0 {
 		t.Fatalf("in-flight flap: dropped %d, delivered %d; want 1, 0", st.Dropped, st.Delivered)
 	}
-	r.router.deliver(0, 1, 7, r.simNow())
+	reopened, _ := r.router.g.Current(e)
+	r.router.deliver(0, 1, reopened, 7)
 	if st := r.router.Stats(); st.Dropped != 1 || st.Delivered != 1 {
 		t.Fatalf("send after the flap: dropped %d, delivered %d; want 1, 1", st.Dropped, st.Delivered)
 	}

@@ -37,12 +37,12 @@ func TestBytesPerNodeCensus(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-		// ceiling is the measured total bytes per node plus 5% (1 029.9
-		// and 7 418.0 on linux/amd64, go1.24).
+		// ceiling is the measured total bytes per node plus 5% (934.7
+		// and 4 956.8 on linux/amd64, go1.24).
 		ceiling float64
 	}{
-		{"ring4096", ring, 1081},
-		{"rotstar256", rotstar, 7789},
+		{"ring4096", ring, 982},
+		{"rotstar256", rotstar, 5205},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := liveHeap()
@@ -115,15 +115,11 @@ func census(s *Simulation) []censusRow {
 	adj := field(s.Graph, "adj")
 	adjBytes := adj.Cap() * int(adj.Type().Elem().Size())
 	for i := 0; i < adj.Len(); i++ {
-		adjBytes += adj.Index(i).Cap() * ptr
+		adjBytes += adj.Index(i).Cap() * int(adj.Type().Elem().Elem().Size())
 	}
 	add("dyngraph adjacency", adjBytes)
-	hist := field(s.Graph, "hist")
-	histBytes := hist.Len() * int(hist.Type().Key().Size()+hist.Type().Elem().Size())
-	for it := hist.MapRange(); it.Next(); {
-		histBytes += it.Value().Cap() * int(it.Value().Type().Elem().Size())
-	}
-	add("dyngraph history (entries)", histBytes)
+	plog := field(s.Graph, "log")
+	add("dyngraph presence log", plog.Cap()*int(plog.Type().Elem().Size()))
 
 	lanes := field(s.Net, "lanes")
 	var flights int

@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 
 	"gcs/internal/dyngraph"
@@ -63,65 +61,46 @@ func TestShardedWorkerInvariance(t *testing.T) {
 // TestSerialAndShardedShareDelayLaw pins the one delay law: the serial
 // engine (no delay floor) and the sharded one (floor MinDelay) draw the
 // same sequence from every sender's stream, each delay the same fraction
-// of its (floor, MaxDelay] range. Each delivery is recorded as its
-// sender's delay; on a static ring without faults a node sends only its
-// beacon broadcast, at most once per instant and in ascending neighbor
-// order, so ordering a sender's messages by (SentAt, To) recovers its
-// send order. Only a message sent at least MaxDelay before the horizon is
-// sure to have been delivered, so each sequence is cut there, and the two
-// harnesses are compared over their common prefix.
+// of its (floor, MaxDelay] range. Each harness's delay law is wrapped to
+// log every draw under its sender; a sender draws in its own send order,
+// so each log is a send-ordered sequence, and the two harnesses are
+// compared over their common prefix.
 func TestSerialAndShardedShareDelayLaw(t *testing.T) {
 	cfg := parallelRingConfig(24, 4)
 	cfg.MinDelay, cfg.Workers = 0.002, 1
 	serial := cfg
 	serial.Parallel, serial.Shards, serial.MinDelay = false, 0, 0
 
-	// record re-registers every node's handler to log its deliveries by
-	// sender before the node sees them.
-	record := func(c *Simulation) [][]transport.Message {
-		got := make([][]transport.Message, c.Cfg.N)
-		for i := range c.Nodes {
-			c.Net.SetHandler(i, func(m transport.Message) {
-				got[m.From] = append(got[m.From], m)
-				c.onMessage(m)
-			})
-		}
+	// record reinstalls c's delay law, logging each draw as a fraction of
+	// (floor, MaxDelay]; nothing is in flight before Run.
+	record := func(c *Simulation, floor float64) [][]float64 {
+		got := make([][]float64, c.Cfg.N)
+		c.Net.Reset(func(m *transport.Message) float64 {
+			d := c.delayFn(m)
+			got[m.From] = append(got[m.From], (d-floor)/(c.Cfg.MaxDelay-floor))
+			return d
+		}, c.Cfg.MaxDelay)
 		return got
 	}
 	s := New(serial)
-	fromSerial := record(s)
+	fromSerial := record(s, 0)
 	s.Run()
 	ps := New(cfg)
-	fromSharded := record(ps)
+	fromSharded := record(ps, cfg.MinDelay)
 	ps.Run()
 
-	cut := cfg.Horizon - cfg.MaxDelay
-	// inSendOrder returns a sender's delays, as fractions of (floor, MaxDelay].
-	inSendOrder := func(ms []transport.Message, floor float64) []float64 {
-		slices.SortFunc(ms, func(a, b transport.Message) int {
-			return cmp.Or(cmp.Compare(a.SentAt, b.SentAt), cmp.Compare(a.To, b.To))
-		})
-		var d []float64
-		for _, m := range ms {
-			if m.SentAt < cut {
-				d = append(d, (m.DeliverAt-m.SentAt-floor)/(cfg.MaxDelay-floor))
-			}
-		}
-		return d
-	}
 	for u := range fromSerial {
-		a, b := inSendOrder(fromSerial[u], 0), inSendOrder(fromSharded[u], cfg.MinDelay)
+		a, b := fromSerial[u], fromSharded[u]
 		n := min(len(a), len(b))
 		if n < 50 {
 			t.Fatalf("sender %d: only %d comparable sends (serial %d, sharded %d)", u, n, len(a), len(b))
 		}
 		for k := 0; k < n; k++ {
-			// DeliverAt-SentAt recovers the drawn delay up to the rounding of
-			// SentAt+delay (~1e-15 s, ~1e-13 as a fraction of the range), so
-			// 1e-11 of the range (1e-13 s at most, tighter than a 1e-12 s
-			// bound) leaves a wide margin; a different draw differs by
-			// orders of magnitude more.
-			if math.Abs(a[k]-b[k]) > 1e-11 {
+			// Each fraction is (1 - f) for the stream's draw f, up to the
+			// rounding of floor + range*(1-f) and its inverse (measured
+			// worst 2.2e-16); a different draw differs by orders of
+			// magnitude more.
+			if math.Abs(a[k]-b[k]) > 1e-14 {
 				t.Fatalf("sender %d, send %d: serial delay %v, sharded %v", u, k, a[k], b[k])
 			}
 		}

@@ -292,18 +292,16 @@ func (s *Simulation) build(cfg Config, sh shape, delay transport.DelayFn) {
 			s.P.SendCross(src, dst, des.CrossMsg{
 				DeliverAt: m.DeliverAt,
 				W0:        uint64(uint32(m.From))<<32 | uint64(uint32(m.To)),
-				W1:        math.Float64bits(m.SentAt),
+				W1:        uint64(uint32(m.Rec)),
 				W2:        math.Float64bits(m.Value),
 			})
 		})
 	s.P.SetCrossHandler(func(_ int, m des.CrossMsg) {
-		from, to := int(m.W0>>32), int(uint32(m.W0))
 		s.Net.Accept(transport.Message{
-			From:      from,
-			To:        to,
-			Edge:      dyngraph.E(from, to),
+			From:      int(m.W0 >> 32),
+			To:        int(uint32(m.W0)),
+			Rec:       int32(uint32(m.W1)),
 			Value:     math.Float64frombits(m.W2),
-			SentAt:    math.Float64frombits(m.W1),
 			DeliverAt: m.DeliverAt,
 		})
 	})

@@ -12,15 +12,16 @@ import (
 // eagerModel is the transport this package used to implement, kept as
 // the reference for the drop rule: a per-edge list of in-flight messages
 // that an edge removal clears on the spot. The Network decides the same
-// losses later, one delivery at a time, from the graph's history.
+// losses later, one delivery at a time, from the presence record each
+// flight was sent on.
 type eagerModel struct {
 	pending   map[dyngraph.Edge][]Message
 	delivered []Message
 	dropped   uint64
 }
 
-func (m *eagerModel) send(msg Message) {
-	m.pending[msg.Edge] = append(m.pending[msg.Edge], msg)
+func (m *eagerModel) send(e dyngraph.Edge, msg Message) {
+	m.pending[e] = append(m.pending[e], msg)
 }
 
 func (m *eagerModel) remove(e dyngraph.Edge) {
@@ -51,8 +52,10 @@ func sortMessages(ms []Message) {
 // seeded script of add / remove / re-add / send / advance steps and
 // checks it against eagerModel: the same messages delivered (every
 // message carries a unique value, so the sorted lists must be equal,
-// timestamps included) and, once every flight has ended, the same
-// Dropped.
+// timestamps and records included) and, once every flight has ended, the
+// same Dropped. Some steps take no time and act on the previous step's
+// edge, so a send is followed at its own instant by a remove and a
+// re-add — a loss under eager cancelling.
 func TestDeliveryTimeDropMatchesEagerCancel(t *testing.T) {
 	const n, maxDelay = 6, 0.25
 	laws := []struct {
@@ -71,17 +74,24 @@ func TestDeliveryTimeDropMatchesEagerCancel(t *testing.T) {
 				modelDelay := law.mk(seed)
 				model := &eagerModel{pending: map[dyngraph.Edge][]Message{}}
 				rnd := des.NewRand(seed * 977)
-				var refused, readds uint64
+				var refused, readds, flaps uint64
 				everRemoved := map[dyngraph.Edge]bool{}
+				// sentAt and cutAt hold an edge's last send and last removal
+				// time, to count sends flapped away at their own instant.
+				sentAt, cutAt := map[dyngraph.Edge]float64{}, map[dyngraph.Edge]float64{}
+				now, u, v := 0.0, 0, 0
 
 				for step := 0; step < 3000; step++ {
 					// Steps are short against the delays, so removals catch
-					// messages in flight and re-adds land inside flights.
-					now := r.en.Now() + rnd.Range(0.001, 0.08)
+					// messages in flight and re-adds land inside flights; one
+					// in five takes no time and reuses the last edge.
+					if step == 0 || !rnd.Bool(0.2) {
+						now += rnd.Range(0.001, 0.08)
+						u = rnd.Intn(n)
+						v = (u + 1 + rnd.Intn(n-1)) % n
+					}
 					r.en.Run(now)
 					model.advance(now)
-					u := rnd.Intn(n)
-					v := (u + 1 + rnd.Intn(n-1)) % n
 					e := dyngraph.E(u, v)
 					switch k := rnd.Intn(100); {
 					case k < 60:
@@ -93,15 +103,21 @@ func TestDeliveryTimeDropMatchesEagerCancel(t *testing.T) {
 							refused++
 							break
 						}
-						model.send(Message{From: u, To: v, Edge: e, Value: float64(step),
-							SentAt: now, DeliverAt: now + modelDelay(nil)})
+						rec, _ := r.g.Current(e)
+						model.send(e, Message{From: u, To: v, Rec: rec, Value: float64(step),
+							DeliverAt: now + modelDelay(nil)})
+						sentAt[e] = now
 					case r.g.Present(e):
 						r.g.Remove(now, e)
 						model.remove(e)
 						everRemoved[e] = true
+						cutAt[e] = now
 					default:
 						if everRemoved[e] {
 							readds++
+						}
+						if at, ok := sentAt[e]; ok && at == now && cutAt[e] == now {
+							flaps++
 						}
 						r.g.Add(now, e)
 					}
@@ -134,8 +150,9 @@ func TestDeliveryTimeDropMatchesEagerCancel(t *testing.T) {
 				if s.Sent != s.Delivered+s.Dropped {
 					t.Fatalf("traffic not conserved after the last flight ended: %+v", s)
 				}
-				if s.Delivered == 0 || s.Dropped == 0 || refused == 0 || readds == 0 {
-					t.Fatalf("degenerate script: %+v, refused %d, re-adds %d", s, refused, readds)
+				if s.Delivered == 0 || s.Dropped == 0 || refused == 0 || readds == 0 || flaps == 0 {
+					t.Fatalf("degenerate script: %+v, refused %d, re-adds %d, same-instant flaps after a send %d",
+						s, refused, readds, flaps)
 				}
 			})
 		}
@@ -143,9 +160,9 @@ func TestDeliveryTimeDropMatchesEagerCancel(t *testing.T) {
 }
 
 // TestDropRuleTies pins the rule where the measure-zero cases decide:
-// a message is carried iff dyngraph's Interval.Covers(SentAt, DeliverAt)
-// holds for the edge's current interval, i.e. Start <= SentAt and
-// DeliverAt < End. Each tie is pinned twice, with a FixedDelay law:
+// a message is carried iff the presence record it was sent on is still
+// open at DeliverAt, i.e. DeliverAt < Until(Rec). Each tie is pinned
+// twice, with a FixedDelay law:
 // sender and receiver on one lane (the serial harness), and on two lanes
 // with the flight crossing between them (the sharded one) — lane.deliver
 // is the one predicate both harnesses ask.
@@ -187,6 +204,13 @@ func TestDropRuleTies(t *testing.T) {
 				r.g.Add(r.script.Now(), e)
 			})
 		}, 0, false, true},
+		{"send at t, then remove and re-add at t, is a drop", []dyngraph.Edge{e}, func(r *laneRig) {
+			r.script.Schedule(0.3, "send+flap", func() {
+				send(r)
+				r.g.Remove(r.script.Now(), e)
+				r.g.Add(r.script.Now(), e)
+			})
+		}, 0.3, false, true},
 	}
 	for _, tie := range ties {
 		t.Run(tie.name, func(t *testing.T) {
@@ -206,7 +230,8 @@ func TestDropRuleTies(t *testing.T) {
 					if s := r.net.Stats(); s != want || len(r.got) != int(want.Delivered) {
 						t.Fatalf("stats = %+v, deliveries %v; want %+v", s, r.got, want)
 					}
-					m := Message{From: 0, To: 1, Edge: e, Value: 1, SentAt: tie.sentAt, DeliverAt: tie.sentAt + d}
+					rec, _ := r.g.Current(e) // a carried flight's record is still open
+					m := Message{From: 0, To: 1, Rec: rec, Value: 1, DeliverAt: tie.sentAt + d}
 					if tie.carried && r.got[0] != m {
 						t.Fatalf("delivered %+v, want %+v", r.got[0], m)
 					}

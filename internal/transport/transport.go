@@ -3,17 +3,20 @@
 // graph: every message sent over a present edge is delivered to the other
 // endpoint after a delay in (0, maxDelay] iff the edge exists throughout
 // the flight; otherwise it is lost. One Send is one flight and one
-// delivery event, and the rule is checked once, when that event fires,
-// against the history the graph has recorded by then:
-// dyngraph.ExistsThroughout(edge, SentAt, DeliverAt), i.e. the edge's
-// current interval has Start <= SentAt and DeliverAt < End. Serial and
-// sharded runs share this one rule, so they agree on every tie: a
-// removal that has happened by the time the delivery fires loses the
-// message even at exactly DeliverAt, a message sent at the instant its
-// edge is added is carried, and a removal inside the flight loses it
-// even if the edge is back by DeliverAt. The network keeps no per-edge state and does not
-// listen to the graph. Deliveries on one edge with equal delays are FIFO
-// (the DES kernel breaks ties by scheduling order).
+// delivery event. A flight carries the id of the presence record its
+// edge was on when it was sent (dyngraph.Dynamic.Current), and it is
+// delivered iff the presence record the flight was sent on is still
+// open at DeliverAt: DeliverAt < Until(Rec), read once, when the
+// delivery fires. Serial and sharded runs share this one rule, so they
+// agree on every tie: a removal that has happened by the time the
+// delivery fires loses the message even at exactly DeliverAt, a message
+// sent at the instant its edge is added is carried, and a removal inside
+// the flight loses it even if the edge is back by DeliverAt — or back at
+// the very instant of the send: a send followed at its instant by a
+// remove and a re-add is lost, as if the removal had cancelled it on the
+// spot. The network keeps no per-edge state and does not listen to the
+// graph. Deliveries on one edge with equal delays are FIFO (the DES
+// kernel breaks ties by scheduling order).
 //
 // A Network serves one engine (New) or several (NewSharded), with one
 // lane per engine holding everything a send or a delivery writes: the
@@ -38,9 +41,8 @@
 // typed float64 values (the only payload the GCS model carries — a
 // logical clock reading — so no boxing through an interface), in-flight
 // messages live in a pooled arena indexed by small integers, the per-node
-// handler table is slice-backed, and Broadcast reuses one neighbor buffer
-// per lane and skips the edge presence check entirely (its targets come
-// from the live adjacency).
+// handler table is slice-backed, and Broadcast walks the live adjacency,
+// which hands it each target's record without a presence check.
 package transport
 
 import (
@@ -53,11 +55,11 @@ import (
 
 // Message is one point-to-point payload in flight or delivered. Value is
 // the sender's logical clock reading — the model's only message content.
+// Rec is the graph's presence record of the edge the flight was sent on.
 type Message struct {
 	From, To  int
-	Edge      dyngraph.Edge
+	Rec       int32
 	Value     float64
-	SentAt    des.Time
 	DeliverAt des.Time
 }
 
@@ -116,8 +118,8 @@ type Stats struct {
 	Sent uint64
 	// Delivered counts messages handed to a receiver handler.
 	Delivered uint64
-	// Dropped counts messages whose edge did not exist throughout the
-	// flight, found out at their delivery time.
+	// Dropped counts messages whose presence record closed before their
+	// delivery time, found out then.
 	Dropped uint64
 	// Refused counts sends attempted over absent edges.
 	Refused uint64
@@ -157,9 +159,7 @@ type lane struct {
 	free    []uint32
 	// deliverFn is the single engine callback backing every delivery;
 	// the event arg is the flight's arena index.
-	deliverFn des.ArgHandler
-	// nbuf is the reused Broadcast neighbor buffer.
-	nbuf       []int
+	deliverFn  des.ArgHandler
 	stats      Stats
 	faultStats fault.Stats
 }
@@ -292,19 +292,19 @@ func (n *Network) laneFor(u int) *lane {
 // edge is refused (the model has no way to transmit without an edge).
 func (n *Network) Send(from, to int, value float64) bool {
 	l := n.laneFor(from)
-	e := dyngraph.E(from, to)
-	if !n.g.Present(e) {
+	rec, ok := n.g.Current(dyngraph.E(from, to))
+	if !ok {
 		l.stats.Refused++
 		return false
 	}
-	l.send(from, to, e, value)
+	l.send(from, to, rec, value)
 	return true
 }
 
-// send accepts a value over an edge known to be present from a node of
+// send accepts a value on presence record rec, open now, from a node of
 // this lane, applying the fault plan (if any) before the normal path.
 // Verdicts come from the sender's own stream in its own send order.
-func (l *lane) send(from, to int, e dyngraph.Edge, value float64) {
+func (l *lane) send(from, to int, rec int32, value float64) {
 	if faults := l.net.faults; faults != nil {
 		v := faults.Draw(from, l.en.Now(), &l.faultStats)
 		if v.Drop {
@@ -312,16 +312,16 @@ func (l *lane) send(from, to int, e dyngraph.Edge, value float64) {
 			l.stats.Sent++
 			return
 		}
-		l.sendOne(from, to, e, value, v.Delay)
+		l.sendOne(from, to, rec, value, v.Delay)
 		if v.Dup {
-			l.sendOne(from, to, e, value, 0)
+			l.sendOne(from, to, rec, value, 0)
 		}
 		return
 	}
-	l.sendOne(from, to, e, value, 0)
+	l.sendOne(from, to, rec, value, 0)
 }
 
-// sendOne puts one message in flight over an edge known to be present:
+// sendOne puts one message in flight on open presence record rec:
 // a hand-off to the network's cross when it has one, a delivery event on
 // this lane's engine otherwise. spikedDelay, when
 // positive, is a fault-injected delay that may exceed maxDelay and
@@ -330,18 +330,12 @@ func (l *lane) send(from, to int, e dyngraph.Edge, value float64) {
 // through the DelayFn value.
 //
 //gcslint:zeroalloc
-func (l *lane) sendOne(from, to int, e dyngraph.Edge, value float64, spikedDelay float64) {
+func (l *lane) sendOne(from, to int, rec int32, value float64, spikedDelay float64) {
 	n := l.net
 	now := l.en.Now()
 	fi := l.allocFlight()
 	msg := &l.flights[fi]
-	*msg = Message{
-		From:   from,
-		To:     to,
-		Edge:   e,
-		Value:  value,
-		SentAt: now,
-	}
+	*msg = Message{From: from, To: to, Rec: rec, Value: value}
 	d := spikedDelay
 	if d == 0 {
 		d = n.delay(msg)
@@ -360,21 +354,17 @@ func (l *lane) sendOne(from, to int, e dyngraph.Edge, value float64, spikedDelay
 }
 
 // Broadcast sends value from u to every current neighbor, in ascending
-// neighbor order, and returns the number of values sent. The neighbor
-// set comes from the live adjacency, so the per-send edge presence check
-// is skipped entirely. It reuses one per-lane neighbor buffer, so it
-// must not be called reentrantly from inside another Broadcast's send
-// loop (deliveries happen later, from engine events, so handlers may
-// broadcast freely).
+// neighbor order, and returns the number of values sent. It walks the
+// live adjacency, which holds each edge's open record, so there is no
+// per-send presence check; a send does not touch the graph.
 //
 //gcslint:zeroalloc
 func (n *Network) Broadcast(from int, value float64) int {
-	l := n.laneFor(from)
-	l.nbuf = n.g.AppendNeighbors(from, l.nbuf[:0])
-	for _, v := range l.nbuf {
-		l.send(from, v, dyngraph.E(from, v), value)
+	l, links := n.laneFor(from), n.g.Links(from)
+	for _, k := range links {
+		l.send(from, int(k.V), k.Rec, value)
 	}
-	return len(l.nbuf)
+	return len(links)
 }
 
 // Accept puts a flight that cross was handed in flight on its
@@ -404,15 +394,16 @@ func (l *lane) allocFlight() uint32 {
 }
 
 // deliver recycles flight fi and hands its message to the destination
-// handler, unless the edge was absent at any point of the flight (the
-// paper's drop rule; see the package comment for the ties). The flight
-// is released first, so the handler may send messages that reuse it.
+// handler, unless the presence record it was sent on closed before
+// DeliverAt (the paper's drop rule; see the package comment for the
+// ties). The flight is released first, so the handler may send messages
+// that reuse it.
 //
 //gcslint:zeroalloc
 func (l *lane) deliver(fi uint32) {
 	msg := l.flights[fi]
 	l.free = append(l.free, fi)
-	if !l.net.g.ExistsThroughout(msg.Edge, msg.SentAt, msg.DeliverAt) {
+	if msg.DeliverAt >= l.net.g.Until(msg.Rec) {
 		l.stats.Dropped++
 		return
 	}

@@ -54,7 +54,7 @@ func TestDeliveryWithinBound(t *testing.T) {
 		t.Fatalf("delivered %d, want %d", len(r.got[1]), sends)
 	}
 	for _, m := range r.got[1] {
-		d := m.DeliverAt - m.SentAt
+		d := m.DeliverAt // sent at 0
 		if d <= 0 || d > 0.25 {
 			t.Fatalf("delay %v outside (0, 0.25]", d)
 		}
@@ -225,7 +225,7 @@ func TestDelayFnKeyedOnDirection(t *testing.T) {
 	if len(r.got[1]) != 1 {
 		t.Fatalf("0->1 message not delivered at its 0.1 delay: got %v", r.got[1])
 	}
-	if d := r.got[1][0].DeliverAt - r.got[1][0].SentAt; d != 0.1 {
+	if d := r.got[1][0].DeliverAt; d != 0.1 { // sent at 0
 		t.Fatalf("0->1 delay = %v, want 0.1", d)
 	}
 	if len(r.got[0]) != 0 {
@@ -235,7 +235,7 @@ func TestDelayFnKeyedOnDirection(t *testing.T) {
 	if len(r.got[0]) != 1 {
 		t.Fatalf("1->0 message never delivered: %v", r.got[0])
 	}
-	if d := r.got[0][0].DeliverAt - r.got[0][0].SentAt; d != 0.5 {
+	if d := r.got[0][0].DeliverAt; d != 0.5 {
 		t.Fatalf("1->0 delay = %v, want 0.5", d)
 	}
 }
@@ -305,7 +305,7 @@ func TestHandlerSendDuringDeliveryGrowsArena(t *testing.T) {
 				t.Errorf("re-send to %d refused", v)
 			}
 		}
-		if m.From != 0 || m.To != 1 || m.Value != 7 || m.SentAt != 0 || m.DeliverAt != 0.25 {
+		if m != (Message{From: 0, To: 1, Rec: 0, Value: 7, DeliverAt: 0.25}) {
 			t.Errorf("message corrupted during handler: %+v", m)
 		}
 	})
@@ -354,7 +354,7 @@ func TestNetworkResetReusesState(t *testing.T) {
 		t.Fatalf("post-reset delivery = %v, want [42] and nothing from before the reset", got)
 	}
 	// The new delay law applies.
-	if d := got[0].DeliverAt - got[0].SentAt; d != 0.25 {
+	if d := got[0].DeliverAt; d != 0.25 { // sent at 0, the reset engine's start
 		t.Fatalf("post-reset delay = %v, want the new law's 0.25", d)
 	}
 	if s := net.Stats(); s.Sent != 1 || s.Delivered != 1 {
