@@ -51,7 +51,7 @@ func main() {
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		os.Exit(runUnit(args[0]))
 	}
-	os.Exit(runStandalone(args))
+	os.Exit(runStandalone(args, os.Stderr))
 }
 
 // printVersion implements -V=full: cmd/go embeds the line in its action
@@ -124,16 +124,19 @@ func runUnit(cfgPath string) int {
 	return 0
 }
 
-func runStandalone(patterns []string) int {
+// runStandalone lints the packages patterns name, writing one line per
+// finding to stderr, and returns the exit status: 0 clean, 1 findings,
+// 2 a load or type error.
+func runStandalone(patterns []string, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	diags, err := analysis.LintPackages(".", patterns...)
 	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
+		fmt.Fprintln(stderr, d)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gcslint: %v\n", err)
+		fmt.Fprintf(stderr, "gcslint: %v\n", err)
 		return 2
 	}
 	if len(diags) > 0 {

@@ -88,22 +88,12 @@ func NewTwoChains(n int) *TwoChains {
 	lenA := n/2 - 1     // |I_A| = floor(n/2) - 1
 	lenB := (n+1)/2 - 1 // |I_B| = ceil(n/2) - 1
 	tc := &TwoChains{N: n, lenA: lenA, lenB: lenB}
-	var edges []Edge
-	// Chain A path: 0, A1..AlenA, n-1.
-	prev := 0
-	for i := 1; i <= lenA; i++ {
-		edges = append(edges, E(prev, tc.AIndex(i)))
-		prev = tc.AIndex(i)
+	// Chain A's path 0, A1..AlenA, n-1, then chain B's.
+	for c, idx := range [2]func(int) int{tc.AIndex, tc.BIndex} {
+		for i := 1; i <= [2]int{lenA, lenB}[c]+1; i++ {
+			tc.Edges = append(tc.Edges, E(idx(i-1), idx(i)))
+		}
 	}
-	edges = append(edges, E(prev, n-1))
-	// Chain B path: 0, B1..BlenB, n-1.
-	prev = 0
-	for i := 1; i <= lenB; i++ {
-		edges = append(edges, E(prev, tc.BIndex(i)))
-		prev = tc.BIndex(i)
-	}
-	edges = append(edges, E(prev, n-1))
-	tc.Edges = edges
 	return tc
 }
 
@@ -112,28 +102,22 @@ func (tc *TwoChains) LenB() int { return tc.lenB }
 
 // AIndex maps chain-A position i (0 = w0, lenA+1 = wn) to a node index.
 // Interior A nodes are numbered 1..lenA.
-func (tc *TwoChains) AIndex(i int) int {
-	switch {
-	case i == 0:
-		return 0
-	case i >= 1 && i <= tc.lenA:
-		return i
-	case i == tc.lenA+1:
-		return tc.N - 1
-	}
-	panic(fmt.Sprintf("dyngraph: chain A position %d out of range", i))
-}
+func (tc *TwoChains) AIndex(i int) int { return tc.index("A", i, tc.lenA, 0) }
 
 // BIndex maps chain-B position i (0 = w0, lenB+1 = wn) to a node index.
 // Interior B nodes are numbered lenA+1..lenA+lenB.
-func (tc *TwoChains) BIndex(i int) int {
+func (tc *TwoChains) BIndex(i int) int { return tc.index("B", i, tc.lenB, tc.lenA) }
+
+// index maps position i of a chain whose k interior nodes are numbered
+// base+1..base+k.
+func (tc *TwoChains) index(chain string, i, k, base int) int {
 	switch {
 	case i == 0:
 		return 0
-	case i >= 1 && i <= tc.lenB:
-		return tc.lenA + i
-	case i == tc.lenB+1:
+	case i >= 1 && i <= k:
+		return base + i
+	case i == k+1:
 		return tc.N - 1
 	}
-	panic(fmt.Sprintf("dyngraph: chain B position %d out of range", i))
+	panic(fmt.Sprintf("dyngraph: chain %s position %d out of range", chain, i))
 }

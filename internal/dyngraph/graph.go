@@ -1,13 +1,15 @@
 // Package dyngraph models the paper's dynamic network graph (Section
 // 3.2): a fixed node set V = {0..n-1} over which undirected edges appear
 // and disappear arbitrarily, subject to the T-interval connectivity
-// constraint (Definition 3.1). The package records an execution's edge
-// history as a presence log, one record per presence interval, so that
-// interval connectivity queries are exact, and notifies subscribers (the
-// harness's neighbor discovery) of topology events as they happen. The
-// transports' loss rule reads one record: a message is delivered iff the
-// presence record the flight was sent on (Current) is still open at
-// DeliverAt (Until).
+// constraint (Definition 3.1). The graph keeps the present edges and one
+// open bit per presence record (one record per effective Add, open while
+// its edge is present), and notifies subscribers (the harness's neighbor
+// discovery) of topology events as they happen. A message is delivered
+// iff the presence record the flight was sent on (Current) is still open
+// when the delivery fires (Open). That is DeliverAt < Until, the
+// record's removal time: every harness stamps a removal at or before the
+// time of any delivery that reads the record afterwards. The past
+// (interval connectivity) needs a History attached to the graph.
 package dyngraph
 
 import (
@@ -15,6 +17,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"gcs/internal/seam"
 )
 
 // Edge is an undirected potential edge {U, V} with U < V (an element of
@@ -38,14 +42,6 @@ func E(u, v int) Edge {
 // String renders the edge as its unordered pair.
 func (e Edge) String() string { return fmt.Sprintf("{%d,%d}", e.U, e.V) }
 
-// record is one presence interval [Start, End) of edge {U, V}, End +Inf
-// while the edge is present. Half-open as the paper's E(t) is: an edge
-// removed at time t is not in E(t), one added at t is.
-type record struct {
-	U, V       int32
-	Start, End float64
-}
-
 // Link is one entry of a node's adjacency: a present neighbour V and the
 // id of the presence record of the edge to it.
 type Link struct{ V, Rec int32 }
@@ -62,14 +58,15 @@ type Subscriber interface {
 // called with nondecreasing times (they are driven by simulation events).
 type Dynamic struct {
 	n int
-	// log holds one record per effective Add (initial edges included) in
-	// time order, so in order of Start; a record id is its index. A
-	// record is open exactly while its edge is present.
-	log []record
-	// adj holds the present edges as per-node neighbour-sorted links into
-	// log: AppendNeighbors costs O(deg), it and RangeCurrentEdges yield
-	// ascending order without sorting, and an open record is one binary
-	// search away.
+	// recs counts the effective Adds (initial edges included): record ids
+	// are issued in that order, from 0. open holds one bit per id, set
+	// while the record's edge is present.
+	recs int32
+	open []uint64
+	// adj holds the present edges as per-node neighbour-sorted links
+	// carrying their open records: AppendNeighbors costs O(deg), it and
+	// RangeCurrentEdges yield ascending order without sorting, and an
+	// open record is one binary search away.
 	adj   [][]Link
 	subs  []Subscriber
 	lastT float64
@@ -81,26 +78,28 @@ type Dynamic struct {
 	epoch uint64
 }
 
+// Dynamic is the DES-side seam.Topology: gcs nodes enumerate their
+// current neighborhood through AppendNeighbors without importing this
+// package.
+var _ seam.Topology = (*Dynamic)(nil)
+
 // NewDynamic creates a dynamic graph over n nodes with an initial edge
 // set (the paper's E_0) present from time 0.
 func NewDynamic(n int, initial []Edge) *Dynamic {
-	if n < 1 {
-		panic("dyngraph: need at least one node")
-	}
-	g := &Dynamic{n: n, adj: make([][]Link, n)}
-	g.addInitial(initial)
+	g := &Dynamic{adj: make([][]Link, 0, max(n, 0))}
+	g.Reset(n, initial)
 	return g
 }
 
 // Reset rewinds the graph to time 0 over n nodes with a fresh initial
-// edge set, reusing every buffer the previous execution grew: the
-// presence log and the adjacency slices are truncated in place, so
-// record ids restart at 0 (a transport forgets its flights, and their
-// records, on its own Reset). Subscribers stay registered — component
-// wiring outlives individual runs. No EdgeAdded/EdgeRemoved
-// notifications fire for the discarded or the new initial edges,
-// matching NewDynamic. The topology-change epoch is bumped (not rewound)
-// so cached consumers like DistanceMatrix revalidate.
+// edge set, reusing every buffer the previous execution grew: the open
+// bits and the adjacency slices are truncated in place, so record ids
+// restart at 0 (a transport forgets its flights, and their records, on
+// its own Reset). Subscribers stay registered — component wiring
+// outlives individual runs. No EdgeAdded/EdgeRemoved notifications fire
+// for the discarded or the new initial edges, matching NewDynamic. The
+// topology-change epoch is bumped (not rewound) so cached consumers
+// like DistanceMatrix revalidate.
 func (g *Dynamic) Reset(n int, initial []Edge) {
 	if n < 1 {
 		panic("dyngraph: need at least one node")
@@ -111,33 +110,29 @@ func (g *Dynamic) Reset(n int, initial []Edge) {
 	for i := range g.adj {
 		g.adj[i] = g.adj[i][:0]
 	}
-	g.n = n
-	g.log = g.log[:0]
-	g.lastT = 0
-	g.adds, g.removes = 0, 0
+	g.n, g.recs, g.open = n, 0, g.open[:0]
+	g.lastT, g.adds, g.removes = 0, 0, 0
 	g.epoch++
-	g.addInitial(initial)
-}
-
-// addInitial makes the initial edges present from time 0, skipping
-// repeats.
-func (g *Dynamic) addInitial(initial []Edge) {
 	for _, e := range initial {
 		g.check(e)
-		if !g.Present(e) {
-			g.open(0, e)
+		if !g.Present(e) { // a repeat
+			g.link(e)
 		}
 	}
 }
 
-// open appends a record for e starting at t and links it into both
-// endpoints' adjacency.
-func (g *Dynamic) open(t float64, e Edge) {
-	if len(g.log) == math.MaxInt32 {
-		panic("dyngraph: presence log full: more than MaxInt32 edge additions in one execution")
+// link issues an open record for e and links it into both endpoints'
+// adjacency.
+func (g *Dynamic) link(e Edge) {
+	if g.recs == math.MaxInt32 {
+		panic("dyngraph: record ids exhausted: more than MaxInt32 edge additions in one execution")
 	}
-	rec := int32(len(g.log))
-	g.log = append(g.log, record{U: int32(e.U), V: int32(e.V), Start: t, End: math.Inf(1)})
+	rec := g.recs
+	g.recs++
+	if int(rec>>6) == len(g.open) {
+		g.open = append(g.open, 0)
+	}
+	g.open[rec>>6] |= 1 << (rec & 63)
 	g.adj[e.U] = insertLink(g.adj[e.U], Link{V: int32(e.V), Rec: rec})
 	g.adj[e.V] = insertLink(g.adj[e.V], Link{V: int32(e.U), Rec: rec})
 }
@@ -194,26 +189,28 @@ func (g *Dynamic) Current(e Edge) (int32, bool) {
 	return 0, false
 }
 
-// Until returns the end of presence record rec: +Inf while it is open,
-// else the time its edge was removed. A flight sent on rec is delivered
-// iff its DeliverAt is below Until(rec).
+// Open reports whether presence record rec is still open: whether the
+// edge it was issued for has not been removed since. A flight sent on
+// rec is delivered iff rec is still open when the delivery fires.
 //
 //gcslint:zeroalloc
-func (g *Dynamic) Until(rec int32) float64 { return g.log[rec].End }
+func (g *Dynamic) Open(rec int32) bool { return g.open[rec>>6]&(1<<(rec&63)) != 0 }
 
 // Links returns u's adjacency, ascending by neighbour: the graph's own
 // slice, to read before the next Add or Remove.
 func (g *Dynamic) Links(u int) []Link { return g.adj[u] }
 
-// Add inserts edge e at time t. Adding a present edge is a no-op (the
-// model assumes no simultaneous add+remove of the same edge).
+// Add inserts edge e at time t under a new presence record. Adding a
+// present edge is a no-op. A remove and a re-add at one instant are two
+// changes: the re-added edge is on a new record, and the old one stays
+// closed.
 func (g *Dynamic) Add(t float64, e Edge) {
 	g.check(e)
 	g.advance(t)
 	if g.Present(e) {
 		return
 	}
-	g.open(t, e)
+	g.link(e)
 	g.adds++
 	g.epoch++
 	for _, s := range g.subs {
@@ -229,7 +226,7 @@ func (g *Dynamic) Remove(t float64, e Edge) {
 	if !ok {
 		return
 	}
-	g.log[rec].End = t
+	g.open[rec>>6] &^= 1 << (rec & 63)
 	u, v := g.adj[e.U], g.adj[e.V]
 	i, j := search(u, e.V), search(v, e.U)
 	g.adj[e.U], g.adj[e.V] = slices.Delete(u, i, i+1), slices.Delete(v, j, j+1)
@@ -277,33 +274,99 @@ func (g *Dynamic) RangeCurrentEdges(f func(Edge)) {
 	}
 }
 
+// ExistsThroughout reports whether e exists throughout [t1, t2] for t1
+// at or after the latest Add or Remove: whether e is present now. It
+// panics on an earlier t1, which needs a History.
+func (g *Dynamic) ExistsThroughout(e Edge, t1, t2 float64) bool {
+	if t1 < g.lastT {
+		panic(fmt.Sprintf("dyngraph: ExistsThroughout(%v, %v, %v) before the latest change at %v: the graph keeps no history, attach a History", e, t1, t2, g.lastT))
+	}
+	return g.Present(e)
+}
+
+// History is a graph's edge history from the time it was attached, one
+// record per presence interval, so queries over the past are exact. It
+// grows by a record per Add for the whole run, which is why the graph
+// itself keeps only an open bit per record. It knows nothing from before
+// it was attached and records nothing after its graph's next Reset.
+type History struct {
+	g     *Dynamic
+	from  float64 // when attached: the edges present then are not events
+	epoch uint64  // g's epoch after the last change recorded
+	log   []record
+	last  map[Edge]int32 // each edge's newest record in log, plus one
+}
+
+// record is one presence interval [Start, End) of edge {U, V}, End +Inf
+// while the edge is present. Half-open as the paper's E(t) is: an edge
+// removed at time t is not in E(t), one added at t is. Prev is the
+// edge's previous record plus one, 0 for its first.
+type record struct {
+	U, V, Prev int32
+	Start, End float64
+}
+
+// NewHistory attaches a history to g: g's present edges open records
+// at g's current time, and every later Add and Remove is recorded.
+//
+//gcslint:allow testonly — the exact edge history is for tests and offline analysis: the drop rule needs only the graph's open bits, and no harness run attaches one
+func NewHistory(g *Dynamic) *History {
+	h := &History{g: g, from: g.lastT, epoch: g.epoch, last: map[Edge]int32{}}
+	g.RangeCurrentEdges(func(e Edge) { h.open(h.from, e) })
+	g.Subscribe(h)
+	return h
+}
+
+// EdgeAdded opens a record for e at t.
+func (h *History) EdgeAdded(t float64, e Edge) {
+	if h.follows() {
+		h.open(t, e)
+	}
+}
+
+// EdgeRemoved closes e's open record at t.
+func (h *History) EdgeRemoved(t float64, e Edge) {
+	if h.follows() {
+		h.log[h.last[e]-1].End = t
+	}
+}
+
+// follows reports whether the change h is told of is its graph's next
+// since the last one h recorded. Reset changes the graph and its epoch
+// without telling subscribers, so a history ends at its graph's Reset.
+func (h *History) follows() bool {
+	h.epoch++
+	return h.epoch == h.g.epoch
+}
+
+// open records e as present from t.
+func (h *History) open(t float64, e Edge) {
+	h.log = append(h.log, record{U: int32(e.U), V: int32(e.V), Prev: h.last[e], Start: t, End: math.Inf(1)})
+	h.last[e] = int32(len(h.log))
+}
+
 // ExistsThroughout reports whether e exists throughout [t1, t2] in the
 // paper's sense (t1 <= t2): present at t1 and not removed at any point
-// of [t1, t2]. It scans e's records newest-first from the open one, if
-// any: they are disjoint and in time order, so the first with Start <=
-// t1 either covers [t1, t2] or no older one can.
-func (g *Dynamic) ExistsThroughout(e Edge, t1, t2 float64) bool {
-	i := len(g.log) - 1
-	if rec, ok := g.Current(e); ok {
-		i = int(rec)
-	}
-	for ; i >= 0; i-- {
-		if r := &g.log[i]; int(r.U) == e.U && int(r.V) == e.V && r.Start <= t1 {
+// of [t1, t2]. It walks e's records newest-first: they are disjoint and
+// in time order, so the first with Start <= t1 either covers [t1, t2]
+// or no older one can.
+func (h *History) ExistsThroughout(e Edge, t1, t2 float64) bool {
+	for i := h.last[e]; i > 0; i = h.log[i-1].Prev {
+		if r := &h.log[i-1]; r.Start <= t1 {
 			return t2 < r.End
 		}
 	}
 	return false
 }
 
-// EdgesThroughout returns the set E|[t1,t2] of edges existing throughout
-// the interval, sorted. This is the edge set of the paper's static
-// subgraph G[t1,t2].
-func (g *Dynamic) EdgesThroughout(t1, t2 float64) []Edge {
+// EdgesThroughout returns the edges existing throughout [t1, t2],
+// sorted: E|[t1,t2], the edges of the paper's static subgraph G[t1,t2].
+func (h *History) EdgesThroughout(t1, t2 float64) []Edge {
 	var out []Edge
-	for _, r := range g.log {
-		// An edge's records are disjoint, so at most one covers [t1, t2].
-		if r.Start <= t1 && t2 < r.End {
-			out = append(out, Edge{U: int(r.U), V: int(r.V)})
+	for i, r := range h.log {
+		// Ask once per edge, at its newest record.
+		if e := (Edge{U: int(r.U), V: int(r.V)}); h.last[e] == int32(i+1) && h.ExistsThroughout(e, t1, t2) {
+			out = append(out, e)
 		}
 	}
 	slices.SortFunc(out, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
@@ -311,11 +374,12 @@ func (g *Dynamic) EdgesThroughout(t1, t2 float64) []Edge {
 }
 
 // EventTimes returns the sorted distinct times at which any edge was
-// added or removed (excluding time 0 initial edges).
-func (g *Dynamic) EventTimes() []float64 {
+// added or removed, the edges present when the history was attached
+// (at time 0, the initial ones) excluded.
+func (h *History) EventTimes() []float64 {
 	var out []float64
-	for _, r := range g.log {
-		if r.Start > 0 {
+	for _, r := range h.log {
+		if r.Start > h.from {
 			out = append(out, r.Start)
 		}
 		if !math.IsInf(r.End, 1) {
@@ -326,29 +390,25 @@ func (g *Dynamic) EventTimes() []float64 {
 	return slices.Compact(out)
 }
 
-// VerifyIntervalConnectivity checks Definition 3.1 exactly over [0,
-// horizon]: for every window [t, t+T] with t in [0, horizon-T], the
-// static subgraph G[t,t+T] is connected. Because E|[t,t+T] only changes
-// when t crosses an event time (or t+T does), it suffices to test window
-// starts at 0 and at every event time s and s-T within range. Returns the
-// first violating window start, or (0, true) if the property holds.
+// VerifyIntervalConnectivity checks Definition 3.1 exactly up to
+// horizon: every window [t, t+T] from the attach time on has a connected
+// static subgraph G[t,t+T]. E|[t,t+T] changes only when t or t+T
+// crosses an event time, so the window starts tested are the attach
+// time and every event time s and s-T in range. It returns the first
+// violating start, or (0, true).
 //
 //gcslint:allow testonly — the paper's Def. 3.1 premise; churn cells are to assert it before their bounds apply
-func (g *Dynamic) VerifyIntervalConnectivity(T, horizon float64) (float64, bool) {
+func (h *History) VerifyIntervalConnectivity(T, horizon float64) (float64, bool) {
 	if T <= 0 {
 		panic("dyngraph: T must be positive")
 	}
-	starts := []float64{0}
-	for _, s := range g.EventTimes() {
-		for _, cand := range [2]float64{s, s - T} {
-			if cand >= 0 && cand+T <= horizon {
-				starts = append(starts, cand)
-			}
-		}
+	starts := []float64{h.from}
+	for _, s := range h.EventTimes() {
+		starts = append(starts, s, s-T)
 	}
 	slices.Sort(starts)
 	for _, s := range slices.Compact(starts) {
-		if s+T <= horizon && !Connected(g.n, g.EdgesThroughout(s, s+T)) {
+		if s >= h.from && s+T <= horizon && !Connected(h.g.N(), h.EdgesThroughout(s, s+T)) {
 			return s, false
 		}
 	}

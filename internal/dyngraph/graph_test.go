@@ -33,20 +33,21 @@ func TestNeighborsTrackAddsAndRemoves(t *testing.T) {
 }
 
 func TestHistorySurvivesPresenceDeletion(t *testing.T) {
-	// Remove closes the edge's last interval; the history must still
-	// answer ExistsThroughout for the past.
+	// Remove closes the edge's last interval; an attached History must
+	// still answer ExistsThroughout for the past.
 	g := NewDynamic(3, []Edge{E(0, 1)})
+	h := NewHistory(g)
 	g.Remove(5, E(0, 1))
 	if g.Present(E(0, 1)) {
 		t.Fatal("edge still present after removal")
 	}
-	if !g.ExistsThroughout(E(0, 1), 3, 3) {
+	if !h.ExistsThroughout(E(0, 1), 3, 3) {
 		t.Fatal("history lost: edge existed at t=3")
 	}
-	if g.ExistsThroughout(E(0, 1), 5, 5) {
+	if h.ExistsThroughout(E(0, 1), 5, 5) {
 		t.Fatal("half-open interval violated: edge removed at t=5 is not in E(5)")
 	}
-	if !g.ExistsThroughout(E(0, 1), 0, 4) {
+	if !h.ExistsThroughout(E(0, 1), 0, 4) {
 		t.Fatal("edge existed throughout [0,4]")
 	}
 	adds, removes := g.Stats()
@@ -60,10 +61,11 @@ func TestHistorySurvivesPresenceDeletion(t *testing.T) {
 // edges, sorted.
 func TestCurrentEdgesAfterChurn(t *testing.T) {
 	g := NewDynamic(4, Line(4))
+	h := NewHistory(g)
 	g.Remove(1, E(1, 2))
 	g.Add(2, E(0, 3))
 	want := []Edge{{0, 1}, {0, 3}, {2, 3}}
-	if got := g.EdgesThroughout(2, 2); !reflect.DeepEqual(got, want) {
+	if got := h.EdgesThroughout(2, 2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("E(2) = %v, want %v", got, want)
 	}
 }
@@ -185,16 +187,16 @@ func TestPresenceAndOrderMatchModel(t *testing.T) {
 
 // TestExistsThroughoutMatchesForwardScan builds seeded add/remove
 // histories (same-instant flaps included, which leave empty intervals)
-// and compares ExistsThroughout, which scans the log newest-first from
-// the open record, with refHistory's oldest-first scan on queries that
-// start and end at, just before, just after and across every interval
-// end, and on random ones.
+// and compares an attached History's ExistsThroughout, which walks the
+// edge's records newest-first, with refHistory's oldest-first scan on
+// queries that start and end at, just before, just after and across
+// every interval end, and on random ones.
 func TestExistsThroughoutMatchesForwardScan(t *testing.T) {
 	const n = 4
 	for seed := uint64(1); seed <= 8; seed++ {
 		rnd := des.NewRand(seed)
 		g := NewDynamic(n, Ring(n))
-		ref := newRef(g)
+		ref, h := newRef(t, g), NewHistory(g)
 		now := 0.0
 		for step := 0; step < 200; step++ {
 			if !rnd.Bool(0.15) { // otherwise: a second event at the same instant
@@ -214,7 +216,7 @@ func TestExistsThroughoutMatchesForwardScan(t *testing.T) {
 			if t1 > t2 {
 				return
 			}
-			got, want := g.ExistsThroughout(e, t1, t2), ref.existsThroughout(e, t1, t2)
+			got, want := h.ExistsThroughout(e, t1, t2), ref.existsThroughout(e, t1, t2)
 			if got != want {
 				t.Fatalf("seed %d: ExistsThroughout(%v, %v, %v) = %v, forward scan %v (history %v)",
 					seed, e, t1, t2, got, want, ref.ivs[e])

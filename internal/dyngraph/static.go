@@ -1,5 +1,7 @@
 package dyngraph
 
+import "slices"
+
 // Static-graph utilities used for connectivity checks, distances (the
 // paper's dist(u,v)), and the lower bound's flexible distance.
 
@@ -13,29 +15,12 @@ func Adjacency(n int, edges []Edge) [][]int {
 	return adj
 }
 
-// Connected reports whether the static graph (n, edges) is connected.
-// The empty graph over one node is connected.
+// Connected reports whether the static graph (n >= 1, edges) is
+// connected. The empty graph over one node is connected.
 func Connected(n int, edges []Edge) bool {
-	if n <= 1 {
-		return true
-	}
-	adj := Adjacency(n, edges)
-	seen := make([]bool, n)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range adj[u] {
-			if !seen[v] {
-				seen[v] = true
-				count++
-				stack = append(stack, v)
-			}
-		}
-	}
-	return count == n
+	dist := make([]int, n)
+	bfs(Adjacency(n, edges), 0, dist, nil)
+	return !slices.Contains(dist, -1)
 }
 
 // bfs fills dist with hop distances from src (-1 for unreachable),
@@ -74,10 +59,8 @@ func Diameter(n int, edges []Edge) int {
 	diam := 0
 	for s := 0; s < n; s++ {
 		ecc := bfs(adj, s, dist, queue)
-		for _, x := range dist {
-			if x < 0 {
-				return -1
-			}
+		if slices.Contains(dist, -1) {
+			return -1
 		}
 		if ecc > diam {
 			diam = ecc
@@ -92,10 +75,7 @@ func Diameter(n int, edges []Edge) int {
 // `constrained` (Definition 4.3). Constrained edges cost 0, unconstrained
 // edges cost 1; this is a 0/1-BFS. Unreachable nodes get -1.
 func FlexibleDistances(n int, edges []Edge, constrained map[Edge]bool, src int) []int {
-	type arc struct {
-		to   int
-		cost int
-	}
+	type arc struct{ to, cost int }
 	adj := make([][]arc, n)
 	for _, e := range edges {
 		c := 1

@@ -443,7 +443,8 @@ func (nd *Node) find(from int) (int, bool) {
 // then re-evaluates the jump and fast-mode rules. The harness calls it
 // only for a message that crossed a present edge, so from is a current
 // neighbor: every harness, rt.Router included, delivers a message iff
-// the presence record the flight was sent on is still open at DeliverAt.
+// the presence record the flight was sent on is still open when the
+// delivery fires.
 //
 //gcslint:zeroalloc
 func (nd *Node) OnMessage(from int, value float64) {

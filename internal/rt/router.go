@@ -20,8 +20,11 @@ import (
 // receiver's event queue. The topology is a dyngraph.Dynamic stamped
 // with simulated time, and the loss rule is the DES transports': a
 // message is delivered iff the presence record the flight was sent on is
-// still open at DeliverAt, so one whose edge vanished at any point in
-// flight is lost, even if the edge is back at delivery.
+// still open when the delivery fires, so one whose edge vanished at any
+// point in flight is lost, even if the edge is back at delivery. That
+// is DeliverAt < Until(record): change stamps a removal with simNow()
+// under the write lock, at or before the time of any delivery that
+// reads the record afterwards.
 //
 // The graph is guarded by an RWMutex — node goroutines read it on
 // every broadcast and delivery and on the neighbor rescan after a lost
@@ -151,7 +154,7 @@ func (rt *Router) deliverAfter(from, to int, rec int32, value, delay float64) {
 // reaches the node iff its presence record is still open now.
 func (rt *Router) deliver(from, to int, rec int32, value float64) {
 	rt.mu.RLock()
-	ok := rt.r.simNow() < rt.g.Until(rec)
+	ok := rt.g.Open(rec)
 	rt.mu.RUnlock()
 	if !ok {
 		rt.dropped.Add(1)

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -143,5 +147,58 @@ func TestCanonicalLowerBoundEpsOnlyWhenSet(t *testing.T) {
 		if bytes.Equal(enc, set.AppendCanonical(nil)) {
 			t.Errorf("%s: a set LowerBoundEps did not change the canonical encoding", c.name)
 		}
+	}
+}
+
+// versionManifest pairs canonicalVersion with a digest of the golden
+// reports: one line, "<version> <sha256>".
+const versionManifest = "testdata/canonical_version"
+
+// goldenDigest is the SHA-256 over testdata/golden's files in name
+// order, each as its name, its length and its bytes.
+func goldenDigest(t *testing.T) string {
+	t.Helper()
+	names, err := filepath.Glob("testdata/golden/*")
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no golden files (%v)", err)
+	}
+	slices.Sort(names)
+	h := sha256.New()
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", filepath.Base(name), len(data))
+		h.Write(data)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCanonicalVersionTracksGoldens makes the version decision a check:
+// a change that moves a golden report changes the physics a stored fact
+// answers for, so it must bump canonicalVersion, and a bump must come
+// with a moved golden (a layout-only bump moves none, and then this
+// test is where it says so). Both moving means a deliberate new version:
+// commit the manifest line the failure prints.
+func TestCanonicalVersionTracksGoldens(t *testing.T) {
+	data, err := os.ReadFile(versionManifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var version int
+	var digest string
+	if _, err := fmt.Sscanf(string(data), "%d %s", &version, &digest); err != nil {
+		t.Fatalf("%s: %v", versionManifest, err)
+	}
+	got := goldenDigest(t)
+	line := fmt.Sprintf("%d %s", canonicalVersion, got)
+	switch {
+	case version == canonicalVersion && digest != got:
+		t.Errorf("the golden reports moved under canonicalVersion %d: bump it (stored facts answer for the old physics), then commit %q to %s", version, fmt.Sprintf("%d %s", canonicalVersion+1, got), versionManifest)
+	case version != canonicalVersion && digest == got:
+		t.Errorf("canonicalVersion moved from %d to %d but no golden report did: revert the bump, or pin the new layout with a golden cell it moves", version, canonicalVersion)
+	case version != canonicalVersion:
+		t.Errorf("canonicalVersion %d and the goldens both moved: commit %q to %s", canonicalVersion, line, versionManifest)
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -22,7 +23,12 @@ import (
 // total less every owner row: closures, map buckets beyond their entries,
 // slice headers and size-class rounding. The table is logged (run with
 // -v); the test fails if the total exceeds its ceiling, so a regrowth of
-// the working set cannot land silently.
+// the working set cannot land silently, or if the graph's presence
+// state grows with the horizon: rotstar at twice the horizon may hold at
+// most 16 more bytes per node of open bits (the extra rotations' bits
+// are 8). Its adjacency does grow until every node has been the hub
+// once, since a node keeps the capacity it grew as the hub; so do its
+// estimate tables.
 func TestBytesPerNodeCensus(t *testing.T) {
 	ring := Config{
 		N: 4096, Seed: 11, Horizon: 3, Rho: 0.01, MaxDelay: 0.01,
@@ -33,16 +39,20 @@ func TestBytesPerNodeCensus(t *testing.T) {
 	rotstar.N, rotstar.Horizon = 256, 100
 	rotstar.Topology = TopologySpec{}
 	rotstar.Churn = ChurnSpec{Kind: ChurnRotatingStar, Period: 2, Overlap: 0.5}
+	longer := rotstar
+	longer.Horizon = 200
 
+	bits := map[string]float64{} // open-bit bytes per node, by row
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-		// ceiling is the measured total bytes per node plus 5% (934.7
-		// and 4 956.8 on linux/amd64, go1.24).
+		// ceiling is the measured total bytes per node plus 5% (910.8,
+		// 3 524.8 and 5 249.7 on linux/amd64, go1.24).
 		ceiling float64
 	}{
-		{"ring4096", ring, 982},
-		{"rotstar256", rotstar, 5205},
+		{"ring4096", ring, 957},
+		{"rotstar256", rotstar, 3701},
+		{"rotstar256_h200", longer, 5513},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := liveHeap()
@@ -58,6 +68,9 @@ func TestBytesPerNodeCensus(t *testing.T) {
 			for _, r := range rows {
 				per := r.bytes / float64(tc.cfg.N)
 				rest -= per
+				if r.owner == "dyngraph open bits" {
+					bits[tc.name] = per
+				}
 				fmt.Fprintf(&b, "  %-42s %9.1f\n", r.owner, per)
 			}
 			fmt.Fprintf(&b, "  %-42s %9.1f\n", "other (closures, map overhead, rounding)", rest)
@@ -67,6 +80,11 @@ func TestBytesPerNodeCensus(t *testing.T) {
 				t.Errorf("%s: %.1f live bytes per node, ceiling %.0f", tc.name, total, tc.ceiling)
 			}
 		})
+	}
+	if short, ok := bits["rotstar256"]; ok {
+		if long, ok := bits["rotstar256_h200"]; ok && math.Abs(long-short) > 16 {
+			t.Errorf("open bits %.1f B per node at horizon 200, %.1f at 100: the presence state grows with the horizon", long, short)
+		}
 	}
 }
 
@@ -118,8 +136,7 @@ func census(s *Simulation) []censusRow {
 		adjBytes += adj.Index(i).Cap() * int(adj.Type().Elem().Elem().Size())
 	}
 	add("dyngraph adjacency", adjBytes)
-	plog := field(s.Graph, "log")
-	add("dyngraph presence log", plog.Cap()*int(plog.Type().Elem().Size()))
+	add("dyngraph open bits", field(s.Graph, "open").Cap()*8)
 
 	lanes := field(s.Net, "lanes")
 	var flights int

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"testing"
+
+	"gcs/internal/dyngraph"
 )
 
 // assertSkewInvariants checks the properties every legal execution must
@@ -136,7 +138,7 @@ func TestTrafficConservedUnderChurn(t *testing.T) {
 }
 
 // TestVolatileChurnStaysIntervalConnected pins Definition 3.1 with the
-// dyngraph verifier. Volatile churn keeps a static backbone, so it is
+// dyngraph verifier, over a History attached before the run. Volatile churn keeps a static backbone, so it is
 // T-interval connected for any T on both DES harnesses. The rotating
 // star is T-interval connected for T = Overlap, when one complete star
 // spans every window, but not for T = Period: a window that starts after
@@ -162,12 +164,13 @@ func TestVolatileChurnStaysIntervalConnected(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(tc.cfg)
-			rpt, g := s.Run(), s.Graph
+			h := dyngraph.NewHistory(s.Graph)
+			rpt := s.Run()
 			assertSkewInvariants(t, tc.cfg, rpt)
 			if rpt.EdgeAdds == 0 || rpt.EdgeRemoves == 0 {
 				t.Fatalf("no churn: adds=%d removes=%d", rpt.EdgeAdds, rpt.EdgeRemoves)
 			}
-			if at, ok := g.VerifyIntervalConnectivity(tc.T, tc.cfg.Horizon); ok != tc.wantOK {
+			if at, ok := h.VerifyIntervalConnectivity(tc.T, tc.cfg.Horizon); ok != tc.wantOK {
 				t.Fatalf("%v-interval connected = %v (first violating window at %v), want %v", tc.T, ok, at, tc.wantOK)
 			}
 		})

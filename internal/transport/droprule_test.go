@@ -161,8 +161,10 @@ func TestDeliveryTimeDropMatchesEagerCancel(t *testing.T) {
 
 // TestDropRuleTies pins the rule where the measure-zero cases decide:
 // a message is carried iff the presence record it was sent on is still
-// open at DeliverAt, i.e. DeliverAt < Until(Rec). Each tie is pinned
-// twice, with a FixedDelay law:
+// open when the delivery fires, which is DeliverAt < Until(Rec) because
+// every removal is stamped at or before the time of any delivery that
+// reads the record afterwards. Each tie is pinned twice, with a
+// FixedDelay law:
 // sender and receiver on one lane (the serial harness), and on two lanes
 // with the flight crossing between them (the sharded one) — lane.deliver
 // is the one predicate both harnesses ask.

@@ -6,16 +6,21 @@
 // delivery event. A flight carries the id of the presence record its
 // edge was on when it was sent (dyngraph.Dynamic.Current), and it is
 // delivered iff the presence record the flight was sent on is still
-// open at DeliverAt: DeliverAt < Until(Rec), read once, when the
-// delivery fires. Serial and sharded runs share this one rule, so they
-// agree on every tie: a removal that has happened by the time the
-// delivery fires loses the message even at exactly DeliverAt, a message
-// sent at the instant its edge is added is carried, and a removal inside
-// the flight loses it even if the edge is back by DeliverAt — or back at
-// the very instant of the send: a send followed at its instant by a
-// remove and a re-add is lost, as if the removal had cancelled it on the
-// spot. The network keeps no per-edge state and does not listen to the
-// graph. Deliveries on one edge with equal delays are FIFO (the DES
+// open when the delivery fires (dyngraph.Dynamic.Open, one bit read
+// once). That is DeliverAt < Until(Rec), Until the record's removal
+// time: a removal is stamped at or before the time of every delivery
+// that reads the record afterwards (the serial engine runs churn at
+// engine time, the sharded one in its global phase, and every window
+// ends at or before the next global event), so a record closed at the
+// read closed at or before DeliverAt. Serial and sharded runs share
+// this one rule, so they agree on every tie: a removal that has
+// happened by the time the delivery fires loses the message even at
+// exactly DeliverAt, a message sent at the instant its edge is added is
+// carried, and a removal inside the flight loses it even if the edge is
+// back by DeliverAt — or back at the very instant of the send: a send
+// followed at its instant by a remove and a re-add is lost, as if the
+// removal had cancelled it on the spot. The network keeps no per-edge
+// state and does not listen to the graph. Deliveries on one edge with equal delays are FIFO (the DES
 // kernel breaks ties by scheduling order).
 //
 // A Network serves one engine (New) or several (NewSharded), with one
@@ -118,8 +123,8 @@ type Stats struct {
 	Sent uint64
 	// Delivered counts messages handed to a receiver handler.
 	Delivered uint64
-	// Dropped counts messages whose presence record closed before their
-	// delivery time, found out then.
+	// Dropped counts messages whose presence record was no longer open
+	// when their delivery fired.
 	Dropped uint64
 	// Refused counts sends attempted over absent edges.
 	Refused uint64
@@ -394,16 +399,15 @@ func (l *lane) allocFlight() uint32 {
 }
 
 // deliver recycles flight fi and hands its message to the destination
-// handler, unless the presence record it was sent on closed before
-// DeliverAt (the paper's drop rule; see the package comment for the
-// ties). The flight is released first, so the handler may send messages
+// handler, unless the presence record it was sent on is no longer open
+// (the paper's drop rule; see the package comment for the ties). The flight is released first, so the handler may send messages
 // that reuse it.
 //
 //gcslint:zeroalloc
 func (l *lane) deliver(fi uint32) {
 	msg := l.flights[fi]
 	l.free = append(l.free, fi)
-	if msg.DeliverAt >= l.net.g.Until(msg.Rec) {
+	if !l.net.g.Open(msg.Rec) {
 		l.stats.Dropped++
 		return
 	}
