@@ -14,34 +14,41 @@ import (
 // hand-edited: CI reruns `-update` and fails on any git diff.
 var update = flag.Bool("update", false, "rewrite testdata/<row> from the current code")
 
+// A cliRow is one TestCLIGolden row: a subcommand's arguments and the
+// artifacts it writes under -out; testdata/<name> holds its files.
+type cliRow struct {
+	name      string
+	args      []string
+	artifacts []string
+}
+
+var cliRows = []cliRow{
+	{"gradient", []string{"gradient", "-n", "16", "-horizon", "4", "-workers", "2"},
+		[]string{"gradient_skew.csv", "gradient_report.json"}},
+	{"lowerbound", []string{"lowerbound", "-n", "16,32", "-workers", "2"},
+		[]string{"lowerbound_skew.csv", "lowerbound_report.json"}},
+	{"sweep", []string{"sweep", "-n", "16,32", "-topos", "ring", "-drivers", "randomwalk", "-horizon", "4", "-workers", "2"},
+		[]string{"sweep_results.csv", "sweep_report.json"}},
+	{"chaos", []string{"chaos", "-n", "16", "-horizon", "8", "-workers", "2"},
+		[]string{"chaos_grid.csv", "chaos_report.json"}},
+	{"scenario-rotatingstar", []string{"-n", "16", "-horizon", "5", "-churn", "rotatingstar", "-events"}, nil},
+	{"scenario-faulted-grid", []string{"-n", "36", "-topo", "grid", "-churn", "volatile", "-horizon", "8",
+		"-fault-crash-every", "3", "-fault-drop", "0.1", "-events"}, nil},
+	{"scenario-grid-n24", []string{"-n", "24", "-topo", "grid", "-horizon", "4"}, nil},
+	{"scenario-parallel", []string{"-n", "64", "-horizon", "4", "-parallel", "-shards", "4", "-workers", "2"}, nil},
+	{"scenario-parallel-events", []string{"-n", "64", "-horizon", "4", "-parallel", "-shards", "4", "-workers", "2", "-events"}, nil},
+}
+
 // TestCLIGolden pins the stdout and -out artifacts of the subcommands,
-// byte for byte across commits (sweep and chaos print their elapsed time
-// to stderr, which is not pinned). Each row re-execs
+// byte for byte across commits (the grid subcommands print their elapsed
+// time to stderr, which is not pinned). Each row re-execs
 // the test binary as `gcsim <args>`, plus `-out <tmp>` for a row with
 // artifacts; the only run-specific text is the -out directory in the
 // "wrote" line, which is spelled OUT in the golden. The scenario rows
 // have no artifacts; with -events their stdout carries the per-label
 // event counts summed over every engine of the run.
 func TestCLIGolden(t *testing.T) {
-	for _, row := range []struct {
-		name      string
-		args      []string
-		artifacts []string
-	}{
-		{"gradient", []string{"gradient", "-n", "16", "-horizon", "4", "-workers", "2"},
-			[]string{"gradient_skew.csv", "gradient_report.json"}},
-		{"lowerbound", []string{"lowerbound", "-n", "16,32", "-workers", "2"},
-			[]string{"lowerbound_skew.csv", "lowerbound_report.json"}},
-		{"sweep", []string{"sweep", "-n", "16,32", "-topos", "ring", "-drivers", "randomwalk", "-horizon", "4", "-workers", "2"},
-			[]string{"sweep_results.csv", "sweep_report.json"}},
-		{"chaos", []string{"chaos", "-n", "16", "-horizon", "8", "-workers", "2"},
-			[]string{"chaos_grid.csv", "chaos_report.json"}},
-		{"scenario-rotatingstar", []string{"-n", "16", "-horizon", "5", "-churn", "rotatingstar", "-events"}, nil},
-		{"scenario-faulted-grid", []string{"-n", "36", "-topo", "grid", "-churn", "volatile", "-horizon", "8",
-			"-fault-crash-every", "3", "-fault-drop", "0.1", "-events"}, nil},
-		{"scenario-parallel", []string{"-n", "64", "-horizon", "4", "-parallel", "-shards", "4", "-workers", "2"}, nil},
-		{"scenario-parallel-events", []string{"-n", "64", "-horizon", "4", "-parallel", "-shards", "4", "-workers", "2", "-events"}, nil},
-	} {
+	for _, row := range cliRows {
 		t.Run(row.name, func(t *testing.T) {
 			out := t.TempDir()
 			args := append([]string{"gcsim"}, row.args...)

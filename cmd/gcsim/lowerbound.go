@@ -3,22 +3,22 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
 	"gcs/internal/sim"
 )
 
-// runLowerBound implements `gcsim lowerbound`: it sweeps the Theorem 4.1
-// two-chain adversarial scenario over several node counts, prints the
-// observed-vs-analytic skew table, and dumps each run's skew series as
-// CSV plus the full report as JSON for plotting. Each n is a plain
-// sim.Config with LowerBoundEps set, so malformed flags come back as
-// Config.Validate errors. Serially (the default) one arena is reshaped
-// across the whole sweep; with -workers > 1 the node counts fan across
-// arena-backed goroutines, and results (CSV rows included) are emitted
-// in sweep order — bit-identical to the serial output.
+// runLowerBound implements `gcsim lowerbound`: sim.LowerBoundExperiment,
+// the Theorem 4.1 two-chain adversarial scenario at several node counts.
+// It prints the observed-vs-analytic skew table and the growth line,
+// dumps each run's skew series as CSV plus the results as JSON for
+// plotting, and exits nonzero unless every n brackets its skew between
+// omega(n) and the upper bound and the skew grows at least half as fast
+// as n. Each n is a plain sim.Config with LowerBoundEps set, so malformed
+// flags come back as Config.Validate errors. The node counts fan across
+// -workers arena-backed goroutines; the output is bit-identical for
+// every worker count.
 func runLowerBound(args []string) {
 	fs := flag.NewFlagSet("gcsim lowerbound", flag.ExitOnError)
 	var (
@@ -58,45 +58,20 @@ func runLowerBound(args []string) {
 		LowerBoundEps: *eps,
 	}
 	base.Node.BeaconEvery = *beacon
-	results, err := sim.LowerBoundSweep(base, ns, *workers)
-	if err != nil {
-		fail("lowerbound: %v", err)
-	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fail("lowerbound: %v", err)
-	}
-
-	var csv strings.Builder
-	csv.WriteString("n,t,min,max,skew\n")
-	fmt.Printf("%6s %8s %14s %14s %12s %12s\n",
-		"n", "maxDist", "maxSkew", "finalSkew", "omega(n)", "upperBound")
-	for _, res := range results {
-		for _, p := range res.Series {
-			fmt.Fprintf(&csv, "%d,%g,%g,%g,%g\n", res.N, p.T, p.Lo, p.Hi, p.Hi-p.Lo)
-		}
-		fmt.Printf("%6d %8d %14.6f %14.6f %12.6f %12.2f\n",
-			res.N, res.MaxDist, res.MaxGlobalSkew, res.FinalGlobalSkew, res.OmegaSkew, res.UpperBound)
-	}
-
-	if len(results) > 1 {
-		first, last := results[0], results[len(results)-1]
-		ratio := last.MaxGlobalSkew / first.MaxGlobalSkew
-		fmt.Printf("growth: skew(n=%d)/skew(n=%d) = %.2fx over a %.0fx increase in n\n",
-			last.N, first.N, ratio, float64(last.N)/float64(first.N))
-	}
-
 	eff := base.WithDefaults()
-	report := struct {
-		Seed        uint64                 `json:"seed"`
-		Rho         float64                `json:"rho"`
-		MaxDelay    float64                `json:"max_delay"`
-		Epsilon     float64                `json:"epsilon"`
-		BeaconEvery float64                `json:"beacon_every"`
-		SampleEvery float64                `json:"sample_every"`
-		Results     []sim.LowerBoundResult `json:"results"`
-	}{eff.Seed, eff.Rho, eff.MaxDelay, eff.LowerBoundEps, eff.Node.BeaconEvery, eff.SampleEvery, results}
-	csvPath, jsonPath := writeArtifacts("lowerbound", *out, "lowerbound_skew.csv", csv.String(), "lowerbound_report.json", report)
-	fmt.Printf("wrote %s and %s\n", csvPath, jsonPath)
+	grid{cmd: "lowerbound", out: *out, csvName: "lowerbound_skew.csv", jsonName: "lowerbound_report.json", workers: *workers,
+		report: func(cells []any) any {
+			return struct {
+				Seed        uint64  `json:"seed"`
+				Rho         float64 `json:"rho"`
+				MaxDelay    float64 `json:"max_delay"`
+				Epsilon     float64 `json:"epsilon"`
+				BeaconEvery float64 `json:"beacon_every"`
+				SampleEvery float64 `json:"sample_every"`
+				Results     []any   `json:"results"`
+			}{eff.Seed, eff.Rho, eff.MaxDelay, eff.LowerBoundEps, eff.Node.BeaconEvery, eff.SampleEvery, cells}
+		},
+	}.run(sim.LowerBoundExperiment(base, ns))
 }
 
 // parseNs parses a comma-separated list of node counts.

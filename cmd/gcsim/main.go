@@ -14,17 +14,28 @@
 //
 //	go run ./cmd/gcsim -n 100000 -horizon 5 -parallel -shards 16
 //
+// The grid subcommands — `gradient` (the Section 5 gradient property),
+// `lowerbound`, `chaos` and `sweep` — are flag parsers over one
+// sim.Experiment each: a grid, a per-cell and a grid verdict, and each
+// cell's table, CSV and JSON row. One path (grid.run) runs it across
+// -workers arena-backed goroutines (output bit-identical for every
+// value), prints the table, writes the CSV and JSON into -out and exits
+// nonzero on the verdict:
+//
+//	go run ./cmd/gcsim gradient -n 36 -out .
+//
 // The `lowerbound` subcommand runs the Theorem 4.1 adversarial scenario
 // (two chains, layered rate schedules, asymmetric per-chain delays) over a
-// sweep of node counts, demonstrating the Omega(n) global skew, and
-// dumps the skew time series as CSV plus a JSON report for plotting:
+// sweep of node counts, dumps the skew time series as CSV plus a JSON
+// report for plotting, and fails unless every n brackets its max global
+// skew between omega(n) and the upper bound and the skew grows at least
+// half as fast as n — the Omega(n) global skew:
 //
 //	go run ./cmd/gcsim lowerbound -n 32,64,128,256 -out .
 //
-// The `sweep` subcommand fans a general scenario grid (node counts x
-// topologies x drivers x churn) across parallel arena-backed workers,
-// checks every cell against its analytic skew bound, and dumps the grid
-// as CSV + JSON; output is bit-identical for every -workers value:
+// The `sweep` subcommand runs a general scenario grid (node counts x
+// topologies x drivers x churn), locally or through a gcsimd instance
+// (-daemon URL), and checks every cell against its analytic skew bound:
 //
 //	go run ./cmd/gcsim sweep -n 1024,4096 -topos ring,grid -workers 4 -out .
 //
@@ -52,6 +63,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"time"
 
 	"gcs/internal/des"
 	"gcs/internal/sim"
@@ -119,9 +131,7 @@ func runScenario() {
 	}
 	rpt := s.Run()
 	eff := cfg.WithDefaults()
-	if eff.Workers <= 0 {
-		eff.Workers = runtime.GOMAXPROCS(0)
-	}
+	eff.Workers = workerCount(eff.Workers)
 	printReport("scenario:", eff, rpt)
 
 	if *events {
@@ -164,20 +174,86 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
-// writeArtifacts writes a subcommand's CSV table and then its indented
-// JSON report, newline-terminated, into dir and returns both paths. Any
-// error fails the command under its name.
-func writeArtifacts(cmd, dir, csvName, csv, jsonName string, report any) (csvPath, jsonPath string) {
-	csvPath, jsonPath = filepath.Join(dir, csvName), filepath.Join(dir, jsonName)
-	if err := os.WriteFile(csvPath, []byte(csv), 0o644); err != nil {
-		fail("%s: %v", cmd, err)
+// grid is one run of a grid subcommand: where its artifacts go and how
+// its JSON report wraps the cells' rows.
+type grid struct {
+	// cmd names the subcommand in every message.
+	cmd                    string
+	out, csvName, jsonName string
+	workers                int
+	// intro, when set, is printed before the run, and the "wrote" line
+	// then repeats the cell count.
+	intro string
+	// fetch, when set, supplies the results instead of running the cells
+	// here (`sweep -daemon`).
+	fetch func() []sim.SweepResult
+	// report wraps the cells' JSON rows into the JSON report.
+	report func(cells []any) any
+}
+
+// run executes e and ends the command the way every grid subcommand
+// ends: the table, the verdict's note, the CSV and the JSON report
+// (newline-terminated) in the -out directory, then the verdict — an
+// "ok:" line, or a nonzero exit.
+func (g grid) run(e sim.Experiment) {
+	if err := os.MkdirAll(g.out, 0o755); err != nil {
+		fail("%s: %v", g.cmd, err)
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
+	if g.intro != "" {
+		fmt.Println(g.intro)
+	}
+	start := time.Now()
+	var rows []sim.Row
+	if g.fetch != nil {
+		for _, res := range g.fetch() {
+			rows = append(rows, e.Judge(res, nil))
+		}
+	} else {
+		var err error
+		if rows, err = e.Run(g.workers); err != nil {
+			fail("%s: %v", g.cmd, err)
+		}
+	}
+	fmt.Fprintf(os.Stderr, "%s: %d cells in %.2fs\n", g.cmd, len(rows), time.Since(start).Seconds())
+
+	csv := []byte(e.CSV + "\n")
+	cells := make([]any, len(rows))
+	fmt.Println(e.Table)
+	for i, r := range rows {
+		fmt.Println(r.Table)
+		csv = append(csv, r.CSV...)
+		cells[i] = r.JSON
+	}
+	note, verdict := e.Verdict(rows)
+	if note != "" {
+		fmt.Println(note)
+	}
+	csvPath, jsonPath := filepath.Join(g.out, g.csvName), filepath.Join(g.out, g.jsonName)
+	data, err := json.MarshalIndent(g.report(cells), "", "  ")
+	if err == nil {
+		err = os.WriteFile(csvPath, csv, 0o644)
+	}
+	if err == nil {
+		err = os.WriteFile(jsonPath, append(data, '\n'), 0o644)
+	}
 	if err != nil {
-		fail("%s: %v", cmd, err)
+		fail("%s: %v", g.cmd, err)
 	}
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		fail("%s: %v", cmd, err)
+	if g.intro != "" {
+		fmt.Printf("wrote %s and %s (%d cells)\n", csvPath, jsonPath, len(rows))
+	} else {
+		fmt.Printf("wrote %s and %s\n", csvPath, jsonPath)
 	}
-	return csvPath, jsonPath
+	if verdict != nil {
+		fail("%s: %v", g.cmd, verdict)
+	}
+	fmt.Println(e.OK)
+}
+
+// workerCount resolves a -workers flag: 0 or less means GOMAXPROCS.
+func workerCount(w int) int {
+	if w <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return w
 }

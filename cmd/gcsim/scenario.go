@@ -34,7 +34,7 @@ func addScenarioFlags(fs *flag.FlagSet, horizon float64) *scenarioFlags {
 	fs.Float64Var(&f.cfg.Rho, "rho", 0.01, "hardware clock drift bound")
 	fs.Float64Var(&f.cfg.MaxDelay, "delay", 0.01, "message delay bound (seconds)")
 	fs.StringVar(&f.topo, "topo", "ring", "topology: line|ring|star|grid|complete|twochains")
-	fs.IntVar(&f.gridW, "grid-w", 0, "grid width (topo=grid; 0 = square)")
+	fs.IntVar(&f.gridW, "grid-w", 0, "grid width (topo=grid; 0 = the most square factorization of n)")
 	fs.StringVar(&f.driver, "driver", "randomwalk", "clock driver: constant|randomwalk|bangbang")
 	fs.Float64Var(&f.cfg.Driver.Interval, "interval", 1, "driver rate-change interval")
 	fs.StringVar(&f.churn, "churn", "none", "churn: none|volatile|rotatingstar")
@@ -62,9 +62,7 @@ func (f *scenarioFlags) config() (sim.Config, error) {
 	if cfg.Topology.Kind == sim.TopoGrid {
 		w := f.gridW
 		if w == 0 {
-			for w*w < cfg.N {
-				w++
-			}
+			w = sim.SquareGridW(cfg.N)
 		}
 		if w <= 0 || cfg.N%w != 0 {
 			return cfg, fmt.Errorf("grid width %d does not divide n=%d", w, cfg.N)

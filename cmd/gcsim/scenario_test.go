@@ -63,8 +63,11 @@ func TestScenarioFlagsToConfig(t *testing.T) {
 			want: base(func(c *sim.Config) { c.N = 24; c.Topology = sim.TopologySpec{Kind: sim.TopoGrid, W: 6, H: 4} })},
 		{name: "grid width not dividing n",
 			args: []string{"-n", "24", "-topo", "grid", "-grid-w", "5"}, wantErr: "grid width 5 does not divide n=24"},
-		{name: "default grid width not dividing n",
-			args: []string{"-n", "24", "-topo", "grid"}, wantErr: "grid width 5 does not divide n=24"},
+		// The most square factorization, sim.SquareGridW, as `gcsim sweep`
+		// and the sweep service build it.
+		{name: "default grid width divides n",
+			args: []string{"-n", "24", "-topo", "grid"},
+			want: base(func(c *sim.Config) { c.N = 24; c.Topology = sim.TopologySpec{Kind: sim.TopoGrid, W: 4, H: 6} })},
 		{name: "twochains + bangbang",
 			args: []string{"-topo", "twochains", "-driver", "bangbang"},
 			want: base(func(c *sim.Config) { c.Topology.Kind = sim.TopoTwoChains; c.Driver.Kind = sim.DriveBangBang })},

@@ -3,53 +3,26 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
-	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"gcs/internal/jobd"
 	"gcs/internal/sim"
 )
 
-// sweepRow is one grid cell's outcome in the JSON report.
-type sweepRow struct {
-	Scenario       string  `json:"scenario"`
-	Topology       string  `json:"topology"`
-	Driver         string  `json:"driver"`
-	Churn          string  `json:"churn"`
-	N              int     `json:"n"`
-	Seed           uint64  `json:"seed"`
-	MaxGlobalSkew  float64 `json:"max_global_skew"`
-	FinalSkew      float64 `json:"final_global_skew"`
-	Bound          float64 `json:"bound"`
-	Jumps          int     `json:"jumps"`
-	Sent           uint64  `json:"sent"`
-	Delivered      uint64  `json:"delivered"`
-	Dropped        uint64  `json:"dropped"`
-	EventsExecuted uint64  `json:"events_executed"`
-	// Faults counts injected disturbances; ReconvergenceTime is -1 when
-	// the cell never re-entered its bound (JSON has no +Inf). Both are
-	// zero for unfaulted sweeps.
-	Faults            uint64  `json:"faults"`
-	ReconvergenceTime float64 `json:"reconvergence_time"`
-	Violated          bool    `json:"violated"`
-}
-
 // runSweep implements `gcsim sweep`: a general scenario grid — node
 // counts x topologies x drivers x churn processes — expanded by
 // jobd.SweepSpec (the same expansion the sweep service uses, so local
 // runs and daemon runs name, seed, and order their cells identically)
-// and fanned across arena-backed workers (sim.RunSweep). Each cell
+// and run as sim.SweepExperiment across arena-backed workers. Each cell
 // gets a deterministic per-cell seed derived from -seed and its grid
 // index, so the sweep is reproducible and bit-identical for every
 // -workers value. With -daemon URL the grid is instead submitted to a
-// running gcsimd instance and the stored results are fetched back —
-// determinism makes the two paths byte-identical. Every cell's
-// observed global skew is checked against its analytic bound; any
-// violation makes the command exit nonzero. Results are printed as a
-// table and dumped to sweep_results.csv and sweep_report.json.
+// running gcsimd instance and the stored results are fetched back and
+// judged like local ones — determinism makes the two paths
+// byte-identical. Every cell's observed global skew is checked against
+// its analytic bound (re-convergence when faulted); any violation makes
+// the command exit nonzero. Results are printed as a table and dumped to
+// sweep_results.csv and sweep_report.json.
 func runSweep(args []string) {
 	fs := flag.NewFlagSet("gcsim sweep", flag.ExitOnError)
 	var (
@@ -77,10 +50,6 @@ func runSweep(args []string) {
 	if err != nil {
 		fail("sweep: %v", err)
 	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fail("sweep: %v", err)
-	}
-
 	spec := jobd.SweepSpec{
 		Ns:       ns,
 		Topos:    splitList(*topos),
@@ -102,93 +71,26 @@ func runSweep(args []string) {
 		fail("sweep: %v", err)
 	}
 
-	w := *workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	g := grid{cmd: "sweep", out: *out, csvName: "sweep_results.csv", jsonName: "sweep_report.json", workers: *workers,
+		intro: fmt.Sprintf("sweep: %d cells across %d workers", len(cells), workerCount(*workers)),
+		report: func(cells []any) any {
+			return struct {
+				Seed        uint64  `json:"seed"`
+				Horizon     float64 `json:"horizon"`
+				Rho         float64 `json:"rho"`
+				MaxDelay    float64 `json:"max_delay"`
+				BeaconEvery float64 `json:"beacon_every"`
+				SampleEvery float64 `json:"sample_every"`
+				Workers     int     `json:"workers"`
+				Cells       []any   `json:"cells"`
+			}{*seed, *horizon, *rho, *delay, *beacon, *sample, workerCount(*workers), cells}
+		},
 	}
-	var results []sim.SweepResult
-	start := time.Now()
 	if *daemon != "" {
-		fmt.Printf("sweep: %d cells via daemon %s\n", len(cells), *daemon)
-		results = daemonSweep(*daemon, spec, len(cells))
-	} else {
-		fmt.Printf("sweep: %d cells across %d workers\n", len(cells), w)
-		results, err = sim.RunSweep(cells, *workers)
-		if err != nil {
-			fail("sweep: %v", err)
-		}
+		g.intro = fmt.Sprintf("sweep: %d cells via daemon %s", len(cells), *daemon)
+		g.fetch = func() []sim.SweepResult { return daemonSweep(*daemon, spec, len(cells)) }
 	}
-	fmt.Fprintf(os.Stderr, "sweep: %d cells in %.2fs\n", len(results), time.Since(start).Seconds())
-
-	var csv strings.Builder
-	csv.WriteString("scenario,topology,driver,churn,n,seed,max_global_skew,final_skew,bound,jumps,sent,delivered,dropped,events,faults,reconvergence_time,violated\n")
-	rows := make([]sweepRow, 0, len(results))
-	violations := 0
-	fmt.Printf("%-40s %12s %12s %10s %12s\n",
-		"scenario", "maxSkew", "bound", "jumps", "events")
-	for _, res := range results {
-		rpt := res.Report
-		topoName := res.Cfg.Topology.Kind.String()
-		if res.Cfg.Churn.Kind == sim.ChurnRotatingStar {
-			topoName = "-"
-		}
-		row := sweepRow{
-			Scenario:       res.Name,
-			Topology:       topoName,
-			Driver:         res.Cfg.Driver.Kind.String(),
-			Churn:          res.Cfg.Churn.Kind.String(),
-			N:              res.Cfg.N,
-			Seed:           res.Cfg.Seed,
-			MaxGlobalSkew:  rpt.MaxGlobalSkew,
-			FinalSkew:      rpt.FinalGlobalSkew,
-			Bound:          rpt.Bound,
-			Jumps:          rpt.TotalJumps,
-			Sent:           rpt.Transport.Sent,
-			Delivered:      rpt.Transport.Delivered,
-			Dropped:        rpt.Transport.Dropped,
-			EventsExecuted: rpt.EventsExecuted,
-			Faults:         rpt.Faults.Total(),
-			Violated:       rpt.MaxGlobalSkew > rpt.Bound,
-		}
-		if res.Cfg.Faults.Enabled() {
-			// Faulted cells are allowed transient bound breaches; the gate
-			// is whether the cell re-converged after the last fault.
-			row.ReconvergenceTime = rpt.ReconvergenceTime
-			row.Violated = math.IsInf(rpt.ReconvergenceTime, 1)
-			if row.Violated {
-				row.ReconvergenceTime = -1
-			}
-		}
-		if row.Violated {
-			violations++
-		}
-		rows = append(rows, row)
-		fmt.Fprintf(&csv, "%s,%s,%s,%s,%d,%d,%g,%g,%g,%d,%d,%d,%d,%d,%d,%g,%t\n",
-			row.Scenario, row.Topology, row.Driver, row.Churn, row.N, row.Seed,
-			row.MaxGlobalSkew, row.FinalSkew, row.Bound, row.Jumps,
-			row.Sent, row.Delivered, row.Dropped, row.EventsExecuted,
-			row.Faults, row.ReconvergenceTime, row.Violated)
-		fmt.Printf("%-40s %12.6f %12.4f %10d %12d\n",
-			row.Scenario, row.MaxGlobalSkew, row.Bound, row.Jumps, row.EventsExecuted)
-	}
-
-	report := struct {
-		Seed        uint64     `json:"seed"`
-		Horizon     float64    `json:"horizon"`
-		Rho         float64    `json:"rho"`
-		MaxDelay    float64    `json:"max_delay"`
-		BeaconEvery float64    `json:"beacon_every"`
-		SampleEvery float64    `json:"sample_every"`
-		Workers     int        `json:"workers"`
-		Cells       []sweepRow `json:"cells"`
-	}{*seed, *horizon, *rho, *delay, *beacon, *sample, w, rows}
-	csvPath, jsonPath := writeArtifacts("sweep", *out, "sweep_results.csv", csv.String(), "sweep_report.json", report)
-	fmt.Printf("wrote %s and %s (%d cells)\n", csvPath, jsonPath, len(rows))
-
-	if violations > 0 {
-		fail("sweep: %d cell(s) exceeded the analytic global skew bound (or, with faults, never re-converged)", violations)
-	}
-	fmt.Println("ok: global skew within the analytic bound on every cell")
+	g.run(sim.SweepExperiment(cells))
 }
 
 // splitList splits a comma-separated flag into trimmed nonempty parts.

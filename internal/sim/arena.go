@@ -10,7 +10,7 @@ package sim
 // churn and the lower-bound adversary included, allocates nothing, which
 // TestArenaSecondRunZeroAlloc pins. On the serial engine, growing to a
 // larger N reuses the smaller prefix and allocates only the delta, so
-// ascending n-sweeps (LowerBoundSweep's, say) stay cheap.
+// ascending n-sweeps (LowerBoundExperiment's, say) stay cheap.
 //
 // An Arena is single-threaded, like the Simulation it owns; parallel
 // sweeps give each worker its own Arena (see RunSweep).

@@ -1,10 +1,15 @@
 package sim
 
+import (
+	"fmt"
+	"math"
+)
+
 // The chaos grid is the robustness counterpart of the scenario sweep: a
 // fault-plan × topology × churn cross where every cell must inject at
 // least one disturbance and re-converge — finite ReconvergenceTime —
 // before the horizon. `gcsim chaos` runs it and the CI gate fails on
-// any cell that does not re-enter the analytic bound.
+// any cell that does not inject or does not re-enter the analytic bound.
 
 // ChaosPlan names one fault plan of the chaos grid.
 type ChaosPlan struct {
@@ -32,11 +37,33 @@ func ChaosPlans() []ChaosPlan {
 	}
 }
 
-// ChaosGrid crosses every chaos plan with a static ring, a static grid,
-// and the rotating-star churn (the maximally dynamic pattern). Each
-// cell's seed derives from the base seed and grid index (CellSeed), so
-// the grid is a pure function of (n, seed, horizon, parallel).
-func ChaosGrid(n int, seed uint64, horizon float64, parallel bool) []SweepCell {
+// chaosRow is one chaos cell's JSON row.
+type chaosRow struct {
+	Scenario       string  `json:"scenario"`
+	N              int     `json:"n"`
+	Seed           uint64  `json:"seed"`
+	MaxGlobalSkew  float64 `json:"max_global_skew"`
+	Bound          float64 `json:"bound"`
+	Drops          uint64  `json:"drops"`
+	Dups           uint64  `json:"dups"`
+	DelaySpikes    uint64  `json:"delay_spikes"`
+	Crashes        uint64  `json:"crashes"`
+	Recoveries     uint64  `json:"recoveries"`
+	RateExcursions uint64  `json:"rate_excursions"`
+	LastFaultT     float64 `json:"last_fault_t"`
+	Reconverged    bool    `json:"reconverged"`
+	// ReconvergenceTime is seconds from the last fault until the global
+	// skew re-entered the analytic bound; -1 when it never did.
+	ReconvergenceTime float64 `json:"reconvergence_time"`
+}
+
+// ChaosExperiment crosses every chaos plan with a static ring, a static
+// grid, and the rotating-star churn (the maximally dynamic pattern).
+// Each cell's seed derives from the base seed and grid index (CellSeed),
+// so the grid is a pure function of (n, seed, horizon, parallel). A cell
+// fails unless it injected at least one disturbance (a quiet cell means
+// the plan is broken) and re-entered its bound.
+func ChaosExperiment(n int, seed uint64, horizon float64, parallel bool) Experiment {
 	gw := SquareGridW(n)
 	combos := []struct {
 		label string
@@ -69,5 +96,38 @@ func ChaosGrid(n int, seed uint64, horizon float64, parallel bool) []SweepCell {
 			cells = append(cells, SweepCell{Name: p.Name + "/" + c.label, Cfg: cfg})
 		}
 	}
-	return cells
+	return Experiment{
+		Cells: cells,
+		Table: fmt.Sprintf("%-16s %10s %10s %7s %7s %7s %8s %7s %7s %10s %11s",
+			"cell", "maxSkew", "bound", "drops", "dups", "spikes", "crashes", "recov", "rates", "lastFault", "reconverge"),
+		CSV:   "scenario,n,seed,max_global_skew,bound,drops,dups,delay_spikes,crashes,recoveries,rate_excursions,last_fault_t,reconverged,reconvergence_time",
+		Fail:  "cell(s) failed the gate (no faults injected, or no re-convergence)",
+		OK:    "ok: every chaos cell injected faults and re-converged inside its analytic bound",
+		Judge: judgeChaos,
+	}
+}
+
+// judgeChaos is ChaosExperiment's Judge.
+func judgeChaos(res SweepResult, _ *Simulation) Row {
+	rpt, fst := res.Report, res.Report.Faults
+	r := chaosRow{
+		Scenario: res.Name, N: res.Cfg.N, Seed: res.Cfg.Seed, MaxGlobalSkew: rpt.MaxGlobalSkew, Bound: rpt.Bound,
+		Drops: fst.Drops, Dups: fst.Dups, DelaySpikes: fst.DelaySpikes, Crashes: fst.Crashes,
+		Recoveries: fst.Recoveries, RateExcursions: fst.RateExcursions, LastFaultT: fst.LastFaultT,
+		Reconverged: !math.IsInf(rpt.ReconvergenceTime, 1), ReconvergenceTime: reconvergence(rpt),
+	}
+	rc := "NEVER"
+	if r.Reconverged {
+		rc = fmt.Sprintf("%.4fs", r.ReconvergenceTime)
+	}
+	return Row{
+		Table: fmt.Sprintf("%-16s %10.6f %10.4f %7d %7d %7d %8d %7d %7d %10.3f %11s",
+			r.Scenario, r.MaxGlobalSkew, r.Bound, r.Drops, r.Dups, r.DelaySpikes, r.Crashes, r.Recoveries,
+			r.RateExcursions, r.LastFaultT, rc),
+		CSV: fmt.Sprintf("%s,%d,%d,%g,%g,%d,%d,%d,%d,%d,%d,%g,%t,%g\n",
+			r.Scenario, r.N, r.Seed, r.MaxGlobalSkew, r.Bound, r.Drops, r.Dups, r.DelaySpikes, r.Crashes,
+			r.Recoveries, r.RateExcursions, r.LastFaultT, r.Reconverged, r.ReconvergenceTime),
+		JSON:   r,
+		Failed: fst.Total() == 0 || !r.Reconverged,
+	}
 }

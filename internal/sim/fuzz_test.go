@@ -69,7 +69,8 @@ func FuzzConfigValidate(f *testing.F) {
 			t.Fatalf("gradient bound not monotone: d1=%v d2=%v", cfg.GradientBound(1), cfg.GradientBound(2))
 		}
 		// An accepted adversary has a two-chains network to lay out (a
-		// horizon that overflows to +Inf is LowerBoundSweep's to reject).
+		// horizon that overflows to +Inf is Validate's to reject once
+		// LowerBoundExperiment derives it).
 		if eps != 0 {
 			if hz := lowerBoundHorizon(d); !(hz > 0) {
 				t.Fatalf("lower-bound horizon %v for accepted config %+v", hz, cfg)

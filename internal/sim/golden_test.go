@@ -45,7 +45,6 @@ func TestGoldenReports(t *testing.T) {
 	}
 	t.Run("lowerbound_n32", func(t *testing.T) {
 		got := mustLowerBound(t, lowerBoundBase(1), 1, 32)[0]
-		got.Series = nil // not in the golden format (below)
 		var want LowerBoundResult
 		checkGolden(t, "lowerbound_n32", got, &want)
 	})

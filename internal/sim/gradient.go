@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 
 	"gcs/internal/dyngraph"
 )
@@ -89,4 +91,97 @@ func (gc *GradientChecker) PerDistance() []float64 {
 		return nil
 	}
 	return append([]float64(nil), gc.maxByDist[:gc.maxDist+1]...)
+}
+
+// gradientRow is one gradient cell with its per-distance verdict, the
+// cell's JSON row.
+type gradientRow struct {
+	Scenario string  `json:"scenario"`
+	Topology string  `json:"topology"`
+	Driver   string  `json:"driver"`
+	Churn    string  `json:"churn"`
+	N        int     `json:"n"`
+	MaxDist  int     `json:"max_distance"`
+	Samples  int     `json:"samples"`
+	Epochs   int     `json:"distance_recomputes"`
+	MaxSkew  float64 `json:"max_global_skew"`
+	// PerDistanceSkew[d] / PerDistanceBound[d] pair observation and
+	// analytic bound; index 0 is the unused distance-0 slot, so JSON
+	// consumers index by d directly.
+	PerDistanceSkew  []float64 `json:"per_distance_skew"`
+	PerDistanceBound []float64 `json:"per_distance_bound"`
+	// WorstRatio is max over d of skew(d)/bound(d).
+	WorstRatio float64 `json:"worst_ratio"`
+	Violated   bool    `json:"violated"`
+}
+
+// GradientExperiment is the Section 5 gradient property as an
+// experiment: line, ring and grid, a ring under volatile churn and the
+// rotating star, each under the bang-bang and random-walk drivers, on
+// base's node count and physics with the exact GradientChecker attached.
+// A cell fails when its local skew exceeds GradientBound(d) at any
+// distance d (re-convergence when faulted); its CSV has one line per d.
+func GradientExperiment(base Config) Experiment {
+	n, gw := base.N, SquareGridW(base.N)
+	shapes := []struct {
+		name  string
+		topo  TopologySpec
+		churn ChurnSpec
+	}{
+		{"Line", TopologySpec{Kind: TopoLine}, ChurnSpec{}},
+		{"Ring", TopologySpec{Kind: TopoRing}, ChurnSpec{}},
+		{"Grid", TopologySpec{Kind: TopoGrid, W: gw, H: n / gw}, ChurnSpec{}},
+		{"Ring+Volatile", TopologySpec{Kind: TopoRing}, ChurnSpec{Kind: ChurnVolatile, Lifetime: 1.5, Absence: 1.0, ExtraEdges: n / 2}},
+		{"RotatingStar", TopologySpec{}, ChurnSpec{Kind: ChurnRotatingStar, Period: 2, Overlap: 0.5}},
+	}
+	var cells []SweepCell
+	for _, sh := range shapes {
+		for _, drv := range []DriverSpec{{Kind: DriveBangBang, Interval: 0.7}, {Kind: DriveRandomWalk, Interval: 0.5}} {
+			cfg := base
+			cfg.Topology, cfg.Driver, cfg.Churn, cfg.CheckGradient = sh.topo, drv, sh.churn, true
+			cells = append(cells, SweepCell{Name: fmt.Sprintf("%s/%v", sh.name, drv.Kind), Cfg: cfg})
+		}
+	}
+	return Experiment{
+		Cells: cells,
+		Table: fmt.Sprintf("%-28s %8s %8s %12s %12s %12s %10s",
+			"scenario", "samples", "maxDist", "worstSkew", "worstBound", "worstRatio", "epochs"),
+		CSV:   "scenario,topology,driver,churn,n,d,max_skew,bound,ratio",
+		Fail:  "scenario(s) exceeded GradientBound(d)",
+		OK:    "ok: per-distance local skew within GradientBound(d) on every scenario",
+		Judge: judgeGradient,
+	}
+}
+
+// judgeGradient is GradientExperiment's Judge.
+func judgeGradient(res SweepResult, _ *Simulation) Row {
+	cfg, rpt := res.Cfg, res.Report
+	r := gradientRow{
+		Scenario: res.Name, Topology: topologyLabel(cfg),
+		Driver: cfg.Driver.Kind.String(), Churn: cfg.Churn.Kind.String(), N: cfg.N,
+		MaxDist: max(len(rpt.PerDistanceSkew)-1, 0), Samples: rpt.Samples, Epochs: rpt.DistanceRecomputes,
+		MaxSkew: rpt.MaxGlobalSkew, PerDistanceSkew: []float64{0}, PerDistanceBound: []float64{0},
+	}
+	var csv strings.Builder
+	worstD, breached := 0, false
+	for d := 1; d <= r.MaxDist; d++ {
+		skew, bound := rpt.PerDistanceSkew[d], cfg.GradientBound(d)
+		ratio := skew / bound
+		r.PerDistanceSkew = append(r.PerDistanceSkew, skew)
+		r.PerDistanceBound = append(r.PerDistanceBound, bound)
+		if ratio > r.WorstRatio {
+			r.WorstRatio, worstD = ratio, d
+		}
+		breached = breached || skew > bound
+		fmt.Fprintf(&csv, "%s,%s,%s,%s,%d,%d,%g,%g,%g\n", r.Scenario, r.Topology, r.Driver, r.Churn, r.N, d, skew, bound, ratio)
+	}
+	// Faulted runs may transiently breach per-distance bounds.
+	r.Violated = violated(cfg, rpt, breached)
+	return Row{
+		Table: fmt.Sprintf("%-28s %8d %8d %12.6f %12.6f %12.4f %10d", r.Scenario, r.Samples, r.MaxDist,
+			r.PerDistanceSkew[worstD], r.PerDistanceBound[worstD], r.WorstRatio, r.Epochs),
+		CSV:    csv.String(),
+		JSON:   r,
+		Failed: r.Violated,
+	}
 }

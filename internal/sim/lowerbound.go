@@ -22,6 +22,7 @@ package sim
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"gcs/internal/dyngraph"
 	"gcs/internal/transport"
@@ -90,55 +91,80 @@ type LowerBoundResult struct {
 	// EventsExecuted is the DES kernel's fired-event count.
 	EventsExecuted uint64          `json:"events_executed"`
 	Transport      transport.Stats `json:"transport"`
-	// Series is the run's skew sample series, one point per sample; the
-	// CLI writes it as CSV, so the JSON report leaves it out.
-	Series []SkewPoint `json:"-"`
 }
 
-// LowerBoundSweep runs the Theorem 4.1 adversary base (its
-// LowerBoundEps set, its N ignored) at each node count in ns and returns
-// one result per n, skew series included; the sweep demonstrates the
-// Omega(n) growth, observed max global skew scaling linearly with n. A
-// zero base Horizon is derived per n from the rate schedule, which a
-// demonstration needs; a set one is honored as given. The n-sweep fans
-// across workers goroutines (<= 0 means GOMAXPROCS), each owning a
-// private arena reused per run, and results come back in ns order,
-// bit-identical for every worker count, like RunSweep. An invalid config
-// at any n fails the whole sweep before anything runs.
-func LowerBoundSweep(base Config, ns []int, workers int) ([]LowerBoundResult, error) {
-	cfgs := make([]Config, len(ns))
+// LowerBoundExperiment runs the Theorem 4.1 adversary base (its
+// LowerBoundEps set, its N ignored) at each node count in ns, one cell
+// per n named "n=<n>". A zero base Horizon is derived per n from the
+// rate schedule, which a demonstration needs; a set one is honored as
+// given. Each row's JSON is a LowerBoundResult and its CSV the run's
+// skew series, one "n,t,min,max,skew" line per sample. A cell fails
+// unless OmegaSkew <= MaxGlobalSkew <= UpperBound; with two or more node
+// counts the grid also fails unless skew(n_last)/skew(n_first) is at
+// least half of n_last/n_first — the Omega(n) growth.
+func LowerBoundExperiment(base Config, ns []int) Experiment {
+	cells := make([]SweepCell, len(ns))
 	for i, n := range ns {
 		cfg := base
 		cfg.N = n
-		err := cfg.Validate()
-		if err == nil && cfg.Horizon == 0 {
+		if cfg.Horizon == 0 && cfg.Validate() == nil {
 			cfg.Horizon = lowerBoundHorizon(cfg.WithDefaults())
-			err = cfg.Validate() // a fault plan's Until against that horizon
 		}
-		if err != nil {
-			return nil, fmt.Errorf("n=%d: %w", n, err)
-		}
-		cfgs[i] = cfg
+		cells[i] = SweepCell{Name: fmt.Sprintf("n=%d", n), Cfg: cfg}
 	}
-	results := make([]LowerBoundResult, len(ns))
-	forEachCell(len(ns), workers, func(i int, a *Arena) {
-		s := a.Sim(cfgs[i])
-		rpt := s.Run()
-		maxDist, rho := slices.Max(s.lbDists), s.Cfg.Rho
-		results[i] = LowerBoundResult{
-			N:               s.Cfg.N,
-			MaxDist:         maxDist,
-			MaxGlobalSkew:   rpt.MaxGlobalSkew,
-			FinalGlobalSkew: rpt.FinalGlobalSkew,
-			OmegaSkew:       2 * rho / (1 + rho) * s.Cfg.MaxDelay * float64(maxDist),
-			UpperBound:      rpt.Bound,
-			Horizon:         s.Cfg.Horizon,
-			Samples:         rpt.Samples,
-			EventsExecuted:  rpt.EventsExecuted,
-			Transport:       rpt.Transport,
-			// A copy: the arena reuses its series for the next run.
-			Series: slices.Clone(s.series),
-		}
-	})
-	return results, nil
+	return Experiment{
+		Cells: cells,
+		Table: fmt.Sprintf("%6s %8s %14s %14s %12s %12s", "n", "maxDist", "maxSkew", "finalSkew", "omega(n)", "upperBound"),
+		CSV:   "n,t,min,max,skew",
+		Fail:  "node count(s) with max global skew outside [omega(n), upperBound]",
+		OK:    "ok: omega(n) <= max global skew <= upperBound at every n, growing at least half as fast as n",
+		Judge: judgeLowerBound,
+		Grid:  lowerBoundGrowth,
+	}
+}
+
+// judgeLowerBound is LowerBoundExperiment's Judge: it reads the flexible
+// distances and the skew series off the finished simulation.
+func judgeLowerBound(res SweepResult, s *Simulation) Row {
+	rpt, cfg := res.Report, res.Cfg
+	maxDist := slices.Max(s.lbDists)
+	r := LowerBoundResult{
+		N:               cfg.N,
+		MaxDist:         maxDist,
+		MaxGlobalSkew:   rpt.MaxGlobalSkew,
+		FinalGlobalSkew: rpt.FinalGlobalSkew,
+		OmegaSkew:       2 * cfg.Rho / (1 + cfg.Rho) * cfg.MaxDelay * float64(maxDist),
+		UpperBound:      rpt.Bound,
+		Horizon:         cfg.Horizon,
+		Samples:         rpt.Samples,
+		EventsExecuted:  rpt.EventsExecuted,
+		Transport:       rpt.Transport,
+	}
+	var csv strings.Builder
+	for _, p := range s.series {
+		fmt.Fprintf(&csv, "%d,%g,%g,%g,%g\n", r.N, p.T, p.Lo, p.Hi, p.Hi-p.Lo)
+	}
+	return Row{
+		Table: fmt.Sprintf("%6d %8d %14.6f %14.6f %12.6f %12.2f",
+			r.N, r.MaxDist, r.MaxGlobalSkew, r.FinalGlobalSkew, r.OmegaSkew, r.UpperBound),
+		CSV:    csv.String(),
+		JSON:   r,
+		Failed: r.MaxGlobalSkew < r.OmegaSkew || r.MaxGlobalSkew > r.UpperBound,
+	}
+}
+
+// lowerBoundGrowth is LowerBoundExperiment's grid verdict: the skew at
+// the last node count over the skew at the first must be at least half
+// the ratio of the node counts.
+func lowerBoundGrowth(rows []Row) (string, error) {
+	if len(rows) < 2 {
+		return "", nil
+	}
+	first, last := rows[0].JSON.(LowerBoundResult), rows[len(rows)-1].JSON.(LowerBoundResult)
+	ratio, grow := last.MaxGlobalSkew/first.MaxGlobalSkew, float64(last.N)/float64(first.N)
+	note := fmt.Sprintf("growth: skew(n=%d)/skew(n=%d) = %.2fx over a %.0fx increase in n", last.N, first.N, ratio, grow)
+	if !(ratio >= grow/2) {
+		return note, fmt.Errorf("skew grew %.2fx over a %.0fx increase in n, less than half as fast as n", ratio, grow)
+	}
+	return note, nil
 }

@@ -12,12 +12,14 @@ func lowerBoundBase(seed uint64) Config {
 	return Config{Seed: seed, Topology: TopologySpec{Kind: TopoTwoChains}, LowerBoundEps: 0.01 / 1000}
 }
 
-// mustLowerBound runs base at each n in ns on workers goroutines.
+// mustLowerBound runs base's lower-bound experiment at each n in ns on
+// workers goroutines and returns the rows' results.
 func mustLowerBound(t *testing.T, base Config, workers int, ns ...int) []LowerBoundResult {
 	t.Helper()
-	res, err := LowerBoundSweep(base, ns, workers)
-	if err != nil {
-		t.Fatal(err)
+	rows := mustExperiment(t, LowerBoundExperiment(base, ns), workers)
+	res := make([]LowerBoundResult, len(rows))
+	for i, r := range rows {
+		res[i] = r.JSON.(LowerBoundResult)
 	}
 	return res
 }
@@ -29,7 +31,15 @@ func mustLowerBound(t *testing.T, base Config, workers int, ns ...int) []LowerBo
 // fast nodes' beacons look on-time and no jump rule can fire (the
 // paper's indistinguishability argument, executed rather than argued).
 func TestLowerBoundOmegaGrowth(t *testing.T) {
-	results := mustLowerBound(t, lowerBoundBase(1), 1, 32, 64, 128, 256)
+	e := LowerBoundExperiment(lowerBoundBase(1), []int{32, 64, 128, 256})
+	rows := mustExperiment(t, e, 1)
+	if _, err := e.Verdict(rows); err != nil {
+		t.Errorf("verdict: %v", err)
+	}
+	var results []LowerBoundResult
+	for _, r := range rows {
+		results = append(results, r.JSON.(LowerBoundResult))
+	}
 	for _, res := range results {
 		if res.MaxGlobalSkew < res.OmegaSkew {
 			t.Errorf("n=%d: observed skew %v below analytic lower bound %v",
@@ -54,20 +64,20 @@ func TestLowerBoundOmegaGrowth(t *testing.T) {
 	}
 }
 
-// TestLowerBoundSweepMatchesIndividualRuns pins the sweep's arena reuse:
-// sharing one simulation across the n-sweep must not change any result
-// relative to independently wired runs. The largest n runs first, so
-// later runs reuse its series buffer: a result that aliased it would be
-// overwritten.
+// TestLowerBoundSweepMatchesIndividualRuns pins the runner's arena
+// reuse: sharing one simulation across the n-sweep must not change any
+// row, its skew series included, relative to independently wired runs.
+// The largest n runs first, so later runs reuse its series buffer: a
+// row judged off a later run's series would differ.
 func TestLowerBoundSweepMatchesIndividualRuns(t *testing.T) {
 	base := lowerBoundBase(3)
 	ns := []int{64, 32, 48}
-	swept := mustLowerBound(t, base, 1, ns...)
+	swept := mustExperiment(t, LowerBoundExperiment(base, ns), 1)
 	for i, n := range ns {
-		want := mustLowerBound(t, base, 1, n)[0]
+		want := mustExperiment(t, LowerBoundExperiment(base, []int{n}), 1)[0]
 		if !reflect.DeepEqual(swept[i], want) {
-			t.Fatalf("n=%d: sweep result diverged from individual run:\n  sweep = %+v\n  fresh = %+v",
-				n, swept[i], want)
+			t.Fatalf("n=%d: sweep row diverged from individual run:\n  sweep = %+v\n  fresh = %+v",
+				n, swept[i].JSON, want.JSON)
 		}
 	}
 }
@@ -83,16 +93,41 @@ func TestLowerBoundSkewPersists(t *testing.T) {
 	}
 }
 
-// TestLowerBoundDeterminism: the same config reproduces the result, its
-// skew series included, point for point, on any worker count.
+// TestLowerBoundDeterminism: the same config reproduces its rows, the
+// skew series included, point for point, with one CSV line per sample.
+// TestSweepParallelBitIdentical pins the worker-count invariance.
 func TestLowerBoundDeterminism(t *testing.T) {
-	a := mustLowerBound(t, lowerBoundBase(7), 1, 48, 16)
-	b := mustLowerBound(t, lowerBoundBase(7), 2, 48, 16)
+	e := LowerBoundExperiment(lowerBoundBase(7), []int{48, 16})
+	a, b := mustExperiment(t, e, 2), mustExperiment(t, e, 2)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same config diverged:\n  a = %+v\n  b = %+v", a, b)
 	}
-	if r := a[0]; r.EventsExecuted == 0 || r.Transport.Delivered == 0 || len(r.Series) != r.Samples {
-		t.Fatalf("degenerate execution: %d series points over %d samples, %+v", len(r.Series), r.Samples, r)
+	r, points := a[0].JSON.(LowerBoundResult), strings.Count(a[0].CSV, "\n")
+	if r.EventsExecuted == 0 || r.Transport.Delivered == 0 || points != r.Samples {
+		t.Fatalf("degenerate execution: %d series points over %d samples, %+v", points, r.Samples, r)
+	}
+}
+
+// TestLowerBoundVerdict: a failed node count fails the grid, and so
+// does skew growing less than half as fast as n; exactly half passes.
+func TestLowerBoundVerdict(t *testing.T) {
+	e := LowerBoundExperiment(lowerBoundBase(1), nil)
+	row := func(n int, skew float64, failed bool) Row {
+		return Row{JSON: LowerBoundResult{N: n, MaxGlobalSkew: skew}, Failed: failed}
+	}
+	for _, tc := range []struct {
+		rows []Row
+		want string
+	}{
+		{[]Row{row(16, 0.04, false)}, ""},
+		{[]Row{row(16, 0.04, false), row(64, 0.08, false)}, ""},
+		{[]Row{row(16, 0.04, false), row(64, 0.079, false)}, "less than half as fast as n"},
+		{[]Row{row(16, 0.04, false), row(64, 0.16, true)}, "1 node count(s)"},
+	} {
+		_, err := e.Verdict(tc.rows)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%+v: verdict %v, want %q", tc.rows, err, tc.want)
+		}
 	}
 }
 
@@ -117,7 +152,8 @@ func TestLowerBoundSteadyStateDoesNotAllocate(t *testing.T) {
 }
 
 // TestLowerBoundValidation: Validate, not a panic, rejects an adversary
-// the model does not allow, and the sweep returns its error.
+// the model does not allow, and the experiment's runner returns its
+// error.
 func TestLowerBoundValidation(t *testing.T) {
 	for name, tc := range map[string]struct {
 		mut  func(*Config)
@@ -144,8 +180,8 @@ func TestLowerBoundValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Validate = %v, want an error naming %q", name, err, tc.want)
 		}
-		if res, err := LowerBoundSweep(cfg, []int{cfg.N}, 1); err == nil || res != nil {
-			t.Errorf("%s: LowerBoundSweep = %v, %v; want no results and an error", name, res, err)
+		if rows, err := LowerBoundExperiment(cfg, []int{cfg.N}).Run(1); err == nil || rows != nil {
+			t.Errorf("%s: Run = %v, %v; want no rows and an error", name, rows, err)
 		}
 	}
 }

@@ -43,9 +43,11 @@ func sweepGrid() []SweepCell {
 }
 
 // TestSweepParallelBitIdentical is the parallel-sweep acceptance pin:
-// fanning the grid across workers must produce results bit-identical to
-// the serial (workers = 1) order, for several worker counts including
-// more workers than cells.
+// fanning a grid across workers must produce results bit-identical to
+// the serial (workers = 1) order. The plain grid runs at several worker
+// counts, more workers than cells included; each experiment kind's grid
+// runs at 1 and 4 workers and is compared row by row: table line, CSV
+// (the lower bound's skew series), JSON row and gate.
 func TestSweepParallelBitIdentical(t *testing.T) {
 	cells := sweepGrid()
 	serial := mustSweep(t, cells, 1)
@@ -53,6 +55,23 @@ func TestSweepParallelBitIdentical(t *testing.T) {
 		par := mustSweep(t, cells, workers)
 		if !reflect.DeepEqual(serial, par) {
 			t.Fatalf("workers=%d: parallel sweep diverged from serial order", workers)
+		}
+	}
+	for _, kind := range []struct {
+		name string
+		e    Experiment
+	}{
+		{"sweep", SweepExperiment(cells)},
+		{"gradient", GradientExperiment(Config{N: 12, Seed: 1, Horizon: 3})},
+		{"chaos", ChaosExperiment(12, 1, 4, false)},
+		{"lowerbound", LowerBoundExperiment(lowerBoundBase(1), []int{24, 12, 16})},
+	} {
+		serial, par := mustExperiment(t, kind.e, 1), mustExperiment(t, kind.e, 4)
+		for i := range serial {
+			if !reflect.DeepEqual(serial[i], par[i]) {
+				t.Errorf("%s cell %d (%s): 4 workers diverged from serial order:\n  serial = %+v\n  4      = %+v",
+					kind.name, i, kind.e.Cells[i].Name, serial[i], par[i])
+			}
 		}
 	}
 }

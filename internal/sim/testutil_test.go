@@ -32,3 +32,13 @@ func mustSweep(t testing.TB, cells []SweepCell, workers int) []SweepResult {
 	}
 	return out
 }
+
+// mustExperiment runs e on workers goroutines and returns its rows.
+func mustExperiment(t testing.TB, e Experiment, workers int) []Row {
+	t.Helper()
+	rows, err := e.Run(workers)
+	if err != nil {
+		t.Fatalf("Experiment.Run: %v", err)
+	}
+	return rows
+}
