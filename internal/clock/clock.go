@@ -13,14 +13,16 @@
 // reached.
 //
 // A timer is the seam.Timer itself: a long-lived struct with an armed
-// flag in the clock's timers slice. A gcs node makes two, so the head (the
-// armed timer with the least (target, seq)) is found by a scan. Only the
-// head owns a firing in the clock's Base, so a rate change re-arms one
-// firing, and re-arming a timer allocates nothing.
+// flag, stored inside the clock. A gcs node makes two, and the clock keeps
+// two inline; a third and later timer spills to a separately allocated
+// one. The head (the armed timer with the least (target, seq)) is found by
+// a scan. Only the head owns a firing in the clock's Base, so a rate
+// change re-arms one firing, and re-arming a timer allocates nothing.
 //
 // The Base is everything a clock needs from its harness: a real-time
-// source and one re-armable firing. The DES harness uses New, whose base
-// is the engine (engine time, one engine event); the real-time runtime
+// source and one re-armable firing. The DES harness uses New or Init,
+// whose base is the engine (engine time, one engine event whose handler
+// Init may share among every clock of a harness); the real-time runtime
 // supplies a wall-clock base through NewOn.
 package clock
 
@@ -60,10 +62,14 @@ type HardwareClock struct {
 	lastH float64
 	rate  float64
 
-	// timers holds every timer created on this clock, armed or not. Their
-	// targets are hardware readings, so a rate change moves only the real
-	// time of the head, and the base's firing is re-armed to track it.
-	timers  []*timer
+	// inline holds the first two timers created on this clock and spill
+	// any later ones, armed or not; an inline slot with a nil c is unused,
+	// and spill is a pointer so that a clock with no later timer pays one
+	// word for it. The targets are hardware readings, so a rate change
+	// moves only the real time of the head, and the base's firing is
+	// re-armed to track it.
+	inline  [2]timer
+	spill   *[]*timer
 	nextSeq uint64
 	// headAt is the real time the base's firing is armed for, +Inf when
 	// it is not armed.
@@ -79,11 +85,12 @@ type HardwareClock struct {
 var _ seam.Clock = (*HardwareClock)(nil)
 
 // engineBase is the DES Base: engine time, and one engine event whose
-// single callback is the clock's Fire.
+// callback, fire(arg), calls the clock's Fire.
 type engineBase struct {
 	en   *des.Engine
 	ev   des.EventRef
 	fire des.ArgHandler
+	arg  uint64
 }
 
 func (b *engineBase) Now() float64 { return b.en.Now() }
@@ -93,7 +100,7 @@ func (b *engineBase) Now() float64 { return b.en.Now() }
 //gcslint:zeroalloc
 func (b *engineBase) Arm(at float64, label string) {
 	b.en.Cancel(b.ev)
-	b.ev = b.en.ScheduleArg(at, label, b.fire, 0)
+	b.ev = b.en.ScheduleArg(at, label, b.fire, b.arg)
 }
 
 func (b *engineBase) Disarm() {
@@ -105,16 +112,18 @@ func (b *engineBase) Disarm() {
 // current time and running at the given initial rate.
 func New(en *des.Engine, initialRate float64) *HardwareClock {
 	c := new(HardwareClock)
-	c.Init(en, initialRate)
+	c.Init(en, initialRate, func(uint64) { c.Fire() }, 0)
 	return c
 }
 
-// Init sets c up in place exactly as New would, overwriting whatever it
-// held; a harness that allocates its clocks as one slab calls it on each
-// element.
-func (c *HardwareClock) Init(en *des.Engine, initialRate float64) {
+// Init sets c up in place as New would, overwriting whatever it held,
+// except that the engine firing runs fire(arg), which must call c.Fire. A
+// harness that allocates its clocks as one slab calls it on each element
+// with one shared handler and the clock's index as arg, so no clock
+// carries a closure of its own.
+func (c *HardwareClock) Init(en *des.Engine, initialRate float64, fire des.ArgHandler, arg uint64) {
 	*c = HardwareClock{}
-	c.eng = engineBase{en: en, fire: func(uint64) { c.Fire() }}
+	c.eng = engineBase{en: en, fire: fire, arg: arg}
 	c.base = &c.eng
 	c.Reset(initialRate)
 }
@@ -135,8 +144,13 @@ func NewOn(b Base, res, initialRate float64) *HardwareClock {
 // engine has already recycled the head event.
 func (c *HardwareClock) Reset(initialRate float64) {
 	checkRate(initialRate)
-	for _, tm := range c.timers {
-		tm.armed = false
+	for i := range c.inline {
+		c.inline[i].armed = false
+	}
+	if c.spill != nil {
+		for _, tm := range *c.spill {
+			tm.armed = false
+		}
 	}
 	c.disarm()
 	c.nextSeq = 0
@@ -209,10 +223,26 @@ func (c *HardwareClock) timeWhen(now, hTarget float64) float64 {
 
 // NewTimer returns an unarmed subjective timer on this clock (the
 // paper's set_timer(dt, id) is its Reset, cancel(id) its Stop). The
-// timer is long-lived: one allocation here, none per arming.
+// timer is long-lived and re-armed in place. The first two live inside
+// the clock; each later one is one allocation here. No arming allocates.
 func (c *HardwareClock) NewTimer(label string, fn func()) seam.Timer {
-	tm := &timer{c: c, label: label, fn: fn}
-	c.timers = append(c.timers, tm)
+	tm := c.slot()
+	*tm = timer{c: c, label: label, fn: fn}
+	return tm
+}
+
+// slot returns the first unused inline timer, or a new spilled one.
+func (c *HardwareClock) slot() *timer {
+	for i := range c.inline {
+		if c.inline[i].c == nil {
+			return &c.inline[i]
+		}
+	}
+	if c.spill == nil {
+		c.spill = new([]*timer)
+	}
+	tm := new(timer)
+	*c.spill = append(*c.spill, tm)
 	return tm
 }
 
@@ -228,12 +258,25 @@ type timer struct {
 }
 
 // head returns the armed timer with the least (targetH, seq), or nil.
+// Every armed timer has its own seq, so the scan order does not matter.
 func (c *HardwareClock) head() *timer {
 	var h *timer
-	for _, tm := range c.timers {
-		if tm.armed && (h == nil || tm.targetH < h.targetH || tm.targetH == h.targetH && tm.seq < h.seq) {
-			h = tm
+	for i := range c.inline {
+		h = earlier(h, &c.inline[i])
+	}
+	if c.spill != nil {
+		for _, tm := range *c.spill {
+			h = earlier(h, tm)
 		}
+	}
+	return h
+}
+
+// earlier returns tm if it is armed and precedes h (nil or armed) in
+// (targetH, seq) order, else h.
+func earlier(h, tm *timer) *timer {
+	if tm.armed && (h == nil || tm.targetH < h.targetH || tm.targetH == h.targetH && tm.seq < h.seq) {
+		return tm
 	}
 	return h
 }

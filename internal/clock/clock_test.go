@@ -317,12 +317,63 @@ func TestBatchedTimersOneEngineEvent(t *testing.T) {
 
 func armedCount(c *HardwareClock) int {
 	n := 0
-	for _, tm := range c.timers {
-		if tm.Pending() {
+	for i := range c.inline {
+		if c.inline[i].Pending() {
 			n++
 		}
 	}
+	if c.spill != nil {
+		for _, tm := range *c.spill {
+			if tm.Pending() {
+				n++
+			}
+		}
+	}
 	return n
+}
+
+// TestInlineAndSpilledTimers runs five timers on one clock: the first two
+// live inside the clock, the other three spill. Armed across both, they
+// fire in (target, seq) order through a SetRate and a Stop of the head,
+// and re-arming or stopping any of them allocates nothing.
+func TestInlineAndSpilledTimers(t *testing.T) {
+	en := des.NewEngine()
+	c := New(en, 1)
+	type firing struct {
+		i int
+		t float64
+	}
+	var got []firing
+	timers := make([]seam.Timer, 5)
+	for i := range timers {
+		timers[i] = c.NewTimer("tm", func() { got = append(got, firing{i, en.Now()}) })
+	}
+	if c.spill == nil || len(*c.spill) != 3 || timers[0] != &c.inline[0] || timers[1] != &c.inline[1] {
+		t.Fatal("want timers 0 and 1 inline and 2-4 spilled")
+	}
+	// Targets interleave inline and spilled timers; 3 and 1 tie at 2 and
+	// fire in arming order.
+	for _, a := range []struct {
+		i  int
+		dH float64
+	}{{4, 1}, {3, 2}, {1, 2}, {0, 3}, {2, 4}} {
+		timers[a.i].Reset(a.dH)
+	}
+	timers[4].Stop() // the head: the firing moves to timer 3
+	en.Run(1.5)
+	c.SetRate(2) // H = 1.5 at t = 1.5; the remaining targets come twice as fast
+	en.Run(10)
+	if want := []firing{{3, 1.75}, {1, 1.75}, {0, 2.25}, {2, 2.75}}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if armedCount(c) != 0 || en.Pending() != 0 {
+		t.Fatalf("%d timers armed, %d engine events after the drain, want none", armedCount(c), en.Pending())
+	}
+	for i, tm := range timers {
+		if a := testing.AllocsPerRun(20, func() { tm.Reset(0.5 + float64(i)); tm.Stop() }); a != 0 {
+			t.Errorf("timer %d: Reset and Stop allocated %v objects", i, a)
+		}
+	}
 }
 
 // TestBatchedTimersFireOrder pins that equal-target timers fire in

@@ -67,9 +67,16 @@ type Dynamic struct {
 	// carrying their open records: AppendNeighbors costs O(deg), it and
 	// RangeCurrentEdges yield ascending order without sorting, and an
 	// open record is one binary search away.
-	adj   [][]Link
-	subs  []Subscriber
-	lastT float64
+	adj [][]Link
+	// spare lists up to len(spare) nodes (nspare of them) whose adjacency
+	// uses at most a quarter of a capacity of at least spareMin links, as
+	// a former hub's does: a node whose adjacency must grow takes such an
+	// array in exchange for its own instead of growing it. Entries are
+	// checked again on use.
+	spare  [4]int32
+	nspare int
+	subs   []Subscriber
+	lastT  float64
 	// counts for reporting
 	adds, removes int
 	// epoch increments on every effective Add/Remove, so consumers that
@@ -107,8 +114,10 @@ func (g *Dynamic) Reset(n int, initial []Edge) {
 	for len(g.adj) < n {
 		g.adj = append(g.adj, nil)
 	}
+	g.nspare = 0
 	for i := range g.adj {
 		g.adj[i] = g.adj[i][:0]
+		g.offer(i)
 	}
 	g.n, g.recs, g.open = n, 0, g.open[:0]
 	g.lastT, g.adds, g.removes = 0, 0, 0
@@ -133,8 +142,55 @@ func (g *Dynamic) link(e Edge) {
 		g.open = append(g.open, 0)
 	}
 	g.open[rec>>6] |= 1 << (rec & 63)
-	g.adj[e.U] = insertLink(g.adj[e.U], Link{V: int32(e.V), Rec: rec})
-	g.adj[e.V] = insertLink(g.adj[e.V], Link{V: int32(e.U), Rec: rec})
+	g.insert(e.U, Link{V: int32(e.V), Rec: rec})
+	g.insert(e.V, Link{V: int32(e.U), Rec: rec})
+}
+
+// spareMin is the least capacity, in links, that the spare list tracks.
+const spareMin = 16
+
+// offer lists u's adjacency as spare if it qualifies, is not listed yet
+// and there is room.
+func (g *Dynamic) offer(u int) {
+	if s := g.adj[u]; cap(s) < spareMin || len(s) > cap(s)/4 || g.nspare == len(g.spare) ||
+		slices.Contains(g.spare[:g.nspare], int32(u)) {
+		return
+	}
+	g.spare[g.nspare] = int32(u)
+	g.nspare++
+}
+
+// insert links k into u's adjacency. When the adjacency is full it first
+// trades arrays with a listed spare that can hold u's links and has at
+// least twice u's capacity, if any: the spare's few links move into u's
+// old array, and u's links into the spare's.
+func (g *Dynamic) insert(u int, k Link) {
+	s := g.adj[u]
+	for i := 0; len(s) == cap(s) && i < g.nspare; {
+		w := int(g.spare[i])
+		big := g.adj[w]
+		if cap(big) < spareMin || len(big) > cap(big)/4 {
+			// No longer spare: drop the entry.
+			g.nspare--
+			g.spare[i] = g.spare[g.nspare]
+			continue
+		}
+		if cap(big) < 2*cap(s) || len(big) > cap(s) {
+			i++
+			continue
+		}
+		g.nspare--
+		g.spare[i] = g.spare[g.nspare]
+		// big[:len(s)] and big's links at its end are disjoint, since
+		// len(big) + len(s) <= 2*cap(s) <= cap(big).
+		nb, ns := len(big), len(s)
+		big = big[:cap(big)]
+		copy(big[cap(big)-nb:], big[:nb])
+		copy(big, s)
+		g.adj[w] = append(s[:0], big[cap(big)-nb:]...)
+		s = big[:ns]
+	}
+	g.adj[u] = insertLink(s, k)
 }
 
 func insertLink(s []Link, k Link) []Link {
@@ -230,6 +286,8 @@ func (g *Dynamic) Remove(t float64, e Edge) {
 	u, v := g.adj[e.U], g.adj[e.V]
 	i, j := search(u, e.V), search(v, e.U)
 	g.adj[e.U], g.adj[e.V] = slices.Delete(u, i, i+1), slices.Delete(v, j, j+1)
+	g.offer(e.U)
+	g.offer(e.V)
 	g.removes++
 	g.epoch++
 	for _, s := range g.subs {

@@ -251,3 +251,73 @@ func TestExistsThroughoutMatchesForwardScan(t *testing.T) {
 		}
 	}
 }
+
+// TestHubCapacityHandedOver runs rotating stars: each round links the next
+// hub to every node, then unlinks the previous hub from all but it. A
+// former hub's adjacency array passes to a later hub instead of each hub
+// growing its own, so however many rounds run, only a few nodes hold a
+// hub-sized array, and a re-run after Reset allocates nothing. After every
+// round each node's links hold exactly its model neighbors, ascending,
+// each on the edge's open record.
+func TestHubCapacityHandedOver(t *testing.T) {
+	const n, rounds = 40, 30
+	g := NewDynamic(n, nil)
+	var model [n][n]bool
+	now := 0.0
+	check := func(r int) {
+		t.Helper()
+		big := 0
+		for u := 0; u < n; u++ {
+			var want []int32
+			for v := 0; v < n; v++ {
+				if model[u][v] {
+					want = append(want, int32(v))
+				}
+			}
+			links := g.Links(u)
+			if len(links) != len(want) {
+				t.Fatalf("round %d: node %d has %d links, model %d", r, u, len(links), len(want))
+			}
+			for i, k := range links {
+				if rec, ok := g.Current(E(u, int(k.V))); k.V != want[i] || !ok || rec != k.Rec || !g.Open(k.Rec) {
+					t.Fatalf("round %d: node %d link %d is %+v, model neighbor %d", r, u, i, k, want[i])
+				}
+			}
+			if cap(links) >= spareMin {
+				big++
+			}
+		}
+		if big > 2 {
+			t.Fatalf("round %d: %d nodes hold %d or more links of capacity", r, big, spareMin)
+		}
+	}
+	run := func(check func(int)) {
+		g.Reset(n, nil)
+		model, now = [n][n]bool{}, 0
+		for r := 0; r < rounds; r++ {
+			now++
+			hub := r % n
+			for v := 0; v < n; v++ {
+				if v != hub {
+					g.Add(now, E(hub, v))
+					model[hub][v], model[v][hub] = true, true
+				}
+			}
+			if r > 0 {
+				old := (r - 1) % n
+				for v := 0; v < n; v++ {
+					if v != old && v != hub {
+						g.Remove(now, E(old, v))
+						model[old][v], model[v][old] = false, false
+					}
+				}
+			}
+			check(r)
+		}
+	}
+	run(check)
+	if allocs := testing.AllocsPerRun(3, func() { run(func(int) {}) }); allocs != 0 {
+		t.Fatalf("a re-run after Reset allocated %v objects", allocs)
+	}
+	run(check)
+}

@@ -202,27 +202,57 @@ type noopTopo struct{}
 
 func (noopTopo) AppendNeighbors(_ int, buf []int) []int { return buf }
 
+// Shared is what every node of one harness has in common: the defaulted
+// parameters, the aging factor they fix, and the seam wiring. A harness
+// Sets one for a run and hands its address to every node's Init, so a
+// node holds one pointer instead of its own copy. A harness may Set it
+// again between runs, before it resets its nodes against it, but never
+// while they run. The zero Shared is unusable until Set.
+type Shared struct {
+	p Params
+	// age is the guaranteed minimum progress of any remote logical clock
+	// per unit of local hardware time, (1-Rho)/(1+Rho): the remote
+	// hardware runs at >= (1-rho) real rate and the local one at
+	// <= (1+rho). Fixed by the parameters, so computed once per Set.
+	age float64
+
+	// net carries beacons to the current neighbors (Broadcast) and the
+	// discovery unicast over a fresh edge (Send). topo enumerates the
+	// current neighborhood for the rescan that follows a lost edge.
+	net  seam.Sender
+	topo seam.Topology
+}
+
+// Set fills sh for nodes running under p (defaulted here) on net and
+// topo; either may be nil for isolated unit tests (treated as no
+// neighbors, no sends). It panics if the defaulted p is invalid.
+func (sh *Shared) Set(p Params, net seam.Sender, topo seam.Topology) {
+	if net == nil {
+		net = noopSender{}
+	}
+	if topo == nil {
+		topo = noopTopo{}
+	}
+	p = p.WithDefaults()
+	p.validate()
+	*sh = Shared{p: p, age: ageFactor(p.Rho), net: net, topo: topo}
+}
+
 // Node is one synchronization participant. It is single-threaded, owned
 // by its harness (the clock's engine in the DES, the node goroutine in
 // the real-time runtime).
 type Node struct {
 	id  int
 	clk seam.Clock
-	p   Params
+	// sh holds the parameters and seam wiring, shared with the other
+	// nodes of the harness unless own is set: then sh is this node's
+	// private copy, made by New or by a Reset to other parameters, and
+	// Reset may overwrite it in place.
+	sh *Shared
 
-	// net carries beacons to the current neighbors (Broadcast) and the
-	// discovery unicast over a fresh edge (Send). topo enumerates the
-	// current neighborhood for the rescan that follows a lost edge; nbuf
-	// is its reused scratch buffer so the rescan does not allocate.
-	net  seam.Sender
-	topo seam.Topology
+	// nbuf is the reused scratch buffer of the neighbor rescan, so the
+	// rescan does not allocate.
 	nbuf []int
-
-	// age is the guaranteed minimum progress of any remote logical clock
-	// per unit of local hardware time, (1-Rho)/(1+Rho): the remote
-	// hardware runs at >= (1-rho) real rate and the local one at
-	// <= (1+rho). Fixed by the parameters, so computed once per New/Reset.
-	age float64
 
 	// Logical clock as a line in hardware time:
 	// L(h) = baseL + mult*(h - baseH), rebased at every regime change.
@@ -247,15 +277,18 @@ type Node struct {
 	nbrNorm float64
 	// catchupT re-evaluates the regime exactly when L reaches the fast
 	// target; beaconT drives the periodic beacon loop. Both are created
-	// once in New and re-armed in place, so the per-tick path does not
-	// allocate and a crash can silence either.
+	// once in Init (on a clock.HardwareClock they live inside the clock)
+	// and re-armed in place, so the per-tick path does not allocate and a
+	// crash can silence either.
 	catchupT seam.Timer
 	beaconT  seam.Timer
 	// down marks a crashed node (fault injection): it neither beacons
-	// nor reacts to incoming traffic until Recover.
+	// nor reacts to incoming traffic until Recover. own marks sh as this
+	// node's private copy (see sh).
 	down     bool
 	nbrStale bool
 	fast     bool
+	own      bool
 
 	msgs, jumps, beacons, discoveries int
 }
@@ -264,54 +297,54 @@ type Node struct {
 // and graph; either may be nil for isolated unit tests (treated as no
 // neighbors, no sends).
 func New(id int, clk seam.Clock, p Params, net seam.Sender, topo seam.Topology) *Node {
+	sh := new(Shared)
+	sh.Set(p, net, topo)
 	nd := new(Node)
-	nd.Init(id, clk, p, net, topo)
+	nd.Init(id, clk, sh)
+	nd.own = true
 	return nd
 }
 
-// Init sets nd up in place exactly as New would, overwriting whatever it
-// held; a harness that allocates its nodes as one slab calls it on each
-// element.
-func (nd *Node) Init(id int, clk seam.Clock, p Params, net seam.Sender, topo seam.Topology) {
-	p = p.WithDefaults()
-	p.validate()
-	if net == nil {
-		net = noopSender{}
-	}
-	if topo == nil {
-		topo = noopTopo{}
-	}
+// Init sets nd up in place as New would, overwriting whatever it held,
+// with the parameters and wiring of sh, which nd keeps pointing at: a
+// harness that allocates its nodes as one slab calls it on each element
+// with one Shared.
+func (nd *Node) Init(id int, clk seam.Clock, sh *Shared) {
 	*nd = Node{
 		id:      id,
 		clk:     clk,
-		p:       p,
-		net:     net,
-		topo:    topo,
+		sh:      sh,
 		baseH:   clk.Now(),
 		baseL:   clk.Now(),
 		mult:    1,
-		age:     ageFactor(p.Rho),
 		maxNorm: math.Inf(-1),
 		nbrNorm: math.Inf(-1),
 	}
 	nd.catchupT = clk.NewTimer("gcs.catchup", nd.recompute)
 	nd.beaconT = clk.NewTimer("gcs.beacon", func() {
 		nd.emit()
-		nd.beaconT.Reset(nd.p.BeaconEvery)
+		nd.beaconT.Reset(nd.sh.p.BeaconEvery)
 	})
 }
 
 // Reset returns the node to its initial state under (possibly new)
 // parameters, keeping the seam wiring, the timers, the estimate table's
 // capacity, and the neighbor scratch buffer, so re-running a node on a
-// reused arena allocates nothing. The clock must already have been
-// reset by the harness; the logical clock restarts at the (fresh)
-// hardware reading.
+// reused arena allocates nothing. Parameters that, defaulted, differ
+// from the ones the node points at give it a private copy of its Shared
+// (one allocation, unless it already has one), leaving the nodes it
+// shared with as they were. The clock must already have been reset by
+// the harness; the logical clock restarts at the (fresh) hardware
+// reading.
 func (nd *Node) Reset(p Params) {
-	p = p.WithDefaults()
-	p.validate()
-	nd.p = p
-	nd.age = ageFactor(p.Rho)
+	if p.WithDefaults() != nd.sh.p {
+		sh := nd.sh
+		if !nd.own {
+			sh, nd.own = new(Shared), true
+		}
+		sh.Set(p, nd.sh.net, nd.sh.topo)
+		nd.sh = sh
+	}
 	nd.forget()
 	nd.catchupT.Stop()
 	nd.beaconT.Stop()
@@ -349,7 +382,7 @@ func (nd *Node) OnEdgeAdded(peer int) {
 	}
 	nd.recompute()
 	nd.discoveries++
-	nd.net.Send(nd.id, peer, nd.Logical())
+	nd.sh.net.Send(nd.id, peer, nd.Logical())
 }
 
 // OnEdgeRemoved is the paper's discover(remove): peer leaves Γ_u. Its
@@ -416,7 +449,7 @@ func (nd *Node) logicalAt(h float64) float64 {
 }
 
 // ageFactor is the conservative aging rate of remote estimates under
-// drift bound rho (see Node.age).
+// drift bound rho (see Shared.age).
 func ageFactor(rho float64) float64 { return (1 - rho) / (1 + rho) }
 
 // find returns the position of source from in the estimate table and
@@ -454,7 +487,7 @@ func (nd *Node) OnMessage(from int, value float64) {
 		return
 	}
 	nd.msgs++
-	norm := value - nd.age*nd.clk.Now()
+	norm := value - nd.sh.age*nd.clk.Now()
 	if i, ok := nd.find(from); !ok || norm > nd.est[i].norm {
 		if !ok {
 			// A source heard for the first time: open its sorted slot.
@@ -483,7 +516,7 @@ func (nd *Node) emit() {
 	}
 	nd.recompute()
 	nd.beacons++
-	nd.net.Broadcast(nd.id, nd.Logical())
+	nd.sh.net.Broadcast(nd.id, nd.Logical())
 }
 
 // scanNeighbors is the O(degree) evaluation of nbrNorm from the
@@ -493,7 +526,7 @@ func (nd *Node) emit() {
 //gcslint:zeroalloc
 func (nd *Node) scanNeighbors() float64 {
 	m := math.Inf(-1)
-	nd.nbuf = nd.topo.AppendNeighbors(nd.id, nd.nbuf[:0])
+	nd.nbuf = nd.sh.topo.AppendNeighbors(nd.id, nd.nbuf[:0])
 	for _, v := range nd.nbuf {
 		if i, ok := nd.find(v); ok && nd.est[i].norm > m {
 			m = nd.est[i].norm
@@ -526,9 +559,10 @@ func (nd *Node) CheckNeighborMax() error {
 func (nd *Node) recompute() {
 	h := nd.clk.Now()
 	L := nd.logicalAt(h)
+	sh := nd.sh
 
-	maxEst := nd.maxNorm + nd.age*h
-	if maxEst-L > nd.p.JumpThreshold {
+	maxEst := nd.maxNorm + sh.age*h
+	if maxEst-L > sh.p.JumpThreshold {
 		L = maxEst
 		nd.jumps++
 	}
@@ -543,19 +577,19 @@ func (nd *Node) recompute() {
 	// only rearm useless timers.
 	var fast bool
 	var target float64
-	if nd.p.FastRateEnabled() {
+	if sh.p.FastRateEnabled() {
 		if nd.nbrStale {
 			nd.nbrNorm = nd.scanNeighbors()
 			nd.nbrStale = false
 		}
-		target = nd.nbrNorm + nd.age*h
-		fast = target-L > nd.p.Kappa
+		target = nd.nbrNorm + sh.age*h
+		fast = target-L > sh.p.Kappa
 	}
 
 	nd.baseH, nd.baseL = h, L
 	nd.fast = fast
 	if fast {
-		nd.mult = 1 + nd.p.EffectiveMu()
+		nd.mult = 1 + sh.p.EffectiveMu()
 	} else {
 		nd.mult = 1
 	}
@@ -573,7 +607,7 @@ func (nd *Node) recompute() {
 // Snap returns a snapshot of the node's state at the current time.
 func (nd *Node) Snap() Snapshot {
 	h := nd.clk.Now()
-	maxEst := nd.maxNorm + nd.age*h
+	maxEst := nd.maxNorm + nd.sh.age*h
 	return Snapshot{
 		ID:          nd.id,
 		Hardware:    h,

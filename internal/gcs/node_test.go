@@ -203,7 +203,7 @@ func TestReaddedNeighbourCountsAgain(t *testing.T) {
 // caches.
 func scanRule(nd *Node, h, L float64) (fast bool, target, maxNorm float64) {
 	target, maxNorm = math.Inf(-1), math.Inf(-1)
-	for _, v := range nd.topo.AppendNeighbors(nd.id, nil) {
+	for _, v := range nd.sh.topo.AppendNeighbors(nd.id, nil) {
 		i, ok := nd.find(v)
 		if !ok {
 			continue
@@ -212,7 +212,7 @@ func scanRule(nd *Node, h, L float64) (fast bool, target, maxNorm float64) {
 		if e.norm > maxNorm {
 			maxNorm = e.norm
 		}
-		if est := e.norm + ageFactor(nd.p.Rho)*h; est-L > nd.p.Kappa {
+		if est := e.norm + ageFactor(nd.sh.p.Rho)*h; est-L > nd.sh.p.Kappa {
 			fast = true
 			if est > target {
 				target = est
@@ -270,9 +270,15 @@ func TestCachedNeighborMaxMatchesScan(t *testing.T) {
 		rnd := des.NewRand(seed)
 		clk := &stepClock{}
 		g := dyngraph.NewDynamic(n, dyngraph.Ring(n))
+		// Each parameter set is shared by half the nodes; given is the set
+		// each node was last handed, which a sibling's Reset must not move.
+		var shared [2]Shared
+		given := make([]Params, n)
 		nodes := make(relay, n)
 		for i := range nodes {
-			nodes[i] = New(i, clk, params[i%2], nil, g)
+			shared[i%2].Set(params[i%2], nil, g)
+			nodes[i], given[i] = new(Node), params[i%2]
+			nodes[i].Init(i, clk, &shared[i%2])
 		}
 		g.Subscribe(nodes)
 
@@ -280,7 +286,10 @@ func TestCachedNeighborMaxMatchesScan(t *testing.T) {
 		everPresent := map[dyngraph.Edge]bool{}
 		check := func(step int, op string) {
 			t.Helper()
-			for _, nd := range nodes {
+			for i, nd := range nodes {
+				if nd.sh.p != given[i].WithDefaults() {
+					t.Fatalf("seed %d step %d (%s): node %d runs under %+v, was given %+v", seed, step, op, i, nd.sh.p, given[i])
+				}
 				fast, target, maxNorm := scanRule(nd, clk.h, nd.baseL)
 				if !nd.nbrStale && nd.nbrNorm != maxNorm {
 					t.Fatalf("seed %d step %d (%s): node %d caches %v, scan finds %v", seed, step, op, nd.id, nd.nbrNorm, maxNorm)
@@ -351,13 +360,43 @@ func TestCachedNeighborMaxMatchesScan(t *testing.T) {
 				nodes[u].Recover()
 			default:
 				op = "reset"
-				nodes[u].Reset(params[rnd.Intn(2)])
+				given[u] = params[rnd.Intn(2)]
+				nodes[u].Reset(given[u])
 			}
 			check(step, op)
 		}
 		if fastSeen == 0 || rescans == 0 || readds == 0 {
 			t.Fatalf("seed %d: degenerate history: fast=%d rescans=%d readds=%d", seed, fastSeen, rescans, readds)
 		}
+	}
+}
+
+// TestResetUnshares pins the Shared contract: a Reset to other parameters
+// gives the node a private copy and leaves its siblings and the Shared as
+// they were; later Resets of that node, and Resets of a sharing node to
+// the shared parameters, allocate nothing.
+func TestResetUnshares(t *testing.T) {
+	a := Params{Rho: 0.01}
+	b := Params{Rho: 0.05, Mu: 0.5}
+	clk := &stepClock{}
+	var sh Shared
+	sh.Set(a, nil, nil)
+	nodes := make([]Node, 3)
+	for i := range nodes {
+		nodes[i].Init(i, clk, &sh)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { nodes[0].Reset(a) }); allocs != 0 {
+		t.Fatalf("Reset to the shared parameters allocated %v objects", allocs)
+	}
+	nodes[1].Reset(b)
+	if nodes[1].sh == &sh || nodes[1].sh.p != b.WithDefaults() {
+		t.Fatalf("reset node runs under %+v, shared %v", nodes[1].sh.p, nodes[1].sh == &sh)
+	}
+	if sh.p != a.WithDefaults() || nodes[0].sh != &sh || nodes[2].sh != &sh {
+		t.Fatal("a sibling's Reset moved the shared parameters")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { nodes[1].Reset(a); nodes[1].Reset(b) }); allocs != 0 {
+		t.Fatalf("Resets of a node with a private copy allocated %v objects", allocs)
 	}
 }
 

@@ -23,12 +23,11 @@ import (
 // total less every owner row: closures, map buckets beyond their entries,
 // slice headers and size-class rounding. The table is logged (run with
 // -v); the test fails if the total exceeds its ceiling, so a regrowth of
-// the working set cannot land silently, or if the graph's presence
-// state grows with the horizon: rotstar at twice the horizon may hold at
-// most 16 more bytes per node of open bits (the extra rotations' bits
-// are 8). Its adjacency does grow until every node has been the hub
-// once, since a node keeps the capacity it grew as the hub; so do its
-// estimate tables.
+// the working set cannot land silently, or if the graph's state grows
+// with the horizon: rotstar at twice the horizon may hold at most 16 more
+// bytes per node of open bits (the extra rotations' bits are 8), and of
+// adjacency (a former hub hands its array to a later one). Its estimate
+// tables do grow until every node has heard from every hub.
 func TestBytesPerNodeCensus(t *testing.T) {
 	ring := Config{
 		N: 4096, Seed: 11, Horizon: 3, Rho: 0.01, MaxDelay: 0.01,
@@ -42,17 +41,17 @@ func TestBytesPerNodeCensus(t *testing.T) {
 	longer := rotstar
 	longer.Horizon = 200
 
-	bits := map[string]float64{} // open-bit bytes per node, by row
+	perNode := map[string]map[string]float64{} // bytes per node by case, then owner
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-		// ceiling is the measured total bytes per node plus 5% (910.8,
-		// 3 524.8 and 5 249.7 on linux/amd64, go1.24).
+		// ceiling is the measured total bytes per node plus 5% (774.8,
+		// 3 008.0 and 4 336.0 on linux/amd64, go1.24).
 		ceiling float64
 	}{
-		{"ring4096", ring, 957},
-		{"rotstar256", rotstar, 3701},
-		{"rotstar256_h200", longer, 5513},
+		{"ring4096", ring, 814},
+		{"rotstar256", rotstar, 3159},
+		{"rotstar256_h200", longer, 4553},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := liveHeap()
@@ -65,12 +64,11 @@ func TestBytesPerNodeCensus(t *testing.T) {
 			var b strings.Builder
 			fmt.Fprintf(&b, "%s, n=%d: live bytes per node by owner\n", tc.name, tc.cfg.N)
 			rest := total
+			perNode[tc.name] = map[string]float64{}
 			for _, r := range rows {
 				per := r.bytes / float64(tc.cfg.N)
 				rest -= per
-				if r.owner == "dyngraph open bits" {
-					bits[tc.name] = per
-				}
+				perNode[tc.name][r.owner] = per
 				fmt.Fprintf(&b, "  %-42s %9.1f\n", r.owner, per)
 			}
 			fmt.Fprintf(&b, "  %-42s %9.1f\n", "other (closures, map overhead, rounding)", rest)
@@ -81,9 +79,10 @@ func TestBytesPerNodeCensus(t *testing.T) {
 			}
 		})
 	}
-	if short, ok := bits["rotstar256"]; ok {
-		if long, ok := bits["rotstar256_h200"]; ok && math.Abs(long-short) > 16 {
-			t.Errorf("open bits %.1f B per node at horizon 200, %.1f at 100: the presence state grows with the horizon", long, short)
+	short, long := perNode["rotstar256"], perNode["rotstar256_h200"]
+	for _, owner := range []string{"dyngraph open bits", "dyngraph adjacency"} {
+		if short != nil && long != nil && math.Abs(long[owner]-short[owner]) > 16 {
+			t.Errorf("%s: %.1f B per node at horizon 200, %.1f at 100: the graph's state grows with the horizon", owner, long[owner], short[owner])
 		}
 	}
 }
@@ -110,18 +109,21 @@ func census(s *Simulation) []censusRow {
 	add := func(owner string, bytes int) { rows = append(rows, censusRow{owner, float64(bytes)}) }
 	ptr := int(unsafe.Sizeof(uintptr(0)))
 
-	var est, timers, timerSlots int
+	// A clock holds its first two timers inline; a spilled one costs its
+	// slice, its slot and the timer itself.
+	var est, spilled int
 	for i, nd := range s.allNodes {
 		tbl := field(nd, "est")
 		est += tbl.Cap() * int(tbl.Type().Elem().Size())
-		ts := field(s.allClocks[i], "timers")
-		timers += ts.Len() * int(ts.Type().Elem().Elem().Size())
-		timerSlots += ts.Cap() * ptr
+		if sp := field(s.allClocks[i], "spill"); !sp.IsNil() {
+			ts := sp.Elem()
+			spilled += int(ts.Type().Size()) + ts.Cap()*ptr + ts.Len()*int(ts.Type().Elem().Elem().Size())
+		}
 	}
 	add("gcs.Node", len(s.allNodes)*int(unsafe.Sizeof(gcs.Node{})))
 	add("gcs estimate tables", est)
-	add("clock.HardwareClock", len(s.allClocks)*int(unsafe.Sizeof(clock.HardwareClock{})))
-	add("clock timers", timers+timerSlots)
+	add("gcs.Shared (one per harness)", int(unsafe.Sizeof(gcs.Shared{})))
+	add("clock.HardwareClock (with its timers)", len(s.allClocks)*int(unsafe.Sizeof(clock.HardwareClock{}))+spilled)
 	add("sim.DriverState (with its des.Rand)", cap(s.drivers)*int(unsafe.Sizeof(DriverState{})))
 	add("sim per-node slices", (cap(s.allClocks)+cap(s.allNodes)+cap(s.vals))*ptr)
 

@@ -176,6 +176,7 @@ type edgeKey struct {
 // address.
 func (s *Simulation) init() {
 	s.delayFn = func(m *transport.Message) float64 { return s.delays.Draw(m.From) }
+	s.fireFn = func(arg uint64) { s.Clocks[arg].Fire() }
 	s.driveFn = s.driveStep
 	s.churnFn = s.churnStep
 	s.crashFn = s.crashStep
@@ -198,9 +199,11 @@ func (s *Simulation) arm() {
 	n := cfg.N
 
 	// Grow the node/clock pools up to n, then reset the live prefix. Each
-	// growth is one clock slab and one node slab, set up in place. Nodes
-	// are wired straight to Net and the (stable) graph through the
-	// harness seam.
+	// growth is one clock slab and one node slab, set up in place. Every
+	// clock fires through fireFn with its index, and every node reads the
+	// run's parameters and its wiring to Net and the (stable) graph from
+	// s.shared, set here before any node is reset against it.
+	s.shared.Set(cfg.Node, s.Net, s.Graph)
 	if have := len(s.allClocks); have < n {
 		s.allClocks = append(make([]*clock.HardwareClock, 0, n), s.allClocks...)
 		s.allNodes = append(make([]*gcs.Node, 0, n), s.allNodes...)
@@ -208,8 +211,8 @@ func (s *Simulation) arm() {
 		nodes := make([]gcs.Node, n-have)
 		for j := range clocks {
 			i := have + j
-			clocks[j].Init(s.engineOf(i), 1)
-			nodes[j].Init(i, &clocks[j], cfg.Node, s.Net, s.Graph)
+			clocks[j].Init(s.engineOf(i), 1, s.fireFn, uint64(i))
+			nodes[j].Init(i, &clocks[j], &s.shared)
 			s.allClocks = append(s.allClocks, &clocks[j])
 			s.allNodes = append(s.allNodes, &nodes[j])
 		}

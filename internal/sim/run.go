@@ -107,8 +107,11 @@ type Simulation struct {
 	// slices, which are views of the first Cfg.N entries.
 	allClocks []*clock.HardwareClock
 	allNodes  []*gcs.Node
-	drivers   []DriverState
-	churn     ChurnState
+	// shared is what every node shares: the run's parameters and the
+	// nodes' wiring to Net and Graph.
+	shared  gcs.Shared
+	drivers []DriverState
+	churn   ChurnState
 
 	// Reseedable PRNG streams, one per subsystem, matching the fork ids a
 	// fresh wiring would draw so reuse stays bit-identical.
@@ -130,8 +133,10 @@ type Simulation struct {
 	delayFn                  transport.DelayFn
 	driveFn, crashFn, rateFn des.ArgHandler
 	churnFn                  des.ArgHandler
-	sampleFn                 func()
-	edgeFn                   func(dyngraph.Edge)
+	// fireFn is every clock's engine firing: fireFn(i) fires clock i.
+	fireFn   des.ArgHandler
+	sampleFn func()
+	edgeFn   func(dyngraph.Edge)
 	// onMessage is the single delivery handler shared by every node.
 	onMessage transport.Handler
 
