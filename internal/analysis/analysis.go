@@ -29,10 +29,10 @@
 // lives in config.go next to the analyzers. There is no blanket opt
 // out.
 //
-// The suite runs three ways: `gcslint ./...` standalone (every rule),
-// `go vet -vettool=$(which gcslint) ./...` under the build cache (the
-// per-package rules only: a vet unit is one package), and per-rule
-// fixture tests (fixture_test.go) that fail if a rule stops firing.
+// The suite runs two ways: `gcslint ./...` over the module (every
+// rule; TestModuleIsLintClean does the same in the ordinary test run),
+// and per-rule fixture tests (fixture_test.go) that fail if a rule
+// stops firing.
 package analysis
 
 import (
@@ -47,8 +47,7 @@ import (
 
 // Analyzer is one named rule. Run inspects a type-checked package via
 // the Pass and reports findings through it. A module rule sets
-// RunModule instead and sees every linted package at once, so only
-// LintPackages runs it: a vet unit is a single package.
+// RunModule instead and sees every linted package at once.
 type Analyzer struct {
 	Name      string
 	Doc       string
@@ -133,16 +132,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		d.Surfaced = false
 	}
 	*p.diags = append(*p.diags, d)
-}
-
-// RunAnalyzers executes every per-package analyzer that applies to pkg
-// (per the package policy in config.go) over one type-checked package
-// and returns the surfaced diagnostics, sorted by position.
-func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) []Diagnostic {
-	var diags []Diagnostic
-	runPackage(Analyzers, fset, files, pkg, info, &diags)
-	sortDiagnostics(diags)
-	return surfaced(diags)
 }
 
 // runPackage runs the per-package analyzers among as that apply to pkg.

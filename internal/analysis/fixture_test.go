@@ -15,7 +15,7 @@ package analysis
 //
 // Fixtures are type-checked under a real in-scope import path (e.g. the
 // lockorder fixture as gcs/internal/rt) against genuine export data
-// from the build cache, so types resolve exactly as they do under vet.
+// from the build cache, so types resolve exactly as in a real build.
 
 import (
 	"fmt"
@@ -83,7 +83,7 @@ func runFixture(t *testing.T, a *Analyzer, dir, asImportPath string) {
 	sort.Strings(filenames)
 
 	fset := token.NewFileSet()
-	imp := ExportImporter(fset, nil, exports)
+	imp := ExportImporter(fset, exports)
 	files, pkg, info, err := ParseAndCheck(fset, imp, asImportPath, filenames)
 	if err != nil {
 		t.Fatalf("fixture does not type-check: %v", err)
@@ -175,12 +175,13 @@ func TestTestonlyFixture(t *testing.T) {
 	runFixture(t, Testonly, "testonly", "gcs/internal/fixture")
 }
 
-// TestModuleHasNoTestOnlyDecls runs testonly over the whole module, as
-// `gcslint ./...` does, so regrowth of test-only production code fails
-// the ordinary test run and not only the lint job. Every allow must
-// state its reason.
-func TestModuleHasNoTestOnlyDecls(t *testing.T) {
-	diags, err := lint(".", []*Analyzer{Testonly}, "gcs/...")
+// TestModuleIsLintClean runs every rule over the whole module, as
+// `gcslint ./...` does, so a finding — a wall-clock read in a
+// deterministic package, an unsorted map range, test-only production
+// code — fails the ordinary test run and not only the lint job. Every
+// allow must state its reason.
+func TestModuleIsLintClean(t *testing.T) {
+	diags, err := lint(".", Analyzers, "gcs/...")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,13 +196,12 @@ func TestModuleHasNoTestOnlyDecls(t *testing.T) {
 		}
 		// The directive sits on the flagged line or the one above.
 		lines := strings.Split(string(data), "\n")
-		if !allowReasonRe.MatchString(strings.Join(lines[d.Pos.Line-2:d.Pos.Line], "\n")) {
-			t.Errorf("%s: allowed without a reason (want //gcslint:allow testonly — <reason>)", d.Pos)
+		reason := regexp.MustCompile(`//gcslint:allow ` + d.Rule + ` — \S`)
+		if !reason.MatchString(strings.Join(lines[max(d.Pos.Line-2, 0):d.Pos.Line], "\n")) {
+			t.Errorf("%s: allowed without a reason (want //gcslint:allow %s — <reason>)", d.Pos, d.Rule)
 		}
 	}
 }
-
-var allowReasonRe = regexp.MustCompile(`//gcslint:allow testonly — \S`)
 
 // TestRegistryAndPolicy pins the suite's composition and the package
 // policy: dropping a rule from the registry, or a package from a rule's

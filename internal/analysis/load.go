@@ -85,13 +85,9 @@ func exportFiles(pkgs []*ListedPackage) map[string]string {
 
 // ExportImporter returns a types.Importer that resolves import paths
 // via the given map of import path -> export data file (as produced by
-// GoList or a vet.cfg's PackageFile table). importMap rewrites source-
-// level paths to canonical ones (vendoring; empty is fine).
-func ExportImporter(fset *token.FileSet, importMap, exportFiles map[string]string) types.Importer {
+// GoList).
+func ExportImporter(fset *token.FileSet, exportFiles map[string]string) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {
-		if c, ok := importMap[path]; ok {
-			path = c
-		}
 		f, ok := exportFiles[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
@@ -155,7 +151,7 @@ func lint(dir string, analyzers []*Analyzer, patterns ...string) ([]Diagnostic, 
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	std := ExportImporter(fset, nil, exportFiles(pkgs))
+	std := ExportImporter(fset, exportFiles(pkgs))
 	checked := map[string]*types.Package{}
 	imp := importerFunc(func(path string) (*types.Package, error) {
 		if pkg := checked[path]; pkg != nil {

@@ -306,11 +306,6 @@ func (inj *Injector) Wire(spec Spec, n int, rho float64, root *des.Rand) {
 	inj.rateRands = root.ForkTable(3, n, inj.rateRands)
 }
 
-// Down returns the live down-node mask, indexed by node. The harness
-// aliases it to exclude crashed nodes from skew sampling; entry i is
-// written only by node i's CrashStep.
-func (inj *Injector) Down() []bool { return inj.down }
-
 // onset draws the delay from now to a chain's next onset, or a negative
 // delay when that onset would pass Until: only fresh onsets are clamped
 // to the injection window, so this is where a chain ends.

@@ -217,7 +217,7 @@ func runInjector(spec Spec, n int, horizon float64, seed uint64) ([]injEvent, St
 	h := &injHarness{en: des.NewEngine(), inj: new(Injector)}
 	h.run(spec, n, horizon, seed)
 	down := make([]bool, n)
-	copy(down, h.inj.Down())
+	copy(down, h.inj.down)
 	return h.events, h.stats, down
 }
 
@@ -307,8 +307,8 @@ func TestInjectorStepTable(t *testing.T) {
 		}
 		for step := 0; ; step++ {
 			down, next := inj.CrashStep(node, now, &st)
-			if wantDown := step%2 == 0; down != wantDown || inj.Down()[node] != wantDown {
-				t.Fatalf("step %d: down=%v mask=%v, want %v", step, down, inj.Down()[node], wantDown)
+			if wantDown := step%2 == 0; down != wantDown || inj.down[node] != wantDown {
+				t.Fatalf("step %d: down=%v mask=%v, want %v", step, down, inj.down[node], wantDown)
 			}
 			mean := spec.CrashEvery
 			if down {

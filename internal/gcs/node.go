@@ -245,9 +245,7 @@ type Node struct {
 	id  int
 	clk seam.Clock
 	// sh holds the parameters and seam wiring, shared with the other
-	// nodes of the harness unless own is set: then sh is this node's
-	// private copy, made by New or by a Reset to other parameters, and
-	// Reset may overwrite it in place.
+	// nodes of the harness.
 	sh *Shared
 
 	// nbuf is the reused scratch buffer of the neighbor rescan, so the
@@ -283,12 +281,10 @@ type Node struct {
 	catchupT seam.Timer
 	beaconT  seam.Timer
 	// down marks a crashed node (fault injection): it neither beacons
-	// nor reacts to incoming traffic until Recover. own marks sh as this
-	// node's private copy (see sh).
+	// nor reacts to incoming traffic until Recover.
 	down     bool
 	nbrStale bool
 	fast     bool
-	own      bool
 
 	msgs, jumps, beacons, discoveries int
 }
@@ -301,7 +297,6 @@ func New(id int, clk seam.Clock, p Params, net seam.Sender, topo seam.Topology) 
 	sh.Set(p, net, topo)
 	nd := new(Node)
 	nd.Init(id, clk, sh)
-	nd.own = true
 	return nd
 }
 
@@ -327,24 +322,14 @@ func (nd *Node) Init(id int, clk seam.Clock, sh *Shared) {
 	})
 }
 
-// Reset returns the node to its initial state under (possibly new)
-// parameters, keeping the seam wiring, the timers, the estimate table's
-// capacity, and the neighbor scratch buffer, so re-running a node on a
-// reused arena allocates nothing. Parameters that, defaulted, differ
-// from the ones the node points at give it a private copy of its Shared
-// (one allocation, unless it already has one), leaving the nodes it
-// shared with as they were. The clock must already have been reset by
-// the harness; the logical clock restarts at the (fresh) hardware
-// reading.
-func (nd *Node) Reset(p Params) {
-	if p.WithDefaults() != nd.sh.p {
-		sh := nd.sh
-		if !nd.own {
-			sh, nd.own = new(Shared), true
-		}
-		sh.Set(p, nd.sh.net, nd.sh.topo)
-		nd.sh = sh
-	}
+// Reset returns the node to its initial state under the parameters of
+// its Shared, which a harness re-Sets before resetting its nodes for a
+// run under other ones. It keeps the seam wiring, the timers, the
+// estimate table's capacity, and the neighbor scratch buffer, so
+// re-running a node on a reused arena allocates nothing. The clock must
+// already have been reset by the harness; the logical clock restarts at
+// the (fresh) hardware reading.
+func (nd *Node) Reset() {
 	nd.forget()
 	nd.catchupT.Stop()
 	nd.beaconT.Stop()

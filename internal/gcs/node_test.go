@@ -271,7 +271,8 @@ func TestCachedNeighborMaxMatchesScan(t *testing.T) {
 		clk := &stepClock{}
 		g := dyngraph.NewDynamic(n, dyngraph.Ring(n))
 		// Each parameter set is shared by half the nodes; given is the set
-		// each node was last handed, which a sibling's Reset must not move.
+		// each node's Shared was last Set to, which a Set of the other
+		// Shared must not move.
 		var shared [2]Shared
 		given := make([]Params, n)
 		nodes := make(relay, n)
@@ -359,44 +360,21 @@ func TestCachedNeighborMaxMatchesScan(t *testing.T) {
 				op = "recover"
 				nodes[u].Recover()
 			default:
+				// As a harness does between runs: re-Set u's Shared, then
+				// reset every node on it.
 				op = "reset"
-				given[u] = params[rnd.Intn(2)]
-				nodes[u].Reset(given[u])
+				p := params[rnd.Intn(2)]
+				nodes[u].sh.Set(p, nil, g)
+				for i := u % 2; i < n; i += 2 {
+					given[i] = p
+					nodes[i].Reset()
+				}
 			}
 			check(step, op)
 		}
 		if fastSeen == 0 || rescans == 0 || readds == 0 {
 			t.Fatalf("seed %d: degenerate history: fast=%d rescans=%d readds=%d", seed, fastSeen, rescans, readds)
 		}
-	}
-}
-
-// TestResetUnshares pins the Shared contract: a Reset to other parameters
-// gives the node a private copy and leaves its siblings and the Shared as
-// they were; later Resets of that node, and Resets of a sharing node to
-// the shared parameters, allocate nothing.
-func TestResetUnshares(t *testing.T) {
-	a := Params{Rho: 0.01}
-	b := Params{Rho: 0.05, Mu: 0.5}
-	clk := &stepClock{}
-	var sh Shared
-	sh.Set(a, nil, nil)
-	nodes := make([]Node, 3)
-	for i := range nodes {
-		nodes[i].Init(i, clk, &sh)
-	}
-	if allocs := testing.AllocsPerRun(10, func() { nodes[0].Reset(a) }); allocs != 0 {
-		t.Fatalf("Reset to the shared parameters allocated %v objects", allocs)
-	}
-	nodes[1].Reset(b)
-	if nodes[1].sh == &sh || nodes[1].sh.p != b.WithDefaults() {
-		t.Fatalf("reset node runs under %+v, shared %v", nodes[1].sh.p, nodes[1].sh == &sh)
-	}
-	if sh.p != a.WithDefaults() || nodes[0].sh != &sh || nodes[2].sh != &sh {
-		t.Fatal("a sibling's Reset moved the shared parameters")
-	}
-	if allocs := testing.AllocsPerRun(10, func() { nodes[1].Reset(a); nodes[1].Reset(b) }); allocs != 0 {
-		t.Fatalf("Resets of a node with a private copy allocated %v objects", allocs)
 	}
 }
 
@@ -445,7 +423,7 @@ func TestNodeResetClearsState(t *testing.T) {
 
 	en.Reset()
 	hw.Reset(1)
-	nd.Reset(p)
+	nd.Reset()
 	s := nd.Snap()
 	if s.Logical != 0 || s.Hardware != 0 || s.Messages != 0 || s.Jumps != 0 ||
 		s.Beacons != 0 || s.Discoveries != 0 || s.Fast || !math.IsInf(s.MaxEstimate, -1) {

@@ -193,7 +193,8 @@ func TestPropertyEstimateTable(t *testing.T) {
 			default:
 				op = "reset"
 				p := params[rnd.Intn(len(params))]
-				nd.Reset(p)
+				nd.sh.Set(p, nil, &nbrs)
+				nd.Reset()
 				m.reset(p, h)
 			}
 

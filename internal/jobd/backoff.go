@@ -8,39 +8,31 @@ import (
 	"gcs/internal/store"
 )
 
+// The retry schedule's bounds: the first wait is at least backoffBase
+// and no wait exceeds backoffLimit.
+const (
+	backoffBase  = 100 * time.Millisecond
+	backoffLimit = 5 * time.Second
+)
+
 // Backoff yields a decorrelated-jitter exponential schedule: each wait
-// is drawn uniformly from [base, 3*prev] and clamped to the limit. The
-// draws come from a seeded des.Rand, so a retry schedule is a pure
-// function of its seed — tests replay the exact schedule, and two
-// daemons configured alike back off identically.
+// is drawn uniformly from [backoffBase, 3*prev] and clamped to
+// backoffLimit. The draws come from a seeded des.Rand, so a retry
+// schedule is a pure function of its seed — tests replay the exact
+// schedule, and two daemons configured alike back off identically.
 type Backoff struct {
-	base, limit time.Duration
-	prev        time.Duration
-	rng         *des.Rand
+	prev time.Duration
+	rng  *des.Rand
 }
 
-// NewBackoff returns a schedule starting at base and clamped to limit.
-// Non-positive base defaults to 100ms; a limit below base is raised to
-// max(base, 5s).
-func NewBackoff(base, limit time.Duration, seed uint64) *Backoff {
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	if limit < base {
-		limit = 5 * time.Second
-		if limit < base {
-			limit = base
-		}
-	}
-	return &Backoff{base: base, limit: limit, prev: base, rng: des.NewRand(seed)}
+// NewBackoff returns the schedule seeded by seed.
+func NewBackoff(seed uint64) *Backoff {
+	return &Backoff{prev: backoffBase, rng: des.NewRand(seed)}
 }
 
 // Next returns the next wait in the schedule.
 func (b *Backoff) Next() time.Duration {
-	d := time.Duration(b.rng.Range(float64(b.base), 3*float64(b.prev)))
-	if d > b.limit {
-		d = b.limit
-	}
+	d := min(time.Duration(b.rng.Range(float64(backoffBase), 3*float64(b.prev))), backoffLimit)
 	b.prev = d
 	return d
 }

@@ -3,20 +3,22 @@ package jobd
 import (
 	"testing"
 	"time"
+
+	"gcs/internal/des"
 )
 
 // TestBackoffDeterministic: a schedule is a pure function of its seed.
 func TestBackoffDeterministic(t *testing.T) {
-	a := NewBackoff(100*time.Millisecond, 5*time.Second, 42)
-	b := NewBackoff(100*time.Millisecond, 5*time.Second, 42)
+	a := NewBackoff(42)
+	b := NewBackoff(42)
 	for i := 0; i < 20; i++ {
 		if x, y := a.Next(), b.Next(); x != y {
 			t.Fatalf("step %d: same seed diverged (%s vs %s)", i, x, y)
 		}
 	}
-	c := NewBackoff(100*time.Millisecond, 5*time.Second, 43)
+	c := NewBackoff(43)
 	same := true
-	d := NewBackoff(100*time.Millisecond, 5*time.Second, 42)
+	d := NewBackoff(42)
 	for i := 0; i < 20; i++ {
 		if c.Next() != d.Next() {
 			same = false
@@ -27,18 +29,17 @@ func TestBackoffDeterministic(t *testing.T) {
 	}
 }
 
-// TestBackoffBounds: every wait lies in [base, limit], and the schedule
-// grows toward the limit rather than collapsing.
+// TestBackoffBounds: every wait lies in [backoffBase, backoffLimit],
+// and the schedule grows toward the limit rather than collapsing.
 func TestBackoffBounds(t *testing.T) {
-	base, limit := 50*time.Millisecond, 2*time.Second
-	bo := NewBackoff(base, limit, 7)
+	bo := NewBackoff(7)
 	hitLimitHalf := false
 	for i := 0; i < 100; i++ {
 		d := bo.Next()
-		if d < base || d > limit {
-			t.Fatalf("step %d: wait %s outside [%s, %s]", i, d, base, limit)
+		if d < backoffBase || d > backoffLimit {
+			t.Fatalf("step %d: wait %s outside [%s, %s]", i, d, backoffBase, backoffLimit)
 		}
-		if d >= limit/2 {
+		if d >= backoffLimit/2 {
 			hitLimitHalf = true
 		}
 	}
@@ -47,16 +48,19 @@ func TestBackoffBounds(t *testing.T) {
 	}
 }
 
-// TestBackoffDefaults: zero base and an inverted limit normalize to
-// usable values instead of a degenerate schedule.
+// TestBackoffDefaults pins the schedule's bounds at 100ms and 5s: each
+// wait is a uniform draw from [100ms, 3*prev] clamped to 5s, replayed
+// here by hand from the seed's stream.
 func TestBackoffDefaults(t *testing.T) {
-	bo := NewBackoff(0, 0, 1)
-	d := bo.Next()
-	if d < 100*time.Millisecond || d > 5*time.Second {
-		t.Fatalf("defaulted schedule yielded %s", d)
-	}
-	big := NewBackoff(10*time.Second, time.Second, 1)
-	if d := big.Next(); d != 10*time.Second {
-		t.Fatalf("limit below base should clamp to base, got %s", d)
+	const seed = 1
+	bo := NewBackoff(seed)
+	rng := des.NewRand(seed)
+	prev := 100 * time.Millisecond
+	for i := 0; i < 20; i++ {
+		want := min(time.Duration(rng.Range(float64(100*time.Millisecond), 3*float64(prev))), 5*time.Second)
+		if got := bo.Next(); got != want {
+			t.Fatalf("step %d: wait %s, want %s", i, got, want)
+		}
+		prev = want
 	}
 }

@@ -52,8 +52,6 @@ type Config struct {
 	// QueueCap bounds cells admitted but not yet finished; an admission
 	// that would exceed it fails with OverloadError. <=0 means 4096.
 	QueueCap int
-	// MaxCellsPerJob bounds one job's cell count; <=0 means MaxCells.
-	MaxCellsPerJob int
 	// CellTimeout is the per-cell execution deadline, checked between
 	// simulation slices. <=0 means 10 minutes.
 	CellTimeout time.Duration
@@ -63,16 +61,10 @@ type Config struct {
 	// attempt outran CellTimeout: that fails the waiting jobs but stores
 	// nothing, so a later job runs the cell again.
 	MaxRetries int
-	// BackoffBase and BackoffLimit shape the decorrelated-jitter retry
-	// schedule (see NewBackoff for the defaults their zero values take).
-	BackoffBase  time.Duration
-	BackoffLimit time.Duration
-	// BackoffSeed seeds the retry schedules; each cell folds its content
-	// address in, so schedules are per-cell yet reproducible.
+	// BackoffSeed seeds the retry schedules (see NewBackoff); each cell
+	// folds its content address in, so schedules are per-cell yet
+	// reproducible.
 	BackoffSeed uint64
-	// Slice is the simulated-seconds granularity at which running cells
-	// check their deadline and the drain flag; <=0 means 1.0.
-	Slice float64
 	// RunCell executes one cell; nil means Arena.RunSliced. Tests inject
 	// hooks here to fail, panic, or block specific cells.
 	RunCell func(a *sim.Arena, cfg sim.Config, slice float64, cont func() bool) (sim.SkewReport, bool)
@@ -176,17 +168,11 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 4096
 	}
-	if cfg.MaxCellsPerJob <= 0 || cfg.MaxCellsPerJob > MaxCells {
-		cfg.MaxCellsPerJob = MaxCells
-	}
 	if cfg.CellTimeout <= 0 {
 		cfg.CellTimeout = 10 * time.Minute
 	}
 	if cfg.MaxRetries < 0 {
 		cfg.MaxRetries = 0
-	}
-	if cfg.Slice <= 0 {
-		cfg.Slice = 1.0
 	}
 	if cfg.RunCell == nil {
 		cfg.RunCell = func(a *sim.Arena, c sim.Config, slice float64, cont func() bool) (sim.SkewReport, bool) {
@@ -228,10 +214,6 @@ func (d *Daemon) admit(spec SweepSpec, resumed bool) (JobView, bool, error) {
 	cells, err := run.ValidCells()
 	if err != nil {
 		return JobView{}, false, err
-	}
-	if len(cells) > d.cfg.MaxCellsPerJob {
-		return JobView{}, false, fmt.Errorf("jobd: job has %d cells; this daemon caps jobs at %d",
-			len(cells), d.cfg.MaxCellsPerJob)
 	}
 	specJSON, err := spec.CanonicalJSON()
 	if err != nil {
@@ -481,7 +463,7 @@ func (d *Daemon) runTask(a **sim.Arena, t task) {
 		return
 	}
 	cfg := t.cfg.WithDefaults()
-	bo := NewBackoff(d.cfg.BackoffBase, d.cfg.BackoffLimit, cellBackoffSeed(d.cfg.BackoffSeed, t.key))
+	bo := NewBackoff(cellBackoffSeed(d.cfg.BackoffSeed, t.key))
 	attempts := 0
 	for {
 		attempts++
@@ -516,6 +498,10 @@ func (d *Daemon) runTask(a **sim.Arena, t task) {
 	}
 }
 
+// cellSlice is the simulated-seconds granularity at which a running
+// cell checks its deadline and the drain flag.
+const cellSlice = 1.0
+
 // execCell runs one attempt under the cell deadline, containing panics
 // so a poisoned cell cannot take the daemon down.
 func (d *Daemon) execCell(a **sim.Arena, cfg sim.Config) (rpt sim.SkewReport, err error) {
@@ -533,7 +519,7 @@ func (d *Daemon) execCell(a **sim.Arena, cfg sim.Config) (rpt sim.SkewReport, er
 		}
 		return d.clock.Now().Before(deadline)
 	}
-	rpt, ok := d.cfg.RunCell(*a, cfg, d.cfg.Slice, cont)
+	rpt, ok := d.cfg.RunCell(*a, cfg, cellSlice, cont)
 	if !ok {
 		if d.abandon.Load() {
 			return sim.SkewReport{}, errAbandoned

@@ -493,7 +493,7 @@ func TestDaemonRetrySchedule(t *testing.T) {
 	}
 
 	cells, _ := spec.Cells()
-	want := NewBackoff(0, 0, cellBackoffSeed(21, store.KeyOf(cells[0].Cfg)))
+	want := NewBackoff(cellBackoffSeed(21, store.KeyOf(cells[0].Cfg)))
 	waits := clock.recorded()
 	if len(waits) != 3 {
 		t.Fatalf("recorded %d backoff waits, want 3: %v", len(waits), waits)

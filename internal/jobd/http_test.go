@@ -100,12 +100,15 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	}
 }
 
-// TestHTTPErrors: bad specs 400, unknown jobs 404, a full queue 429
-// with Retry-After, and a draining daemon 503.
+// TestHTTPErrors: bad specs 400 (among them specs one node or one
+// sample per cell past the caps, which are never persisted, so no
+// worker wires a cell that would exhaust memory), unknown jobs 404, a
+// full queue 429 with Retry-After, and a draining daemon 503.
 func TestHTTPErrors(t *testing.T) {
 	gate := make(chan struct{})
+	repo := store.NewMemory()
 	d, err := New(Config{
-		Repo:     store.NewMemory(),
+		Repo:     repo,
 		Workers:  1,
 		QueueCap: 1,
 		RunCell: func(a *sim.Arena, cfg sim.Config, slice float64, cont func() bool) (sim.SkewReport, bool) {
@@ -127,6 +130,21 @@ func TestHTTPErrors(t *testing.T) {
 		t.Fatalf("malformed spec status %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
+
+	nodes := tinySpec()
+	nodes.Ns = []int{MaxNodes + 1}
+	samples := tinySpec()
+	samples.Horizon, samples.Sample = MaxSamples+1, 1
+	for _, spec := range []SweepSpec{nodes, samples} {
+		resp = postSpec(t, srv.URL, spec)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("over-cap spec %+v: status %d, want 400", spec, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+	if jobs := repo.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected specs persisted %d jobs", len(jobs))
+	}
 
 	resp, err = http.Get(srv.URL + "/jobs/nope")
 	if err != nil {

@@ -19,9 +19,17 @@ import (
 	"gcs/internal/sim"
 )
 
-// MaxCells caps a single spec's grid. The cap is checked before
-// expansion, so a hostile spec cannot allocate an unbounded cell list.
-const MaxCells = 65536
+// The caps on one spec, checked before expansion so a hostile spec can
+// neither allocate an unbounded cell list nor admit a cell whose run
+// exhausts memory (a fatal error no recover catches, repeated by every
+// resume). MaxCells caps the grid; MaxNodes caps each cell's n (about
+// 50 MB of node state); MaxSamples caps each cell's Horizon/SampleEvery
+// (one SkewPoint per sample).
+const (
+	MaxCells   = 65536
+	MaxNodes   = 1 << 16
+	MaxSamples = 1 << 20
+)
 
 // SweepSpec is the wire form of one sweep job: the same scenario grid
 // `gcsim sweep` builds from its flags — node counts x topologies x
@@ -126,6 +134,15 @@ func (s SweepSpec) Cells() ([]sim.SweepCell, error) {
 		if total > MaxCells {
 			return nil, fmt.Errorf("jobd: grid exceeds the %d-cell cap", MaxCells)
 		}
+	}
+	for _, n := range s.Ns {
+		if n > MaxNodes {
+			return nil, fmt.Errorf("jobd: n=%d exceeds the %d-node cap", n, MaxNodes)
+		}
+	}
+	d := sim.Config{Horizon: s.Horizon, SampleEvery: s.Sample}.WithDefaults()
+	if samples := d.Horizon / d.SampleEvery; !(samples <= MaxSamples) {
+		return nil, fmt.Errorf("jobd: horizon %v / sample %v exceeds the %d-sample cap", d.Horizon, d.SampleEvery, MaxSamples)
 	}
 	var cells []sim.SweepCell
 	for _, n := range s.Ns {

@@ -111,6 +111,12 @@ func TestSpecErrors(t *testing.T) {
 	if _, err := huge.Cells(); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Errorf("over-cap grid not rejected: %v", err)
 	}
+	atCaps := tinySpec()
+	atCaps.Ns = []int{MaxNodes}
+	atCaps.Horizon, atCaps.Sample = MaxSamples, 1
+	if _, err := atCaps.Cells(); err != nil {
+		t.Errorf("spec at the node and sample caps rejected: %v", err)
+	}
 	badCell := tinySpec()
 	badCell.Rho = -1
 	if _, err := badCell.ValidCells(); err == nil {

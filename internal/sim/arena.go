@@ -4,7 +4,7 @@ package sim
 // Each run of a config produces a report bit-identical to a freshly
 // wired simulation's — the arena reseeds every PRNG stream and resets every
 // component in place — but the O(n) per-run wiring (engine event pool,
-// graph adjacency and history storage, transport flight arena, clocks,
+// graph adjacency and presence log, transport flight arena, clocks,
 // nodes, sample buffers and skew series, the analytic bound's topology BFS) is
 // paid once per shape and then reused: re-running a same-shape config,
 // churn and the lower-bound adversary included, allocates nothing, which

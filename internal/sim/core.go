@@ -230,7 +230,7 @@ func (s *Simulation) arm() {
 	s.root.ForkInto(0xd81fe, &s.driveRand)
 	for i := 0; i < n; i++ {
 		s.Clocks[i].Reset(1)
-		s.Nodes[i].Reset(cfg.Node)
+		s.Nodes[i].Reset()
 		s.Net.SetHandler(i, s.onMessage)
 		s.drivers[i].Start(i, &s.driveRand)
 		s.driveStep(uint64(i))
@@ -334,7 +334,6 @@ func (s *Simulation) afterChurn(ev ChurnEvent) {
 // clock from them is safe and deterministic.
 func (s *Simulation) armFaults() {
 	cfg := &s.Cfg
-	s.downMask = nil
 	s.faultStats = fault.Stats{}
 	if !cfg.Faults.Enabled() {
 		s.fold.Reset(false, 0)
@@ -347,7 +346,6 @@ func (s *Simulation) armFaults() {
 		s.Net.SetFaults(&s.msgPlan)
 	}
 	s.injector.Wire(cfg.Faults, cfg.N, cfg.Rho, &faultRoot)
-	s.downMask = s.injector.Down()
 	for i := 0; i < cfg.N; i++ {
 		s.afterFault(s.injector.CrashStart(i), "fault.crash", s.crashFn, i)
 	}
@@ -431,7 +429,7 @@ func (d discovery) EdgeRemoved(t float64, e dyngraph.Edge) {
 func (s *Simulation) scan() (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for i := range s.vals {
-		if s.downMask != nil && s.downMask[i] {
+		if s.Nodes[i].Down() {
 			// A crashed node has no logical clock. Poisoning its sample with
 			// NaN makes every consumer skip it for free: NaN fails the lo/hi
 			// comparisons here, Fold.Adjacent's |L_u - L_v| > max test, and

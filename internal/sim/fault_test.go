@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gcs/internal/simtest"
@@ -71,36 +72,37 @@ func TestRunReturnsErrorsNotPanics(t *testing.T) {
 	}
 }
 
-// TestRunSweepSurfacesPerCellErrors: a malformed cell fails only
-// itself — the error is surfaced on that cell (and joined into the
-// aggregate error) while every valid sibling still runs and reports
-// identically to a solo run. One bad cell must not discard its
-// siblings; a sweep service depends on this seam.
+// TestRunSweepSurfacesPerCellErrors: an invalid cell fails the sweep
+// and no cell runs. The error names every invalid cell, and neither
+// RunSweep nor Experiment.Run returns rows for a grid that cannot run
+// whole.
 func TestRunSweepSurfacesPerCellErrors(t *testing.T) {
 	bad := churnyConfig(2)
 	bad.Rho = 2
+	worse := churnyConfig(3)
+	worse.N = 0
 	cells := []SweepCell{
 		{Name: "good", Cfg: churnyConfig(1)},
 		{Name: "bad", Cfg: bad},
+		{Name: "worse", Cfg: worse},
 	}
 	out, err := RunSweep(cells, 2)
 	if err == nil {
-		t.Fatal("RunSweep returned nil aggregate error despite a malformed cell")
+		t.Fatal("RunSweep returned nil error despite malformed cells")
 	}
-	if len(out) != 2 {
-		t.Fatalf("got %d results, want 2", len(out))
+	for _, want := range []string{"sweep cell 1 (bad)", "sweep cell 2 (worse)"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
 	}
-	if out[0].Err != nil {
-		t.Fatalf("valid sibling failed: %v", out[0].Err)
+	if out != nil {
+		t.Fatalf("RunSweep returned %d results alongside its error", len(out))
 	}
-	if out[1].Err == nil {
-		t.Fatal("malformed cell carries no error")
+	ran := 0
+	e := Experiment{Cells: cells, Judge: func(SweepResult, *Simulation) Row { ran++; return Row{} }}
+	if rows, err := e.Run(1); err == nil || rows != nil || ran != 0 {
+		t.Fatalf("Experiment.Run: %d rows, err %v, %d cells judged; want none, an error, none", len(rows), err, ran)
 	}
-	if !reflect.DeepEqual(out[1].Report, SkewReport{}) {
-		t.Fatalf("malformed cell has a non-zero report: %+v", out[1].Report)
-	}
-	solo := mustRun(t, churnyConfig(1))
-	simtest.AssertSameReport(t, "sibling vs solo run", out[0].Report, solo)
 }
 
 // TestFaultedRunDeterministic: a fully faulted serial run is

@@ -168,12 +168,10 @@ type Simulation struct {
 	// plan (it keeps the grown stream table across rewires); Net draws
 	// verdicts from it per send while the active plan has message faults.
 	// injector holds the crash/recover and rate-excursion chains, stepped
-	// by events on the global engine; downMask aliases its live mask so
-	// sampling can exclude crashed nodes.
+	// by events on the global engine.
 	msgPlan    fault.Messages
 	injector   fault.Injector
 	faultStats fault.Stats
-	downMask   []bool
 }
 
 // shape is the allocation shape of a wired Simulation: a change forces
@@ -226,9 +224,9 @@ func (s *Simulation) Reset(cfg Config) {
 	}
 	if s.Graph == nil {
 		// A first wiring binds the transport and nodes to an empty graph and
-		// lets arm fill it once the node pools exist: the edge maps are the
-		// most pointer-dense part of the heap, and every collection the
-		// growing pools trigger would otherwise mark them again.
+		// lets arm fill it once the node pools exist: the adjacency slices
+		// are the most pointer-dense part of the heap, and every collection
+		// the growing pools trigger would otherwise mark them again.
 		s.Graph = dyngraph.NewDynamic(cfg.N, nil)
 	} else {
 		s.Graph.Reset(cfg.N, s.initialEdges)

@@ -136,9 +136,8 @@ func TestObserveShardBlocks(t *testing.T) {
 func TestObserveScanAllDown(t *testing.T) {
 	cfg := Config{N: 12, Seed: 3, Horizon: 1, Topology: TopologySpec{Kind: TopoRing}, CheckGradient: true}
 	s := New(cfg)
-	s.downMask = make([]bool, cfg.N)
-	for i := range s.downMask {
-		s.downMask[i] = true
+	for _, nd := range s.Nodes {
+		nd.Crash()
 	}
 	lo, hi := s.scan()
 	if !math.IsInf(lo, 1) || !math.IsInf(hi, -1) {

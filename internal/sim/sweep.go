@@ -21,14 +21,11 @@ type SweepCell struct {
 // SweepResult pairs a cell with its finished report. Cfg is the
 // defaulted config the run actually used, so consumers can evaluate
 // analytic bounds (GradientBound, GlobalSkewBound) without re-deriving
-// defaults. Err, when non-nil, is the cell's validation error: the cell
-// did not run (Cfg and Report are zero-valued) but its siblings did —
-// one malformed cell never discards the rest of the sweep.
+// defaults.
 type SweepResult struct {
 	Name   string
 	Cfg    Config
 	Report SkewReport
-	Err    error
 }
 
 // CellSeed derives a per-cell seed from a base seed and the cell's grid
@@ -47,12 +44,9 @@ func CellSeed(base uint64, index int) uint64 {
 // bit-identical for every worker count — including workers == 1, the
 // serial order — which TestSweepParallelBitIdentical pins.
 //
-// Every cell is validated up front, but a malformed config fails only
-// its own cell: the result carries the cell's error while every valid
-// sibling still runs and reports. The returned error joins the per-cell
-// errors (nil when every cell ran), so callers that treat any failure
-// as fatal keep a single check while sweep services read the per-cell
-// slice.
+// Every cell is validated before any runs: a malformed config fails the
+// whole sweep, with no results and an error joining every invalid
+// cell's.
 func RunSweep(cells []SweepCell, workers int) ([]SweepResult, error) {
 	return runCells(cells, workers, nil)
 }
@@ -61,30 +55,27 @@ func RunSweep(cells []SweepCell, workers int) ([]SweepResult, error) {
 // i's finished run on its worker, before the worker's arena rewires the
 // simulation for the next cell.
 func runCells(cells []SweepCell, workers int, judge func(i int, res SweepResult, s *Simulation)) ([]SweepResult, error) {
-	out := make([]SweepResult, len(cells))
-	valid := make([]int, 0, len(cells))
 	var errs []error
 	for i := range cells {
-		out[i].Name = cells[i].Name
 		if err := cells[i].Cfg.Validate(); err != nil {
-			out[i].Err = fmt.Errorf("sweep cell %d (%s): %w", i, cells[i].Name, err)
-			errs = append(errs, out[i].Err)
-			continue
+			errs = append(errs, fmt.Errorf("sweep cell %d (%s): %w", i, cells[i].Name, err))
 		}
-		valid = append(valid, i)
 	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	out := make([]SweepResult, len(cells))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for range min(workers, len(valid)) {
+	for range min(workers, len(cells)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			a := NewArena()
-			for j := int(next.Add(1)) - 1; j < len(valid); j = int(next.Add(1)) - 1 {
-				i := valid[j]
+			for i := int(next.Add(1)) - 1; i < len(cells); i = int(next.Add(1)) - 1 {
 				s := a.Sim(cells[i].Cfg)
 				out[i] = SweepResult{Name: cells[i].Name, Cfg: s.Cfg, Report: s.Run()}
 				if judge != nil {
@@ -94,7 +85,7 @@ func runCells(cells []SweepCell, workers int, judge func(i int, res SweepResult,
 		}()
 	}
 	wg.Wait()
-	return out, errors.Join(errs...)
+	return out, nil
 }
 
 // An Experiment is one gated grid as data: the cells to run, how one
@@ -132,7 +123,8 @@ type Row struct {
 
 // Run executes the cells on RunSweep's worker pool, judging each cell
 // on its worker, and returns the rows in cell order, bit-identical for
-// every workers value. An invalid cell fails the whole experiment.
+// every workers value. An invalid cell fails the whole experiment
+// before any cell runs.
 func (e Experiment) Run(workers int) ([]Row, error) {
 	rows := make([]Row, len(e.Cells))
 	judge := func(i int, res SweepResult, s *Simulation) { rows[i] = e.Judge(res, s) }
