@@ -66,7 +66,10 @@ func runSweep(args []string) {
 		Shards:   *shards,
 		Faults:   *faults,
 	}
-	cells, err := spec.ValidCells()
+	cells, err := spec.Cells()
+	if err == nil {
+		err = sim.ValidateCells(cells)
+	}
 	if err != nil {
 		fail("sweep: %v", err)
 	}

@@ -4,9 +4,80 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"strings"
+	"slices"
 	"testing"
 )
+
+// toyMsg is one event a toy shard causes on another: due at at, tagged,
+// echoed onward hops more times.
+type toyMsg struct {
+	at        Time
+	tag, hops uint64
+}
+
+// toyMail is a test-side Mail: per-(src, dst) outboxes in two
+// generations. Merge hands dst what each shard sent it, source shards in
+// order, to deliver.
+type toyMail struct {
+	// out[g][src][dst] is src's outbox toward dst in generation g.
+	out [2][][][]toyMsg
+	// due[src] is the earliest at in src's generation-cur outboxes.
+	due     []Time
+	cur     int
+	deliver func(dst int, m toyMsg)
+}
+
+// newToyMail installs a toyMail on p.
+func newToyMail(p *ParallelEngine, deliver func(dst int, m toyMsg)) *toyMail {
+	n := p.NumShards()
+	m := &toyMail{due: make([]Time, n), deliver: deliver}
+	for g := range m.out {
+		m.out[g] = make([][][]toyMsg, n)
+		for src := range m.out[g] {
+			m.out[g][src] = make([][]toyMsg, n)
+		}
+	}
+	m.Flip()
+	p.SetMail(m)
+	return m
+}
+
+// send holds msg from shard src toward shard dst; call it from src's
+// own execution.
+func (m *toyMail) send(src, dst int, msg toyMsg) {
+	m.out[m.cur][src][dst] = append(m.out[m.cur][src][dst], msg)
+	m.due[src] = min(m.due[src], msg.at)
+}
+
+func (m *toyMail) Due() Time { return slices.Min(m.due) }
+
+func (m *toyMail) Flip() {
+	m.cur ^= 1
+	for i := range m.due {
+		m.due[i] = math.Inf(1)
+	}
+}
+
+func (m *toyMail) Merge(dst int) {
+	for _, row := range m.out[m.cur^1] {
+		for _, msg := range row[dst] {
+			m.deliver(dst, msg)
+		}
+		row[dst] = row[dst][:0]
+	}
+}
+
+// reset empties both generations.
+func (m *toyMail) reset() {
+	for _, gen := range m.out {
+		for _, row := range gen {
+			for dst := range row {
+				row[dst] = row[dst][:0]
+			}
+		}
+	}
+	m.Flip()
+}
 
 // toyCluster is a minimal sharded workload for coordinator tests: every
 // shard runs a periodic local event that records its fire time and
@@ -15,6 +86,7 @@ import (
 // worker interleaving must produce identical logs.
 type toyCluster struct {
 	p         *ParallelEngine
+	mail      *toyMail
 	lookahead Time
 	// log[s] records (time, tag) pairs in shard s's execution order.
 	log [][]toyRec
@@ -33,21 +105,15 @@ func newToyCluster(shards int, lookahead Time) *toyCluster {
 		lookahead: lookahead,
 		log:       make([][]toyRec, shards),
 	}
-	tc.p.SetCrossHandler(func(dst int, m CrossMsg) {
+	tc.mail = newToyMail(tc.p, func(dst int, m toyMsg) {
 		en := tc.p.Shard(dst)
-		hops := m.W1
-		tag := m.W0
-		en.ScheduleArg(m.DeliverAt, "toy.cross", func(arg uint64) {
+		en.ScheduleArg(m.at, "toy.cross", func(arg uint64) {
 			tc.log[dst] = append(tc.log[dst], toyRec{t: en.Now(), tag: arg})
-			if hops > 0 {
+			if m.hops > 0 {
 				next := (dst + 1) % tc.p.NumShards()
-				tc.p.SendCross(dst, next, CrossMsg{
-					DeliverAt: en.Now() + 2*lookahead,
-					W0:        arg + 1000,
-					W1:        hops - 1,
-				})
+				tc.mail.send(dst, next, toyMsg{at: en.Now() + 2*lookahead, tag: arg + 1000, hops: m.hops - 1})
 			}
-		}, tag)
+		}, m.tag)
 	})
 	tc.armTicks()
 	return tc
@@ -63,11 +129,7 @@ func (tc *toyCluster) armTicks() {
 		tick = func() {
 			tc.log[s] = append(tc.log[s], toyRec{t: en.Now(), tag: uint64(s)})
 			next := (s + 1) % tc.p.NumShards()
-			tc.p.SendCross(s, next, CrossMsg{
-				DeliverAt: en.Now() + 1.5*tc.lookahead,
-				W0:        uint64(s)*100 + 7,
-				W1:        2,
-			})
+			tc.mail.send(s, next, toyMsg{at: en.Now() + 1.5*tc.lookahead, tag: uint64(s)*100 + 7, hops: 2})
 			en.ScheduleAfter(0.5, "toy.tick", tick)
 		}
 		// Stagger the first ticks so shards are rarely aligned.
@@ -137,7 +199,7 @@ func TestParallelGlobalBarrier(t *testing.T) {
 // the horizon fire, and every engine finishes at the horizon.
 func TestParallelHorizonSemantics(t *testing.T) {
 	p := NewParallelEngine(2, 0.1)
-	p.SetCrossHandler(func(int, CrossMsg) {})
+	newToyMail(p, nil)
 	edgeFired := false
 	p.Shard(0).Schedule(3, "edge", func() { edgeFired = true })
 	p.Shard(1).Schedule(1, "mid", func() {})
@@ -154,43 +216,6 @@ func TestParallelHorizonSemantics(t *testing.T) {
 	if p.Global().Now() != 3 {
 		t.Fatalf("global finished at %v, want horizon 3", p.Global().Now())
 	}
-}
-
-// TestParallelLookaheadViolationPanics pins the machine-checked safety
-// net: a cross message whose delivery time is behind the destination
-// shard's clock (a delay below the lookahead) panics at merge rather
-// than silently firing in the past — and the panic message names the
-// destination shard and both clocks, since it is the one diagnostic a
-// physics bug in a sharded run produces.
-func TestParallelLookaheadViolationPanics(t *testing.T) {
-	p := NewParallelEngine(2, 0.5)
-	p.SetCrossHandler(func(dst int, m CrossMsg) {
-		p.Shard(dst).Schedule(m.DeliverAt, "cross", func() {})
-	})
-	// Shard 1 runs far into the window; shard 0's event then emits a
-	// cross message with a delay far below the lookahead.
-	var tick func()
-	en1 := p.Shard(1)
-	tick = func() { en1.ScheduleAfter(0.01, "busy", tick) }
-	en1.Schedule(0, "busy", tick)
-	p.Shard(0).Schedule(0, "bad", func() {
-		p.SendCross(0, 1, CrossMsg{DeliverAt: p.Shard(0).Now() + 1e-9})
-	})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("lookahead violation did not panic")
-		}
-		msg, ok := r.(string)
-		if !ok {
-			t.Fatalf("panic value %T, want the diagnostic string", r)
-		}
-		if !strings.Contains(msg, "lookahead violated") ||
-			!strings.Contains(msg, "cross message into shard 1") {
-			t.Fatalf("panic message %q lacks the shard/lookahead diagnostic", msg)
-		}
-	}()
-	p.Run(1, 1)
 }
 
 // TestParallelReset pins arena-style reuse: Reset returns every engine
@@ -210,6 +235,7 @@ func TestParallelReset(t *testing.T) {
 	first := tc.snapshot()
 
 	tc.p.Reset()
+	tc.mail.reset()
 	for s := 0; s < tc.p.NumShards(); s++ {
 		if tc.p.Shard(s).Now() != 0 || tc.p.Shard(s).Pending() != 0 {
 			t.Fatalf("shard %d not reset: now=%v pending=%d",
@@ -269,58 +295,4 @@ func TestParallelOneShardIsSerial(t *testing.T) {
 		}
 	}()
 	NewParallelEngine(2, 0)
-}
-
-// TestParallelMergeOrder pins the one delivery order: the merge hands a
-// destination the messages that share a DeliverAt in stable W0 order,
-// whatever shard sent each and in whatever order the shards sent them —
-// equal keys keep their sender's FIFO order — and so does every worker
-// count. Each shard sends its batch from one event at time 0, so the
-// whole batch merges at once.
-func TestParallelMergeOrder(t *testing.T) {
-	type got struct {
-		at     Time
-		w0, w1 uint64
-	}
-	run := func(workers int) [][]got {
-		p := NewParallelEngine(3, 0.5)
-		out := make([][]got, 3)
-		p.SetCrossHandler(func(dst int, m CrossMsg) {
-			out[dst] = append(out[dst], got{m.DeliverAt, m.W0, m.W1})
-		})
-		for src := 0; src < 3; src++ {
-			src := src
-			p.Shard(src).Schedule(0, "send", func() {
-				// Senders 2-src and 5-src on every shard, so a later source
-				// shard holds lower keys; W1 tags the send order.
-				for i, w0 := range []uint64{uint64(5 - src), uint64(2 - src), uint64(5 - src), uint64(2 - src)} {
-					for dst := 0; dst < 3; dst++ {
-						at := 1.0
-						if i == 3 {
-							at = 0.75
-						}
-						p.SendCross(src, dst, CrossMsg{DeliverAt: at, W0: w0, W1: uint64(src*10 + i)})
-					}
-				}
-			})
-		}
-		p.Run(1.5, workers)
-		return out
-	}
-	one := run(1)
-	for dst, batch := range one {
-		if len(batch) != 12 {
-			t.Fatalf("shard %d merged %d messages, want 12", dst, len(batch))
-		}
-		last := map[Time]got{}
-		for _, b := range batch {
-			if a, ok := last[b.at]; ok && (a.w0 > b.w0 || a.w0 == b.w0 && a.w1 > b.w1) {
-				t.Fatalf("shard %d: %+v handed over before %+v", dst, a, b)
-			}
-			last[b.at] = b
-		}
-	}
-	if two := run(2); !reflect.DeepEqual(two, one) {
-		t.Fatalf("two workers merged\n%v\none merged\n%v", two, one)
-	}
 }

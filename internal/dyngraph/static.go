@@ -48,27 +48,6 @@ func bfs(adj [][]int, src int, dist, queue []int) int {
 	return ecc
 }
 
-// Diameter returns the maximum finite pairwise distance of the static
-// graph, or -1 if the graph is disconnected. The adjacency structure and
-// BFS buffers are built once and shared across all n source traversals,
-// so the whole computation performs O(n) allocations, not O(n^2).
-func Diameter(n int, edges []Edge) int {
-	adj := Adjacency(n, edges)
-	dist := make([]int, n)
-	queue := make([]int, 0, n)
-	diam := 0
-	for s := 0; s < n; s++ {
-		ecc := bfs(adj, s, dist, queue)
-		if slices.Contains(dist, -1) {
-			return -1
-		}
-		if ecc > diam {
-			diam = ecc
-		}
-	}
-	return diam
-}
-
 // FlexibleDistances returns, for every node v, the minimum number of
 // *unconstrained* edges on any path from src to v — the paper's
 // dist_M(src, v) for a delay mask whose constrained edge set is

@@ -65,17 +65,19 @@ type Spec struct {
 	CrashStop bool
 
 	// RateExcursionEvery, when positive, starts per-node hardware-rate
-	// excursions on an exponential schedule with this mean: the rate is
-	// forced outside [1-rho, 1+rho] by a factor drawn in
-	// [1, RateExcursionFactor).
+	// excursions on an exponential schedule with this mean: the start
+	// sets a rate outside [1-rho, 1+rho] by a factor drawn in
+	// [1, RateExcursionFactor). The node's rate driver is not paused: its
+	// next step sets its own in-band rate, so the rate stays out of band
+	// only until that step or the excursion's end, whichever comes first.
 	RateExcursionEvery float64
 	// RateExcursionFactor scales the excursion: the rate is set to
 	// 1 ± m*rho with m drawn in [1, RateExcursionFactor). Unset
 	// defaults to 3; values must exceed 1.
 	RateExcursionFactor float64
 	// RateExcursionFor is the mean exponential duration of one
-	// excursion, after which the rate returns to 1. Unset defaults to
-	// 0.5.
+	// excursion. Its end sets the rate to 1, which holds until the
+	// driver's next step. Unset defaults to 0.5.
 	RateExcursionFor float64
 
 	// Until stops injecting new faults after this simulated time, so the

@@ -211,7 +211,12 @@ func (d *Daemon) admit(spec SweepSpec, resumed bool) (JobView, bool, error) {
 	if resumed && !spec.Parallel {
 		run.Shards = 0 // stored before shards needed a delay floor: it ran serially
 	}
-	cells, err := run.ValidCells()
+	// A bad spec is rejected whole at admission, naming every invalid
+	// cell, instead of failing cell by cell.
+	cells, err := run.Cells()
+	if err == nil {
+		err = sim.ValidateCells(cells)
+	}
 	if err != nil {
 		return JobView{}, false, err
 	}

@@ -3,8 +3,11 @@ package jobd
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -141,6 +144,24 @@ func TestHTTPErrors(t *testing.T) {
 			t.Fatalf("over-cap spec %+v: status %d, want 400", spec, resp.StatusCode)
 		}
 		resp.Body.Close()
+	}
+	// A spec whose cells fail validation is rejected naming every one.
+	bad := tinySpec()
+	bad.Ns, bad.Rho = []int{8, 12}, -1
+	cells, err := bad.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp = postSpec(t, srv.URL, bad)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("invalid-cell spec status %d, want 400", resp.StatusCode)
+	}
+	for i := range cells {
+		if want := fmt.Sprintf("sweep cell %d (", i); !strings.Contains(string(body), want) {
+			t.Errorf("400 body %q does not name %q", body, want)
+		}
 	}
 	if jobs := repo.Jobs(); len(jobs) != 0 {
 		t.Fatalf("rejected specs persisted %d jobs", len(jobs))

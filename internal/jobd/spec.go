@@ -195,21 +195,6 @@ func (s SweepSpec) Cells() ([]sim.SweepCell, error) {
 	return cells, nil
 }
 
-// ValidCells expands the spec and validates every cell config, so a bad
-// spec is rejected whole at admission instead of failing cell by cell.
-func (s SweepSpec) ValidCells() ([]sim.SweepCell, error) {
-	cells, err := s.Cells()
-	if err != nil {
-		return nil, err
-	}
-	for i := range cells {
-		if err := cells[i].Cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("jobd: cell %d (%s): %w", i, cells[i].Name, err)
-		}
-	}
-	return cells, nil
-}
-
 // ParseTopology maps a topology name to its spec; grid uses the most
 // square factorization of n. The two-chain lower-bound network is not a
 // sweep topology.

@@ -119,8 +119,16 @@ func TestSpecErrors(t *testing.T) {
 	}
 	badCell := tinySpec()
 	badCell.Rho = -1
-	if _, err := badCell.ValidCells(); err == nil {
-		t.Error("spec with invalid cell config passed ValidCells")
+	badCell.Ns = []int{8, 12}
+	cells, err := badCell.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sim.ValidateCells(cells)
+	for i := range cells {
+		if want := fmt.Sprintf("sweep cell %d (", i); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("spec with invalid cell configs: error %v does not name %q", err, want)
+		}
 	}
 }
 

@@ -158,6 +158,8 @@ func (h *host) arm(tp **time.Timer, d float64, fn func()) {
 // chain logic is the DES harness's (sim.DriverState, fault.Injector):
 // each step returns the effect to apply and the delay to the next step,
 // and the only thing done here is turning that delay into a wall timer.
+// As there, a driver step inside a rate excursion sets its own in-band
+// rate (ROADMAP 23).
 
 func (h *host) stepDriver() {
 	rate, next := h.driver.Step(h.r.cfg.Driver, h.r.cfg.Rho)

@@ -5,9 +5,9 @@ package sim
 // wired simulation's — the arena reseeds every PRNG stream and resets every
 // component in place — but the O(n) per-run wiring (engine event pool,
 // graph adjacency and presence log, transport flight arena, clocks,
-// nodes, sample buffers and skew series, the analytic bound's topology BFS) is
-// paid once per shape and then reused: re-running a same-shape config,
-// churn and the lower-bound adversary included, allocates nothing, which
+// nodes, sample buffers and skew series) is paid once per shape and then
+// reused: re-running a same-shape config, churn and the lower-bound
+// adversary included, allocates nothing, which
 // TestArenaSecondRunZeroAlloc pins. On the serial engine, growing to a
 // larger N reuses the smaller prefix and allocates only the delta, so
 // ascending n-sweeps (LowerBoundExperiment's, say) stay cheap.

@@ -108,12 +108,11 @@ func (s TopologySpec) Edges(n int) []dyngraph.Edge {
 	panic(fmt.Sprintf("sim: unknown topology kind %d", s.Kind))
 }
 
-// diameter returns the topology's hop diameter (-1 if disconnected).
-// The generator topologies have closed forms, so the analytic bound of
-// a 100k-node scenario does not pay an all-source BFS (O(n²) at ring
-// sizes where the simulation itself is O(n)); TopoTwoChains falls back
-// to the generic sweep. TestTopologyDiameterClosedForm pins the closed
-// forms against dyngraph.Diameter.
+// diameter returns the topology's hop diameter in closed form, so the
+// analytic bound costs neither an edge list nor an all-source BFS (O(n²)
+// at ring sizes where the simulation itself is O(n)). The two chains
+// close one n-cycle. TestTopologyDiameterClosedForm pins every form
+// against an all-source BFS.
 func (s TopologySpec) diameter(n int) int {
 	switch s.Kind {
 	case TopoLine:
@@ -135,8 +134,10 @@ func (s TopologySpec) diameter(n int) int {
 			return 0
 		}
 		return 1
+	case TopoTwoChains:
+		return n / 2
 	}
-	return dyngraph.Diameter(n, s.Edges(n))
+	panic(fmt.Sprintf("sim: unknown topology kind %d", s.Kind))
 }
 
 // DriverKind selects the hardware-clock rate process.
@@ -426,11 +427,7 @@ func (c Config) GlobalSkewBound() float64 {
 	if c.Churn.Kind == ChurnRotatingStar {
 		hops = 2
 	} else {
-		d := c.Topology.diameter(c.N)
-		if d < 0 {
-			panic("sim: disconnected backbone topology")
-		}
-		hops = float64(d)
+		hops = float64(c.Topology.diameter(c.N))
 	}
 	return (1 + c.Rho) * (hops*hop + slack)
 }

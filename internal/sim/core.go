@@ -286,6 +286,8 @@ const maxPresized = 1 << 16
 // driveStep is node arg's rate-driver event: apply the chain's next rate
 // and schedule the following step on the node's own engine. arm calls it
 // directly at time 0, so each driver label is scheduled from here only.
+// It sets its rate inside a rate excursion too, ending the excursion's
+// out-of-band rate early (ROADMAP 23).
 //
 //gcslint:zeroalloc
 func (s *Simulation) driveStep(arg uint64) {
@@ -352,7 +354,7 @@ func (s *Simulation) armFaults() {
 	for i := 0; i < cfg.N; i++ {
 		s.afterFault(s.injector.RateStart(i), "fault.rate", s.rateFn, i)
 	}
-	s.fold.Reset(true, s.boundFor())
+	s.fold.Reset(true, s.Cfg.GlobalSkewBound())
 }
 
 // afterFault schedules node i's next fault-chain step unless the chain
@@ -476,30 +478,6 @@ func (s *Simulation) startSampler() {
 	}
 }
 
-// boundFor returns the analytic global skew bound for Cfg, cached across
-// runs: GlobalSkewBound materializes the topology and runs a BFS, so a
-// reused simulation must not recompute it per run. The cache keys on
-// every field the bound depends on (Seed, Horizon, SampleEvery, Driver
-// and CheckGradient do not affect it).
-func (s *Simulation) boundFor() float64 {
-	key := s.Cfg
-	key.Seed = 0
-	key.Horizon = 0
-	key.SampleEvery = 0
-	key.Driver = DriverSpec{}
-	key.CheckGradient = false
-	key.Parallel = false
-	key.Shards = 0
-	key.Workers = 0
-	key.MinDelay = 0
-	key.Faults = FaultSpec{}
-	if key != s.boundCfg { // the zero key (N = 0) matches no valid config
-		s.bound = s.Cfg.GlobalSkewBound()
-		s.boundCfg = key
-	}
-	return s.bound
-}
-
 // finalise builds the report once the engines have reached the horizon,
 // executed being their fired-event total. Everything is recomputed from
 // live state on every call, so Run is idempotent.
@@ -510,7 +488,7 @@ func (s *Simulation) finalise(executed uint64) SkewReport {
 		s.observe()
 	}
 	rep := &s.fold.Report
-	rep.Bound = s.boundFor()
+	rep.Bound = s.Cfg.GlobalSkewBound()
 	rep.Transport = s.Net.Stats()
 	rep.EventsExecuted = executed
 	rep.EdgeAdds, rep.EdgeRemoves = s.Graph.Stats()

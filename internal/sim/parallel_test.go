@@ -211,10 +211,36 @@ func TestShardedGradientCheck(t *testing.T) {
 	}
 }
 
+// bfsDiameter is the reference the closed-form diameters are pinned
+// against: the largest hop distance over an all-source BFS of a
+// connected static graph.
+func bfsDiameter(n int, edges []dyngraph.Edge) int {
+	adj := dyngraph.Adjacency(n, edges)
+	diam := 0
+	for src := range n {
+		dist := make([]int, n)
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[src] = 0
+		for queue := []int{src}; len(queue) > 0; queue = queue[1:] {
+			u := queue[0]
+			diam = max(diam, dist[u])
+			for _, v := range adj[u] {
+				if dist[v] < 0 {
+					dist[v] = dist[u] + 1
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	return diam
+}
+
 // TestTopologyDiameterClosedForm pins the closed-form diameters used by
-// the analytic bound against the generic all-source BFS, across the
-// generator topologies and sizes (the closed forms exist so Ring100k
-// does not pay an O(n²) sweep per bound evaluation).
+// the analytic bound against an all-source BFS, across the topologies
+// and sizes (the closed forms exist so Ring100k does not pay an O(n²)
+// sweep per bound evaluation).
 func TestTopologyDiameterClosedForm(t *testing.T) {
 	for _, tc := range []struct {
 		spec TopologySpec
@@ -224,9 +250,10 @@ func TestTopologyDiameterClosedForm(t *testing.T) {
 		{TopologySpec{Kind: TopoRing}, 3}, // dyngraph.Ring needs n >= 3
 		{TopologySpec{Kind: TopoStar}, 1},
 		{TopologySpec{Kind: TopoComplete}, 1},
+		{TopologySpec{Kind: TopoTwoChains}, 4}, // dyngraph.NewTwoChains needs n >= 4
 	} {
 		for n := tc.minN; n <= 33; n++ {
-			want := dyngraph.Diameter(n, tc.spec.Edges(n))
+			want := bfsDiameter(n, tc.spec.Edges(n))
 			if got := tc.spec.diameter(n); got != want {
 				t.Errorf("%v n=%d: closed form %d, BFS %d", tc.spec.Kind, n, got, want)
 			}
@@ -235,7 +262,7 @@ func TestTopologyDiameterClosedForm(t *testing.T) {
 	for _, wh := range [][2]int{{1, 1}, {1, 7}, {4, 4}, {3, 8}, {6, 5}} {
 		spec := TopologySpec{Kind: TopoGrid, W: wh[0], H: wh[1]}
 		n := wh[0] * wh[1]
-		want := dyngraph.Diameter(n, spec.Edges(n))
+		want := bfsDiameter(n, spec.Edges(n))
 		if got := spec.diameter(n); got != want {
 			t.Errorf("grid %dx%d: closed form %d, BFS %d", wh[0], wh[1], got, want)
 		}

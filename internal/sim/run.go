@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"runtime"
 
 	"gcs/internal/clock"
@@ -141,12 +140,10 @@ type Simulation struct {
 	onMessage transport.Handler
 
 	// wired records that a first wiring has filled the graph and made the
-	// one-time discovery subscription; edgeCfg/boundCfg key the cached
-	// initial edge set and analytic bound.
-	wired    bool
-	edgeCfg  edgeKey
-	boundCfg Config
-	bound    float64
+	// one-time discovery subscription; edgeCfg keys the cached initial
+	// edge set.
+	wired   bool
+	edgeCfg edgeKey
 	// initialEdges is the backbone edge set materialized once per
 	// topology shape and reused by the churn setup (Topology.Edges is
 	// O(n) or worse, so it must not be recomputed per run).
@@ -288,26 +285,10 @@ func (s *Simulation) build(cfg Config, sh shape, delay transport.DelayFn) {
 	for i := range engines {
 		engines[i] = s.P.Shard(i)
 	}
-	// Every flight crosses as a packed des.CrossMsg, put in flight on the
-	// destination's lane at the merge (which checks the lookahead).
-	s.Net = transport.NewSharded(engines, s.Graph, delay, cfg.MaxDelay, s.shardOf, "psim.deliver",
-		func(src, dst int, m *transport.Message) {
-			s.P.SendCross(src, dst, des.CrossMsg{
-				DeliverAt: m.DeliverAt,
-				W0:        uint64(uint32(m.From))<<32 | uint64(uint32(m.To)),
-				W1:        uint64(uint32(m.Rec)),
-				W2:        math.Float64bits(m.Value),
-			})
-		})
-	s.P.SetCrossHandler(func(_ int, m des.CrossMsg) {
-		s.Net.Accept(transport.Message{
-			From:      int(m.W0 >> 32),
-			To:        int(uint32(m.W0)),
-			Rec:       int32(uint32(m.W1)),
-			Value:     math.Float64frombits(m.W2),
-			DeliverAt: m.DeliverAt,
-		})
-	})
+	// Every flight waits in its sender lane's outbox for the next window,
+	// whose merge puts it in flight on the destination's lane.
+	s.Net = transport.NewSharded(engines, s.Graph, delay, cfg.MaxDelay, s.shardOf, "psim.deliver")
+	s.P.SetMail(s.Net)
 }
 
 // engineOf returns the engine that carries node i.

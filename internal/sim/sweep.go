@@ -44,24 +44,30 @@ func CellSeed(base uint64, index int) uint64 {
 // bit-identical for every worker count — including workers == 1, the
 // serial order — which TestSweepParallelBitIdentical pins.
 //
-// Every cell is validated before any runs: a malformed config fails the
-// whole sweep, with no results and an error joining every invalid
-// cell's.
+// Every cell is validated before any runs (ValidateCells): a malformed
+// config fails the whole sweep, with no results.
 func RunSweep(cells []SweepCell, workers int) ([]SweepResult, error) {
 	return runCells(cells, workers, nil)
 }
 
-// runCells is RunSweep's worker pool. judge, when non-nil, reads cell
-// i's finished run on its worker, before the worker's arena rewires the
-// simulation for the next cell.
-func runCells(cells []SweepCell, workers int, judge func(i int, res SweepResult, s *Simulation)) ([]SweepResult, error) {
+// ValidateCells validates every cell's config and returns nil, or an
+// error joining every invalid cell's, so a grid is accepted or rejected
+// whole before any cell runs.
+func ValidateCells(cells []SweepCell) error {
 	var errs []error
 	for i := range cells {
 		if err := cells[i].Cfg.Validate(); err != nil {
 			errs = append(errs, fmt.Errorf("sweep cell %d (%s): %w", i, cells[i].Name, err))
 		}
 	}
-	if err := errors.Join(errs...); err != nil {
+	return errors.Join(errs...)
+}
+
+// runCells is RunSweep's worker pool. judge, when non-nil, reads cell
+// i's finished run on its worker, before the worker's arena rewires the
+// simulation for the next cell.
+func runCells(cells []SweepCell, workers int, judge func(i int, res SweepResult, s *Simulation)) ([]SweepResult, error) {
+	if err := ValidateCells(cells); err != nil {
 		return nil, err
 	}
 	out := make([]SweepResult, len(cells))

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,10 +12,10 @@ import (
 	"gcs/internal/dyngraph"
 )
 
-// laneRig is a Network over `lanes` raw engines stepped in lock-step,
-// with a test-local outbox as the cross hand-off, which carries every
-// flight, a lane's own included. Nodes are
-// block-partitioned over the lanes. script carries the test's own
+// laneRig is a Network over `lanes` raw engines stepped in lock-step;
+// with more than one lane the network is windowed, and every flight, a
+// lane's own included, waits in an outbox until the rig flushes it
+// through Flip and Merge. Nodes are block-partitioned over the lanes. script carries the test's own
 // topology events and always fires first at an instant, as the sharded
 // harness's global phase does: with one lane it is the lane's engine
 // (schedule the event before the send), with more it is an engine of its
@@ -24,8 +26,7 @@ type laneRig struct {
 	g      *dyngraph.Dynamic
 	net    *Network
 	laneOf []int32
-	outbox []Message
-	// crossed counts the flights handed to the outbox.
+	// crossed counts the flights the outboxes held.
 	crossed int
 	got     []Message
 }
@@ -43,14 +44,7 @@ func newLaneRig(lanes, n int, edges []dyngraph.Edge, delay DelayFn, maxDelay flo
 		r.net = New(r.lanes[0], r.g, delay, maxDelay)
 	} else {
 		r.script = des.NewEngine()
-		r.net = NewSharded(r.lanes, r.g, delay, maxDelay, r.laneOf, "test.deliver",
-			func(src, dst int, m *Message) {
-				if int(r.laneOf[m.From]) != src || int(r.laneOf[m.To]) != dst {
-					panic(fmt.Sprintf("cross(%d, %d) for %+v", src, dst, *m))
-				}
-				r.crossed++
-				r.outbox = append(r.outbox, *m)
-			})
+		r.net = NewSharded(r.lanes, r.g, delay, maxDelay, r.laneOf, "test.deliver")
 	}
 	for u := 0; u < n; u++ {
 		r.net.SetHandler(u, func(m Message) { r.got = append(r.got, m) })
@@ -58,12 +52,32 @@ func newLaneRig(lanes, n int, edges []dyngraph.Edge, delay DelayFn, maxDelay flo
 	return r
 }
 
-// flush accepts everything the outbox holds; every engine is stopped.
+// flush merges everything the outboxes hold, checking each flight sits
+// in its sender lane's outbox toward its destination's lane; every engine
+// is stopped.
 func (r *laneRig) flush() {
-	for _, m := range r.outbox {
-		r.net.Accept(m)
+	if !r.net.windowed {
+		return
 	}
-	r.outbox = r.outbox[:0]
+	due := math.Inf(1)
+	for src, l := range r.net.lanes {
+		for dst, box := range l.out[r.net.cur] {
+			for _, m := range box {
+				if int(r.laneOf[m.From]) != src || int(r.laneOf[m.To]) != dst {
+					panic(fmt.Sprintf("outbox (%d, %d) holds %+v", src, dst, m))
+				}
+				due = min(due, m.DeliverAt)
+				r.crossed++
+			}
+		}
+	}
+	if got := r.net.Due(); got != due {
+		panic(fmt.Sprintf("Due() = %v, outboxes hold %v", got, due))
+	}
+	r.net.Flip()
+	for dst := range r.lanes {
+		r.net.Merge(dst)
+	}
 }
 
 // run advances every engine to t (inclusive), one pending instant at a
@@ -198,8 +212,9 @@ func TestLanesMatchOneLane(t *testing.T) {
 }
 
 // TestCrossLaneSendSteadyStateDoesNotAllocate: a send whose destination
-// is on another lane borrows a slot of the sender's arena for the hand-off
-// and Accept takes one of the destination's; neither allocates once warm.
+// is on another lane borrows a slot of the sender's arena while it draws
+// its delay and waits in an outbox, and Merge takes one of the
+// destination's; nothing allocates once warm.
 func TestCrossLaneSendSteadyStateDoesNotAllocate(t *testing.T) {
 	r := newLaneRig(2, 2, []dyngraph.Edge{dyngraph.E(0, 1)}, FixedDelay(0.1), 1)
 	r.net.SetHandler(0, nil)
@@ -216,7 +231,7 @@ func TestCrossLaneSendSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 	warm := [2]int{len(r.net.lanes[0].flights), len(r.net.lanes[1].flights)}
 	if allocs := testing.AllocsPerRun(200, step); allocs > 0 {
-		t.Errorf("steady-state cross-lane broadcast+accept+deliver allocated %v objects/op, want 0", allocs)
+		t.Errorf("steady-state cross-lane broadcast+merge+deliver allocated %v objects/op, want 0", allocs)
 	}
 	// AllocsPerRun rounds down, so a slot leaked per send (amortized arena
 	// growth) would read 0: the arenas themselves must not have grown.
@@ -228,23 +243,20 @@ func TestCrossLaneSendSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestNewShardedMisuse: a lane map that does not cover the graph, or
-// names a lane that does not exist, and a multi-lane network without a
-// cross hand-off are wiring bugs, reported at construction.
+// TestNewShardedMisuse: no engine, or a lane map that does not cover
+// the graph or names a lane that does not exist, is a wiring bug,
+// reported at construction.
 func TestNewShardedMisuse(t *testing.T) {
-	cross := func(int, int, *Message) {}
 	two := []*des.Engine{des.NewEngine(), des.NewEngine()}
 	cases := []struct {
 		name    string
 		engines []*des.Engine
 		laneOf  []int32
-		cross   func(int, int, *Message)
 		want    string
 	}{
-		{"no engine", nil, nil, nil, "at least one engine"},
-		{"short lane map", two, []int32{0, 1}, cross, "lane map covers 2 of 3 nodes"},
-		{"lane out of range", two, []int32{0, 1, 2}, cross, "node 2 mapped to lane 2 of 2"},
-		{"nil cross", two, []int32{0, 0, 1}, nil, "needs a cross hand-off"},
+		{"no engine", nil, nil, "at least one engine"},
+		{"short lane map", two, []int32{0, 1}, "lane map covers 2 of 3 nodes"},
+		{"lane out of range", two, []int32{0, 1, 2}, "node 2 mapped to lane 2 of 2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -254,7 +266,106 @@ func TestNewShardedMisuse(t *testing.T) {
 					t.Fatalf("panic = %q, want a transport: message containing %q", msg, tc.want)
 				}
 			}()
-			NewSharded(tc.engines, dyngraph.NewDynamic(3, nil), FixedDelay(0.1), 1, tc.laneOf, "test.deliver", tc.cross)
+			NewSharded(tc.engines, dyngraph.NewDynamic(3, nil), FixedDelay(0.1), 1, tc.laneOf, "test.deliver")
 		})
 	}
+}
+
+// TestParallelMergeOrder pins the one delivery order of a windowed
+// network under des.ParallelEngine: a lane is handed the flights that
+// share a DeliverAt in stable (From, To) order, whatever lane sent each
+// and in whatever order the lanes sent them — equal keys keep their
+// sender's send order — and so does every worker count. The lanes hold
+// their nodes in reverse, so a later source lane holds lower senders, and
+// every lane sends its batch from one event at time 0, so the whole batch
+// merges at once.
+func TestParallelMergeOrder(t *testing.T) {
+	const n = 6
+	run := func(workers int) [][]Message {
+		p := des.NewParallelEngine(3, 0.5)
+		engines := []*des.Engine{p.Shard(0), p.Shard(1), p.Shard(2)}
+		laneOf := []int32{2, 2, 1, 1, 0, 0}
+		// Value 3 is the last send of each pair yet lands first.
+		delay := func(m *Message) float64 {
+			if m.Value == 3 {
+				return 0.75
+			}
+			return 1
+		}
+		net := NewSharded(engines, dyngraph.NewDynamic(n, dyngraph.Complete(n)), delay, 1, laneOf, "test.deliver")
+		p.SetMail(net)
+		got := make([][]Message, 3)
+		for u := 0; u < n; u++ {
+			net.SetHandler(u, func(m Message) { got[laneOf[m.To]] = append(got[laneOf[m.To]], m) })
+		}
+		for lane := 0; lane < 3; lane++ {
+			p.Shard(lane).Schedule(0, "send", func() {
+				for u := n - 1; u >= 0; u-- {
+					if int(laneOf[u]) != lane {
+						continue
+					}
+					for i := 0; i < 4; i++ {
+						for v := n - 1; v >= 0; v-- {
+							if v != u {
+								net.Send(u, v, float64(i))
+							}
+						}
+					}
+				}
+			})
+		}
+		p.Run(1.5, workers)
+		return got
+	}
+	one := run(1)
+	for lane, batch := range one {
+		if len(batch) != 2*(n-1)*4 {
+			t.Fatalf("lane %d was handed %d flights, want %d", lane, len(batch), 2*(n-1)*4)
+		}
+		last := map[des.Time]Message{}
+		for _, b := range batch {
+			if a, ok := last[b.DeliverAt]; ok && cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To), cmp.Compare(a.Value, b.Value)) > 0 {
+				t.Fatalf("lane %d: %+v handed over before %+v", lane, a, b)
+			}
+			last[b.DeliverAt] = b
+		}
+	}
+	if two := run(2); !reflect.DeepEqual(two, one) {
+		t.Fatalf("two workers merged\n%v\none merged\n%v", two, one)
+	}
+}
+
+// TestParallelLookaheadViolationPanics pins the machine-checked safety
+// net: a flight whose delivery time is behind the destination lane's
+// clock (a delay below the lookahead) panics at the merge rather than
+// silently firing in the past — and the panic message names the
+// destination lane and both clocks, since it is the one diagnostic a
+// physics bug in a sharded run produces.
+func TestParallelLookaheadViolationPanics(t *testing.T) {
+	p := des.NewParallelEngine(2, 0.5)
+	net := NewSharded([]*des.Engine{p.Shard(0), p.Shard(1)}, dyngraph.NewDynamic(2, []dyngraph.Edge{dyngraph.E(0, 1)}),
+		FixedDelay(1e-9), 1, []int32{0, 1}, "test.deliver")
+	p.SetMail(net)
+	// Lane 1 runs far into the window; lane 0's event then sends a flight
+	// with a delay far below the lookahead.
+	var tick func()
+	en1 := p.Shard(1)
+	tick = func() { en1.ScheduleAfter(0.01, "busy", tick) }
+	en1.Schedule(0, "busy", tick)
+	p.Shard(0).Schedule(0, "bad", func() { net.Send(0, 1, 0) })
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("lookahead violation did not panic")
+		}
+		msg, ok := r.(string)
+		if !ok {
+			t.Fatalf("panic value %T, want the diagnostic string", r)
+		}
+		if !strings.Contains(msg, "lookahead violated") ||
+			!strings.Contains(msg, "flight into lane 1") {
+			t.Fatalf("panic message %q lacks the lane/lookahead diagnostic", msg)
+		}
+	}()
+	p.Run(1, 1)
 }

@@ -30,11 +30,14 @@
 // or while every engine is stopped; the delay law, fault plan, handler
 // table and graph are shared and read-only while engines run, so
 // a DelayFn or fault plan that keeps state must key it by sender. A send
-// runs on the sender's lane; a network with a cross callback hands it
-// every flight, finished, whose owner must Accept it on the destination's
-// lane before that engine reaches DeliverAt — that the delay law leaves
-// it the time (a floor at the engines' lookahead) is the caller's DelayFn
-// contract, and des.ParallelEngine's merge checks it.
+// runs on the sender's lane and, on a New network, schedules the
+// delivery there. A NewSharded network is a des.ParallelEngine's
+// des.Mail: a send appends the finished flight once to its lane's outbox
+// toward the destination's lane, and Merge puts it in flight there when
+// the next window begins, in an order no partition decides. That the
+// delay law leaves a flight the time to reach that window (a floor at the
+// engines' lookahead) is the caller's DelayFn contract, and Merge checks
+// it.
 //
 // Delays are drawn per message from one DelayFn, which sees the whole
 // message, sender and receiver included. Every harness's nominal law is
@@ -51,7 +54,10 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"gcs/internal/des"
 	"gcs/internal/dyngraph"
@@ -143,12 +149,14 @@ type Network struct {
 	faults *fault.Messages
 
 	// lanes holds one lane per engine; laneOf maps node -> lane and is nil
-	// on a one-lane network. cross, when set, takes every flight; label
-	// tags every delivery event.
-	lanes  []*lane
-	laneOf []int32
-	cross  func(src, dst int, m *Message)
-	label  string
+	// on a one-lane network. label tags every delivery event. On a
+	// windowed (NewSharded) network, sends append to outbox generation
+	// cur and Merge drains the other.
+	lanes    []*lane
+	laneOf   []int32
+	label    string
+	windowed bool
+	cur      int
 }
 
 // lane is the per-engine half of a Network (see the package comment for
@@ -167,23 +175,32 @@ type lane struct {
 	deliverFn  des.ArgHandler
 	stats      Stats
 	faultStats fault.Stats
+	// On a windowed network, out[g][dst] is this lane's outbox toward
+	// lane dst in generation g, and due the earliest DeliverAt in
+	// generation cur's outboxes. seen is Merge's scratch set of hashed
+	// delivery times for this lane as destination.
+	out  [2][][]Message
+	due  des.Time
+	seen []uint64
 }
 
 // New creates a one-lane transport over g with the given delay law and
 // bound: every node sends and receives on en.
 func New(en *des.Engine, g *dyngraph.Dynamic, delay DelayFn, maxDelay float64) *Network {
-	return NewSharded([]*des.Engine{en}, g, delay, maxDelay, nil, "transport.deliver", nil)
+	return newNetwork([]*des.Engine{en}, g, delay, maxDelay, nil, "transport.deliver", false)
 }
 
-// NewSharded creates a transport with one lane per engine. laneOf maps
-// every node of g to the engine that carries it and label tags the
-// delivery events. cross, if set, is handed every finished flight (delay
-// drawn, DeliverAt set, Sent counted) with its sender's lane src and its
-// destination's dst, maybe equal; m points into src's arena and is
-// recycled when cross returns: copy, don't keep. A single engine needs
-// neither laneOf nor cross.
+// NewSharded creates a windowed transport with one lane per engine, the
+// des.Mail of the des.ParallelEngine whose shards they are (SetMail).
+// laneOf maps every node of g to the engine that carries it (a single
+// engine needs none) and label tags the delivery events.
 func NewSharded(engines []*des.Engine, g *dyngraph.Dynamic, delay DelayFn, maxDelay float64,
-	laneOf []int32, label string, cross func(src, dst int, m *Message)) *Network {
+	laneOf []int32, label string) *Network {
+	return newNetwork(engines, g, delay, maxDelay, laneOf, label, true)
+}
+
+func newNetwork(engines []*des.Engine, g *dyngraph.Dynamic, delay DelayFn, maxDelay float64,
+	laneOf []int32, label string, windowed bool) *Network {
 	if len(engines) == 0 {
 		panic("transport: need at least one engine")
 	}
@@ -191,13 +208,10 @@ func NewSharded(engines []*des.Engine, g *dyngraph.Dynamic, delay DelayFn, maxDe
 		g:        g,
 		handlers: make([]Handler, g.N()),
 		lanes:    make([]*lane, len(engines)),
-		cross:    cross,
 		label:    label,
+		windowed: windowed,
 	}
 	if len(engines) > 1 {
-		if cross == nil {
-			panic("transport: more than one lane needs a cross hand-off")
-		}
 		for u, l := range laneOf {
 			if l < 0 || int(l) >= len(engines) {
 				panic(fmt.Sprintf("transport: node %d mapped to lane %d of %d", u, l, len(engines)))
@@ -208,6 +222,10 @@ func NewSharded(engines []*des.Engine, g *dyngraph.Dynamic, delay DelayFn, maxDe
 	for i, en := range engines {
 		l := &lane{net: n, idx: i, en: en}
 		l.deliverFn = func(arg uint64) { l.deliver(uint32(arg)) }
+		if windowed {
+			l.out = [2][][]Message{make([][]Message, len(engines)), make([][]Message, len(engines))}
+			l.seen = make([]uint64, 1<<tieLog/64)
+		}
 		n.lanes[i] = l
 	}
 	n.Reset(delay, maxDelay)
@@ -215,10 +233,10 @@ func NewSharded(engines []*des.Engine, g *dyngraph.Dynamic, delay DelayFn, maxDe
 }
 
 // Reset forgets all in-flight traffic and counters and installs a new
-// delay law, reusing the flight arenas and handler table, so a rewired
-// simulation's transport allocates nothing in steady state. The fault
-// plan is removed. Call it after the engines have been
-// Reset: the pending delivery events are gone with them, so the flights
+// delay law, reusing the flight arenas, outboxes and handler table, so a
+// rewired simulation's transport allocates nothing in steady state. The
+// fault plan is removed. Call it after the engines have been Reset: the
+// pending delivery events are gone with them, so the flights
 // they pointed at are simply released. Handlers registered for surviving
 // node ids stay registered; the table grows if the graph was Reset to
 // more nodes (a lane map must already cover them).
@@ -245,6 +263,12 @@ func (n *Network) Reset(delay DelayFn, maxDelay float64) {
 		l.free = l.free[:0]
 		l.stats = Stats{}
 		l.faultStats = fault.Stats{}
+		for _, gen := range l.out {
+			for dst := range gen {
+				gen[dst] = gen[dst][:0]
+			}
+		}
+		l.due = math.Inf(1)
 	}
 }
 
@@ -326,9 +350,9 @@ func (l *lane) send(from, to int, rec int32, value float64) {
 	l.sendOne(from, to, rec, value, 0)
 }
 
-// sendOne puts one message in flight on open presence record rec:
-// a hand-off to the network's cross when it has one, a delivery event on
-// this lane's engine otherwise. spikedDelay, when
+// sendOne puts one message in flight on open presence record rec: into
+// this lane's outbox toward the destination's lane on a windowed network,
+// a delivery event on this lane's engine otherwise. spikedDelay, when
 // positive, is a fault-injected delay that may exceed maxDelay and
 // bypasses the nominal-law validation; 0 draws from the usual delay law.
 // The flight is built in the arena — a stack Message would escape
@@ -350,8 +374,10 @@ func (l *lane) sendOne(from, to int, rec int32, value float64, spikedDelay float
 	}
 	msg.DeliverAt = now + d
 	l.stats.Sent++
-	if n.cross != nil {
-		n.cross(l.idx, n.laneFor(to).idx, msg)
+	if n.windowed {
+		box := &l.out[n.cur][n.laneFor(to).idx]
+		*box = append(*box, *msg)
+		l.due = min(l.due, msg.DeliverAt)
 		l.free = append(l.free, fi)
 		return
 	}
@@ -372,16 +398,67 @@ func (n *Network) Broadcast(from int, value float64) int {
 	return len(links)
 }
 
-// Accept puts a flight that cross was handed in flight on its
-// destination's lane. Call it with that lane's engine stopped and not
-// past m.DeliverAt.
-//
-//gcslint:zeroalloc
-func (n *Network) Accept(m Message) {
-	l := n.laneFor(m.To)
-	fi := l.allocFlight()
-	l.flights[fi] = m
-	l.en.ScheduleArg(m.DeliverAt, n.label, l.deliverFn, uint64(fi))
+// Due returns the earliest DeliverAt held in the outboxes since the
+// last Flip (+Inf if none), for des.Mail.
+func (n *Network) Due() des.Time {
+	due := math.Inf(1)
+	for _, l := range n.lanes {
+		due = min(due, l.due)
+	}
+	return due
+}
+
+// Flip starts a new outbox generation, for des.Mail: the window about to
+// begin merges the flights sent so far, and later sends wait for the
+// next one.
+func (n *Network) Flip() {
+	n.cur ^= 1
+	for _, l := range n.lanes {
+		l.due = math.Inf(1)
+	}
+}
+
+// tieLog is the log2 size of the hashed set Merge finds ties with.
+const tieLog = 14
+
+// Merge puts every flight of the drained generation toward lane dst in
+// flight on it, for des.Mail: dst's own outbox first, then the other
+// lanes' in lane order, flights with one DeliverAt in stable (From, To)
+// order (equal keys are one sender's, in its send order), so one node's
+// same-instant deliveries meet alike on every lane and worker count. The
+// engine orders distinct times, so a batch with no hashed tie is not
+// sorted. Merge panics on a flight due before dst's clock (the delay law
+// broke the lookahead).
+func (n *Network) Merge(dst int) {
+	gen, d := n.cur^1, n.lanes[dst]
+	in := d.out[gen][dst]
+	for _, l := range n.lanes {
+		if l != d {
+			in = append(in, l.out[gen][dst]...)
+			l.out[gen][dst] = l.out[gen][dst][:0]
+		}
+	}
+	clear(d.seen)
+	for _, m := range in {
+		h := math.Float64bits(m.DeliverAt) * 0x9e3779b97f4a7c15 >> (64 - tieLog)
+		if d.seen[h/64]&(1<<(h%64)) != 0 {
+			slices.SortStableFunc(in, func(a, b Message) int {
+				return cmp.Or(cmp.Compare(a.DeliverAt, b.DeliverAt), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+			})
+			break
+		}
+		d.seen[h/64] |= 1 << (h % 64)
+	}
+	for i := range in {
+		if in[i].DeliverAt < d.en.Now() {
+			panic(fmt.Sprintf("transport: flight into lane %d at %v behind its clock %v (lookahead violated)",
+				dst, in[i].DeliverAt, d.en.Now()))
+		}
+		fi := d.allocFlight()
+		d.flights[fi] = in[i]
+		d.en.ScheduleArg(in[i].DeliverAt, n.label, d.deliverFn, uint64(fi))
+	}
+	d.out[gen][dst] = in[:0]
 }
 
 // allocFlight returns a free arena index, growing the arena if the free
