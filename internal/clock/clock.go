@@ -41,8 +41,9 @@ type Base interface {
 	// Now returns the current real time.
 	Now() float64
 	// Arm schedules the firing for real time at (never before Now),
-	// replacing any pending one; label tags it for tracing.
-	Arm(at float64, label string)
+	// replacing any pending one; lbl tags it for tracing (a base other
+	// than the engine may ignore it).
+	Arm(at float64, lbl des.Label)
 	// Disarm cancels the pending firing, if any.
 	Disarm()
 }
@@ -98,9 +99,9 @@ func (b *engineBase) Now() float64 { return b.en.Now() }
 // Arm re-registers the clock's one engine event.
 //
 //gcslint:zeroalloc
-func (b *engineBase) Arm(at float64, label string) {
+func (b *engineBase) Arm(at float64, lbl des.Label) {
 	b.en.Cancel(b.ev)
-	b.ev = b.en.ScheduleArg(at, label, b.fire, b.arg)
+	b.ev = b.en.ScheduleLabel(at, lbl, b.fire, b.arg)
 }
 
 func (b *engineBase) Disarm() {
@@ -225,9 +226,14 @@ func (c *HardwareClock) timeWhen(now, hTarget float64) float64 {
 // paper's set_timer(dt, id) is its Reset, cancel(id) its Stop). The
 // timer is long-lived and re-armed in place. The first two live inside
 // the clock; each later one is one allocation here. No arming allocates.
+// On the engine base, label is interned here once; another base gets
+// the zero Label.
 func (c *HardwareClock) NewTimer(label string, fn func()) seam.Timer {
 	tm := c.slot()
-	*tm = timer{c: c, label: label, fn: fn}
+	*tm = timer{c: c, fn: fn}
+	if c.eng.en != nil {
+		tm.lbl = c.eng.en.Label(label)
+	}
 	return tm
 }
 
@@ -252,8 +258,8 @@ type timer struct {
 	c       *HardwareClock
 	targetH float64
 	seq     uint64 // arming order, tie-break for equal targets
-	label   string
 	fn      func()
+	lbl     des.Label
 	armed   bool
 }
 
@@ -284,7 +290,7 @@ func earlier(h, tm *timer) *timer {
 // armHead (re)arms the base's firing for h's fire time.
 func (c *HardwareClock) armHead(now float64, h *timer) {
 	c.headAt = c.timeWhen(now, h.targetH)
-	c.base.Arm(c.headAt, h.label)
+	c.base.Arm(c.headAt, h.lbl)
 }
 
 func (c *HardwareClock) disarm() {

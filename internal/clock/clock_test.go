@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"gcs/internal/des"
 	"gcs/internal/seam"
@@ -332,6 +333,26 @@ func armedCount(c *HardwareClock) int {
 	return n
 }
 
+// TestTimerLayout pins a timer at 40 bytes, its label an id interned on
+// the clock's engine: the engine traces each timer's firing under the
+// name the timer was made with.
+func TestTimerLayout(t *testing.T) {
+	if got := unsafe.Sizeof(timer{}); got > 40 {
+		t.Fatalf("a timer is %d bytes, want at most 40", got)
+	}
+	en := des.NewEngine()
+	var traced []string
+	en.SetTraceHook(func(_ des.Time, label string) { traced = append(traced, label) })
+	c := New(en, 1)
+	a, b := c.NewTimer("gcs.beacon", func() {}), c.NewTimer("gcs.catchup", func() {})
+	a.Reset(1)
+	b.Reset(2)
+	en.Run(3)
+	if want := []string{"gcs.beacon", "gcs.catchup"}; !slices.Equal(traced, want) {
+		t.Fatalf("traced %q, want %q", traced, want)
+	}
+}
+
 // TestInlineAndSpilledTimers runs five timers on one clock: the first two
 // live inside the clock, the other three spill. Armed across both, they
 // fire in (target, seq) order through a SetRate and a Stop of the head,
@@ -453,11 +474,11 @@ type sloppyBase struct {
 
 func (b *sloppyBase) Now() float64 { return b.en.Now() }
 
-func (b *sloppyBase) Arm(at float64, label string) {
+func (b *sloppyBase) Arm(at float64, lbl des.Label) {
 	b.retire()
 	b.ids++
 	b.cur, b.at = b.ids, at
-	b.ref = b.en.ScheduleArg(max(b.en.Now(), at-0.9*b.res*b.r.Float64()), label, b.fire, b.cur)
+	b.ref = b.en.ScheduleLabel(max(b.en.Now(), at-0.9*b.res*b.r.Float64()), lbl, b.fire, b.cur)
 }
 
 func (b *sloppyBase) Disarm() { b.retire() }

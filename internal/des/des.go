@@ -23,10 +23,18 @@
 // bucket 0 fires in (t, seq) order with no comparisons and a cancel
 // unlinks its event at once.
 //
+// An event's slot is 40 bytes: the queue half (time, argument,
+// generation, bucket links and a 2-byte label id) and one ArgHandler
+// word. Each engine interns its trace labels once into a table
+// (Engine.Label), so a slot names its label by id; the plain Handler of
+// the rare Schedule waits in a small per-engine box table instead of
+// widening every slot.
+//
 // The kernel is allocation-free in steady state: fired and cancelled
-// events return their slab slot to a free list, and ScheduleArg lets
-// periodic schedulers reuse one long-lived callback instead of
-// allocating a closure per event.
+// events return their slab slot to a free list, and ScheduleLabel lets
+// periodic schedulers reuse one long-lived callback and one interned
+// label instead of allocating a closure or looking a label up per
+// event.
 package des
 
 import (
@@ -50,6 +58,13 @@ type Handler func()
 // schedulers on hot paths do not allocate a closure per event.
 type ArgHandler func(arg uint64)
 
+// Label is an event's trace label: an id in its engine's label table
+// (Engine.Label). The zero Label names "".
+type Label uint16
+
+// maxLabels is the size of the Label id space.
+const maxLabels = 1 << 16
+
 // TraceFn observes event firings. It is called once per fired event,
 // immediately before the event's callback runs, with the event's time
 // and debug label. Cancelled events are never traced. The hook sits on
@@ -59,11 +74,11 @@ type ArgHandler func(arg uint64)
 type TraceFn func(t Time, label string)
 
 // Event is the queue's half of one slot of an engine's event slab: the
-// time, argument and bucket links, and no pointers, so the slab grows by
-// a plain copy and the collector never scans it. The callback and label
-// are the slot's call. Slots are owned by the engine and recycled after
-// their event fires or is cancelled; user code only ever holds EventRef
-// handles.
+// time, argument, bucket links and label id, and no pointers, so the
+// slab grows by a plain copy and the collector never scans it. The
+// callback is the slot's call. Slots are owned by the engine and
+// recycled after their event fires or is cancelled; user code only ever
+// holds EventRef handles.
 type Event struct {
 	t   Time
 	arg uint64
@@ -71,6 +86,7 @@ type Event struct {
 	// next and prev link the slot into its bucket (next alone links a
 	// free slot into the free list); 0 ends a list.
 	next, prev int32
+	lbl        Label
 }
 
 // EventRef is a generation-checked handle to a scheduled event: its slot
@@ -95,6 +111,16 @@ type Engine struct {
 	calls []*callChunk
 	free  int32 // head of the free-slot list
 	live  int   // queued events
+	// labels is the label table, indexed by Label. boxes holds the plain
+	// Handlers of pending Schedule events: a slot whose call is nil runs
+	// boxes[arg].fn. Box 0 is never used, and boxFree heads the list of
+	// free boxes. Both tables start in the inline arrays, so an engine
+	// with a dozen labels and a box or two pending allocates for neither.
+	labels    []string
+	boxes     []box
+	boxFree   int32
+	lblInline [16]string
+	boxInline [2]box
 	// last is the key of the most recently popped minimum: every queued
 	// key is at least last. min caches the least queued key while minOK;
 	// peeking fills it without moving last, so a later Schedule before
@@ -115,34 +141,56 @@ type Engine struct {
 
 // NewEngine returns an engine positioned at time 0 with an empty queue.
 func NewEngine() *Engine {
-	return &Engine{slab: make([]Event, 1)}
+	en := &Engine{slab: make([]Event, 1)}
+	en.labels = append(en.lblInline[:0], "")
+	en.boxes = en.boxInline[:1]
+	return en
 }
 
-// call is the callback half of an event slot.
-type call struct {
-	fn    Handler
-	afn   ArgHandler
-	label string
+// box is one entry of the box table: a pending Schedule event's Handler,
+// or, free, the next free box.
+type box struct {
+	fn   Handler
+	next int32
 }
 
-// callBits sizes a chunk of calls: 1024 of them, 32 KiB, an allocation
-// large enough to carry no per-object header, so a chunk wastes nothing.
-const callBits = 10
+// callBits sizes a chunk of calls, the callback half of the event slots:
+// 4096 of them, 32 KiB, an allocation large enough to carry no
+// per-object header, so a chunk wastes nothing.
+const callBits = 12
 
-type callChunk [1 << callBits]call
+type callChunk [1 << callBits]ArgHandler
 
 // call returns slot s's call.
-func (en *Engine) call(s int32) *call { return &en.calls[s>>callBits][s&(1<<callBits-1)] }
+func (en *Engine) call(s int32) *ArgHandler { return &en.calls[s>>callBits][s&(1<<callBits-1)] }
+
+// Label returns name's id in en's label table, interning it on first
+// use. Ids are per engine and survive Reset. Interning scans the table,
+// so a scheduler on a hot path interns its label once and schedules
+// with ScheduleLabel. It panics when name would be the table's 65 537th
+// distinct label.
+func (en *Engine) Label(name string) Label {
+	for i, l := range en.labels {
+		if l == name {
+			return Label(i)
+		}
+	}
+	if len(en.labels) == maxLabels {
+		panic(fmt.Sprintf("des: label %q overflows the engine's %d-label table", name, maxLabels))
+	}
+	en.labels = append(en.labels, name)
+	return Label(len(en.labels) - 1)
+}
 
 // Now returns the current simulated time. During an event handler this is
 // the handler's scheduled fire time.
 func (en *Engine) Now() Time { return en.now }
 
 // Reset returns the engine to time 0 with an empty queue, returning every
-// pending event's slot to the free list so a rewired simulation reuses
-// the warm slab instead of reallocating it. Outstanding EventRefs go
-// stale (Cancel on them stays a harmless no-op); the executed counter
-// restarts; an installed trace hook is kept.
+// pending event's slot (and box) to the free list so a rewired simulation
+// reuses the warm slab instead of reallocating it. Outstanding EventRefs
+// go stale (Cancel on them stays a harmless no-op); the executed counter
+// restarts; an installed trace hook and the label table are kept.
 func (en *Engine) Reset() {
 	for used := en.used; used != 0; used &= used - 1 {
 		for s := en.head[bits.TrailingZeros64(used)]; s != 0; {
@@ -174,29 +222,46 @@ func (en *Engine) Pending() int { return en.live }
 // Schedule registers fn to run at absolute time t and returns a handle
 // that can be cancelled. Scheduling in the past (t < Now) panics: the
 // network model has no retroactive events, so this is always a bug in the
-// caller. A time of -0 is scheduled as +0.
+// caller. A time of -0 is scheduled as +0. fn waits in the engine's box
+// table until its event fires or is cancelled.
 //
 //gcslint:zeroalloc
 func (en *Engine) Schedule(t Time, label string, fn Handler) EventRef {
-	return en.schedule(t, label, fn, nil, 0)
+	r := en.schedule(t, en.Label(label), nil, 0)
+	en.slab[r.slot].arg = en.box(fn)
+	return r
 }
 
 // ScheduleArg registers fn(arg) to run at absolute time t. It is the
 // zero-allocation counterpart of Schedule for callers that would
-// otherwise close over per-event state.
+// otherwise close over per-event state; it interns label on every call.
 //
 //gcslint:zeroalloc
 func (en *Engine) ScheduleArg(t Time, label string, fn ArgHandler, arg uint64) EventRef {
-	return en.schedule(t, label, nil, fn, arg)
+	return en.ScheduleLabel(t, en.Label(label), fn, arg)
 }
 
+// ScheduleLabel registers fn(arg) to run at absolute time t under lbl,
+// an id from en.Label. It is ScheduleArg without the label lookup, for
+// schedulers that intern their label once.
+//
 //gcslint:zeroalloc
-func (en *Engine) schedule(t Time, label string, fn Handler, afn ArgHandler, arg uint64) EventRef {
+func (en *Engine) ScheduleLabel(t Time, lbl Label, fn ArgHandler, arg uint64) EventRef {
+	if fn == nil {
+		panic("des: nil handler")
+	}
+	return en.schedule(t, lbl, fn, arg)
+}
+
+// schedule queues a slot at t; a nil fn marks it boxed (arg is its box).
+//
+//gcslint:zeroalloc
+func (en *Engine) schedule(t Time, lbl Label, fn ArgHandler, arg uint64) EventRef {
 	if math.IsNaN(t) {
 		panic("des: schedule at NaN time")
 	}
 	if t < en.now {
-		panic(fmt.Sprintf("des: schedule at %v before now %v (%s)", t, en.now, label))
+		panic(fmt.Sprintf("des: schedule at %v before now %v (%s)", t, en.now, en.labels[lbl]))
 	}
 	t += 0 // -0 keys as +0
 	s := en.free
@@ -212,7 +277,8 @@ func (en *Engine) schedule(t Time, label string, fn Handler, afn ArgHandler, arg
 	e := &en.slab[s]
 	e.t = t
 	e.arg = arg
-	*en.call(s) = call{fn, afn, label}
+	e.lbl = lbl
+	*en.call(s) = fn
 	key := math.Float64bits(t)
 	if en.live == 0 || en.minOK && key < en.min {
 		en.min, en.minOK = key, true
@@ -253,13 +319,33 @@ func (en *Engine) Cancel(r EventRef) {
 	en.release(r.slot, e)
 }
 
+// box parks fn in a free box and returns the box's index.
+//
+//gcslint:zeroalloc
+func (en *Engine) box(fn Handler) uint64 {
+	i := en.boxFree
+	if i != 0 {
+		en.boxFree = en.boxes[i].next
+		en.boxes[i].fn = fn
+	} else {
+		i = int32(len(en.boxes))
+		en.boxes = append(en.boxes, box{fn: fn})
+	}
+	return uint64(i)
+}
+
 // release invalidates outstanding refs to e, slot s's event, and
-// returns the slot to the free list.
+// returns the slot, and its box if it has one, to their free lists.
 //
 //gcslint:zeroalloc
 func (en *Engine) release(s int32, e *Event) {
 	e.gen++
-	*en.call(s) = call{}
+	c := en.call(s)
+	if *c == nil {
+		en.boxes[e.arg] = box{next: en.boxFree}
+		en.boxFree = int32(e.arg)
+	}
+	*c = nil
 	e.next = en.free
 	en.free = s
 }
@@ -273,15 +359,19 @@ func (en *Engine) release(s int32, e *Event) {
 func (en *Engine) fire(s int32, e *Event) {
 	en.now = e.t
 	en.executed++
-	c, arg := *en.call(s), e.arg
+	fn, arg, lbl := *en.call(s), e.arg, e.lbl
+	var boxed Handler
+	if fn == nil {
+		boxed = en.boxes[arg].fn
+	}
 	en.release(s, e)
 	if en.trace != nil {
-		en.trace(en.now, c.label)
+		en.trace(en.now, en.labels[lbl])
 	}
-	if c.afn != nil {
-		c.afn(arg)
+	if fn != nil {
+		fn(arg)
 	} else {
-		c.fn()
+		boxed()
 	}
 }
 

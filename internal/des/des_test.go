@@ -1,9 +1,13 @@
 package des
 
 import (
+	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // Pending reports whether the referenced event is still scheduled on en
@@ -508,6 +512,79 @@ func TestTraceHookObservesFiredEventsOnly(t *testing.T) {
 	}
 	if got := en.Executed(); got != uint64(len(want)) {
 		t.Fatalf("executed %d, traced %d — hook out of sync", got, len(want))
+	}
+}
+
+// TestLabelTable pins the label table: one name is one id per engine,
+// distinct names get distinct ids, the zero Label names "", ids survive
+// Reset, and the trace hook sees the names, whichever path scheduled.
+func TestLabelTable(t *testing.T) {
+	a, b := NewEngine(), NewEngine()
+	names := []string{"gcs.beacon", "transport.deliver", "clock.walk", "gcs.beacon2"}
+	ids := map[Label]string{0: ""}
+	for _, name := range names {
+		id := a.Label(name)
+		if prev, dup := ids[id]; dup {
+			t.Fatalf("%q and %q share id %d", name, prev, id)
+		}
+		ids[id] = name
+	}
+	if got := a.Label(""); got != 0 {
+		t.Fatalf(`Label("") = %d, want 0`, got)
+	}
+	// b interns in the other order: its ids are its own, each stable.
+	for i := len(names) - 1; i >= 0; i-- {
+		b.Label(names[i])
+	}
+	if a.Label(names[0]) == b.Label(names[0]) {
+		t.Fatalf("engines interning in opposite orders agree on %q's id", names[0])
+	}
+	a.Reset()
+	for id, name := range ids {
+		if got := a.Label(name); got != id {
+			t.Fatalf("after Reset %q is id %d, was %d", name, got, id)
+		}
+	}
+
+	var traced []string
+	a.SetTraceHook(func(_ Time, label string) { traced = append(traced, label) })
+	noop := func(uint64) {}
+	a.Schedule(1, names[0], func() {})
+	a.ScheduleArg(2, names[1], noop, 0)
+	a.ScheduleLabel(3, a.Label(names[2]), noop, 0)
+	a.ScheduleAfter(3, "fresh", func() {})
+	a.ScheduleLabel(5, 0, noop, 0)
+	a.Run(5)
+	want := []string{names[0], names[1], names[2], "fresh", ""}
+	if fmt.Sprint(traced) != fmt.Sprint(want) {
+		t.Fatalf("traced %q, want %q", traced, want)
+	}
+}
+
+// TestLabelOverflowPanics fills the 65 536-id space: a known name still
+// resolves, a new one panics with a message naming it.
+func TestLabelOverflowPanics(t *testing.T) {
+	en := NewEngine()
+	for i := len(en.labels); i < maxLabels; i++ {
+		en.labels = append(en.labels, strconv.Itoa(i))
+	}
+	if got := en.Label("65535"); got != 65535 {
+		t.Fatalf(`Label("65535") = %d in a full table, want 65535`, got)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"one too many"`) || !strings.Contains(msg, "65536") {
+			t.Fatalf("overflow panicked with %q, want a message naming the label and the table size", msg)
+		}
+	}()
+	en.Label("one too many")
+}
+
+// TestSlotSizes pins the slot layout: the queue half and the call word
+// of one event slot are 40 bytes together.
+func TestSlotSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}) + unsafe.Sizeof(ArgHandler(nil)); got > 40 {
+		t.Fatalf("an event slot is %d bytes, want at most 40", got)
 	}
 }
 

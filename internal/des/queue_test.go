@@ -9,19 +9,21 @@ import (
 
 // This file adversarially tests the kernel's radix event queue against a
 // reference implementation built on the standard library's
-// container/heap: decoded sequences of Schedule, ScheduleArg, Cancel,
-// Step, Run, RunBefore, AdvanceTo, NextEventTime and Reset must produce
-// the identical fire order (time ties broken by scheduling sequence) and
-// pending count, and EventRef handles must go stale exactly when their
-// event fires or is cancelled — never before, and never resurrect after
-// the slot is reused.
+// container/heap: decoded sequences of Schedule, ScheduleArg,
+// ScheduleLabel, Cancel, Step, Run, RunBefore, AdvanceTo, NextEventTime
+// and Reset must produce the identical fire order (time ties broken by
+// scheduling sequence), labels and pending count, and EventRef handles
+// must go stale exactly when their event fires or is cancelled — never
+// before, and never resurrect after the slot is reused.
 
 // refEvent mirrors the kernel's (t, seq) ordering key plus an id the
-// test uses to match fires across the two queues.
+// test uses to match fires across the two queues, and the event's label
+// (the engine's as traced, the oracle's as scheduled).
 type refEvent struct {
-	t   Time
-	seq uint64
-	id  int
+	t     Time
+	seq   uint64
+	id    int
+	label string
 }
 
 type refHeap []*refEvent
@@ -59,8 +61,8 @@ func newRefQueue() *refQueue {
 	return &refQueue{cancelled: make(map[int]bool)}
 }
 
-func (q *refQueue) schedule(t Time, id int) {
-	heap.Push(&q.h, &refEvent{t: t, seq: q.seq, id: id})
+func (q *refQueue) schedule(t Time, id int, label string) {
+	heap.Push(&q.h, &refEvent{t: t, seq: q.seq, id: id, label: label})
 	q.seq++
 	q.live++
 }
@@ -107,24 +109,45 @@ type queueHarness struct {
 	want  []refEvent // oracle fires since the last check
 	next  int
 	fire  ArgHandler
+	// lbls holds queueLabels' ids, interned once when the harness starts
+	// and used across Resets; traced is the label the trace hook saw for
+	// the event now firing.
+	lbls   []Label
+	traced string
 }
+
+// queueLabels are the labels the harness schedules under, by id.
+var queueLabels = []string{"p", "q", "deliver", "timer", "clock.walk"}
 
 func newQueueHarness(t testing.TB) *queueHarness {
 	h := &queueHarness{t: t, en: NewEngine(), ref: newRefQueue(), live: make(map[int]EventRef)}
-	h.fire = func(arg uint64) { h.fired = append(h.fired, refEvent{t: h.en.Now(), id: int(arg)}) }
+	h.fire = func(arg uint64) {
+		h.fired = append(h.fired, refEvent{t: h.en.Now(), id: int(arg), label: h.traced})
+	}
+	h.en.SetTraceHook(func(_ Time, label string) { h.traced = label })
+	for _, name := range queueLabels {
+		h.lbls = append(h.lbls, h.en.Label(name))
+	}
 	return h
 }
 
-func (h *queueHarness) schedule(op int, at Time) {
+// schedule schedules the next id at at through one of the three paths:
+// Schedule (boxed Handler), ScheduleArg (label by name) or ScheduleLabel
+// (label by the harness's id).
+func (h *queueHarness) schedule(op int, at Time, path int) {
 	id := h.next
 	h.next++
+	k := id % len(queueLabels)
 	var er EventRef
-	if id%2 == 0 {
-		er = h.en.ScheduleArg(at, "p", h.fire, uint64(id))
-	} else {
-		er = h.en.Schedule(at, "p", func() { h.fire(uint64(id)) })
+	switch path % 3 {
+	case 0:
+		er = h.en.Schedule(at, queueLabels[k], func() { h.fire(uint64(id)) })
+	case 1:
+		er = h.en.ScheduleArg(at, queueLabels[k], h.fire, uint64(id))
+	default:
+		er = h.en.ScheduleLabel(at, h.lbls[k], h.fire, uint64(id))
 	}
-	h.ref.schedule(at, id)
+	h.ref.schedule(at, id, queueLabels[k])
 	if !er.Pending(h.en) {
 		h.t.Fatalf("op %d: fresh ref not pending", op)
 	}
@@ -163,7 +186,7 @@ func (h *queueHarness) cancel(op, id int) {
 func (h *queueHarness) refStep() bool {
 	e, ok := h.ref.step()
 	if ok {
-		h.want = append(h.want, refEvent{t: e.t, id: e.id})
+		h.want = append(h.want, refEvent{t: e.t, id: e.id, label: e.label})
 	}
 	return ok
 }
@@ -184,7 +207,7 @@ func (h *queueHarness) check(op int, what string) {
 		h.t.Fatalf("op %d (%s): engine fired %v, reference %v", op, what, h.fired, h.want)
 	}
 	for i := range h.want {
-		if h.fired[i].id != h.want[i].id || h.fired[i].t != h.want[i].t {
+		if h.fired[i] != h.want[i] {
 			h.t.Fatalf("op %d (%s): engine fired %v, reference %v", op, what, h.fired, h.want)
 		}
 		if r := h.live[h.want[i].id]; r.Pending(h.en) {
@@ -203,20 +226,22 @@ func (h *queueHarness) check(op int, what string) {
 
 // runQueueOps decodes data into queue operations, two bytes each (an
 // opcode and an argument), and applies them to the engine and the
-// oracle, checking after every one.
+// oracle, checking after every one. The opcode is code%14; a schedule
+// takes path code/14%3 (see queueHarness.schedule).
 func runQueueOps(t testing.TB, data []byte) {
 	h := newQueueHarness(t)
 	for op := 0; 2*op+1 < len(data); op++ {
 		code, arg := data[2*op], int(data[2*op+1])
-		now := h.ref.now
+		now, path := h.ref.now, int(code/14)
+		schedule := func(at Time) { h.schedule(op, at, path) }
 		var what string
 		switch code % 14 {
 		case 0, 1, 2: // schedule on a coarse grid: plenty of exact ties
 			what = "schedule"
-			h.schedule(op, now+Time(arg%8))
+			schedule(now + Time(arg%8))
 		case 3: // schedule at a fine-grained time: deep buckets
 			what = "schedule fine"
-			h.schedule(op, now+Time(arg)/97)
+			schedule(now + Time(arg)/97)
 		case 4: // a burst of exact ties at now, -0 while now is 0
 			what = "tie burst"
 			at := now
@@ -224,11 +249,11 @@ func runQueueOps(t testing.TB, data []byte) {
 				at = math.Copysign(0, -1)
 			}
 			for i := 0; i < 1+arg%6; i++ {
-				h.schedule(op, at)
+				schedule(at)
 			}
 		case 5:
 			what = "schedule +Inf"
-			h.schedule(op, math.Inf(1))
+			schedule(math.Inf(1))
 		case 6: // cancel a queued event
 			what = "cancel queued"
 			if len(h.ids) > 0 {
@@ -269,7 +294,7 @@ func runQueueOps(t testing.TB, data []byte) {
 			h.ref.now = max(h.ref.now, horizon)
 			h.check(op, what)
 			if head, ok := h.headTime(); ok && head > h.ref.now && !math.IsInf(head, 1) {
-				h.schedule(op, h.ref.now+(head-h.ref.now)/2)
+				schedule(h.ref.now + (head-h.ref.now)/2)
 			}
 		case 11: // RunBefore a limit equal to a queued time
 			what = "run before"
@@ -436,26 +461,60 @@ func TestCancelGarbageBounded(t *testing.T) {
 	}
 }
 
+// TestBoxGarbageBounded is TestCancelGarbageBounded for plain
+// Handlers: a million cycles of cancelling one of 32k pending Schedule
+// events and scheduling its replacement must keep the box table within
+// twice the peak pending count, and a Reset must drop every Handler.
+func TestBoxGarbageBounded(t *testing.T) {
+	en, r := NewEngine(), NewRand(1)
+	noop := func() {}
+	refs := make([]EventRef, 32<<10)
+	for i := range refs {
+		refs[i] = en.ScheduleAfter(0.11*(1-r.Float64()), "box", noop)
+	}
+	peak := en.Pending()
+	for i := 0; i < 1<<20; i++ {
+		j := r.Intn(len(refs))
+		en.Cancel(refs[j])
+		refs[j] = en.ScheduleAfter(0.11*(1-r.Float64()), "box", noop)
+		peak = max(peak, en.Pending())
+		if boxes := len(en.boxes) - 1; boxes > 2*peak {
+			t.Fatalf("after %d cancels the box table holds %d boxes, peak pending %d", i+1, boxes, peak)
+		}
+	}
+	en.Reset()
+	for i, b := range en.boxes {
+		if b.fn != nil {
+			t.Fatalf("box %d still holds a Handler after Reset", i)
+		}
+	}
+}
+
 // BenchmarkQueueMix is a gcs node's event mix on its own: per node one
 // ~0.1 s timer, which sends two deliveries of at most 0.01 s when it
 // fires and re-arms, and one ~1 s driver, which resets the timer and
-// re-arms. Each op is one fired event.
+// re-arms. Each op is one fired event. Like the clock and transport
+// schedulers it interns its labels once.
 func BenchmarkQueueMix(b *testing.B) {
 	for _, n := range []int{1 << 10, 16 << 10} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			en, r := NewEngine(), NewRand(1)
+			lDeliver, lTimer, lDriver := en.Label("deliver"), en.Label("timer"), en.Label("driver")
 			timers := make([]EventRef, n)
 			var timer, driver, deliver ArgHandler
 			deliver = func(uint64) {}
+			after := func(d Time, lbl Label, fn ArgHandler, i uint64) EventRef {
+				return en.ScheduleLabel(en.Now()+d, lbl, fn, i)
+			}
 			timer = func(i uint64) {
-				en.ScheduleAfterArg(0.01*(1-r.Float64()), "deliver", deliver, i)
-				en.ScheduleAfterArg(0.01*(1-r.Float64()), "deliver", deliver, i)
-				timers[i] = en.ScheduleAfterArg(0.1*(0.9+0.2*r.Float64()), "timer", timer, i)
+				after(0.01*(1-r.Float64()), lDeliver, deliver, i)
+				after(0.01*(1-r.Float64()), lDeliver, deliver, i)
+				timers[i] = after(0.1*(0.9+0.2*r.Float64()), lTimer, timer, i)
 			}
 			driver = func(i uint64) {
 				en.Cancel(timers[i])
-				timers[i] = en.ScheduleAfterArg(0.1*(0.9+0.2*r.Float64()), "timer", timer, i)
-				en.ScheduleAfterArg(0.9+0.2*r.Float64(), "driver", driver, i)
+				timers[i] = after(0.1*(0.9+0.2*r.Float64()), lTimer, timer, i)
+				after(0.9+0.2*r.Float64(), lDriver, driver, i)
 			}
 			for i := range uint64(n) {
 				timers[i] = en.ScheduleAfterArg(0.1*r.Float64(), "timer", timer, i)

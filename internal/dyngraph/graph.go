@@ -106,7 +106,8 @@ func NewDynamic(n int, initial []Edge) *Dynamic {
 // outlives individual runs. No EdgeAdded/EdgeRemoved notifications fire
 // for the discarded or the new initial edges, matching NewDynamic. The
 // topology-change epoch is bumped (not rewound) so cached consumers
-// like DistanceMatrix revalidate.
+// like DistanceMatrix revalidate. A node with no array yet gets one
+// carved from a slab sized by the initial degrees (carve).
 func (g *Dynamic) Reset(n int, initial []Edge) {
 	if n < 1 {
 		panic("dyngraph: need at least one node")
@@ -122,10 +123,45 @@ func (g *Dynamic) Reset(n int, initial []Edge) {
 	g.n, g.recs, g.open = n, 0, g.open[:0]
 	g.lastT, g.adds, g.removes = 0, 0, 0
 	g.epoch++
+	g.carve(initial)
 	for _, e := range initial {
-		g.check(e)
 		if !g.Present(e) { // a repeat
 			g.link(e)
+		}
+	}
+}
+
+// carve checks the initial edges and, if an endpoint has no adjacency
+// array yet (a cold wiring), counts every node's initial degree and
+// gives each node whose array is too small for it an exact-capacity
+// array carved from one slab: a cold wiring allocates twice, not once
+// or more per node. A warm Reset whose arrays all exist allocates
+// nothing; one that needs more room grows it link by link.
+func (g *Dynamic) carve(initial []Edge) {
+	var deg []int32
+	for _, e := range initial {
+		g.check(e)
+		if deg == nil && (cap(g.adj[e.U]) == 0 || cap(g.adj[e.V]) == 0) {
+			deg = make([]int32, g.n)
+		}
+	}
+	if deg == nil {
+		return
+	}
+	for _, e := range initial {
+		deg[e.U]++
+		deg[e.V]++
+	}
+	total := 0
+	for u, d := range deg {
+		if cap(g.adj[u]) < int(d) {
+			total += int(d)
+		}
+	}
+	slab := make([]Link, total)
+	for u, d := range deg {
+		if cap(g.adj[u]) < int(d) {
+			g.adj[u], slab = slab[:0:d], slab[d:]
 		}
 	}
 }

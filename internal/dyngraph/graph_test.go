@@ -1,9 +1,12 @@
 package dyngraph
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"gcs/internal/des"
 )
@@ -258,10 +261,67 @@ func TestExistsThroughoutMatchesForwardScan(t *testing.T) {
 // growing its own, so however many rounds run, only a few nodes hold a
 // hub-sized array, and a re-run after Reset allocates nothing. After every
 // round each node's links hold exactly its model neighbors, ascending,
-// each on the edge's open record.
+// each on the edge's open record. It runs from no edges and from the
+// first round's star as the initial edge set, whose hub array is carved
+// from the cold wiring's slab.
+// TestColdResetCarvesOneSlab pins the cold wiring's adjacency: every
+// node's array has exactly its initial degree of capacity and follows
+// the previous node's in one slab (a repeated initial edge only adds
+// room), a warm Reset to the same edges allocates nothing, and a Reset
+// to more nodes carves arrays for the new nodes only, leaving the old
+// ones where they were.
+func TestColdResetCarvesOneSlab(t *testing.T) {
+	initial := append(Ring(8), E(0, 1))
+	g := NewDynamic(8, initial)
+	deg := func(u int) int {
+		d := 0
+		for _, e := range initial {
+			if e.U == u || e.V == u {
+				d++
+			}
+		}
+		return d
+	}
+	at := func(u int) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(g.adj[u]))) }
+	for u := 0; u < 8; u++ {
+		if cap(g.adj[u]) != deg(u) {
+			t.Fatalf("node %d: capacity %d, initial degree %d", u, cap(g.adj[u]), deg(u))
+		}
+		if u > 0 && at(u) != at(u-1)+uintptr(cap(g.adj[u-1]))*unsafe.Sizeof(Link{}) {
+			t.Fatalf("node %d's array does not follow node %d's in one slab", u, u-1)
+		}
+		want := []int{(u + 7) % 8, (u + 1) % 8}
+		slices.Sort(want)
+		if got := g.AppendNeighbors(u, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("node %d: neighbors %v, want %v", u, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, func() { g.Reset(8, initial) }); allocs != 0 {
+		t.Fatalf("a warm Reset allocated %v objects", allocs)
+	}
+	old := at(3)
+	g.Reset(12, Ring(12))
+	if at(3) != old {
+		t.Fatal("a Reset to more nodes moved an existing node's array")
+	}
+	for u := 8; u < 12; u++ {
+		if cap(g.adj[u]) != 2 || len(g.adj[u]) != 2 {
+			t.Fatalf("new node %d: %d links in capacity %d, want 2 in 2", u, len(g.adj[u]), cap(g.adj[u]))
+		}
+	}
+}
+
 func TestHubCapacityHandedOver(t *testing.T) {
+	for _, initial := range [][]Edge{nil, Star(40)} {
+		t.Run(fmt.Sprintf("initial=%d", len(initial)), func(t *testing.T) {
+			testHubHandOver(t, initial)
+		})
+	}
+}
+
+func testHubHandOver(t *testing.T, initial []Edge) {
 	const n, rounds = 40, 30
-	g := NewDynamic(n, nil)
+	g := NewDynamic(n, initial)
 	var model [n][n]bool
 	now := 0.0
 	check := func(r int) {
@@ -292,8 +352,11 @@ func TestHubCapacityHandedOver(t *testing.T) {
 		}
 	}
 	run := func(check func(int)) {
-		g.Reset(n, nil)
+		g.Reset(n, initial)
 		model, now = [n][n]bool{}, 0
+		for _, e := range initial {
+			model[e.U][e.V], model[e.V][e.U] = true, true
+		}
 		for r := 0; r < rounds; r++ {
 			now++
 			hub := r % n

@@ -107,7 +107,7 @@ type host struct {
 // Stop or re-arm raced still queues the clock's Fire, which ignores it.
 func (h *host) Now() float64 { return h.r.simNow() }
 
-func (h *host) Arm(at float64, _ string) { h.arm(&h.clockT, max(0, at-h.Now()), h.clk.Fire) }
+func (h *host) Arm(at float64, _ des.Label) { h.arm(&h.clockT, max(0, at-h.Now()), h.clk.Fire) }
 
 func (h *host) Disarm() { stopTimer(h.clockT) }
 

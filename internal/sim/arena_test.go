@@ -143,19 +143,20 @@ func TestArenaSecondRunZeroAlloc(t *testing.T) {
 		cells := allocSweepCells()
 		// A fresh arena per call, rewired across the cells' shapes. Its
 		// engine's events share one slab, not one allocation each.
-		checkAllocs(t, 265, func() { RunSweep(cells, 1) })
+		checkAllocs(t, 205, func() { RunSweep(cells, 1) })
 	})
 }
 
 // TestColdWiringAllocsPerNode pins what wiring a fresh 1024-node ring
-// allocates per node. The node and clock slabs are one allocation each
-// and the clocks' timers live inside them, so what remains per node is
-// its node's two timer callbacks and its graph adjacency. A per-clock
-// closure or timer object would add at least one. The ceiling is the
-// measured 4.055 (linux/amd64, go1.24): 4 per node plus the wiring's
-// fixed cost.
+// allocates per node. The node and clock slabs are one allocation each,
+// the clocks' timers live inside them and the graph carves every
+// adjacency from one slab, so what remains per node is its node's two
+// timer callbacks. A per-clock closure or timer object, or adjacency
+// grown link by link (about 1.5 per node), would add at least one. The
+// ceiling is the measured 2.052 (linux/amd64, go1.24) plus 2%: 2 per
+// node plus the wiring's fixed cost.
 func TestColdWiringAllocsPerNode(t *testing.T) {
-	const n, ceiling = 1024, 4.06
+	const n, ceiling = 1024, 2.09
 	cfg := Config{
 		N: n, Seed: 3, Horizon: 1, Rho: 0.01, MaxDelay: 0.01,
 		Topology: TopologySpec{Kind: TopoRing},

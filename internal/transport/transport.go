@@ -149,12 +149,10 @@ type Network struct {
 	faults *fault.Messages
 
 	// lanes holds one lane per engine; laneOf maps node -> lane and is nil
-	// on a one-lane network. label tags every delivery event. On a
-	// windowed (NewSharded) network, sends append to outbox generation
-	// cur and Merge drains the other.
+	// on a one-lane network. On a windowed (NewSharded) network, sends
+	// append to outbox generation cur and Merge drains the other.
 	lanes    []*lane
 	laneOf   []int32
-	label    string
 	windowed bool
 	cur      int
 }
@@ -166,6 +164,8 @@ type lane struct {
 	net *Network
 	idx int
 	en  *des.Engine
+	// lbl tags every delivery event, interned once on en.
+	lbl des.Label
 	// flights is the arena of in-flight messages, addressed by index so
 	// recycling one costs nothing; free lists recycled indices.
 	flights []Message
@@ -208,7 +208,6 @@ func newNetwork(engines []*des.Engine, g *dyngraph.Dynamic, delay DelayFn, maxDe
 		g:        g,
 		handlers: make([]Handler, g.N()),
 		lanes:    make([]*lane, len(engines)),
-		label:    label,
 		windowed: windowed,
 	}
 	if len(engines) > 1 {
@@ -220,7 +219,7 @@ func newNetwork(engines []*des.Engine, g *dyngraph.Dynamic, delay DelayFn, maxDe
 		n.laneOf = laneOf
 	}
 	for i, en := range engines {
-		l := &lane{net: n, idx: i, en: en}
+		l := &lane{net: n, idx: i, en: en, lbl: en.Label(label)}
 		l.deliverFn = func(arg uint64) { l.deliver(uint32(arg)) }
 		if windowed {
 			l.out = [2][][]Message{make([][]Message, len(engines)), make([][]Message, len(engines))}
@@ -381,7 +380,7 @@ func (l *lane) sendOne(from, to int, rec int32, value float64, spikedDelay float
 		l.free = append(l.free, fi)
 		return
 	}
-	l.en.ScheduleArg(msg.DeliverAt, n.label, l.deliverFn, uint64(fi))
+	l.en.ScheduleLabel(msg.DeliverAt, l.lbl, l.deliverFn, uint64(fi))
 }
 
 // Broadcast sends value from u to every current neighbor, in ascending
@@ -456,7 +455,7 @@ func (n *Network) Merge(dst int) {
 		}
 		fi := d.allocFlight()
 		d.flights[fi] = in[i]
-		d.en.ScheduleArg(in[i].DeliverAt, n.label, d.deliverFn, uint64(fi))
+		d.en.ScheduleLabel(in[i].DeliverAt, d.lbl, d.deliverFn, uint64(fi))
 	}
 	d.out[gen][dst] = in[:0]
 }
