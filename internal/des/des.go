@@ -12,22 +12,26 @@
 // exact and introduces no discretization error.
 //
 // The event queue is a monotone radix heap (Ahuja, Mehlhorn, Orlin and
-// Tarjan, JACM 1990). Simulated time never goes backwards, and the
-// IEEE-754 bits of a nonnegative float64 order as the number does, so an
-// event's key is the bit pattern of its time. Bucket b holds the events
-// whose key first differs from the last popped minimum at bit b-1;
-// bucket 0 holds the events at exactly that minimum. Scheduling appends
-// to one bucket, and a pop with bucket 0 empty redistributes the lowest
-// non-empty bucket around its least key. Each bucket is a doubly linked
-// list in scheduling order, threaded through one slab of events, so
-// bucket 0 fires in (t, seq) order with no comparisons and a cancel
-// unlinks its event at once.
+// Tarjan, JACM 1990) with hexadecimal digits. Simulated time never goes
+// backwards, and the IEEE-754 bits of a nonnegative float64 order as the
+// number does, so an event's key is the bit pattern of its time. A key
+// lives in bucket p<<4 | d, where p is the highest hex digit in which it
+// differs from the last popped minimum and d is its digit there; bucket
+// 0 holds the keys equal to that minimum. A pop with bucket 0 empty
+// moves the lowest non-empty bucket's keys down around its least key,
+// each key about five times in its life (eight with one-bit digits).
+// Each bucket is a doubly linked list in scheduling order that keeps its
+// least key, so bucket 0 fires in (t, seq) order with no comparisons, a
+// cancel unlinks its event at once, and only a cancel of a bucket's
+// least key sends a later peek down its list.
 //
-// An event's slot is 40 bytes: the queue half (time, argument,
-// generation, bucket links and a 2-byte label id) and one ArgHandler
-// word. Each engine interns its trace labels once into a table
-// (Engine.Label), so a slot names its label by id; the plain Handler of
-// the rare Schedule waits in a small per-engine box table instead of
+// An event's slot is 40 bytes in two halves: the queue's (time and
+// bucket links, 16 bytes) in one array, four to a cache line, and the
+// cold one that scheduling, firing and cancelling touch, a payload
+// (argument, generation and a 2-byte label id, 16 bytes) in a parallel
+// array and one ArgHandler word in fixed-size chunks. Each engine
+// interns its trace labels once (Engine.Label); the plain Handler of the
+// rare Schedule waits in a small per-engine box table instead of
 // widening every slot.
 //
 // The kernel is allocation-free in steady state: fired and cancelled
@@ -74,19 +78,23 @@ const maxLabels = 1 << 16
 type TraceFn func(t Time, label string)
 
 // Event is the queue's half of one slot of an engine's event slab: the
-// time, argument, bucket links and label id, and no pointers, so the
-// slab grows by a plain copy and the collector never scans it. The
-// callback is the slot's call. Slots are owned by the engine and
-// recycled after their event fires or is cancelled; user code only ever
-// holds EventRef handles.
+// time and the bucket links, 16 bytes and no pointers, so a bucket walk
+// loads four slots per cache line and the collector never scans it.
+// Slots are owned by the engine and recycled after their event fires or
+// is cancelled; user code only ever holds EventRef handles.
 type Event struct {
-	t   Time
-	arg uint64
-	gen uint32
+	t Time
 	// next and prev link the slot into its bucket (next alone links a
 	// free slot into the free list); 0 ends a list.
 	next, prev int32
-	lbl        Label
+}
+
+// payload is a slot's cold half but the call: the argument, the
+// generation EventRefs are checked against, and the label id.
+type payload struct {
+	arg uint64
+	gen uint32
+	lbl Label
 }
 
 // EventRef is a generation-checked handle to a scheduled event: its slot
@@ -99,18 +107,40 @@ type EventRef struct {
 	gen  uint32
 }
 
+// nBuckets is the bucket count: 16 hex digit positions of 16 digits.
+const nBuckets = 256
+
+// bucket is one bucket of the radix heap: the ends of its list and its
+// least key. min is exact unless the bucket's stale bit is set, when it
+// is only a lower bound (the cancelled least key).
+type bucket struct {
+	head, tail int32
+	min        uint64
+}
+
 // Engine is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use.
 type Engine struct {
 	now Time
-	// slab holds the queue half of every event slot and calls the
-	// callback half, in fixed-size chunks, so growing either copies no
-	// pointers. Slot 0 is never used, so a zero link or EventRef means
-	// none.
+	// slab holds the queue half of every event slot, pay its payload and
+	// calls its callback in fixed-size chunks, so growing any of them
+	// copies no pointers. Slot 0 is never used, so a zero link or
+	// EventRef means none.
 	slab  []Event
+	pay   []payload
 	calls []*callChunk
 	free  int32 // head of the free-slot list
 	live  int   // queued events
+	// last is the key of the most recently popped minimum, at most every
+	// queued key; peeking never moves it. Bit b of used is set when
+	// bucket b is non-empty, and of stale when its min was cancelled.
+	last        uint64
+	used, stale [nBuckets / 64]uint64
+	// executed counts events that have fired (not cancelled ones).
+	executed uint64
+	// trace, when non-nil, observes every fired event.
+	trace TraceFn
+	bk    [nBuckets]bucket
 	// labels is the label table, indexed by Label. boxes holds the plain
 	// Handlers of pending Schedule events: a slot whose call is nil runs
 	// boxes[arg].fn. Box 0 is never used, and boxFree heads the list of
@@ -121,40 +151,26 @@ type Engine struct {
 	boxFree   int32
 	lblInline [16]string
 	boxInline [2]box
-	// last is the key of the most recently popped minimum: every queued
-	// key is at least last. min caches the least queued key while minOK;
-	// peeking fills it without moving last, so a later Schedule before
-	// the head stays legal.
-	last, min  uint64
-	minOK      bool
-	used       uint64 // bit b set when bucket b is non-empty
-	head, tail [64]int32
-	// executed counts events that have fired (not cancelled ones).
-	executed uint64
-	// trace, when non-nil, observes every fired event.
-	trace TraceFn
 	// A ParallelEngine allocates its shard engines back to back and runs
 	// them concurrently; the trailing line of padding keeps one shard's
 	// hot fields off the cache lines of the next.
 	_ [64]byte
 }
 
+// initSlots is an engine's first slot capacity, so a small simulation
+// never grows its slab and payload arrays and a large one skips their
+// eight smallest growths.
+const initSlots = 256
+
 // NewEngine returns an engine positioned at time 0 with an empty queue.
 func NewEngine() *Engine {
-	en := &Engine{slab: make([]Event, 1)}
+	en := &Engine{slab: make([]Event, 1, initSlots), pay: make([]payload, 1, initSlots)}
 	en.labels = append(en.lblInline[:0], "")
 	en.boxes = en.boxInline[:1]
 	return en
 }
 
-// box is one entry of the box table: a pending Schedule event's Handler,
-// or, free, the next free box.
-type box struct {
-	fn   Handler
-	next int32
-}
-
-// callBits sizes a chunk of calls, the callback half of the event slots:
+// callBits sizes a chunk of calls, the callback part of the event slots:
 // 4096 of them, 32 KiB, an allocation large enough to carry no
 // per-object header, so a chunk wastes nothing.
 const callBits = 12
@@ -163,6 +179,13 @@ type callChunk [1 << callBits]ArgHandler
 
 // call returns slot s's call.
 func (en *Engine) call(s int32) *ArgHandler { return &en.calls[s>>callBits][s&(1<<callBits-1)] }
+
+// box is one entry of the box table: a pending Schedule event's Handler,
+// or, free, the next free box.
+type box struct {
+	fn   Handler
+	next int32
+}
 
 // Label returns name's id in en's label table, interning it on first
 // use. Ids are per engine and survive Reset. Interning scans the table,
@@ -192,16 +215,18 @@ func (en *Engine) Now() Time { return en.now }
 // go stale (Cancel on them stays a harmless no-op); the executed counter
 // restarts; an installed trace hook and the label table are kept.
 func (en *Engine) Reset() {
-	for used := en.used; used != 0; used &= used - 1 {
-		for s := en.head[bits.TrailingZeros64(used)]; s != 0; {
-			e := &en.slab[s]
-			next := e.next
-			en.release(s, e)
-			s = next
+	for w, used := range en.used {
+		for ; used != 0; used &= used - 1 {
+			for s := en.bk[w<<6|bits.TrailingZeros64(used)].head; s != 0; {
+				next := en.slab[s].next
+				en.release(s)
+				s = next
+			}
 		}
 	}
-	en.head, en.tail = [64]int32{}, [64]int32{}
-	en.used, en.last, en.minOK, en.live = 0, 0, false, 0
+	en.bk = [nBuckets]bucket{}
+	en.used, en.stale = [nBuckets / 64]uint64{}, [nBuckets / 64]uint64{}
+	en.last, en.live = 0, 0
 	en.now = 0
 	en.executed = 0
 }
@@ -228,7 +253,7 @@ func (en *Engine) Pending() int { return en.live }
 //gcslint:zeroalloc
 func (en *Engine) Schedule(t Time, label string, fn Handler) EventRef {
 	r := en.schedule(t, en.Label(label), nil, 0)
-	en.slab[r.slot].arg = en.box(fn)
+	en.pay[r.slot].arg = en.box(fn)
 	return r
 }
 
@@ -270,22 +295,19 @@ func (en *Engine) schedule(t Time, lbl Label, fn ArgHandler, arg uint64) EventRe
 	} else {
 		s = int32(len(en.slab))
 		en.slab = append(en.slab, Event{})
+		en.pay = append(en.pay, payload{})
 		if int(s) >= len(en.calls)<<callBits {
 			en.calls = append(en.calls, new(callChunk))
 		}
 	}
+	*en.call(s) = fn
+	p := &en.pay[s]
+	p.arg, p.lbl = arg, lbl
 	e := &en.slab[s]
 	e.t = t
-	e.arg = arg
-	e.lbl = lbl
-	*en.call(s) = fn
-	key := math.Float64bits(t)
-	if en.live == 0 || en.minOK && key < en.min {
-		en.min, en.minOK = key, true
-	}
 	en.live++
-	en.link(s, e, en.bucket(key))
-	return EventRef{slot: s, gen: e.gen}
+	en.link(s, e, math.Float64bits(t))
+	return EventRef{slot: s, gen: p.gen}
 }
 
 // ScheduleAfter registers fn to run d seconds of simulated time from now.
@@ -306,17 +328,12 @@ func (en *Engine) Cancel(r EventRef) {
 	if r.slot == 0 {
 		return
 	}
-	e := &en.slab[r.slot]
-	if e.gen != r.gen {
+	if en.pay[r.slot].gen != r.gen {
 		return
 	}
-	key := math.Float64bits(e.t)
-	en.unlink(e, en.bucket(key))
+	en.unlink(&en.slab[r.slot])
 	en.live--
-	if key == en.min && en.used&1 == 0 {
-		en.minOK = false
-	}
-	en.release(r.slot, e)
+	en.release(r.slot)
 }
 
 // box parks fn in a free box and returns the box's index.
@@ -334,37 +351,38 @@ func (en *Engine) box(fn Handler) uint64 {
 	return uint64(i)
 }
 
-// release invalidates outstanding refs to e, slot s's event, and
-// returns the slot, and its box if it has one, to their free lists.
+// release invalidates outstanding refs to slot s's event and returns
+// the slot, and its box if it has one, to their free lists.
 //
 //gcslint:zeroalloc
-func (en *Engine) release(s int32, e *Event) {
-	e.gen++
-	c := en.call(s)
+func (en *Engine) release(s int32) {
+	p, c := &en.pay[s], en.call(s)
+	p.gen++
 	if *c == nil {
-		en.boxes[e.arg] = box{next: en.boxFree}
-		en.boxFree = int32(e.arg)
+		en.boxes[p.arg] = box{next: en.boxFree}
+		en.boxFree = int32(p.arg)
 	}
 	*c = nil
-	e.next = en.free
+	en.slab[s].next = en.free
 	en.free = s
 }
 
-// fire advances time to e, slot s's event, frees the slot, and runs
-// the callback. The slot is released before the callback so the
-// callback may schedule new events that reuse it; outstanding refs are
-// already stale by then.
+// fire advances time to slot s's event, frees the slot, and runs the
+// callback. The slot is released before the callback so the callback
+// may schedule new events that reuse it; outstanding refs are already
+// stale by then.
 //
 //gcslint:zeroalloc
-func (en *Engine) fire(s int32, e *Event) {
-	en.now = e.t
+func (en *Engine) fire(s int32) {
+	en.now = en.slab[s].t
 	en.executed++
-	fn, arg, lbl := *en.call(s), e.arg, e.lbl
+	p := &en.pay[s]
+	fn, arg, lbl := *en.call(s), p.arg, p.lbl
 	var boxed Handler
 	if fn == nil {
 		boxed = en.boxes[arg].fn
 	}
-	en.release(s, e)
+	en.release(s)
 	if en.trace != nil {
 		en.trace(en.now, en.labels[lbl])
 	}
@@ -446,103 +464,127 @@ func (en *Engine) NextEventTime() (Time, bool) {
 	return en.headTime(), true
 }
 
-// ---- monotone radix heap keyed on the bits of t ----
+// ---- monotone radix heap on the hex digits of t's bits ----
 
-// bucket returns the bucket of a key at least last.
-func (en *Engine) bucket(key uint64) int { return bits.Len64(key ^ en.last) }
-
-// headTime returns the least queued time of a non-empty queue, filling
-// the min cache if needed. It never moves last.
-func (en *Engine) headTime() Time {
-	if !en.minOK {
-		en.scanMin()
+// bucketOf returns the bucket of a key at least last: 0 for last
+// itself, else p<<4 | d for the highest hex digit p in which the key
+// differs from last and the key's digit d there (d > 0, as the key is
+// the larger). A larger key never lands in a lower bucket.
+func (en *Engine) bucketOf(key uint64) int {
+	x := key ^ en.last
+	if x == 0 {
+		return 0
 	}
-	return math.Float64frombits(en.min)
+	sh := (bits.Len64(x) - 1) &^ 3 // the lowest bit of digit p
+	return sh<<2 | int(key>>sh&15)
 }
 
-// scanMin fills the min cache from the lowest non-empty bucket, which
+// lowest returns the lowest non-empty bucket of a non-empty queue, which
 // holds every key below the other buckets' keys.
-func (en *Engine) scanMin() {
-	en.min = math.MaxUint64
-	for s := en.head[bits.TrailingZeros64(en.used)]; s != 0; {
-		e := &en.slab[s]
-		en.min = min(en.min, math.Float64bits(e.t))
-		s = e.next
+func (en *Engine) lowest() int {
+	w := 0
+	for en.used[w] == 0 {
+		w++
 	}
-	en.minOK = true
+	return w<<6 | bits.TrailingZeros64(en.used[w])
 }
 
-// pop unlinks and returns the head of a non-empty queue: the first event
-// of bucket 0, refilled if empty.
-func (en *Engine) pop() (int32, *Event) {
-	if en.used&1 == 0 {
+// headKey returns the lowest non-empty bucket and its least key, the
+// queue's, walking the bucket's list only when a cancel took its least
+// key. It never moves last.
+func (en *Engine) headKey() (int, uint64) {
+	b := en.lowest()
+	k := &en.bk[b]
+	if w, m := b>>6, uint64(1)<<(b&63); en.stale[w]&m != 0 {
+		k.min = math.MaxUint64
+		for s := k.head; s != 0; s = en.slab[s].next {
+			k.min = min(k.min, math.Float64bits(en.slab[s].t))
+		}
+		en.stale[w] &^= m
+	}
+	return b, k.min
+}
+
+// headTime returns the least queued time of a non-empty queue.
+func (en *Engine) headTime() Time {
+	_, key := en.headKey()
+	return math.Float64frombits(key)
+}
+
+// pop unlinks and returns the slot at the head of a non-empty queue: the
+// first event of bucket 0, refilled if empty.
+func (en *Engine) pop() int32 {
+	if en.used[0]&1 == 0 {
 		en.refill()
 	}
-	s := en.head[0]
-	e := &en.slab[s]
-	next := e.next
-	en.head[0] = next
-	if next != 0 {
-		en.slab[next].prev = 0
-	} else {
-		en.tail[0] = 0
-		en.used &^= 1
-		en.minOK = false
-	}
+	s := en.bk[0].head
+	en.unlink(&en.slab[s])
 	en.live--
-	return s, e
+	return s
 }
 
 // refill moves last up to the least key and redistributes the lowest
 // non-empty bucket, whose keys all land in lower buckets, the least in
-// bucket 0. The lower buckets are empty, so each keeps the scheduling
-// order of the list it came from.
+// bucket 0; every other bucket's keys keep their bucket, since last
+// moved only in digits below theirs. The lower buckets are empty, so
+// each keeps the scheduling order of the list it came from.
 //
 //gcslint:zeroalloc
 func (en *Engine) refill() {
-	if !en.minOK {
-		en.scanMin()
-	}
-	en.last = en.min
-	b := bits.TrailingZeros64(en.used)
-	s := en.head[b]
-	en.head[b], en.tail[b] = 0, 0
-	en.used &^= 1 << b
+	b, key := en.headKey()
+	en.last = key
+	s := en.bk[b].head
+	en.bk[b] = bucket{}
+	en.used[b>>6] &^= 1 << (b & 63)
 	for s != 0 {
 		e := &en.slab[s]
 		next := e.next
-		en.link(s, e, en.bucket(math.Float64bits(e.t)))
+		en.link(s, e, math.Float64bits(e.t))
 		s = next
 	}
 }
 
-// link appends e, slot s's event, to the tail of bucket b.
+// link appends e, slot s's event, with key key, to the tail of its
+// bucket and keeps the bucket's least key.
 //
 //gcslint:zeroalloc
-func (en *Engine) link(s int32, e *Event, b int) {
-	e.next, e.prev = 0, en.tail[b]
+func (en *Engine) link(s int32, e *Event, key uint64) {
+	b := en.bucketOf(key)
+	k := &en.bk[b]
+	e.next, e.prev = 0, k.tail
 	if e.prev != 0 {
 		en.slab[e.prev].next = s
+		k.min = min(k.min, key)
 	} else {
-		en.head[b] = s
-		en.used |= 1 << b
+		k.head, k.min = s, key
+		en.used[b>>6] |= 1 << (b & 63)
 	}
-	en.tail[b] = s
+	k.tail = s
 }
 
-// unlink removes e from bucket b.
-func (en *Engine) unlink(e *Event, b int) {
+// unlink removes e from its bucket. Removing the least key of a bucket
+// other than 0 (whose keys all equal last) leaves min a lower bound,
+// marked stale for the next headKey.
+func (en *Engine) unlink(e *Event) {
+	key := math.Float64bits(e.t)
+	b := en.bucketOf(key)
+	k := &en.bk[b]
 	if e.prev != 0 {
 		en.slab[e.prev].next = e.next
 	} else {
-		en.head[b] = e.next
+		k.head = e.next
 	}
 	if e.next != 0 {
 		en.slab[e.next].prev = e.prev
 	} else {
-		en.tail[b] = e.prev
+		k.tail = e.prev
 	}
-	if en.head[b] == 0 {
-		en.used &^= 1 << b
+	w, m := b>>6, uint64(1)<<(b&63)
+	switch {
+	case k.head == 0:
+		en.used[w] &^= m
+		en.stale[w] &^= m
+	case key == k.min && b != 0:
+		en.stale[w] |= m
 	}
 }

@@ -13,7 +13,7 @@ import (
 // Pending reports whether the referenced event is still scheduled on en
 // (not yet fired or cancelled): its slot still carries the ref's
 // generation.
-func (r EventRef) Pending(en *Engine) bool { return r.slot != 0 && en.slab[r.slot].gen == r.gen }
+func (r EventRef) Pending(en *Engine) bool { return r.slot != 0 && en.pay[r.slot].gen == r.gen }
 
 func TestScheduleAndRunOrder(t *testing.T) {
 	en := NewEngine()
@@ -580,10 +580,13 @@ func TestLabelOverflowPanics(t *testing.T) {
 	en.Label("one too many")
 }
 
-// TestSlotSizes pins the slot layout: the queue half and the call word
-// of one event slot are 40 bytes together.
+// TestSlotSizes pins the slot layout: the queue half a bucket walk loads
+// is 16 bytes, and with the cold half one event slot is at most 40.
 func TestSlotSizes(t *testing.T) {
-	if got := unsafe.Sizeof(Event{}) + unsafe.Sizeof(ArgHandler(nil)); got > 40 {
+	if got := unsafe.Sizeof(Event{}); got != 16 {
+		t.Fatalf("the queue half of a slot is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(Event{}) + unsafe.Sizeof(payload{}) + unsafe.Sizeof(ArgHandler(nil)); got > 40 {
 		t.Fatalf("an event slot is %d bytes, want at most 40", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -224,18 +225,39 @@ func (h *queueHarness) check(op int, what string) {
 	}
 }
 
+// wideTime returns a time at least now whose key differs from now's at
+// any hex level, chosen by arg: arg&3 picks a subnormal offset, a
+// magnitude from 1e-300 to 1e300, an exact tie with a queued time, or a
+// key up to 63 units in the last place above now's.
+func (h *queueHarness) wideTime(now Time, arg int) Time {
+	v := arg >> 2 // 0..63
+	switch arg & 3 {
+	case 0:
+		return now + math.Float64frombits(uint64(v+1)<<(v%46))
+	case 1:
+		return now + math.Pow(10, float64(v*600/63-300))
+	case 2:
+		if len(h.ids) > 0 {
+			return h.en.slab[h.live[h.ids[v%len(h.ids)]].slot].t
+		}
+		return now
+	default: // capped at +Inf, whose key is the largest
+		return math.Float64frombits(min(math.Float64bits(now)+uint64(v), math.Float64bits(math.Inf(1))))
+	}
+}
+
 // runQueueOps decodes data into queue operations, two bytes each (an
 // opcode and an argument), and applies them to the engine and the
-// oracle, checking after every one. The opcode is code%14; a schedule
-// takes path code/14%3 (see queueHarness.schedule).
+// oracle, checking after every one. The opcode is code%15; a schedule
+// takes path code/15%3 (see queueHarness.schedule).
 func runQueueOps(t testing.TB, data []byte) {
 	h := newQueueHarness(t)
 	for op := 0; 2*op+1 < len(data); op++ {
 		code, arg := data[2*op], int(data[2*op+1])
-		now, path := h.ref.now, int(code/14)
+		now, path := h.ref.now, int(code/15)
 		schedule := func(at Time) { h.schedule(op, at, path) }
 		var what string
-		switch code % 14 {
+		switch code % 15 {
 		case 0, 1, 2: // schedule on a coarse grid: plenty of exact ties
 			what = "schedule"
 			schedule(now + Time(arg%8))
@@ -331,7 +353,7 @@ func runQueueOps(t testing.TB, data []byte) {
 				h.en.AdvanceTo(head)
 				h.ref.now = max(now, head)
 			default:
-				past := head + 1
+				past := math.Nextafter(head, math.Inf(1))
 				func() {
 					defer func() {
 						if recover() == nil {
@@ -356,6 +378,9 @@ func runQueueOps(t testing.TB, data []byte) {
 			clear(h.live)
 			h.ids = h.ids[:0]
 			h.ref = newRefQueue()
+		case 14: // a time at any hex level: subnormal to 1e300, or a tie
+			what = "schedule wide"
+			schedule(h.wideTime(now, arg))
 		}
 		h.check(op, what)
 	}
@@ -404,6 +429,98 @@ func FuzzQueueOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runQueueOps(t, data)
 	})
+}
+
+// TestBucketOrder checks the radix heap's three invariants on random
+// keys at every hex level above a random last: a larger key never lands
+// in a lower bucket, only last itself lands in bucket 0 and no other key
+// in a bucket of digit 0, and moving last up to the least key of the
+// lowest bucket (a refill) moves that bucket's keys strictly lower and
+// leaves every other bucket's keys where they were.
+func TestBucketOrder(t *testing.T) {
+	r, en := NewRand(7), NewEngine()
+	keys := make([]uint64, 48)
+	for trial := 0; trial < 4000; trial++ {
+		last := r.Uint64() >> (1 + r.Intn(64)) // a nonnegative float's bits
+		en.last = last
+		for i := range keys {
+			keys[i] = last + r.Uint64()>>(1+r.Intn(64))
+			if i > 0 && r.Intn(4) == 0 {
+				keys[i] = keys[r.Intn(i)] // an exact tie
+			}
+		}
+		slices.Sort(keys)
+		low, least := nBuckets, uint64(0)
+		for i, k := range keys {
+			b := en.bucketOf(k)
+			if i > 0 && b < en.bucketOf(keys[i-1]) {
+				t.Fatalf("last %#x: key %#x in bucket %d below key %#x in %d", last, k, b, keys[i-1], en.bucketOf(keys[i-1]))
+			}
+			if (b == 0) != (k == last) || b != 0 && b&15 == 0 {
+				t.Fatalf("last %#x: key %#x in bucket %d", last, k, b)
+			}
+			if b < low {
+				low, least = b, k
+			}
+		}
+		before := make([]int, len(keys))
+		for i, k := range keys {
+			before[i] = en.bucketOf(k)
+		}
+		en.last = least
+		for i, k := range keys {
+			switch b := en.bucketOf(k); {
+			case before[i] == low && b >= low && low != 0:
+				t.Fatalf("refill to %#x: key %#x stayed in bucket %d", least, k, b)
+			case before[i] != low && b != before[i]:
+				t.Fatalf("refill to %#x: key %#x moved from bucket %d to %d", least, k, before[i], b)
+			}
+		}
+	}
+}
+
+// TestCancelBucketMinimum drives the stale-minimum path: cancelling the
+// least key of the lowest non-empty bucket marks the bucket stale, and
+// the next peek walks it for the true minimum instead of reporting the
+// cancelled one.
+func TestCancelBucketMinimum(t *testing.T) {
+	en := NewEngine()
+	var fired []Time
+	rec := func(uint64) { fired = append(fired, en.Now()) }
+	en.ScheduleArg(1, "last", rec, 0)
+	en.Step() // last is now 1's key, and bucket 0 is empty
+	at := []Time{1.5 + 2e-6, 1.5, 1.5 + 1e-6, 3}
+	refs := make([]EventRef, len(at))
+	for i, x := range at {
+		refs[i] = en.ScheduleArg(x, "q", rec, 0)
+	}
+	b := en.bucketOf(math.Float64bits(1.5))
+	for _, x := range at[:3] {
+		if got := en.bucketOf(math.Float64bits(x)); got != b || b == 0 {
+			t.Fatalf("%v in bucket %d, want the shared nonzero bucket %d", x, got, b)
+		}
+	}
+	if head, _ := en.NextEventTime(); head != 1.5 {
+		t.Fatalf("head %v, want 1.5", head)
+	}
+	en.Cancel(refs[1])
+	if en.stale[b>>6]&(1<<(b&63)) == 0 {
+		t.Fatalf("cancelling bucket %d's least key left it fresh", b)
+	}
+	if head, _ := en.NextEventTime(); head != 1.5+1e-6 {
+		t.Fatalf("head %v after cancelling 1.5, want %v", head, 1.5+1e-6)
+	}
+	if en.stale[b>>6]&(1<<(b&63)) != 0 || en.bk[b].min != math.Float64bits(1.5+1e-6) {
+		t.Fatalf("the peek left bucket %d stale or its min at %v", b, math.Float64frombits(en.bk[b].min))
+	}
+	en.Cancel(refs[0]) // not the least: the bucket stays fresh
+	if en.stale[b>>6]&(1<<(b&63)) != 0 {
+		t.Fatalf("cancelling a key above bucket %d's least marked it stale", b)
+	}
+	en.Run(10)
+	if want := []Time{1, 1.5 + 1e-6, 3}; !slices.Equal(fired, want) {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
 }
 
 // TestHeapRefStalenessAcrossRecycle pins the generation check: a ref to

@@ -107,7 +107,7 @@ func NewDynamic(n int, initial []Edge) *Dynamic {
 // for the discarded or the new initial edges, matching NewDynamic. The
 // topology-change epoch is bumped (not rewound) so cached consumers
 // like DistanceMatrix revalidate. A node with no array yet gets one
-// carved from a slab sized by the initial degrees (carve).
+// carved from a slab sized by the initial degrees (Reserve).
 func (g *Dynamic) Reset(n int, initial []Edge) {
 	if n < 1 {
 		panic("dyngraph: need at least one node")
@@ -123,7 +123,7 @@ func (g *Dynamic) Reset(n int, initial []Edge) {
 	g.n, g.recs, g.open = n, 0, g.open[:0]
 	g.lastT, g.adds, g.removes = 0, 0, 0
 	g.epoch++
-	g.carve(initial)
+	g.Reserve(initial)
 	for _, e := range initial {
 		if !g.Present(e) { // a repeat
 			g.link(e)
@@ -131,15 +131,18 @@ func (g *Dynamic) Reset(n int, initial []Edge) {
 	}
 }
 
-// carve checks the initial edges and, if an endpoint has no adjacency
-// array yet (a cold wiring), counts every node's initial degree and
-// gives each node whose array is too small for it an exact-capacity
-// array carved from one slab: a cold wiring allocates twice, not once
-// or more per node. A warm Reset whose arrays all exist allocates
-// nothing; one that needs more room grows it link by link.
-func (g *Dynamic) carve(initial []Edge) {
+// Reserve makes room for edges about to be linked: Reset's initial
+// edges, or a first star that arrives by Add so discovery fires across
+// it. It checks edges and, if an endpoint has no adjacency array yet (a
+// cold wiring), counts every node's degree in edges and gives each node
+// whose array has no room for its links and that degree an
+// exact-capacity array carved from one slab, its links copied over: a
+// cold wiring allocates twice, not once or more per node. A warm graph
+// whose arrays all exist allocates nothing; one that needs more room
+// grows it link by link. Reserve adds no edge and notifies no one.
+func (g *Dynamic) Reserve(edges []Edge) {
 	var deg []int32
-	for _, e := range initial {
+	for _, e := range edges {
 		g.check(e)
 		if deg == nil && (cap(g.adj[e.U]) == 0 || cap(g.adj[e.V]) == 0) {
 			deg = make([]int32, g.n)
@@ -148,20 +151,22 @@ func (g *Dynamic) carve(initial []Edge) {
 	if deg == nil {
 		return
 	}
-	for _, e := range initial {
+	for _, e := range edges {
 		deg[e.U]++
 		deg[e.V]++
 	}
 	total := 0
 	for u, d := range deg {
-		if cap(g.adj[u]) < int(d) {
-			total += int(d)
+		if need := len(g.adj[u]) + int(d); cap(g.adj[u]) < need {
+			total += need
 		}
 	}
 	slab := make([]Link, total)
 	for u, d := range deg {
-		if cap(g.adj[u]) < int(d) {
-			g.adj[u], slab = slab[:0:d], slab[d:]
+		if need := len(g.adj[u]) + int(d); cap(g.adj[u]) < need {
+			a := slab[:len(g.adj[u]):need]
+			copy(a, g.adj[u])
+			g.adj[u], slab = a, slab[need:]
 		}
 	}
 }

@@ -311,6 +311,51 @@ func TestColdResetCarvesOneSlab(t *testing.T) {
 	}
 }
 
+// TestReserveCarvesAStar pins Reserve: on a cold graph it gives a star's
+// hub and spokes exact-capacity arrays in one slab, keeping any link
+// already there, so the star's Adds allocate nothing; on a warm graph it
+// allocates nothing and moves no array.
+func TestReserveCarvesAStar(t *testing.T) {
+	const n = 9
+	g := NewDynamic(n, []Edge{E(1, 2)})
+	g.Reserve(Star(n))
+	for u := 0; u < n; u++ {
+		want := 1
+		switch u {
+		case 0:
+			want = n - 1
+		case 1, 2:
+			want = 2
+		}
+		if cap(g.adj[u]) != want {
+			t.Fatalf("node %d: capacity %d, want %d", u, cap(g.adj[u]), want)
+		}
+	}
+	if !g.Present(E(1, 2)) {
+		t.Fatal("Reserve dropped an existing link")
+	}
+	var at [n]*Link
+	for u := range at {
+		at[u] = unsafe.SliceData(g.adj[u])
+		if u > 0 && uintptr(unsafe.Pointer(at[u])) != uintptr(unsafe.Pointer(at[u-1]))+uintptr(cap(g.adj[u-1]))*unsafe.Sizeof(Link{}) {
+			t.Fatalf("node %d's array does not follow node %d's in one slab", u, u-1)
+		}
+	}
+	star := Star(n)
+	for _, e := range star {
+		g.Add(0, e)
+	}
+	for u := range at {
+		if unsafe.SliceData(g.adj[u]) != at[u] || len(g.adj[u]) != cap(g.adj[u]) {
+			t.Fatalf("node %d: the star's Adds regrew its array (%d links in %d)", u, len(g.adj[u]), cap(g.adj[u]))
+		}
+	}
+	hub := at[0]
+	if allocs := testing.AllocsPerRun(3, func() { g.Reserve(star) }); allocs != 0 || unsafe.SliceData(g.adj[0]) != hub {
+		t.Fatalf("a warm Reserve allocated %v objects or moved the hub's array", allocs)
+	}
+}
+
 func TestHubCapacityHandedOver(t *testing.T) {
 	for _, initial := range [][]Edge{nil, Star(40)} {
 		t.Run(fmt.Sprintf("initial=%d", len(initial)), func(t *testing.T) {

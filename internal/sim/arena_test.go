@@ -143,7 +143,7 @@ func TestArenaSecondRunZeroAlloc(t *testing.T) {
 		cells := allocSweepCells()
 		// A fresh arena per call, rewired across the cells' shapes. Its
 		// engine's events share one slab, not one allocation each.
-		checkAllocs(t, 205, func() { RunSweep(cells, 1) })
+		checkAllocs(t, 199, func() { RunSweep(cells, 1) })
 	})
 }
 
@@ -164,6 +164,30 @@ func TestColdWiringAllocsPerNode(t *testing.T) {
 	}
 	if per := testing.AllocsPerRun(3, func() { NewArena().Sim(cfg) }) / n; per > ceiling {
 		t.Errorf("cold wiring allocated %.3f objects per node, ceiling %v", per, ceiling)
+	}
+}
+
+// TestColdWiringRotatingStar pins what wiring a fresh 256-node rotating
+// star allocates, against a 256-node ring of the same shape. The star
+// has no initial edges: its first star arrives by Add at time 0, so
+// discovery beacons fire across it, but the graph reserves the star's
+// arrays from one slab first. Grown link by link, the hub's and the
+// spokes' arrays cost 262 more (829 against 567; the ring makes 555).
+// The ceiling is the measured count (linux/amd64, go1.24).
+func TestColdWiringRotatingStar(t *testing.T) {
+	const ceiling = 567
+	cfg := Config{
+		N: 256, Seed: 1, Horizon: 100, Rho: 0.01, MaxDelay: 0.01,
+		Churn:  ChurnSpec{Kind: ChurnRotatingStar, Period: 2, Overlap: 0.5},
+		Driver: DriverSpec{Kind: DriveRandomWalk, Interval: 1},
+	}
+	ring := cfg
+	ring.Churn, ring.Topology = ChurnSpec{}, TopologySpec{Kind: TopoRing}
+	star := testing.AllocsPerRun(3, func() { NewArena().Sim(cfg) })
+	base := testing.AllocsPerRun(3, func() { NewArena().Sim(ring) })
+	t.Logf("cold wiring: rotating star %v allocations, ring %v", star, base)
+	if star > ceiling {
+		t.Errorf("cold rotating-star wiring allocated %v objects, ceiling %v (ring: %v)", star, ceiling, base)
 	}
 }
 

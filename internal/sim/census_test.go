@@ -127,9 +127,11 @@ func census(s *Simulation) []censusRow {
 	add("sim.DriverState (with its des.Rand)", cap(s.drivers)*int(unsafe.Sizeof(DriverState{})))
 	add("sim per-node slices", (cap(s.allClocks)+cap(s.allNodes)+cap(s.vals))*ptr)
 
-	slab, calls := field(s.Engine, "slab"), field(s.Engine, "calls")
+	// A slot's queue half is in the slab, its payload in pay and its call
+	// in the chunks.
+	slab, pay, calls := field(s.Engine, "slab"), field(s.Engine, "pay"), field(s.Engine, "calls")
 	add("des event slab (queued and free slots)",
-		slab.Cap()*int(unsafe.Sizeof(des.Event{}))+
+		slab.Cap()*int(unsafe.Sizeof(des.Event{}))+pay.Cap()*int(pay.Type().Elem().Size())+
 			calls.Len()*int(calls.Type().Elem().Elem().Size())+calls.Cap()*ptr)
 
 	adj := field(s.Graph, "adj")

@@ -48,6 +48,8 @@ type ChurnState struct {
 	candKey candKey
 	streams []des.Rand
 	first   []ChurnEvent
+	// star is the first star's edge set, kept for the graph's Reserve.
+	star []dyngraph.Edge
 }
 
 // candKey is every input of the volatile candidate set.
@@ -85,6 +87,14 @@ func (c *ChurnState) Start(cfg *Config, root *des.Rand, backbone []dyngraph.Edge
 			c.first = append(c.first, ChurnEvent{c.streams[i].Exp(c.spec.Absence), "churn.add", uint64(i)<<1 | 1})
 		}
 	case ChurnRotatingStar:
+		// The first star arrives by Add, so discovery beacons fire across
+		// it; a cold graph first carves the arrays it fills.
+		if d, ok := g.(*dyngraph.Dynamic); ok {
+			if len(c.star) != c.n-1 {
+				c.star = dyngraph.Star(c.n)
+			}
+			d.Reserve(c.star)
+		}
 		c.addHub(0, 0, g)
 		c.first = append(c.first, ChurnEvent{c.spec.Period, "churn.star.rotate", 1})
 	}
