@@ -2,6 +2,7 @@ package dyngraph
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"gcs/internal/des"
@@ -167,9 +168,9 @@ func TestDistanceMatrixInvalidationAcrossEpochs(t *testing.T) {
 	}
 }
 
-// TestDistanceMatrixSteadyStateDoesNotAllocate pins both Update paths:
-// the epoch-check fast path and the full BFS recompute reuse the
-// matrix's buffers.
+// TestDistanceMatrixSteadyStateDoesNotAllocate pins both Update paths
+// and Fold: the epoch-check fast path, the full BFS recompute and the
+// fold (its sort included) reuse the matrix's buffers.
 func TestDistanceMatrixSteadyStateDoesNotAllocate(t *testing.T) {
 	n := 16
 	g := NewDynamic(n, Ring(n))
@@ -201,4 +202,36 @@ func TestDistanceMatrixSteadyStateDoesNotAllocate(t *testing.T) {
 	if extra := withUpdate - base; extra > 0 {
 		t.Errorf("BFS recompute allocated %v objects/op beyond graph bookkeeping", extra)
 	}
+	vals, buckets := make([]float64, n), make([]float64, n)
+	for i := range vals {
+		vals[i] = float64(i % 5)
+	}
+	vals[3] = math.NaN()
+	withFold := testing.AllocsPerRun(50, func() {
+		g.Add(g.lastT, e)
+		dm.Fold(g, vals, buckets)
+		g.Remove(g.lastT, e)
+		dm.Fold(g, vals, buckets)
+	})
+	if extra := withFold - base; extra > 0 {
+		t.Errorf("Fold allocated %v objects/op beyond graph bookkeeping", extra)
+	}
+}
+
+// scanPairs is the gradient checker's per-sample pass over a built
+// matrix, the oracle Fold is held to: every pair u < v at distance
+// d >= 1 raises maxByDist[d] to |vals[u] − vals[v]| where that is
+// larger. It returns the largest d it raised (0 for none).
+func scanPairs(dm *DistanceMatrix, vals, maxByDist []float64) (raised int) {
+	for u := range vals {
+		row, lu := dm.Row(u), vals[u]
+		for v := u + 1; v < len(vals); v++ {
+			if d := int(row[v]); d > 0 {
+				if diff := math.Abs(lu - vals[v]); diff > maxByDist[d] {
+					maxByDist[d], raised = diff, max(raised, d)
+				}
+			}
+		}
+	}
+	return raised
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -154,22 +155,33 @@ func TestCanonicalLowerBoundEpsOnlyWhenSet(t *testing.T) {
 // reports: one line, "<version> <sha256>".
 const versionManifest = "testdata/canonical_version"
 
-// goldenDigest is the SHA-256 over testdata/golden's files in name
-// order, each as its name, its length and its bytes.
+// goldenGlobs are the golden reports a version answers for, from this
+// package's directory: the scenario reports, and the gcsim CLI's stdout
+// and artifacts, one directory per row.
+var goldenGlobs = []string{"testdata/golden/*", "../../cmd/gcsim/testdata/*/*"}
+
+// goldenDigest is the SHA-256 over the golden files in path order, each
+// as its path from the module root, its length and its bytes.
 func goldenDigest(t *testing.T) string {
 	t.Helper()
-	names, err := filepath.Glob("testdata/golden/*")
-	if err != nil || len(names) == 0 {
-		t.Fatalf("no golden files (%v)", err)
+	var files [][2]string // path from the module root, path from here
+	for _, glob := range goldenGlobs {
+		names, err := filepath.Glob(glob)
+		if err != nil || len(names) == 0 {
+			t.Fatalf("no golden files at %s (%v)", glob, err)
+		}
+		for _, name := range names {
+			files = append(files, [2]string{filepath.ToSlash(filepath.Join("internal/sim", name)), name})
+		}
 	}
-	slices.Sort(names)
+	slices.SortFunc(files, func(a, b [2]string) int { return strings.Compare(a[0], b[0]) })
 	h := sha256.New()
-	for _, name := range names {
-		data, err := os.ReadFile(name)
+	for _, f := range files {
+		data, err := os.ReadFile(f[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(h, "%s %d\n", filepath.Base(name), len(data))
+		fmt.Fprintf(h, "%s %d\n", f[0], len(data))
 		h.Write(data)
 	}
 	return hex.EncodeToString(h.Sum(nil))

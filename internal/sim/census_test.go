@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"unsafe"
@@ -17,9 +18,10 @@ import (
 // TestBytesPerNodeCensus is the node-state census: the live heap a warm
 // Arena holds per node, split by owner. The total is a HeapAlloc delta
 // across wiring and running the arena once, measured between full
-// collections. Each owner row is the owner's struct size (unsafe.Sizeof,
-// or reflect's Type.Size for unexported types) times the lengths and
-// capacities it holds, read from the live arena. The "other" row is the
+// collections, and measured again if the runtime started an OS thread
+// meanwhile (see threads). Each owner row is the owner's struct size
+// (unsafe.Sizeof, or reflect's Type.Size for unexported types) times the
+// lengths and capacities it holds, read from the live arena. The "other" row is the
 // total less every owner row: closures, map buckets beyond their entries,
 // slice headers and size-class rounding. The table is logged (run with
 // -v); the test fails if the total exceeds its ceiling, so a regrowth of
@@ -45,8 +47,9 @@ func TestBytesPerNodeCensus(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-		// ceiling is the measured total bytes per node plus 4% (694.8,
-		// 2 848.7 and 4 176.7 or 4 197.2 on linux/amd64, go1.24).
+		// ceiling is a measured total bytes per node plus 4% (694.8,
+		// 2 848.7 and 4 176.7 when set; 681.7, 2 887.2 and 4 215.2 now,
+		// on linux/amd64, go1.24).
 		ceiling float64
 	}{
 		{"ring4096", ring, 723},
@@ -54,10 +57,17 @@ func TestBytesPerNodeCensus(t *testing.T) {
 		{"rotstar256_h200", longer, 4366},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			before := liveHeap()
-			a := NewArena()
-			a.Run(tc.cfg)
-			total := float64(liveHeap()-before) / float64(tc.cfg.N)
+			var a *Arena
+			var total float64
+			for try := 1; ; try++ {
+				made, before := threads(), liveHeap()
+				a = NewArena()
+				a.Run(tc.cfg)
+				total = float64(liveHeap()-before) / float64(tc.cfg.N)
+				if threads() == made || try == 3 {
+					break
+				}
+			}
 			rows := census(a.s)
 			runtime.KeepAlive(a)
 
@@ -86,6 +96,13 @@ func TestBytesPerNodeCensus(t *testing.T) {
 		}
 	}
 }
+
+// threads counts the OS threads the runtime has started. A new one
+// leaves its m, g0 and profiling stack on the heap for good (5.1 KB on
+// linux/amd64, go1.24: runtime.allocm, malg and makeProfStackFP in a
+// heap profile), 20 B per node of the 256-node rotating star, so the
+// census measures a run again when the runtime started one during it.
+func threads() int { return pprof.Lookup("threadcreate").Count() }
 
 // liveHeap is the heap still reachable after a full collection.
 func liveHeap() uint64 {

@@ -327,6 +327,10 @@ func (c Config) Validate() error {
 	if c.N <= 0 {
 		return fmt.Errorf("sim: Config.N must be positive (got %d)", c.N)
 	}
+	if c.CheckGradient && c.N > 1<<16 {
+		// The checker keeps n² distances and names a pair in 32 bits.
+		return fmt.Errorf("sim: CheckGradient needs n <= 65536 (got %d)", c.N)
+	}
 	if c.Horizon < 0 || math.IsNaN(c.Horizon) || math.IsInf(c.Horizon, 0) {
 		return fmt.Errorf("sim: Config.Horizon %v must be finite and nonnegative", c.Horizon)
 	}

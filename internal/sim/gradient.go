@@ -15,8 +15,12 @@ import (
 // function of distance — checked per sample across the whole run, not
 // just at the single worst edge. The property bounds every pair at every
 // distance, so the check is exact: all n(n-1)/2 pairs, each at its exact
-// distance from a DistanceMatrix (O(n²) memory) that revalidates lazily,
-// one all-pairs recompute per topology-change epoch. The per-sample path
+// distance from a DistanceMatrix (O(n²) memory). A sample whose topology
+// epoch is new is folded inside the matrix's BFS without building it
+// (DistanceMatrix.Fold): a churned run changes its epoch between most
+// samples, and then a build would be read once. The second sample of an
+// epoch builds the matrix and lists its pairs by distance, and every
+// later sample of the epoch scans that list. The per-sample path
 // allocates nothing in steady state.
 type GradientChecker struct {
 	dm *dyngraph.DistanceMatrix
@@ -27,16 +31,24 @@ type GradientChecker struct {
 	// maxDist is the largest bucket with data so far.
 	maxDist int
 	samples int
+	// pairs lists the built matrix's connected pairs u < v as u<<16 | v,
+	// those at distance d in pairs[at[d]:at[d+1]] for d in [1, far].
+	pairs []uint32
+	at    []int32
+	far   int
 	// recomputeBase offsets the matrix's cumulative recompute count so
 	// Recomputes stays per-run when the checker is reused across runs.
 	recomputeBase int
 }
 
-// newGradientChecker sizes a checker for n nodes.
+// newGradientChecker sizes a checker for n nodes, at most 1<<16 (see
+// Config.Validate).
 func newGradientChecker(n int) *GradientChecker {
 	return &GradientChecker{
 		dm:        dyngraph.NewDistanceMatrix(n),
 		maxByDist: make([]float64, n),
+		pairs:     make([]uint32, n*(n-1)/2),
+		at:        make([]int32, n+1),
 	}
 }
 
@@ -54,32 +66,86 @@ func (gc *GradientChecker) reset() {
 }
 
 // observe folds one sample into the buckets: vals[i] is node i's logical
-// clock at the sample instant, g supplies the current topology.
+// clock at the sample instant, g supplies the current topology. A
+// distance whose bucket already holds the sample's spread (its largest
+// clock less its smallest) is skipped: rounded subtraction is monotone,
+// so no pair's difference exceeds the spread.
 //
 //gcslint:zeroalloc
 func (gc *GradientChecker) observe(g *dyngraph.Dynamic, vals []float64) {
 	gc.samples++
-	gc.dm.Update(g)
-	n := len(vals)
-	for u := 0; u < n; u++ {
-		row := gc.dm.Row(u)
-		lu := vals[u]
-		for v := u + 1; v < n; v++ {
-			d := int(row[v])
-			if d <= 0 {
-				continue // disconnected pair this sample
+	if d, folded := gc.dm.Fold(g, vals, gc.maxByDist); folded {
+		gc.maxDist = max(gc.maxDist, d)
+		return
+	}
+	if gc.dm.Update(g) {
+		gc.list()
+	}
+	// A crashed node reads NaN, which fails every comparison: it moves
+	// neither end of the spread and raises no bucket.
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range vals {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	spread := hi - lo
+	for d := 1; d <= gc.far; d++ {
+		top := gc.maxByDist[d]
+		if !(spread > top) {
+			continue
+		}
+		m := top
+		for _, p := range gc.pairs[gc.at[d]:gc.at[d+1]] {
+			if diff := math.Abs(vals[p>>16] - vals[p&0xffff]); diff > m {
+				m = diff
 			}
-			// A crashed endpoint reads NaN, which fails the comparison.
-			if diff := math.Abs(lu - vals[v]); diff > gc.maxByDist[d] {
-				gc.maxByDist[d] = diff
-				gc.maxDist = max(gc.maxDist, d)
-			}
+		}
+		if m > top {
+			gc.maxByDist[d] = m
+			gc.maxDist = max(gc.maxDist, d)
 		}
 	}
 }
 
-// Recomputes returns the number of all-pairs distance recomputes during
-// the current run (one per distinct topology epoch observed).
+// list fills pairs from the matrix just built: a count of the pairs at
+// each distance, then a pass that places each.
+//
+//gcslint:zeroalloc
+func (gc *GradientChecker) list() {
+	n, at := len(gc.maxByDist), gc.at
+	clear(at)
+	for u := 0; u < n; u++ {
+		for _, d := range gc.dm.Row(u)[u+1:] {
+			if d > 0 {
+				at[d+1]++
+			}
+		}
+	}
+	gc.far = 0
+	for d := 1; d < n; d++ {
+		if at[d+1] > 0 {
+			gc.far = d
+		}
+		at[d+1] += at[d]
+	}
+	for u := 0; u < n; u++ {
+		for v, d := range gc.dm.Row(u)[u+1:] {
+			if d > 0 {
+				gc.pairs[at[d]] = uint32(u)<<16 | uint32(u+1+v)
+				at[d]++
+			}
+		}
+	}
+	// Placing advanced each at[d] to where group d+1 starts.
+	copy(at[1:], at[:n])
+}
+
+// Recomputes returns the number of topology epochs the checker met
+// during the current run, each by a fold or an all-pairs recompute.
 func (gc *GradientChecker) Recomputes() int { return gc.dm.Recomputes() - gc.recomputeBase }
 
 // PerDistance returns a fresh slice s whose s[d] is the largest

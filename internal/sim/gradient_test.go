@@ -126,7 +126,9 @@ func TestGradientDistanceMatrixInvalidationAcrossChurn(t *testing.T) {
 
 // TestGradientCheckSteadyStateDoesNotAllocate pins the per-sample check:
 // once wired, an observe pass (clock reads, the series append, distance
-// revalidation, full pair scan) allocates nothing on a static topology.
+// revalidation, full pair scan) allocates nothing on a static topology,
+// and a churned observe, one whose epoch moved since the last so that
+// it folds the sample inside the BFS, allocates nothing either.
 func TestGradientCheckSteadyStateDoesNotAllocate(t *testing.T) {
 	cfg := Config{
 		N: 32, Seed: 3, Horizon: 10, Rho: 0.01, MaxDelay: 0.01,
@@ -138,6 +140,59 @@ func TestGradientCheckSteadyStateDoesNotAllocate(t *testing.T) {
 	s.Advance(2) // warm up: buffers sized, matrix computed
 	if allocs := testing.AllocsPerRun(100, func() { s.observe() }); allocs > 0 {
 		t.Errorf("per-sample gradient check allocated %v objects/op, want 0", allocs)
+	}
+
+	// Churned: a graph of the checker's own whose epoch moves before
+	// every observe, so the graph's bookkeeping is measured apart.
+	gc, g, e := s.gradient, dyngraph.NewDynamic(cfg.N, dyngraph.Ring(cfg.N)), dyngraph.E(0, cfg.N/2)
+	now := 0.0
+	toggle := func() {
+		if now++; g.Present(e) {
+			g.Remove(now, e)
+		} else {
+			g.Add(now, e)
+		}
+	}
+	for g.Epoch() <= s.Graph.Epoch() {
+		toggle() // the checker keys on epochs: never meet the run's own
+	}
+	epochs := gc.Recomputes()
+	base := testing.AllocsPerRun(100, toggle)
+	churned := testing.AllocsPerRun(100, func() {
+		toggle()
+		gc.observe(g, s.vals)
+	})
+	if extra := churned - base; extra > 0 {
+		t.Errorf("churned gradient check allocated %v objects/op, want 0", extra)
+	}
+	if folds := gc.Recomputes() - epochs; folds != 101 || field(gc.dm, "builds").Int() != 1 {
+		t.Errorf("%d epochs over 101 churned observes, %d builds: want every observe folded and the static build alone",
+			folds, field(gc.dm, "builds").Int())
+	}
+}
+
+// TestGradientStaticRunFoldsOnceThenBuilds pins the two paths on a
+// static topology: the first sample folds inside the BFS without
+// building the matrix, the second builds it once, and every later one
+// scans it. The run meets one epoch.
+func TestGradientStaticRunFoldsOnceThenBuilds(t *testing.T) {
+	cfg := Config{
+		N: 24, Seed: 5, Horizon: 3, Rho: 0.01, MaxDelay: 0.01,
+		Topology:      TopologySpec{Kind: TopoRing},
+		Driver:        DriverSpec{Kind: DriveRandomWalk, Interval: 0.5},
+		CheckGradient: true,
+	}
+	s := New(cfg)
+	gc := s.gradient
+	s.Advance(cfg.WithDefaults().SampleEvery / 2)
+	if gc.samples != 1 || gc.Recomputes() != 1 || field(gc.dm, "builds").Int() != 0 {
+		t.Fatalf("after the first sample: %d samples, %d epochs, %d builds; want 1, 1, 0",
+			gc.samples, gc.Recomputes(), field(gc.dm, "builds").Int())
+	}
+	rpt := s.Run()
+	if gc.samples < 3 || rpt.DistanceRecomputes != 1 || field(gc.dm, "builds").Int() != 1 {
+		t.Fatalf("after the run: %d samples, %d epochs, %d builds; want at least 3, 1, 1",
+			gc.samples, rpt.DistanceRecomputes, field(gc.dm, "builds").Int())
 	}
 }
 
@@ -250,4 +305,87 @@ func firstViolation(gc *GradientChecker, bound func(d int) float64) (d int, skew
 		}
 	}
 	return 0, 0, true
+}
+
+// TestGradientCheckerMatchesPairScan holds the checker to a pair scan
+// over a freshly built matrix after every sample, bit for bit: buckets
+// and the largest raised distance. The topology changes at about one
+// sample in four and holds for stretches in between, so folds, builds
+// and scans of the pairs listed by distance all take part; some nodes
+// read NaN (crashed) and values repeat; and the clock spread shrinks
+// tenfold half way, so the scan's skip of distances whose bucket
+// already holds the spread fires too.
+func TestGradientCheckerMatchesPairScan(t *testing.T) {
+	for _, n := range []int{2, 3, 40, 130} {
+		r := des.NewRand(uint64(n))
+		g := dyngraph.NewDynamic(n, dyngraph.Line(n))
+		gc := newGradientChecker(n)
+		want, vals := make([]float64, n), make([]float64, n)
+		wantMax, folds := 0, 0
+		for step := 1; step <= 200; step++ {
+			if r.Intn(4) == 0 {
+				if u, v := r.Intn(n), r.Intn(n); u != v {
+					if e := dyngraph.E(u, v); g.Present(e) {
+						g.Remove(float64(step), e)
+					} else {
+						g.Add(float64(step), e)
+					}
+				}
+			}
+			scale := 1.0
+			if step > 100 {
+				scale = 0.1
+			}
+			for i := range vals {
+				switch r.Intn(10) {
+				case 0:
+					vals[i] = math.NaN()
+				case 1:
+					vals[i] = 7
+				default:
+					vals[i] = 7 + scale*r.Range(-1, 1)
+				}
+			}
+			epochs := gc.Recomputes()
+			gc.observe(g, vals)
+			if gc.Recomputes() > epochs {
+				folds++
+			}
+			dm := dyngraph.NewDistanceMatrix(n)
+			dm.Update(g)
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < n; v++ {
+					if d := int(dm.Row(u)[v]); d > 0 {
+						if diff := math.Abs(vals[u] - vals[v]); diff > want[d] {
+							want[d], wantMax = diff, max(wantMax, d)
+						}
+					}
+				}
+			}
+			if gc.maxDist != wantMax {
+				t.Fatalf("n=%d step %d: largest raised distance %d, scan %d", n, step, gc.maxDist, wantMax)
+			}
+			for d := range want {
+				if math.Float64bits(gc.maxByDist[d]) != math.Float64bits(want[d]) {
+					t.Fatalf("n=%d step %d: bucket %d = %v, scan %v", n, step, d, gc.maxByDist[d], want[d])
+				}
+			}
+		}
+		if folds < 10 || folds > 150 {
+			t.Fatalf("n=%d: %d of 200 samples folded, want a mix of folds and scans", n, folds)
+		}
+	}
+}
+
+// TestGradientCheckNodeLimit: the checker keeps n² distances and names
+// a pair in 32 bits, so Validate refuses it above 65 536 nodes.
+func TestGradientCheckNodeLimit(t *testing.T) {
+	cfg := Config{N: 1<<16 + 1, CheckGradient: true}
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("Validate accepted gradient checking at 65 537 nodes")
+	}
+	cfg.CheckGradient = false
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("65 537 nodes without the checker: %v", err)
+	}
 }

@@ -50,9 +50,9 @@ type SkewReport struct {
 	// largest |L_u - L_v| observed over any pair at current hop distance
 	// d, indexed by d (index 0 unused). Nil when the check is off.
 	PerDistanceSkew []float64
-	// DistanceRecomputes counts the gradient checker's distance-matrix
-	// BFS sweeps (one per topology-change epoch observed); 0 when the
-	// check is off.
+	// DistanceRecomputes counts the topology-change epochs the gradient
+	// checker met, each by a fold or an all-pairs recompute (see
+	// GradientChecker); 0 when the check is off.
 	DistanceRecomputes int
 
 	// Faults counts the injected disturbances (Config.Faults); zero when
