@@ -27,7 +27,7 @@ func runChaos(args []string) {
 	parseFlags(fs, args)
 
 	e := sim.ChaosExperiment(*n, *seed, *horizon, *parallel)
-	w := workerCount(*workers)
+	w := sim.WorkerCount(*workers)
 	grid{cmd: "chaos", out: *out, csvName: "chaos_grid.csv", jsonName: "chaos_report.json", workers: *workers,
 		intro: fmt.Sprintf("chaos: %d cells (%d plans x 3 scenarios) across %d workers", len(e.Cells), len(sim.ChaosPlans()), w),
 		report: func(cells []any) any {

@@ -61,7 +61,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"time"
 
@@ -131,7 +130,7 @@ func runScenario() {
 	}
 	rpt := s.Run()
 	eff := cfg.WithDefaults()
-	eff.Workers = workerCount(eff.Workers)
+	eff.Workers = sim.WorkerCount(eff.Workers)
 	printReport("scenario:", eff, rpt)
 
 	if *events {
@@ -248,12 +247,4 @@ func (g grid) run(e sim.Experiment) {
 		fail("%s: %v", g.cmd, verdict)
 	}
 	fmt.Println(e.OK)
-}
-
-// workerCount resolves a -workers flag: 0 or less means GOMAXPROCS.
-func workerCount(w int) int {
-	if w <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
 }

@@ -75,7 +75,7 @@ func runSweep(args []string) {
 	}
 
 	g := grid{cmd: "sweep", out: *out, csvName: "sweep_results.csv", jsonName: "sweep_report.json", workers: *workers,
-		intro: fmt.Sprintf("sweep: %d cells across %d workers", len(cells), workerCount(*workers)),
+		intro: fmt.Sprintf("sweep: %d cells across %d workers", len(cells), sim.WorkerCount(*workers)),
 		report: func(cells []any) any {
 			return struct {
 				Seed        uint64  `json:"seed"`
@@ -86,7 +86,7 @@ func runSweep(args []string) {
 				SampleEvery float64 `json:"sample_every"`
 				Workers     int     `json:"workers"`
 				Cells       []any   `json:"cells"`
-			}{*seed, *horizon, *rho, *delay, *beacon, *sample, workerCount(*workers), cells}
+			}{*seed, *horizon, *rho, *delay, *beacon, *sample, sim.WorkerCount(*workers), cells}
 		},
 	}
 	if *daemon != "" {

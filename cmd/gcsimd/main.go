@@ -45,7 +45,6 @@ func main() {
 		queueCap     = flag.Int("queue-cap", 4096, "max cells admitted but unfinished; past it, submissions get 429")
 		cellTimeout  = flag.Duration("cell-timeout", 10*time.Minute, "per-cell execution deadline")
 		retries      = flag.Int("retries", 2, "re-executions of a failed cell before storing a terminal error fact")
-		backoffSeed  = flag.Uint64("backoff-seed", 1, "seed for the reproducible decorrelated-jitter retry schedules")
 		segBytes     = flag.Int64("seg-bytes", 4<<20, "WAL segment rotation threshold (bytes)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace for in-flight cells on SIGTERM before abandoning them")
 	)
@@ -67,7 +66,6 @@ func main() {
 		QueueCap:    *queueCap,
 		CellTimeout: *cellTimeout,
 		MaxRetries:  *retries,
-		BackoffSeed: *backoffSeed,
 		Logf:        log.Printf,
 	})
 	if err != nil {

@@ -9,10 +9,12 @@ import (
 )
 
 // The retry schedule's bounds: the first wait is at least backoffBase
-// and no wait exceeds backoffLimit.
+// and no wait exceeds backoffLimit. backoffSeed is the daemon's seed,
+// into which each cell folds its content address.
 const (
 	backoffBase  = 100 * time.Millisecond
 	backoffLimit = 5 * time.Second
+	backoffSeed  = 1
 )
 
 // Backoff yields a decorrelated-jitter exponential schedule: each wait
@@ -37,9 +39,9 @@ func (b *Backoff) Next() time.Duration {
 	return d
 }
 
-// cellBackoffSeed folds a cell's content address into the daemon's
-// backoff seed, so concurrent retrying cells don't back off in
-// lockstep while each cell's schedule stays reproducible.
-func cellBackoffSeed(base uint64, k store.Key) uint64 {
-	return base ^ binary.LittleEndian.Uint64(k[:8])
+// cellBackoffSeed folds a cell's content address into backoffSeed, so
+// concurrent retrying cells don't back off in lockstep while each
+// cell's schedule stays reproducible.
+func cellBackoffSeed(k store.Key) uint64 {
+	return backoffSeed ^ binary.LittleEndian.Uint64(k[:8])
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -61,10 +60,6 @@ type Config struct {
 	// attempt outran CellTimeout: that fails the waiting jobs but stores
 	// nothing, so a later job runs the cell again.
 	MaxRetries int
-	// BackoffSeed seeds the retry schedules (see NewBackoff); each cell
-	// folds its content address in, so schedules are per-cell yet
-	// reproducible.
-	BackoffSeed uint64
 	// RunCell executes one cell; nil means Arena.RunSliced. Tests inject
 	// hooks here to fail, panic, or block specific cells.
 	RunCell func(a *sim.Arena, cfg sim.Config, slice float64, cont func() bool) (sim.SkewReport, bool)
@@ -162,9 +157,7 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = RealClock()
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
+	cfg.Workers = sim.WorkerCount(cfg.Workers)
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 4096
 	}
@@ -468,7 +461,7 @@ func (d *Daemon) runTask(a **sim.Arena, t task) {
 		return
 	}
 	cfg := t.cfg.WithDefaults()
-	bo := NewBackoff(cellBackoffSeed(d.cfg.BackoffSeed, t.key))
+	bo := NewBackoff(cellBackoffSeed(t.key))
 	attempts := 0
 	for {
 		attempts++

@@ -466,11 +466,10 @@ func TestDaemonPanicContainment(t *testing.T) {
 func TestDaemonRetrySchedule(t *testing.T) {
 	clock := newFakeClock()
 	d, err := New(Config{
-		Repo:        store.NewMemory(),
-		Clock:       clock,
-		Workers:     1,
-		MaxRetries:  3,
-		BackoffSeed: 21,
+		Repo:       store.NewMemory(),
+		Clock:      clock,
+		Workers:    1,
+		MaxRetries: 3,
 		RunCell: func(a *sim.Arena, cfg sim.Config, slice float64, cont func() bool) (sim.SkewReport, bool) {
 			panic("always failing")
 		},
@@ -493,7 +492,7 @@ func TestDaemonRetrySchedule(t *testing.T) {
 	}
 
 	cells, _ := spec.Cells()
-	want := NewBackoff(cellBackoffSeed(21, store.KeyOf(cells[0].Cfg)))
+	want := NewBackoff(cellBackoffSeed(store.KeyOf(cells[0].Cfg)))
 	waits := clock.recorded()
 	if len(waits) != 3 {
 		t.Fatalf("recorded %d backoff waits, want 3: %v", len(waits), waits)

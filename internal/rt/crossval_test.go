@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/synctest"
 
+	"gcs/internal/des"
 	"gcs/internal/sim"
 )
 
@@ -162,6 +163,41 @@ func TestFaultChainsMatchDES(t *testing.T) {
 				t.Errorf("fault chains diverged between harnesses:\n des %+v\n rt  %+v", want, got)
 			}
 		})
+	}
+}
+
+// TestDriverChainsMatchDES pins the shared stream layout (sim.Streams):
+// the rate-driver chains read only their own per-node streams, so from
+// one seed a random-walk ring runs through the same rates in the DES and
+// in the real-time runtime, and both report the same extreme rates. A
+// harness that forked its driver stream elsewhere would draw others. The
+// test replays the chains to check that the horizon falls between driver
+// steps, clear of the runtime's shutdown grace.
+func TestDriverChainsMatchDES(t *testing.T) {
+	cfg := sim.Config{
+		N: 12, Seed: 47, Horizon: 6.5, Rho: 0.01, MaxDelay: 0.01,
+		Topology: sim.TopologySpec{Kind: sim.TopoRing},
+		Driver:   sim.DriverSpec{Kind: sim.DriveRandomWalk, Interval: 1},
+	}
+	var st sim.Streams
+	st.Fork(des.NewRand(cfg.Seed))
+	for i := 0; i < cfg.N; i++ {
+		var d sim.DriverState
+		d.Start(i, &st.Drive)
+		for at := 0.0; at < cfg.Horizon+0.01; {
+			_, next := d.Step(cfg.Driver, cfg.Rho)
+			if at += next; math.Abs(at-cfg.Horizon) < 0.01 {
+				t.Fatalf("node %d steps its driver at %v, within 0.01 of the horizon", i, at)
+			}
+		}
+	}
+	want, got := runDES(t, cfg), runBubble(t, cfg)
+	if want.MinRateSeen == want.MaxRateSeen {
+		t.Fatalf("driver never changed the rate: %v", want.MinRateSeen)
+	}
+	if got.MinRateSeen != want.MinRateSeen || got.MaxRateSeen != want.MaxRateSeen {
+		t.Errorf("driver chains diverged between harnesses: des rates [%v, %v], rt [%v, %v]",
+			want.MinRateSeen, want.MaxRateSeen, got.MinRateSeen, got.MaxRateSeen)
 	}
 }
 

@@ -29,9 +29,9 @@ import (
 // The graph is guarded by an RWMutex — node goroutines read it on
 // every broadcast and delivery and on the neighbor rescan after a lost
 // edge, churn steps write it. Lock order: a host lock may be held while
-// taking the router lock, never the reverse (the sampler snapshots edges
-// before touching hosts, Add and Remove relay discover(add) and
-// discover(remove) only after releasing the write lock).
+// taking the router lock, never the reverse (the sampler folds edges
+// after releasing every host lock, Add and Remove relay discover(add)
+// and discover(remove) only after releasing the write lock).
 type Router struct {
 	r *Runtime
 	// delays is the nominal delay law; a sender draws only from its own

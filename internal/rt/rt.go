@@ -206,10 +206,15 @@ type Runtime struct {
 	// until then nothing drains the queues, so relay runs callbacks inline.
 	launched bool
 
+	// shared is every node's parameters and wiring to the router; clocks
+	// and nodes list the hosts' for the report.
+	shared gcs.Shared
+	clocks []*clock.HardwareClock
+	nodes  []*gcs.Node
+
 	// Sampler-owned observation state.
-	vals  []float64
-	edges []dyngraph.Edge
-	fold  sim.Fold
+	vals []float64
+	fold sim.Fold
 }
 
 // Supports reports whether the real-time runtime can execute cfg,
@@ -241,10 +246,11 @@ func New(cfg sim.Config) (*Runtime, error) {
 
 // wire builds the router over the initial topology, with its delay law
 // seeded from root, and one host per node — queue, drifting clock, gcs
-// node — and returns that topology. It is the backbone, present from
-// time 0 like the DES graph's initial edge set; the rotating star
-// ignores it and adds its first star through churn. r.start and r.done
-// must be set. Nothing runs yet: no goroutine, no timer.
+// node on the run's one Shared — and returns that topology. It is the
+// backbone, present from time 0 like the DES graph's initial edge set;
+// the rotating star ignores it and adds its first star through churn.
+// r.start and r.done must be set. Nothing runs yet: no goroutine, no
+// timer.
 func (r *Runtime) wire(root *des.Rand) (backbone []dyngraph.Edge) {
 	cfg := r.cfg
 	if cfg.Churn.Kind != sim.ChurnRotatingStar {
@@ -252,12 +258,15 @@ func (r *Runtime) wire(root *des.Rand) (backbone []dyngraph.Edge) {
 	}
 	r.router = &Router{r: r, g: dyngraph.NewDynamic(cfg.N, backbone)}
 	r.router.delays.Wire(cfg.MinDelay, cfg.MaxDelay, cfg.N, root)
+	r.shared.Set(cfg.Node, r.router, r.router)
 	r.hosts = make([]*host, cfg.N)
+	r.clocks = make([]*clock.HardwareClock, cfg.N)
+	r.nodes = make([]*gcs.Node, cfg.N)
 	for i := range r.hosts {
-		h := &host{r: r, id: i, events: make(chan func(), 128)}
+		h := &host{r: r, id: i, events: make(chan func(), 128), node: new(gcs.Node)}
 		h.clk = clock.NewOn(h, wallRes, 1)
-		h.node = gcs.New(i, h.clk, cfg.Node, r.router, r.router)
-		r.hosts[i] = h
+		h.node.Init(i, h.clk, &r.shared)
+		r.hosts[i], r.clocks[i], r.nodes[i] = h, h.clk, h.node
 	}
 	return backbone
 }
@@ -314,40 +323,25 @@ func (r *Runtime) churnAfter(ev sim.ChurnEvent) {
 	})
 }
 
-// sample takes one skew observation: snapshot the edge set (router lock
-// only), then read each node under its host lock. Under synctest the
-// sampler only wakes once every event at earlier instants has been fully
-// processed and every goroutine is durably blocked, so the observation
-// is a consistent cut; in real time it is a best-effort cut, which the
-// non-bubble smoke tests account for with slack.
+// sample takes one skew observation: read each node under its host
+// lock, then fold the edges under the router's read lock. Under synctest
+// the sampler only wakes once every event at earlier instants has been
+// fully processed and every goroutine is durably blocked, so the
+// observation is a consistent cut; in real time it is a best-effort cut,
+// which the non-bubble smoke tests account for with slack.
 func (r *Runtime) sample() {
-	r.edges = r.edges[:0]
-	r.router.mu.RLock()
-	r.router.g.RangeCurrentEdges(func(e dyngraph.Edge) { r.edges = append(r.edges, e) })
-	r.router.mu.RUnlock()
-	lo, hi := math.Inf(1), math.Inf(-1)
 	for i, h := range r.hosts {
 		h.mu.Lock()
-		if h.node.Down() {
-			// NaN-poison crashed nodes, like the DES sampler: NaN fails every
-			// comparison below, so down nodes drop out of both skew folds.
-			r.vals[i] = math.NaN()
-		} else {
-			l := h.node.Logical()
-			r.vals[i] = l
-			if l < lo {
-				lo = l
-			}
-			if l > hi {
-				hi = l
-			}
+		r.vals[i] = math.NaN() // a crashed node has no logical clock
+		if !h.node.Down() {
+			r.vals[i] = h.node.Logical()
 		}
 		h.mu.Unlock()
 	}
-	for _, e := range r.edges {
-		r.fold.Adjacent(r.vals[e.U], r.vals[e.V])
-	}
-	r.fold.Sample(r.simNow(), lo, hi)
+	r.fold.Sample(r.simNow(), r.vals)
+	r.router.mu.RLock()
+	r.fold.Edges(r.router.g, r.vals)
+	r.router.mu.RUnlock()
 }
 
 // sleepUntil blocks until simulated time t (wall-clock sleep; fake-clock
@@ -376,17 +370,16 @@ func (r *Runtime) Run() sim.SkewReport {
 	r.done = make(chan struct{})
 	r.vals = make([]float64, n)
 
-	// PRNG streams, forked with the same subsystem ids as the DES harness
-	// (structural mirroring; cross-harness comparisons are bound-based,
-	// not bit-based, since the executions schedule differently).
+	// The DES harness's stream layout: from one seed both draw the same
+	// driver, phase and fault chains, though their executions schedule
+	// differently, so skew comparisons are bound-based, not bit-based.
 	root := des.NewRand(cfg.Seed)
-	var driveRand, phaseRand, faultRoot des.Rand
-	root.ForkInto(0xd81fe, &driveRand)
-	root.ForkInto(0x9a5e, &phaseRand)
+	var st sim.Streams
+	st.Fork(root)
 
 	backbone := r.wire(root)
 	for i, h := range r.hosts {
-		h.driver.Start(i, &driveRand)
+		h.driver.Start(i, &st.Drive)
 		h.stepDriver()
 	}
 
@@ -398,30 +391,28 @@ func (r *Runtime) Run() sim.SkewReport {
 		r.churnAfter(ev)
 	}
 
-	// Fault plan, from the same fault root as the DES harness: message
-	// verdicts per send in the router, the node-level chains armed with
-	// the injector's first onsets.
+	// Fault plan, from the DES harness's fault stream: message verdicts
+	// per send in the router, the node-level chains armed with the
+	// injector's first onsets.
 	spec := cfg.Faults
 	if spec.Enabled() {
-		root.ForkInto(0xfa07, &faultRoot)
 		if spec.MessageFaults() {
 			m := fault.NewMessages()
-			m.Wire(spec, cfg.MaxDelay, n, &faultRoot)
+			m.Wire(spec, cfg.MaxDelay, n, &st.Fault)
 			r.router.faults = m
 		}
-		r.injector.Wire(spec, n, cfg.Rho, &faultRoot)
+		r.injector.Wire(spec, n, cfg.Rho, &st.Fault)
 		for i, h := range r.hosts {
 			h.arm(&h.crashT, r.injector.CrashStart(i), h.stepCrash)
 			h.arm(&h.rateT, r.injector.RateStart(i), h.stepRate)
 		}
 	}
-	bound := cfg.GlobalSkewBound()
-	r.fold.Reset(spec.Enabled(), bound)
+	r.fold.Reset(&cfg)
 
 	// Start every node at its drawn beacon phase, then launch the node
 	// goroutines. Setup so far ran single-threaded at t=0.
 	for _, h := range r.hosts {
-		h.node.Start(phaseRand.Range(0, cfg.Node.BeaconEvery))
+		h.node.Start(st.Phase.Range(0, cfg.Node.BeaconEvery))
 	}
 	var wg sync.WaitGroup
 	wg.Add(n)
@@ -452,35 +443,25 @@ func (r *Runtime) Run() sim.SkewReport {
 	time.Sleep(time.Millisecond)
 
 	// Shutdown: release the node goroutines, then silence every
-	// long-lived timer chain. In-flight delivery callbacks only ever
-	// enqueue, and enqueue gives up once done is closed; churn steps
-	// check closed.
+	// long-lived timer chain and merge the fault counters. In-flight
+	// delivery callbacks only ever enqueue, and enqueue gives up once
+	// done is closed; churn steps check closed.
 	close(r.done)
 	wg.Wait()
+	var fs fault.Stats
 	for _, h := range r.hosts {
 		stopTimer(h.clockT)
 		stopTimer(h.driverT)
 		stopTimer(h.crashT)
 		stopTimer(h.rateT)
+		fs.Merge(h.fstats)
 	}
-
-	rep := &r.fold.Report
-	rep.Bound = bound
+	rep := r.fold.Finish(r.clocks, r.nodes, fs)
 	rep.Transport = r.router.Stats()
 	rep.EventsExecuted = r.events.Load()
 	r.router.mu.RLock() // a churn step that began before close may still be writing
 	rep.EdgeAdds, rep.EdgeRemoves = r.router.g.Stats()
 	r.router.mu.RUnlock()
-	r.fold.ResetTotals()
-	var fs fault.Stats
-	for _, h := range r.hosts {
-		mn, mx := h.clk.RateBoundsSeen()
-		r.fold.AddNode(mn, mx, h.node.Snap())
-		fs.Merge(h.fstats)
-	}
-	if spec.Enabled() {
-		r.fold.SetFaults(fs)
-	}
 	return *rep
 }
 

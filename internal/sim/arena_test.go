@@ -143,7 +143,7 @@ func TestArenaSecondRunZeroAlloc(t *testing.T) {
 		cells := allocSweepCells()
 		// A fresh arena per call, rewired across the cells' shapes. Its
 		// engine's events share one slab, not one allocation each.
-		checkAllocs(t, 199, func() { RunSweep(cells, 1) })
+		checkAllocs(t, 198, func() { RunSweep(cells, 1) })
 	})
 }
 

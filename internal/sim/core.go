@@ -61,104 +61,124 @@ func (d *DriverState) Step(spec DriverSpec, rho float64) (rate, next float64) {
 	panic("sim: unknown driver kind")
 }
 
-// Fold accumulates skew samples and per-node totals into a SkewReport.
-// It is the one definition of the report's observed fields for both
-// harnesses: each reads its nodes its own way (one serial scan in the
-// DES, under host locks in rt) and hands the fold the
-// sample's extrema, the endpoint readings of every current edge, and at
-// the end each node's counters.
+// Streams is the layout of a run's PRNG streams below its root stream
+// (des.NewRand(Seed)): the rate drivers', the beacon start phases' and
+// the fault plan's, each at a fixed fork id. Both harnesses fork them
+// here, so from one seed they draw the same driver chains, start phases
+// and fault chains. Forking never advances the root.
+type Streams struct{ Drive, Phase, Fault des.Rand }
+
+// Fork derives every stream from root.
+func (st *Streams) Fork(root *des.Rand) {
+	root.ForkInto(0xd81fe, &st.Drive)
+	root.ForkInto(0x9a5e, &st.Phase)
+	root.ForkInto(0xfa07, &st.Fault)
+}
+
+// Fold is the one owner of a skew sample and of the report's observed
+// fields, for both harnesses. Each harness reads its nodes its own way
+// (one serial scan in the DES, under host locks in rt) into vals, NaN
+// for a down node, and hands the fold the raw readings: Sample and Edges
+// per observation, Finish once at the end.
 type Fold struct {
-	Report SkewReport
-
-	lastT float64
-	// faultOn/faultBound/goodSince track when the skew last re-entered
+	rep SkewReport
+	// faultOn and goodSince track when the global skew last re-entered
 	// the analytic bound (-1 while outside), feeding ReconvergenceTime.
-	faultOn    bool
-	faultBound float64
-	goodSince  float64
+	faultOn   bool
+	goodSince float64
 }
 
-// Reset clears the fold for a new run. faultBound is the analytic global
-// skew bound and is only read when faultOn is set.
-func (f *Fold) Reset(faultOn bool, faultBound float64) {
-	*f = Fold{faultOn: faultOn, faultBound: faultBound, goodSince: -1}
+// Reset clears the fold for a new run of the defaulted cfg.
+func (f *Fold) Reset(cfg *Config) {
+	*f = Fold{rep: SkewReport{Bound: cfg.GlobalSkewBound()}, faultOn: cfg.Faults.Enabled(), goodSince: -1}
 }
 
-// Sample folds one observation taken at time now: lo and hi are the
-// extrema of the live nodes' logical clocks (+Inf/-Inf when every node
-// is down).
+// Sample folds one observation taken at time now, vals[i] being node
+// i's logical clock or NaN while it is down, into the global skew and
+// re-convergence, and returns the extrema of the live readings
+// (+Inf/-Inf when every node is down). NaN fails every comparison, so a
+// down node moves neither end.
 //
 //gcslint:zeroalloc
-func (f *Fold) Sample(now, lo, hi float64) {
+func (f *Fold) Sample(now float64, vals []float64) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, v := range vals {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
 	spread := hi - lo
 	if hi < lo {
 		spread = 0 // every node down: no live pair to skew
 	}
-	if spread > f.Report.MaxGlobalSkew {
-		f.Report.MaxGlobalSkew = spread
-	}
-	f.Report.FinalGlobalSkew = spread
+	r := &f.rep
+	r.MaxGlobalSkew = max(r.MaxGlobalSkew, spread)
+	r.FinalGlobalSkew = spread
 	if f.faultOn {
-		if spread > f.faultBound {
+		if spread > r.Bound {
 			f.goodSince = -1
 		} else if f.goodSince < 0 {
 			f.goodSince = now
 		}
 	}
-	f.Report.Samples++
-	f.lastT = now
+	r.Samples++
+	return lo, hi
 }
 
-// Adjacent folds the logical readings at the two endpoints of one
-// current edge into the adjacent skew. A crashed endpoint reads NaN,
-// which fails the comparison, so edges at down nodes drop out for free.
+// Edges folds the readings of one sample over g's current edges into the
+// adjacent skew. Each edge is read from both ends: |a-b| equals |b-a|
+// exactly and a maximum is order-free, so that is the one-sided fold bit
+// for bit. An edge at a down node reads NaN and fails the comparison.
 //
 //gcslint:zeroalloc
-func (f *Fold) Adjacent(lu, lv float64) {
-	if d := math.Abs(lu - lv); d > f.Report.MaxAdjacentSkew {
-		f.Report.MaxAdjacentSkew = d
+func (f *Fold) Edges(g *dyngraph.Dynamic, vals []float64) {
+	m := f.rep.MaxAdjacentSkew
+	for u, a := range vals {
+		for _, k := range g.Links(u) {
+			if d := math.Abs(a - vals[k.V]); d > m {
+				m = d
+			}
+		}
 	}
+	f.rep.MaxAdjacentSkew = m
 }
 
-// ResetTotals clears the per-node totals before an AddNode pass, so a
-// report can be rebuilt from node snapshots any number of times and
-// count each jump, message and beacon exactly once.
-func (f *Fold) ResetTotals() {
-	r := &f.Report
+// Finish completes the report from the end state of a run: every
+// node's hardware-rate bounds and counters and, when the run injects
+// faults, their merged stats fs with the ReconvergenceTime they imply
+// (0 when no fault fired or the skew never left the bound after the
+// last one, the re-entry delay otherwise, +Inf when still outside at the
+// horizon). It returns the report for the harness to add what only it
+// knows: transport, event and edge counts. The totals are recomputed on
+// every call, so a run can be finished more than once.
+func (f *Fold) Finish(clocks []*clock.HardwareClock, nodes []*gcs.Node, fs fault.Stats) *SkewReport {
+	r := &f.rep
 	r.MinRateSeen, r.MaxRateSeen = math.Inf(1), math.Inf(-1)
 	r.TotalJumps, r.TotalMessages, r.TotalBeacons, r.TotalDiscoveries = 0, 0, 0, 0
-}
-
-// AddNode folds one node's hardware-rate bounds and counters.
-func (f *Fold) AddNode(minRate, maxRate float64, snap gcs.Snapshot) {
-	r := &f.Report
-	if minRate < r.MinRateSeen {
-		r.MinRateSeen = minRate
+	for i, nd := range nodes {
+		mn, mx := clocks[i].RateBoundsSeen()
+		r.MinRateSeen, r.MaxRateSeen = min(r.MinRateSeen, mn), max(r.MaxRateSeen, mx)
+		snap := nd.Snap()
+		r.TotalJumps += snap.Jumps
+		r.TotalMessages += snap.Messages
+		r.TotalBeacons += snap.Beacons
+		r.TotalDiscoveries += snap.Discoveries
 	}
-	if maxRate > r.MaxRateSeen {
-		r.MaxRateSeen = maxRate
+	if f.faultOn {
+		r.Faults = fs
+		switch d := f.goodSince - fs.LastFaultT; {
+		case fs.Total() == 0:
+			r.ReconvergenceTime = 0
+		case f.goodSince < 0:
+			r.ReconvergenceTime = math.Inf(1)
+		default:
+			r.ReconvergenceTime = math.Max(d, 0)
+		}
 	}
-	r.TotalJumps += snap.Jumps
-	r.TotalMessages += snap.Messages
-	r.TotalBeacons += snap.Beacons
-	r.TotalDiscoveries += snap.Discoveries
-}
-
-// SetFaults records the run's merged fault stats and derives
-// ReconvergenceTime from them and the time the skew last re-entered the
-// bound: 0 when no fault fired or the skew never left the bound after
-// the last fault, the re-entry delay otherwise, +Inf when still outside
-// at the horizon.
-func (f *Fold) SetFaults(fs fault.Stats) {
-	f.Report.Faults = fs
-	switch d := f.goodSince - fs.LastFaultT; {
-	case fs.Total() == 0:
-		f.Report.ReconvergenceTime = 0
-	case f.goodSince < 0:
-		f.Report.ReconvergenceTime = math.Inf(1)
-	default:
-		f.Report.ReconvergenceTime = math.Max(d, 0)
-	}
+	return r
 }
 
 // SkewPoint is one skew sample: its time and the extrema of the live
@@ -181,7 +201,6 @@ func (s *Simulation) init() {
 	s.churnFn = s.churnStep
 	s.crashFn = s.crashStep
 	s.rateFn = s.rateStep
-	s.edgeFn = func(e dyngraph.Edge) { s.fold.Adjacent(s.vals[e.U], s.vals[e.V]) }
 	s.onMessage = func(m transport.Message) { s.Nodes[m.To].OnMessage(m.From, m.Value) }
 	s.sampleFn = func() {
 		s.observe()
@@ -227,12 +246,12 @@ func (s *Simulation) arm() {
 	}
 	s.drivers = s.drivers[:n]
 
-	s.root.ForkInto(0xd81fe, &s.driveRand)
+	s.streams.Fork(&s.root)
 	for i := 0; i < n; i++ {
 		s.Clocks[i].Reset(1)
 		s.Nodes[i].Reset()
 		s.Net.SetHandler(i, s.onMessage)
-		s.drivers[i].Start(i, &s.driveRand)
+		s.drivers[i].Start(i, &s.streams.Drive)
 		s.driveStep(uint64(i))
 	}
 
@@ -248,9 +267,8 @@ func (s *Simulation) arm() {
 		s.afterChurn(ev)
 	}
 
-	s.root.ForkInto(0x9a5e, &s.phaseRand)
 	for i := 0; i < n; i++ {
-		s.Nodes[i].Start(s.phaseRand.Range(0, cfg.Node.BeaconEvery))
+		s.Nodes[i].Start(s.streams.Phase.Range(0, cfg.Node.BeaconEvery))
 	}
 
 	// The Eq. (1) schedule (Section 4) of a node at flexible distance d
@@ -265,6 +283,7 @@ func (s *Simulation) arm() {
 	}
 
 	s.armFaults()
+	s.fold.Reset(cfg)
 	s.gradient = wireGradient(s.gradient, *cfg)
 	if cap(s.vals) < n {
 		s.vals = make([]float64, n)
@@ -325,9 +344,9 @@ func (s *Simulation) afterChurn(ev ChurnEvent) {
 	}
 }
 
-// armFaults arms fault injection for one run. The fault root is forked
-// from the scenario root (never advancing it, so a zero-valued Spec
-// leaves every other stream bit-identical). Net draws message verdicts
+// armFaults arms fault injection for one run from the fault stream,
+// which only it draws from, so a zero-valued Spec leaves every other
+// stream bit-identical. Net draws message verdicts
 // from msgPlan, installed here — after everything arm sends while wiring
 // at time 0 (discovery over a rotating star's first edges), which
 // therefore draws no verdict, and removed again by the next Net.Reset.
@@ -338,23 +357,19 @@ func (s *Simulation) armFaults() {
 	cfg := &s.Cfg
 	s.faultStats = fault.Stats{}
 	if !cfg.Faults.Enabled() {
-		s.fold.Reset(false, 0)
 		return
 	}
-	var faultRoot des.Rand
-	s.root.ForkInto(0xfa07, &faultRoot)
 	if cfg.Faults.MessageFaults() {
-		s.msgPlan.Wire(cfg.Faults, cfg.MaxDelay, cfg.N, &faultRoot)
+		s.msgPlan.Wire(cfg.Faults, cfg.MaxDelay, cfg.N, &s.streams.Fault)
 		s.Net.SetFaults(&s.msgPlan)
 	}
-	s.injector.Wire(cfg.Faults, cfg.N, cfg.Rho, &faultRoot)
+	s.injector.Wire(cfg.Faults, cfg.N, cfg.Rho, &s.streams.Fault)
 	for i := 0; i < cfg.N; i++ {
 		s.afterFault(s.injector.CrashStart(i), "fault.crash", s.crashFn, i)
 	}
 	for i := 0; i < cfg.N; i++ {
 		s.afterFault(s.injector.RateStart(i), "fault.rate", s.rateFn, i)
 	}
-	s.fold.Reset(true, s.Cfg.GlobalSkewBound())
 }
 
 // afterFault schedules node i's next fault-chain step unless the chain
@@ -423,51 +438,28 @@ func (d discovery) EdgeRemoved(t float64, e dyngraph.Edge) {
 	d.s.Nodes[e.V].OnEdgeRemoved(e.U)
 }
 
-// scan reads every node into vals and returns the extrema of the live
-// ones. Every engine is at the sample instant, so on many shards too
-// this is one serial pass over consistent clocks.
-//
-//gcslint:zeroalloc
-func (s *Simulation) scan() (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for i := range s.vals {
-		if s.Nodes[i].Down() {
-			// A crashed node has no logical clock. Poisoning its sample with
-			// NaN makes every consumer skip it for free: NaN fails the lo/hi
-			// comparisons here, Fold.Adjacent's |L_u - L_v| > max test, and
-			// the gradient checker's bucket comparisons.
-			s.vals[i] = math.NaN()
-			continue
-		}
-		l := s.Nodes[i].Logical()
-		s.vals[i] = l
-		if l < lo {
-			lo = l
-		}
-		if l > hi {
-			hi = l
-		}
-	}
-	return lo, hi
-}
-
 // observe records one skew sample at the global engine's current time,
-// when every node is at that same instant. It reuses the sample buffer,
-// the presized series and the edge observer, so sampling allocates
+// when every node is at that same instant, so one serial pass reads
+// consistent clocks on many shards too. A crashed node has no logical
+// clock: it reads NaN, which every consumer skips for free. Sampling
+// reuses the sample buffer and the presized series, so it allocates
 // nothing.
 //
 //gcslint:zeroalloc
 func (s *Simulation) observe() {
-	lo, hi := s.scan()
+	for i, nd := range s.Nodes {
+		s.vals[i] = math.NaN()
+		if !nd.Down() {
+			s.vals[i] = nd.Logical()
+		}
+	}
 	now := s.Engine.Now()
+	lo, hi := s.fold.Sample(now, s.vals)
 	s.series = append(s.series, SkewPoint{T: now, Lo: lo, Hi: hi})
 	if s.gradient != nil {
-		s.gradient.observe(s.Graph, s.vals)
+		s.gradient.observe(s.Graph, s.vals, hi-lo)
 	}
-	// Max over edges is order-independent, so the unordered allocation-free
-	// iteration is deterministic in its result.
-	s.Graph.RangeCurrentEdges(s.edgeFn)
-	s.fold.Sample(now, lo, hi)
+	s.fold.Edges(s.Graph, s.vals)
 }
 
 // startSampler installs the periodic skew sampler on first call.
@@ -484,27 +476,18 @@ func (s *Simulation) startSampler() {
 func (s *Simulation) finalise(executed uint64) SkewReport {
 	// End-of-run state at exactly the horizon, unless the periodic
 	// sampler already landed there (Horizon a multiple of SampleEvery).
-	if s.fold.Report.Samples == 0 || s.fold.lastT < s.Cfg.Horizon {
+	if k := len(s.series); k == 0 || s.series[k-1].T < s.Cfg.Horizon {
 		s.observe()
 	}
-	rep := &s.fold.Report
-	rep.Bound = s.Cfg.GlobalSkewBound()
+	faults := s.Net.FaultStats()
+	faults.Merge(s.faultStats)
+	rep := s.fold.Finish(s.Clocks, s.Nodes, faults)
 	rep.Transport = s.Net.Stats()
 	rep.EventsExecuted = executed
 	rep.EdgeAdds, rep.EdgeRemoves = s.Graph.Stats()
 	if s.gradient != nil {
 		rep.PerDistanceSkew = s.gradient.PerDistance()
 		rep.DistanceRecomputes = s.gradient.Recomputes()
-	}
-	s.fold.ResetTotals()
-	for i, hw := range s.Clocks {
-		mn, mx := hw.RateBoundsSeen()
-		s.fold.AddNode(mn, mx, s.Nodes[i].Snap())
-	}
-	if s.Cfg.Faults.Enabled() {
-		faults := s.Net.FaultStats()
-		faults.Merge(s.faultStats)
-		s.fold.SetFaults(faults)
 	}
 	return *rep
 }

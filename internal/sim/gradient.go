@@ -30,7 +30,6 @@ type GradientChecker struct {
 	maxByDist []float64
 	// maxDist is the largest bucket with data so far.
 	maxDist int
-	samples int
 	// pairs lists the built matrix's connected pairs u < v as u<<16 | v,
 	// those at distance d in pairs[at[d]:at[d+1]] for d in [1, far].
 	pairs []uint32
@@ -61,19 +60,18 @@ func (gc *GradientChecker) reset() {
 		gc.maxByDist[i] = 0
 	}
 	gc.maxDist = 0
-	gc.samples = 0
 	gc.recomputeBase = gc.dm.Recomputes()
 }
 
 // observe folds one sample into the buckets: vals[i] is node i's logical
-// clock at the sample instant, g supplies the current topology. A
-// distance whose bucket already holds the sample's spread (its largest
-// clock less its smallest) is skipped: rounded subtraction is monotone,
-// so no pair's difference exceeds the spread.
+// clock at the sample instant (NaN while down), g supplies the current
+// topology, and spread is the sample's largest live clock less its
+// smallest (Fold.Sample's extrema). A distance whose bucket already holds
+// the spread is skipped: rounded subtraction is monotone, so no pair's
+// difference exceeds it.
 //
 //gcslint:zeroalloc
-func (gc *GradientChecker) observe(g *dyngraph.Dynamic, vals []float64) {
-	gc.samples++
+func (gc *GradientChecker) observe(g *dyngraph.Dynamic, vals []float64, spread float64) {
 	if d, folded := gc.dm.Fold(g, vals, gc.maxByDist); folded {
 		gc.maxDist = max(gc.maxDist, d)
 		return
@@ -81,18 +79,8 @@ func (gc *GradientChecker) observe(g *dyngraph.Dynamic, vals []float64) {
 	if gc.dm.Update(g) {
 		gc.list()
 	}
-	// A crashed node reads NaN, which fails every comparison: it moves
-	// neither end of the spread and raises no bucket.
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range vals {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	spread := hi - lo
+	// A crashed node reads NaN, which fails every comparison, so it
+	// raises no bucket; with every node down the spread is -Inf.
 	for d := 1; d <= gc.far; d++ {
 		top := gc.maxByDist[d]
 		if !(spread > top) {

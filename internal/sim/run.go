@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"runtime"
-
 	"gcs/internal/clock"
 	"gcs/internal/des"
 	"gcs/internal/dyngraph"
@@ -112,11 +110,10 @@ type Simulation struct {
 	drivers []DriverState
 	churn   ChurnState
 
-	// Reseedable PRNG streams, one per subsystem, matching the fork ids a
-	// fresh wiring would draw so reuse stays bit-identical.
-	root      des.Rand
-	driveRand des.Rand
-	phaseRand des.Rand
+	// root is reseeded per run and streams re-forked from it, so reuse
+	// stays bit-identical to a fresh wiring.
+	root    des.Rand
+	streams Streams
 
 	// delays is the run's delay law, rewired by Reset.
 	delays transport.Delays
@@ -135,7 +132,6 @@ type Simulation struct {
 	// fireFn is every clock's engine firing: fireFn(i) fires clock i.
 	fireFn   des.ArgHandler
 	sampleFn func()
-	edgeFn   func(dyngraph.Edge)
 	// onMessage is the single delivery handler shared by every node.
 	onMessage transport.Handler
 
@@ -305,11 +301,7 @@ func (s *Simulation) engineOf(i int) *des.Engine {
 // report.
 func (s *Simulation) Advance(t float64) {
 	s.startSampler()
-	workers := s.Cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	s.P.Run(t, workers)
+	s.P.Run(t, WorkerCount(s.Cfg.Workers))
 }
 
 // Run executes the scenario to its horizon and returns the report. It is

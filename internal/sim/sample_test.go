@@ -4,6 +4,10 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"gcs/internal/des"
+	"gcs/internal/dyngraph"
+	"gcs/internal/fault"
 )
 
 // runWithSeries runs cfg on the arena and returns the report with a
@@ -130,26 +134,21 @@ func TestObserveShardBlocks(t *testing.T) {
 }
 
 // TestObserveScanAllDown pins the every-node-down corner of the one
-// sample path: the scan returns +Inf/-Inf extrema and NaN-poisons every
-// value, the fold clamps the spread to zero, and the series point carries
-// the same extrema.
+// sample path: the scan NaN-poisons every value, the fold clamps the
+// spread to zero, and the series point carries +Inf/-Inf extrema.
 func TestObserveScanAllDown(t *testing.T) {
 	cfg := Config{N: 12, Seed: 3, Horizon: 1, Topology: TopologySpec{Kind: TopoRing}, CheckGradient: true}
 	s := New(cfg)
 	for _, nd := range s.Nodes {
 		nd.Crash()
 	}
-	lo, hi := s.scan()
-	if !math.IsInf(lo, 1) || !math.IsInf(hi, -1) {
-		t.Fatalf("all-down scan: lo=%v hi=%v, want +Inf/-Inf", lo, hi)
-	}
+	s.observe()
 	for i, v := range s.vals {
 		if !math.IsNaN(v) {
 			t.Fatalf("node %d not NaN-poisoned: %v", i, v)
 		}
 	}
-	s.observe()
-	if r := s.fold.Report; r.Samples != 1 || r.MaxGlobalSkew != 0 || r.FinalGlobalSkew != 0 || r.MaxAdjacentSkew != 0 {
+	if r := s.fold.rep; r.Samples != 1 || r.MaxGlobalSkew != 0 || r.FinalGlobalSkew != 0 || r.MaxAdjacentSkew != 0 {
 		t.Fatalf("all-down sample folded a spread: %+v", r)
 	}
 	if s.gradient.maxDist != 0 {
@@ -158,5 +157,128 @@ func TestObserveScanAllDown(t *testing.T) {
 	want := SkewPoint{T: 0, Lo: math.Inf(1), Hi: math.Inf(-1)}
 	if len(s.series) != 1 || s.series[0] != want {
 		t.Fatalf("series = %v, want [%v]", s.series, want)
+	}
+}
+
+// TestFoldMatchesBruteForce holds the fold to a brute-force reference,
+// bit for bit, over random samples: readings with scattered NaN (down
+// nodes), one all-down sample, spreads on both sides of the bound, and
+// graphs with isolated nodes whose edges toggle between samples. The
+// reference takes the extrema over the live readings, the adjacent skew
+// over every present pair u < v, and the re-convergence instant as the
+// sample after the last one outside the bound. Sample and Edges allocate
+// nothing.
+func TestFoldMatchesBruteForce(t *testing.T) {
+	for _, n := range []int{1, 2, 9, 64} {
+		r := des.NewRand(uint64(n))
+		cfg := Config{N: n, Topology: TopologySpec{Kind: TopoLine}, Faults: FaultSpec{CrashEvery: 5}}.WithDefaults()
+		bound := cfg.GlobalSkewBound()
+		// Node n-1 has no edge: the random ones join nodes below it.
+		g := dyngraph.NewDynamic(n, nil)
+		for k := 0; k < n && n > 2; k++ {
+			if u, v := r.Intn(n-1), r.Intn(n-1); u != v {
+				g.Add(0, dyngraph.E(u, v))
+			}
+		}
+		var f Fold
+		f.Reset(&cfg)
+		vals := make([]float64, n)
+		var wantMax, wantAdj, wantFinal float64
+		var times, spreads []float64
+		for step := 0; step < 90+n; step++ {
+			now := float64(step) / 10
+			if u, v := r.Intn(n), r.Intn(n); u != v && step%3 == 0 {
+				if e := dyngraph.E(u, v); g.Present(e) {
+					g.Remove(now, e)
+				} else {
+					g.Add(now, e)
+				}
+			}
+			scale := 2 * bound * float64((step+n)%4) / 3
+			for i := range vals {
+				vals[i] = 10 + scale*r.Float64()
+				if r.Intn(5) == 0 || step == 30 {
+					vals[i] = math.NaN()
+				}
+			}
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for _, v := range vals {
+				if !math.IsNaN(v) {
+					lo, hi = math.Min(lo, v), math.Max(hi, v)
+				}
+			}
+			spread := 0.0
+			if lo <= hi {
+				spread = hi - lo
+			}
+			wantMax, wantFinal = math.Max(wantMax, spread), spread
+			times, spreads = append(times, now), append(spreads, spread)
+			for u := 0; u < n; u++ {
+				for v := u + 1; v < n; v++ {
+					if g.Present(dyngraph.E(u, v)) && !math.IsNaN(vals[u]) && !math.IsNaN(vals[v]) {
+						wantAdj = math.Max(wantAdj, math.Abs(vals[u]-vals[v]))
+					}
+				}
+			}
+			gotLo, gotHi := f.Sample(now, vals)
+			f.Edges(g, vals)
+			if math.Float64bits(gotLo) != math.Float64bits(lo) || math.Float64bits(gotHi) != math.Float64bits(hi) {
+				t.Fatalf("n=%d step %d: extrema (%v, %v), reference (%v, %v)", n, step, gotLo, gotHi, lo, hi)
+			}
+		}
+		// Faults up to t = 4, so the skew re-enters the bound after them
+		// or is still outside at the last sample.
+		fs := fault.Stats{Crashes: 1, LastFaultT: 4}
+		goodSince := times[0]
+		for i, sp := range spreads {
+			if sp > bound {
+				goodSince = -1
+				if i+1 < len(times) {
+					goodSince = times[i+1]
+				}
+			}
+		}
+		wantRec := math.Inf(1)
+		if goodSince >= 0 {
+			wantRec = math.Max(goodSince-fs.LastFaultT, 0)
+		}
+		rep := f.Finish(nil, nil, fs)
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"MaxGlobalSkew", rep.MaxGlobalSkew, wantMax},
+			{"FinalGlobalSkew", rep.FinalGlobalSkew, wantFinal},
+			{"MaxAdjacentSkew", rep.MaxAdjacentSkew, wantAdj},
+			{"ReconvergenceTime", rep.ReconvergenceTime, wantRec},
+			{"Bound", rep.Bound, bound},
+		} {
+			if math.Float64bits(c.got) != math.Float64bits(c.want) {
+				t.Errorf("n=%d: %s = %v, reference %v", n, c.name, c.got, c.want)
+			}
+		}
+		if rep.Samples != len(times) || rep.Faults != fs {
+			t.Errorf("n=%d: %d samples, faults %+v; want %d, %+v", n, rep.Samples, rep.Faults, len(times), fs)
+		}
+		if n > 2 && wantAdj == 0 {
+			t.Errorf("n=%d: no present edge between live nodes in any sample", n)
+		}
+		// A last sample outside the bound: still outside at the horizon.
+		if n >= 2 {
+			for i := range vals {
+				vals[i] = math.NaN()
+			}
+			vals[0], vals[n-1] = 0, 2*bound
+			f.Sample(10, vals)
+			if rec := f.Finish(nil, nil, fs).ReconvergenceTime; !math.IsInf(rec, 1) {
+				t.Errorf("n=%d: ReconvergenceTime %v after a last sample outside the bound, want +Inf", n, rec)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			f.Sample(10, vals)
+			f.Edges(g, vals)
+		}); allocs != 0 {
+			t.Errorf("n=%d: Sample and Edges allocated %v objects/op, want 0", n, allocs)
+		}
 	}
 }

@@ -63,6 +63,15 @@ func ValidateCells(cells []SweepCell) error {
 	return errors.Join(errs...)
 }
 
+// WorkerCount resolves a worker count, Config.Workers or a pool size:
+// 0 or less means GOMAXPROCS.
+func WorkerCount(w int) int {
+	if w <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return w
+}
+
 // runCells is RunSweep's worker pool. judge, when non-nil, reads cell
 // i's finished run on its worker, before the worker's arena rewires the
 // simulation for the next cell.
@@ -71,12 +80,9 @@ func runCells(cells []SweepCell, workers int, judge func(i int, res SweepResult,
 		return nil, err
 	}
 	out := make([]SweepResult, len(cells))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for range min(workers, len(cells)) {
+	for range min(WorkerCount(workers), len(cells)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
