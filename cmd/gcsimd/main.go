@@ -1,13 +1,15 @@
 // Command gcsimd is the crash-safe sweep service: a long-running
 // daemon that accepts sweep jobs over HTTP, schedules their cells
 // across a bounded worker pool, and persists every cell outcome to an
-// append-only, CRC-checked, fsync-on-commit WAL. Because each cell's
-// report is a pure function of its config, results are content-
-// addressed facts: identical cells are deduped across jobs and served
-// from the store without re-running, and a daemon killed mid-sweep
-// (even kill -9) resumes on restart by re-enqueuing exactly the cells
-// whose facts are missing — the resumed job's results are bit-
-// identical to an uninterrupted run.
+// append-only, CRC-checked, fsync-on-commit log: one file, wal.log,
+// in the -data directory. Because each cell's report is a pure function
+// of its config, results are content-addressed facts: identical cells
+// are deduped across jobs and served from the store without re-running,
+// and a daemon killed mid-sweep (even kill -9) resumes on restart by
+// re-enqueuing exactly the cells whose facts are missing — the resumed
+// job's results are bit-identical to an uninterrupted run. On start it
+// logs what opening the store replayed and recovered: records replayed,
+// bytes of damage discarded, superseded records and compactions.
 //
 //	gcsimd -addr 127.0.0.1:7333 -data ./gcsimd-data
 //	gcsim sweep -daemon http://127.0.0.1:7333 -n 256,1024
@@ -45,20 +47,19 @@ func main() {
 		queueCap     = flag.Int("queue-cap", 4096, "max cells admitted but unfinished; past it, submissions get 429")
 		cellTimeout  = flag.Duration("cell-timeout", 10*time.Minute, "per-cell execution deadline")
 		retries      = flag.Int("retries", 2, "re-executions of a failed cell before storing a terminal error fact")
-		segBytes     = flag.Int64("seg-bytes", 4<<20, "WAL segment rotation threshold (bytes)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace for in-flight cells on SIGTERM before abandoning them")
 	)
 	flag.Parse()
 	log.SetPrefix("gcsimd: ")
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
 
-	repo, err := store.OpenWAL(*dataDir, store.WALOptions{SegmentBytes: *segBytes})
+	repo, err := store.OpenWAL(*dataDir, store.WALOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	st := repo.Stats()
-	log.Printf("store %s: %d segment(s), %d record(s) replayed, %d byte(s) of torn tail recovered",
-		*dataDir, st.Segments, st.RecordsReplayed, st.TruncatedBytes)
+	log.Printf("store %s: %d record(s) replayed, %d byte(s) discarded by recovery, %d superseded, %d compaction(s)",
+		*dataDir, st.RecordsReplayed, st.TruncatedBytes, st.Superseded, st.Compactions)
 
 	d, err := jobd.New(jobd.Config{
 		Repo:        repo,

@@ -97,9 +97,6 @@ func NewTwoChains(n int) *TwoChains {
 	return tc
 }
 
-// LenB returns the number of interior nodes on chain B.
-func (tc *TwoChains) LenB() int { return tc.lenB }
-
 // AIndex maps chain-A position i (0 = w0, lenA+1 = wn) to a node index.
 // Interior A nodes are numbered 1..lenA.
 func (tc *TwoChains) AIndex(i int) int { return tc.index("A", i, tc.lenA, 0) }

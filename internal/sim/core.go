@@ -276,8 +276,8 @@ func (s *Simulation) arm() {
 	// t = MaxDelay*d/rho, then 1. Each driver took its rate-1 step above;
 	// this second step starts the head start at time 0.
 	if cfg.LowerBoundEps != 0 {
-		for v, d := range s.lbDists {
-			s.drivers[v].lead = cfg.MaxDelay * float64(d) / cfg.Rho
+		for v := range n {
+			s.drivers[v].lead = cfg.MaxDelay * float64(flexibleDist(n, v)) / cfg.Rho
 			s.driveStep(uint64(v))
 		}
 	}

@@ -251,11 +251,11 @@ func TestLayeredRateMatchesEquationOne(t *testing.T) {
 	cfg := lowerBoundBase(1)
 	cfg.N = 32
 	cfg = cfg.WithDefaults()
-	dists := lowerBoundDists(cfg.N)
 	s := New(cfg)
 	for at := 0.5; at <= lowerBoundHorizon(cfg); at += 0.5 {
 		s.Advance(at)
-		for v, d := range dists {
+		for v := range cfg.N {
+			d := flexibleDist(cfg.N, v)
 			want := at + math.Min(cfg.Rho*at, cfg.MaxDelay*float64(d))
 			if got := s.Clocks[v].Now(); math.Abs(got-want) > 1e-9 {
 				t.Fatalf("node %d (dist %d): H(%v) = %v, want %v", v, d, at, got, want)

@@ -21,10 +21,8 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
-	"gcs/internal/dyngraph"
 	"gcs/internal/transport"
 )
 
@@ -34,29 +32,27 @@ import (
 // the moment the adversary has banked its full MaxDelay*maxDist hardware
 // offset — plus a settle margin.
 func lowerBoundHorizon(d Config) float64 {
-	s := d.MaxDelay * float64(slices.Max(lowerBoundDists(d.N))) / d.Rho
+	s := d.MaxDelay * float64(maxFlexibleDist(d.N)) / d.Rho
 	return s + max(0.25*s, 2)
 }
 
-// lowerBoundDists builds the two-chain network for n nodes and returns
-// each node's flexible distance from w0, chain B's edges being the
-// constrained ones. Every chain-B node (w0 and wn included) is at
-// distance 0 and every interior chain-A node at distance >= 1, so a hop
-// is flexible exactly when one of its endpoints is at distance >= 1.
-func lowerBoundDists(n int) []int {
-	tc := dyngraph.NewTwoChains(n)
-	isB := make([]bool, n)
-	for i := 1; i <= tc.LenB(); i++ {
-		isB[tc.BIndex(i)] = true
+// flexibleDist is node v's flexible distance from w0 in the n-node
+// two-chains network (dyngraph.NewTwoChains), chain B's edges being the
+// constrained ones. Chain B joins w0 to wn at no cost, so every chain-B
+// node, w0 and wn included, sits at 0, and the interior chain-A node
+// v in [1, n/2-1] sits min(v, n/2-v) chain-A hops from the nearer end.
+// A hop is flexible exactly when one of its endpoints is at distance
+// >= 1.
+func flexibleDist(n, v int) int {
+	if h := n / 2; v > 0 && v < h {
+		return min(v, h-v)
 	}
-	constrained := make(map[dyngraph.Edge]bool, tc.LenB()+1)
-	for _, e := range tc.Edges {
-		if isB[e.U] || isB[e.V] {
-			constrained[e] = true
-		}
-	}
-	return dyngraph.FlexibleDistances(n, tc.Edges, constrained, 0)
+	return 0
 }
+
+// maxFlexibleDist is the largest flexibleDist over n nodes, n/4, which
+// chain-A node n/4 reaches.
+func maxFlexibleDist(n int) int { return flexibleDist(n, n/4) }
 
 // LowerBoundResult is the outcome of one Theorem 4.1 run.
 type LowerBoundResult struct {
@@ -123,11 +119,11 @@ func LowerBoundExperiment(base Config, ns []int) Experiment {
 	}
 }
 
-// judgeLowerBound is LowerBoundExperiment's Judge: it reads the flexible
-// distances and the skew series off the finished simulation.
+// judgeLowerBound is LowerBoundExperiment's Judge: it reads the skew
+// series off the finished simulation.
 func judgeLowerBound(res SweepResult, s *Simulation) Row {
 	rpt, cfg := res.Report, res.Cfg
-	maxDist := slices.Max(s.lbDists)
+	maxDist := maxFlexibleDist(cfg.N)
 	r := LowerBoundResult{
 		N:               cfg.N,
 		MaxDist:         maxDist,

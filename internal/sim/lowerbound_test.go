@@ -2,8 +2,11 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"gcs/internal/dyngraph"
 )
 
 // lowerBoundBase is the Theorem 4.1 adversary at the defaults gcsim
@@ -22,6 +25,62 @@ func mustLowerBound(t *testing.T, base Config, workers int, ns ...int) []LowerBo
 		res[i] = r.JSON.(LowerBoundResult)
 	}
 	return res
+}
+
+// flexibleDistsBFS is the oracle for flexibleDist: a 0/1 BFS from w0
+// over the two-chains network dyngraph builds, in which a hop costs 0
+// when it touches an interior chain-B node (Definition 4.3's
+// constrained edges) and 1 otherwise.
+func flexibleDistsBFS(n int) []int {
+	tc := dyngraph.NewTwoChains(n)
+	onB := make([]bool, n)
+	for i := 1; i <= (n+1)/2-1; i++ {
+		onB[tc.BIndex(i)] = true
+	}
+	type arc struct{ to, cost int }
+	adj := make([][]arc, n)
+	for _, e := range tc.Edges {
+		c := 1
+		if onB[e.U] || onB[e.V] {
+			c = 0
+		}
+		adj[e.U] = append(adj[e.U], arc{e.V, c})
+		adj[e.V] = append(adj[e.V], arc{e.U, c})
+	}
+	dist := slices.Repeat([]int{-1}, n)
+	dist[0] = 0
+	for deque := []int{0}; len(deque) > 0; {
+		u := deque[0]
+		deque = deque[1:]
+		for _, a := range adj[u] {
+			if nd := dist[u] + a.cost; dist[a.to] == -1 || nd < dist[a.to] {
+				dist[a.to] = nd
+				if a.cost == 0 {
+					deque = append([]int{a.to}, deque...)
+				} else {
+					deque = append(deque, a.to)
+				}
+			}
+		}
+	}
+	return dist
+}
+
+// TestFlexibleDistClosedForm: the closed form the lower bound's delay
+// law, Eq. (1) schedules and horizon read agrees with the BFS at every
+// node count from 4 to 256, its maximum included.
+func TestFlexibleDistClosedForm(t *testing.T) {
+	for n := 4; n <= 256; n++ {
+		want := flexibleDistsBFS(n)
+		for v, d := range want {
+			if got := flexibleDist(n, v); got != d {
+				t.Fatalf("n=%d: flexibleDist(%d) = %d, BFS says %d", n, v, got, d)
+			}
+		}
+		if got := maxFlexibleDist(n); got != slices.Max(want) {
+			t.Fatalf("n=%d: maxFlexibleDist = %d, BFS says %d", n, got, slices.Max(want))
+		}
+	}
 }
 
 // TestLowerBoundOmegaGrowth is the Theorem 4.1 acceptance test: under

@@ -118,10 +118,8 @@ type Simulation struct {
 	// delays is the run's delay law, rewired by Reset.
 	delays transport.Delays
 
-	// lbDists is each node's flexible distance in the lower bound's
-	// two-chains network, cached per node count; lbDelayFn is that run's
-	// delay law, bound on first use (Config.LowerBoundEps).
-	lbDists   []int
+	// lbDelayFn is the lower bound's delay law, bound on first use
+	// (Config.LowerBoundEps).
 	lbDelayFn transport.DelayFn
 
 	// Long-lived callbacks, bound once so rewiring and sampling allocate
@@ -203,7 +201,7 @@ func (s *Simulation) Reset(cfg Config) {
 	s.delays.Wire(cfg.MinDelay, cfg.MaxDelay, cfg.N, &s.root)
 	delay := s.delayFn
 	if cfg.LowerBoundEps != 0 {
-		delay = s.adversary(cfg.N)
+		delay = s.adversary()
 	}
 
 	star := cfg.Churn.Kind == ChurnRotatingStar
@@ -238,17 +236,14 @@ func (s *Simulation) Reset(cfg Config) {
 	s.arm()
 }
 
-// adversary returns the Theorem 4.1 delay law over n nodes: MaxDelay on
-// every flexible hop (chain A), LowerBoundEps on every constrained one
-// (chain B). The closure is bound on first use, so runs that never ask
-// for it do not pay for it.
-func (s *Simulation) adversary(n int) transport.DelayFn {
-	if len(s.lbDists) != n {
-		s.lbDists = lowerBoundDists(n)
-	}
+// adversary returns the Theorem 4.1 delay law: MaxDelay on every
+// flexible hop (chain A), LowerBoundEps on every constrained one (chain
+// B). The closure is bound on first use, so runs that never ask for it
+// do not pay for it.
+func (s *Simulation) adversary() transport.DelayFn {
 	if s.lbDelayFn == nil {
 		s.lbDelayFn = func(m *transport.Message) float64 {
-			if s.lbDists[m.From] > 0 || s.lbDists[m.To] > 0 {
+			if n := s.Cfg.N; flexibleDist(n, m.From) > 0 || flexibleDist(n, m.To) > 0 {
 				return s.Cfg.MaxDelay
 			}
 			return s.Cfg.LowerBoundEps

@@ -29,10 +29,10 @@ func walState(t *testing.T, w *WAL) []byte {
 	return b
 }
 
-// FuzzWALReplay feeds arbitrary bytes to replay as a store's only
-// segment. Open must neither panic nor error, whatever it recovers; and
-// what it recovered is then durable and clean: a reopen serves the same
-// cells and jobs and finds nothing left to truncate.
+// FuzzWALReplay feeds arbitrary bytes to replay as a store's wal.log.
+// Open must neither panic nor error, whatever it recovers; and what it
+// recovered is then durable and clean: a reopen serves the same cells
+// and jobs and finds nothing left to discard or compact.
 func FuzzWALReplay(f *testing.F) {
 	dir := f.TempDir()
 	w, err := OpenWAL(dir, WALOptions{})
@@ -46,19 +46,19 @@ func FuzzWALReplay(f *testing.F) {
 		}
 	}
 	w.Close()
-	seg, err := os.ReadFile(filepath.Join(dir, walSegPrefix+"00000000"+walSegSuffix))
+	data, err := os.ReadFile(filepath.Join(dir, walLog))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(seg)
-	f.Add(seg[:len(seg)-5])                                 // torn tail
-	f.Add(append(bytes.Clone(seg[:40]), 0xff))              // corrupt first payload
-	f.Add([]byte{})                                         // empty segment
+	f.Add(data)
+	f.Add(data[:len(data)-5])                               // torn tail
+	f.Add(append(bytes.Clone(data[:40]), 0xff))             // corrupt first payload
+	f.Add([]byte{})                                         // empty log
 	f.Add([]byte{0x02, 0, 0, 0, 0, 0, 0, 0, '{', '}'})      // CRC mismatch
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1, 2}) // absurd length
-	f.Fuzz(func(t *testing.T, seg []byte) {
+	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, walSegPrefix+"00000000"+walSegSuffix), seg, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, walLog), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		w, err := OpenWAL(dir, WALOptions{})
@@ -77,8 +77,8 @@ func FuzzWALReplay(f *testing.F) {
 		if again := walState(t, r); !bytes.Equal(first, again) {
 			t.Fatalf("reopen serves a different state:\n first %s\n again %s", first, again)
 		}
-		if tb := r.Stats().TruncatedBytes; tb != 0 {
-			t.Fatalf("reopen truncated %d more bytes", tb)
+		if st := r.Stats(); st.TruncatedBytes != 0 || st.Superseded != 0 || st.Compactions != 0 {
+			t.Fatalf("reopen found more to recover: %+v", st)
 		}
 	})
 }

@@ -7,10 +7,11 @@
 // any failure (including kill -9) resumes exactly where it left off by
 // re-enqueuing only the cells whose facts are not yet on disk.
 //
-// The package has two repository implementations: WAL (wal.go), an
-// append-only, CRC-checked, fsync-on-commit log with segment rotation,
-// compaction, and torn-tail recovery; and Memory (memory.go), the same
-// contract without durability, for tests and embedded use.
+// The package has two repository implementations: WAL (wal.go), one
+// append-only, CRC-checked, fsync-on-commit log file whose replay skips
+// damaged frames and whose compaction is one write and an atomic
+// rename; and Memory (memory.go), the same contract without durability,
+// for tests and embedded use.
 package store
 
 import (

@@ -1,61 +1,59 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 )
 
-// WAL is the durable Repository: an append-only write-ahead log of
-// length-prefixed, CRC-checked JSON records under one directory, with
-// an in-memory index rebuilt by replay on open.
+// WAL is the durable Repository: one append-only log file, wal.log, of
+// length-prefixed, CRC-checked JSON records, with an in-memory index
+// rebuilt by replay on open.
 //
 // Frame layout, little-endian:
 //
 //	[u32 payload length][u32 CRC-32C of payload][payload JSON]
 //
-// Durability contract: every Put appends one frame and fsyncs the
-// segment before returning, so an acknowledged write survives kill -9
-// at any instant. Recovery contract: open replays segments in order; a
-// torn or corrupt frame (short header, absurd length, CRC mismatch,
-// unparseable JSON — all indistinguishable from a crash mid-append)
-// truncates its segment at the last good frame and replay continues
-// with the next segment. Records are independent facts, so dropping a
-// suffix is always consistent — at worst a cell re-runs.
+// Durability contract: every Put appends one frame and fsyncs the log
+// before returning, so an acknowledged write survives kill -9 at any
+// instant. Recovery contract: a frame that fails its checks (short
+// header, absurd length, CRC mismatch, unparseable JSON — a torn tail
+// is one) is skipped, and replay resumes at the next offset where a
+// whole frame checks out, so damage costs only the frames it touches.
+// Records are independent facts, so losing one is always consistent —
+// at worst a cell re-runs.
 //
-// The active segment rotates at SegmentBytes. When replay saw
-// superseded records (duplicate cell puts from retries, job status
-// rewrites) or recovered garbage, Open compacts: it rewrites the live
-// state (every cell fact, each job's latest record) into a fresh
-// segment chain and removes the old segments.
+// When replay saw superseded records (duplicate cell puts from
+// retries, job status rewrites) or skipped damage, Open compacts: it
+// streams the live state (each job's latest record, every cell fact)
+// into wal.log.tmp, fsyncs it, renames it over wal.log and fsyncs the
+// directory, so a crash at any point leaves either the old log or the
+// new one.
 type WAL struct {
-	dir      string
-	segBytes int64
+	dir string
 
-	mu         sync.Mutex
-	active     *os.File
-	activeIdx  int
-	activeSize int64
-	cells      map[Key]CellResult
-	jobs       map[string]JobRecord
-	stats      WALStats
+	mu    sync.Mutex
+	log   *os.File
+	cells map[Key]CellResult
+	jobs  map[string]JobRecord
+	stats WALStats
 }
 
 // WALStats describes what open and subsequent writes observed, for
-// tests and operational logging.
+// tests and operational logging. Compaction leaves them as they are,
+// so after Open they report what that open recovered.
 type WALStats struct {
-	// Segments is the current on-disk segment count.
-	Segments int
 	// RecordsReplayed counts frames applied during Open.
 	RecordsReplayed int
-	// TruncatedBytes counts bytes discarded by torn-tail/corruption
-	// recovery during Open.
+	// TruncatedBytes counts bytes discarded by recovery during Open:
+	// torn tails and the frames damage touched.
 	TruncatedBytes int64
 	// Superseded counts replayed or written records that overwrote an
 	// earlier record (retry duplicates, job status updates).
@@ -64,24 +62,19 @@ type WALStats struct {
 	Compactions int
 }
 
-// WALOptions tune a WAL; the zero value is production defaults.
-type WALOptions struct {
-	// SegmentBytes rotates the active segment past this size
-	// (default 4 MiB).
-	SegmentBytes int64
-	// NoAutoCompact disables the automatic compaction on open that
-	// normally runs when replay found superseded records or recovered
-	// garbage; recovery tests use it to inspect the un-compacted state.
-	NoAutoCompact bool
-}
+// WALOptions is kept so that callers passing WALOptions{} still build;
+// the WAL has no options.
+type WALOptions struct{}
 
 const (
 	walFrameHeader = 8
 	// walMaxRecord bounds a frame's declared payload length; anything
 	// larger is treated as corruption (a cell record is a few KB).
 	walMaxRecord = 16 << 20
-	walSegPrefix = "wal-"
-	walSegSuffix = ".log"
+	walLog       = "wal.log"
+	walTmp       = walLog + ".tmp"
+	// walSegment matches the numbered segments of earlier versions.
+	walSegment = "wal-[0-9]*.log"
 )
 
 var walCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -93,113 +86,119 @@ type walRecord struct {
 }
 
 // OpenWAL opens (creating if needed) the store at dir and replays it.
-func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = 4 << 20
-	}
+// A directory written by an earlier version holds numbered segments
+// (wal-NNNNNNNN.log) instead of wal.log: they are replayed in order,
+// compacted into wal.log and removed. Segments beside an existing
+// wal.log were already folded into it by a compaction that crashed
+// before removing them, and a leftover wal.log.tmp is a compaction that
+// crashed before its rename; both are removed unread.
+func OpenWAL(dir string, _ WALOptions) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	w := &WAL{
-		dir:      dir,
-		segBytes: opts.SegmentBytes,
-		cells:    map[Key]CellResult{},
-		jobs:     map[string]JobRecord{},
-	}
-	segs, err := w.segments()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	for _, idx := range segs {
-		if err := w.replaySegment(idx); err != nil {
-			return nil, err
+	var legacy []string // ReadDir sorts by name, so segments are in order
+	hasLog := false
+	for _, e := range entries {
+		name := e.Name()
+		if name == walTmp {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				return nil, fmt.Errorf("store: %w", err)
+			}
 		}
+		if ok, _ := filepath.Match(walSegment, name); ok {
+			legacy = append(legacy, name)
+		}
+		hasLog = hasLog || name == walLog
 	}
-	w.stats.Segments = len(segs)
-	last := 0
-	if len(segs) > 0 {
-		last = segs[len(segs)-1]
+	w := &WAL{dir: dir, cells: map[Key]CellResult{}, jobs: map[string]JobRecord{}}
+	sources := legacy
+	if hasLog {
+		sources = []string{walLog}
+	}
+	for _, name := range sources {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+		n, skipped := replay(data, w.apply)
+		w.stats.RecordsReplayed += n
+		w.stats.TruncatedBytes += skipped
+	}
+	if (!hasLog && len(legacy) > 0) || w.stats.Superseded > 0 || w.stats.TruncatedBytes > 0 {
+		err = w.compact()
 	} else {
-		w.stats.Segments = 1
+		w.log, err = os.OpenFile(filepath.Join(dir, walLog), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	}
-	if err := w.openActive(last); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	if !opts.NoAutoCompact && (w.stats.Superseded > 0 || w.stats.TruncatedBytes > 0) {
-		if err := w.compactLocked(); err != nil {
-			w.active.Close()
-			return nil, err
+	for _, name := range legacy {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			w.log.Close()
+			return nil, fmt.Errorf("store: removing a folded segment: %w", err)
 		}
 	}
 	return w, nil
 }
 
-// segments returns the sorted segment indices present in the directory.
-func (w *WAL) segments() ([]int, error) {
-	entries, err := os.ReadDir(w.dir)
+// replay calls apply for every whole frame in data that passes its
+// checks, in order, and returns how many it applied and how many bytes
+// it skipped. A frame that fails a check is skipped one byte at a time,
+// up to the next offset where a whole frame checks out. No offset inside
+// a JSON payload passes for a header: a length under walMaxRecord has a
+// zero top byte, and JSON text holds no zero byte.
+func replay(data []byte, apply func(walRecord)) (records int, skipped int64) {
+	for off := 0; off < len(data); {
+		if rec, n, ok := decodeFrame(data[off:]); ok {
+			apply(rec)
+			records++
+			off += n
+		} else {
+			skipped++
+			off++
+		}
+	}
+	return records, skipped
+}
+
+// decodeFrame decodes the frame at the start of b and returns its
+// length, or ok = false if b does not start with a whole, valid frame.
+func decodeFrame(b []byte) (rec walRecord, n int, ok bool) {
+	if len(b) < walFrameHeader {
+		return rec, 0, false // torn header
+	}
+	length := binary.LittleEndian.Uint32(b[0:4])
+	if length > walMaxRecord || int(length) > len(b)-walFrameHeader {
+		return rec, 0, false // absurd or torn payload
+	}
+	payload := b[walFrameHeader : walFrameHeader+int(length)]
+	if crc32.Checksum(payload, walCRC) != binary.LittleEndian.Uint32(b[4:8]) {
+		return rec, 0, false
+	}
+	if json.Unmarshal(payload, &rec) != nil {
+		return walRecord{}, 0, false // framed but unparseable
+	}
+	return rec, walFrameHeader + int(length), true
+}
+
+// appendFrame appends rec's frame to dst.
+func appendFrame(dst []byte, rec walRecord) ([]byte, error) {
+	payload, err := json.Marshal(rec)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return dst, fmt.Errorf("encoding record: %w", err)
 	}
-	var out []int
-	for _, e := range entries {
-		name := e.Name()
-		var idx int
-		if _, err := fmt.Sscanf(name, walSegPrefix+"%08d"+walSegSuffix, &idx); err == nil {
-			out = append(out, idx)
-		}
-	}
-	sort.Ints(out)
-	return out, nil
+	dst = slices.Grow(dst, walFrameHeader+len(payload))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, walCRC))
+	return append(dst, payload...), nil
 }
 
-func (w *WAL) segPath(idx int) string {
-	return filepath.Join(w.dir, fmt.Sprintf("%s%08d%s", walSegPrefix, idx, walSegSuffix))
-}
-
-// replaySegment applies one segment's frames to the in-memory state,
-// truncating the file at the first corrupt or torn frame.
-func (w *WAL) replaySegment(idx int) error {
-	path := w.segPath(idx)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	off := 0
-	for {
-		rest := data[off:]
-		if len(rest) == 0 {
-			return nil // clean end (an empty segment lands here immediately)
-		}
-		if len(rest) < walFrameHeader {
-			break // torn header
-		}
-		length := binary.LittleEndian.Uint32(rest[0:4])
-		crc := binary.LittleEndian.Uint32(rest[4:8])
-		if length > walMaxRecord || int(length) > len(rest)-walFrameHeader {
-			break // absurd or torn payload
-		}
-		payload := rest[walFrameHeader : walFrameHeader+int(length)]
-		if crc32.Checksum(payload, walCRC) != crc {
-			break // CRC mismatch
-		}
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			break // framed but unparseable: treat as corruption
-		}
-		w.apply(rec)
-		w.stats.RecordsReplayed++
-		off += walFrameHeader + int(length)
-	}
-	// Torn tail or mid-segment corruption: drop the suffix on disk so
-	// the next replay (and any append to this segment) starts clean.
-	w.stats.TruncatedBytes += int64(len(data) - off)
-	if err := os.Truncate(path, int64(off)); err != nil {
-		return fmt.Errorf("store: truncating torn tail of %s: %w", path, err)
-	}
-	return nil
-}
-
-// apply folds one record into the index, last record wins.
+// apply folds one record into the index, last record wins. Callers
+// hold w.mu or own w alone.
 func (w *WAL) apply(rec walRecord) {
 	if rec.Cell != nil {
 		if _, dup := w.cells[rec.Cell.Key]; dup {
@@ -215,78 +214,23 @@ func (w *WAL) apply(rec walRecord) {
 	}
 }
 
-// openActive opens segment idx for appending as the active segment.
-func (w *WAL) openActive(idx int) error {
-	f, err := os.OpenFile(w.segPath(idx), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	w.active = f
-	w.activeIdx = idx
-	w.activeSize = size
-	return nil
-}
-
-// append frames, writes, and fsyncs one record; rotates first when the
-// active segment is full. Callers hold w.mu.
-func (w *WAL) append(rec walRecord) error {
-	if w.active == nil {
+// put appends and fsyncs one record's frame, then applies the record.
+// Callers hold w.mu.
+func (w *WAL) put(rec walRecord) error {
+	if w.log == nil {
 		return fmt.Errorf("store: WAL is closed")
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: encoding record: %w", err)
+	frame, err := appendFrame(nil, rec)
+	if err == nil {
+		_, err = w.log.Write(frame)
 	}
-	if w.activeSize >= w.segBytes {
-		if err := w.rotateLocked(); err != nil {
-			return err
-		}
+	if err == nil {
+		err = w.log.Sync()
 	}
-	frame := make([]byte, walFrameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, walCRC))
-	copy(frame[walFrameHeader:], payload)
-	if _, err := w.active.Write(frame); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := w.active.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	w.activeSize += int64(len(frame))
-	return nil
-}
-
-// rotateLocked seals the active segment and starts the next one.
-func (w *WAL) rotateLocked() error {
-	if err := w.active.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := w.active.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := w.openActive(w.activeIdx + 1); err != nil {
-		return err
-	}
-	w.stats.Segments++
-	return w.syncDir()
-}
-
-// syncDir fsyncs the store directory so segment creation/removal itself
-// is durable.
-func (w *WAL) syncDir() error {
-	d, err := os.Open(w.dir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
+	w.apply(rec)
 	return nil
 }
 
@@ -296,14 +240,7 @@ func (w *WAL) syncDir() error {
 func (w *WAL) PutCell(c CellResult) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.append(walRecord{Cell: &c}); err != nil {
-		return err
-	}
-	if _, dup := w.cells[c.Key]; dup {
-		w.stats.Superseded++
-	}
-	w.cells[c.Key] = c
-	return nil
+	return w.put(walRecord{Cell: &c})
 }
 
 // GetCell implements Repository.
@@ -318,14 +255,7 @@ func (w *WAL) GetCell(k Key) (CellResult, bool) {
 func (w *WAL) PutJob(j JobRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.append(walRecord{Job: &j}); err != nil {
-		return err
-	}
-	if _, dup := w.jobs[j.ID]; dup {
-		w.stats.Superseded++
-	}
-	w.jobs[j.ID] = j
-	return nil
+	return w.put(walRecord{Job: &j})
 }
 
 // GetJob implements Repository.
@@ -349,10 +279,10 @@ func (w *WAL) Jobs() []JobRecord {
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.active == nil {
+	if w.log == nil {
 		return nil
 	}
-	if err := w.active.Sync(); err != nil {
+	if err := w.log.Sync(); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
@@ -362,49 +292,28 @@ func (w *WAL) Sync() error {
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.active == nil {
+	if w.log == nil {
 		return nil
 	}
-	err := w.active.Sync()
-	if cerr := w.active.Close(); err == nil {
+	err := w.log.Sync()
+	if cerr := w.log.Close(); err == nil {
 		err = cerr
 	}
-	w.active = nil
+	w.log = nil
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
 }
 
-// compactLocked rewrites the live state into a fresh segment chain
-// (rotating at the size cap as usual) and removes the old segments,
-// folding out superseded records and recovered garbage. The rewrite is
-// ordered (jobs by ID, then cells by key) so compacted segments are
-// byte-deterministic functions of the state.
-func (w *WAL) compactLocked() error {
-	if w.active == nil {
-		return fmt.Errorf("store: WAL is closed")
-	}
-	old, err := w.segments()
-	if err != nil {
-		return err
-	}
-	first := w.activeIdx + 1
-	if err := w.active.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := w.active.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	w.active = nil
-	if err := w.openActive(first); err != nil {
-		return err
-	}
+// compact writes the live state to wal.log.tmp through one buffered
+// writer (jobs by ID, then cells by key, so the log is a byte-
+// deterministic function of the state), fsyncs it once, renames it over
+// wal.log and fsyncs the directory. The new log stays open as w.log.
+func (w *WAL) compact() error {
+	recs := make([]walRecord, 0, len(w.jobs)+len(w.cells))
 	for _, j := range sortedJobs(w.jobs) {
-		j := j
-		if err := w.append(walRecord{Job: &j}); err != nil {
-			return err
-		}
+		recs = append(recs, walRecord{Job: &j})
 	}
 	keys := make([]Key, 0, len(w.cells))
 	for k := range w.cells {
@@ -413,26 +322,50 @@ func (w *WAL) compactLocked() error {
 	sort.Slice(keys, func(i, j int) bool { return string(keys[i][:]) < string(keys[j][:]) })
 	for _, k := range keys {
 		c := w.cells[k]
-		if err := w.append(walRecord{Cell: &c}); err != nil {
-			return err
-		}
+		recs = append(recs, walRecord{Cell: &c})
 	}
-	for _, idx := range old {
-		if idx >= first {
-			continue
-		}
-		if err := os.Remove(w.segPath(idx)); err != nil {
-			return fmt.Errorf("store: removing compacted segment: %w", err)
-		}
-	}
-	if err := w.syncDir(); err != nil {
+	f, err := os.Create(filepath.Join(w.dir, walTmp))
+	if err != nil {
 		return err
 	}
-	w.stats.Segments = w.activeIdx - first + 1
-	w.stats.Superseded = 0
-	w.stats.TruncatedBytes = 0
+	if err := writeLog(f, recs); err != nil {
+		f.Close()
+		return err
+	}
+	w.log = f
 	w.stats.Compactions++
 	return nil
+}
+
+// writeLog is compact's I/O: it frames recs into f (wal.log.tmp, open
+// and empty), fsyncs it, renames it over wal.log and fsyncs the
+// directory.
+func writeLog(f *os.File, recs []walRecord) error {
+	bw := bufio.NewWriter(f)
+	var frame []byte
+	for _, rec := range recs {
+		var err error
+		if frame, err = appendFrame(frame[:0], rec); err != nil {
+			return err
+		}
+		bw.Write(frame) // a write error sticks, and Flush returns it
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	dir := filepath.Dir(f.Name())
+	if err := os.Rename(f.Name(), filepath.Join(dir, walLog)); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Stats returns a snapshot of the WAL's counters.
