@@ -46,7 +46,7 @@ func main() {
 		workers      = flag.Int("workers", 0, "cell worker pool size (0 = GOMAXPROCS)")
 		queueCap     = flag.Int("queue-cap", 4096, "max cells admitted but unfinished; past it, submissions get 429")
 		cellTimeout  = flag.Duration("cell-timeout", 10*time.Minute, "per-cell execution deadline")
-		retries      = flag.Int("retries", 2, "re-executions of a failed cell before storing a terminal error fact")
+		retries      = flag.Int("retries", 2, "immediate re-runs of a failed cell, none once draining, before it is stored as a terminal error fact")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace for in-flight cells on SIGTERM before abandoning them")
 	)
 	flag.Parse()

@@ -2,8 +2,8 @@ package jobd
 
 import "time"
 
-// Clock is the daemon's only window onto wall time — cell deadlines,
-// backoff waits, and drain grace periods all go through it. Injecting
+// Clock is the daemon's only window onto wall time — cell deadlines
+// and drain grace periods go through it. Injecting
 // it keeps the scheduling logic deterministic under test (the repo's
 // nondeterminism lint bans direct time.Now in this package) while the
 // production daemon runs on RealClock.

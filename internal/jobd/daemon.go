@@ -54,17 +54,19 @@ type Config struct {
 	// CellTimeout is the per-cell execution deadline, checked between
 	// simulation slices. <=0 means 10 minutes.
 	CellTimeout time.Duration
-	// MaxRetries is how many times a failed cell is re-executed after
-	// its first attempt; negative normalizes to 0. A cell that fails
-	// every attempt is stored as a terminal error fact — unless the last
-	// attempt outran CellTimeout: that fails the waiting jobs but stores
-	// nothing, so a later job runs the cell again.
+	// MaxRetries is how many times a failed cell is re-executed, at
+	// once and never after Drain has begun; negative normalizes to 0. A
+	// cell is a pure function of its config, so a retry can change only
+	// the arena (a panic replaces it) or the host's load. A cell that
+	// fails every attempt is stored as a terminal error fact — unless the
+	// last attempt outran CellTimeout: that fails the waiting jobs but
+	// stores nothing, so a later job runs the cell again.
 	MaxRetries int
 	// RunCell executes one cell; nil means Arena.RunSliced. Tests inject
 	// hooks here to fail, panic, or block specific cells.
 	RunCell func(a *sim.Arena, cfg sim.Config, slice float64, cont func() bool) (sim.SkewReport, bool)
-	// Logf reports non-fatal internal errors (persistence failures);
-	// nil discards them.
+	// Logf reports non-fatal internal errors (persistence failures) and
+	// the stacks of contained panics; nil discards them.
 	Logf func(format string, args ...any)
 }
 
@@ -91,8 +93,8 @@ type job struct {
 	cached    int
 	failed    int
 	doneCh    chan struct{}
-	// local holds the cells this job failed without a stored fact (a
-	// deadline), by cell index.
+	// local holds, by cell index, the results this job got without a
+	// stored fact: a deadline, or a result whose PutCell failed.
 	local map[int]store.CellResult
 }
 
@@ -399,17 +401,15 @@ func (d *Daemon) Drain(grace time.Duration) error {
 		d.wg.Wait()
 		close(done)
 	}()
-	if grace <= 0 {
-		d.abandon.Store(true)
-		<-done
-	} else {
+	if grace > 0 {
 		select {
 		case <-done:
+			return d.repo.Sync()
 		case <-d.clock.After(grace):
-			d.abandon.Store(true)
-			<-done
 		}
 	}
+	d.abandon.Store(true)
+	<-done
 	return d.repo.Sync()
 }
 
@@ -450,9 +450,9 @@ func (d *Daemon) worker() {
 }
 
 // runTask executes one cell to a terminal fact — report or error —
-// retrying with backoff in between, then fans the fact out to every
-// interested job. The arena is passed by pointer so panic containment
-// can replace a possibly-corrupt arena with a fresh one.
+// re-running it at once after a failure, then fans the fact out to
+// every interested job. The arena is passed by pointer so panic
+// containment can replace a possibly-corrupt arena with a fresh one.
 func (d *Daemon) runTask(a **sim.Arena, t task) {
 	// The fact may have landed (another daemon, an earlier job) between
 	// enqueue and now; serve it without running.
@@ -461,37 +461,34 @@ func (d *Daemon) runTask(a **sim.Arena, t task) {
 		return
 	}
 	cfg := t.cfg.WithDefaults()
-	bo := NewBackoff(cellBackoffSeed(t.key))
-	attempts := 0
-	for {
-		attempts++
-		rpt, err := d.execCell(a, cfg)
+	for retry := 0; ; retry++ {
+		rpt, err := d.execCell(a, t.key, cfg)
 		if errors.Is(err, errAbandoned) {
 			return // draining: leave the cell unfinished for resume
 		}
 		if err == nil {
-			d.finish(store.CellResult{Key: t.key, Cfg: cfg, Report: rpt, Attempts: attempts})
+			d.finish(store.CellResult{Key: t.key, Cfg: cfg, Report: rpt})
 			return
 		}
-		if attempts > d.cfg.MaxRetries {
-			res := store.CellResult{Key: t.key, Cfg: cfg, Err: err.Error(), Attempts: attempts}
+		if retry == d.cfg.MaxRetries {
+			res := store.CellResult{Key: t.key, Cfg: cfg, Err: err.Error()}
 			if errors.Is(err, errDeadline) {
 				// Storing it would serve this host's timeout as the
 				// config's outcome forever; only the waiting jobs fail.
 				d.complete(t.key, res, false)
-				return
+			} else {
+				// Any other terminal failure is still a fact:
+				// deterministic cells fail deterministically (a
+				// validation error, a contained panic), so caching the
+				// error is as sound as caching a report.
+				d.finish(res)
 			}
-			// Any other terminal failure is still a fact: deterministic
-			// cells fail deterministically (a validation error, a
-			// contained panic), so caching the error is as sound as
-			// caching a report.
-			d.finish(res)
 			return
 		}
 		select {
 		case <-d.stop:
-			return
-		case <-d.clock.After(bo.Next()):
+			return // draining: start no retry, leave the cell for resume
+		default:
 		}
 	}
 }
@@ -501,13 +498,16 @@ func (d *Daemon) runTask(a **sim.Arena, t task) {
 const cellSlice = 1.0
 
 // execCell runs one attempt under the cell deadline, containing panics
-// so a poisoned cell cannot take the daemon down.
-func (d *Daemon) execCell(a **sim.Arena, cfg sim.Config) (rpt sim.SkewReport, err error) {
+// so a poisoned cell cannot take the daemon down. A panic's error holds
+// its value only; the stack, which names goroutines and addresses of
+// this process, goes to Logf.
+func (d *Daemon) execCell(a **sim.Arena, k store.Key, cfg sim.Config) (rpt sim.SkewReport, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			// The arena may be mid-run; replace it rather than reuse it.
 			*a = sim.NewArena()
-			err = fmt.Errorf("jobd: cell panicked: %v\n%s", r, debug.Stack())
+			err = fmt.Errorf("jobd: cell panicked: %v", r)
+			d.cfg.Logf("jobd: cell %s panicked: %v\n%s", k, r, debug.Stack())
 		}
 	}()
 	deadline := d.clock.Now().Add(d.cfg.CellTimeout)
@@ -528,13 +528,14 @@ func (d *Daemon) execCell(a **sim.Arena, cfg sim.Config) (rpt sim.SkewReport, er
 }
 
 // finish persists the fact and fans it out. A persistence failure is
-// logged but still served in memory: only this cell's durability is
-// lost (a restart would re-run it).
+// logged, and the waiting jobs keep the result in memory: only this
+// cell's durability is lost (the next daemon re-runs it).
 func (d *Daemon) finish(res store.CellResult) {
-	if err := d.repo.PutCell(res); err != nil {
+	err := d.repo.PutCell(res)
+	if err != nil {
 		d.cfg.Logf("jobd: persist cell %s: %v", res.Key, err)
 	}
-	d.complete(res.Key, res, true)
+	d.complete(res.Key, res, err == nil)
 }
 
 // complete marks the cell done in every interested job, closing and

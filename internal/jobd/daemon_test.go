@@ -1,7 +1,10 @@
 package jobd
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -403,9 +406,27 @@ func TestDaemonCrashResume(t *testing.T) {
 	}
 }
 
+// logRecorder is a Config.Logf that keeps every line.
+type logRecorder struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logRecorder) logf(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+func (l *logRecorder) all() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.lines...)
+}
+
 // TestDaemonPanicContainment: a panicking cell becomes a stored error
-// fact with its stack; sibling cells and the daemon itself are
-// unharmed.
+// fact holding the panic's value only, while its stack goes to Logf;
+// sibling cells and the daemon itself are unharmed.
 func TestDaemonPanicContainment(t *testing.T) {
 	spec := tinySpec()
 	spec.Ns = []int{8, 12}
@@ -414,6 +435,7 @@ func TestDaemonPanicContainment(t *testing.T) {
 		t.Fatal(err)
 	}
 	poisoned := cells[1].Cfg.Seed
+	var log logRecorder
 	d, err := New(Config{
 		Repo:    store.NewMemory(),
 		Workers: 1,
@@ -423,6 +445,7 @@ func TestDaemonPanicContainment(t *testing.T) {
 			}
 			return a.RunSliced(cfg, slice, cont)
 		},
+		Logf: log.logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -442,8 +465,13 @@ func TestDaemonPanicContainment(t *testing.T) {
 	if bad == nil || !bad.Failed() {
 		t.Fatal("panicking cell did not produce a terminal error fact")
 	}
-	if !strings.Contains(bad.Err, "poisoned cell") || !strings.Contains(bad.Err, "goroutine") {
-		t.Fatalf("panic fact missing message or stack: %q", bad.Err)
+	if want := "jobd: cell panicked: poisoned cell"; bad.Err != want {
+		t.Fatalf("panic fact %q, want %q", bad.Err, want)
+	}
+	lines := log.all()
+	if len(lines) != 1 || !strings.Contains(lines[0], "poisoned cell") || !strings.Contains(lines[0], "goroutine") ||
+		!strings.Contains(lines[0], store.KeyOf(cells[1].Cfg).String()) {
+		t.Fatalf("Logf got %q, want one line with the cell's key, the panic and its stack", lines)
 	}
 	if view, _ := d.Job(v.ID); view.Status != store.StatusDone || view.Failed != 1 {
 		t.Fatalf("job view after contained panic: %+v", view)
@@ -459,48 +487,127 @@ func TestDaemonPanicContainment(t *testing.T) {
 	waitDone(t, d, v2.ID)
 }
 
-// TestDaemonRetrySchedule: a cell that keeps failing is retried
-// exactly MaxRetries times, waiting the reproducible decorrelated-
-// jitter schedule between attempts, and ends as an error fact carrying
-// the attempt count.
+// TestDaemonPanicFactIsPure: two fresh daemons that run the same
+// panicking cell store byte-identical facts. Nothing of the process
+// that ran it (goroutine ids, addresses, attempt counts) reaches the
+// store.
+func TestDaemonPanicFactIsPure(t *testing.T) {
+	spec := tinySpec()
+	cells, err := spec.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := store.KeyOf(cells[0].Cfg)
+	stored := make([][]byte, 2)
+	for i, workers := range []int{1, 2} {
+		repo := store.NewMemory()
+		d, err := New(Config{
+			Repo:       repo,
+			Workers:    workers,
+			MaxRetries: i,
+			RunCell: func(a *sim.Arena, cfg sim.Config, slice float64, cont func() bool) (sim.SkewReport, bool) {
+				var counts map[int]int
+				counts[cfg.N]++ // a runtime panic: assignment to entry in nil map
+				return a.RunSliced(cfg, slice, cont)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _, err := d.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, d, v.ID)
+		if err := d.Drain(0); err != nil {
+			t.Fatal(err)
+		}
+		fact, ok := repo.GetCell(key)
+		if want := "jobd: cell panicked: assignment to entry in nil map"; !ok || fact.Err != want {
+			t.Fatalf("daemon %d stored ok=%t %+v, want the error fact %q", i, ok, fact, want)
+		}
+		if stored[i], err = json.Marshal(fact); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(stored[0], stored[1]) {
+		t.Fatalf("two daemons stored different facts for one cell:\n%s\n%s", stored[0], stored[1])
+	}
+}
+
+// TestDaemonRetrySchedule: a cell that keeps failing is re-run at once,
+// exactly MaxRetries times, without a wait on the clock, and ends as an
+// error fact; once Drain has begun no retry starts, and the failed cell
+// is left unstored for the next daemon.
 func TestDaemonRetrySchedule(t *testing.T) {
 	clock := newFakeClock()
+	repo := store.NewMemory()
+	var runs atomic.Int32
 	d, err := New(Config{
-		Repo:       store.NewMemory(),
+		Repo:       repo,
 		Clock:      clock,
 		Workers:    1,
 		MaxRetries: 3,
 		RunCell: func(a *sim.Arena, cfg sim.Config, slice float64, cont func() bool) (sim.SkewReport, bool) {
+			runs.Add(1)
 			panic("always failing")
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Drain(0)
 	spec := tinySpec()
 	v, _, err := d.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, d, v.ID)
-
 	results, _ := d.Results(v.ID)
-	fact := results[0].Result
-	if fact == nil || !fact.Failed() || fact.Attempts != 4 {
-		t.Fatalf("want a failed fact after 4 attempts, got %+v", fact)
+	if fact := results[0].Result; fact == nil || fact.Err != "jobd: cell panicked: always failing" {
+		t.Fatalf("want the panic's error fact, got %+v", fact)
+	}
+	if got := runs.Load(); got != 4 {
+		t.Fatalf("cell ran %d times, want 4 (1 + MaxRetries)", got)
+	}
+	if waits := clock.recorded(); len(waits) != 0 {
+		t.Fatalf("retries waited on the clock: %v", waits)
+	}
+	if err := d.Drain(0); err != nil {
+		t.Fatal(err)
 	}
 
-	cells, _ := spec.Cells()
-	want := NewBackoff(cellBackoffSeed(store.KeyOf(cells[0].Cfg)))
-	waits := clock.recorded()
-	if len(waits) != 3 {
-		t.Fatalf("recorded %d backoff waits, want 3: %v", len(waits), waits)
+	runs.Store(0)
+	drained := make(chan error, 1)
+	var dr *Daemon
+	dr, err = New(Config{
+		Repo:       repo,
+		Clock:      clock,
+		Workers:    1,
+		MaxRetries: 3,
+		RunCell: func(a *sim.Arena, cfg sim.Config, slice float64, cont func() bool) (sim.SkewReport, bool) {
+			runs.Add(1)
+			go func() { drained <- dr.Drain(0) }()
+			<-dr.stop
+			panic("failing while the daemon drains")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, w := range waits {
-		if exp := want.Next(); w != exp {
-			t.Fatalf("wait %d was %s, want the seeded schedule's %s", i, w, exp)
-		}
+	other := tinySpec()
+	other.Seed = 8
+	if _, _, err := dr.Submit(other); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("cell ran %d times after Drain began, want 1 (no retry)", got)
+	}
+	cells, _ := other.Cells()
+	if res, ok := repo.GetCell(store.KeyOf(cells[0].Cfg)); ok {
+		t.Fatalf("a cell interrupted by Drain was stored: %+v", res)
 	}
 }
 
@@ -540,8 +647,8 @@ func TestDaemonDeadlineIsNotAFact(t *testing.T) {
 	}
 	waitDone(t, d, v1.ID)
 	results, _ := d.Results(v1.ID)
-	if r := results[0].Result; r == nil || !r.Failed() || !strings.Contains(r.Err, "deadline") || r.Attempts != 2 {
-		t.Fatalf("want the job's cell failed on its deadline after 2 attempts, got %+v", r)
+	if r := results[0].Result; r == nil || !r.Failed() || !strings.Contains(r.Err, "deadline") || runs.Load() != 2 {
+		t.Fatalf("want the job's cell failed on its deadline after 2 attempts (%d ran), got %+v", runs.Load(), r)
 	}
 	if v, _ := d.Job(v1.ID); v.Status != store.StatusDone || v.Failed != 1 {
 		t.Fatalf("job view after a deadline: %+v", v)
@@ -568,6 +675,71 @@ func TestDaemonDeadlineIsNotAFact(t *testing.T) {
 	}
 	if res, ok := repo.GetCell(key); !ok || res.Failed() {
 		t.Fatalf("rerun did not store a clean fact: ok=%t %+v", ok, res)
+	}
+}
+
+// failingPuts is a Repository whose PutCell always fails.
+type failingPuts struct{ *store.Memory }
+
+func (failingPuts) PutCell(store.CellResult) error { return errors.New("disk full") }
+
+// TestDaemonFailedPutServesResult: a result whose PutCell failed is
+// logged and still served to its job from memory, so the job completes
+// with the report; the cell is not a stored fact, so the next daemon
+// over the repository runs it again.
+func TestDaemonFailedPutServesResult(t *testing.T) {
+	repo := store.NewMemory()
+	var runs atomic.Int32
+	var log logRecorder
+	cfg := Config{
+		Repo:    failingPuts{repo},
+		Workers: 1,
+		RunCell: func(a *sim.Arena, cfg sim.Config, slice float64, cont func() bool) (sim.SkewReport, bool) {
+			runs.Add(1)
+			return a.RunSliced(cfg, slice, cont)
+		},
+		Logf: log.logf,
+	}
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := tinySpec()
+	v, _, err := d.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, d, v.ID)
+	results, _ := d.Results(v.ID)
+	if r := results[0].Result; !results[0].Done || r == nil || r.Failed() || r.Report.Samples == 0 {
+		t.Fatalf("job not served the unstored result: %+v", results[0])
+	}
+	if lines := log.all(); len(lines) != 1 || !strings.Contains(lines[0], "disk full") {
+		t.Fatalf("Logf got %q, want the failed put", lines)
+	}
+	if err := d.Drain(0); err != nil {
+		t.Fatal(err)
+	}
+	cells, _ := spec.Cells()
+	if res, ok := repo.GetCell(store.KeyOf(cells[0].Cfg)); ok {
+		t.Fatalf("a failed put was stored: %+v", res)
+	}
+
+	cfg.Repo = repo
+	d2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Drain(0)
+	if err := d2.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, d2, v.ID)
+	if got := runs.Load(); got != 2 {
+		t.Fatalf("simulator ran %d times, want 2 (the next daemon re-runs the unstored cell)", got)
+	}
+	if _, ok := repo.GetCell(store.KeyOf(cells[0].Cfg)); !ok {
+		t.Fatal("the re-run cell was not stored")
 	}
 }
 

@@ -114,8 +114,7 @@ func (d *Daemon) handleHealth(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Too late for a status change; the client sees a short body.
-		return
-	}
+	// An encoding error comes too late for a status change; the client
+	// sees a short body.
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -4,7 +4,8 @@ import "sync"
 
 // Memory is the Repository contract without durability: the same
 // last-write-wins semantics over in-process maps. Tests and embedded
-// single-run sweeps use it where a WAL directory would be overhead.
+// single-run sweeps use it where a WAL directory would be overhead, and
+// it is the WAL's index: the WAL serves every read from it.
 type Memory struct {
 	mu    sync.Mutex
 	cells map[Key]CellResult
@@ -18,10 +19,17 @@ func NewMemory() *Memory {
 
 // PutCell implements Repository.
 func (m *Memory) PutCell(c CellResult) error {
+	m.putCell(c)
+	return nil
+}
+
+// putCell stores c and reports whether it replaced an entry.
+func (m *Memory) putCell(c CellResult) (replaced bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	_, replaced = m.cells[c.Key]
 	m.cells[c.Key] = c
-	return nil
+	return replaced
 }
 
 // GetCell implements Repository.
@@ -34,10 +42,17 @@ func (m *Memory) GetCell(k Key) (CellResult, bool) {
 
 // PutJob implements Repository.
 func (m *Memory) PutJob(j JobRecord) error {
+	m.putJob(j)
+	return nil
+}
+
+// putJob stores j and reports whether it replaced an entry.
+func (m *Memory) putJob(j JobRecord) (replaced bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	_, replaced = m.jobs[j.ID]
 	m.jobs[j.ID] = j
-	return nil
+	return replaced
 }
 
 // GetJob implements Repository.

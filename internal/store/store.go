@@ -7,11 +7,15 @@
 // any failure (including kill -9) resumes exactly where it left off by
 // re-enqueuing only the cells whose facts are not yet on disk.
 //
-// The package has two repository implementations: WAL (wal.go), one
-// append-only, CRC-checked, fsync-on-commit log file whose replay skips
-// damaged frames and whose compaction is one write and an atomic
-// rename; and Memory (memory.go), the same contract without durability,
-// for tests and embedded use.
+// A stored fact holds only what its config determines — no attempt
+// count, no stack trace — so every daemon that runs a cell stores the
+// same bytes for it.
+//
+// Memory (memory.go) is the last-write-wins index over in-process maps,
+// for tests and embedded use. WAL (wal.go) puts one append-only,
+// CRC-checked, fsync-on-commit log file in front of a Memory index; its
+// replay skips damaged frames, and its compaction is one write and an
+// atomic rename.
 package store
 
 import (
@@ -58,15 +62,15 @@ func (k *Key) UnmarshalText(text []byte) error {
 // CellResult is one stored fact: the defaulted config that identifies
 // the cell, and either its report or the terminal error that ended its
 // execution (a deterministic cell that panics will panic again, so a
-// contained failure is as cacheable as a success). Attempts records how
-// many executions the fact cost, for observability only — it is not
-// part of the cell's identity.
+// contained failure is as cacheable as a success). Every field is a
+// function of Cfg, so two runs of one cell store identical facts.
+// Records of earlier versions may carry an "attempts" field; it is
+// ignored when they decode.
 type CellResult struct {
-	Key      Key            `json:"key"`
-	Cfg      sim.Config     `json:"cfg"`
-	Report   sim.SkewReport `json:"report"`
-	Err      string         `json:"err,omitempty"`
-	Attempts int            `json:"attempts,omitempty"`
+	Key    Key            `json:"key"`
+	Cfg    sim.Config     `json:"cfg"`
+	Report sim.SkewReport `json:"report"`
+	Err    string         `json:"err,omitempty"`
 }
 
 // Failed reports whether the fact is a terminal error rather than a
@@ -80,17 +84,16 @@ func (c CellResult) Failed() bool { return c.Err != "" }
 // float would fail json.Marshal and surface as a Put error rather than
 // a corrupted record.
 type cellResultJSON struct {
-	Key      Key            `json:"key"`
-	Cfg      sim.Config     `json:"cfg"`
-	Report   sim.SkewReport `json:"report"`
-	NeverRe  bool           `json:"reconvergence_never,omitempty"`
-	Err      string         `json:"err,omitempty"`
-	Attempts int            `json:"attempts,omitempty"`
+	Key     Key            `json:"key"`
+	Cfg     sim.Config     `json:"cfg"`
+	Report  sim.SkewReport `json:"report"`
+	NeverRe bool           `json:"reconvergence_never,omitempty"`
+	Err     string         `json:"err,omitempty"`
 }
 
 // MarshalJSON implements the lossless wire form.
 func (c CellResult) MarshalJSON() ([]byte, error) {
-	w := cellResultJSON{Key: c.Key, Cfg: c.Cfg, Report: c.Report, Err: c.Err, Attempts: c.Attempts}
+	w := cellResultJSON{Key: c.Key, Cfg: c.Cfg, Report: c.Report, Err: c.Err}
 	if math.IsInf(w.Report.ReconvergenceTime, 1) {
 		w.Report.ReconvergenceTime = 0
 		w.NeverRe = true
@@ -104,7 +107,7 @@ func (c *CellResult) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	*c = CellResult{Key: w.Key, Cfg: w.Cfg, Report: w.Report, Err: w.Err, Attempts: w.Attempts}
+	*c = CellResult{Key: w.Key, Cfg: w.Cfg, Report: w.Report, Err: w.Err}
 	if w.NeverRe {
 		c.Report.ReconvergenceTime = math.Inf(1)
 	}

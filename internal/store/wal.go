@@ -2,20 +2,23 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 )
 
 // WAL is the durable Repository: one append-only log file, wal.log, of
-// length-prefixed, CRC-checked JSON records, with an in-memory index
-// rebuilt by replay on open.
+// length-prefixed, CRC-checked JSON records, in front of a Memory index
+// rebuilt by replay on open. Reads go to the index alone; they never
+// wait for a write, and a write applies to the index only after its
+// frame is fsynced, so a read never sees a fact that is not durable.
 //
 // Frame layout, little-endian:
 //
@@ -30,21 +33,23 @@ import (
 // Records are independent facts, so losing one is always consistent —
 // at worst a cell re-runs.
 //
-// When replay saw superseded records (duplicate cell puts from
-// retries, job status rewrites) or skipped damage, Open compacts: it
-// streams the live state (each job's latest record, every cell fact)
-// into wal.log.tmp, fsyncs it, renames it over wal.log and fsyncs the
-// directory, so a crash at any point leaves either the old log or the
-// new one.
+// When replay saw superseded records (job status rewrites, a cell
+// stored twice) or skipped damage, Open compacts: it streams the index
+// (each job's latest record, every cell fact) into wal.log.tmp, fsyncs
+// it, renames it over wal.log and fsyncs the directory, so a crash at
+// any point leaves either the old log or the new one.
 type WAL struct {
-	dir string
+	index // GetCell, GetJob and Jobs; its PutCell and PutJob are shadowed
+	dir   string
 
-	mu    sync.Mutex
+	mu    sync.Mutex // serialises writes; reads take only the index's lock
 	log   *os.File
-	cells map[Key]CellResult
-	jobs  map[string]JobRecord
 	stats WALStats
 }
+
+// index is Memory under an unexported name, so the WAL embeds it without
+// exporting the field that would bypass the log.
+type index = Memory
 
 // WALStats describes what open and subsequent writes observed, for
 // tests and operational logging. Compaction leaves them as they are,
@@ -56,7 +61,7 @@ type WALStats struct {
 	// torn tails and the frames damage touched.
 	TruncatedBytes int64
 	// Superseded counts replayed or written records that overwrote an
-	// earlier record (retry duplicates, job status updates).
+	// earlier record (job status updates, a cell stored twice).
 	Superseded int
 	// Compactions counts compactions on open.
 	Compactions int
@@ -114,7 +119,7 @@ func OpenWAL(dir string, _ WALOptions) (*WAL, error) {
 		}
 		hasLog = hasLog || name == walLog
 	}
-	w := &WAL{dir: dir, cells: map[Key]CellResult{}, jobs: map[string]JobRecord{}}
+	w := &WAL{index: index{cells: map[Key]CellResult{}, jobs: map[string]JobRecord{}}, dir: dir}
 	sources := legacy
 	if hasLog {
 		sources = []string{walLog}
@@ -200,17 +205,11 @@ func appendFrame(dst []byte, rec walRecord) ([]byte, error) {
 // apply folds one record into the index, last record wins. Callers
 // hold w.mu or own w alone.
 func (w *WAL) apply(rec walRecord) {
-	if rec.Cell != nil {
-		if _, dup := w.cells[rec.Cell.Key]; dup {
-			w.stats.Superseded++
-		}
-		w.cells[rec.Cell.Key] = *rec.Cell
+	if rec.Cell != nil && w.putCell(*rec.Cell) {
+		w.stats.Superseded++
 	}
-	if rec.Job != nil {
-		if _, dup := w.jobs[rec.Job.ID]; dup {
-			w.stats.Superseded++
-		}
-		w.jobs[rec.Job.ID] = *rec.Job
+	if rec.Job != nil && w.putJob(*rec.Job) {
+		w.stats.Superseded++
 	}
 }
 
@@ -235,20 +234,12 @@ func (w *WAL) put(rec walRecord) error {
 }
 
 // PutCell implements Repository. Last write wins; facts for one key are
-// identical by construction, so a retry duplicate is harmless and is
-// folded out by the next compaction.
+// identical by construction, so a duplicate is harmless and is folded
+// out by the next compaction.
 func (w *WAL) PutCell(c CellResult) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.put(walRecord{Cell: &c})
-}
-
-// GetCell implements Repository.
-func (w *WAL) GetCell(k Key) (CellResult, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	c, ok := w.cells[k]
-	return c, ok
 }
 
 // PutJob implements Repository.
@@ -256,22 +247,6 @@ func (w *WAL) PutJob(j JobRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.put(walRecord{Job: &j})
-}
-
-// GetJob implements Repository.
-func (w *WAL) GetJob(id string) (JobRecord, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	j, ok := w.jobs[id]
-	return j, ok
-}
-
-// Jobs implements Repository: every job, sorted by ID (map iteration
-// order must never surface).
-func (w *WAL) Jobs() []JobRecord {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return sortedJobs(w.jobs)
 }
 
 // Sync implements Repository. Puts already fsync on commit, so this is
@@ -306,29 +281,17 @@ func (w *WAL) Close() error {
 	return nil
 }
 
-// compact writes the live state to wal.log.tmp through one buffered
+// compact streams the index into wal.log.tmp through one buffered
 // writer (jobs by ID, then cells by key, so the log is a byte-
 // deterministic function of the state), fsyncs it once, renames it over
 // wal.log and fsyncs the directory. The new log stays open as w.log.
+// Only OpenWAL calls it, while it owns w alone.
 func (w *WAL) compact() error {
-	recs := make([]walRecord, 0, len(w.jobs)+len(w.cells))
-	for _, j := range sortedJobs(w.jobs) {
-		recs = append(recs, walRecord{Job: &j})
-	}
-	keys := make([]Key, 0, len(w.cells))
-	for k := range w.cells {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return string(keys[i][:]) < string(keys[j][:]) })
-	for _, k := range keys {
-		c := w.cells[k]
-		recs = append(recs, walRecord{Cell: &c})
-	}
 	f, err := os.Create(filepath.Join(w.dir, walTmp))
 	if err != nil {
 		return err
 	}
-	if err := writeLog(f, recs); err != nil {
+	if err := w.writeLog(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -337,18 +300,28 @@ func (w *WAL) compact() error {
 	return nil
 }
 
-// writeLog is compact's I/O: it frames recs into f (wal.log.tmp, open
-// and empty), fsyncs it, renames it over wal.log and fsyncs the
+// writeLog is compact's I/O: it frames the index into f (wal.log.tmp,
+// open and empty), fsyncs it, renames it over wal.log and fsyncs the
 // directory.
-func writeLog(f *os.File, recs []walRecord) error {
+func (w *WAL) writeLog(f *os.File) error {
 	bw := bufio.NewWriter(f)
 	var frame []byte
-	for _, rec := range recs {
-		var err error
-		if frame, err = appendFrame(frame[:0], rec); err != nil {
+	write := func(rec walRecord) (err error) {
+		if frame, err = appendFrame(frame[:0], rec); err == nil {
+			bw.Write(frame) // a write error sticks, and Flush returns it
+		}
+		return err
+	}
+	for _, j := range sortedJobs(w.jobs) {
+		if err := write(walRecord{Job: &j}); err != nil {
 			return err
 		}
-		bw.Write(frame) // a write error sticks, and Flush returns it
+	}
+	for _, k := range slices.SortedFunc(maps.Keys(w.cells), func(a, b Key) int { return bytes.Compare(a[:], b[:]) }) {
+		c := w.cells[k]
+		if err := write(walRecord{Cell: &c}); err != nil {
+			return err
+		}
 	}
 	if err := bw.Flush(); err != nil {
 		return err
@@ -356,11 +329,10 @@ func writeLog(f *os.File, recs []walRecord) error {
 	if err := f.Sync(); err != nil {
 		return err
 	}
-	dir := filepath.Dir(f.Name())
-	if err := os.Rename(f.Name(), filepath.Join(dir, walLog)); err != nil {
+	if err := os.Rename(f.Name(), filepath.Join(w.dir, walLog)); err != nil {
 		return err
 	}
-	d, err := os.Open(dir)
+	d, err := os.Open(w.dir)
 	if err != nil {
 		return err
 	}
@@ -377,13 +349,8 @@ func (w *WAL) Stats() WALStats {
 
 // sortedJobs flattens a job map in ID order.
 func sortedJobs(m map[string]JobRecord) []JobRecord {
-	ids := make([]string, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]JobRecord, 0, len(ids))
-	for _, id := range ids {
+	out := make([]JobRecord, 0, len(m))
+	for _, id := range slices.Sorted(maps.Keys(m)) {
 		out = append(out, m[id])
 	}
 	return out
