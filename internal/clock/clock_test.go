@@ -119,7 +119,7 @@ func TestTimerSurvivesManyRateChanges(t *testing.T) {
 		} else {
 			rate = 0.5
 		}
-		en.ScheduleAfter(1, "flip", flip)
+		en.Schedule(en.Now()+1, "flip", flip)
 	}
 	en.Schedule(1, "flip", flip)
 	en.Run(100)

@@ -29,10 +29,9 @@
 // bucket links, 16 bytes) in one array, four to a cache line, and the
 // cold one that scheduling, firing and cancelling touch, a payload
 // (argument, generation and a 2-byte label id, 16 bytes) in a parallel
-// array and one ArgHandler word in fixed-size chunks. Each engine
-// interns its trace labels once (Engine.Label); the plain Handler of the
-// rare Schedule waits in a small per-engine box table instead of
-// widening every slot.
+// array and one ArgHandler word in fixed-size chunks. Every event has
+// that one form, an ArgHandler with its argument under a label each
+// engine interns once (Engine.Label).
 //
 // The kernel is allocation-free in steady state: fired and cancelled
 // events return their slab slot to a free list, and ScheduleLabel lets
@@ -52,12 +51,13 @@ import (
 // clocks read 0 at the beginning of the execution.
 type Time = float64
 
-// Handler is the callback invoked when an event fires. It runs at the
-// event's scheduled time; Engine.Now() returns that time for the duration
-// of the call.
+// Handler is a callback without an argument, the form Schedule wraps
+// into an ArgHandler.
 type Handler func()
 
-// ArgHandler is the argument-carrying form of Handler: one long-lived
+// ArgHandler is the callback invoked when an event fires, with the
+// event's argument. It runs at the event's scheduled time; Engine.Now()
+// returns that time for the duration of the call. One long-lived
 // ArgHandler can back any number of events, distinguished by arg, so
 // schedulers on hot paths do not allocate a closure per event.
 type ArgHandler func(arg uint64)
@@ -141,16 +141,10 @@ type Engine struct {
 	// trace, when non-nil, observes every fired event.
 	trace TraceFn
 	bk    [nBuckets]bucket
-	// labels is the label table, indexed by Label. boxes holds the plain
-	// Handlers of pending Schedule events: a slot whose call is nil runs
-	// boxes[arg].fn. Box 0 is never used, and boxFree heads the list of
-	// free boxes. Both tables start in the inline arrays, so an engine
-	// with a dozen labels and a box or two pending allocates for neither.
+	// labels is the label table, indexed by Label. It starts in the
+	// inline array, so an engine with a dozen labels allocates none.
 	labels    []string
-	boxes     []box
-	boxFree   int32
 	lblInline [16]string
-	boxInline [2]box
 	// A ParallelEngine allocates its shard engines back to back and runs
 	// them concurrently; the trailing line of padding keeps one shard's
 	// hot fields off the cache lines of the next.
@@ -166,7 +160,6 @@ const initSlots = 256
 func NewEngine() *Engine {
 	en := &Engine{slab: make([]Event, 1, initSlots), pay: make([]payload, 1, initSlots)}
 	en.labels = append(en.lblInline[:0], "")
-	en.boxes = en.boxInline[:1]
 	return en
 }
 
@@ -179,13 +172,6 @@ type callChunk [1 << callBits]ArgHandler
 
 // call returns slot s's call.
 func (en *Engine) call(s int32) *ArgHandler { return &en.calls[s>>callBits][s&(1<<callBits-1)] }
-
-// box is one entry of the box table: a pending Schedule event's Handler,
-// or, free, the next free box.
-type box struct {
-	fn   Handler
-	next int32
-}
 
 // Label returns name's id in en's label table, interning it on first
 // use. Ids are per engine and survive Reset. Interning scans the table,
@@ -210,7 +196,7 @@ func (en *Engine) Label(name string) Label {
 func (en *Engine) Now() Time { return en.now }
 
 // Reset returns the engine to time 0 with an empty queue, returning every
-// pending event's slot (and box) to the free list so a rewired simulation
+// pending event's slot to the free list so a rewired simulation
 // reuses the warm slab instead of reallocating it. Outstanding EventRefs
 // go stale (Cancel on them stays a harmless no-op); the executed counter
 // restarts; an installed trace hook and the label table are kept.
@@ -244,22 +230,19 @@ func (en *Engine) SetTraceHook(fn TraceFn) { en.trace = fn }
 // later.
 func (en *Engine) Pending() int { return en.live }
 
-// Schedule registers fn to run at absolute time t and returns a handle
-// that can be cancelled. Scheduling in the past (t < Now) panics: the
-// network model has no retroactive events, so this is always a bug in the
-// caller. A time of -0 is scheduled as +0. fn waits in the engine's box
-// table until its event fires or is cancelled.
+// Schedule registers fn to run at absolute time t, wrapped in an
+// ArgHandler closure (one allocation per call).
 //
-//gcslint:zeroalloc
+//gcslint:allow testonly — only benchmark/trace_test.go calls it; ROADMAP 1(b) deletes it with that caller
 func (en *Engine) Schedule(t Time, label string, fn Handler) EventRef {
-	r := en.schedule(t, en.Label(label), nil, 0)
-	en.pay[r.slot].arg = en.box(fn)
-	return r
+	return en.ScheduleArg(t, label, func(uint64) { fn() }, 0)
 }
 
-// ScheduleArg registers fn(arg) to run at absolute time t. It is the
-// zero-allocation counterpart of Schedule for callers that would
-// otherwise close over per-event state; it interns label on every call.
+// ScheduleArg registers fn(arg) to run at absolute time t under label,
+// interned on every call, and returns a handle that can be cancelled.
+// Scheduling in the past (t < Now) panics: the network model has no
+// retroactive events, so this is always a bug in the caller. A time of
+// -0 is scheduled as +0.
 //
 //gcslint:zeroalloc
 func (en *Engine) ScheduleArg(t Time, label string, fn ArgHandler, arg uint64) EventRef {
@@ -275,13 +258,6 @@ func (en *Engine) ScheduleLabel(t Time, lbl Label, fn ArgHandler, arg uint64) Ev
 	if fn == nil {
 		panic("des: nil handler")
 	}
-	return en.schedule(t, lbl, fn, arg)
-}
-
-// schedule queues a slot at t; a nil fn marks it boxed (arg is its box).
-//
-//gcslint:zeroalloc
-func (en *Engine) schedule(t Time, lbl Label, fn ArgHandler, arg uint64) EventRef {
 	if math.IsNaN(t) {
 		panic("des: schedule at NaN time")
 	}
@@ -310,11 +286,6 @@ func (en *Engine) schedule(t Time, lbl Label, fn ArgHandler, arg uint64) EventRe
 	return EventRef{slot: s, gen: p.gen}
 }
 
-// ScheduleAfter registers fn to run d seconds of simulated time from now.
-func (en *Engine) ScheduleAfter(d Time, label string, fn Handler) EventRef {
-	return en.Schedule(en.now+d, label, fn)
-}
-
 // ScheduleAfterArg registers fn(arg) to run d seconds from now.
 func (en *Engine) ScheduleAfterArg(d Time, label string, fn ArgHandler, arg uint64) EventRef {
 	return en.ScheduleArg(en.now+d, label, fn, arg)
@@ -336,33 +307,13 @@ func (en *Engine) Cancel(r EventRef) {
 	en.release(r.slot)
 }
 
-// box parks fn in a free box and returns the box's index.
-//
-//gcslint:zeroalloc
-func (en *Engine) box(fn Handler) uint64 {
-	i := en.boxFree
-	if i != 0 {
-		en.boxFree = en.boxes[i].next
-		en.boxes[i].fn = fn
-	} else {
-		i = int32(len(en.boxes))
-		en.boxes = append(en.boxes, box{fn: fn})
-	}
-	return uint64(i)
-}
-
-// release invalidates outstanding refs to slot s's event and returns
-// the slot, and its box if it has one, to their free lists.
+// release invalidates outstanding refs to slot s's event, drops its
+// callback and returns the slot to the free list.
 //
 //gcslint:zeroalloc
 func (en *Engine) release(s int32) {
-	p, c := &en.pay[s], en.call(s)
-	p.gen++
-	if *c == nil {
-		en.boxes[p.arg] = box{next: en.boxFree}
-		en.boxFree = int32(p.arg)
-	}
-	*c = nil
+	en.pay[s].gen++
+	*en.call(s) = nil
 	en.slab[s].next = en.free
 	en.free = s
 }
@@ -378,19 +329,11 @@ func (en *Engine) fire(s int32) {
 	en.executed++
 	p := &en.pay[s]
 	fn, arg, lbl := *en.call(s), p.arg, p.lbl
-	var boxed Handler
-	if fn == nil {
-		boxed = en.boxes[arg].fn
-	}
 	en.release(s)
 	if en.trace != nil {
 		en.trace(en.now, en.labels[lbl])
 	}
-	if fn != nil {
-		fn(arg)
-	} else {
-		boxed()
-	}
+	fn(arg)
 }
 
 // Step fires the single earliest pending event, if any, and reports

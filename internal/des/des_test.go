@@ -3,6 +3,7 @@ package des
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -64,12 +65,11 @@ func TestNowDuringHandler(t *testing.T) {
 func TestScheduleAfter(t *testing.T) {
 	en := NewEngine()
 	var fired []Time
-	en.Schedule(2, "outer", func() {
-		en.ScheduleAfter(3, "inner", func() { fired = append(fired, en.Now()) })
-	})
+	inner := func(arg uint64) { fired = append(fired, en.Now(), Time(arg)) }
+	en.Schedule(2, "outer", func() { en.ScheduleAfterArg(3, "inner", inner, 7) })
 	en.Run(10)
-	if len(fired) != 1 || fired[0] != 5 {
-		t.Fatalf("ScheduleAfter fired at %v, want [5]", fired)
+	if !slices.Equal(fired, []Time{5, 7}) {
+		t.Fatalf("ScheduleAfterArg fired (at, arg) = %v, want [5 7]", fired)
 	}
 }
 
@@ -171,7 +171,7 @@ func TestRunUntilIdle(t *testing.T) {
 	ping = func() {
 		n++
 		if n < 100 {
-			en.ScheduleAfter(1, "ping", ping)
+			en.Schedule(en.Now()+1, "ping", ping)
 		}
 	}
 	en.Schedule(0, "start", ping)
@@ -187,7 +187,7 @@ func TestRunUntilIdle(t *testing.T) {
 func TestRunUntilIdleRunawayGuard(t *testing.T) {
 	en := NewEngine()
 	var loop func()
-	loop = func() { en.ScheduleAfter(1, "loop", loop) }
+	loop = func() { en.Schedule(en.Now()+1, "loop", loop) }
 	en.Schedule(0, "start", loop)
 	defer func() {
 		if recover() == nil {
@@ -308,7 +308,7 @@ func TestEventPoolStress(t *testing.T) {
 		idx := len(fireCount)
 		fireCount = append(fireCount, 0)
 		cancelled = append(cancelled, false)
-		refs = append(refs, en.ScheduleAfter(r.Range(0, 5), "stress", func() {
+		refs = append(refs, en.Schedule(en.Now()+r.Range(0, 5), "stress", func() {
 			fireCount[idx]++
 		}))
 	}
@@ -363,7 +363,7 @@ func TestPropertyMonotoneFiring(t *testing.T) {
 			}
 			last = now
 			if r.Float64() < 0.3 && en.Executed() < 500 {
-				en.ScheduleAfter(r.Range(0, 10), "spawn", spawn)
+				en.Schedule(en.Now()+r.Range(0, 10), "spawn", spawn)
 			}
 		}
 		for i := 0; i < 50; i++ {
@@ -386,7 +386,7 @@ func TestPropertyDeterminism(t *testing.T) {
 		var tick func()
 		tick = func() {
 			if r.Float64() < 0.9 && en.Now() < 1000 {
-				en.ScheduleAfter(r.Exp(1.0), "tick", tick)
+				en.Schedule(en.Now()+r.Exp(1.0), "tick", tick)
 			}
 		}
 		for i := 0; i < 10; i++ {
@@ -497,7 +497,7 @@ func TestTraceHookObservesFiredEventsOnly(t *testing.T) {
 	cancelled := en.Schedule(2, "cancelled", func() {})
 	en.Schedule(3, "second", func() {
 		// Events scheduled and fired during the run are traced too.
-		en.ScheduleAfter(1, "nested", func() {})
+		en.Schedule(en.Now()+1, "nested", func() {})
 	})
 	en.Cancel(cancelled)
 	en.Run(10)
@@ -552,7 +552,7 @@ func TestLabelTable(t *testing.T) {
 	a.Schedule(1, names[0], func() {})
 	a.ScheduleArg(2, names[1], noop, 0)
 	a.ScheduleLabel(3, a.Label(names[2]), noop, 0)
-	a.ScheduleAfter(3, "fresh", func() {})
+	a.ScheduleAfterArg(3, "fresh", noop, 0)
 	a.ScheduleLabel(5, 0, noop, 0)
 	a.Run(5)
 	want := []string{names[0], names[1], names[2], "fresh", ""}

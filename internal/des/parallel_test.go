@@ -130,7 +130,7 @@ func (tc *toyCluster) armTicks() {
 			tc.log[s] = append(tc.log[s], toyRec{t: en.Now(), tag: uint64(s)})
 			next := (s + 1) % tc.p.NumShards()
 			tc.mail.send(s, next, toyMsg{at: en.Now() + 1.5*tc.lookahead, tag: uint64(s)*100 + 7, hops: 2})
-			en.ScheduleAfter(0.5, "toy.tick", tick)
+			en.Schedule(en.Now()+0.5, "toy.tick", tick)
 		}
 		// Stagger the first ticks so shards are rarely aligned.
 		en.Schedule(0.1*float64(s+1), "toy.start", tick)
@@ -181,7 +181,7 @@ func TestParallelGlobalBarrier(t *testing.T) {
 			}
 		}
 		tc.globalLog = append(tc.globalLog, g.Now())
-		g.ScheduleAfter(0.3, "toy.sample", sample)
+		g.Schedule(g.Now()+0.3, "toy.sample", sample)
 	}
 	tc.p.Global().Schedule(0, "toy.sample", sample)
 	tc.run(5, 4)

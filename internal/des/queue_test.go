@@ -133,8 +133,8 @@ func newQueueHarness(t testing.TB) *queueHarness {
 }
 
 // schedule schedules the next id at at through one of the three paths:
-// Schedule (boxed Handler), ScheduleArg (label by name) or ScheduleLabel
-// (label by the harness's id).
+// Schedule (a plain Handler, wrapped), ScheduleArg (label by name) or
+// ScheduleLabel (label by the harness's id).
 func (h *queueHarness) schedule(op int, at Time, path int) {
 	id := h.next
 	h.next++
@@ -561,13 +561,13 @@ func TestCancelGarbageBounded(t *testing.T) {
 	noop := func(uint64) {}
 	refs := make([]EventRef, 32<<10)
 	for i := range refs {
-		refs[i] = en.ScheduleAfterArg(0.11*(1-r.Float64()), "cancel", noop, 0)
+		refs[i] = en.ScheduleArg(en.Now()+0.11*(1-r.Float64()), "cancel", noop, 0)
 	}
 	peak := en.Pending()
 	for i := 0; i < 1<<20; i++ {
 		j := r.Intn(len(refs))
 		en.Cancel(refs[j])
-		refs[j] = en.ScheduleAfterArg(0.11*(1-r.Float64()), "cancel", noop, 0)
+		refs[j] = en.ScheduleArg(en.Now()+0.11*(1-r.Float64()), "cancel", noop, 0)
 		peak = max(peak, en.Pending())
 		if slots := len(en.slab) - 1; slots > 2*peak {
 			t.Fatalf("after %d cancels the slab holds %d slots, peak pending %d", i+1, slots, peak)
@@ -579,30 +579,31 @@ func TestCancelGarbageBounded(t *testing.T) {
 }
 
 // TestBoxGarbageBounded is TestCancelGarbageBounded for plain
-// Handlers: a million cycles of cancelling one of 32k pending Schedule
-// events and scheduling its replacement must keep the box table within
-// twice the peak pending count, and a Reset must drop every Handler.
+// Handlers, which Schedule wraps in an ArgHandler: a million cycles of
+// cancelling one of 32k pending Schedule events and scheduling its
+// replacement must keep the slab within twice the peak pending count,
+// and a Reset must drop every callback, wrapped Handlers included.
 func TestBoxGarbageBounded(t *testing.T) {
 	en, r := NewEngine(), NewRand(1)
 	noop := func() {}
 	refs := make([]EventRef, 32<<10)
 	for i := range refs {
-		refs[i] = en.ScheduleAfter(0.11*(1-r.Float64()), "box", noop)
+		refs[i] = en.Schedule(en.Now()+0.11*(1-r.Float64()), "box", noop)
 	}
 	peak := en.Pending()
 	for i := 0; i < 1<<20; i++ {
 		j := r.Intn(len(refs))
 		en.Cancel(refs[j])
-		refs[j] = en.ScheduleAfter(0.11*(1-r.Float64()), "box", noop)
+		refs[j] = en.Schedule(en.Now()+0.11*(1-r.Float64()), "box", noop)
 		peak = max(peak, en.Pending())
-		if boxes := len(en.boxes) - 1; boxes > 2*peak {
-			t.Fatalf("after %d cancels the box table holds %d boxes, peak pending %d", i+1, boxes, peak)
+		if slots := len(en.slab) - 1; slots > 2*peak {
+			t.Fatalf("after %d cancels the slab holds %d slots, peak pending %d", i+1, slots, peak)
 		}
 	}
 	en.Reset()
-	for i, b := range en.boxes {
-		if b.fn != nil {
-			t.Fatalf("box %d still holds a Handler after Reset", i)
+	for s := range int32(len(en.slab)) {
+		if *en.call(s) != nil {
+			t.Fatalf("slot %d still holds a callback after Reset", s)
 		}
 	}
 }

@@ -130,6 +130,16 @@ func (s Spec) Validate(horizon float64) error {
 	for _, p := range []struct {
 		name string
 		v    float64
+	}{{"SpikeFactor", s.SpikeFactor}, {"CrashEvery", s.CrashEvery}, {"CrashDowntime", s.CrashDowntime},
+		{"RateExcursionEvery", s.RateExcursionEvery}, {"RateExcursionFactor", s.RateExcursionFactor},
+		{"RateExcursionFor", s.RateExcursionFor}, {"Until", s.Until}} {
+		if math.IsNaN(p.v) {
+			return fmt.Errorf("fault: %s is NaN", p.name)
+		}
+	}
+	for _, p := range []struct {
+		name string
+		v    float64
 	}{{"Drop", s.Drop}, {"Dup", s.Dup}, {"DelaySpike", s.DelaySpike}} {
 		if p.v < 0 || p.v > 1 || math.IsNaN(p.v) {
 			return fmt.Errorf("fault: %s probability %v outside [0, 1]", p.name, p.v)

@@ -53,6 +53,10 @@ func TestSpecValidateRejects(t *testing.T) {
 		"rateForZero":   {RateExcursionEvery: 1, RateExcursionFactor: 2, RateExcursionFor: -1},
 		"untilPastEnd":  {Drop: 0.1, SpikeFactor: 4, Until: 20},
 		"untilNegative": {Drop: 0.1, SpikeFactor: 4, Until: -1},
+		"crashEveryNaN": {CrashEvery: math.NaN(), Until: 5},
+		"downtimeNaN":   {CrashEvery: 1, CrashDowntime: math.NaN(), Until: 5},
+		"rateEveryNaN":  {RateExcursionEvery: math.NaN(), Until: 5},
+		"rateForNaN":    {RateExcursionEvery: 1, RateExcursionFactor: 2, RateExcursionFor: math.NaN(), Until: 5},
 	} {
 		if err := s.Validate(10); err == nil {
 			t.Errorf("%s: Validate accepted %+v", name, s)

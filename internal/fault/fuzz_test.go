@@ -1,6 +1,9 @@
 package fault
 
 import (
+	"math"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -12,6 +15,8 @@ func FuzzFaultSpec(f *testing.F) {
 	f.Add(0.1, 0.05, 0.02, 4.0, 3.0, 0.5, false, 5.0, 3.0, 0.5, 6.0, 12.0)
 	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, false, 0.0, 0.0, 0.0, 0.0, 10.0)
 	f.Add(1.5, -0.2, 0.9, 0.5, -1.0, 2.0, true, 4.0, 1.0, 0.0, 20.0, 10.0)
+	// A NaN downtime is Validate's to reject, not an idempotence failure.
+	f.Add(0.0, 0.0, 0.0, 0.0, 1.0, math.NaN(), false, 0.0, 0.0, 0.0, 5.0, 10.0)
 	f.Fuzz(func(t *testing.T, drop, dup, spike, spikeFactor, crashEvery, crashDowntime float64,
 		crashStop bool, excEvery, excFactor, excFor, until, horizon float64) {
 		spec := Spec{
@@ -21,16 +26,21 @@ func FuzzFaultSpec(f *testing.F) {
 			RateExcursionFor: excFor, Until: until,
 		}
 		d := spec.WithDefaults(horizon)
-		if dd := d.WithDefaults(horizon); dd != d {
+		if dd := d.WithDefaults(horizon); !slices.Equal(specBits(dd), specBits(d)) {
 			t.Fatalf("WithDefaults not idempotent: %+v -> %+v", d, dd)
 		}
-		if !spec.Enabled() && d != spec {
+		if !spec.Enabled() && !slices.Equal(specBits(d), specBits(spec)) {
 			t.Fatalf("defaults perturbed a disabled spec: %+v -> %+v", spec, d)
 		}
 		if err := d.Validate(horizon); err != nil {
 			return
 		}
 		// Accepted plans keep the invariants injection relies on.
+		for _, v := range specBits(d) {
+			if math.IsNaN(math.Float64frombits(v)) {
+				t.Fatalf("accepted a plan carrying NaN: %+v", d)
+			}
+		}
 		if d.Enabled() {
 			if !(d.Until > 0) || d.Until > horizon {
 				t.Fatalf("accepted Until %v outside (0, %v]", d.Until, horizon)
@@ -49,4 +59,24 @@ func FuzzFaultSpec(f *testing.F) {
 			t.Fatal("MessageFaults disagrees with its fields")
 		}
 	})
+}
+
+// specBits is s field by field, a float as its IEEE-754 bit pattern and
+// CrashStop as 0 or 1, so a spec carrying NaN compares equal to itself.
+func specBits(s Spec) []uint64 {
+	v := reflect.ValueOf(s)
+	out := make([]uint64, v.NumField())
+	for i := range out {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Float64:
+			out[i] = math.Float64bits(f.Float())
+		case reflect.Bool:
+			if f.Bool() {
+				out[i] = 1
+			}
+		default:
+			panic("specBits: unhandled Spec field " + v.Type().Field(i).Name)
+		}
+	}
+	return out
 }

@@ -43,7 +43,6 @@
 package gcs
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -145,17 +144,17 @@ func (p Params) FastRateEnabled() bool { return p.EffectiveMu() > 0 }
 // error: the harness's Config.Validate path surfaces it to callers
 // instead of panicking mid-run.
 func (p Params) Validate() error {
-	if p.Rho < 0 || p.Rho >= 1 {
+	if !(p.Rho >= 0 && p.Rho < 1) {
 		return fmt.Errorf("gcs: rho %v outside [0, 1)", p.Rho)
 	}
-	if p.BeaconEvery <= 0 {
-		return errors.New("gcs: BeaconEvery must be positive")
+	if !(p.BeaconEvery > 0) {
+		return fmt.Errorf("gcs: BeaconEvery %v must be positive", p.BeaconEvery)
 	}
-	if p.Kappa <= 0 {
-		return errors.New("gcs: Kappa must be positive (a zero threshold would Zeno the catch-up loop)")
+	if !(p.Kappa > 0) {
+		return fmt.Errorf("gcs: Kappa %v must be positive (a zero threshold would Zeno the catch-up loop)", p.Kappa)
 	}
-	if math.IsNaN(p.Mu) || p.JumpThreshold < 0 {
-		return errors.New("gcs: NaN Mu or negative JumpThreshold")
+	if math.IsNaN(p.Mu) || !(p.JumpThreshold >= 0) {
+		return fmt.Errorf("gcs: Mu %v must not be NaN, JumpThreshold %v must be nonnegative", p.Mu, p.JumpThreshold)
 	}
 	return nil
 }

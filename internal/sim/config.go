@@ -343,6 +343,19 @@ func (c Config) Validate() error {
 	if c.SampleEvery < 0 {
 		return fmt.Errorf("sim: Config.SampleEvery %v must be nonnegative", c.SampleEvery)
 	}
+	// The checks below compare only what a field's kind uses; a NaN is
+	// refused wherever it sits, since it fails every comparison and would
+	// reach a schedule or silently end a chain.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"SampleEvery", c.SampleEvery}, {"Driver.Interval", c.Driver.Interval},
+		{"Churn.Period", c.Churn.Period}, {"Churn.Overlap", c.Churn.Overlap},
+		{"Churn.Lifetime", c.Churn.Lifetime}, {"Churn.Absence", c.Churn.Absence}} {
+		if math.IsNaN(f.v) {
+			return fmt.Errorf("sim: Config.%s is NaN", f.name)
+		}
+	}
 	d := c.WithDefaults()
 	// The rotating star ignores the backbone topology entirely, so a
 	// backbone spec under it is never materialized and its size floors

@@ -202,17 +202,16 @@ func (s *Simulation) init() {
 	s.crashFn = s.crashStep
 	s.rateFn = s.rateStep
 	s.onMessage = func(m transport.Message) { s.Nodes[m.To].OnMessage(m.From, m.Value) }
-	s.sampleFn = func() {
+	s.sampleFn = func(uint64) {
 		s.observe()
-		s.Engine.ScheduleAfter(s.Cfg.SampleEvery, "sim.sample", s.sampleFn)
+		s.Engine.ScheduleAfterArg(s.Cfg.SampleEvery, "sim.sample", s.sampleFn, 0)
 	}
 }
 
 // arm finishes a rewire once Reset has reset the engine set and Net.
 // The order below assigns the tie-breaking event sequence numbers and is
 // part of the physics: drivers per node, churn, node start phases, the
-// lower bound's head starts, fault chains; the sampler follows on the
-// first advance.
+// lower bound's head starts, fault chains, the skew sampler.
 func (s *Simulation) arm() {
 	cfg := &s.Cfg
 	n := cfg.N
@@ -264,7 +263,7 @@ func (s *Simulation) arm() {
 		s.wired = true
 	}
 	for _, ev := range s.churn.Start(cfg, &s.root, s.initialEdges, s.Graph) {
-		s.afterChurn(ev)
+		chainStep(s.Engine, ev.After, ev.Label, s.churnFn, ev.Arg)
 	}
 
 	for i := 0; i < n; i++ {
@@ -296,7 +295,7 @@ func (s *Simulation) arm() {
 		s.series = make([]SkewPoint, 0, want)
 	}
 	s.series = s.series[:0]
-	s.started = false
+	s.Engine.ScheduleArg(0, "sim.sample", s.sampleFn, 0)
 }
 
 // maxPresized caps the skew series arm reserves for one run (1.5 MiB).
@@ -313,9 +312,6 @@ func (s *Simulation) driveStep(arg uint64) {
 	i := int(arg)
 	rate, next := s.drivers[i].Step(s.Cfg.Driver, s.Cfg.Rho)
 	s.Clocks[i].SetRate(rate)
-	if next < 0 {
-		return
-	}
 	label := "clock.walk"
 	switch s.Cfg.Driver.Kind {
 	case DriveBangBang:
@@ -323,7 +319,7 @@ func (s *Simulation) driveStep(arg uint64) {
 	case DriveConstant: // only an Eq. (1) head start has a next step
 		label = "clock.rate"
 	}
-	s.engineOf(i).ScheduleAfterArg(next, label, s.driveFn, arg)
+	chainStep(s.engineOf(i), next, label, s.driveFn, arg)
 }
 
 // churnStep is the run's churn event. It runs on the global engine, so
@@ -333,14 +329,18 @@ func (s *Simulation) driveStep(arg uint64) {
 //gcslint:zeroalloc
 func (s *Simulation) churnStep(arg uint64) {
 	first, second := s.churn.Step(arg, s.Engine.Now(), s.Graph)
-	s.afterChurn(first)
-	s.afterChurn(second)
+	chainStep(s.Engine, first.After, first.Label, s.churnFn, first.Arg)
+	chainStep(s.Engine, second.After, second.Label, s.churnFn, second.Arg)
 }
 
-// afterChurn schedules churn event ev unless there is none.
-func (s *Simulation) afterChurn(ev ChurnEvent) {
-	if ev.After >= 0 {
-		s.Engine.ScheduleAfterArg(ev.After, ev.Label, s.churnFn, ev.Arg)
+// chainStep schedules a chain's next step fn(arg) on en, next seconds
+// from now, unless next is negative: the chain has ended. Every driver,
+// churn and fault chain schedules its steps through it.
+//
+//gcslint:zeroalloc
+func chainStep(en *des.Engine, next float64, label string, fn des.ArgHandler, arg uint64) {
+	if next >= 0 {
+		en.ScheduleAfterArg(next, label, fn, arg)
 	}
 }
 
@@ -364,19 +364,11 @@ func (s *Simulation) armFaults() {
 		s.Net.SetFaults(&s.msgPlan)
 	}
 	s.injector.Wire(cfg.Faults, cfg.N, cfg.Rho, &s.streams.Fault)
-	for i := 0; i < cfg.N; i++ {
-		s.afterFault(s.injector.CrashStart(i), "fault.crash", s.crashFn, i)
+	for i := range cfg.N {
+		chainStep(s.Engine, s.injector.CrashStart(i), "fault.crash", s.crashFn, uint64(i))
 	}
-	for i := 0; i < cfg.N; i++ {
-		s.afterFault(s.injector.RateStart(i), "fault.rate", s.rateFn, i)
-	}
-}
-
-// afterFault schedules node i's next fault-chain step unless the chain
-// has ended.
-func (s *Simulation) afterFault(next float64, label string, fn des.ArgHandler, i int) {
-	if next >= 0 {
-		s.Engine.ScheduleAfterArg(next, label, fn, uint64(i))
+	for i := range cfg.N {
+		chainStep(s.Engine, s.injector.RateStart(i), "fault.rate", s.rateFn, uint64(i))
 	}
 }
 
@@ -385,11 +377,11 @@ func (s *Simulation) crashStep(arg uint64) {
 	down, next := s.injector.CrashStep(i, s.Engine.Now(), &s.faultStats)
 	if down {
 		s.Nodes[i].Crash()
-		s.afterFault(next, "fault.recover", s.crashFn, i)
+		chainStep(s.Engine, next, "fault.recover", s.crashFn, arg)
 		return
 	}
 	s.Nodes[i].Recover()
-	s.afterFault(next, "fault.crash", s.crashFn, i)
+	chainStep(s.Engine, next, "fault.crash", s.crashFn, arg)
 }
 
 func (s *Simulation) rateStep(arg uint64) {
@@ -401,7 +393,7 @@ func (s *Simulation) rateStep(arg uint64) {
 	if rate != 1 {
 		label = "fault.rate.end"
 	}
-	s.afterFault(next, label, s.rateFn, i)
+	chainStep(s.Engine, next, label, s.rateFn, arg)
 }
 
 // wireGradient returns the checker for cfg, reusing prev when it was
@@ -460,14 +452,6 @@ func (s *Simulation) observe() {
 		s.gradient.observe(s.Graph, s.vals, hi-lo)
 	}
 	s.fold.Edges(s.Graph, s.vals)
-}
-
-// startSampler installs the periodic skew sampler on first call.
-func (s *Simulation) startSampler() {
-	if !s.started {
-		s.started = true
-		s.Engine.Schedule(s.Engine.Now(), "sim.sample", s.sampleFn)
-	}
 }
 
 // finalise builds the report once the engines have reached the horizon,

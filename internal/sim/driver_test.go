@@ -45,9 +45,9 @@ func (d RandomWalk) Install(en *des.Engine, c *clock.HardwareClock) {
 	var step func()
 	step = func() {
 		c.SetRate(r.Range(1-d.Rho, 1+d.Rho))
-		en.ScheduleAfter(d.Interval*(0.5+r.Float64()), "clock.walk", step)
+		en.Schedule(en.Now()+d.Interval*(0.5+r.Float64()), "clock.walk", step)
 	}
-	en.ScheduleAfter(d.Interval*(0.5+r.Float64()), "clock.walk", step)
+	en.Schedule(en.Now()+d.Interval*(0.5+r.Float64()), "clock.walk", step)
 }
 
 // BangBang alternates between the two extreme legal rates 1-rho and
@@ -74,9 +74,9 @@ func (d BangBang) Install(en *des.Engine, c *clock.HardwareClock) {
 	var flip func()
 	flip = func() {
 		set()
-		en.ScheduleAfter(d.Interval, "clock.bang", flip)
+		en.Schedule(en.Now()+d.Interval, "clock.bang", flip)
 	}
-	en.ScheduleAfter(d.Interval, "clock.bang", flip)
+	en.Schedule(en.Now()+d.Interval, "clock.bang", flip)
 }
 
 func TestRandomWalkStaysInBounds(t *testing.T) {

@@ -72,6 +72,33 @@ func TestRunReturnsErrorsNotPanics(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNaN: a NaN fails every comparison, so each of these
+// fields once passed Validate and then panicked in a schedule, never
+// ended a sampler loop, or silently stopped its chain. Validate must
+// refuse each with an error that names the field.
+func TestValidateRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for field, mut := range map[string]func(*Config){
+		"SampleEvery":        func(c *Config) { c.SampleEvery = nan },
+		"Driver.Interval":    func(c *Config) { c.Driver.Interval = nan },
+		"Churn.Lifetime":     func(c *Config) { c.Churn.Lifetime = nan },
+		"Churn.Absence":      func(c *Config) { c.Churn.Absence = nan },
+		"BeaconEvery":        func(c *Config) { c.Node.BeaconEvery = nan },
+		"Kappa":              func(c *Config) { c.Node.Kappa = nan },
+		"JumpThreshold":      func(c *Config) { c.Node.JumpThreshold = nan },
+		"CrashEvery":         func(c *Config) { c.Faults.CrashEvery = nan },
+		"CrashDowntime":      func(c *Config) { c.Faults.CrashDowntime = nan },
+		"RateExcursionEvery": func(c *Config) { c.Faults.RateExcursionEvery = nan },
+		"RateExcursionFor":   func(c *Config) { c.Faults.RateExcursionFor = nan },
+	} {
+		cfg := faultedChurnConfig(1)
+		mut(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("NaN %s: Validate = %v, want an error naming it", field, err)
+		}
+	}
+}
+
 // TestRunSweepSurfacesPerCellErrors: an invalid cell fails the sweep
 // and no cell runs. The error names every invalid cell, and neither
 // RunSweep nor Experiment.Run returns rows for a grid that cannot run

@@ -22,6 +22,10 @@ func FuzzConfigValidate(f *testing.F) {
 	f.Add(16, uint64(1), 4.0, 0.01, 0.01, 0.0025, int(TopoRing), 0, 0, int(DriveRandomWalk), 0.5, int(ChurnNone), 0.0, 0.0, false, 4, 0, 0.0)
 	// The Theorem 4.1 adversary, as gcsim lowerbound builds it.
 	f.Add(32, uint64(1), 0.0, 0.01, 0.01, 0.0, int(TopoTwoChains), 0, 0, int(DriveConstant), 0.0, int(ChurnNone), 0.0, 0.0, false, 0, 0, 1e-5)
+	// A NaN driver interval and a NaN churn lifetime (period feeds it),
+	// both once accepted.
+	f.Add(16, uint64(1), 4.0, 0.01, 0.01, 0.0, int(TopoRing), 0, 0, int(DriveRandomWalk), math.NaN(), int(ChurnNone), 0.0, 0.0, false, 0, 0, 0.0)
+	f.Add(5, uint64(3), 6.0, 0.1, 0.02, 0.0, int(TopoComplete), 0, 0, int(DriveConstant), 0.0, int(ChurnVolatile), math.NaN(), 1.0, false, 0, 8, 0.0)
 	f.Fuzz(func(t *testing.T, n int, seed uint64, horizon, rho, maxDelay, minDelay float64,
 		topo, w, h, driver int, interval float64, churn int, period, overlap float64,
 		parallel bool, shards, extra int, eps float64) {
@@ -45,6 +49,13 @@ func FuzzConfigValidate(f *testing.F) {
 		err := cfg.Validate()
 		if err != nil {
 			return
+		}
+		// No accepted config carries a NaN: it fails every comparison, so
+		// it would reach a schedule or silently end a chain.
+		for _, v := range []float64{horizon, rho, maxDelay, minDelay, interval, period, overlap, eps} {
+			if math.IsNaN(v) {
+				t.Fatalf("accepted a config carrying NaN: %+v", cfg)
+			}
 		}
 		// Accepted configs must be fully usable without panics.
 		d := cfg.WithDefaults()

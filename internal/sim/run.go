@@ -128,8 +128,9 @@ type Simulation struct {
 	driveFn, crashFn, rateFn des.ArgHandler
 	churnFn                  des.ArgHandler
 	// fireFn is every clock's engine firing: fireFn(i) fires clock i.
-	fireFn   des.ArgHandler
-	sampleFn func()
+	fireFn des.ArgHandler
+	// sampleFn is the skew sampler's chain, armed last by arm.
+	sampleFn des.ArgHandler
 	// onMessage is the single delivery handler shared by every node.
 	onMessage transport.Handler
 
@@ -152,8 +153,6 @@ type Simulation struct {
 	// gradient, when non-nil (Config.CheckGradient), folds every sample
 	// into per-distance skew buckets.
 	gradient *GradientChecker
-	// started records whether the periodic sampler has been installed.
-	started bool
 
 	// Fault-injection state (Config.Faults). msgPlan is the message-fault
 	// plan (it keeps the grown stream table across rewires); Net draws
@@ -290,12 +289,10 @@ func (s *Simulation) engineOf(i int) *des.Engine {
 	return s.P.Shard(int(s.shardOf[i]))
 }
 
-// Advance runs the execution up to real time t, installing the periodic
-// skew sampler on first call. Tests and Arena.RunSliced step a live
-// scenario through it; Run drives it to the horizon and finalizes the
-// report.
+// Advance runs the execution up to real time t. Tests and
+// Arena.RunSliced step a live scenario through it; Run drives it to the
+// horizon and finalizes the report.
 func (s *Simulation) Advance(t float64) {
-	s.startSampler()
 	s.P.Run(t, WorkerCount(s.Cfg.Workers))
 }
 

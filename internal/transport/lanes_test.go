@@ -350,7 +350,7 @@ func TestParallelLookaheadViolationPanics(t *testing.T) {
 	// with a delay far below the lookahead.
 	var tick func()
 	en1 := p.Shard(1)
-	tick = func() { en1.ScheduleAfter(0.01, "busy", tick) }
+	tick = func() { en1.Schedule(en1.Now()+0.01, "busy", tick) }
 	en1.Schedule(0, "busy", tick)
 	p.Shard(0).Schedule(0, "bad", func() { net.Send(0, 1, 0) })
 	defer func() {
