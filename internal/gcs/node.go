@@ -147,8 +147,10 @@ func (p Params) Validate() error {
 	if !(p.Rho >= 0 && p.Rho < 1) {
 		return fmt.Errorf("gcs: rho %v outside [0, 1)", p.Rho)
 	}
-	if !(p.BeaconEvery > 0) {
-		return fmt.Errorf("gcs: BeaconEvery %v must be positive", p.BeaconEvery)
+	if !(p.BeaconEvery > 0) || math.IsInf(p.BeaconEvery, 1) {
+		// An infinite period never beacons, and the skew bound it implies
+		// is infinite too.
+		return fmt.Errorf("gcs: BeaconEvery %v must be positive and finite", p.BeaconEvery)
 	}
 	if !(p.Kappa > 0) {
 		return fmt.Errorf("gcs: Kappa %v must be positive (a zero threshold would Zeno the catch-up loop)", p.Kappa)
@@ -258,7 +260,11 @@ type Node struct {
 	// est is the estimate table: one entry per source heard since the
 	// last forget, sorted by source id and searched by binary search. A
 	// ring node keeps two entries, the rotating-star hub one per spoke.
-	est []estimate
+	// It starts as a slice of estSmall, so the first two sources live
+	// inside the node and a ring or line node never allocates a table;
+	// a third source spills it to the heap through append.
+	est      []estimate
+	estSmall [2]estimate
 	// maxNorm is the running maximum of est[*].norm (-Inf when empty);
 	// per-source norms only ever increase, so it never needs a rescan.
 	maxNorm float64
@@ -302,7 +308,8 @@ func New(id int, clk seam.Clock, p Params, net seam.Sender, topo seam.Topology) 
 // Init sets nd up in place as New would, overwriting whatever it held,
 // with the parameters and wiring of sh, which nd keeps pointing at: a
 // harness that allocates its nodes as one slab calls it on each element
-// with one Shared.
+// with one Shared. nd must stay where it is afterwards: its estimate
+// table starts inside it, and its timers call back into it.
 func (nd *Node) Init(id int, clk seam.Clock, sh *Shared) {
 	*nd = Node{
 		id:      id,
@@ -314,6 +321,7 @@ func (nd *Node) Init(id int, clk seam.Clock, sh *Shared) {
 		maxNorm: math.Inf(-1),
 		nbrNorm: math.Inf(-1),
 	}
+	nd.est = nd.estSmall[:0]
 	nd.catchupT = clk.NewTimer("gcs.catchup", nd.recompute)
 	nd.beaconT = clk.NewTimer("gcs.beacon", func() {
 		nd.emit()

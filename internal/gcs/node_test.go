@@ -436,3 +436,56 @@ func TestNodeResetClearsState(t *testing.T) {
 		t.Fatalf("node inert after reset: %+v", s)
 	}
 }
+
+// TestEstimateTableInline pins where the estimate table lives: a node
+// that hears two sources keeps them inside itself, sorted by source,
+// and allocates nothing; a third source spills the table to the heap,
+// still sorted; Reset empties it and keeps the spilled capacity, so a
+// refill allocates nothing either.
+func TestEstimateTableInline(t *testing.T) {
+	_, _, nd := solo(Params{Rho: 0.01, MaxDelay: 0.01, BeaconEvery: 0.1})
+	sources := func(want ...int) {
+		t.Helper()
+		got := make([]int, len(nd.est))
+		for i, e := range nd.est {
+			got[i] = e.from
+		}
+		if len(got) != len(want) {
+			t.Fatalf("table holds sources %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("table holds sources %v, want %v", got, want)
+			}
+		}
+	}
+	two := func() {
+		nd.Reset()
+		nd.OnMessage(8, 1)
+		nd.OnMessage(2, 2)
+	}
+	if allocs := testing.AllocsPerRun(10, two); allocs != 0 {
+		t.Errorf("two sources allocated %v objects, want 0", allocs)
+	}
+	sources(2, 8)
+	if &nd.est[0] != &nd.estSmall[0] {
+		t.Fatal("two sources left the inline table")
+	}
+	nd.OnMessage(5, 3)
+	sources(2, 5, 8)
+	if &nd.est[0] == &nd.estSmall[0] {
+		t.Fatal("a third source did not spill the table")
+	}
+	spilled := cap(nd.est)
+	three := func() {
+		two()
+		nd.OnMessage(5, 3)
+	}
+	if allocs := testing.AllocsPerRun(10, three); allocs != 0 {
+		t.Errorf("refilling a spilled table allocated %v objects, want 0", allocs)
+	}
+	sources(2, 5, 8)
+	if nd.Reset(); len(nd.est) != 0 || cap(nd.est) != spilled {
+		t.Fatalf("Reset left len %d cap %d, want 0 and %d", len(nd.est), cap(nd.est), spilled)
+	}
+}

@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"gcs/internal/clock"
@@ -114,5 +115,15 @@ func TestDiscoveryBeaconsImmediately(t *testing.T) {
 	bare.OnEdgeAdded(0)
 	if bare.Snap().Discoveries != 1 {
 		t.Fatal("OnEdgeAdded without a sender did not count")
+	}
+}
+
+// TestParamsValidateRejectsInfiniteBeacon: an infinite BeaconEvery never
+// beacons and makes every skew bound +Inf, which each gate passes; it
+// was once accepted. The error must name the field.
+func TestParamsValidateRejectsInfiniteBeacon(t *testing.T) {
+	p := Params{BeaconEvery: math.Inf(1)}.WithDefaults()
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "BeaconEvery") {
+		t.Fatalf("Validate = %v, want an error naming BeaconEvery", err)
 	}
 }

@@ -8,9 +8,9 @@ package sim
 // nodes, sample buffers and skew series) is paid once per shape and then
 // reused: re-running a same-shape config, churn and the lower-bound
 // adversary included, allocates nothing, which
-// TestArenaSecondRunZeroAlloc pins. On the serial engine, growing to a
-// larger N reuses the smaller prefix and allocates only the delta, so
-// ascending n-sweeps (LowerBoundExperiment's, say) stay cheap.
+// TestArenaSecondRunZeroAlloc pins. On the serial engine a change of N
+// keeps the engine: a smaller N reuses the node records, and a larger
+// one wires a new slab of N records.
 //
 // An Arena is single-threaded, like the Simulation it owns; parallel
 // sweeps give each worker its own Arena (see RunSweep).

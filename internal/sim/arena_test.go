@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"gcs/internal/simtest"
 )
@@ -80,6 +81,50 @@ func TestArenaGrowAndShrink(t *testing.T) {
 	}
 }
 
+// TestArenaRecordsRewire rewires one arena across the daemon's node
+// counts, up and back down, under volatile churn (discovery) and
+// crash/recover and rate faults, so every handler that reaches a node
+// record runs. A growth wires a new slab of records and a shrink keeps
+// the old one. At every step node i's Clocks and Nodes views must be the
+// two halves of record i, the node must read that record's clock, and
+// the report must be bit-identical to a fresh arena's.
+func TestArenaRecordsRewire(t *testing.T) {
+	a := NewArena()
+	var recs *nodeRecord
+	have := 0
+	for _, n := range []int{32, 64, 128, 64} {
+		cfg := Config{
+			N: n, Seed: uint64(n), Horizon: 6, Rho: 0.01, MaxDelay: 0.01,
+			Topology: TopologySpec{Kind: TopoRing},
+			Driver:   DriverSpec{Kind: DriveRandomWalk, Interval: 0.5},
+			Churn:    ChurnSpec{Kind: ChurnVolatile, Lifetime: 1.5, Absence: 1, ExtraEdges: n / 4},
+			Faults:   FaultSpec{CrashEvery: 2, CrashDowntime: 0.3, RateExcursionEvery: 2},
+		}
+		s := a.Sim(cfg)
+		if grew := &s.recs[0] != recs; grew != (n > have) {
+			t.Fatalf("n=%d after %d records: new slab %v", n, have, grew)
+		}
+		recs, have = &s.recs[0], max(have, n)
+		got := s.Run()
+		if len(s.Clocks) != n || len(s.Nodes) != n {
+			t.Fatalf("n=%d: %d clocks and %d nodes in view", n, len(s.Clocks), len(s.Nodes))
+		}
+		for i := range n {
+			r := &s.recs[i]
+			if s.Clocks[i] != &r.clock || s.Nodes[i] != &r.node {
+				t.Fatalf("n=%d: the views of node %d are not record %d", n, i, i)
+			}
+			if clk := field(&r.node, "clk").Elem().Pointer(); clk != uintptr(unsafe.Pointer(&r.clock)) {
+				t.Fatalf("n=%d: node %d reads a clock outside its record", n, i)
+			}
+		}
+		if f := got.Faults; f.Crashes == 0 || f.RateExcursions == 0 || got.EdgeAdds == 0 {
+			t.Fatalf("n=%d: a fault class or churn left the run: %+v, %d edge adds", n, f, got.EdgeAdds)
+		}
+		simtest.AssertSameReport(t, fmt.Sprintf("n=%d: arena vs fresh", n), got, mustRun(t, cfg))
+	}
+}
+
 // TestArenaSecondRunZeroAlloc pins the allocation budget of a same-shape
 // re-run on a reused arena — engine reset, graph reset, transport reset,
 // node resets, driver and churn reseeds, the full execution, and the
@@ -142,8 +187,11 @@ func TestArenaSecondRunZeroAlloc(t *testing.T) {
 	t.Run("serial sweep", func(t *testing.T) {
 		cells := allocSweepCells()
 		// A fresh arena per call, rewired across the cells' shapes. Its
-		// engine's events share one slab, not one allocation each.
-		checkAllocs(t, 198, func() { RunSweep(cells, 1) })
+		// engine's events share one slab, not one allocation each; the
+		// growth from 16 to 32 nodes wires a new slab of 32 records, two
+		// timer callbacks each, and no ring or line node allocates an
+		// estimate table.
+		checkAllocs(t, 164, func() { RunSweep(cells, 1) })
 	})
 }
 
@@ -223,8 +271,8 @@ func allocSweepCells() []SweepCell {
 
 // TestArenaOneShardReuse pins the one harness's engine sets: a serial
 // config (MinDelay 0) runs on one shard that is the global engine, with
-// no shard table, and an arena keeps that engine and its node pool as N
-// changes. One shard with a delay floor is windowed, its shard apart from
+// no shard table, and an arena keeps that engine as N changes, and its
+// node records as N shrinks (a growth wires a new slab). One shard with a delay floor is windowed, its shard apart from
 // the global engine. Switching to a sharded shape and back rebuilds, and
 // every run still matches a fresh wiring.
 func TestArenaOneShardReuse(t *testing.T) {
@@ -236,16 +284,21 @@ func TestArenaOneShardReuse(t *testing.T) {
 
 	a := NewArena()
 	s := a.Sim(small)
-	p, first := s.P, s.Nodes[0]
+	p := s.P
 	if s.P.NumShards() != 1 || s.P.Shard(0) != s.Engine || s.shardOf != nil {
 		t.Fatalf("serial config: %d shards, shard 0 is global: %v, shard table %v",
 			s.P.NumShards(), s.P.Shard(0) == s.Engine, s.shardOf)
 	}
 	simtest.AssertSameReport(t, "small", s.Run(), mustRun(t, small))
-	if s = a.Sim(large); s.P != p || s.Nodes[0] != first {
-		t.Fatal("growing N on one shard rebuilt the engine or the node pool")
+	if s = a.Sim(large); s.P != p {
+		t.Fatal("growing N on one shard rebuilt the engine")
 	}
+	first := s.Nodes[0]
 	simtest.AssertSameReport(t, "large after small", s.Run(), mustRun(t, large))
+	if s = a.Sim(small); s.P != p || s.Nodes[0] != first {
+		t.Fatal("shrinking N on one shard rebuilt the engine or the node records")
+	}
+	simtest.AssertSameReport(t, "small after large", s.Run(), mustRun(t, small))
 	for _, cfg := range []Config{parallelRingConfig(32, 4), oneShard, small} {
 		s = a.Sim(cfg)
 		if want := max(cfg.Shards, 1); s.P.NumShards() != want {

@@ -126,23 +126,27 @@ func census(s *Simulation) []censusRow {
 	add := func(owner string, bytes int) { rows = append(rows, censusRow{owner, float64(bytes)}) }
 	ptr := int(unsafe.Sizeof(uintptr(0)))
 
-	// A clock holds its first two timers inline; a spilled one costs its
-	// slice, its slot and the timer itself.
+	// A node record holds its node's first two estimates and its clock's
+	// first two timers inline. A spilled estimate table costs its
+	// capacity; a spilled timer costs its slice, its slot and the timer.
 	var est, spilled int
-	for i, nd := range s.allNodes {
-		tbl := field(nd, "est")
-		est += tbl.Cap() * int(tbl.Type().Elem().Size())
-		if sp := field(s.allClocks[i], "spill"); !sp.IsNil() {
+	for i := range s.recs {
+		r := &s.recs[i]
+		tbl := field(&r.node, "est")
+		if tbl.Cap() > field(&r.node, "estSmall").Len() {
+			est += tbl.Cap() * int(tbl.Type().Elem().Size())
+		}
+		if sp := field(&r.clock, "spill"); !sp.IsNil() {
 			ts := sp.Elem()
 			spilled += int(ts.Type().Size()) + ts.Cap()*ptr + ts.Len()*int(ts.Type().Elem().Elem().Size())
 		}
 	}
-	add("gcs.Node", len(s.allNodes)*int(unsafe.Sizeof(gcs.Node{})))
-	add("gcs estimate tables", est)
+	add("record: gcs.Node (two estimates inline)", len(s.recs)*int(unsafe.Sizeof(gcs.Node{})))
+	add("record: clock.HardwareClock (with timers)", len(s.recs)*int(unsafe.Sizeof(clock.HardwareClock{}))+spilled)
+	add("gcs estimate tables (spilled)", est)
 	add("gcs.Shared (one per harness)", int(unsafe.Sizeof(gcs.Shared{})))
-	add("clock.HardwareClock (with its timers)", len(s.allClocks)*int(unsafe.Sizeof(clock.HardwareClock{}))+spilled)
 	add("sim.DriverState (with its des.Rand)", cap(s.drivers)*int(unsafe.Sizeof(DriverState{})))
-	add("sim per-node slices", (cap(s.allClocks)+cap(s.allNodes)+cap(s.vals))*ptr)
+	add("sim per-node slices", (cap(s.Clocks)+cap(s.Nodes)+cap(s.vals))*ptr)
 
 	// A slot's queue half is in the slab, its payload in pay and its call
 	// in the chunks.

@@ -337,8 +337,10 @@ func (c Config) Validate() error {
 	if c.Rho < 0 || c.Rho >= 1 || math.IsNaN(c.Rho) {
 		return fmt.Errorf("sim: Config.Rho %v outside [0, 1)", c.Rho)
 	}
-	if c.MaxDelay < 0 || math.IsNaN(c.MaxDelay) {
-		return fmt.Errorf("sim: Config.MaxDelay %v must be nonnegative", c.MaxDelay)
+	if c.MaxDelay < 0 || math.IsNaN(c.MaxDelay) || math.IsInf(c.MaxDelay, 1) {
+		// An infinite delay bound makes the skew bound infinite, which
+		// every skew gate would pass.
+		return fmt.Errorf("sim: Config.MaxDelay %v must be finite and nonnegative", c.MaxDelay)
 	}
 	if c.SampleEvery < 0 {
 		return fmt.Errorf("sim: Config.SampleEvery %v must be nonnegative", c.SampleEvery)
@@ -357,6 +359,13 @@ func (c Config) Validate() error {
 		}
 	}
 	d := c.WithDefaults()
+	// A positive step below one ulp of the horizon is lost when added to
+	// any time up to it (now+step == now), so a chain stepping by it would
+	// reschedule at one instant forever.
+	ulp := math.Nextafter(d.Horizon, math.Inf(1)) - d.Horizon
+	if d.SampleEvery < ulp {
+		return fmt.Errorf("sim: Config.SampleEvery %v is below one ulp (%v) of the horizon %v", d.SampleEvery, ulp, d.Horizon)
+	}
 	// The rotating star ignores the backbone topology entirely, so a
 	// backbone spec under it is never materialized and its size floors
 	// don't apply.
@@ -383,6 +392,9 @@ func (c Config) Validate() error {
 	case DriveRandomWalk, DriveBangBang:
 		if d.Driver.Interval <= 0 {
 			return fmt.Errorf("sim: %v driver interval %v must be positive", d.Driver.Kind, d.Driver.Interval)
+		}
+		if d.Driver.Interval < ulp {
+			return fmt.Errorf("sim: Config.Driver.Interval %v is below one ulp (%v) of the horizon %v", d.Driver.Interval, ulp, d.Horizon)
 		}
 	default:
 		return fmt.Errorf("sim: unknown driver kind %d", int(d.Driver.Kind))
@@ -422,6 +434,14 @@ func (c Config) Validate() error {
 	}
 	if err := d.Node.Validate(); err != nil {
 		return err
+	}
+	// With jumps on, both bounds are finite unless their arithmetic
+	// overflows, and a bound that overflows to +Inf would pass every skew
+	// gate. An infinite JumpThreshold turns jumps off, and the global
+	// bound with them, on purpose.
+	if b, g := d.GlobalSkewBound(), d.GradientBound(1); !math.IsInf(d.Node.JumpThreshold, 1) && (math.IsInf(b, 1) || math.IsInf(g, 1)) {
+		return fmt.Errorf("sim: the skew bounds overflow (global %v, one hop %v): Config.MaxDelay %v, Node.BeaconEvery %v or the churn period is too large",
+			b, g, d.MaxDelay, d.Node.BeaconEvery)
 	}
 	return d.Faults.Validate(d.Horizon)
 }

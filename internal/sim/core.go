@@ -196,12 +196,12 @@ type edgeKey struct {
 // address.
 func (s *Simulation) init() {
 	s.delayFn = func(m *transport.Message) float64 { return s.delays.Draw(m.From) }
-	s.fireFn = func(arg uint64) { s.Clocks[arg].Fire() }
+	s.fireFn = func(arg uint64) { s.recs[arg].clock.Fire() }
 	s.driveFn = s.driveStep
 	s.churnFn = s.churnStep
 	s.crashFn = s.crashStep
 	s.rateFn = s.rateStep
-	s.onMessage = func(m transport.Message) { s.Nodes[m.To].OnMessage(m.From, m.Value) }
+	s.onMessage = func(m transport.Message) { s.recs[m.To].node.OnMessage(m.From, m.Value) }
 	s.sampleFn = func(uint64) {
 		s.observe()
 		s.Engine.ScheduleAfterArg(s.Cfg.SampleEvery, "sim.sample", s.sampleFn, 0)
@@ -216,27 +216,26 @@ func (s *Simulation) arm() {
 	cfg := &s.Cfg
 	n := cfg.N
 
-	// Grow the node/clock pools up to n, then reset the live prefix. Each
-	// growth is one clock slab and one node slab, set up in place. Every
-	// clock fires through fireFn with its index, and every node reads the
-	// run's parameters and its wiring to Net and the (stable) graph from
+	// Grow the records up to n, then reset the live prefix. A record
+	// cannot move, so a growth wires a new slab of n records and sets up
+	// every one in place; nothing refers to the old slab, since events
+	// carry node indexes and the engines were reset. Every clock fires
+	// through fireFn with its index, and every node reads the run's
+	// parameters and its wiring to Net and the (stable) graph from
 	// s.shared, set here before any node is reset against it.
 	s.shared.Set(cfg.Node, s.Net, s.Graph)
-	if have := len(s.allClocks); have < n {
-		s.allClocks = append(make([]*clock.HardwareClock, 0, n), s.allClocks...)
-		s.allNodes = append(make([]*gcs.Node, 0, n), s.allNodes...)
-		clocks := make([]clock.HardwareClock, n-have)
-		nodes := make([]gcs.Node, n-have)
-		for j := range clocks {
-			i := have + j
-			clocks[j].Init(s.engineOf(i), 1, s.fireFn, uint64(i))
-			nodes[j].Init(i, &clocks[j], &s.shared)
-			s.allClocks = append(s.allClocks, &clocks[j])
-			s.allNodes = append(s.allNodes, &nodes[j])
+	if len(s.recs) < n {
+		s.recs = make([]nodeRecord, n)
+		s.Clocks = make([]*clock.HardwareClock, n)
+		s.Nodes = make([]*gcs.Node, n)
+		for i := range s.recs {
+			r := &s.recs[i]
+			r.clock.Init(s.engineOf(i), 1, s.fireFn, uint64(i))
+			r.node.Init(i, &r.clock, &s.shared)
+			s.Clocks[i], s.Nodes[i] = &r.clock, &r.node
 		}
 	}
-	s.Clocks = s.allClocks[:n]
-	s.Nodes = s.allNodes[:n]
+	s.Clocks, s.Nodes = s.Clocks[:n], s.Nodes[:n]
 	if !s.wired {
 		s.Graph.Reset(n, s.initialEdges) // deferred by Reset
 	}
@@ -246,9 +245,10 @@ func (s *Simulation) arm() {
 	s.drivers = s.drivers[:n]
 
 	s.streams.Fork(&s.root)
-	for i := 0; i < n; i++ {
-		s.Clocks[i].Reset(1)
-		s.Nodes[i].Reset()
+	for i := range n {
+		r := &s.recs[i]
+		r.clock.Reset(1)
+		r.node.Reset()
 		s.Net.SetHandler(i, s.onMessage)
 		s.drivers[i].Start(i, &s.streams.Drive)
 		s.driveStep(uint64(i))
@@ -266,8 +266,8 @@ func (s *Simulation) arm() {
 		chainStep(s.Engine, ev.After, ev.Label, s.churnFn, ev.Arg)
 	}
 
-	for i := 0; i < n; i++ {
-		s.Nodes[i].Start(s.streams.Phase.Range(0, cfg.Node.BeaconEvery))
+	for i := range n {
+		s.recs[i].node.Start(s.streams.Phase.Range(0, cfg.Node.BeaconEvery))
 	}
 
 	// The Eq. (1) schedule (Section 4) of a node at flexible distance d
@@ -311,7 +311,7 @@ const maxPresized = 1 << 16
 func (s *Simulation) driveStep(arg uint64) {
 	i := int(arg)
 	rate, next := s.drivers[i].Step(s.Cfg.Driver, s.Cfg.Rho)
-	s.Clocks[i].SetRate(rate)
+	s.recs[i].clock.SetRate(rate)
 	label := "clock.walk"
 	switch s.Cfg.Driver.Kind {
 	case DriveBangBang:
@@ -376,18 +376,18 @@ func (s *Simulation) crashStep(arg uint64) {
 	i := int(arg)
 	down, next := s.injector.CrashStep(i, s.Engine.Now(), &s.faultStats)
 	if down {
-		s.Nodes[i].Crash()
+		s.recs[i].node.Crash()
 		chainStep(s.Engine, next, "fault.recover", s.crashFn, arg)
 		return
 	}
-	s.Nodes[i].Recover()
+	s.recs[i].node.Recover()
 	chainStep(s.Engine, next, "fault.crash", s.crashFn, arg)
 }
 
 func (s *Simulation) rateStep(arg uint64) {
 	i := int(arg)
 	rate, next := s.injector.RateStep(i, s.Engine.Now(), &s.faultStats)
-	s.Clocks[i].SetRate(rate)
+	s.recs[i].clock.SetRate(rate)
 	// An excursion's rate is strictly out of band, so only its end sets 1.
 	label := "fault.rate"
 	if rate != 1 {
@@ -421,13 +421,13 @@ func wireGradient(prev *GradientChecker, cfg Config) *GradientChecker {
 type discovery struct{ s *Simulation }
 
 func (d discovery) EdgeAdded(t float64, e dyngraph.Edge) {
-	d.s.Nodes[e.U].OnEdgeAdded(e.V)
-	d.s.Nodes[e.V].OnEdgeAdded(e.U)
+	d.s.recs[e.U].node.OnEdgeAdded(e.V)
+	d.s.recs[e.V].node.OnEdgeAdded(e.U)
 }
 
 func (d discovery) EdgeRemoved(t float64, e dyngraph.Edge) {
-	d.s.Nodes[e.U].OnEdgeRemoved(e.V)
-	d.s.Nodes[e.V].OnEdgeRemoved(e.U)
+	d.s.recs[e.U].node.OnEdgeRemoved(e.V)
+	d.s.recs[e.V].node.OnEdgeRemoved(e.U)
 }
 
 // observe records one skew sample at the global engine's current time,
@@ -439,7 +439,8 @@ func (d discovery) EdgeRemoved(t float64, e dyngraph.Edge) {
 //
 //gcslint:zeroalloc
 func (s *Simulation) observe() {
-	for i, nd := range s.Nodes {
+	for i := range s.vals {
+		nd := &s.recs[i].node
 		s.vals[i] = math.NaN()
 		if !nd.Down() {
 			s.vals[i] = nd.Logical()

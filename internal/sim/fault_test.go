@@ -99,6 +99,40 @@ func TestValidateRejectsNaN(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsStallsAndInfiniteBounds: a positive step below one
+// ulp of the horizon is lost in now+step, so its chain once rescheduled
+// at one instant forever; an infinite MaxDelay or BeaconEvery once made
+// the skew bound +Inf, which every gate passes. Validate must refuse
+// each with an error that names the field, and still accept a step of
+// exactly one ulp and a sub-ulp interval on the constant driver, which
+// never reads it.
+func TestValidateRejectsStallsAndInfiniteBounds(t *testing.T) {
+	inf := math.Inf(1)
+	for field, mut := range map[string]func(*Config){
+		"SampleEvery":     func(c *Config) { c.SampleEvery = 1e-300 },
+		"Driver.Interval": func(c *Config) { c.Driver.Interval = 1e-300 },
+		"MaxDelay":        func(c *Config) { c.MaxDelay = inf },
+		"BeaconEvery":     func(c *Config) { c.Node.BeaconEvery = inf },
+		"overflow":        func(c *Config) { c.MaxDelay = math.MaxFloat64 },
+	} {
+		cfg := faultedChurnConfig(1)
+		mut(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: Validate = %v, want an error naming it", field, err)
+		}
+	}
+	ulp := churnyConfig(1)
+	ulp.SampleEvery = math.Nextafter(ulp.Horizon, inf) - ulp.Horizon
+	ulp.Driver.Interval = ulp.SampleEvery
+	constant := churnyConfig(1)
+	constant.Driver = DriverSpec{Kind: DriveConstant, Interval: 1e-300}
+	for _, cfg := range []Config{ulp, constant} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v: %v", cfg.Driver, err)
+		}
+	}
+}
+
 // TestRunSweepSurfacesPerCellErrors: an invalid cell fails the sweep
 // and no cell runs. The error names every invalid cell, and neither
 // RunSweep nor Experiment.Run returns rows for a grid that cannot run

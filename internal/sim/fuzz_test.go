@@ -26,6 +26,11 @@ func FuzzConfigValidate(f *testing.F) {
 	// both once accepted.
 	f.Add(16, uint64(1), 4.0, 0.01, 0.01, 0.0, int(TopoRing), 0, 0, int(DriveRandomWalk), math.NaN(), int(ChurnNone), 0.0, 0.0, false, 0, 0, 0.0)
 	f.Add(5, uint64(3), 6.0, 0.1, 0.02, 0.0, int(TopoComplete), 0, 0, int(DriveConstant), 0.0, int(ChurnVolatile), math.NaN(), 1.0, false, 0, 8, 0.0)
+	// A driver interval below one ulp of the horizon (its chain would
+	// reschedule at one instant forever) and an infinite delay bound
+	// (the skew gate would pass vacuously), both once accepted.
+	f.Add(8, uint64(1), 1.0, 0.01, 0.01, 0.0, int(TopoRing), 0, 0, int(DriveRandomWalk), 1e-300, int(ChurnNone), 0.0, 0.0, false, 0, 0, 0.0)
+	f.Add(8, uint64(1), 1.0, 0.01, math.Inf(1), 0.0, int(TopoRing), 0, 0, int(DriveRandomWalk), 0.5, int(ChurnNone), 0.0, 0.0, false, 0, 0, 0.0)
 	f.Fuzz(func(t *testing.T, n int, seed uint64, horizon, rho, maxDelay, minDelay float64,
 		topo, w, h, driver int, interval float64, churn int, period, overlap float64,
 		parallel bool, shards, extra int, eps float64) {
@@ -66,10 +71,16 @@ func FuzzConfigValidate(f *testing.F) {
 		if d.Shards > 1 && !(d.MinDelay > 0) {
 			t.Fatalf("accepted %d shards at MinDelay %v: %+v", d.Shards, d.MinDelay, cfg)
 		}
-		if b := cfg.GlobalSkewBound(); math.IsNaN(b) || b < 0 {
+		// Every step a chain takes moves time, up to the horizon.
+		if d.Horizon+d.SampleEvery == d.Horizon ||
+			d.Driver.Kind != DriveConstant && d.Horizon+d.Driver.Interval == d.Horizon {
+			t.Fatalf("accepted a step lost at the horizon (SampleEvery %v, Driver.Interval %v): %+v", d.SampleEvery, d.Driver.Interval, cfg)
+		}
+		// Both bounds are finite: an infinite one passes every skew gate.
+		if b := cfg.GlobalSkewBound(); math.IsNaN(b) || b < 0 || math.IsInf(b, 1) {
 			t.Fatalf("GlobalSkewBound = %v for accepted config %+v", b, cfg)
 		}
-		if g := cfg.GradientBound(1); math.IsNaN(g) || g < 0 {
+		if g := cfg.GradientBound(1); math.IsNaN(g) || g < 0 || math.IsInf(g, 1) {
 			t.Fatalf("GradientBound(1) = %v for accepted config %+v", g, cfg)
 		}
 		if cfg.GradientBound(0) != 0 || cfg.GradientBound(-1) != 0 {

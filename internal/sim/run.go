@@ -79,8 +79,11 @@ type SkewReport struct {
 // flight arenas and per-node objects, so a same-shape re-run allocates
 // nothing.
 type Simulation struct {
-	Cfg    Config
-	Graph  *dyngraph.Dynamic
+	Cfg   Config
+	Graph *dyngraph.Dynamic
+	// Clocks and Nodes are pointer views into the records, node i's
+	// clock and algorithm state, for the report and for tests; the
+	// event handlers index the records themselves.
 	Clocks []*clock.HardwareClock
 	Nodes  []*gcs.Node
 	// Net is the transport every node transmits through, one lane per
@@ -100,10 +103,9 @@ type Simulation struct {
 	// the per-node objects are rebuilt only when it changes.
 	shape shape
 
-	// allClocks/allNodes are the grow-only pools backing the public
-	// slices, which are views of the first Cfg.N entries.
-	allClocks []*clock.HardwareClock
-	allNodes  []*gcs.Node
+	// recs holds one record per node, indexed by node id. Its first
+	// Cfg.N entries are live; arm replaces it when N outgrows it.
+	recs []nodeRecord
 	// shared is what every node shares: the run's parameters and the
 	// nodes' wiring to Net and Graph.
 	shared  gcs.Shared
@@ -164,10 +166,20 @@ type Simulation struct {
 	faultStats fault.Stats
 }
 
+// nodeRecord is one DES node: its algorithm state and its hardware clock,
+// side by side in one slab entry, so an event at the node reaches both
+// from one index. The node reads its clock through a pointer into the
+// same record, and both hold pointers into themselves, so a record never
+// moves once wired.
+type nodeRecord struct {
+	node  gcs.Node
+	clock clock.HardwareClock
+}
+
 // shape is the allocation shape of a wired Simulation: a change forces
 // a rebuild, because clocks bind to their shard's engine at construction.
 // N is part of it on the windowed engine, where the partition depends
-// on it; the serial engine keeps its engine and pools as N changes.
+// on it; the serial engine keeps its engine as N changes.
 type shape struct {
 	shards    int
 	lookahead float64
@@ -214,9 +226,9 @@ func (s *Simulation) Reset(cfg Config) {
 	}
 	if s.Graph == nil {
 		// A first wiring binds the transport and nodes to an empty graph and
-		// lets arm fill it once the node pools exist: the adjacency slices
+		// lets arm fill it once the node records exist: the adjacency slices
 		// are the most pointer-dense part of the heap, and every collection
-		// the growing pools trigger would otherwise mark them again.
+		// the record slab triggers would otherwise mark them again.
 		s.Graph = dyngraph.NewDynamic(cfg.N, nil)
 	} else {
 		s.Graph.Reset(cfg.N, s.initialEdges)
@@ -253,13 +265,12 @@ func (s *Simulation) adversary() transport.DelayFn {
 
 // build constructs the engine set, the node partition and the transport
 // (one lane per shard, drawing from delay) for a new shape. Clocks bind
-// to their shard's engine and nodes to Net at construction, so arm
-// rebuilds the pools.
+// to their shard's engine at construction, so arm rebuilds the records.
 func (s *Simulation) build(cfg Config, sh shape, delay transport.DelayFn) {
 	s.shape = sh
 	s.P = des.NewParallelEngine(sh.shards, sh.lookahead)
 	s.Engine = s.P.Global()
-	s.allClocks, s.allNodes, s.shardOf = nil, nil, nil
+	s.recs, s.shardOf = nil, nil
 	if sh.lookahead == 0 {
 		s.Net = transport.New(s.Engine, s.Graph, delay, cfg.MaxDelay)
 		return
